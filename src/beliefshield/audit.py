@@ -20,9 +20,9 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
-from .ldtl import And, Formula, Letter, describe, oracle_satisfies
+from .ldtl import Letter, oracle_satisfies
 from .model import Belief, belief_update
-from .monitor import Monitor, StepVerdict, compile_monitor, monitor_step
+from .monitor import Monitor, StepVerdict, compile_monitor, conjuncts, monitor_step
 from .traceio import EpisodeRecord
 
 BELIEF_TOL = 1e-9
@@ -70,12 +70,6 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return all(ep.ok for ep in self.episodes)
-
-
-def _conjuncts(phi: Formula) -> list[Formula]:
-    if isinstance(phi, And):
-        return _conjuncts(phi.left) + _conjuncts(phi.right)
-    return [phi]
 
 
 def _checked_index(value, bound: int, what: str, where: str) -> int:
@@ -159,7 +153,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[EpisodeAudit,
     pending = set(final_mon.pending())
 
     obligations = []
-    for ob, conjunct in zip(final_mon.obligations, _conjuncts(cfg.formula)):
+    for ob, conjunct in zip(final_mon.obligations, conjuncts(cfg.formula)):
         obligations.append(ObligationAudit(
             oid=ob.oid,
             label=ob.label,

@@ -47,6 +47,10 @@ from .sim import (
 
 OBS_JOIN = "+"
 
+# libyaml's parser when PyYAML was built with it (several times faster on
+# large tables), else the pure-Python one; both build the same data.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -386,7 +390,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read file: {exc.strerror or exc}", str(path)) from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}", str(path)) from exc
     cfg = parse_config(data, source=str(path))

@@ -16,7 +16,8 @@ need an in-word witness, and `next` at the last position is false.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from operator import itemgetter
+from typing import Callable, Sequence, Union
 
 from .model import Belief
 
@@ -84,6 +85,49 @@ def evaluate_expr(expr: BeliefExpr, belief: Belief) -> float:
         return min(evaluate_expr(c, belief) for c in expr.children)
     if isinstance(expr, Max):
         return max(evaluate_expr(c, belief) for c in expr.children)
+    raise TypeError(f"not a belief expression: {expr!r}")
+
+
+Evaluator = Callable[[Sequence[float]], float]
+
+
+def compile_expr(expr: BeliefExpr) -> Evaluator:
+    """Compile an expression into a function of the belief entries as
+    Python floats (`belief.probs.tolist()`).
+
+    The function performs the float operations of evaluate_expr in the
+    same order (`sum`, `min` and `max` are the builtins, products fold
+    from 1.0), so its value is bit-identical to evaluate_expr's.
+    """
+    if isinstance(expr, Constant):
+        value = float(expr.value)
+        return lambda p: value
+    if isinstance(expr, BeliefVar):
+        return itemgetter(expr.index)
+    if isinstance(expr, Sum):
+        if len(expr.children) > 1 and all(isinstance(c, BeliefVar) for c in expr.children):
+            entries = itemgetter(*(c.index for c in expr.children))
+            return lambda p: sum(entries(p))
+        terms = tuple(compile_expr(c) for c in expr.children)
+        return lambda p: sum([f(p) for f in terms])
+    if isinstance(expr, Difference):
+        left, right = compile_expr(expr.left), compile_expr(expr.right)
+        return lambda p: left(p) - right(p)
+    if isinstance(expr, Product):
+        factors = tuple(compile_expr(c) for c in expr.children)
+
+        def product(p):
+            out = 1.0
+            for f in factors:
+                out *= f(p)
+            return out
+        return product
+    if isinstance(expr, Min):
+        terms = tuple(compile_expr(c) for c in expr.children)
+        return lambda p: min([f(p) for f in terms])
+    if isinstance(expr, Max):
+        terms = tuple(compile_expr(c) for c in expr.children)
+        return lambda p: max([f(p) for f in terms])
     raise TypeError(f"not a belief expression: {expr!r}")
 
 

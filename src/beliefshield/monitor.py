@@ -28,20 +28,23 @@ Obligations then check, between consecutive beliefs:
 
 Monitors are immutable; monitor_step returns the verdict together with
 the successor monitor, so candidate actions can be probed without
-mutation.
+mutation. Each barrier is compiled once, when the monitor is built, and
+a step is two parts: the barrier values at both beliefs
+(barrier_values), then one float-only rule per obligation kind
+(check_step). The shield reuses the same rules through step_passes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 from .barrier import FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_bound
 from .errors import UnsupportedNesting
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
-    Eventually, Formula, Max, Min, NegBeliefPred, NegStateSet, Next, Or,
-    StateSet, Sum, Until, describe, evaluate_expr, is_propositional,
+    Eventually, Evaluator, Formula, Max, Min, NegBeliefPred, NegStateSet, Next,
+    Or, StateSet, Sum, Until, compile_expr, describe, is_propositional,
 )
 from .model import Belief, Mpomdp
 
@@ -177,10 +180,17 @@ class Monitor:
     obligations: tuple[Obligation, ...]
     step_count: int = 0
     last_values: tuple[float | None, ...] = ()
+    # Compiled barriers of each obligation, in _barriers order; built
+    # once and handed on to every successor.
+    evaluators: tuple[tuple[Evaluator, ...], ...] = field(
+        default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.last_values) != len(self.obligations):
             object.__setattr__(self, "last_values", (None,) * len(self.obligations))
+        if len(self.evaluators) != len(self.obligations):
+            object.__setattr__(self, "evaluators", tuple(
+                tuple(compile_expr(e) for e in _barriers(ob)) for ob in self.obligations))
 
     @property
     def all_discharged(self) -> bool:
@@ -203,7 +213,7 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
     temporal side, and so on).
     """
     obligations: list[Obligation] = []
-    for i, conjunct in enumerate(_conjuncts(phi)):
+    for i, conjunct in enumerate(conjuncts(phi)):
         label = describe(conjunct)
         if isinstance(conjunct, Always):
             _require_propositional(conjunct.child, label)
@@ -235,9 +245,10 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
     return Monitor(config=config, obligations=tuple(obligations))
 
 
-def _conjuncts(phi: Formula) -> list[Formula]:
+def conjuncts(phi: Formula) -> list[Formula]:
+    """The top-level conjuncts of phi, left to right."""
     if isinstance(phi, And):
-        return _conjuncts(phi.left) + _conjuncts(phi.right)
+        return conjuncts(phi.left) + conjuncts(phi.right)
     return [phi]
 
 
@@ -253,6 +264,143 @@ def _require_propositional(core: Formula, label: str) -> None:
 # Stepping
 
 
+def _barriers(ob: Obligation) -> tuple[BeliefExpr, ...]:
+    if isinstance(ob, UntilWatch):
+        return (ob.left_barrier, ob.right_barrier)
+    if isinstance(ob, (Invariance, FiniteTime, NextPending, OneShot)):
+        return (ob.barrier,)
+    raise TypeError(f"unknown obligation: {ob!r}")
+
+
+def _active(ob: Obligation) -> bool:
+    return not getattr(ob, "discharged", False)
+
+
+# A rule maps one active obligation and its barrier values at b_prev and
+# b_next to (status, recorded barrier, detail, field changes for the
+# successor obligation). Rules only read floats.
+
+_STARTED = {"started": True}
+_DISCHARGED = {"discharged": True}
+_STARTED_DISCHARGED = {"started": True, "discharged": True}
+
+
+def _always(ob, prev, nxt, first, step, cfg):
+    (h_prev,), (h_next,) = prev, nxt
+    if first and h_prev < 0.0:
+        return "fail", h_next, f"start barrier {h_prev:.6g} < 0", _STARTED
+    if not dtbf_check(h_prev, h_next, cfg.alpha):
+        return ("fail", h_next, f"decay bound broken ({h_prev:.6g} -> {h_next:.6g})",
+                _STARTED)
+    return "pass", h_next, "", _STARTED
+
+
+def _eventually(ob, prev, nxt, first, step, cfg):
+    (h_prev,), (h_next,) = prev, nxt
+    if first and h_prev >= 0.0:
+        return "discharged", h_prev, "satisfied at start", _DISCHARGED
+    deadline = ob.deadline
+    if deadline is None:
+        deadline = ft_time_bound(h_prev, cfg.ft)
+    if h_next >= 0.0:
+        return ("discharged", h_next, f"reached at step {step} (deadline {deadline})",
+                {"deadline": deadline, "discharged": True})
+    problems = []
+    if not ft_dtbf_check(h_prev, h_next, cfg.ft):
+        problems.append(f"contraction broken ({h_prev:.6g} -> {h_next:.6g})")
+    if step >= deadline:
+        problems.append(f"deadline {deadline} passed")
+    return ("fail" if problems else "pass"), h_next, "; ".join(problems), {"deadline": deadline}
+
+
+def _until(ob, prev, nxt, first, step, cfg):
+    (h1_prev, h2_prev), (h1_next, h2_next) = prev, nxt
+    if first and h2_prev >= 0.0:
+        return "discharged", h2_prev, "right side satisfied at start", _STARTED_DISCHARGED
+    if first and h1_prev < 0.0:
+        # Right side negative at the start means the left must already
+        # hold there; a later discharge cannot repair position zero.
+        return "fail", h1_next, f"left barrier {h1_prev:.6g} < 0 at start", _STARTED
+    if h2_next >= 0.0:
+        return "discharged", h2_next, f"right side reached at step {step}", _STARTED_DISCHARGED
+    if not dtbf_check(h1_prev, h1_next, cfg.alpha):
+        return ("fail", h1_next,
+                f"left decay bound broken ({h1_prev:.6g} -> {h1_next:.6g})", _STARTED)
+    return "pass", h1_next, f"right barrier {h2_next:.6g}", _STARTED
+
+
+def _next(ob, prev, nxt, first, step, cfg):
+    h_next = nxt[0]
+    if h_next >= 0.0:
+        return "discharged", h_next, "", _DISCHARGED
+    return "fail", h_next, "barrier < 0 at the next step", _DISCHARGED
+
+
+def _now(ob, prev, nxt, first, step, cfg):
+    h0 = prev[0]
+    if h0 >= 0.0:
+        return "discharged", h0, "", _DISCHARGED
+    return "fail", h0, "barrier < 0 at start", _DISCHARGED
+
+
+_RULES = {
+    Invariance: ("always", _always),
+    FiniteTime: ("eventually", _eventually),
+    UntilWatch: ("until", _until),
+    NextPending: ("next", _next),
+    OneShot: ("now", _now),
+}
+
+BarrierValues = list[list[float]]
+
+
+def barrier_values(mon: Monitor, p: list[float]) -> BarrierValues:
+    """Barrier values of every obligation at the belief whose entries
+    are p (`belief.probs.tolist()`); empty for discharged obligations."""
+    return [[f(p) for f in fs] if _active(ob) else []
+            for ob, fs in zip(mon.obligations, mon.evaluators)]
+
+
+def check_step(mon: Monitor, prev: BarrierValues, nxt: BarrierValues
+               ) -> tuple[StepVerdict, Monitor]:
+    """Verdict and successor monitor for a transition, given the barrier
+    values at b_prev and b_next."""
+    first = mon.step_count == 0
+    step = mon.step_count + 1
+    records: list[ObligationRecord] = []
+    new_obs: list[Obligation] = []
+    new_vals: list[float | None] = []
+    for ob, last, h_prev, h_next in zip(mon.obligations, mon.last_values, prev, nxt):
+        kind, rule = _RULES[type(ob)]
+        if not _active(ob):
+            records.append(ObligationRecord(ob.oid, kind, "inactive", last))
+            new_obs.append(ob)
+            new_vals.append(last)
+            continue
+        status, value, detail, changes = rule(ob, h_prev, h_next, first, step, mon.config)
+        records.append(ObligationRecord(ob.oid, kind, status, value, detail))
+        new_obs.append(replace(ob, **changes))
+        new_vals.append(value)
+    verdict = StepVerdict(step=step, records=tuple(records))
+    successor = Monitor(config=mon.config, obligations=tuple(new_obs), step_count=step,
+                        last_values=tuple(new_vals), evaluators=mon.evaluators)
+    return verdict, successor
+
+
+def step_passes(mon: Monitor, prev: BarrierValues, p_next: list[float]) -> bool:
+    """Whether check_step would pass the transition to the belief with
+    entries p_next, without building records or a successor; barriers
+    are evaluated at p_next only up to the first failing obligation."""
+    first = mon.step_count == 0
+    step = mon.step_count + 1
+    for ob, fs, h_prev in zip(mon.obligations, mon.evaluators, prev):
+        if _active(ob):
+            h_next = [f(p_next) for f in fs]
+            if _RULES[type(ob)][1](ob, h_prev, h_next, first, step, mon.config)[0] == "fail":
+                return False
+    return True
+
+
 def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[StepVerdict, Monitor]:
     """Check the transition b_prev -> b_next against every obligation.
 
@@ -260,137 +408,5 @@ def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[StepVerd
     treats b_prev as the starting belief (position 0) and runs the
     activation checks described in the module docstring.
     """
-    first = mon.step_count == 0
-    step = mon.step_count + 1
-    cfg = mon.config
-    records: list[ObligationRecord] = []
-    new_obs: list[Obligation] = []
-    new_vals: list[float | None] = []
-
-    for ob, last in zip(mon.obligations, mon.last_values):
-        if isinstance(ob, Invariance):
-            h_prev = evaluate_expr(ob.barrier, b_prev)
-            h_next = evaluate_expr(ob.barrier, b_next)
-            if first and h_prev < 0.0:
-                rec = ObligationRecord(ob.oid, "always", "fail", h_next,
-                                       f"start barrier {h_prev:.6g} < 0")
-            elif not dtbf_check(h_prev, h_next, cfg.alpha):
-                rec = ObligationRecord(ob.oid, "always", "fail", h_next,
-                                       f"decay bound broken ({h_prev:.6g} -> {h_next:.6g})")
-            else:
-                rec = ObligationRecord(ob.oid, "always", "pass", h_next)
-            new_obs.append(replace(ob, started=True))
-            new_vals.append(h_next)
-
-        elif isinstance(ob, FiniteTime):
-            if ob.discharged:
-                records.append(ObligationRecord(ob.oid, "eventually", "inactive", last))
-                new_obs.append(ob)
-                new_vals.append(last)
-                continue
-            h_prev = evaluate_expr(ob.barrier, b_prev)
-            h_next = evaluate_expr(ob.barrier, b_next)
-            if first and h_prev >= 0.0:
-                rec = ObligationRecord(ob.oid, "eventually", "discharged", h_prev,
-                                       "satisfied at start")
-                new_obs.append(replace(ob, discharged=True))
-                new_vals.append(h_prev)
-                records.append(rec)
-                continue
-            deadline = ob.deadline
-            if deadline is None:
-                deadline = ft_time_bound(h_prev, cfg.ft)
-            if h_next >= 0.0:
-                rec = ObligationRecord(ob.oid, "eventually", "discharged", h_next,
-                                       f"reached at step {step} (deadline {deadline})")
-                new_obs.append(replace(ob, deadline=deadline, discharged=True))
-            else:
-                problems = []
-                if not ft_dtbf_check(h_prev, h_next, cfg.ft):
-                    problems.append(f"contraction broken ({h_prev:.6g} -> {h_next:.6g})")
-                if step >= deadline:
-                    problems.append(f"deadline {deadline} passed")
-                status = "fail" if problems else "pass"
-                rec = ObligationRecord(ob.oid, "eventually", status, h_next,
-                                       "; ".join(problems))
-                new_obs.append(replace(ob, deadline=deadline))
-            new_vals.append(h_next)
-
-        elif isinstance(ob, UntilWatch):
-            if ob.discharged:
-                records.append(ObligationRecord(ob.oid, "until", "inactive", last))
-                new_obs.append(ob)
-                new_vals.append(last)
-                continue
-            h2_start = evaluate_expr(ob.right_barrier, b_prev) if first else None
-            if first and h2_start >= 0.0:
-                rec = ObligationRecord(ob.oid, "until", "discharged", h2_start,
-                                       "right side satisfied at start")
-                new_obs.append(replace(ob, started=True, discharged=True))
-                new_vals.append(h2_start)
-                records.append(rec)
-                continue
-            h1_prev = evaluate_expr(ob.left_barrier, b_prev)
-            if first and h1_prev < 0.0:
-                # Right side negative at the start means the left must
-                # already hold there; a later discharge cannot repair
-                # position zero.
-                h1_next = evaluate_expr(ob.left_barrier, b_next)
-                rec = ObligationRecord(ob.oid, "until", "fail", h1_next,
-                                       f"left barrier {h1_prev:.6g} < 0 at start")
-                new_obs.append(replace(ob, started=True))
-                new_vals.append(h1_next)
-                records.append(rec)
-                continue
-            h2_next = evaluate_expr(ob.right_barrier, b_next)
-            if h2_next >= 0.0:
-                rec = ObligationRecord(ob.oid, "until", "discharged", h2_next,
-                                       f"right side reached at step {step}")
-                new_obs.append(replace(ob, started=True, discharged=True))
-                new_vals.append(h2_next)
-                records.append(rec)
-                continue
-            h1_next = evaluate_expr(ob.left_barrier, b_next)
-            if not dtbf_check(h1_prev, h1_next, cfg.alpha):
-                rec = ObligationRecord(ob.oid, "until", "fail", h1_next,
-                                       f"left decay bound broken ({h1_prev:.6g} -> {h1_next:.6g})")
-            else:
-                rec = ObligationRecord(ob.oid, "until", "pass", h1_next,
-                                       f"right barrier {h2_next:.6g}")
-            new_obs.append(replace(ob, started=True))
-            new_vals.append(h1_next)
-
-        elif isinstance(ob, NextPending):
-            if ob.discharged:
-                records.append(ObligationRecord(ob.oid, "next", "inactive", last))
-                new_obs.append(ob)
-                new_vals.append(last)
-                continue
-            h_next = evaluate_expr(ob.barrier, b_next)
-            status = "discharged" if h_next >= 0.0 else "fail"
-            rec = ObligationRecord(ob.oid, "next", status, h_next,
-                                   "" if status == "discharged" else "barrier < 0 at the next step")
-            new_obs.append(replace(ob, discharged=True))
-            new_vals.append(h_next)
-
-        elif isinstance(ob, OneShot):
-            if ob.discharged:
-                records.append(ObligationRecord(ob.oid, "now", "inactive", last))
-                new_obs.append(ob)
-                new_vals.append(last)
-                continue
-            h0 = evaluate_expr(ob.barrier, b_prev)
-            status = "discharged" if h0 >= 0.0 else "fail"
-            rec = ObligationRecord(ob.oid, "now", status, h0,
-                                   "" if status == "discharged" else "barrier < 0 at start")
-            new_obs.append(replace(ob, discharged=True))
-            new_vals.append(h0)
-
-        else:
-            raise TypeError(f"unknown obligation: {ob!r}")
-        records.append(rec)
-
-    verdict = StepVerdict(step=step, records=tuple(records))
-    successor = Monitor(config=cfg, obligations=tuple(new_obs),
-                        step_count=step, last_values=tuple(new_vals))
-    return verdict, successor
+    return check_step(mon, barrier_values(mon, b_prev.probs.tolist()),
+                      barrier_values(mon, b_next.probs.tolist()))

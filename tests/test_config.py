@@ -2,9 +2,11 @@
 renormalization, and round trips through the YAML form."""
 
 import copy
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from beliefshield import (
     Always,
@@ -19,6 +21,7 @@ from beliefshield import (
     parse_config,
     write_config,
 )
+from beliefshield import config
 from beliefshield.config import config_to_dict
 from beliefshield.presets import FORMULA, corridor_config
 
@@ -258,8 +261,6 @@ def test_monitor_policy_and_run_setting_errors():
 
 
 def test_load_config_reads_yaml_and_defaults_name_to_stem(tmp_path):
-    import yaml
-
     data = base_config()
     del data["name"]
     path = tmp_path / "hallway.yaml"
@@ -331,3 +332,25 @@ def test_corridor_config_round_trips(tmp_path):
     assert np.array_equal(back.model.reward, m.reward)
     assert np.array_equal(back.model.initial.probs, m.initial.probs)
     assert back.formula == cfg.formula
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.parametrize("name", ["corridor.yaml", "corridor_unshielded.yaml"])
+def test_yaml_loaders_build_equal_configs(name):
+    text = (CONFIGS / name).read_text()
+    data = [yaml.load(text, Loader=loader) for loader in LOADERS]
+    assert all(d == data[0] for d in data)
+    expected = config_to_dict(parse_config(data[0], source=name))
+    assert config_to_dict(load_config(CONFIGS / name)) == expected
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_invalid_yaml_is_a_config_error_with_either_loader(loader, tmp_path, monkeypatch):
+    monkeypatch.setattr(config, "_YAML_LOADER", loader)
+    bad = tmp_path / "broken.yaml"
+    bad.write_text("{]")
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        load_config(bad)

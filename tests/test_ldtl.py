@@ -1,5 +1,7 @@
 """Finite-trace semantics, expression evaluation, and printing."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
     Letter, Max, Min, NegBeliefPred, NegStateSet, Next, Or, Product, StateSet,
-    Sum, Until, describe, evaluate_expr, expr_text, is_propositional,
-    oracle_satisfies, pretty_print,
+    Sum, Until, compile_expr, describe, evaluate_expr, expr_text,
+    is_propositional, oracle_satisfies, pretty_print,
 )
 from beliefshield.model import Belief
 
@@ -157,3 +159,49 @@ def test_until_definition_matches_quantifier_expansion(seed):
         for j in range(len(word))
     )
     assert oracle_satisfies(Until(phi, psi), word) == expected
+
+
+# --------------------------------------------------------------------------
+# Compiled expressions
+
+N_VARS = 5
+VARS = st.integers(min_value=0, max_value=N_VARS - 1).map(lambda i: BeliefVar(i, f"s{i}"))
+LEAVES = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0).map(Constant),
+    VARS,
+    # All-variable sums, one child included, take the compiled fast path.
+    st.lists(VARS, min_size=1, max_size=6).map(lambda c: Sum(tuple(c))),
+)
+
+
+def _nodes(children):
+    some = st.lists(children, min_size=1, max_size=4).map(tuple)
+    return st.one_of(
+        some.map(Sum),
+        st.tuples(children, children).map(lambda lr: Difference(*lr)),
+        some.map(Product),
+        some.map(Min),
+        some.map(Max),
+    )
+
+
+EXPRS = st.recursive(LEAVES, _nodes, max_leaves=16)
+BELIEFS = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+                   min_size=N_VARS, max_size=N_VARS)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPRS, BELIEFS)
+def test_compiled_expr_is_bit_identical_to_evaluate_expr(expr, weights):
+    p = np.array(weights)
+    b = Belief(p / p.sum() if p.sum() > 0 else np.full(N_VARS, 1.0 / N_VARS))
+    assert _bits(compile_expr(expr)(b.probs.tolist())) == _bits(evaluate_expr(expr, b))
+
+
+def test_compiled_expr_rejects_non_expressions():
+    with pytest.raises(TypeError):
+        compile_expr(IN0)

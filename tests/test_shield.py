@@ -1,27 +1,42 @@
 """Shield decisions: nominal acceptance, reward-matched overrides, tie
 breaks, deadlocks, and the conservative mode."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_model, random_simplex
 
 from beliefshield import (
     Always,
+    And,
     Belief,
+    BeliefPred,
     BeliefVar,
     CONSERVATIVE,
     Constant,
     Difference,
+    Eventually,
     FtParams,
     LinearAlpha,
     LITERAL,
     MonitorConfig,
     Mpomdp,
     NegBeliefPred,
+    Next,
     SafetyDeadlock,
+    Sum,
+    Until,
+    ZeroLikelihood,
     belief_update,
     compile_monitor,
     enumerate_safe_actions,
     expected_reward,
+    monitor_step,
+    predicted_belief,
     shield_step,
 )
 
@@ -263,3 +278,121 @@ def test_unknown_mode_rejected():
     m = sensor_model()
     with pytest.raises(ValueError):
         shield_step(m, margin_monitor(m), Belief((0.75, 0.25)), ZA, PROBE, "off")
+
+
+# --------------------------------------------------------------------------
+# The batched override pass against one-candidate-at-a-time enumeration
+
+
+def with_impossible_observations(rng: np.random.Generator, m: Mpomdp) -> Mpomdp:
+    """m with some (action, observation) pairs given zero probability in
+    every state, so those observations have zero likelihood."""
+    o = m.observation.copy()
+    if m.n_joint_observations > 1:
+        for a in range(m.n_joint_actions):
+            if rng.random() < 0.4:
+                o[:, a, rng.integers(m.n_joint_observations)] = 0.0
+        o /= o.sum(axis=2, keepdims=True)
+    return Mpomdp(m.state_names, m.agent_names, m.action_names, m.observation_names,
+                  m.initial, m.transition, o, m.reward)
+
+
+def random_monitor(rng: np.random.Generator, m: Mpomdp):
+    """A conjunction of one to three obligations of random kinds over
+    threshold predicates, advanced zero to two steps."""
+    def mass_below():
+        states = rng.choice(m.n_states, size=rng.integers(1, m.n_states + 1), replace=False)
+        mass = Sum(tuple(BeliefVar(int(q), f"s{q}") for q in sorted(states)))
+        return Difference(Constant(float(rng.uniform(0.0, 1.0))), mass)
+
+    def core():
+        if rng.random() < 0.5:
+            return BeliefPred("below", mass_below())
+        return NegBeliefPred("above", mass_below())
+
+    kinds = (lambda: Always(core()), lambda: Eventually(core()),
+             lambda: Until(core(), core()), lambda: Next(core()), core)
+    phi = reduce(And, [kinds[rng.integers(len(kinds))]() for _ in range(rng.integers(1, 4))])
+    mon = compile_monitor(phi, m, CFG)
+    for _ in range(rng.integers(0, 3)):
+        _, mon = monitor_step(mon, Belief(random_simplex(rng, m.n_states)),
+                              Belief(random_simplex(rng, m.n_states)))
+    return mon
+
+
+def reference_barriers(m, mon, b, z):
+    """Per-action barrier report, one belief update at a time."""
+    out = {}
+    for a in range(m.n_joint_actions):
+        try:
+            b_next = belief_update(b, a, z, m)
+        except ZeroLikelihood:
+            out[a] = {}
+            continue
+        verdict, _ = monitor_step(mon, b, b_next)
+        out[a] = {r.oid: r.barrier for r in verdict.records if r.barrier is not None}
+    return out
+
+
+def reference_choice(m, mon, b, z, a_nom, mode):
+    """The documented rule over enumerate_safe_actions: the nominal when
+    it is safe, else the safe action whose reward is closest to the
+    nominal's reference reward, lowest index on ties. Returns (nominal
+    reward, chosen candidate, safe candidates), or None on deadlock."""
+    safe = enumerate_safe_actions(m, mon, b, z, mode)
+    nominal = [c for c in safe if c.action.flat_index == a_nom]
+    if nominal:
+        return nominal[0].reward, nominal[0], nominal
+    if not safe:
+        return None
+    try:
+        r_n = expected_reward(belief_update(b, a_nom, z, m), a_nom, m)
+    except ZeroLikelihood:
+        r_n = float(predicted_belief(b, a_nom, m) @ m.reward[:, a_nom])
+    best = min(safe, key=lambda c: ((c.reward - r_n) ** 2, c.action.flat_index))
+    return r_n, best, safe
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([LITERAL, CONSERVATIVE]))
+def test_batched_shield_matches_enumeration(seed, mode):
+    rng = np.random.default_rng(seed)
+    m = with_impossible_observations(rng, random_model(rng))
+    mon = random_monitor(rng, m)
+    b = Belief(random_simplex(rng, m.n_states))
+    z = int(rng.integers(m.n_joint_observations))
+    a_nom = int(rng.integers(m.n_joint_actions))
+
+    expected = reference_choice(m, mon, b, z, a_nom, mode)
+    if expected is None:
+        with pytest.raises(SafetyDeadlock) as err:
+            shield_step(m, mon, b, z, a_nom, mode)
+        assert err.value.step == mon.step_count + 1
+        assert err.value.candidate_barriers == reference_barriers(m, mon, b, z)
+        return
+    r_n, best, safe = expected
+    decision = shield_step(m, mon, b, z, a_nom, mode)
+    assert decision.overridden == (best.action.flat_index != a_nom)
+    assert decision.executed == best.action
+    assert decision.nominal_reward == r_n
+    assert decision.candidate_rewards == tuple((c.action.flat_index, c.reward) for c in safe)
+    assert decision.verdict == best.verdict
+    assert decision.next_monitor == best.monitor
+    assert np.array_equal(decision.next_belief.probs.view(np.int64),
+                          best.belief.probs.view(np.int64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([LITERAL, CONSERVATIVE]))
+def test_forced_deadlock_reports_every_action(seed, mode):
+    rng = np.random.default_rng(seed)
+    m = with_impossible_observations(rng, random_model(rng))
+    # A negative constant barrier fails the start check for every action.
+    doomed = Always(NegBeliefPred("never", Difference(
+        Constant(-1.0), BeliefVar(int(rng.integers(m.n_states)), "s"))))
+    mon = compile_monitor(doomed, m, CFG)
+    b = Belief(random_simplex(rng, m.n_states))
+    z = int(rng.integers(m.n_joint_observations))
+    with pytest.raises(SafetyDeadlock) as err:
+        shield_step(m, mon, b, z, int(rng.integers(m.n_joint_actions)), mode)
+    assert err.value.candidate_barriers == reference_barriers(m, mon, b, z)
