@@ -19,14 +19,14 @@ from .ldtl import (
     oracle_satisfies, pretty_print,
 )
 from .model import (
-    Belief, JointAction, JointObservation, Mpomdp, Violation, belief_update,
+    Belief, JointAction, Mpomdp, Violation, belief_update,
     expected_reward, observation_likelihoods, predicted_belief,
     sample_initial_state, sample_observation, sample_transition,
     validate_model, validate_tables,
 )
 from .monitor import (
-    FiniteTime, Invariance, Monitor, MonitorConfig, NextPending, ObligationRecord,
-    OneShot, StepVerdict, UntilWatch, compile_monitor, monitor_step, translate_core,
+    Monitor, MonitorConfig, Obligation, ObligationRecord, StepVerdict,
+    compile_monitor, monitor_step, translate_core,
 )
 from .parsing import parse_expr, parse_formula
 from .shield import (

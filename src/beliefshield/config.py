@@ -37,7 +37,7 @@ import yaml
 from .barrier import FtParams, LinearAlpha
 from .errors import BeliefShieldError, ConfigError
 from .ldtl import BeliefExpr, Formula, expr_text
-from .model import Belief, Mpomdp, flat_from_components, validate_tables
+from .model import Belief, Mpomdp, components_from_flat, flat_from_components, validate_tables
 from .monitor import MonitorConfig, compile_monitor
 from .parsing import parse_expr, parse_formula
 from .sim import (
@@ -133,14 +133,10 @@ class _JointIndex:
         self.observation_names = observation_names
         self.action_radices = [len(a) for a in action_names]
         self.n_joint_actions = int(np.prod(self.action_radices))
-        obs_radices = [len(z) for z in observation_names]
+        obs_radices = tuple(len(z) for z in observation_names)
         self.joint_obs_index: dict[str, int] = {}
         for flat in range(int(np.prod(obs_radices))):
-            rest, comps = flat, []
-            for r in reversed(obs_radices):
-                comps.append(rest % r)
-                rest //= r
-            comps.reverse()
+            comps = components_from_flat(flat, obs_radices)
             label = OBS_JOIN.join(names[c] for names, c in zip(observation_names, comps))
             self.joint_obs_index[label] = flat
 
@@ -425,12 +421,8 @@ def _table_entries(m: Mpomdp, table: np.ndarray, key_from: str, key_dist: str,
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """The YAML-ready mapping for a scenario config."""
     m = cfg.model
-    action_lists = [
-        [m.action_names[i][c] for i, c in enumerate(m.joint_action(a).components)]
-        for a in range(m.n_joint_actions)
-    ]
-    obs_labels = [OBS_JOIN.join(m.observation_names[i][c] for i, c in
-                                enumerate(m.joint_observation(z).components))
+    action_lists = [list(m.joint_action_label(a)) for a in range(m.n_joint_actions)]
+    obs_labels = [OBS_JOIN.join(m.joint_observation_label(z))
                   for z in range(m.n_joint_observations)]
 
     reward_entries = []

@@ -65,22 +65,6 @@ class JointAction:
 
 
 @dataclass(frozen=True)
-class JointObservation:
-    """One observation per agent, plus its flat table index."""
-
-    components: tuple[int, ...]
-    flat_index: int
-
-    @classmethod
-    def from_components(cls, components: tuple[int, ...], radices: tuple[int, ...]) -> "JointObservation":
-        return cls(tuple(components), flat_from_components(tuple(components), radices))
-
-    @classmethod
-    def from_flat(cls, flat: int, radices: tuple[int, ...]) -> "JointObservation":
-        return cls(components_from_flat(flat, radices), flat)
-
-
-@dataclass(frozen=True)
 class Belief:
     """Point on the probability simplex over the joint state space."""
 
@@ -183,9 +167,6 @@ class Mpomdp:
 
     def joint_action(self, flat: int) -> JointAction:
         return JointAction.from_flat(flat, self.action_radices)
-
-    def joint_observation(self, flat: int) -> JointObservation:
-        return JointObservation.from_flat(flat, self.observation_radices)
 
     def joint_action_label(self, flat: int) -> tuple[str, ...]:
         comps = components_from_flat(flat, self.action_radices)

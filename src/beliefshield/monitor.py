@@ -12,32 +12,39 @@ core translates to a single barrier expression:
     negated predicate !f  ->  f
     and / or              ->  pointwise min / max
 
-Obligations then check, between consecutive beliefs:
+Every conjunct becomes one `Obligation` record. Its kind selects the
+rule in the `_RULES` table that checks it between consecutive beliefs:
 
-    G core       invariance (decay bound) every step, plus membership
-                 of the starting belief;
-    F core       contraction every step until the barrier first reaches
-                 >= 0 (discharged); a reach deadline is fixed at
-                 activation from the first barrier value, and an
-                 undischarged obligation past it is a violation;
-    c1 U c2      membership/decay on the left barrier while the right
-                 barrier is negative (including at the starting belief);
-                 discharged when the right barrier reaches >= 0;
-    X core       one-shot membership at the following step;
-    bare core    one-shot membership at the starting belief.
+    always      G core    invariance (decay bound) every step, plus
+                          membership of the starting belief;
+    eventually  F core    contraction every step until the barrier first
+                          reaches >= 0 (discharged); a reach deadline is
+                          fixed at activation from the first barrier
+                          value, and an undischarged obligation past it
+                          is a violation;
+    until       c1 U c2   membership/decay on the left barrier while the
+                          right barrier is negative (including at the
+                          starting belief); discharged when the right
+                          barrier reaches >= 0;
+    next        X core    one-shot membership at the following step;
+    now         core      one-shot membership at the starting belief.
+
+One-shot kinds are discharged by their single check, pass or fail. A
+discharged obligation is not evaluated again: its records read
+`inactive` and repeat the barrier value it was discharged with.
 
 Monitors are immutable; monitor_step returns the verdict together with
 the successor monitor, so candidate actions can be probed without
-mutation. Each barrier is compiled once, when the monitor is built, and
-a step is two parts: the barrier values at both beliefs
-(barrier_values), then one float-only rule per obligation kind
-(check_step). The shield reuses the same rules through step_passes.
+mutation. A step is two parts: the barrier values at both beliefs
+(barrier_values), then the kind's float-only rule for every active
+obligation (check_step), which builds a new record only for an
+obligation whose state changed. The shield reuses the same rules
+through step_passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Union
 
 from .barrier import FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_bound
 from .errors import UnsupportedNesting
@@ -101,49 +108,33 @@ def _flatten(core: Formula, op: type, m: Mpomdp, delta: float) -> tuple[BeliefEx
 
 
 @dataclass(frozen=True)
-class Invariance:
-    oid: str
-    label: str
-    barrier: BeliefExpr
-    started: bool = False
+class Obligation:
+    """One conjunct as a barrier check between consecutive beliefs.
 
+    kind is "always", "eventually", "until", "next" or "now" and selects
+    the step rule in _RULES. barriers holds one expression, or (left,
+    right) for until; evaluators are their compiled forms, built once
+    and carried to every successor by `replace`. deadline is the reach
+    deadline an eventually obligation fixes at activation. value is the
+    barrier recorded at the step the obligation was discharged, which
+    every later `inactive` record repeats.
+    """
 
-@dataclass(frozen=True)
-class FiniteTime:
     oid: str
+    kind: str
     label: str
-    barrier: BeliefExpr
+    barriers: tuple[BeliefExpr, ...]
+    evaluators: tuple[Evaluator, ...] = field(default=(), repr=False, compare=False)
     deadline: int | None = None
     discharged: bool = False
+    value: float | None = None
 
-
-@dataclass(frozen=True)
-class UntilWatch:
-    oid: str
-    label: str
-    left_barrier: BeliefExpr
-    right_barrier: BeliefExpr
-    started: bool = False
-    discharged: bool = False
-
-
-@dataclass(frozen=True)
-class NextPending:
-    oid: str
-    label: str
-    barrier: BeliefExpr
-    discharged: bool = False
-
-
-@dataclass(frozen=True)
-class OneShot:
-    oid: str
-    label: str
-    barrier: BeliefExpr
-    discharged: bool = False
-
-
-Obligation = Union[Invariance, FiniteTime, UntilWatch, NextPending, OneShot]
+    def __post_init__(self):
+        if self.kind not in _RULES:
+            raise ValueError(f"unknown obligation kind {self.kind!r}")
+        if not self.evaluators:
+            object.__setattr__(self, "evaluators",
+                               tuple(compile_expr(e) for e in self.barriers))
 
 
 @dataclass(frozen=True)
@@ -179,30 +170,28 @@ class Monitor:
     config: MonitorConfig
     obligations: tuple[Obligation, ...]
     step_count: int = 0
-    last_values: tuple[float | None, ...] = ()
-    # Compiled barriers of each obligation, in _barriers order; built
-    # once and handed on to every successor.
-    evaluators: tuple[tuple[Evaluator, ...], ...] = field(
-        default=(), repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.last_values) != len(self.obligations):
-            object.__setattr__(self, "last_values", (None,) * len(self.obligations))
-        if len(self.evaluators) != len(self.obligations):
-            object.__setattr__(self, "evaluators", tuple(
-                tuple(compile_expr(e) for e in _barriers(ob)) for ob in self.obligations))
 
     @property
     def all_discharged(self) -> bool:
         """True when nothing dischargeable is still pending."""
-        return all(
-            getattr(ob, "discharged", True) for ob in self.obligations
-        )
+        return not self.pending()
 
     def pending(self) -> tuple[str, ...]:
-        return tuple(
-            ob.oid for ob in self.obligations if not getattr(ob, "discharged", True)
-        )
+        """Oids of the obligations still waiting for their discharge;
+        an always obligation is never discharged and never pending."""
+        return tuple(ob.oid for ob in self.obligations
+                     if not ob.discharged and ob.kind != "always")
+
+
+# Temporal conjunct type -> (kind, the propositional cores that become
+# its barriers). Any other conjunct must itself be a propositional core,
+# checked once at the start ("now").
+_TEMPORAL = {
+    Always: lambda f: ("always", (f.child,)),
+    Eventually: lambda f: ("eventually", (f.child,)),
+    Until: lambda f: ("until", (f.left, f.right)),
+    Next: lambda f: ("next", (f.child,)),
+}
 
 
 def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
@@ -212,36 +201,24 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
     (nested temporal operators, temporal operands of or, an until with a
     temporal side, and so on).
     """
-    obligations: list[Obligation] = []
+    obligations = []
     for i, conjunct in enumerate(conjuncts(phi)):
         label = describe(conjunct)
-        if isinstance(conjunct, Always):
-            _require_propositional(conjunct.child, label)
-            obligations.append(Invariance(
-                f"{i}:always", label, translate_core(conjunct.child, m, config.delta)))
-        elif isinstance(conjunct, Eventually):
-            _require_propositional(conjunct.child, label)
-            obligations.append(FiniteTime(
-                f"{i}:eventually", label, translate_core(conjunct.child, m, config.delta)))
-        elif isinstance(conjunct, Until):
-            _require_propositional(conjunct.left, label)
-            _require_propositional(conjunct.right, label)
-            obligations.append(UntilWatch(
-                f"{i}:until", label,
-                translate_core(conjunct.left, m, config.delta),
-                translate_core(conjunct.right, m, config.delta)))
-        elif isinstance(conjunct, Next):
-            _require_propositional(conjunct.child, label)
-            obligations.append(NextPending(
-                f"{i}:next", label, translate_core(conjunct.child, m, config.delta)))
+        shape = _TEMPORAL.get(type(conjunct))
+        if shape is not None:
+            kind, cores = shape(conjunct)
+            for core in cores:
+                _require_propositional(core, label)
         elif is_propositional(conjunct):
-            obligations.append(OneShot(
-                f"{i}:now", label, translate_core(conjunct, m, config.delta)))
+            kind, cores = "now", (conjunct,)
         else:
             raise UnsupportedNesting(
                 f"conjunct {label!r} is not a temporal obligation over a "
                 f"propositional core"
             )
+        obligations.append(Obligation(
+            f"{i}:{kind}", kind, label,
+            tuple(translate_core(core, m, config.delta) for core in cores)))
     return Monitor(config=config, obligations=tuple(obligations))
 
 
@@ -264,91 +241,83 @@ def _require_propositional(core: Formula, label: str) -> None:
 # Stepping
 
 
-def _barriers(ob: Obligation) -> tuple[BeliefExpr, ...]:
-    if isinstance(ob, UntilWatch):
-        return (ob.left_barrier, ob.right_barrier)
-    if isinstance(ob, (Invariance, FiniteTime, NextPending, OneShot)):
-        return (ob.barrier,)
-    raise TypeError(f"unknown obligation: {ob!r}")
-
-
-def _active(ob: Obligation) -> bool:
-    return not getattr(ob, "discharged", False)
-
-
 # A rule maps one active obligation and its barrier values at b_prev and
 # b_next to (status, recorded barrier, detail, field changes for the
-# successor obligation). Rules only read floats.
-
-_STARTED = {"started": True}
-_DISCHARGED = {"discharged": True}
-_STARTED_DISCHARGED = {"started": True, "discharged": True}
+# successor obligation, or None when it stays as it is). Rules only read
+# floats. A discharge records the barrier value it was decided on.
 
 
 def _always(ob, prev, nxt, first, step, cfg):
     (h_prev,), (h_next,) = prev, nxt
     if first and h_prev < 0.0:
-        return "fail", h_next, f"start barrier {h_prev:.6g} < 0", _STARTED
+        return "fail", h_next, f"start barrier {h_prev:.6g} < 0", None
     if not dtbf_check(h_prev, h_next, cfg.alpha):
-        return ("fail", h_next, f"decay bound broken ({h_prev:.6g} -> {h_next:.6g})",
-                _STARTED)
-    return "pass", h_next, "", _STARTED
+        return "fail", h_next, f"decay bound broken ({h_prev:.6g} -> {h_next:.6g})", None
+    return "pass", h_next, "", None
 
 
 def _eventually(ob, prev, nxt, first, step, cfg):
     (h_prev,), (h_next,) = prev, nxt
     if first and h_prev >= 0.0:
-        return "discharged", h_prev, "satisfied at start", _DISCHARGED
+        return "discharged", h_prev, "satisfied at start", {"discharged": True, "value": h_prev}
     deadline = ob.deadline
     if deadline is None:
         deadline = ft_time_bound(h_prev, cfg.ft)
     if h_next >= 0.0:
         return ("discharged", h_next, f"reached at step {step} (deadline {deadline})",
-                {"deadline": deadline, "discharged": True})
+                {"deadline": deadline, "discharged": True, "value": h_next})
     problems = []
     if not ft_dtbf_check(h_prev, h_next, cfg.ft):
         problems.append(f"contraction broken ({h_prev:.6g} -> {h_next:.6g})")
     if step >= deadline:
         problems.append(f"deadline {deadline} passed")
-    return ("fail" if problems else "pass"), h_next, "; ".join(problems), {"deadline": deadline}
+    changes = {"deadline": deadline} if ob.deadline is None else None
+    return ("fail" if problems else "pass"), h_next, "; ".join(problems), changes
 
 
 def _until(ob, prev, nxt, first, step, cfg):
     (h1_prev, h2_prev), (h1_next, h2_next) = prev, nxt
     if first and h2_prev >= 0.0:
-        return "discharged", h2_prev, "right side satisfied at start", _STARTED_DISCHARGED
+        return ("discharged", h2_prev, "right side satisfied at start",
+                {"discharged": True, "value": h2_prev})
     if first and h1_prev < 0.0:
         # Right side negative at the start means the left must already
         # hold there; a later discharge cannot repair position zero.
-        return "fail", h1_next, f"left barrier {h1_prev:.6g} < 0 at start", _STARTED
+        return "fail", h1_next, f"left barrier {h1_prev:.6g} < 0 at start", None
     if h2_next >= 0.0:
-        return "discharged", h2_next, f"right side reached at step {step}", _STARTED_DISCHARGED
+        return ("discharged", h2_next, f"right side reached at step {step}",
+                {"discharged": True, "value": h2_next})
     if not dtbf_check(h1_prev, h1_next, cfg.alpha):
         return ("fail", h1_next,
-                f"left decay bound broken ({h1_prev:.6g} -> {h1_next:.6g})", _STARTED)
-    return "pass", h1_next, f"right barrier {h2_next:.6g}", _STARTED
+                f"left decay bound broken ({h1_prev:.6g} -> {h1_next:.6g})", None)
+    return "pass", h1_next, f"right barrier {h2_next:.6g}", None
+
+
+# next and now are one-shot: decided at their single step either way.
 
 
 def _next(ob, prev, nxt, first, step, cfg):
     h_next = nxt[0]
+    settled = {"discharged": True, "value": h_next}
     if h_next >= 0.0:
-        return "discharged", h_next, "", _DISCHARGED
-    return "fail", h_next, "barrier < 0 at the next step", _DISCHARGED
+        return "discharged", h_next, "", settled
+    return "fail", h_next, "barrier < 0 at the next step", settled
 
 
 def _now(ob, prev, nxt, first, step, cfg):
     h0 = prev[0]
+    settled = {"discharged": True, "value": h0}
     if h0 >= 0.0:
-        return "discharged", h0, "", _DISCHARGED
-    return "fail", h0, "barrier < 0 at start", _DISCHARGED
+        return "discharged", h0, "", settled
+    return "fail", h0, "barrier < 0 at start", settled
 
 
 _RULES = {
-    Invariance: ("always", _always),
-    FiniteTime: ("eventually", _eventually),
-    UntilWatch: ("until", _until),
-    NextPending: ("next", _next),
-    OneShot: ("now", _now),
+    "always": _always,
+    "eventually": _eventually,
+    "until": _until,
+    "next": _next,
+    "now": _now,
 }
 
 BarrierValues = list[list[float]]
@@ -357,8 +326,8 @@ BarrierValues = list[list[float]]
 def barrier_values(mon: Monitor, p: list[float]) -> BarrierValues:
     """Barrier values of every obligation at the belief whose entries
     are p (`belief.probs.tolist()`); empty for discharged obligations."""
-    return [[f(p) for f in fs] if _active(ob) else []
-            for ob, fs in zip(mon.obligations, mon.evaluators)]
+    return [[] if ob.discharged else [f(p) for f in ob.evaluators]
+            for ob in mon.obligations]
 
 
 def check_step(mon: Monitor, prev: BarrierValues, nxt: BarrierValues
@@ -368,23 +337,19 @@ def check_step(mon: Monitor, prev: BarrierValues, nxt: BarrierValues
     first = mon.step_count == 0
     step = mon.step_count + 1
     records: list[ObligationRecord] = []
-    new_obs: list[Obligation] = []
-    new_vals: list[float | None] = []
-    for ob, last, h_prev, h_next in zip(mon.obligations, mon.last_values, prev, nxt):
-        kind, rule = _RULES[type(ob)]
-        if not _active(ob):
-            records.append(ObligationRecord(ob.oid, kind, "inactive", last))
-            new_obs.append(ob)
-            new_vals.append(last)
-            continue
-        status, value, detail, changes = rule(ob, h_prev, h_next, first, step, mon.config)
-        records.append(ObligationRecord(ob.oid, kind, status, value, detail))
-        new_obs.append(replace(ob, **changes))
-        new_vals.append(value)
+    obligations: list[Obligation] = []
+    for ob, h_prev, h_next in zip(mon.obligations, prev, nxt):
+        if ob.discharged:
+            records.append(ObligationRecord(ob.oid, ob.kind, "inactive", ob.value))
+        else:
+            status, value, detail, changes = _RULES[ob.kind](
+                ob, h_prev, h_next, first, step, mon.config)
+            records.append(ObligationRecord(ob.oid, ob.kind, status, value, detail))
+            if changes:
+                ob = replace(ob, **changes)
+        obligations.append(ob)
     verdict = StepVerdict(step=step, records=tuple(records))
-    successor = Monitor(config=mon.config, obligations=tuple(new_obs), step_count=step,
-                        last_values=tuple(new_vals), evaluators=mon.evaluators)
-    return verdict, successor
+    return verdict, Monitor(config=mon.config, obligations=tuple(obligations), step_count=step)
 
 
 def step_passes(mon: Monitor, prev: BarrierValues, p_next: list[float]) -> bool:
@@ -393,10 +358,10 @@ def step_passes(mon: Monitor, prev: BarrierValues, p_next: list[float]) -> bool:
     are evaluated at p_next only up to the first failing obligation."""
     first = mon.step_count == 0
     step = mon.step_count + 1
-    for ob, fs, h_prev in zip(mon.obligations, mon.evaluators, prev):
-        if _active(ob):
-            h_next = [f(p_next) for f in fs]
-            if _RULES[type(ob)][1](ob, h_prev, h_next, first, step, mon.config)[0] == "fail":
+    for ob, h_prev in zip(mon.obligations, prev):
+        if not ob.discharged:
+            h_next = [f(p_next) for f in ob.evaluators]
+            if _RULES[ob.kind](ob, h_prev, h_next, first, step, mon.config)[0] == "fail":
                 return False
     return True
 

@@ -23,7 +23,7 @@ from .model import (
     Belief, Mpomdp, belief_update, expected_reward, sample_initial_state,
     sample_observation, sample_transition,
 )
-from .monitor import FiniteTime, Monitor, StepVerdict, monitor_step
+from .monitor import Monitor, StepVerdict, monitor_step
 from .shield import LITERAL, shield_step
 
 SHIELD_OFF = "off"
@@ -254,7 +254,3 @@ def run_batch(scenario: Scenario, base_seed: int, episodes: int) -> BatchResult:
         for i in range(episodes)
     )
     return BatchResult(base_seed=base_seed, traces=traces)
-
-
-def monitor_has_finite_time(mon: Monitor) -> bool:
-    return any(isinstance(ob, FiniteTime) for ob in mon.obligations)

@@ -311,8 +311,8 @@ def test_criterion_5_shielded_corridor_safe_and_on_time(corridor_shielded):
     cfg, result, run_elapsed = corridor_shielded
     t0 = time.perf_counter()
     mon = compile_monitor(cfg.formula, cfg.model, cfg.monitor)
-    safety_expr = mon.obligations[0].barrier
-    goal_expr = mon.obligations[1].barrier
+    safety_expr = mon.obligations[0].barriers[0]
+    goal_expr = mon.obligations[1].barriers[0]
 
     h0 = evaluate_expr(goal_expr, cfg.model.initial)
     deadline = ft_time_bound(h0, cfg.monitor.ft)
@@ -347,7 +347,7 @@ def test_criterion_5_shielded_corridor_safe_and_on_time(corridor_shielded):
 def test_criterion_6_unshielded_corridor_violates(corridor_unshielded):
     cfg, result = corridor_unshielded
     mon = compile_monitor(cfg.formula, cfg.model, cfg.monitor)
-    safety_expr = mon.obligations[0].barrier
+    safety_expr = mon.obligations[0].barriers[0]
     monitor_route = sum(1 for t in result.traces if t.violation_steps)
     barrier_route = sum(
         1 for t in result.traces

@@ -1,9 +1,14 @@
-"""Golden trace hashes: the exact bytes of four corridor batches.
+"""Golden trace hashes: the exact bytes of seven corridor batches.
 
 The hashes pin the simulator, filter, monitor and shield arithmetic bit
 for bit, so a refactor that changes any recorded float, verdict or
 decision fails here. A change that alters them on purpose must say why
 in CHANGES.md and update the table.
+
+The shipped formula has only `always` and `eventually` obligations, so
+the `corridor_all_kinds_*` batches add an until, a next and a bare
+propositional conjunct; their traces pin every obligation kind's
+records, including the `inactive` records that follow a discharge.
 
 Python 3.12 made `sum()` use compensated summation for floats, which
 changes the barrier values the expression evaluator produces, so the
@@ -23,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from beliefshield.config import load_config
+from beliefshield.parsing import parse_expr, parse_formula
 from beliefshield.sim import RandomUniform, run_batch
 from beliefshield.traceio import write_traces
 
@@ -38,7 +44,16 @@ GOLDEN = {
         "23f267bea45dc759c90d02b6e30b06ef83addaa1179efd33b8383e198fabbbd6",
     "corridor_random":
         "406b209af45ef82768f1b21a0487ec1b08d57c417794d0d6fd672461337b1b9a",
+    "corridor_all_kinds_off":
+        "012a4c73b5be269efca3bc82069902f182873b6b2a4a3f927bd4b60b2d999091",
+    "corridor_all_kinds_literal":
+        "d53c74bf33319b94296940876573ff8c1d545b3e75a93a14f0f4b83b08ed1030",
+    "corridor_all_kinds_conservative":
+        "0f572887f86ad569976467f87c9c38a3ce6af814dc27706d2436f642ed140750",
 }
+
+ALL_KINDS_FORMULA = ("G !(near_patroller | near_debris) & F at_goal & clear U at_goal"
+                     " & X !near_patroller & !near_debris")
 
 pytestmark = pytest.mark.skipif(
     sys.version_info >= (3, 12),
@@ -55,6 +70,13 @@ def _scenario(name: str):
         return replace(cfg, shield_mode="conservative")
     if name == "corridor_random":
         return replace(cfg, policy=RandomUniform())
+    if name.startswith("corridor_all_kinds_"):
+        states = {s: i for i, s in enumerate(cfg.model.state_names)}
+        predicates = dict(cfg.predicates,
+                          clear=parse_expr("b(h1_h1) + b(h2_h2) - 0.5", states))
+        return replace(cfg, predicates=predicates, formula_text=ALL_KINDS_FORMULA,
+                       formula=parse_formula(ALL_KINDS_FORMULA, predicates, states),
+                       shield_mode=name.removeprefix("corridor_all_kinds_"))
     return cfg
 
 

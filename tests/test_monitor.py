@@ -10,20 +10,15 @@ from beliefshield import (
     Constant,
     Difference,
     Eventually,
-    FiniteTime,
     FtParams,
-    Invariance,
     LinearAlpha,
     Monitor,
     MonitorConfig,
     Mpomdp,
     NegBeliefPred,
     Next,
-    NextPending,
-    OneShot,
     And,
     Until,
-    UntilWatch,
     UnsupportedNesting,
     compile_monitor,
     monitor_step,
@@ -142,8 +137,8 @@ def test_compile_assigns_kinds_and_ids_in_order():
         "G !hazard & F goal & hazard U goal & X goal & !hazard", preds, states
     )
     mon = compile_monitor(phi, MODEL, CFG)
-    assert [type(ob) for ob in mon.obligations] == [
-        Invariance, FiniteTime, UntilWatch, NextPending, OneShot,
+    assert [ob.kind for ob in mon.obligations] == [
+        "always", "eventually", "until", "next", "now",
     ]
     assert [ob.oid for ob in mon.obligations] == [
         "0:always", "1:eventually", "2:until", "3:next", "4:now",
@@ -151,7 +146,7 @@ def test_compile_assigns_kinds_and_ids_in_order():
     assert mon.obligations[0].label == "G !hazard"
     assert mon.obligations[2].label == "hazard U goal"
     assert mon.step_count == 0
-    assert mon.last_values == (None,) * 5
+    assert [ob.value for ob in mon.obligations] == [None] * 5
 
 
 def test_compile_rejects_unsupported_shapes():
@@ -368,20 +363,30 @@ def test_monitor_step_is_pure():
     assert v1 == v2
     assert m1 == m2
     assert mon.step_count == 0
-    assert mon.last_values == (None, None)
     assert m1.step_count == 1
 
 
-def test_step_count_and_last_values_advance():
-    mon = compile_monitor(Always(MARGIN), MODEL, CFG)
-    _, mon = monitor_step(mon, b_margin(0.4), b_margin(0.3))
-    _, mon = monitor_step(mon, b_margin(0.3), b_margin(0.2))
-    assert mon.step_count == 2
-    assert mon.last_values[0] == pytest.approx(0.2)
+# Each dischargeable kind, with a belief path that discharges it on the
+# first transition (the value it is decided on differs from every later
+# barrier value) and then walks on.
+DISCHARGE_PATHS = {
+    "eventually": (Eventually(REACH), [b_reach(-0.3), b_reach(0.05), b_reach(-0.2), b_reach(0.3)]),
+    "until": (Until(MARGIN, REACH), [b_pair(0.3, -0.3), b_pair(-0.1, 0.05), b_pair(-0.4, -0.2),
+                                     b_pair(-0.3, 0.25)]),
+    "next": (Next(REACH), [b_reach(-0.3), b_reach(-0.1), b_reach(0.2), b_reach(0.3)]),
+    "now": (MARGIN, [b_margin(0.15), b_margin(-0.2), b_margin(0.3), b_margin(0.1)]),
+}
 
 
-def test_mismatched_last_values_reset_to_none():
-    mon = compile_monitor(Always(MARGIN), MODEL, CFG)
-    rebuilt = Monitor(config=mon.config, obligations=mon.obligations,
-                      step_count=0, last_values=(1.0, 2.0, 3.0))
-    assert rebuilt.last_values == (None,)
+@pytest.mark.parametrize("kind", sorted(DISCHARGE_PATHS))
+def test_inactive_records_repeat_the_discharge_value(kind):
+    phi, beliefs = DISCHARGE_PATHS[kind]
+    mon = compile_monitor(phi, MODEL, CFG)
+    verdicts, mon = walk(mon, beliefs)
+    decided = verdicts[0].records[0]
+    assert decided.kind == kind
+    assert decided.status in ("discharged", "fail")
+    assert [v.records[0].status for v in verdicts[1:]] == ["inactive", "inactive"]
+    assert [v.records[0].barrier for v in verdicts[1:]] == [decided.barrier] * 2
+    assert mon.obligations[0].value == decided.barrier
+    assert mon.step_count == 3

@@ -30,7 +30,6 @@ from beliefshield.sim import (
     END_HORIZON,
     END_VIOLATION_ABORT,
     END_ZERO_LIKELIHOOD,
-    monitor_has_finite_time,
 )
 from beliefshield.presets import corridor_config
 
@@ -261,9 +260,3 @@ def test_corridor_unshielded_violates_immediately():
     for trace in result.traces:
         assert trace.violation_steps
         assert trace.violation_steps[0].step == 1
-
-
-def test_monitor_has_finite_time_flag():
-    scen = corridor_config("literal").to_scenario()
-    assert monitor_has_finite_time(scen.monitor)
-    assert not monitor_has_finite_time(safe_monitor(one_state_model()))
