@@ -5,10 +5,10 @@ step checks compiled from formulas, a one-step greedy shield, and a
 reproducible episode simulator with trace audit tooling."""
 
 from .audit import AuditReport, EpisodeAudit, ObligationAudit, StepContext, audit_episode, audit_traces, replay_episode
-from .barrier import FtParams, LinearAlpha, compose_max, compose_min, dtbf_check, ft_dtbf_check, ft_time_bound
+from .barrier import FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_bound
 from .config import ScenarioConfig, load_config, parse_config, write_config
 from .errors import (
-    BeliefShieldError, ConfigError, EmptyComposition, FormulaSyntaxError,
+    BeliefShieldError, ConfigError, FormulaSyntaxError,
     InvalidStart, NegationOfCompound, SafetyDeadlock, TraceMismatch,
     UnknownPredicate, UnknownState, UnsupportedNesting, ZeroLikelihood,
 )

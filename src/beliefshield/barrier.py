@@ -15,7 +15,7 @@ belief points:
 
 reach_steps turns the contraction inequality into that step budget.
 Barriers for conjunctions and disjunctions compose by pointwise min and
-max respectively.
+max respectively, through the Min and Max nodes of ldtl.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyComposition, InvalidStart
+from .errors import InvalidStart
 
 
 @dataclass(frozen=True)
@@ -78,16 +78,3 @@ def ft_time_bound(h0: float, p: FtParams) -> int:
         raise InvalidStart(h0)
     return math.floor(math.log((p.eps - h0) / p.eps) / math.log(1.0 / p.rho))
 
-
-def compose_min(values: list[float] | tuple[float, ...]) -> float:
-    """Barrier of a conjunction: pointwise min of the component values."""
-    if len(values) == 0:
-        raise EmptyComposition("min composition of zero barrier values")
-    return min(values)
-
-
-def compose_max(values: list[float] | tuple[float, ...]) -> float:
-    """Barrier of a disjunction: pointwise max of the component values."""
-    if len(values) == 0:
-        raise EmptyComposition("max composition of zero barrier values")
-    return max(values)

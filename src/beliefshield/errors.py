@@ -56,10 +56,6 @@ class UnsupportedNesting(BeliefShieldError):
     conjunction of temporal obligations over propositional cores)."""
 
 
-class EmptyComposition(BeliefShieldError):
-    """min/max composition of zero barrier values."""
-
-
 class InvalidStart(BeliefShieldError):
     """Reach-time bound requested for a start value already inside the
     target set (h0 >= 0)."""

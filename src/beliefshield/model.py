@@ -59,14 +59,17 @@ class JointAction:
     def from_components(cls, components: tuple[int, ...], radices: tuple[int, ...]) -> "JointAction":
         return cls(tuple(components), flat_from_components(tuple(components), radices))
 
-    @classmethod
-    def from_flat(cls, flat: int, radices: tuple[int, ...]) -> "JointAction":
-        return cls(components_from_flat(flat, radices), flat)
-
 
 @dataclass(frozen=True)
 class Belief:
-    """Point on the probability simplex over the joint state space."""
+    """Point on the probability simplex over the joint state space.
+
+    Only the shape is checked here. Values are checked where a belief
+    enters: validate_tables at config load, validate_model for models
+    built in code, and the audit's replay of recorded beliefs. Filter
+    outputs need no check: each is a non-negative vector divided by a
+    normalizer above LIKELIHOOD_FLOOR.
+    """
 
     probs: np.ndarray
 
@@ -74,11 +77,6 @@ class Belief:
         p = np.asarray(self.probs, dtype=float).copy()
         if p.ndim != 1:
             raise ValueError(f"belief must be a vector, got shape {p.shape}")
-        if np.any(p < -SIMPLEX_ATOL) or np.any(p > 1.0 + SIMPLEX_ATOL):
-            raise ValueError("belief entries must lie in [0, 1]")
-        total = float(p.sum())
-        if abs(total - 1.0) > SIMPLEX_ATOL:
-            raise ValueError(f"belief sums to {total}, not 1 within {SIMPLEX_ATOL}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -91,12 +89,6 @@ class Belief:
     @classmethod
     def uniform(cls, n: int) -> "Belief":
         return cls(np.full(n, 1.0 / n))
-
-    @classmethod
-    def point(cls, q: int, n: int) -> "Belief":
-        p = np.zeros(n)
-        p[q] = 1.0
-        return cls(p)
 
 
 @dataclass(frozen=True)
@@ -164,9 +156,6 @@ class Mpomdp:
     @property
     def n_joint_observations(self) -> int:
         return int(np.prod(self.observation_radices))
-
-    def joint_action(self, flat: int) -> JointAction:
-        return JointAction.from_flat(flat, self.action_radices)
 
     def joint_action_label(self, flat: int) -> tuple[str, ...]:
         comps = components_from_flat(flat, self.action_radices)

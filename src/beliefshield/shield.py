@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import SafetyDeadlock, ZeroLikelihood
 from .model import (
-    LIKELIHOOD_FLOOR, Belief, JointAction, Mpomdp, belief_update, expected_reward,
+    LIKELIHOOD_FLOOR, Belief, Mpomdp, belief_update, expected_reward,
     observation_likelihoods,
 )
 from .monitor import (
@@ -45,7 +45,7 @@ CONSERVATIVE = "conservative"
 
 @dataclass(frozen=True)
 class SafeCandidate:
-    action: JointAction
+    action: int
     belief: Belief
     verdict: StepVerdict
     monitor: Monitor
@@ -56,12 +56,13 @@ class SafeCandidate:
 class ShieldDecision:
     """Outcome of one shield invocation.
 
-    verdict/next_belief/next_monitor describe the executed action's
-    update; candidate_rewards lists (flat index, reward) for the safe
-    candidates considered (just the nominal when it passed outright).
+    executed is the flat joint-action index; verdict/next_belief/
+    next_monitor describe its update; candidate_rewards lists (flat
+    index, reward) for the safe candidates considered (just the nominal
+    when it passed outright).
     """
 
-    executed: JointAction
+    executed: int
     overridden: bool
     nominal_reward: float
     candidate_rewards: tuple[tuple[int, float], ...]
@@ -93,7 +94,7 @@ def _try_candidate(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
             if not other_verdict.passed:
                 return None
     return SafeCandidate(
-        action=m.joint_action(action),
+        action=action,
         belief=b_next,
         verdict=verdict,
         monitor=successor,
@@ -158,7 +159,7 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
     nominal = _try_candidate(m, mon, b_prev, z, a_nominal, mode)
     if nominal is not None:
         return ShieldDecision(
-            executed=nominal.action,
+            executed=a_nominal,
             overridden=False,
             nominal_reward=nominal.reward,
             candidate_rewards=((a_nominal, nominal.reward),),
@@ -205,7 +206,7 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
     row = posterior[best, k]
     verdict, successor = check_step(mon, prev, barrier_values(mon, row.tolist()))
     return ShieldDecision(
-        executed=m.joint_action(best),
+        executed=best,
         overridden=True,
         nominal_reward=r_n,
         candidate_rewards=tuple(candidates),

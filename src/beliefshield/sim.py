@@ -167,7 +167,7 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
                 end_detail = {"step": exc.step,
                               "candidate_barriers": exc.candidate_barriers}
                 break
-            executed = decision.executed.flat_index
+            executed = decision.executed
             overridden = decision.overridden
             nominal_reward = decision.nominal_reward
             candidate_rewards = decision.candidate_rewards
@@ -216,14 +216,17 @@ class BatchResult:
         """Per-episode summary rows, one dict per episode."""
         rows = []
         for t in self.traces:
-            discharges = t.discharge_steps()
+            # Only reach obligations count: a next or bare conjunct is
+            # discharged by its single check at step 1.
+            reached = [s.step for s in t.steps for r in s.verdict.records
+                       if r.status == "discharged" and r.kind in ("eventually", "until")]
             rows.append({
                 "episode": t.episode,
                 "steps": len(t.steps),
                 "end_reason": t.end_reason,
                 "violations": len(t.violation_steps),
                 "overrides": t.override_count,
-                "first_discharge_step": min(discharges.values()) if discharges else "",
+                "first_discharge_step": reached[0] if reached else "",
                 "total_reward": round(sum(s.realized_reward for s in t.steps), 9),
             })
         return rows

@@ -23,8 +23,7 @@ from conftest import random_model, random_simplex, two_pass_posterior
 
 from beliefshield.audit import audit_traces
 from beliefshield.barrier import (
-    FtParams, LinearAlpha, compose_max, compose_min, dtbf_check,
-    ft_dtbf_check, ft_time_bound,
+    FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_bound,
 )
 from beliefshield.config import ScenarioConfig
 from beliefshield.errors import ZeroLikelihood
@@ -287,17 +286,19 @@ def test_criterion_4_composition_verdicts_match_membership():
             for _ in range(3):
                 values = tuple(s * float(rng.uniform(0.1, 2.0)) if s else 0.0
                                for s in signs)
-                lo, hi = compose_min(values), compose_max(values)
                 consts = tuple(Constant(v) for v in values)
-                assert evaluate_expr(Min(consts), dummy) == lo
-                assert evaluate_expr(Max(consts), dummy) == hi
+                lo = evaluate_expr(Min(consts), dummy)
+                hi = evaluate_expr(Max(consts), dummy)
+                assert lo == min(values)
+                assert hi == max(values)
                 assert (lo >= 0.0) == all(v >= 0.0 for v in values)
                 assert (hi >= 0.0) == any(v >= 0.0 for v in values)
             patterns += 1
     for _ in range(200):
         values = tuple(rng.normal(size=int(rng.integers(1, 5))))
-        assert (compose_min(values) >= 0.0) == all(v >= 0.0 for v in values)
-        assert (compose_max(values) >= 0.0) == any(v >= 0.0 for v in values)
+        consts = tuple(Constant(float(v)) for v in values)
+        assert (evaluate_expr(Min(consts), dummy) >= 0.0) == all(v >= 0.0 for v in values)
+        assert (evaluate_expr(Max(consts), dummy) >= 0.0) == any(v >= 0.0 for v in values)
     note(f"criterion 4 PASS: {patterns} sign patterns (k <= 4, exhaustive "
          f"incl. zeros) and 200 random vectors, min/max verdicts match "
          f"all/any membership")
@@ -403,7 +404,7 @@ def _rescan_overrides(cfg: ScenarioConfig, trace) -> int:
         if s.overridden:
             cands = enumerate_safe_actions(m, mon, b_prev, s.observation,
                                            cfg.shield_mode)
-            flats = [c.action.flat_index for c in cands]
+            flats = [c.action for c in cands]
             assert s.executed in flats
             try:
                 b_nom = belief_update(b_prev, s.nominal, s.observation, m)
@@ -417,7 +418,7 @@ def _rescan_overrides(cfg: ScenarioConfig, trace) -> int:
             assert all(d >= exec_dev for d in devs)
             # ties must have resolved to the lowest flat index
             assert flats[devs.index(exec_dev)] == s.executed
-            assert tuple((c.action.flat_index, c.reward) for c in cands) \
+            assert tuple((c.action, c.reward) for c in cands) \
                 == s.candidate_rewards
             checked += 1
         _, mon = monitor_step(mon, b_prev, s.belief)

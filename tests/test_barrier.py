@@ -1,4 +1,4 @@
-"""Decay checks, the reach-time bound, and min/max composition."""
+"""Decay checks and the reach-time bound."""
 
 import math
 
@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from beliefshield.barrier import (
-    FtParams, LinearAlpha, compose_max, compose_min, dtbf_check,
-    ft_dtbf_check, ft_time_bound,
+    FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_bound,
 )
-from beliefshield.errors import EmptyComposition, InvalidStart
+from beliefshield.errors import InvalidStart
 
 
 def test_linear_alpha_validates_range():
@@ -95,16 +94,3 @@ def test_invariance_decay_keeps_nonnegative():
         h = h_next
         assert h >= 0.0
 
-
-def test_compose_min_max_values():
-    assert compose_min([0.3]) == 0.3
-    assert compose_min((0.3, -0.1, 0.2)) == -0.1
-    assert compose_max((0.3, -0.1, 0.2)) == 0.3
-    assert compose_max([-2.0, -1.0]) == -1.0
-
-
-def test_compose_rejects_empty():
-    with pytest.raises(EmptyComposition):
-        compose_min([])
-    with pytest.raises(EmptyComposition):
-        compose_max(())

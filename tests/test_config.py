@@ -21,7 +21,7 @@ from beliefshield import (
     parse_config,
     write_config,
 )
-from beliefshield import config
+from beliefshield import config, presets
 from beliefshield.config import config_to_dict
 from beliefshield.presets import FORMULA, corridor_config
 
@@ -345,6 +345,12 @@ def test_yaml_loaders_build_equal_configs(name):
     assert all(d == data[0] for d in data)
     expected = config_to_dict(parse_config(data[0], source=name))
     assert config_to_dict(load_config(CONFIGS / name)) == expected
+
+
+def test_shipped_configs_match_their_generator(tmp_path, capsys):
+    assert presets.main([str(tmp_path)]) == 0
+    for name in ("corridor.yaml", "corridor_unshielded.yaml"):
+        assert (tmp_path / name).read_bytes() == (CONFIGS / name).read_bytes()
 
 
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)

@@ -1,5 +1,7 @@
 """Filter, encoding, and sampling checks for the model module."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,12 @@ from hypothesis import strategies as st
 
 from beliefshield.errors import ZeroLikelihood
 from beliefshield.model import (
-    Belief, JointAction, Mpomdp, belief_update, components_from_flat,
-    expected_reward, flat_from_components, observation_likelihoods,
-    predicted_belief, sample_initial_state, sample_observation,
-    sample_transition, validate_model,
+    LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update,
+    components_from_flat, expected_reward, flat_from_components,
+    observation_likelihoods, predicted_belief, sample_initial_state,
+    sample_observation, sample_transition, validate_model, validate_tables,
 )
+from beliefshield.shield import _posteriors
 
 from conftest import random_model, random_simplex, two_pass_posterior
 
@@ -157,10 +160,16 @@ def test_validate_model_accepts_valid_model():
 
 
 def test_belief_rejects_bad_vectors():
-    with pytest.raises(ValueError):
-        Belief(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        Belief(np.array([1.2, -0.2]))
+    # Values are checked where a belief enters: at load by validate_tables,
+    # and for a model built in code by validate_model as its initial belief.
+    m = reference_model()
+    for bad, message in (((0.5, 0.6), "row sums to 1.1"),
+                         ((1.2, -0.2), "entry 1.2 outside [0, 1]")):
+        for violations in (validate_tables(np.array(bad), m.transition, m.observation),
+                           validate_model(replace(m, initial=Belief(np.array(bad))))):
+            assert violations
+            assert all(v.table == "initial" for v in violations)
+            assert any(message in v.message for v in violations)
     with pytest.raises(ValueError):
         Belief(np.array([[0.5, 0.5]]))
 
@@ -207,17 +216,42 @@ def test_mixed_radix_round_trip_property(radices, data):
     assert flat_from_components(comps, radices) == flat
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_posterior_is_simplex_point_property(seed):
+def with_likelihood(m: Mpomdp, b: Belief, a: int, z: int, target: float) -> Mpomdp:
+    """m with observation[:, a, z] scaled so that z has predicted
+    likelihood `target` under action a from b; the other observations
+    of a share the rest of each row."""
+    o = m.observation.copy()
+    o[:, a, z] *= target / float(predicted_belief(b, a, m) @ o[:, a, z])
+    others = [k for k in range(m.n_joint_observations) if k != z]
+    o[:, a, others] *= ((1.0 - o[:, a, z]) / o[:, a, others].sum(axis=1))[:, None]
+    return replace(m, observation=o)
+
+
+def assert_on_simplex(p: np.ndarray) -> None:
+    assert np.all(p >= 0.0)
+    assert np.all(p <= 1.0 + SIMPLEX_ATOL)
+    assert abs(float(p.sum()) - 1.0) < SIMPLEX_ATOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_posterior_is_simplex_point_property(seed, near_floor):
+    # Beliefs are not checked when built, so every filter output, one at
+    # a time and batched in the shield, must land on the simplex itself,
+    # also when the observation's likelihood is just above the floor.
     rng = np.random.default_rng(seed)
     m = random_model(rng)
     b = Belief(random_simplex(rng, m.n_states))
     a = int(rng.integers(m.n_joint_actions))
     z = int(rng.integers(m.n_joint_observations))
+    if near_floor and m.n_joint_observations > 1:
+        m = with_likelihood(m, b, a, z, LIKELIHOOD_FLOOR * (1.0 + 10 ** rng.uniform(-6, 0)))
     post = belief_update(b, a, z, m)
-    assert np.all(post.probs >= 0.0)
-    assert abs(float(post.probs.sum()) - 1.0) < 1e-9
+    assert_on_simplex(post.probs)
+    _, posterior, denom = _posteriors(m, b, list(range(m.n_joint_observations)))
+    assert denom[a, z] > LIKELIHOOD_FLOOR
+    for row in posterior[denom > LIKELIHOOD_FLOOR]:
+        assert_on_simplex(row)
 
 
 def test_sampling_follows_deterministic_rows():
@@ -250,8 +284,5 @@ def test_joint_action_labels():
     rng = np.random.default_rng(21)
     m = random_model(rng, max_states=3)
     for flat in range(m.n_joint_actions):
-        ja = m.joint_action(flat)
-        assert isinstance(ja, JointAction)
-        assert ja.flat_index == flat
         label = m.joint_action_label(flat)
         assert len(label) == m.n_agents

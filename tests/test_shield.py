@@ -87,7 +87,7 @@ def test_nominal_action_accepted_without_override():
     m = line_model({(0, STAY): 1.0})
     decision = shield_step(m, line_monitor(m), B0, 0, STAY)
     assert not decision.overridden
-    assert decision.executed.flat_index == STAY
+    assert decision.executed == STAY
     assert decision.candidate_rewards == ((STAY, 1.0),)
     assert decision.nominal_reward == 1.0
     assert decision.verdict.passed
@@ -105,7 +105,7 @@ def test_override_picks_closest_reward_to_nominal():
     m = line_model(rewards)
     decision = shield_step(m, line_monitor(m), B0, 0, SPIKE)
     assert decision.overridden
-    assert decision.executed.flat_index == LEAP
+    assert decision.executed == LEAP
     assert decision.nominal_reward == pytest.approx(5.0)
     got = dict(decision.candidate_rewards)
     assert sorted(got) == [STAY, DRIFT, LEAP]
@@ -129,7 +129,7 @@ def test_override_tie_resolves_to_lowest_flat_index():
     m = line_model(rewards)
     decision = shield_step(m, line_monitor(m), B0, 0, SPIKE)
     assert decision.overridden
-    assert decision.executed.flat_index == STAY
+    assert decision.executed == STAY
 
 
 def test_deadlock_reports_barriers_for_every_action():
@@ -151,17 +151,17 @@ def test_enumerate_matches_shield_candidates():
     m = line_model(rewards)
     mon = line_monitor(m)
     candidates = enumerate_safe_actions(m, mon, B0, 0)
-    assert [c.action.flat_index for c in candidates] == [STAY, DRIFT, LEAP]
+    assert [c.action for c in candidates] == [STAY, DRIFT, LEAP]
     for c in candidates:
         assert c.verdict.passed
         assert c.monitor.step_count == 1
-        assert np.array_equal(c.belief.probs, belief_update(B0, c.action.flat_index, 0, m).probs)
+        assert np.array_equal(c.belief.probs, belief_update(B0, c.action, 0, m).probs)
         assert c.reward == pytest.approx(
-            expected_reward(c.belief, c.action.flat_index, m)
+            expected_reward(c.belief, c.action, m)
         )
     decision = shield_step(m, mon, B0, 0, SPIKE)
     assert decision.candidate_rewards == tuple(
-        (c.action.flat_index, c.reward) for c in candidates
+        (c.action, c.reward) for c in candidates
     )
 
 
@@ -199,7 +199,7 @@ def test_zero_likelihood_candidate_is_unsafe_not_an_error():
     mon = trivially_safe_monitor(m)
     b = Belief((0.75, 0.25))
     candidates = enumerate_safe_actions(m, mon, b, ZA)
-    assert [c.action.flat_index for c in candidates] == [GO]
+    assert [c.action for c in candidates] == [GO]
 
 
 def test_impossible_nominal_falls_back_to_predicted_reward():
@@ -208,7 +208,7 @@ def test_impossible_nominal_falls_back_to_predicted_reward():
     b = Belief((0.75, 0.25))
     decision = shield_step(m, mon, b, ZA, JAM)
     assert decision.overridden
-    assert decision.executed.flat_index == GO
+    assert decision.executed == GO
     # Identity dynamics: predicted belief equals b, reward 0.75*4 + 0.25*8.
     assert decision.nominal_reward == pytest.approx(5.0)
 
@@ -261,15 +261,15 @@ def test_conservative_rejects_actions_unsafe_under_other_observations():
     b = Belief((0.75, 0.25))
     literal = enumerate_safe_actions(m, margin_monitor(m), b, ZA, LITERAL)
     conservative = enumerate_safe_actions(m, margin_monitor(m), b, ZA, CONSERVATIVE)
-    assert [c.action.flat_index for c in literal] == [PROBE, SIT]
-    assert [c.action.flat_index for c in conservative] == [SIT]
+    assert [c.action for c in literal] == [PROBE, SIT]
+    assert [c.action for c in conservative] == [SIT]
 
     accepted = shield_step(m, margin_monitor(m), b, ZA, PROBE, LITERAL)
     assert not accepted.overridden
 
     overridden = shield_step(m, margin_monitor(m), b, ZA, PROBE, CONSERVATIVE)
     assert overridden.overridden
-    assert overridden.executed.flat_index == SIT
+    assert overridden.executed == SIT
     # The executed successor still follows the observation actually seen.
     assert np.array_equal(overridden.next_belief.probs, belief_update(b, SIT, ZA, m).probs)
 
@@ -340,7 +340,7 @@ def reference_choice(m, mon, b, z, a_nom, mode):
     nominal's reference reward, lowest index on ties. Returns (nominal
     reward, chosen candidate, safe candidates), or None on deadlock."""
     safe = enumerate_safe_actions(m, mon, b, z, mode)
-    nominal = [c for c in safe if c.action.flat_index == a_nom]
+    nominal = [c for c in safe if c.action == a_nom]
     if nominal:
         return nominal[0].reward, nominal[0], nominal
     if not safe:
@@ -349,7 +349,7 @@ def reference_choice(m, mon, b, z, a_nom, mode):
         r_n = expected_reward(belief_update(b, a_nom, z, m), a_nom, m)
     except ZeroLikelihood:
         r_n = float(predicted_belief(b, a_nom, m) @ m.reward[:, a_nom])
-    best = min(safe, key=lambda c: ((c.reward - r_n) ** 2, c.action.flat_index))
+    best = min(safe, key=lambda c: ((c.reward - r_n) ** 2, c.action))
     return r_n, best, safe
 
 
@@ -372,10 +372,10 @@ def test_batched_shield_matches_enumeration(seed, mode):
         return
     r_n, best, safe = expected
     decision = shield_step(m, mon, b, z, a_nom, mode)
-    assert decision.overridden == (best.action.flat_index != a_nom)
+    assert decision.overridden == (best.action != a_nom)
     assert decision.executed == best.action
     assert decision.nominal_reward == r_n
-    assert decision.candidate_rewards == tuple((c.action.flat_index, c.reward) for c in safe)
+    assert decision.candidate_rewards == tuple((c.action, c.reward) for c in safe)
     assert decision.verdict == best.verdict
     assert decision.next_monitor == best.monitor
     assert np.array_equal(decision.next_belief.probs.view(np.int64),

@@ -34,6 +34,7 @@ from beliefshield.sim import (
 from beliefshield.presets import corridor_config
 
 from conftest import random_model
+from test_golden import EPISODES, _scenario
 
 CFG = MonitorConfig(delta=1e-3, alpha=LinearAlpha(0.5), ft=FtParams(rho=0.99, eps=0.1))
 
@@ -252,6 +253,16 @@ def test_corridor_shielded_discharges_and_never_violates():
     rows = result.episode_rows()
     assert [r["first_discharge_step"] for r in rows] == [4, 4, 4]
     assert [r["episode"] for r in rows] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("mode", ["off", "literal", "conservative"])
+def test_first_discharge_step_counts_only_reach_obligations(mode):
+    # The formula's next and bare conjuncts are discharged by their single
+    # check at step 1; the summary must report when the target is reached.
+    cfg = _scenario(f"corridor_all_kinds_{mode}")
+    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=EPISODES)
+    assert [r["first_discharge_step"] for r in result.episode_rows()] == [4] * EPISODES
+    assert result.aggregate()["mean_discharge_step"] == 4.0
 
 
 def test_corridor_unshielded_violates_immediately():
