@@ -86,10 +86,6 @@ class Belief:
     def __len__(self) -> int:
         return len(self.probs)
 
-    @classmethod
-    def uniform(cls, n: int) -> "Belief":
-        return cls(np.full(n, 1.0 / n))
-
 
 @dataclass(frozen=True)
 class Mpomdp:
@@ -214,20 +210,28 @@ def predicted_belief(b: Belief, action: int, m: Mpomdp) -> np.ndarray:
     return b.probs @ m.transition[:, action, :]
 
 
-def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:
-    """Exact Bayes filter step over the joint state.
-
-    posterior(q') ∝ observation[q', a, z] * sum_q transition[q, a, q'] * b(q)
+def correct(predicted: np.ndarray, action: int, obs: int, m: Mpomdp) -> np.ndarray:
+    """Observation correction of a predicted belief: the raw posterior
+    vector observation[q', a, z] * predicted(q') / normalizer.
 
     Raises ZeroLikelihood when the normalizer is <= 1e-12: the
     observation is impossible under the predicted belief and the
     posterior is undefined. Never renormalizes its inputs.
     """
-    numer = m.observation[:, action, obs] * predicted_belief(b, action, m)
+    numer = m.observation[:, action, obs] * predicted
     denom = float(numer.sum())
     if denom <= LIKELIHOOD_FLOOR:
         raise ZeroLikelihood(action, obs, denom)
-    return Belief(numer / denom)
+    return numer / denom
+
+
+def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:
+    """Exact Bayes filter step over the joint state, predicted_belief
+    followed by correct:
+
+    posterior(q') ∝ observation[q', a, z] * sum_q transition[q, a, q'] * b(q)
+    """
+    return Belief(correct(predicted_belief(b, action, m), action, obs, m))
 
 
 def observation_likelihoods(b: Belief, action: int, m: Mpomdp) -> np.ndarray:
@@ -244,7 +248,7 @@ def expected_reward(b: Belief, action: int, m: Mpomdp) -> float:
 def _sample_index(row: np.ndarray, rng: np.random.Generator) -> int:
     # Inverse-CDF draw; cheap and reproducible for a given generator state.
     u = rng.random()
-    return int(np.searchsorted(np.cumsum(row), u, side="right").clip(0, len(row) - 1))
+    return min(int(np.searchsorted(np.cumsum(row), u, side="right")), len(row) - 1)
 
 
 def sample_transition(q: int, action: int, m: Mpomdp, rng: np.random.Generator) -> int:

@@ -20,8 +20,8 @@ rule in the `_RULES` table that checks it between consecutive beliefs:
     eventually  F core    contraction every step until the barrier first
                           reaches >= 0 (discharged); a reach deadline is
                           fixed at activation from the first barrier
-                          value, and an undischarged obligation past it
-                          is a violation;
+                          value, and an obligation still undischarged
+                          after the deadline step is a violation;
     until       c1 U c2   membership/decay on the left barrier while the
                           right barrier is negative (including at the
                           starting belief); discharged when the right
@@ -269,7 +269,7 @@ def _eventually(ob, prev, nxt, first, step, cfg):
     problems = []
     if not ft_dtbf_check(h_prev, h_next, cfg.ft):
         problems.append(f"contraction broken ({h_prev:.6g} -> {h_next:.6g})")
-    if step >= deadline:
+    if step > deadline:
         problems.append(f"deadline {deadline} passed")
     changes = {"deadline": deadline} if ob.deadline is None else None
     return ("fail" if problems else "pass"), h_next, "; ".join(problems), changes
@@ -352,17 +352,15 @@ def check_step(mon: Monitor, prev: BarrierValues, nxt: BarrierValues
     return verdict, Monitor(config=mon.config, obligations=tuple(obligations), step_count=step)
 
 
-def step_passes(mon: Monitor, prev: BarrierValues, p_next: list[float]) -> bool:
-    """Whether check_step would pass the transition to the belief with
-    entries p_next, without building records or a successor; barriers
-    are evaluated at p_next only up to the first failing obligation."""
+def step_passes(mon: Monitor, prev: BarrierValues, nxt: BarrierValues) -> bool:
+    """Whether check_step(mon, prev, nxt) passes, without building
+    records or a successor."""
     first = mon.step_count == 0
     step = mon.step_count + 1
-    for ob, h_prev in zip(mon.obligations, prev):
-        if not ob.discharged:
-            h_next = [f(p_next) for f in ob.evaluators]
-            if _RULES[ob.kind](ob, h_prev, h_next, first, step, mon.config)[0] == "fail":
-                return False
+    for ob, h_prev, h_next in zip(mon.obligations, prev, nxt):
+        if not ob.discharged and _RULES[ob.kind](
+                ob, h_prev, h_next, first, step, mon.config)[0] == "fail":
+            return False
     return True
 
 

@@ -1,26 +1,27 @@
 """One-step greedy safety shield.
 
-Given the nominal joint action, the shared observation, and the current
-belief, the shield accepts the nominal action when its belief update
-passes the monitor. Otherwise it checks every joint action under the
-same observation, keeps those whose updates pass, and executes the one
-whose expected immediate reward (over its own updated belief) deviates
-least, in squared distance, from the nominal's reference reward. Ties
-resolve to the lowest flat action index. A candidate whose update has
-zero likelihood is unsafe, not an error; if no candidate passes, the
-shield raises SafetyDeadlock rather than executing anything unsafe.
+Given the nominal joint action, the shared observation z, and the
+current belief, the shield accepts the nominal action when its belief
+update passes the monitor. Otherwise it checks every other joint action
+the same way, in flat-index order, and executes the safe one whose
+expected immediate reward (over its own updated belief) deviates least,
+in squared distance, from the nominal's reference reward. Ties resolve
+to the lowest flat action index. A candidate whose update has zero
+likelihood is unsafe, not an error; if no candidate passes, the shield
+raises SafetyDeadlock rather than executing anything unsafe.
 
 In "conservative" mode a candidate must additionally pass under every
 observation of positive predicted probability, not just the shared one.
 
-The nominal action is checked first, on its own. Only when it fails are
-the alternatives checked, in one batched pass: every predicted belief
-and posterior comes from a few array operations that repeat the
-filter's per-action arithmetic exactly (so beliefs, rewards and barrier
-values are bit-identical to belief_update's), the barriers at the
-current belief are evaluated once, and a Belief and a successor Monitor
-are built only for the executed action. enumerate_safe_actions is the
-one-candidate-at-a-time definition the batch must agree with.
+Every candidate, the nominal included, goes through one check built on
+the filter's own two steps: predicted_belief once, then correct under z
+and, in conservative mode, under every other observation from that same
+prediction. Beliefs, rewards and barrier values are therefore those of
+belief_update bit for bit. The barriers at the current belief are
+evaluated once per call and at each posterior once, and a Belief,
+verdict and successor Monitor are built only for the executed action.
+enumerate_safe_actions is the one-candidate-at-a-time reference the
+shield must agree with.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 
 from .errors import SafetyDeadlock, ZeroLikelihood
 from .model import (
-    LIKELIHOOD_FLOOR, Belief, Mpomdp, belief_update, expected_reward,
-    observation_likelihoods,
+    Belief, Mpomdp, belief_update, correct, expected_reward, observation_likelihoods,
+    predicted_belief,
 )
 from .monitor import (
     BarrierValues, Monitor, StepVerdict, barrier_values, check_step, monitor_step,
@@ -115,36 +116,50 @@ def enumerate_safe_actions(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
     return out
 
 
-def _posteriors(m: Mpomdp, b_prev: Belief, observations: list[int]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Predicted beliefs (A, n), posteriors (A, len(observations), n) and
-    their normalizers (A, len(observations)) for every joint action.
-
-    The prediction runs one matrix-vector product per action slice of
-    the transition table, the very product predicted_belief computes, so
-    the rows match it bit for bit (one product over the table reshaped
-    to (n, A*n) differs in the last bits for some table shapes). The
-    correction multiplies elementwise and sums each contiguous row as
-    belief_update does. Rows whose normalizer is at most
-    LIKELIHOOD_FLOOR are impossible and left unnormalized.
-    """
-    predicted = b_prev.probs @ m.transition.transpose(1, 0, 2)
-    numer = np.multiply(predicted[:, None, :],
-                        m.observation[:, :, observations].transpose(1, 2, 0), order="C")
-    denom = numer.sum(axis=-1)
-    posterior = numer / np.where(denom > LIKELIHOOD_FLOOR, denom, 1.0)[..., None]
-    return predicted, posterior, denom
-
-
 def _reward(belief: np.ndarray, action: int, m: Mpomdp) -> float:
-    # expected_reward's arithmetic on a raw posterior row.
+    # expected_reward's arithmetic on a raw belief vector.
     return float(belief @ m.reward[:, action])
 
 
-def _barriers_after(mon: Monitor, prev: BarrierValues, belief: np.ndarray
+def _passes_under(m: Mpomdp, mon: Monitor, prev: BarrierValues, predicted: np.ndarray,
+                  action: int, obs: int) -> bool:
+    """Whether the step to the posterior under obs passes; an observation
+    of zero likelihood is impossible and passes, one whose likelihood is
+    positive but at most the floor does not."""
+    try:
+        posterior = correct(predicted, action, obs, m)
+    except ZeroLikelihood as exc:
+        return exc.denominator == 0.0
+    return step_passes(mon, prev, barrier_values(mon, posterior.tolist()))
+
+
+def _check(m: Mpomdp, mon: Monitor, prev: BarrierValues, b_prev: Belief, z: int,
+           action: int, mode: str) -> tuple[np.ndarray, BarrierValues | None, bool]:
+    """One candidate action, predicted once: (row, values, safe).
+
+    row is the posterior under z, or the prediction when z is impossible
+    after the action (values is then None); values are the barriers at
+    the posterior; safe says whether the step passes under z and, in
+    conservative mode, under every other observation.
+    """
+    predicted = predicted_belief(b_prev, action, m)
+    try:
+        posterior = correct(predicted, action, z, m)
+    except ZeroLikelihood:
+        return predicted, None, False
+    values = barrier_values(mon, posterior.tolist())
+    safe = step_passes(mon, prev, values) and (mode == LITERAL or all(
+        _passes_under(m, mon, prev, predicted, action, other)
+        for other in range(m.n_joint_observations) if other != z))
+    return posterior, values, safe
+
+
+def _barriers_after(mon: Monitor, prev: BarrierValues, values: BarrierValues | None
                     ) -> dict[str, float]:
     """Recorded barrier value of each obligation, for deadlock reports."""
-    verdict, _ = check_step(mon, prev, barrier_values(mon, belief.tolist()))
+    if values is None:
+        return {}
+    verdict, _ = check_step(mon, prev, values)
     return {r.oid: r.barrier for r in verdict.records if r.barrier is not None}
 
 
@@ -156,58 +171,29 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
     if mode not in (LITERAL, CONSERVATIVE):
         raise ValueError(f"unknown shield mode: {mode!r}")
 
-    nominal = _try_candidate(m, mon, b_prev, z, a_nominal, mode)
-    if nominal is not None:
-        return ShieldDecision(
-            executed=a_nominal,
-            overridden=False,
-            nominal_reward=nominal.reward,
-            candidate_rewards=((a_nominal, nominal.reward),),
-            verdict=nominal.verdict,
-            next_belief=nominal.belief,
-            next_monitor=nominal.monitor,
-        )
-
-    observations = [z] if mode == LITERAL else list(range(m.n_joint_observations))
-    k = observations.index(z)
-    predicted, posterior, denom = _posteriors(m, b_prev, observations)
-    possible = denom > LIKELIHOOD_FLOOR
     prev = barrier_values(mon, b_prev.probs.tolist())
-
-    def safe(action: int) -> bool:
-        # Under z and, in conservative mode, every other observation of
-        # positive predicted probability, i.e. of positive normalizer.
-        return all(
-            possible[action, j] and step_passes(mon, prev, posterior[action, j].tolist())
-            for j in range(len(observations)) if j == k or denom[action, j] > 0.0)
-
-    if possible[a_nominal, k]:
-        r_n = _reward(posterior[a_nominal, k], a_nominal, m)
+    nominal = _check(m, mon, prev, b_prev, z, a_nominal, mode)
+    row, values, nominal_safe = nominal
+    # With z impossible after the nominal, row is its one-step
+    # prediction, so the reference reward stays defined.
+    r_n = _reward(row, a_nominal, m)
+    if nominal_safe:
+        best, candidates = a_nominal, [(a_nominal, r_n)]
     else:
-        # Nominal update impossible under z: fall back to the one-step
-        # prediction so the reference reward stays defined.
-        r_n = _reward(predicted[a_nominal], a_nominal, m)
+        checks = {a: nominal if a == a_nominal else _check(m, mon, prev, b_prev, z, a, mode)
+                  for a in range(m.n_joint_actions)}
+        candidates = [(a, _reward(row, a, m)) for a, (row, _, safe) in checks.items() if safe]
+        if not candidates:
+            raise SafetyDeadlock(mon.step_count + 1, {
+                a: _barriers_after(mon, prev, values) for a, (_, values, _) in checks.items()})
+        # min keeps the first of equal deviations: the lowest flat index.
+        best = min(candidates, key=lambda c: (c[1] - r_n) ** 2)[0]
+        row, values, _ = checks[best]
 
-    # The nominal already failed the same checks one at a time.
-    candidates = [(a, _reward(posterior[a, k], a, m))
-                  for a in range(m.n_joint_actions) if a != a_nominal and safe(a)]
-    if not candidates:
-        raise SafetyDeadlock(mon.step_count + 1, {
-            a: _barriers_after(mon, prev, posterior[a, k]) if possible[a, k] else {}
-            for a in range(m.n_joint_actions)})
-
-    best, best_reward = candidates[0]
-    best_dev = (best_reward - r_n) ** 2
-    for action, reward in candidates[1:]:
-        dev = (reward - r_n) ** 2
-        if dev < best_dev:  # ties keep the earlier (lower) flat index
-            best, best_dev = action, dev
-
-    row = posterior[best, k]
-    verdict, successor = check_step(mon, prev, barrier_values(mon, row.tolist()))
+    verdict, successor = check_step(mon, prev, values)
     return ShieldDecision(
         executed=best,
-        overridden=True,
+        overridden=not nominal_safe,
         nominal_reward=r_n,
         candidate_rewards=tuple(candidates),
         verdict=verdict,

@@ -24,10 +24,10 @@ from .model import (
     sample_observation, sample_transition,
 )
 from .monitor import Monitor, StepVerdict, monitor_step
-from .shield import LITERAL, shield_step
+from .shield import CONSERVATIVE, LITERAL, shield_step
 
 SHIELD_OFF = "off"
-SHIELD_MODES = (SHIELD_OFF, "literal", "conservative")
+SHIELD_MODES = (SHIELD_OFF, LITERAL, CONSERVATIVE)
 
 END_HORIZON = "horizon"
 END_DEADLOCK = "deadlock"

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefshield import (
+    CONSERVATIVE, Always, Constant, MonitorConfig, NegBeliefPred, compile_monitor,
+    enumerate_safe_actions, shield_step,
+)
 from beliefshield.errors import ZeroLikelihood
 from beliefshield.model import (
     LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update,
-    components_from_flat, expected_reward, flat_from_components,
+    components_from_flat, correct, expected_reward, flat_from_components,
     observation_likelihoods, predicted_belief, sample_initial_state,
-    sample_observation, sample_transition, validate_model, validate_tables,
+    _sample_index, sample_observation, sample_transition, validate_model, validate_tables,
 )
-from beliefshield.shield import _posteriors
 
 from conftest import random_model, random_simplex, two_pass_posterior
 
@@ -236,9 +239,11 @@ def assert_on_simplex(p: np.ndarray) -> None:
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
 def test_posterior_is_simplex_point_property(seed, near_floor):
-    # Beliefs are not checked when built, so every filter output, one at
-    # a time and batched in the shield, must land on the simplex itself,
-    # also when the observation's likelihood is just above the floor.
+    # Beliefs are not checked when built, so every filter output must
+    # land on the simplex itself, also when the observation's likelihood
+    # is just above the floor: belief_update's, and the correction of
+    # the drawn action's prediction under every observation, the rows
+    # the shield checks.
     rng = np.random.default_rng(seed)
     m = random_model(rng)
     b = Belief(random_simplex(rng, m.n_states))
@@ -248,10 +253,32 @@ def test_posterior_is_simplex_point_property(seed, near_floor):
         m = with_likelihood(m, b, a, z, LIKELIHOOD_FLOOR * (1.0 + 10 ** rng.uniform(-6, 0)))
     post = belief_update(b, a, z, m)
     assert_on_simplex(post.probs)
-    _, posterior, denom = _posteriors(m, b, list(range(m.n_joint_observations)))
-    assert denom[a, z] > LIKELIHOOD_FLOOR
-    for row in posterior[denom > LIKELIHOOD_FLOOR]:
-        assert_on_simplex(row)
+    predicted = predicted_belief(b, a, m)
+    assert np.array_equal(correct(predicted, a, z, m), post.probs)
+    for obs in range(m.n_joint_observations):
+        try:
+            assert_on_simplex(correct(predicted, a, obs, m))
+        except ZeroLikelihood as exc:
+            assert obs != z
+            assert exc.denominator <= LIKELIHOOD_FLOOR
+
+
+@pytest.mark.parametrize("likelihood, safe", [(0.0, True), (0.5 * LIKELIHOOD_FLOOR, False)])
+def test_conservative_shield_skips_only_impossible_observations(likelihood, safe):
+    # Under a barrier that always passes, only the correction's floor
+    # decides. An observation of likelihood 0 is impossible and skipped;
+    # one of positive likelihood at most the floor has no posterior to
+    # check, so the action is unsafe, as in enumerate_safe_actions.
+    rng = np.random.default_rng(5)
+    m = random_model(rng)
+    while m.n_joint_actions < 2 or m.n_joint_observations < 2:
+        m = random_model(rng)
+    b, a, z, other = m.initial, 0, 0, 1
+    m = with_likelihood(m, b, a, other, likelihood)
+    mon = compile_monitor(Always(NegBeliefPred("true", Constant(1.0))), m, MonitorConfig())
+    reference = [c.action for c in enumerate_safe_actions(m, mon, b, z, CONSERVATIVE)]
+    assert (a in reference) is safe
+    assert shield_step(m, mon, b, z, a, CONSERVATIVE).overridden is not safe
 
 
 def test_sampling_follows_deterministic_rows():
@@ -271,6 +298,17 @@ def test_sampling_follows_deterministic_rows():
     assert sample_transition(1, 0, m, rng) == 0
     assert sample_observation(0, 0, m, rng) == 0
     assert sample_observation(1, 0, m, rng) == 1
+
+
+def test_sampling_past_the_row_sum_lands_on_the_last_index():
+    # A row that sums to just under 1 leaves a draw above its cumulative
+    # sum with no bin; it goes to the last entry, not past the row.
+    class Above:
+        def random(self) -> float:
+            return 1.0 - 1e-12
+
+    row = np.array([0.3, 0.2, 0.5 - 1e-9])
+    assert _sample_index(row, Above()) == 2
 
 
 def test_sampling_matches_row_frequencies():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beliefshield import (
     Always,
@@ -31,7 +33,10 @@ from beliefshield import (
     NegStateSet,
     BeliefPred,
     Sum,
+    ft_dtbf_check,
+    ft_time_bound,
 )
+from beliefshield.monitor import check_step
 
 
 def tiny_model(n_states: int) -> Mpomdp:
@@ -242,21 +247,53 @@ def test_finite_time_fails_on_broken_contraction():
 
 
 def test_finite_time_fails_past_deadline():
+    # Deadline 2: a stall at step 2 leaves h < 0 after a compliant step 3.
     mon = compile_monitor(Eventually(REACH), MODEL, CFG)
-    verdicts, _ = walk(mon, [b_reach(-0.4), b_reach(-0.13), b_reach(-0.01)])
-    rec = verdicts[1].records[0]
+    verdicts, _ = walk(mon, [b_reach(-0.4), b_reach(-0.13), b_reach(-0.13), b_reach(-0.01)])
+    rec = verdicts[2].records[0]
     assert rec.status == "fail"
     assert rec.detail == "deadline 2 passed"
 
 
 def test_finite_time_reports_both_problems():
     mon = compile_monitor(Eventually(REACH), MODEL, CFG)
-    verdicts, _ = walk(mon, [b_reach(-0.4), b_reach(-0.13), b_reach(-0.12)])
-    rec = verdicts[1].records[0]
+    verdicts, _ = walk(mon, [b_reach(-0.4), b_reach(-0.13), b_reach(-0.13), b_reach(-0.12)])
+    rec = verdicts[2].records[0]
     assert rec.status == "fail"
     assert "contraction broken" in rec.detail
     assert "deadline 2 passed" in rec.detail
     assert "; " in rec.detail
+
+
+def tightest_contraction(h: float, p: FtParams) -> float:
+    """The smallest float h_next that passes ft_dtbf_check from h."""
+    h_next = p.rho * h + p.eps * (1.0 - p.rho)
+    while not ft_dtbf_check(h, h_next, p):
+        h_next = np.nextafter(h_next, np.inf)
+    while ft_dtbf_check(h, np.nextafter(h_next, -np.inf), p):
+        h_next = np.nextafter(h_next, -np.inf)
+    return float(h_next)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=st.floats(0.05, 0.99), eps=st.floats(1e-3, 2.0), h0=st.floats(-10.0, -1e-9))
+@example(rho=0.5, eps=0.1, h0=-0.199)  # deadline 1, reached at step 2
+@example(rho=0.5, eps=0.1, h0=-0.05)   # deadline 0, reached at step 1
+def test_finite_time_zero_slack_reach_never_fails(rho, eps, h0):
+    # Contraction at every step guarantees h >= 0 from step
+    # ceil(log((eps - h0) / eps) / log(1 / rho)); the deadline is that
+    # quotient floored, so a trajectory with no slack at all may first
+    # reach 0 one step after it and must still not fail.
+    cfg = MonitorConfig(ft=FtParams(rho=rho, eps=eps))
+    mon = compile_monitor(Eventually(REACH), MODEL, cfg)
+    deadline = ft_time_bound(h0, cfg.ft)
+    h = h0
+    while not mon.all_discharged:
+        h_next = tightest_contraction(h, cfg.ft)
+        verdict, mon = check_step(mon, [[h]], [[h_next]])
+        assert verdict.passed, verdict.records[0].detail
+        h = h_next
+    assert mon.step_count <= deadline + 1
 
 
 # --------------------------------------------------------------------------
