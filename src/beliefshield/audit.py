@@ -5,11 +5,20 @@ replayed word.
 The replay recomputes every belief from the recorded actions and
 observations; any deviation beyond 1e-9 from the recorded beliefs
 raises TraceMismatch. Monitor verdicts are recomputed the same way and
-compared record by record. The finite-trace verdict per top-level
-conjunct is reported alongside; the monitor checks sufficient barrier
-conditions on beliefs, so its verdicts need not coincide with the
-hidden-state semantics and a disagreement is informational, not an
-audit failure.
+compared record by record: oid, kind, status and detail exactly, the
+barrier value within 1e-9, and the step's passed flag. The finite-trace
+verdict per top-level conjunct is reported alongside; the monitor checks
+sufficient barrier conditions on beliefs, so its verdicts need not
+coincide with the hidden-state semantics and a disagreement is
+informational, not an audit failure.
+
+One pass evaluates each replayed belief once. The filter computes it
+from the belief before it, and the barriers are evaluated at it once;
+those values are the next step's barrier values at b_prev. Reusing them
+is exact: a successor monitor only drops obligations (by discharging
+them), and an evaluator gives the same bits on the same entries. The
+oracle takes each letter's belief entries once and applies each belief
+atom's compiled evaluator, which is bit-identical to evaluate_expr.
 """
 
 from __future__ import annotations
@@ -22,7 +31,11 @@ from .config import ScenarioConfig
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
 from .ldtl import Letter, oracle_satisfies
 from .model import Belief, belief_update
-from .monitor import Monitor, StepVerdict, compile_monitor, conjuncts, monitor_step
+from .monitor import (
+    Monitor, ObligationRecord, StepVerdict, barrier_values, check_step, compile_monitor,
+    conjuncts,
+    monitor_step,  # noqa: F401  not called; perfbench's tracer looks it up here
+)
 from .traceio import EpisodeRecord
 
 BELIEF_TOL = 1e-9
@@ -94,6 +107,7 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
 
     belief = m.initial
     mon = compile_monitor(cfg.formula, m, cfg.monitor)
+    prev = barrier_values(mon, belief.probs.tolist())
     contexts: list[StepContext] = []
     for rec in ep.steps:
         step = rec["step"]
@@ -114,24 +128,37 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
         max_err = max(max_err, err)
         if err > BELIEF_TOL:
             raise TraceMismatch(ep.episode, step, err)
-        verdict, mon_next = monitor_step(mon, belief, b_next)
+        nxt = barrier_values(mon, b_next.probs.tolist())
+        verdict, mon_next = check_step(mon, prev, nxt)
         contexts.append(StepContext(rec, belief, mon, b_next, verdict, mon_next))
-        belief, mon = b_next, mon_next
+        belief, mon, prev = b_next, mon_next, nxt
     return contexts, max_err
+
+
+def _same_record(recorded: dict, replayed: ObligationRecord) -> bool:
+    barrier = recorded.get("barrier")
+    if barrier is None or replayed.barrier is None:
+        same_barrier = barrier is None and replayed.barrier is None
+    else:
+        same_barrier = (isinstance(barrier, float)
+                        and abs(barrier - replayed.barrier) <= BELIEF_TOL)
+    return (same_barrier and recorded.get("kind") == replayed.kind
+            and recorded.get("status") == replayed.status
+            and recorded.get("detail") == replayed.detail)
 
 
 def _verdict_mismatches(contexts: list[StepContext]) -> tuple[str, ...]:
     out = []
     for ctx in contexts:
-        recorded = {r["oid"]: r["status"]
-                    for r in ctx.record["verdict"]["records"]}
-        replayed = {r.oid: r.status for r in ctx.verdict.records}
-        if recorded != replayed:
-            diff = {oid for oid in recorded.keys() | replayed.keys()
-                    if recorded.get(oid) != replayed.get(oid)}
+        recorded = {r["oid"]: r for r in ctx.record["verdict"]["records"]}
+        replayed = {r.oid: r for r in ctx.verdict.records}
+        diff = [oid for oid in sorted(recorded.keys() | replayed.keys())
+                if oid not in recorded or oid not in replayed
+                or not _same_record(recorded[oid], replayed[oid])]
+        if diff:
             out.append(
                 f"step {ctx.record['step']}: recorded and replayed verdicts "
-                f"differ on {sorted(diff)}")
+                f"differ on {diff}")
         if ctx.record["verdict"]["passed"] != ctx.verdict.passed:
             out.append(f"step {ctx.record['step']}: recorded passed flag "
                        f"{ctx.record['verdict']['passed']}, replayed {ctx.verdict.passed}")

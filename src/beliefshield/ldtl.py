@@ -11,11 +11,15 @@ The trace oracle evaluates a formula on a finite word of
 (hidden state, belief) letters with the standard finite-trace closure:
 `always` means "at every remaining position", `eventually` and `until`
 need an in-word witness, and `next` at the last position is false.
+Belief atoms carry their expression compiled once (compile_expr), and
+the oracle applies it to each letter's entries, taken once per letter;
+evaluate_expr is the tree-walking reference that compile_expr matches
+bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Sequence, Union
 
@@ -181,18 +185,28 @@ class NegStateSet:
 
 @dataclass(frozen=True)
 class BeliefPred:
-    """Satisfied when expr(belief) < 0."""
+    """Satisfied when expr(belief) < 0. evaluator is expr compiled once,
+    for the oracle."""
 
     name: str
     expr: BeliefExpr
+    evaluator: Evaluator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "evaluator", compile_expr(self.expr))
 
 
 @dataclass(frozen=True)
 class NegBeliefPred:
-    """Satisfied when expr(belief) >= 0."""
+    """Satisfied when expr(belief) >= 0. evaluator is expr compiled once,
+    for the oracle."""
 
     name: str
     expr: BeliefExpr
+    evaluator: Evaluator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "evaluator", compile_expr(self.expr))
 
 
 @dataclass(frozen=True)
@@ -251,10 +265,16 @@ def is_propositional(phi: Formula) -> bool:
 
 @dataclass(frozen=True)
 class Letter:
-    """One position of a word: hidden state index and the belief held."""
+    """One position of a word: hidden state index and the belief held.
+    entries is `belief.probs.tolist()`, taken once for every atom the
+    oracle evaluates at this position."""
 
     state: int
     belief: Belief
+    entries: list[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", self.belief.probs.tolist())
 
 
 Word = tuple[Letter, ...]
@@ -269,9 +289,9 @@ def oracle_satisfies(phi: Formula, word: Word, i: int = 0) -> bool:
     if isinstance(phi, NegStateSet):
         return word[i].state not in phi.indices
     if isinstance(phi, BeliefPred):
-        return evaluate_expr(phi.expr, word[i].belief) < 0.0
+        return phi.evaluator(word[i].entries) < 0.0
     if isinstance(phi, NegBeliefPred):
-        return evaluate_expr(phi.expr, word[i].belief) >= 0.0
+        return phi.evaluator(word[i].entries) >= 0.0
     if isinstance(phi, And):
         return oracle_satisfies(phi.left, word, i) and oracle_satisfies(phi.right, word, i)
     if isinstance(phi, Or):

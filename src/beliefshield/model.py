@@ -95,6 +95,9 @@ class Mpomdp:
         transition:  (n_states, n_joint_actions, n_states)
         observation: (n_states, n_joint_actions, n_joint_observations)
         reward:      (n_states, n_joint_actions)
+
+    n_joint_actions and n_joint_observations are the products of the
+    per-agent radices, fixed at construction.
     """
 
     state_names: tuple[str, ...]
@@ -106,12 +109,18 @@ class Mpomdp:
     observation: np.ndarray
     reward: np.ndarray
     state_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    n_joint_actions: int = field(init=False, repr=False, compare=False)
+    n_joint_observations: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float).copy()
+        na = int(np.prod(self.action_radices))
+        nz = int(np.prod(self.observation_radices))
+        object.__setattr__(self, "n_joint_actions", na)
+        object.__setattr__(self, "n_joint_observations", nz)
+        t = np.asarray(self.transition, dtype=float)
         o = np.asarray(self.observation, dtype=float).copy()
         r = np.asarray(self.reward, dtype=float).copy()
-        n, na, nz = self.n_states, self.n_joint_actions, self.n_joint_observations
+        n = self.n_states
         if t.shape != (n, na, n):
             raise ValueError(f"transition shape {t.shape}, expected {(n, na, n)}")
         if o.shape != (n, na, nz):
@@ -122,6 +131,10 @@ class Mpomdp:
             raise ValueError(f"initial belief over {len(self.initial)} states, model has {n}")
         if len(set(self.state_names)) != n:
             raise ValueError("state names must be unique")
+        # Stored action-major, a copy viewed as (n, A, n): transition[:, a, :]
+        # is then one contiguous block, so a prediction reads only that
+        # action's kernel.
+        t = np.array(t.transpose(1, 0, 2), order="C").transpose(1, 0, 2)
         for arr in (t, o, r):
             arr.setflags(write=False)
         object.__setattr__(self, "transition", t)
@@ -144,14 +157,6 @@ class Mpomdp:
     @property
     def observation_radices(self) -> tuple[int, ...]:
         return tuple(len(z) for z in self.observation_names)
-
-    @property
-    def n_joint_actions(self) -> int:
-        return int(np.prod(self.action_radices))
-
-    @property
-    def n_joint_observations(self) -> int:
-        return int(np.prod(self.observation_radices))
 
     def joint_action_label(self, flat: int) -> tuple[str, ...]:
         comps = components_from_flat(flat, self.action_radices)

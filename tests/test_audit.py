@@ -270,6 +270,22 @@ def test_tampered_verdict_is_a_mismatch_not_an_exception(corridor_run, tmp_path)
     assert report.episodes[1].ok
 
 
+@pytest.mark.parametrize("field, value",
+                         [("barrier", 5.0), ("detail", "rewritten"), ("kind", "next")])
+def test_tampered_record_field_is_a_mismatch(corridor_run, tmp_path, field, value):
+    cfg, _, path = corridor_run
+
+    def edit(rec):
+        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 9:
+            rec["verdict"]["records"][0][field] = value
+
+    report = audit_traces(cfg, read_traces(tamper(path, tmp_path, edit)))
+    assert not report.ok
+    assert [ep.episode for ep in report.episodes if not ep.ok] == [1]
+    assert report.episodes[1].verdict_mismatches == (
+        "step 9: recorded and replayed verdicts differ on ['0:always']",)
+
+
 def test_out_of_range_indices_are_config_errors(corridor_run, tmp_path):
     cfg, _, path = corridor_run
 

@@ -115,6 +115,14 @@ def test_always_eventually_duality_on_atoms():
             oracle_satisfies(Eventually(neg_f), word)
 
 
+def test_belief_atom_at_zero_is_false_and_its_negation_true():
+    # f(b) = b(s0) - 0.25 is exactly 0 at B2: f < 0 fails, f >= 0 holds.
+    f = Difference(BeliefVar(0, "s0"), Constant(0.25))
+    word = letters(0)
+    assert not oracle_satisfies(BeliefPred("f", f), word)
+    assert oracle_satisfies(NegBeliefPred("f", f), word)
+
+
 def test_is_propositional():
     assert is_propositional(And(IN0, Or(IN1, HIGH1)))
     assert not is_propositional(And(IN0, Next(IN1)))
