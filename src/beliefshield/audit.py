@@ -32,8 +32,7 @@ from .errors import ConfigError, TraceMismatch, ZeroLikelihood
 from .ldtl import Letter, oracle_satisfies
 from .model import Belief, belief_update
 from .monitor import (
-    Monitor, ObligationRecord, StepVerdict, barrier_values, check_step, compile_monitor,
-    conjuncts,
+    Monitor, ObligationRecord, StepVerdict, barrier_values, check_step, conjuncts,
     monitor_step,  # noqa: F401  not called; perfbench's tracer looks it up here
 )
 from .traceio import EpisodeRecord
@@ -43,11 +42,9 @@ BELIEF_TOL = 1e-9
 
 @dataclass(frozen=True)
 class StepContext:
-    """Everything known just before and just after one replayed step."""
+    """One recorded step and what its replay reached."""
 
     record: dict
-    belief_before: Belief
-    monitor_before: Monitor
     belief_after: Belief
     verdict: StepVerdict
     monitor_after: Monitor
@@ -106,7 +103,7 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
         raise TraceMismatch(ep.episode, 0, max_err)
 
     belief = m.initial
-    mon = compile_monitor(cfg.formula, m, cfg.monitor)
+    mon = cfg.start_monitor
     prev = barrier_values(mon, belief.probs.tolist())
     contexts: list[StepContext] = []
     for rec in ep.steps:
@@ -130,7 +127,7 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
             raise TraceMismatch(ep.episode, step, err)
         nxt = barrier_values(mon, b_next.probs.tolist())
         verdict, mon_next = check_step(mon, prev, nxt)
-        contexts.append(StepContext(rec, belief, mon, b_next, verdict, mon_next))
+        contexts.append(StepContext(rec, b_next, verdict, mon_next))
         belief, mon, prev = b_next, mon_next, nxt
     return contexts, max_err
 
@@ -173,8 +170,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[EpisodeAudit,
     word = [Letter(initial_state, m.initial)]
     word.extend(Letter(ctx.record["next_state"], ctx.belief_after) for ctx in contexts)
 
-    final_mon = contexts[-1].monitor_after if contexts else compile_monitor(
-        cfg.formula, m, cfg.monitor)
+    final_mon = contexts[-1].monitor_after if contexts else cfg.start_monitor
     failed_oids = {r.oid for ctx in contexts for r in ctx.verdict.records
                    if r.status == "fail"}
     pending = set(final_mon.pending())

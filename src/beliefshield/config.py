@@ -28,7 +28,7 @@ and only then renormalized exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .barrier import FtParams, LinearAlpha
 from .errors import BeliefShieldError, ConfigError
 from .ldtl import BeliefExpr, Formula, expr_text
 from .model import Belief, Mpomdp, components_from_flat, flat_from_components, validate_tables
-from .monitor import MonitorConfig, compile_monitor
+from .monitor import Monitor, MonitorConfig, compile_monitor
 from .parsing import parse_expr, parse_formula
 from .sim import (
     SHIELD_MODES, FixedAction, GreedyReward, NominalPolicy, RandomUniform,
@@ -54,6 +54,11 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario. Its monitor is compiled once, at
+    construction, into `start_monitor`; every episode and the audit
+    start from it. `dataclasses.replace` constructs anew, so a changed
+    formula, model or monitor config always gets a fresh monitor."""
+
     name: str
     model: Mpomdp
     predicates: dict[str, BeliefExpr]
@@ -65,11 +70,16 @@ class ScenarioConfig:
     horizon: int
     episodes: int
     seed: int
+    start_monitor: Monitor = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "start_monitor",
+                           compile_monitor(self.formula, self.model, self.monitor))
 
     def to_scenario(self, abort_on_violation: bool = False) -> Scenario:
         return Scenario(
             model=self.model,
-            monitor=compile_monitor(self.formula, self.model, self.monitor),
+            monitor=self.start_monitor,
             policy=self.policy,
             shield_mode=self.shield_mode,
             horizon=self.horizon,
@@ -318,13 +328,6 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), "monitor") from exc
 
-    # The formula must also compile into obligations; a parseable but
-    # unmonitorable shape is a config error, not a runtime one.
-    try:
-        compile_monitor(formula, model, monitor)
-    except BeliefShieldError as exc:
-        raise ConfigError(str(exc), "formula") from exc
-
     pol_raw = data.get("policy") or {"kind": "greedy"}
     if not isinstance(pol_raw, dict):
         raise ConfigError("expected a mapping", "policy")
@@ -364,19 +367,24 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     if not isinstance(name, str) or not name:
         raise ConfigError("expected a non-empty string", "name")
 
-    return ScenarioConfig(
-        name=name,
-        model=model,
-        predicates=predicates,
-        formula=formula,
-        formula_text=formula_text,
-        monitor=monitor,
-        policy=policy,
-        shield_mode=shield_mode,
-        horizon=horizon,
-        episodes=episodes,
-        seed=seed,
-    )
+    # Construction compiles the monitor; a parseable but unmonitorable
+    # formula is a config error, not a runtime one.
+    try:
+        return ScenarioConfig(
+            name=name,
+            model=model,
+            predicates=predicates,
+            formula=formula,
+            formula_text=formula_text,
+            monitor=monitor,
+            policy=policy,
+            shield_mode=shield_mode,
+            horizon=horizon,
+            episodes=episodes,
+            seed=seed,
+        )
+    except BeliefShieldError as exc:
+        raise ConfigError(str(exc), "formula") from exc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -389,10 +397,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}", str(path)) from exc
-    cfg = parse_config(data, source=str(path))
-    if "name" not in data:
-        cfg = ScenarioConfig(**{**cfg.__dict__, "name": path.stem})
-    return cfg
+    if isinstance(data, dict) and "name" not in data:
+        data = {**data, "name": path.stem}
+    return parse_config(data, source=str(path))
 
 
 def _dist_map(labels, row: np.ndarray) -> dict[str, float]:

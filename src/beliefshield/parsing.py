@@ -106,15 +106,18 @@ class _Cursor:
         return tok
 
     def expect(self, kind: str, *expected_names: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            names = expected_names or (kind,)
-            raise FormulaSyntaxError(
-                f"unexpected {tok.kind if tok.kind != 'end' else 'end of input'}"
-                + (f" {tok.text!r}" if tok.text else ""),
-                tok.line, tok.column, names,
-            )
+        if self.peek().kind != kind:
+            raise self.unexpected(*(expected_names or (kind,)))
         return self.advance()
+
+    def unexpected(self, *expected: str) -> FormulaSyntaxError:
+        """The error for the next token, where one of `expected` belongs."""
+        tok = self.peek()
+        return FormulaSyntaxError(
+            f"unexpected {tok.kind if tok.kind != 'end' else 'end of input'}"
+            + (f" {tok.text!r}" if tok.text else ""),
+            tok.line, tok.column, expected,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -168,11 +171,7 @@ class FormulaParser:
                 cur.advance()
                 return Until(atom, self._term(cur))
             return atom
-        raise FormulaSyntaxError(
-            f"unexpected {tok.kind if tok.kind != 'end' else 'end of input'}"
-            + (f" {tok.text!r}" if tok.text else ""),
-            tok.line, tok.column, ("G", "F", "X", "!", "(", "predicate name", "in"),
-        )
+        raise cur.unexpected("G", "F", "X", "!", "(", "predicate name", "in")
 
     def _negated(self, cur: _Cursor, bang: Token) -> Formula:
         tok = cur.peek()
@@ -320,11 +319,7 @@ class ExprParser:
                 children.append(self._expr(cur))
             cur.expect(")")
             return Min(tuple(children)) if tok.text == "min" else Max(tuple(children))
-        raise FormulaSyntaxError(
-            f"unexpected {tok.kind if tok.kind != 'end' else 'end of input'}"
-            + (f" {tok.text!r}" if tok.text else ""),
-            tok.line, tok.column, ("number", "b(", "min(", "max(", "(", "-"),
-        )
+        raise cur.unexpected("number", "b(", "min(", "max(", "(", "-")
 
 
 def parse_expr(text: str, state_index: dict[str, int]) -> BeliefExpr:

@@ -120,15 +120,6 @@ class Trace:
     def override_count(self) -> int:
         return sum(1 for s in self.steps if s.overridden)
 
-    def discharge_steps(self) -> dict[str, int]:
-        """First step at which each obligation reports discharged."""
-        out: dict[str, int] = {}
-        for s in self.steps:
-            for r in s.verdict.records:
-                if r.status == "discharged" and r.oid not in out:
-                    out[r.oid] = s.step
-        return out
-
 
 def run_episode(scenario: Scenario, rng: np.random.Generator,
                 episode: int = 0) -> Trace:

@@ -109,50 +109,53 @@ class EpisodeRecord:
 
 def read_traces(path: str | Path) -> list[EpisodeRecord]:
     """Parse a trace file back into per-episode records, checking line
-    structure and ordering."""
+    structure and ordering. The file is read one line at a time, and a
+    line ends at a newline only: json.dumps escapes every other line
+    break."""
     path = Path(path)
     try:
-        text = path.read_text()
+        fh = path.open(newline="\n")
     except OSError as exc:
         raise ConfigError(f"cannot read file: {exc.strerror or exc}", str(path)) from exc
     episodes: list[EpisodeRecord] = []
     header: dict | None = None
     steps: list[dict] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        where = f"{path}:{lineno}"
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"not valid JSON: {exc}", where) from exc
-        kind = rec.get("type")
-        if kind == "header":
-            if header is not None:
-                raise ConfigError("header before previous episode ended", where)
-            if rec.get("version") != TRACE_VERSION:
-                raise ConfigError(
-                    f"unsupported trace version {rec.get('version')!r}", where)
-            header, steps = rec, []
-        elif kind == "step":
-            if header is None:
-                raise ConfigError("step record outside an episode", where)
-            if rec.get("step") != len(steps) + 1:
-                raise ConfigError(
-                    f"step {rec.get('step')} out of order (expected {len(steps) + 1})",
-                    where)
-            steps.append(rec)
-        elif kind == "end":
-            if header is None:
-                raise ConfigError("end record outside an episode", where)
-            if rec.get("steps") != len(steps):
-                raise ConfigError(
-                    f"end record claims {rec.get('steps')} steps, found {len(steps)}",
-                    where)
-            episodes.append(EpisodeRecord(header, steps, rec))
-            header = None
-        else:
-            raise ConfigError(f"unknown record type {kind!r}", where)
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"not valid JSON: {exc}", where) from exc
+            kind = rec.get("type")
+            if kind == "header":
+                if header is not None:
+                    raise ConfigError("header before previous episode ended", where)
+                if rec.get("version") != TRACE_VERSION:
+                    raise ConfigError(
+                        f"unsupported trace version {rec.get('version')!r}", where)
+                header, steps = rec, []
+            elif kind == "step":
+                if header is None:
+                    raise ConfigError("step record outside an episode", where)
+                if rec.get("step") != len(steps) + 1:
+                    raise ConfigError(
+                        f"step {rec.get('step')} out of order (expected {len(steps) + 1})",
+                        where)
+                steps.append(rec)
+            elif kind == "end":
+                if header is None:
+                    raise ConfigError("end record outside an episode", where)
+                if rec.get("steps") != len(steps):
+                    raise ConfigError(
+                        f"end record claims {rec.get('steps')} steps, found {len(steps)}",
+                        where)
+                episodes.append(EpisodeRecord(header, steps, rec))
+                header = None
+            else:
+                raise ConfigError(f"unknown record type {kind!r}", where)
     if header is not None:
         raise ConfigError("file ends inside an episode", str(path))
     if not episodes:

@@ -1,11 +1,34 @@
-"""Shared test helpers: random model generation and the independent
-two-pass posterior oracle the filter is checked against."""
+"""Shared test helpers: random model generation, the independent
+two-pass posterior oracle the filter is checked against, and a counter
+of monitor compilations."""
 
 from __future__ import annotations
 
-import numpy as np
+import sys
 
+import numpy as np
+import pytest
+
+from beliefshield import monitor
 from beliefshield.model import Belief, Mpomdp
+
+
+@pytest.fixture
+def compile_calls(monkeypatch) -> list:
+    """Every `compile_monitor` call from here on, through whichever
+    beliefshield module's name for it (`beliefshield.config`'s among
+    them)."""
+    calls = []
+    real = monitor.compile_monitor
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("beliefshield") and getattr(module, "compile_monitor", None) is real:
+            monkeypatch.setattr(module, "compile_monitor", counting)
+    return calls
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:

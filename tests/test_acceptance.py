@@ -322,17 +322,17 @@ def test_criterion_5_shielded_corridor_safe_and_on_time(corridor_shielded):
     assert len(result.traces) == 100
     assert evaluate_expr(safety_expr, cfg.model.initial) >= 0.0
     bad_steps = 0
-    discharge_steps = []
     for trace in result.traces:
         assert not trace.violation_steps
         for s in trace.steps:
             if evaluate_expr(safety_expr, s.belief) < 0.0:
                 bad_steps += 1
-        reached = trace.discharge_steps()
-        assert "1:eventually" in reached
-        assert reached["1:eventually"] <= deadline
-        discharge_steps.append(reached["1:eventually"])
     assert bad_steps == 0
+    # The formula has one reach obligation, so the first discharge step
+    # of each episode is when the goal barrier first holds.
+    discharge_steps = [r["first_discharge_step"] for r in result.episode_rows()]
+    assert "" not in discharge_steps
+    assert max(discharge_steps) <= deadline
     elapsed = run_elapsed + (time.perf_counter() - t0)
     assert elapsed < 60.0
     note(f"criterion 5 PASS: 100 shielded episodes, 0 negative safety "

@@ -152,6 +152,15 @@ def test_audit_flags_tampered_belief(corridor_yaml, run_dir, tmp_path, capsys):
     assert err.startswith("FAIL:") and "episode 1 step 4" in err
 
 
+def test_validate_and_audit_compile_the_monitor_once(corridor_yaml, run_dir, compile_calls,
+                                                    capsys):
+    assert main(["validate", str(corridor_yaml)]) == 0
+    assert len(compile_calls) == 1
+    trace = run_dir / "corridor.trace.jsonl"
+    assert main(["audit", str(corridor_yaml), str(trace)]) == 0
+    assert len(compile_calls) == 2
+
+
 def test_sweep_writes_grid_csv(corridor_yaml, tmp_path, capsys):
     code = main(["sweep", str(corridor_yaml), "--param", "gamma",
                  "--values", "0.5,0.9", "--episodes", "1", "--out", str(tmp_path)])

@@ -2,6 +2,7 @@
 renormalization, and round trips through the YAML form."""
 
 import copy
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,18 @@ from beliefshield import (
     Difference,
     FixedAction,
     GreedyReward,
+    MonitorConfig,
     NegBeliefPred,
+    ScenarioConfig,
+    UnsupportedNesting,
+    audit_traces,
     load_config,
     parse_config,
+    parse_formula,
+    read_traces,
+    run_batch,
     write_config,
+    write_traces,
 )
 from beliefshield import config, presets
 from beliefshield.config import config_to_dict
@@ -274,6 +283,53 @@ def test_load_config_reads_yaml_and_defaults_name_to_stem(tmp_path):
         load_config(bad)
     assert "not valid YAML" in str(err.value)
     assert "broken.yaml" in str(err.value)
+
+
+# --------------------------------------------------------------------------
+# The start monitor
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["named", "nameless"])
+def test_load_run_write_read_audit_compiles_the_monitor_once(named, tmp_path, compile_calls):
+    data = config_to_dict(corridor_config("literal"))
+    if not named:
+        del data["name"]
+    path = tmp_path / "hall.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    compile_calls.clear()
+
+    cfg = load_config(path)
+    result = run_batch(cfg.to_scenario(), cfg.seed, episodes=3)
+    trace = tmp_path / "hall.trace.jsonl"
+    write_traces(result, trace, cfg.name, cfg.shield_mode, cfg.horizon)
+    report = audit_traces(cfg, read_traces(trace))
+    assert report.ok and len(report.episodes) == 3
+    assert cfg.name == ("corridor" if named else "hall")
+    assert len(compile_calls) == 1
+
+
+def test_replace_recompiles_the_start_monitor():
+    cfg = corridor_config("literal")
+    goal = cfg.start_monitor.obligations[1]
+    assert goal.label == "F at_goal"
+    assert goal.barriers[0].left == Constant(0.001)
+
+    wider = replace(cfg, monitor=MonitorConfig(delta=0.2))
+    goal = wider.start_monitor.obligations[1]
+    assert goal.label == "F at_goal"
+    assert goal.barriers[0].left == Constant(0.2)
+    assert wider.start_monitor.config == MonitorConfig(delta=0.2)
+
+
+def test_an_unmonitorable_formula_cannot_build_a_config():
+    cfg = corridor_config("literal")
+    nested = parse_formula("G F at_goal", cfg.predicates, cfg.model.state_index)
+    with pytest.raises(UnsupportedNesting):
+        ScenarioConfig(
+            name=cfg.name, model=cfg.model, predicates=cfg.predicates,
+            formula=nested, formula_text="G F at_goal", monitor=cfg.monitor,
+            policy=cfg.policy, shield_mode=cfg.shield_mode, horizon=cfg.horizon,
+            episodes=cfg.episodes, seed=cfg.seed)
 
 
 def test_config_dict_collapses_action_independent_entries():

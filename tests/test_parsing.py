@@ -148,6 +148,38 @@ def test_trailing_tokens_rejected():
     assert "after formula" in str(err.value)
 
 
+FORMULA_START = ("G", "F", "X", "!", "(", "predicate name", "in")
+FACTOR_START = ("number", "b(", "min(", "max(", "(", "-")
+
+
+@pytest.mark.parametrize("kind, text, message, expected", [
+    # a missing token named by its kind
+    ("formula", "in {s0}", "line 1, column 4: unexpected { '{' (expected one of: ()", ("(",)),
+    ("formula", "(low", "line 1, column 5: unexpected end of input (expected one of: ))", (")",)),
+    ("expr", "b(s0", "line 1, column 5: unexpected end of input (expected one of: ))", (")",)),
+    # a missing token named by what it stands for
+    ("formula", "in({1})",
+     "line 1, column 5: unexpected number '1' (expected one of: state name)", ("state name",)),
+    ("expr", "b(1)",
+     "line 1, column 3: unexpected number '1' (expected one of: state name)", ("state name",)),
+    # no formula term starts here
+    ("formula", "&", "line 1, column 1: unexpected & '&' (expected one of: G, F, X, !, (, "
+     "predicate name, in)", FORMULA_START),
+    ("formula", "low U", "line 1, column 6: unexpected end of input (expected one of: G, F, X, "
+     "!, (, predicate name, in)", FORMULA_START),
+    # no expression factor starts here
+    ("expr", "frac(1)", "line 1, column 1: unexpected ident 'frac' (expected one of: number, "
+     "b(, min(, max(, (, -)", FACTOR_START),
+    ("expr", "", "line 1, column 1: unexpected end of input (expected one of: number, b(, "
+     "min(, max(, (, -)", FACTOR_START),
+])
+def test_unexpected_token_message_and_expectations(kind, text, message, expected):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(text) if kind == "formula" else parse_expr(text, STATE_INDEX)
+    assert str(err.value) == message
+    assert err.value.expected == expected
+
+
 def test_unexpected_character():
     with pytest.raises(FormulaSyntaxError) as err:
         parse("low # mid")

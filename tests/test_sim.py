@@ -243,7 +243,6 @@ def test_corridor_shielded_discharges_and_never_violates():
         assert trace.end_reason == END_HORIZON
         assert trace.violation_steps == []
         assert trace.override_count == 6
-        assert trace.discharge_steps()["1:eventually"] == 4
     agg = result.aggregate()
     assert agg["episodes"] == 3
     assert agg["violation_steps"] == 0
