@@ -20,7 +20,7 @@ from .ldtl import (
 )
 from .model import (
     Belief, JointAction, Mpomdp, Violation, belief_update,
-    expected_reward, observation_likelihoods, predicted_belief,
+    expected_reward, predicted_belief,
     sample_initial_state, sample_observation, sample_transition,
     validate_model, validate_tables,
 )
@@ -29,10 +29,7 @@ from .monitor import (
     compile_monitor, monitor_step, translate_core,
 )
 from .parsing import parse_expr, parse_formula
-from .shield import (
-    CONSERVATIVE, LITERAL, SafeCandidate, ShieldDecision, enumerate_safe_actions,
-    shield_step,
-)
+from .shield import CONSERVATIVE, LITERAL, ShieldDecision, shield_step
 from .sim import (
     BatchResult, FixedAction, GreedyReward, NominalPolicy, RandomUniform,
     SHIELD_MODES, SHIELD_OFF, Scenario, Trace, TraceStep, run_batch, run_episode,

@@ -33,7 +33,6 @@ from .ldtl import Letter, oracle_satisfies
 from .model import Belief, belief_update
 from .monitor import (
     Monitor, ObligationRecord, StepVerdict, barrier_values, check_step, conjuncts,
-    monitor_step,  # noqa: F401  not called; perfbench's tracer looks it up here
 )
 from .traceio import EpisodeRecord
 
@@ -88,18 +87,28 @@ def _checked_index(value, bound: int, what: str, where: str) -> int:
     return value
 
 
+def _recorded_belief(value, n_states: int, where: str) -> np.ndarray:
+    try:
+        recorded = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"belief is not a list of numbers: {exc}", where) from exc
+    if recorded.shape != (n_states,):
+        raise ConfigError(
+            f"belief has {recorded.size} entries, model has {n_states} states", where)
+    return recorded
+
+
 def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepContext], float]:
     """Recompute the episode's beliefs and verdicts from its recorded
     actions and observations. Raises TraceMismatch when a replayed
-    belief deviates from the recorded one by more than 1e-9."""
+    belief deviates from the recorded one by more than 1e-9, or by a
+    non-finite amount (a NaN or null entry)."""
     m = cfg.model
-    recorded0 = np.asarray(ep.header.get("initial_belief", []), dtype=float)
-    if recorded0.shape != (m.n_states,):
-        raise ConfigError(
-            f"initial belief has {recorded0.size} entries, model has {m.n_states} states",
-            f"episode {ep.episode} header")
+    recorded0 = _recorded_belief(ep.header.get("initial_belief", []), m.n_states,
+                                 f"episode {ep.episode} header")
     max_err = float(np.max(np.abs(recorded0 - m.initial.probs)))
-    if max_err > BELIEF_TOL:
+    # Negated, so that a NaN deviation fails too.
+    if not max_err <= BELIEF_TOL:
         raise TraceMismatch(ep.episode, 0, max_err)
 
     belief = m.initial
@@ -118,12 +127,10 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
             b_next = belief_update(belief, action, obs, m)
         except ZeroLikelihood as exc:
             raise TraceMismatch(ep.episode, step, float("inf")) from exc
-        recorded = np.asarray(rec.get("belief", []), dtype=float)
-        if recorded.shape != b_next.probs.shape:
-            raise ConfigError("belief has the wrong number of entries", where)
+        recorded = _recorded_belief(rec.get("belief", []), m.n_states, where)
         err = float(np.max(np.abs(recorded - b_next.probs)))
         max_err = max(max_err, err)
-        if err > BELIEF_TOL:
+        if not err <= BELIEF_TOL:
             raise TraceMismatch(ep.episode, step, err)
         nxt = barrier_values(mon, b_next.probs.tolist())
         verdict, mon_next = check_step(mon, prev, nxt)
@@ -144,21 +151,25 @@ def _same_record(recorded: dict, replayed: ObligationRecord) -> bool:
             and recorded.get("detail") == replayed.detail)
 
 
-def _verdict_mismatches(contexts: list[StepContext]) -> tuple[str, ...]:
+def _verdict_mismatches(episode: int, contexts: list[StepContext]) -> tuple[str, ...]:
     out = []
     for ctx in contexts:
-        recorded = {r["oid"]: r for r in ctx.record["verdict"]["records"]}
-        replayed = {r.oid: r for r in ctx.verdict.records}
-        diff = [oid for oid in sorted(recorded.keys() | replayed.keys())
-                if oid not in recorded or oid not in replayed
-                or not _same_record(recorded[oid], replayed[oid])]
+        step = ctx.record["step"]
+        try:
+            recorded = {r["oid"]: r for r in ctx.record["verdict"]["records"]}
+            replayed = {r.oid: r for r in ctx.verdict.records}
+            diff = [oid for oid in sorted(recorded.keys() | replayed.keys())
+                    if oid not in recorded or oid not in replayed
+                    or not _same_record(recorded[oid], replayed[oid])]
+            passed = ctx.record["verdict"]["passed"]
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed verdict: {type(exc).__name__} {exc}",
+                              f"episode {episode} step {step}") from exc
         if diff:
-            out.append(
-                f"step {ctx.record['step']}: recorded and replayed verdicts "
-                f"differ on {diff}")
-        if ctx.record["verdict"]["passed"] != ctx.verdict.passed:
-            out.append(f"step {ctx.record['step']}: recorded passed flag "
-                       f"{ctx.record['verdict']['passed']}, replayed {ctx.verdict.passed}")
+            out.append(f"step {step}: recorded and replayed verdicts differ on {diff}")
+        if passed != ctx.verdict.passed:
+            out.append(f"step {step}: recorded passed flag {passed}, "
+                       f"replayed {ctx.verdict.passed}")
     return tuple(out)
 
 
@@ -191,7 +202,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[EpisodeAudit,
         end_reason=ep.end.get("reason", ""),
         max_belief_error=max_err,
         obligations=tuple(obligations),
-        verdict_mismatches=_verdict_mismatches(contexts),
+        verdict_mismatches=_verdict_mismatches(ep.episode, contexts),
     )
     return audit, contexts
 

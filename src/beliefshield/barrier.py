@@ -54,8 +54,8 @@ class FtParams:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 def dtbf_check(h_prev: float, h_next: float, alpha: LinearAlpha) -> bool:

@@ -28,6 +28,7 @@ and only then renormalized exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,6 +109,8 @@ def _name_list(value, path: str) -> list[str]:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", path)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value!r}", path)
     return float(value)
 
 
@@ -255,7 +258,10 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
 
     reward = np.zeros((n, na))
     reward_set = np.zeros((n, na), dtype=bool)
-    for i, entry in enumerate(data.get("reward") or []):
+    reward_raw = [] if data.get("reward") is None else data["reward"]
+    if not isinstance(reward_raw, list):
+        raise ConfigError("expected a list of entries", "reward")
+    for i, entry in enumerate(reward_raw):
         here = f"reward[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError("expected a mapping", here)
@@ -294,7 +300,10 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     )
 
     predicates: dict[str, BeliefExpr] = {}
-    for name, text in (data.get("predicates") or {}).items():
+    predicates_raw = {} if data.get("predicates") is None else data["predicates"]
+    if not isinstance(predicates_raw, dict):
+        raise ConfigError("expected a map name -> expression text", "predicates")
+    for name, text in predicates_raw.items():
         if not isinstance(text, str):
             raise ConfigError("expected expression text", f"predicates.{name}")
         try:

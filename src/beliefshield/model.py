@@ -183,11 +183,12 @@ class Violation:
 def _check_rows(table: str, rows: np.ndarray, out: list[Violation]) -> None:
     # rows: (..., k) stochastic along the last axis
     sums = rows.sum(axis=-1)
-    bad_sum = np.argwhere(np.abs(sums - 1.0) > SIMPLEX_ATOL)
+    # Negated comparisons, so that NaN sums and entries are reported too.
+    bad_sum = np.argwhere(~(np.abs(sums - 1.0) <= SIMPLEX_ATOL))
     for idx in bad_sum:
         out.append(Violation(table, tuple(int(i) for i in idx),
                              f"row sums to {sums[tuple(idx)]:.12g}, not 1"))
-    bad_entry = np.argwhere((rows < -SIMPLEX_ATOL) | (rows > 1.0 + SIMPLEX_ATOL))
+    bad_entry = np.argwhere(~((rows >= -SIMPLEX_ATOL) & (rows <= 1.0 + SIMPLEX_ATOL)))
     for idx in bad_entry:
         out.append(Violation(table, tuple(int(i) for i in idx),
                              f"entry {rows[tuple(idx)]:.12g} outside [0, 1]"))
@@ -237,12 +238,6 @@ def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:
     posterior(q') ∝ observation[q', a, z] * sum_q transition[q, a, q'] * b(q)
     """
     return Belief(correct(predicted_belief(b, action, m), action, obs, m))
-
-
-def observation_likelihoods(b: Belief, action: int, m: Mpomdp) -> np.ndarray:
-    """Predicted probability of each joint observation after taking
-    `action` from belief b. Sums to 1 for a valid model."""
-    return predicted_belief(b, action, m) @ m.observation[:, action, :]
 
 
 def expected_reward(b: Belief, action: int, m: Mpomdp) -> float:

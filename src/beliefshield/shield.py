@@ -20,8 +20,8 @@ prediction. Beliefs, rewards and barrier values are therefore those of
 belief_update bit for bit. The barriers at the current belief are
 evaluated once per call and at each posterior once, and a Belief,
 verdict and successor Monitor are built only for the executed action.
-enumerate_safe_actions is the one-candidate-at-a-time reference the
-shield must agree with.
+The tests check every decision against a brute-force reference that
+runs belief_update and monitor_step on one action at a time.
 """
 
 from __future__ import annotations
@@ -31,26 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SafetyDeadlock, ZeroLikelihood
-from .model import (
-    Belief, Mpomdp, belief_update, correct, expected_reward, observation_likelihoods,
-    predicted_belief,
-)
+from .model import Belief, Mpomdp, correct, predicted_belief
 from .monitor import (
-    BarrierValues, Monitor, StepVerdict, barrier_values, check_step, monitor_step,
-    step_passes,
+    BarrierValues, Monitor, StepVerdict, barrier_values, check_step, step_passes,
 )
 
 LITERAL = "literal"
 CONSERVATIVE = "conservative"
-
-
-@dataclass(frozen=True)
-class SafeCandidate:
-    action: int
-    belief: Belief
-    verdict: StepVerdict
-    monitor: Monitor
-    reward: float
 
 
 @dataclass(frozen=True)
@@ -70,50 +57,6 @@ class ShieldDecision:
     verdict: StepVerdict
     next_belief: Belief
     next_monitor: Monitor
-
-
-def _try_candidate(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
-                   action: int, mode: str) -> SafeCandidate | None:
-    """The candidate's update and verdict, or None when unsafe."""
-    try:
-        b_next = belief_update(b_prev, action, z, m)
-    except ZeroLikelihood:
-        return None
-    verdict, successor = monitor_step(mon, b_prev, b_next)
-    if not verdict.passed:
-        return None
-    if mode == CONSERVATIVE:
-        likelihoods = observation_likelihoods(b_prev, action, m)
-        for other_z, weight in enumerate(likelihoods):
-            if other_z == z or weight <= 0.0:
-                continue
-            try:
-                b_other = belief_update(b_prev, action, other_z, m)
-            except ZeroLikelihood:
-                return None
-            other_verdict, _ = monitor_step(mon, b_prev, b_other)
-            if not other_verdict.passed:
-                return None
-    return SafeCandidate(
-        action=action,
-        belief=b_next,
-        verdict=verdict,
-        monitor=successor,
-        reward=expected_reward(b_next, action, m),
-    )
-
-
-def enumerate_safe_actions(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
-                           mode: str = LITERAL) -> list[SafeCandidate]:
-    """All joint actions whose updates pass the monitor under z, in
-    flat-index order. Exposed for diagnostics and audits; shield_step
-    selects from exactly this set."""
-    out = []
-    for action in range(m.n_joint_actions):
-        cand = _try_candidate(m, mon, b_prev, z, action, mode)
-        if cand is not None:
-            out.append(cand)
-    return out
 
 
 def _reward(belief: np.ndarray, action: int, m: Mpomdp) -> float:

@@ -129,6 +129,8 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"not valid JSON: {exc}", where) from exc
+            if not isinstance(rec, dict):
+                raise ConfigError("expected a JSON object", where)
             kind = rec.get("type")
             if kind == "header":
                 if header is not None:

@@ -1,16 +1,22 @@
 """Shared test helpers: random model generation, the independent
-two-pass posterior oracle the filter is checked against, and a counter
-of monitor compilations."""
+two-pass posterior oracle the filter is checked against, the
+one-action-at-a-time brute-force reference the shield is checked
+against, and a counter of monitor compilations."""
 
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from beliefshield import monitor
-from beliefshield.model import Belief, Mpomdp
+from beliefshield import CONSERVATIVE, LITERAL, monitor
+from beliefshield.errors import ZeroLikelihood
+from beliefshield.model import (
+    Belief, Mpomdp, belief_update, expected_reward, predicted_belief,
+)
+from beliefshield.monitor import Monitor, StepVerdict, monitor_step
 
 
 @pytest.fixture
@@ -85,3 +91,70 @@ def two_pass_posterior(b: Belief, action: int, obs: int, m: Mpomdp) -> np.ndarra
     if total <= 1e-12:
         return None
     return np.array([u / total for u in unnormalized])
+
+
+@dataclass(frozen=True)
+class ActionCheck:
+    """One joint action's step under the shared observation z."""
+
+    action: int
+    belief: Belief | None        # posterior under z; None when z is impossible
+    verdict: StepVerdict | None  # the monitor's verdict on that step
+    monitor: Monitor | None      # the successor monitor
+    safe: bool                   # passes under z and, if conservative, every other z
+    reward: float | None         # expected reward at the posterior
+
+
+@dataclass(frozen=True)
+class ShieldReference:
+    """Every action's check, in flat order, and the nominal's reference
+    reward (its one-step prediction's when z is impossible after it)."""
+
+    nominal_reward: float
+    actions: tuple[ActionCheck, ...]
+
+    @property
+    def safe(self) -> list[ActionCheck]:
+        return [c for c in self.actions if c.safe]
+
+
+def _passes_every_other_observation(m: Mpomdp, mon: Monitor, b: Belief, z: int,
+                                    action: int) -> bool:
+    likelihoods = predicted_belief(b, action, m) @ m.observation[:, action, :]
+    for other_z, weight in enumerate(likelihoods):
+        if other_z == z or weight <= 0.0:
+            continue
+        try:
+            b_other = belief_update(b, action, other_z, m)
+        except ZeroLikelihood:
+            return False
+        other_verdict, _ = monitor_step(mon, b, b_other)
+        if not other_verdict.passed:
+            return False
+    return True
+
+
+def shield_reference(m: Mpomdp, mon: Monitor, b: Belief, z: int, a_nominal: int,
+                     mode: str = LITERAL) -> ShieldReference:
+    """The shield's candidate check done the long way: a full
+    belief_update and monitor_step per action and, in conservative mode,
+    per other observation of positive predicted probability. A
+    zero-likelihood update makes an action unsafe."""
+    checks = []
+    for action in range(m.n_joint_actions):
+        try:
+            b_next = belief_update(b, action, z, m)
+        except ZeroLikelihood:
+            checks.append(ActionCheck(action, None, None, None, False, None))
+            continue
+        verdict, successor = monitor_step(mon, b, b_next)
+        safe = verdict.passed and (
+            mode != CONSERVATIVE or _passes_every_other_observation(m, mon, b, z, action))
+        checks.append(ActionCheck(action, b_next, verdict, successor, safe,
+                                  expected_reward(b_next, action, m)))
+    nominal = checks[a_nominal]
+    if nominal.belief is None:
+        r_n = float(predicted_belief(b, a_nominal, m) @ m.reward[:, a_nominal])
+    else:
+        r_n = nominal.reward
+    return ShieldReference(r_n, tuple(checks))

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_model, random_simplex, two_pass_posterior
+from conftest import random_model, random_simplex, shield_reference, two_pass_posterior
 
 from beliefshield.audit import audit_traces
 from beliefshield.barrier import (
@@ -31,12 +31,9 @@ from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
     Max, Min, NegBeliefPred, Next, Or, Sum, Until, describe, evaluate_expr,
 )
-from beliefshield.model import (
-    Belief, Mpomdp, belief_update, expected_reward, predicted_belief,
-)
+from beliefshield.model import Belief, Mpomdp, belief_update
 from beliefshield.monitor import MonitorConfig, compile_monitor, monitor_step
 from beliefshield.presets import corridor_config
-from beliefshield.shield import enumerate_safe_actions
 from beliefshield.sim import RandomUniform, run_batch
 from beliefshield.traceio import read_traces, write_traces
 
@@ -402,16 +399,12 @@ def _rescan_overrides(cfg: ScenarioConfig, trace) -> int:
     checked = 0
     for s in trace.steps:
         if s.overridden:
-            cands = enumerate_safe_actions(m, mon, b_prev, s.observation,
-                                           cfg.shield_mode)
+            ref = shield_reference(m, mon, b_prev, s.observation, s.nominal,
+                                   cfg.shield_mode)
+            cands = ref.safe
             flats = [c.action for c in cands]
             assert s.executed in flats
-            try:
-                b_nom = belief_update(b_prev, s.nominal, s.observation, m)
-                r_n = expected_reward(b_nom, s.nominal, m)
-            except ZeroLikelihood:
-                r_n = float(predicted_belief(b_prev, s.nominal, m)
-                            @ m.reward[:, s.nominal])
+            r_n = ref.nominal_reward
             assert r_n == s.nominal_reward
             devs = [(c.reward - r_n) ** 2 for c in cands]
             exec_dev = devs[flats.index(s.executed)]

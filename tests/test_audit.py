@@ -176,6 +176,11 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
         read_traces(rewrite([lines[0], dump_line(unknown)] + lines[2:]))
     assert "unknown record type 'banana'" in str(err.value)
 
+    for not_an_object in ("[1, 2]", "5", '"step"', "null"):
+        with pytest.raises(ConfigError) as err:
+            read_traces(rewrite([lines[0], not_an_object] + lines[2:]))
+        assert "bad.trace.jsonl:2: expected a JSON object" in str(err.value)
+
     empty = tmp_path / "empty.trace.jsonl"
     empty.write_text("\n")
     with pytest.raises(ConfigError) as err:
@@ -297,3 +302,38 @@ def test_out_of_range_indices_are_config_errors(corridor_run, tmp_path):
         replay_episode(cfg, read_traces(tamper(path, tmp_path, clobber))[0])
     assert "executed action 99 out of range" in str(err.value)
     assert "episode 0 step 3" in str(err.value)
+
+
+@pytest.mark.parametrize("record, value", [("header", float("nan")), ("step", float("nan")),
+                                           ("step", None)],
+                         ids=["header-nan", "step-nan", "step-null"])
+def test_non_finite_belief_is_a_mismatch(corridor_run, tmp_path, record, value):
+    cfg, _, path = corridor_run
+    key = "initial_belief" if record == "header" else "belief"
+
+    def poison(rec):
+        if rec.get("type") == record and rec["episode"] == 1 and rec.get("step", 0) in (0, 6):
+            rec[key] = [value] * len(rec[key])
+
+    with pytest.raises(TraceMismatch) as err:
+        audit_traces(cfg, read_traces(tamper(path, tmp_path, poison)))
+    assert (err.value.episode, err.value.step) == (1, 0 if record == "header" else 6)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rec: rec.pop("verdict"),
+    lambda rec: rec["verdict"].pop("passed"),
+    lambda rec: rec["verdict"]["records"][0].pop("oid"),
+    lambda rec: rec["verdict"].update(records=5),
+    lambda rec: rec.update(belief="abc"),
+], ids=["no-verdict", "no-passed", "no-oid", "records-not-a-list", "belief-not-numbers"])
+def test_malformed_step_is_a_config_error(corridor_run, tmp_path, edit):
+    cfg, _, path = corridor_run
+
+    def malform(rec):
+        if rec.get("type") == "step" and rec["episode"] == 2 and rec["step"] == 8:
+            edit(rec)
+
+    with pytest.raises(ConfigError) as err:
+        audit_traces(cfg, read_traces(tamper(path, tmp_path, malform)))
+    assert str(err.value).startswith("episode 2 step 8: ")

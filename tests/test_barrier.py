@@ -20,7 +20,8 @@ def test_linear_alpha_validates_range():
 
 def test_ft_params_validate_ranges():
     FtParams(0.99, 0.1)
-    for rho, eps in ((0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, -1.0)):
+    for rho, eps in ((0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, -1.0), (0.5, math.inf),
+                     (0.5, math.nan)):
         with pytest.raises(ValueError):
             FtParams(rho, eps)
 

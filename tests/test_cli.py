@@ -58,6 +58,14 @@ def test_validate_rejects_bad_scenario(corridor_yaml, tmp_path, capsys):
     assert err.startswith("invalid: formula:")
 
 
+def test_validate_rejects_a_nan_mass(corridor_yaml, tmp_path, capsys):
+    text = corridor_yaml.read_text()
+    bad = tmp_path / "nan.yaml"
+    bad.write_text(text.replace("a1_h1: 0.05", "a1_h1: .nan", 1))
+    assert main(["validate", str(bad)]) == 1
+    assert "initial.a1_h1: expected a finite number, got nan" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 1
     err = capsys.readouterr().err
@@ -150,6 +158,17 @@ def test_audit_flags_tampered_belief(corridor_yaml, run_dir, tmp_path, capsys):
     assert main(["audit", str(corridor_yaml), str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("FAIL:") and "episode 1 step 4" in err
+
+
+def test_audit_of_a_malformed_trace_is_a_usage_error(corridor_yaml, run_dir, tmp_path,
+                                                     capsys):
+    def drop(rec):
+        if rec.get("type") == "step" and rec["episode"] == 0 and rec["step"] == 2:
+            del rec["verdict"]
+
+    bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, drop)
+    assert main(["audit", str(corridor_yaml), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: episode 0 step 2: malformed verdict")
 
 
 def test_validate_and_audit_compile_the_monitor_once(corridor_yaml, run_dir, compile_calls,

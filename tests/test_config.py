@@ -219,6 +219,12 @@ def test_reward_errors():
     data["reward"][0]["value"] = "high"
     reject(data, "reward[0].value")
     data = base_config()
+    data["reward"] = 5
+    reject(data, "reward: expected a list of entries")
+    data = base_config()
+    data["reward"] = None
+    assert np.array_equal(parse(data).model.reward, np.zeros((2, 2)))
+    data = base_config()
     data["reward"].append({"state": "good", "value": 2.0})
     err = reject(data, "reward[2]")
     assert "duplicate reward" in str(err)
@@ -235,6 +241,25 @@ def test_formula_and_predicate_errors():
     data = base_config()
     data["formula"] = "G F risky"
     reject(data, "formula")
+    for bad in (5, ["risky"]):
+        data = base_config()
+        data["predicates"] = bad
+        reject(data, "predicates: expected a map")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_are_rejected(value):
+    edits = {
+        "initial.good": lambda d: d["initial"].update(good=value),
+        "transition[0].next.bad": lambda d: d["transition"][0]["next"].update(bad=value),
+        "reward[0].value": lambda d: d["reward"][0].update(value=value),
+        "monitor.eps": lambda d: d["monitor"].update(eps=value),
+    }
+    for where, edit in edits.items():
+        data = base_config()
+        edit(data)
+        err = reject(data, where)
+        assert f"expected a finite number, got {value!r}" in str(err)
 
 
 def test_monitor_policy_and_run_setting_errors():

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 
 from beliefshield import (
     CONSERVATIVE, Always, Constant, MonitorConfig, NegBeliefPred, compile_monitor,
-    enumerate_safe_actions, shield_step,
+    shield_step,
 )
 from beliefshield.errors import ZeroLikelihood
 from beliefshield.model import (
     LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update,
     components_from_flat, correct, expected_reward, flat_from_components,
-    observation_likelihoods, predicted_belief, sample_initial_state,
+    predicted_belief, sample_initial_state,
     _sample_index, sample_observation, sample_transition, validate_model, validate_tables,
 )
 
-from conftest import random_model, random_simplex, two_pass_posterior
+from conftest import random_model, random_simplex, shield_reference, two_pass_posterior
 
 
 def reference_model() -> Mpomdp:
@@ -124,7 +124,7 @@ def test_observation_likelihoods_sum_to_one():
     m = random_model(rng)
     b = Belief(random_simplex(rng, m.n_states))
     for a in range(m.n_joint_actions):
-        lik = observation_likelihoods(b, a, m)
+        lik = predicted_belief(b, a, m) @ m.observation[:, a, :]
         assert abs(float(lik.sum()) - 1.0) < 1e-9
         assert np.all(lik >= 0.0)
 
@@ -155,6 +155,19 @@ def test_validate_model_flags_bad_rows_with_indices():
     assert violations[0].table == "transition"
     assert violations[0].indices == (1, 0)
     assert "0.9" in violations[0].message
+
+
+def test_validate_model_reports_nan_rows_and_entries():
+    m = reference_model()
+    bad_t = m.transition.copy()
+    bad_t[1, 0, 0] = np.nan
+    bad = replace(m, initial=Belief(np.array([np.nan, 1.0])), transition=bad_t)
+    assert [str(v) for v in validate_model(bad)] == [
+        "transition[1, 0]: row sums to nan, not 1",
+        "transition[1, 0, 0]: entry nan outside [0, 1]",
+        "initial[0]: row sums to nan, not 1",
+        "initial[0, 0]: entry nan outside [0, 1]",
+    ]
 
 
 def test_validate_model_accepts_valid_model():
@@ -268,7 +281,7 @@ def test_conservative_shield_skips_only_impossible_observations(likelihood, safe
     # Under a barrier that always passes, only the correction's floor
     # decides. An observation of likelihood 0 is impossible and skipped;
     # one of positive likelihood at most the floor has no posterior to
-    # check, so the action is unsafe, as in enumerate_safe_actions.
+    # check, so the action is unsafe, as in the brute-force reference.
     rng = np.random.default_rng(5)
     m = random_model(rng)
     while m.n_joint_actions < 2 or m.n_joint_observations < 2:
@@ -276,7 +289,7 @@ def test_conservative_shield_skips_only_impossible_observations(likelihood, safe
     b, a, z, other = m.initial, 0, 0, 1
     m = with_likelihood(m, b, a, other, likelihood)
     mon = compile_monitor(Always(NegBeliefPred("true", Constant(1.0))), m, MonitorConfig())
-    reference = [c.action for c in enumerate_safe_actions(m, mon, b, z, CONSERVATIVE)]
+    reference = [c.action for c in shield_reference(m, mon, b, z, a, CONSERVATIVE).safe]
     assert (a in reference) is safe
     assert shield_step(m, mon, b, z, a, CONSERVATIVE).overridden is not safe
 

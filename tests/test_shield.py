@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model, random_simplex
+from conftest import random_model, random_simplex, shield_reference
 
 from beliefshield import (
     Always,
@@ -30,13 +30,10 @@ from beliefshield import (
     SafetyDeadlock,
     Sum,
     Until,
-    ZeroLikelihood,
     belief_update,
     compile_monitor,
-    enumerate_safe_actions,
     expected_reward,
     monitor_step,
-    predicted_belief,
     shield_step,
 )
 
@@ -150,7 +147,7 @@ def test_enumerate_matches_shield_candidates():
     rewards = {(0, SPIKE): 5.0, (1, SPIKE): 5.0, (2, SPIKE): 5.0, (1, LEAP): 3.4}
     m = line_model(rewards)
     mon = line_monitor(m)
-    candidates = enumerate_safe_actions(m, mon, B0, 0)
+    candidates = shield_reference(m, mon, B0, 0, SPIKE).safe
     assert [c.action for c in candidates] == [STAY, DRIFT, LEAP]
     for c in candidates:
         assert c.verdict.passed
@@ -198,7 +195,7 @@ def test_zero_likelihood_candidate_is_unsafe_not_an_error():
     m = signal_model()
     mon = trivially_safe_monitor(m)
     b = Belief((0.75, 0.25))
-    candidates = enumerate_safe_actions(m, mon, b, ZA)
+    candidates = shield_reference(m, mon, b, ZA, GO).safe
     assert [c.action for c in candidates] == [GO]
 
 
@@ -259,8 +256,8 @@ def margin_monitor(m: Mpomdp):
 def test_conservative_rejects_actions_unsafe_under_other_observations():
     m = sensor_model()
     b = Belief((0.75, 0.25))
-    literal = enumerate_safe_actions(m, margin_monitor(m), b, ZA, LITERAL)
-    conservative = enumerate_safe_actions(m, margin_monitor(m), b, ZA, CONSERVATIVE)
+    literal = shield_reference(m, margin_monitor(m), b, ZA, PROBE, LITERAL).safe
+    conservative = shield_reference(m, margin_monitor(m), b, ZA, PROBE, CONSERVATIVE).safe
     assert [c.action for c in literal] == [PROBE, SIT]
     assert [c.action for c in conservative] == [SIT]
 
@@ -281,7 +278,7 @@ def test_unknown_mode_rejected():
 
 
 # --------------------------------------------------------------------------
-# The batched override pass against one-candidate-at-a-time enumeration
+# shield_step against the one-action-at-a-time brute-force reference
 
 
 def with_impossible_observations(rng: np.random.Generator, m: Mpomdp) -> Mpomdp:
@@ -320,35 +317,23 @@ def random_monitor(rng: np.random.Generator, m: Mpomdp):
     return mon
 
 
-def reference_barriers(m, mon, b, z):
-    """Per-action barrier report, one belief update at a time."""
-    out = {}
-    for a in range(m.n_joint_actions):
-        try:
-            b_next = belief_update(b, a, z, m)
-        except ZeroLikelihood:
-            out[a] = {}
-            continue
-        verdict, _ = monitor_step(mon, b, b_next)
-        out[a] = {r.oid: r.barrier for r in verdict.records if r.barrier is not None}
-    return out
+def reference_barriers(ref):
+    """Per-action barrier report from the reference's verdicts."""
+    return {c.action: {} if c.verdict is None else
+            {r.oid: r.barrier for r in c.verdict.records if r.barrier is not None}
+            for c in ref.actions}
 
 
-def reference_choice(m, mon, b, z, a_nom, mode):
-    """The documented rule over enumerate_safe_actions: the nominal when
-    it is safe, else the safe action whose reward is closest to the
+def reference_choice(ref, a_nom):
+    """The documented rule over the reference's safe actions: the nominal
+    when it is safe, else the safe action whose reward is closest to the
     nominal's reference reward, lowest index on ties. Returns (nominal
     reward, chosen candidate, safe candidates), or None on deadlock."""
-    safe = enumerate_safe_actions(m, mon, b, z, mode)
-    nominal = [c for c in safe if c.action == a_nom]
-    if nominal:
-        return nominal[0].reward, nominal[0], nominal
+    r_n, safe = ref.nominal_reward, ref.safe
+    if ref.actions[a_nom].safe:
+        return r_n, ref.actions[a_nom], [ref.actions[a_nom]]
     if not safe:
         return None
-    try:
-        r_n = expected_reward(belief_update(b, a_nom, z, m), a_nom, m)
-    except ZeroLikelihood:
-        r_n = float(predicted_belief(b, a_nom, m) @ m.reward[:, a_nom])
     best = min(safe, key=lambda c: ((c.reward - r_n) ** 2, c.action))
     return r_n, best, safe
 
@@ -363,12 +348,13 @@ def test_batched_shield_matches_enumeration(seed, mode):
     z = int(rng.integers(m.n_joint_observations))
     a_nom = int(rng.integers(m.n_joint_actions))
 
-    expected = reference_choice(m, mon, b, z, a_nom, mode)
+    ref = shield_reference(m, mon, b, z, a_nom, mode)
+    expected = reference_choice(ref, a_nom)
     if expected is None:
         with pytest.raises(SafetyDeadlock) as err:
             shield_step(m, mon, b, z, a_nom, mode)
         assert err.value.step == mon.step_count + 1
-        assert err.value.candidate_barriers == reference_barriers(m, mon, b, z)
+        assert err.value.candidate_barriers == reference_barriers(ref)
         return
     r_n, best, safe = expected
     decision = shield_step(m, mon, b, z, a_nom, mode)
@@ -393,6 +379,8 @@ def test_forced_deadlock_reports_every_action(seed, mode):
     mon = compile_monitor(doomed, m, CFG)
     b = Belief(random_simplex(rng, m.n_states))
     z = int(rng.integers(m.n_joint_observations))
+    a_nom = int(rng.integers(m.n_joint_actions))
     with pytest.raises(SafetyDeadlock) as err:
-        shield_step(m, mon, b, z, int(rng.integers(m.n_joint_actions)), mode)
-    assert err.value.candidate_barriers == reference_barriers(m, mon, b, z)
+        shield_step(m, mon, b, z, a_nom, mode)
+    assert err.value.candidate_barriers == reference_barriers(
+        shield_reference(m, mon, b, z, a_nom, mode))
