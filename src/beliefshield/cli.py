@@ -22,11 +22,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .audit import audit_traces
-from .barrier import FtParams, LinearAlpha
-from .config import ScenarioConfig, load_config
+from .config import (RUN_SETTINGS, ScenarioConfig, load_config, monitor_from_settings,
+                     monitor_settings)
 from .errors import BeliefShieldError, ConfigError, TraceMismatch
 from .ldtl import describe
-from .monitor import MonitorConfig
 from .sim import SHIELD_MODES, BatchResult, run_batch
 from .traceio import read_traces, write_summary, write_traces
 
@@ -83,18 +82,12 @@ def _out_dir(arg: str | None) -> Path:
 
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     updates = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be >= 0", "--seed")
-        updates["seed"] = args.seed
-    if args.episodes is not None:
-        if args.episodes < 1:
-            raise ConfigError("episodes must be >= 1", "--episodes")
-        updates["episodes"] = args.episodes
-    if args.horizon is not None:
-        if args.horizon < 1:
-            raise ConfigError("horizon must be >= 1", "--horizon")
-        updates["horizon"] = args.horizon
+    for key, _, lower in RUN_SETTINGS:
+        value = getattr(args, key)
+        if value is not None:
+            if value < lower:
+                raise ConfigError(f"{key} must be >= {lower}", f"--{key}")
+            updates[key] = value
     if args.shield is not None:
         updates["shield_mode"] = args.shield
     return replace(cfg, **updates) if updates else cfg
@@ -168,19 +161,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _sweep_config(cfg: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    mon = cfg.monitor
-    try:
-        if param == "rho":
-            mon = MonitorConfig(mon.delta, mon.alpha, FtParams(value, mon.ft.eps))
-        elif param == "eps":
-            mon = MonitorConfig(mon.delta, mon.alpha, FtParams(mon.ft.rho, value))
-        elif param == "gamma":
-            mon = MonitorConfig(mon.delta, LinearAlpha(value), mon.ft)
-        else:
-            mon = MonitorConfig(value, mon.alpha, mon.ft)
-    except ValueError as exc:
-        raise ConfigError(str(exc), f"--values {param}={value:g}") from exc
-    return replace(cfg, monitor=mon)
+    return replace(cfg, monitor=monitor_from_settings(
+        {**monitor_settings(cfg.monitor), param: value}, f"--values {param}={value:g}"))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

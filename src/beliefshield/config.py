@@ -20,16 +20,20 @@ A scenario file is a mapping with these keys (* = required):
 
 `action` is a list of per-agent action names; omitting it makes the
 entry apply to every joint action. Joint observation keys join the
-per-agent observation names with '+'. Every (state, action) pair must
-be covered by exactly one transition entry and one observation entry.
+per-agent observation names with '+', so no observation name may
+contain '+'. A missing or null optional section takes its default;
+`monitor` and `policy`, when given, must be mappings. Every
+(state, action) pair must be covered by exactly one transition entry
+and one observation entry.
 Rows are validated as written (each must already sum to 1 within 1e-9)
 and only then renormalized exactly.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +98,18 @@ def _require(data: dict, key: str, source: str):
     return data[key]
 
 
+def _mapping(value, keys, path: str) -> dict:
+    """`value`, checked to be a mapping whose keys all lie in `keys`
+    (any keys when `keys` is None)."""
+    if not isinstance(value, dict):
+        raise ConfigError("expected a mapping", path)
+    if keys is not None:
+        extra = set(value) - set(keys)
+        if extra:
+            raise ConfigError(f"unknown keys: {sorted(extra)}", path)
+    return value
+
+
 def _name_list(value, path: str) -> list[str]:
     if (not isinstance(value, list) or not value
             or not all(isinstance(s, str) and s for s in value)):
@@ -109,9 +125,40 @@ def _name_list(value, path: str) -> list[str]:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", path)
-    if not math.isfinite(value):
+    # False for NaN, the infinities and integers beyond the float range.
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"expected a finite number, got {value!r}", path)
     return float(value)
+
+
+def _integer(value, lower: int, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < lower:
+        raise ConfigError(f"expected an integer >= {lower}", path)
+    return value
+
+
+# Integer run settings: (key, default, lower bound).
+RUN_SETTINGS = (("horizon", 100, 1), ("episodes", 1, 1), ("seed", 0, 0))
+
+MONITOR_SETTINGS = ("delta", "gamma", "rho", "eps")
+
+
+def monitor_settings(mon: MonitorConfig) -> dict[str, float]:
+    """The flat {delta, gamma, rho, eps} form of a monitor config."""
+    return {"delta": mon.delta, "gamma": mon.alpha.gamma,
+            "rho": mon.ft.rho, "eps": mon.ft.eps}
+
+
+def monitor_from_settings(settings: dict[str, float], path: str) -> MonitorConfig:
+    """The monitor config for flat settings; missing ones take
+    `MonitorConfig()`'s values, and an out-of-range one is a
+    `ConfigError` at `path`."""
+    s = {**monitor_settings(MonitorConfig()), **settings}
+    try:
+        return MonitorConfig(delta=s["delta"], alpha=LinearAlpha(s["gamma"]),
+                             ft=FtParams(rho=s["rho"], eps=s["eps"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from exc
 
 
 def _parse_agents(raw, path: str) -> tuple[list[str], list[list[str]], list[list[str]]]:
@@ -120,8 +167,7 @@ def _parse_agents(raw, path: str) -> tuple[list[str], list[list[str]], list[list
     names, actions, observations = [], [], []
     for i, entry in enumerate(raw):
         here = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError("expected a mapping", here)
+        _mapping(entry, None, here)
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise ConfigError("missing agent name", f"{here}.name")
@@ -130,9 +176,10 @@ def _parse_agents(raw, path: str) -> tuple[list[str], list[list[str]], list[list
         names.append(name)
         actions.append(_name_list(entry.get("actions"), f"{here}.actions"))
         observations.append(_name_list(entry.get("observations"), f"{here}.observations"))
-        extra = set(entry) - {"name", "actions", "observations"}
-        if extra:
-            raise ConfigError(f"unknown keys: {sorted(extra)}", here)
+        if any(OBS_JOIN in z for z in observations[-1]):
+            raise ConfigError(f"observation names may not contain {OBS_JOIN!r}",
+                              f"{here}.observations")
+        _mapping(entry, ("name", "actions", "observations"), here)
     return names, actions, observations
 
 
@@ -181,54 +228,45 @@ class _JointIndex:
         return list(range(self.n_joint_actions))
 
 
-def _fill_rows(table: np.ndarray, covered: np.ndarray, entries, idx: _JointIndex,
-               key_from: str, key_dist: str, dist_index, path: str) -> None:
-    """Populate rows of a (state, action, ...) table from config entries."""
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("expected a non-empty list of entries", path)
+def _dist_row(index, width: int, dist, path: str) -> np.ndarray:
+    """A non-empty map label -> probability as a row of `width`."""
+    if not isinstance(dist, dict) or not dist:
+        raise ConfigError("expected a non-empty probability map", path)
+    row = np.zeros(width)
+    for name, value in dist.items():
+        where = f"{path}.{name}"
+        row[index(name, where)] = _number(value, where)
+    return row
+
+
+def _fill_rows(table: np.ndarray, entries, idx: _JointIndex, key_from: str,
+               key_value: str, read_value, path: str, noun: str = "entry") -> np.ndarray:
+    """Fill a (state, joint action, ...) table from config entries, each
+    {key_from: state, action?, key_value: value}, and return the mask of
+    (state, joint action) pairs they cover."""
+    covered = np.zeros(table.shape[:2], dtype=bool)
     for i, entry in enumerate(entries):
         here = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError("expected a mapping", here)
-        extra = set(entry) - {key_from, "action", key_dist}
-        if extra:
-            raise ConfigError(f"unknown keys: {sorted(extra)}", here)
+        _mapping(entry, (key_from, "action", key_value), here)
         q = idx.state(entry.get(key_from), f"{here}.{key_from}")
-        dist = entry.get(key_dist)
-        if not isinstance(dist, dict) or not dist:
-            raise ConfigError("expected a non-empty probability map", f"{here}.{key_dist}")
-        row = np.zeros(table.shape[2])
-        for name, value in dist.items():
-            col = dist_index(name, f"{here}.{key_dist}.{name}")
-            row[col] = _number(value, f"{here}.{key_dist}.{name}")
+        value = read_value(entry.get(key_value), f"{here}.{key_value}")
         for a in idx.actions_for(entry, here):
             if covered[q, a]:
                 raise ConfigError(
-                    f"duplicate entry for state {entry[key_from]!r}, "
+                    f"duplicate {noun} for state {entry[key_from]!r}, "
                     f"joint action {a}", here)
             covered[q, a] = True
-            table[q, a, :] = row
-
-
-def _check_covered(covered: np.ndarray, states: list[str], path: str) -> None:
-    missing = np.argwhere(~covered)
-    if missing.size:
-        q, a = missing[0]
-        raise ConfigError(
-            f"{len(missing)} (state, action) pairs have no entry; first missing: "
-            f"state {states[q]!r}, joint action {a}", path)
+            table[q, a] = value
+    return covered
 
 
 def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     """Validate a parsed YAML mapping and build the scenario config."""
     if not isinstance(data, dict):
         raise ConfigError("top level must be a mapping", source)
-    known = {"name", "states", "agents", "initial", "transition", "observation",
-             "reward", "predicates", "formula", "monitor", "policy", "shield",
-             "horizon", "episodes", "seed"}
-    extra = set(data) - known
-    if extra:
-        raise ConfigError(f"unknown keys: {sorted(extra)}", source)
+    _mapping(data, ("name", "states", "agents", "initial", "transition",
+                    "observation", "reward", "predicates", "formula", "monitor",
+                    "policy", "shield", "horizon", "episodes", "seed"), source)
 
     states = _name_list(_require(data, "states", source), "states")
     agent_names, action_names, observation_names = _parse_agents(
@@ -245,38 +283,27 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
         p0[idx.state(name, f"initial.{name}")] = _number(value, f"initial.{name}")
 
     transition = np.zeros((n, na, n))
-    covered = np.zeros((n, na), dtype=bool)
-    _fill_rows(transition, covered, _require(data, "transition", source), idx,
-               "from", "next", idx.state, "transition")
-    _check_covered(covered, states, "transition")
-
     observation = np.zeros((n, na, nz))
-    covered = np.zeros((n, na), dtype=bool)
-    _fill_rows(observation, covered, _require(data, "observation", source), idx,
-               "next", "dist", idx.joint_observation, "observation")
-    _check_covered(covered, states, "observation")
+    for key, table, key_from, key_value, index in (
+            ("transition", transition, "from", "next", idx.state),
+            ("observation", observation, "next", "dist", idx.joint_observation)):
+        entries = _require(data, key, source)
+        if not isinstance(entries, list) or not entries:
+            raise ConfigError("expected a non-empty list of entries", key)
+        covered = _fill_rows(table, entries, idx, key_from, key_value,
+                             partial(_dist_row, index, table.shape[2]), key)
+        missing = np.argwhere(~covered)
+        if missing.size:
+            q, a = missing[0]
+            raise ConfigError(
+                f"{len(missing)} (state, action) pairs have no entry; first missing: "
+                f"state {states[q]!r}, joint action {a}", key)
 
     reward = np.zeros((n, na))
-    reward_set = np.zeros((n, na), dtype=bool)
-    reward_raw = [] if data.get("reward") is None else data["reward"]
-    if not isinstance(reward_raw, list):
+    entries = [] if data.get("reward") is None else data["reward"]
+    if not isinstance(entries, list):
         raise ConfigError("expected a list of entries", "reward")
-    for i, entry in enumerate(reward_raw):
-        here = f"reward[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError("expected a mapping", here)
-        extra = set(entry) - {"state", "action", "value"}
-        if extra:
-            raise ConfigError(f"unknown keys: {sorted(extra)}", here)
-        q = idx.state(entry.get("state"), f"{here}.state")
-        value = _number(entry.get("value"), f"{here}.value")
-        for a in idx.actions_for(entry, here):
-            if reward_set[q, a]:
-                raise ConfigError(
-                    f"duplicate reward for state {entry['state']!r}, joint action {a}",
-                    here)
-            reward_set[q, a] = True
-            reward[q, a] = value
+    _fill_rows(reward, entries, idx, "state", "value", _number, "reward", noun="reward")
 
     violations = validate_tables(p0, transition, observation)
     if violations:
@@ -319,33 +346,20 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     except BeliefShieldError as exc:
         raise ConfigError(str(exc), "formula") from exc
 
-    mon_raw = data.get("monitor") or {}
-    if not isinstance(mon_raw, dict):
-        raise ConfigError("expected a mapping", "monitor")
-    extra = set(mon_raw) - {"delta", "gamma", "rho", "eps"}
-    if extra:
-        raise ConfigError(f"unknown keys: {sorted(extra)}", "monitor")
-    try:
-        monitor = MonitorConfig(
-            delta=_number(mon_raw.get("delta", 1e-3), "monitor.delta"),
-            alpha=LinearAlpha(_number(mon_raw.get("gamma", 0.5), "monitor.gamma")),
-            ft=FtParams(
-                rho=_number(mon_raw.get("rho", 0.99), "monitor.rho"),
-                eps=_number(mon_raw.get("eps", 0.1), "monitor.eps"),
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "monitor") from exc
+    # A missing or null section means the defaults; anything else must
+    # be a mapping.
+    mon_raw = _mapping({} if data.get("monitor") is None else data["monitor"],
+                       MONITOR_SETTINGS, "monitor")
+    monitor = monitor_from_settings(
+        {k: _number(mon_raw[k], f"monitor.{k}") for k in MONITOR_SETTINGS if k in mon_raw},
+        "monitor")
 
-    pol_raw = data.get("policy") or {"kind": "greedy"}
-    if not isinstance(pol_raw, dict):
-        raise ConfigError("expected a mapping", "policy")
+    pol_raw = _mapping({"kind": "greedy"} if data.get("policy") is None else data["policy"],
+                       None, "policy")
     kind = pol_raw.get("kind")
     policy: NominalPolicy
     if kind == "fixed":
-        extra = set(pol_raw) - {"kind", "action"}
-        if extra:
-            raise ConfigError(f"unknown keys: {sorted(extra)}", "policy")
+        _mapping(pol_raw, ("kind", "action"), "policy")
         policy = FixedAction(idx.joint_action(pol_raw.get("action"), "policy.action"))
     elif kind in ("greedy", "random"):
         if set(pol_raw) - {"kind"}:
@@ -362,15 +376,8 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             f"unknown shield mode {shield_mode!r} (expected one of {SHIELD_MODES})",
             "shield")
 
-    horizon = data.get("horizon", 100)
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ConfigError("expected an integer >= 1", "horizon")
-    episodes = data.get("episodes", 1)
-    if not isinstance(episodes, int) or isinstance(episodes, bool) or episodes < 1:
-        raise ConfigError("expected an integer >= 1", "episodes")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("expected an integer >= 0", "seed")
+    run = {key: _integer(data.get(key, default), lower, key)
+           for key, default, lower in RUN_SETTINGS}
 
     name = data.get("name", source)
     if not isinstance(name, str) or not name:
@@ -388,9 +395,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             monitor=monitor,
             policy=policy,
             shield_mode=shield_mode,
-            horizon=horizon,
-            episodes=episodes,
-            seed=seed,
+            **run,
         )
     except BeliefShieldError as exc:
         raise ConfigError(str(exc), "formula") from exc
@@ -415,22 +420,21 @@ def _dist_map(labels, row: np.ndarray) -> dict[str, float]:
     return {labels[j]: float(p) for j, p in enumerate(row) if p != 0.0}
 
 
-def _table_entries(m: Mpomdp, table: np.ndarray, key_from: str, key_dist: str,
-                   labels, action_lists) -> list[dict]:
-    """Entries for a (state, action, ...) table, collapsing states whose
-    rows agree across every joint action into a single entry."""
+def _table_entries(table: np.ndarray, states, key_from: str, key_value: str,
+                   write_value, action_lists) -> list[dict]:
+    """Entries for a (state, joint action, ...) table, the inverse of
+    `_fill_rows`. A state whose rows agree across every joint action gets
+    one entry without an action; empty or zero values are left out."""
     entries = []
-    for q, state in enumerate(m.state_names):
-        rows = table[q]
-        if all(np.array_equal(rows[0], rows[a]) for a in range(1, len(rows))):
-            entries.append({key_from: state, key_dist: _dist_map(labels, rows[0])})
-            continue
-        for a in range(len(rows)):
-            entries.append({
-                key_from: state,
-                "action": action_lists[a],
-                key_dist: _dist_map(labels, rows[a]),
-            })
+    for state, rows in zip(states, table):
+        if all(np.array_equal(rows[0], row) for row in rows[1:]):
+            keyed = [({}, rows[0])]
+        else:
+            keyed = [({"action": action}, row) for action, row in zip(action_lists, rows)]
+        for action, row in keyed:
+            value = write_value(row)
+            if value:
+                entries.append({key_from: state, **action, key_value: value})
     return entries
 
 
@@ -440,34 +444,19 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     action_lists = [list(m.joint_action_label(a)) for a in range(m.n_joint_actions)]
     obs_labels = [OBS_JOIN.join(m.joint_observation_label(z))
                   for z in range(m.n_joint_observations)]
-
-    reward_entries = []
-    for q, state in enumerate(m.state_names):
-        row = m.reward[q]
-        if np.all(row == row[0]):
-            if row[0] != 0.0:
-                reward_entries.append({"state": state, "value": float(row[0])})
-            continue
-        for a, value in enumerate(row):
-            if value != 0.0:
-                reward_entries.append({
-                    "state": state, "action": action_lists[a], "value": float(value),
-                })
-
+    reward_entries = _table_entries(m.reward, m.state_names, "state", "value",
+                                    float, action_lists)
     data = {
         "name": cfg.name,
         "states": list(m.state_names),
-        "agents": [
-            {"name": m.agent_names[i],
-             "actions": list(m.action_names[i]),
-             "observations": list(m.observation_names[i])}
-            for i in range(m.n_agents)
-        ],
+        "agents": [{"name": name, "actions": list(actions), "observations": list(obs)}
+                   for name, actions, obs in zip(m.agent_names, m.action_names,
+                                                 m.observation_names)],
         "initial": _dist_map(m.state_names, cfg.model.initial.probs),
-        "transition": _table_entries(m, m.transition, "from", "next",
-                                     m.state_names, action_lists),
-        "observation": _table_entries(m, m.observation, "next", "dist",
-                                      obs_labels, action_lists),
+        "transition": _table_entries(m.transition, m.state_names, "from", "next",
+                                     partial(_dist_map, m.state_names), action_lists),
+        "observation": _table_entries(m.observation, m.state_names, "next", "dist",
+                                      partial(_dist_map, obs_labels), action_lists),
     }
     if reward_entries:
         data["reward"] = reward_entries
@@ -475,22 +464,13 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         data["predicates"] = {name: expr_text(expr)
                               for name, expr in cfg.predicates.items()}
     data["formula"] = cfg.formula_text
-    data["monitor"] = {
-        "delta": cfg.monitor.delta,
-        "gamma": cfg.monitor.alpha.gamma,
-        "rho": cfg.monitor.ft.rho,
-        "eps": cfg.monitor.ft.eps,
-    }
+    data["monitor"] = monitor_settings(cfg.monitor)
     if isinstance(cfg.policy, FixedAction):
         data["policy"] = {"kind": "fixed", "action": action_lists[cfg.policy.action]}
-    elif isinstance(cfg.policy, GreedyReward):
-        data["policy"] = {"kind": "greedy"}
     else:
-        data["policy"] = {"kind": "random"}
+        data["policy"] = {"kind": "greedy" if isinstance(cfg.policy, GreedyReward) else "random"}
     data["shield"] = cfg.shield_mode
-    data["horizon"] = cfg.horizon
-    data["episodes"] = cfg.episodes
-    data["seed"] = cfg.seed
+    data.update((key, getattr(cfg, key)) for key, _, _ in RUN_SETTINGS)
     return data
 
 

@@ -138,6 +138,8 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
                 if rec.get("version") != TRACE_VERSION:
                     raise ConfigError(
                         f"unsupported trace version {rec.get('version')!r}", where)
+                if type(rec.get("episode")) is not int:
+                    raise ConfigError("header needs an integer episode", where)
                 header, steps = rec, []
             elif kind == "step":
                 if header is None:

@@ -141,6 +141,13 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
         read_traces(rewrite([dump_line(header)] + lines[1:]))
     assert "unsupported trace version 99" in str(err.value)
 
+    header["version"] = 1
+    del header["episode"]
+    with pytest.raises(ConfigError) as err:
+        read_traces(rewrite([dump_line(header)] + lines[1:]))
+    assert "header needs an integer episode" in str(err.value)
+    assert ":1" in str(err.value)
+
     # Steps swapped out of order.
     with pytest.raises(ConfigError) as err:
         read_traces(rewrite([lines[0], lines[2], lines[1]] + lines[3:]))

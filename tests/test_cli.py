@@ -6,8 +6,8 @@ import json
 import pytest
 import yaml
 
-from beliefshield.cli import SWEEP_FIELDS, main
-from beliefshield.config import config_to_dict
+from beliefshield.cli import SWEEP_FIELDS, _sweep_config, main
+from beliefshield.config import config_to_dict, monitor_settings
 from beliefshield.presets import corridor_config
 
 
@@ -191,6 +191,16 @@ def test_sweep_writes_grid_csv(corridor_yaml, tmp_path, capsys):
     assert [r["value"] for r in rows] == ["0.5", "0.9"]
     assert all(r["violation_steps"] == "0" for r in rows)
     assert "sweep:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("param, value", [
+    ("delta", 0.02), ("gamma", 0.25), ("rho", 0.5), ("eps", 0.3)])
+def test_sweep_changes_only_its_parameter(param, value):
+    base = corridor_config("literal")
+    swept = _sweep_config(base, param, value)
+    before, after = monitor_settings(base.monitor), monitor_settings(swept.monitor)
+    assert after == {**before, param: value}
+    assert before[param] != value
 
 
 def test_sweep_rejects_non_numeric_values(corridor_yaml, tmp_path, capsys):

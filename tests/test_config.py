@@ -11,19 +11,24 @@ import yaml
 
 from beliefshield import (
     Always,
+    Belief,
     BeliefVar,
     ConfigError,
     Constant,
     Difference,
     FixedAction,
+    FtParams,
     GreedyReward,
+    LinearAlpha,
     MonitorConfig,
+    Mpomdp,
     NegBeliefPred,
     ScenarioConfig,
     UnsupportedNesting,
     audit_traces,
     load_config,
     parse_config,
+    parse_expr,
     parse_formula,
     read_traces,
     run_batch,
@@ -162,6 +167,18 @@ def test_agent_errors():
     data = base_config()
     data["states"] = ["good", "good"]
     reject(data, "states")
+    # Name errors come before the entry's other checks.
+    data = base_config()
+    data["agents"][1].update(name="runner", color="red")
+    err = reject(data, "agents[1].name")
+    assert "duplicate agent name 'runner'" in str(err)
+    # '+' joins per-agent observation names, so a name may not contain it:
+    # [x+y, x] by [z, y+z] would label two joint observations x+y+z.
+    data = base_config()
+    data["agents"][0]["observations"] = ["x+y", "x"]
+    data["agents"][1]["observations"] = ["z", "y+z"]
+    err = reject(data, "agents[0].observations")
+    assert "may not contain '+'" in str(err)
 
 
 def test_initial_errors():
@@ -247,7 +264,8 @@ def test_formula_and_predicate_errors():
         reject(data, "predicates: expected a map")
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   pytest.param(10**400, id="10**400")])
 def test_non_finite_numbers_are_rejected(value):
     edits = {
         "initial.good": lambda d: d["initial"].update(good=value),
@@ -272,6 +290,16 @@ def test_monitor_policy_and_run_setting_errors():
     data = base_config()
     data["monitor"]["speed"] = 3
     reject(data, "monitor")
+    # Only a missing or null section means the defaults.
+    for key, bad in [("monitor", []), ("monitor", 0), ("policy", []), ("policy", "")]:
+        data = base_config()
+        data[key] = bad
+        err = reject(data, key)
+        assert "expected a mapping" in str(err)
+    data = base_config()
+    data.update(monitor=None, policy=None)
+    cfg = parse(data)
+    assert (cfg.monitor, cfg.policy) == (MonitorConfig(), GreedyReward())
 
     data = base_config()
     data["policy"] = {"kind": "bold"}
@@ -282,6 +310,10 @@ def test_monitor_policy_and_run_setting_errors():
     data = base_config()
     data["policy"] = {"kind": "greedy", "action": ["go", "scan"]}
     reject(data, "policy")
+    data = base_config()
+    data["policy"] = {"kind": "greedy", "foo": 1}
+    err = reject(data, "policy")
+    assert "policy kind 'greedy' takes no other keys" in str(err)
 
     for key, bad in [("shield", "sometimes"), ("horizon", 0),
                      ("episodes", 0), ("seed", -1), ("name", "")]:
@@ -392,6 +424,67 @@ def test_round_trip_preserves_the_scenario(tmp_path):
     from_file = load_config(path)
     assert np.array_equal(from_file.model.transition, cfg.model.transition)
     assert from_file.formula == cfg.formula
+
+
+def dyadic_rows(rng, shape) -> np.ndarray:
+    """Random rows that sum to exactly 1, with some zero entries, so
+    renormalizing on load leaves every bit as it is."""
+    counts = rng.multinomial(64, np.full(shape[-1], 1.0 / shape[-1]), size=shape[:-1])
+    return counts / 64.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_models_round_trip_bit_for_bit(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    radices = [int(rng.integers(1, 4)), int(rng.integers(2, 4))]
+    obs_radices = [int(rng.integers(1, 3)), int(rng.integers(1, 4))]
+    na = int(np.prod(radices))
+    transition = dyadic_rows(rng, (n, na, n))
+    observation = dyadic_rows(rng, (n, na, int(np.prod(obs_radices))))
+    reward = rng.normal(size=(n, na))
+    for q in range(n):
+        # Action-independent rows (one entry, no action) and, for rewards,
+        # constant and all-zero rows next to action-dependent ones.
+        if q % 2:
+            transition[q] = transition[q, 0]
+        if q % 3 == 1:
+            reward[q] = reward[q, 0]
+        elif q % 3 == 2:
+            reward[q] = 0.0
+    reward[0, 0] = 0.0
+    states = tuple(f"s{i}" for i in range(n))
+    model = Mpomdp(
+        state_names=states,
+        agent_names=("a", "b"),
+        action_names=tuple(tuple(f"act{i}_{j}" for j in range(r))
+                           for i, r in enumerate(radices)),
+        observation_names=tuple(tuple(f"obs{i}_{j}" for j in range(r))
+                                for i, r in enumerate(obs_radices)),
+        initial=Belief(dyadic_rows(rng, (n,))),
+        transition=transition, observation=observation, reward=reward)
+    index = {s: i for i, s in enumerate(states)}
+    predicates = {"high": parse_expr("b(s1) - 0.5", index)}
+    cfg = ScenarioConfig(
+        name=f"random{seed}", model=model, predicates=predicates,
+        formula=parse_formula("G !high", predicates, index), formula_text="G !high",
+        monitor=MonitorConfig(delta=float(rng.uniform(1e-4, 0.1)),
+                              alpha=LinearAlpha(float(rng.uniform(0.1, 0.9))),
+                              ft=FtParams(rho=float(rng.uniform(0.1, 0.9)),
+                                          eps=float(rng.uniform(0.01, 1.0)))),
+        policy=FixedAction(int(rng.integers(na))), shield_mode="conservative",
+        horizon=5, episodes=2, seed=seed)
+
+    back = parse_config(config_to_dict(cfg), source="test")
+    for table in ("transition", "observation", "reward"):
+        assert np.array_equal(getattr(back.model, table), getattr(cfg.model, table))
+    assert np.array_equal(back.model.initial.probs, cfg.model.initial.probs)
+    assert (back.monitor, back.policy) == (cfg.monitor, cfg.policy)
+
+    first, second = tmp_path / "first.yaml", tmp_path / "second.yaml"
+    write_config(cfg, first)
+    write_config(load_config(first), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_corridor_config_round_trips(tmp_path):
