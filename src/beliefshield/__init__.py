@@ -15,7 +15,7 @@ from .errors import (
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
     Eventually, Formula, Letter, Max, Min, NegBeliefPred, NegStateSet, Next,
-    Or, Product, StateSet, Sum, Until, describe, evaluate_expr, expr_text,
+    Or, Product, StateSet, Sum, Until, describe, expr_text,
     oracle_satisfies, pretty_print,
 )
 from .model import (
@@ -26,7 +26,7 @@ from .model import (
 )
 from .monitor import (
     Monitor, MonitorConfig, Obligation, ObligationRecord, StepVerdict,
-    compile_monitor, monitor_step, translate_core,
+    compile_monitor, translate_core,
 )
 from .parsing import parse_expr, parse_formula
 from .shield import CONSERVATIVE, LITERAL, ShieldDecision, shield_step

@@ -17,8 +17,10 @@ from the belief before it, and the barriers are evaluated at it once;
 those values are the next step's barrier values at b_prev. Reusing them
 is exact: a successor monitor only drops obligations (by discharging
 them), and an evaluator gives the same bits on the same entries. The
-oracle takes each letter's belief entries once and applies each belief
-atom's compiled evaluator, which is bit-identical to evaluate_expr.
+simulator carries the values the same way, so the replay repeats its
+arithmetic step for step. The oracle takes each letter's belief entries
+once and applies each belief atom's compiled evaluator, which is
+bit-identical to the tests' tree-walking reference.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ The trace oracle evaluates a formula on a finite word of
 `always` means "at every remaining position", `eventually` and `until`
 need an in-word witness, and `next` at the last position is false.
 Belief atoms carry their expression compiled once (compile_expr), and
-the oracle applies it to each letter's entries, taken once per letter;
-evaluate_expr is the tree-walking reference that compile_expr matches
-bit for bit.
+the oracle applies it to each letter's entries, taken once per letter.
+The tests keep a tree-walking evaluator as the reference that
+compile_expr matches bit for bit.
 """
 
 from __future__ import annotations
@@ -70,28 +70,6 @@ class Max:
     children: tuple[BeliefExpr, ...]
 
 
-def evaluate_expr(expr: BeliefExpr, belief: Belief) -> float:
-    """Evaluate an expression at a belief point."""
-    if isinstance(expr, Constant):
-        return float(expr.value)
-    if isinstance(expr, BeliefVar):
-        return belief[expr.index]
-    if isinstance(expr, Sum):
-        return sum(evaluate_expr(c, belief) for c in expr.children)
-    if isinstance(expr, Difference):
-        return evaluate_expr(expr.left, belief) - evaluate_expr(expr.right, belief)
-    if isinstance(expr, Product):
-        out = 1.0
-        for c in expr.children:
-            out *= evaluate_expr(c, belief)
-        return out
-    if isinstance(expr, Min):
-        return min(evaluate_expr(c, belief) for c in expr.children)
-    if isinstance(expr, Max):
-        return max(evaluate_expr(c, belief) for c in expr.children)
-    raise TypeError(f"not a belief expression: {expr!r}")
-
-
 Evaluator = Callable[[Sequence[float]], float]
 
 
@@ -99,9 +77,10 @@ def compile_expr(expr: BeliefExpr) -> Evaluator:
     """Compile an expression into a function of the belief entries as
     Python floats (`belief.probs.tolist()`).
 
-    The function performs the float operations of evaluate_expr in the
-    same order (`sum`, `min` and `max` are the builtins, products fold
-    from 1.0), so its value is bit-identical to evaluate_expr's.
+    The function performs the float operations of the tests'
+    tree-walking reference evaluator in the same order (`sum`, `min`
+    and `max` are the builtins, products fold from 1.0), so its value
+    is bit-identical to the reference's.
     """
     if isinstance(expr, Constant):
         value = float(expr.value)

@@ -33,17 +33,19 @@ One-shot kinds are discharged by their single check, pass or fail. A
 discharged obligation is not evaluated again: its records read
 `inactive` and repeat the barrier value it was discharged with.
 
-Monitors are immutable; monitor_step returns the verdict together with
+Monitors are immutable; check_step returns the verdict together with
 the successor monitor, so candidate actions can be probed without
-mutation. A step is two parts: the barrier values at both beliefs
+mutation. A step is two parts: the barrier values at each belief
 (barrier_values), then the kind's float-only rule for every active
 obligation (check_step), which builds a new record only for an
-obligation whose state changed. The shield reuses the same rules
-through step_passes.
+obligation whose state changed. The simulator and the audit evaluate
+each belief once and pass its values to the step into it and the step
+out of it; the shield reuses the same rules through step_passes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .barrier import FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_bound
@@ -53,7 +55,7 @@ from .ldtl import (
     Eventually, Evaluator, Formula, Max, Min, NegBeliefPred, NegStateSet, Next,
     Or, StateSet, Sum, Until, compile_expr, describe, is_propositional,
 )
-from .model import Belief, Mpomdp
+from .model import Mpomdp
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,8 @@ class MonitorConfig:
     ft: FtParams = FtParams(rho=0.99, eps=0.1)
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
 
 
 # --------------------------------------------------------------------------
@@ -363,13 +365,3 @@ def step_passes(mon: Monitor, prev: BarrierValues, nxt: BarrierValues) -> bool:
             return False
     return True
 
-
-def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[StepVerdict, Monitor]:
-    """Check the transition b_prev -> b_next against every obligation.
-
-    Pure: returns the verdict and the successor monitor. The first call
-    treats b_prev as the starting belief (position 0) and runs the
-    activation checks described in the module docstring.
-    """
-    return check_step(mon, barrier_values(mon, b_prev.probs.tolist()),
-                      barrier_values(mon, b_next.probs.tolist()))

@@ -17,11 +17,12 @@ Every candidate, the nominal included, goes through one check built on
 the filter's own two steps: predicted_belief once, then correct under z
 and, in conservative mode, under every other observation from that same
 prediction. Beliefs, rewards and barrier values are therefore those of
-belief_update bit for bit. The barriers at the current belief are
-evaluated once per call and at each posterior once, and a Belief,
-verdict and successor Monitor are built only for the executed action.
-The tests check every decision against a brute-force reference that
-runs belief_update and monitor_step on one action at a time.
+belief_update bit for bit. The caller passes the barrier values at the
+current belief (the previous decision's next_values), so the shield
+evaluates only posteriors, each once; a Belief, verdict and successor
+Monitor are built only for the executed action. The tests check every
+decision against a brute-force reference that updates the belief and
+evaluates both beliefs' barriers one action at a time.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class ShieldDecision:
     """Outcome of one shield invocation.
 
     executed is the flat joint-action index; verdict/next_belief/
-    next_monitor describe its update; candidate_rewards lists (flat
-    index, reward) for the safe candidates considered (just the nominal
-    when it passed outright).
+    next_monitor describe its update, and next_values are the barrier
+    values at next_belief, to pass as the next call's prev;
+    candidate_rewards lists (flat index, reward) for the safe candidates
+    considered (just the nominal when it passed outright).
     """
 
     executed: int
@@ -57,6 +59,7 @@ class ShieldDecision:
     verdict: StepVerdict
     next_belief: Belief
     next_monitor: Monitor
+    next_values: BarrierValues
 
 
 def _reward(belief: np.ndarray, action: int, m: Mpomdp) -> float:
@@ -107,14 +110,14 @@ def _barriers_after(mon: Monitor, prev: BarrierValues, values: BarrierValues | N
 
 
 def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
-                a_nominal: int, mode: str = LITERAL) -> ShieldDecision:
+                a_nominal: int, mode: str = LITERAL, *,
+                prev: BarrierValues) -> ShieldDecision:
     """Accept the nominal action or substitute the safe alternative with
-    the closest expected reward. Raises SafetyDeadlock when nothing is
-    safe."""
+    the closest expected reward. prev are mon's barrier values at
+    b_prev. Raises SafetyDeadlock when nothing is safe."""
     if mode not in (LITERAL, CONSERVATIVE):
         raise ValueError(f"unknown shield mode: {mode!r}")
 
-    prev = barrier_values(mon, b_prev.probs.tolist())
     nominal = _check(m, mon, prev, b_prev, z, a_nominal, mode)
     row, values, nominal_safe = nominal
     # With z impossible after the nominal, row is its one-step
@@ -142,4 +145,5 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
         verdict=verdict,
         next_belief=Belief(row),
         next_monitor=successor,
+        next_values=values,
     )

@@ -1,7 +1,10 @@
-"""Shared test helpers: random model generation, the independent
-two-pass posterior oracle the filter is checked against, the
-one-action-at-a-time brute-force reference the shield is checked
-against, and a counter of monitor compilations."""
+"""Shared test helpers: random model generation, the reference
+evaluators (the tree-walking `evaluate_expr` that compiled barriers
+match bit for bit, and `monitor_step`, which evaluates both beliefs of
+a step afresh), the independent two-pass posterior oracle the filter is
+checked against, the one-action-at-a-time brute-force reference the
+shield is checked against, and counters of monitor compilations and
+barrier evaluations."""
 
 from __future__ import annotations
 
@@ -13,28 +16,84 @@ import pytest
 
 from beliefshield import CONSERVATIVE, LITERAL, monitor
 from beliefshield.errors import ZeroLikelihood
+from beliefshield.ldtl import (
+    BeliefExpr, BeliefVar, Constant, Difference, Max, Min, Product, Sum,
+)
 from beliefshield.model import (
     Belief, Mpomdp, belief_update, expected_reward, predicted_belief,
 )
-from beliefshield.monitor import Monitor, StepVerdict, monitor_step
+from beliefshield.monitor import (
+    BarrierValues, Monitor, StepVerdict, barrier_values, check_step,
+)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Every call of `beliefshield.monitor.<name>` from here on, through
+    whichever beliefshield module's name for it; each entry is a
+    returning call's positional arguments and its result."""
+    calls = []
+    real = getattr(monitor, name)
+
+    def counting(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("beliefshield") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 @pytest.fixture
 def compile_calls(monkeypatch) -> list:
-    """Every `compile_monitor` call from here on, through whichever
-    beliefshield module's name for it (`beliefshield.config`'s among
-    them)."""
-    calls = []
-    real = monitor.compile_monitor
+    """Every `compile_monitor` call (`beliefshield.config`'s among them)."""
+    return count_calls(monkeypatch, "compile_monitor")
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("beliefshield") and getattr(module, "compile_monitor", None) is real:
-            monkeypatch.setattr(module, "compile_monitor", counting)
-    return calls
+@pytest.fixture
+def barrier_calls(monkeypatch) -> list:
+    """Every `barrier_values` call (the simulator's, the shield's and
+    the audit's among them): one per belief evaluated."""
+    return count_calls(monkeypatch, "barrier_values")
+
+
+def evaluate_expr(expr: BeliefExpr, belief: Belief) -> float:
+    """Evaluate an expression at a belief point."""
+    if isinstance(expr, Constant):
+        return float(expr.value)
+    if isinstance(expr, BeliefVar):
+        return belief[expr.index]
+    if isinstance(expr, Sum):
+        return sum(evaluate_expr(c, belief) for c in expr.children)
+    if isinstance(expr, Difference):
+        return evaluate_expr(expr.left, belief) - evaluate_expr(expr.right, belief)
+    if isinstance(expr, Product):
+        out = 1.0
+        for c in expr.children:
+            out *= evaluate_expr(c, belief)
+        return out
+    if isinstance(expr, Min):
+        return min(evaluate_expr(c, belief) for c in expr.children)
+    if isinstance(expr, Max):
+        return max(evaluate_expr(c, belief) for c in expr.children)
+    raise TypeError(f"not a belief expression: {expr!r}")
+
+
+def values_at(mon: Monitor, b: Belief) -> BarrierValues:
+    """mon's barrier values at b: the prev that shield_step takes."""
+    return barrier_values(mon, b.probs.tolist())
+
+
+def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[StepVerdict, Monitor]:
+    """Check the transition b_prev -> b_next against every obligation.
+
+    Pure: returns the verdict and the successor monitor. The first call
+    treats b_prev as the starting belief (position 0) and runs the
+    activation checks described in `beliefshield.monitor`'s docstring.
+    """
+    return check_step(mon, barrier_values(mon, b_prev.probs.tolist()),
+                      barrier_values(mon, b_next.probs.tolist()))
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:

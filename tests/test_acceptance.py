@@ -19,7 +19,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_model, random_simplex, shield_reference, two_pass_posterior
+from conftest import (
+    evaluate_expr, monitor_step, random_model, random_simplex, shield_reference,
+    two_pass_posterior,
+)
 
 from beliefshield.audit import audit_traces
 from beliefshield.barrier import (
@@ -29,10 +32,10 @@ from beliefshield.config import ScenarioConfig
 from beliefshield.errors import ZeroLikelihood
 from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
-    Max, Min, NegBeliefPred, Next, Or, Sum, Until, describe, evaluate_expr,
+    Max, Min, NegBeliefPred, Next, Or, Sum, Until, describe,
 )
 from beliefshield.model import Belief, Mpomdp, belief_update
-from beliefshield.monitor import MonitorConfig, compile_monitor, monitor_step
+from beliefshield.monitor import MonitorConfig, compile_monitor
 from beliefshield.presets import corridor_config
 from beliefshield.sim import RandomUniform, run_batch
 from beliefshield.traceio import read_traces, write_traces

@@ -215,6 +215,11 @@ def test_sweep_validates_grid_before_running(corridor_yaml, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--values rho=1.5" in err
     assert not (tmp_path / "corridor.sweep.csv").exists()
+    assert main(["sweep", str(corridor_yaml), "--param", "delta",
+                 "--values", "0.01,inf", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "--values delta=inf: delta must be positive and finite, got inf" in err
+    assert not (tmp_path / "corridor.sweep.csv").exists()
 
 
 def test_unknown_command_is_usage_error(capsys):

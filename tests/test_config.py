@@ -272,6 +272,7 @@ def test_non_finite_numbers_are_rejected(value):
         "transition[0].next.bad": lambda d: d["transition"][0]["next"].update(bad=value),
         "reward[0].value": lambda d: d["reward"][0].update(value=value),
         "monitor.eps": lambda d: d["monitor"].update(eps=value),
+        "monitor.delta": lambda d: d["monitor"].update(delta=value),
     }
     for where, edit in edits.items():
         data = base_config()

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
     Letter, Max, Min, NegBeliefPred, NegStateSet, Next, Or, Product, StateSet,
-    Sum, Until, compile_expr, describe, evaluate_expr, expr_text,
+    Sum, Until, compile_expr, describe, expr_text,
     is_propositional, oracle_satisfies, pretty_print,
 )
 from beliefshield.model import Belief
+
+from conftest import evaluate_expr
 
 B2 = Belief(np.array([0.25, 0.75]))
 

@@ -19,7 +19,9 @@ from beliefshield.model import (
     _sample_index, sample_observation, sample_transition, validate_model, validate_tables,
 )
 
-from conftest import random_model, random_simplex, shield_reference, two_pass_posterior
+from conftest import (
+    random_model, random_simplex, shield_reference, two_pass_posterior, values_at,
+)
 
 
 def reference_model() -> Mpomdp:
@@ -291,7 +293,8 @@ def test_conservative_shield_skips_only_impossible_observations(likelihood, safe
     mon = compile_monitor(Always(NegBeliefPred("true", Constant(1.0))), m, MonitorConfig())
     reference = [c.action for c in shield_reference(m, mon, b, z, a, CONSERVATIVE).safe]
     assert (a in reference) is safe
-    assert shield_step(m, mon, b, z, a, CONSERVATIVE).overridden is not safe
+    assert shield_step(m, mon, b, z, a, CONSERVATIVE,
+                       prev=values_at(mon, b)).overridden is not safe
 
 
 def test_sampling_follows_deterministic_rows():

@@ -23,10 +23,8 @@ from beliefshield import (
     Until,
     UnsupportedNesting,
     compile_monitor,
-    monitor_step,
     parse_formula,
     translate_core,
-    evaluate_expr,
     Min,
     Max,
     StateSet,
@@ -37,6 +35,8 @@ from beliefshield import (
     ft_time_bound,
 )
 from beliefshield.monitor import check_step
+
+from conftest import evaluate_expr, monitor_step
 
 
 def tiny_model(n_states: int) -> Mpomdp:
@@ -171,6 +171,8 @@ def test_compile_rejects_unsupported_shapes():
 def test_config_rejects_nonpositive_delta():
     with pytest.raises(ValueError):
         MonitorConfig(delta=0.0)
+    with pytest.raises(ValueError, match="delta must be positive and finite, got inf"):
+        MonitorConfig(delta=float("inf"))
 
 
 # --------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import pytest
 
 from beliefshield import (
     Always,
+    And,
     Belief,
     BeliefVar,
     Constant,
     Difference,
+    Eventually,
     FixedAction,
     FtParams,
     GreedyReward,
@@ -17,8 +19,10 @@ from beliefshield import (
     MonitorConfig,
     Mpomdp,
     NegBeliefPred,
+    Next,
     RandomUniform,
     Scenario,
+    Until,
     ZeroLikelihood,
     compile_monitor,
     run_batch,
@@ -33,7 +37,7 @@ from beliefshield.sim import (
 )
 from beliefshield.presets import corridor_config
 
-from conftest import random_model
+from conftest import count_calls, monitor_step, random_model
 from test_golden import EPISODES, _scenario
 
 CFG = MonitorConfig(delta=1e-3, alpha=LinearAlpha(0.5), ft=FtParams(rho=0.99, eps=0.1))
@@ -270,3 +274,79 @@ def test_corridor_unshielded_violates_immediately():
     for trace in result.traces:
         assert trace.violation_steps
         assert trace.violation_steps[0].step == 1
+
+
+# --------------------------------------------------------------------------
+# Each belief's barriers are evaluated once and carried to the next step
+
+
+@pytest.mark.parametrize("mode", ["off", "literal"])
+def test_each_belief_is_evaluated_once(mode, barrier_calls):
+    scen = corridor_config(mode).to_scenario()
+    barrier_calls.clear()
+    result = run_batch(scen, base_seed=7, episodes=3)
+    agg = result.aggregate()
+    episodes, steps = agg["episodes"], agg["total_steps"]
+    if mode == "off":
+        assert len(barrier_calls) == episodes + steps
+    else:
+        # The nominal's posterior once per step, and on an override every
+        # other action's posterior once.
+        assert agg["override_steps"] > 0
+        alternatives = agg["override_steps"] * (scen.model.n_joint_actions - 1)
+        assert len(barrier_calls) <= episodes + steps + alternatives
+
+
+def _all_kinds_formula(m: Mpomdp):
+    """The corridor's all-kinds conjunction over a random model's first
+    state: an always, an eventually, an until, a next and a bare
+    conjunct, all over belief predicates. The until's target lies just
+    above the initial belief, so it discharges mid-episode; the
+    eventually holds at the start, since its contraction condition
+    fails under some observation of nearly every random step."""
+    b0 = BeliefVar(0, m.state_names[0])
+    start = float(m.initial.probs[0])
+
+    def at_least(name, x):
+        return NegBeliefPred(name, Difference(b0, Constant(x)))
+
+    def at_most(name, x):
+        return NegBeliefPred(name, Difference(Constant(x), b0))
+
+    return And(And(And(And(
+        Always(at_most("capped", 0.99)),
+        Eventually(at_least("reach", start - 0.01))),
+        Until(at_most("held", 0.995), at_least("cross", start + 0.02))),
+        Next(at_least("floor", 0.0))),
+        at_most("start", 1.0))
+
+
+@pytest.mark.parametrize("mode", ["off", "literal", "conservative"])
+@pytest.mark.parametrize("model", ["corridor", "random101", "random102", "random109",
+                                   "random110"])
+def test_carried_values_match_a_fresh_evaluation_of_both_beliefs(model, mode, monkeypatch):
+    # Every verdict, and the monitor after every step, must equal a
+    # replay through the reference monitor_step, which evaluates b_prev
+    # afresh at each step instead of carrying its values.
+    if model == "corridor":
+        scen = _scenario(f"corridor_all_kinds_{mode}").to_scenario()
+    else:
+        m = random_model(np.random.default_rng(int(model.removeprefix("random"))),
+                         max_states=5)
+        scen = Scenario(model=m, monitor=compile_monitor(_all_kinds_formula(m), m, CFG),
+                        policy=RandomUniform(), shield_mode=mode, horizon=25)
+    checks = count_calls(monkeypatch, "check_step")
+    result = run_batch(scen, base_seed=3, episodes=4)
+    successor = {id(verdict): mon for _, (verdict, mon) in checks}
+    steps = inactive = 0
+    for trace in result.traces:
+        mon, belief = scen.monitor, trace.initial_belief
+        for s in trace.steps:
+            verdict, mon = monitor_step(mon, belief, s.belief)
+            assert s.verdict == verdict
+            assert successor[id(s.verdict)] == mon
+            belief = s.belief
+            steps += 1
+            inactive += sum(r.status == "inactive" for r in s.verdict.records)
+    # Obligations were discharged mid-episode, so carried values skipped them.
+    assert steps and inactive
