@@ -10,10 +10,24 @@ per-agent components, agent 0 most significant.
 
 All stochastic rows must sum to 1 within 1e-9; loaders renormalize once
 after validation, the filter itself never renormalizes inputs silently.
+
+Sampling is an inverse-CDF draw over successor tables that the model
+builds once, when it is constructed: one per transition row (q, a), one
+per observation row (q', a) and one for the initial distribution. A
+row's table lists its positive entries in index order and the row's
+running sums at all of them but the last. A draw takes one u =
+rng.random() and picks the entry that bisect_right(sums, u) points at.
+The running sums are the row's own np.cumsum, taken at those
+positions, so a draw equals np.searchsorted(np.cumsum(row), u,
+side="right") bit for bit wherever that index has positive mass: a zero
+entry adds nothing to the sum, so no u falls in its bin. A u at or above the row's total, possible when a row
+sums to just under 1, lands on the last positive entry: no draw ever
+picks a zero-probability entry.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +101,40 @@ class Belief:
         return len(self.probs)
 
 
+# A row's successor table: the indices of its positive entries, and the
+# row's running sums at all of those entries but the last.
+RowTable = tuple[list[int], list[float]]
+
+
+def _row_tables(block: np.ndarray) -> list[RowTable]:
+    """Successor table of every row of an (n, k) block of stochastic rows.
+
+    A row without a positive entry, which only a model built in code and
+    never validated can have, always draws its last index.
+    """
+    positive = block > 0
+    indices = np.nonzero(positive)[1].tolist()
+    sums = np.cumsum(block, axis=1)[positive].tolist()
+    last = block.shape[1] - 1
+    tables: list[RowTable] = []
+    start = 0
+    for end in np.cumsum(positive.sum(axis=1)).tolist():
+        tables.append((indices[start:end], sums[start:end - 1]) if end > start
+                      else ([last], []))
+        start = end
+    return tables
+
+
+@dataclass(frozen=True)
+class SuccessorTables:
+    """Every row's successor table, built once per model: transition[a][q],
+    observation[a][q'] and initial."""
+
+    transition: list[list[RowTable]]
+    observation: list[list[RowTable]]
+    initial: RowTable
+
+
 @dataclass(frozen=True)
 class Mpomdp:
     """Dense multi-agent POMDP over a finite joint state space.
@@ -111,6 +159,7 @@ class Mpomdp:
     state_index: dict[str, int] = field(init=False, repr=False, compare=False)
     n_joint_actions: int = field(init=False, repr=False, compare=False)
     n_joint_observations: int = field(init=False, repr=False, compare=False)
+    successors: SuccessorTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         na = int(np.prod(self.action_radices))
@@ -141,6 +190,13 @@ class Mpomdp:
         object.__setattr__(self, "observation", o)
         object.__setattr__(self, "reward", r)
         object.__setattr__(self, "state_index", {s: i for i, s in enumerate(self.state_names)})
+        # One action slice at a time, so the cumsum temporaries stay at
+        # one (n, k) block.
+        object.__setattr__(self, "successors", SuccessorTables(
+            transition=[_row_tables(t[:, a, :]) for a in range(na)],
+            observation=[_row_tables(o[:, a, :]) for a in range(na)],
+            initial=_row_tables(self.initial.probs[None, :])[0],
+        ))
 
     @property
     def n_states(self) -> int:
@@ -245,22 +301,23 @@ def expected_reward(b: Belief, action: int, m: Mpomdp) -> float:
     return float(b.probs @ m.reward[:, action])
 
 
-def _sample_index(row: np.ndarray, rng: np.random.Generator) -> int:
-    # Inverse-CDF draw; cheap and reproducible for a given generator state.
-    u = rng.random()
-    return min(int(np.searchsorted(np.cumsum(row), u, side="right")), len(row) - 1)
+def _sample_index(table: RowTable, rng: np.random.Generator) -> int:
+    # Inverse-CDF draw; one generator call, so reproducible for a given
+    # generator state.
+    indices, sums = table
+    return indices[bisect_right(sums, rng.random())]
 
 
 def sample_transition(q: int, action: int, m: Mpomdp, rng: np.random.Generator) -> int:
     """Draw a successor state from transition[q, action, :]."""
-    return _sample_index(m.transition[q, action, :], rng)
+    return _sample_index(m.successors.transition[action][q], rng)
 
 
 def sample_observation(q_next: int, action: int, m: Mpomdp, rng: np.random.Generator) -> int:
     """Draw a joint observation from observation[q_next, action, :]."""
-    return _sample_index(m.observation[q_next, action, :], rng)
+    return _sample_index(m.successors.observation[action][q_next], rng)
 
 
 def sample_initial_state(m: Mpomdp, rng: np.random.Generator) -> int:
     """Draw the hidden start state from the initial distribution."""
-    return _sample_index(m.initial.probs, rng)
+    return _sample_index(m.successors.initial, rng)

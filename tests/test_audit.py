@@ -3,6 +3,7 @@ finite-trace oracle columns."""
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,6 +223,24 @@ def test_audit_accepts_clean_corridor_traces(corridor_run):
         assert always.clean and always.discharged and always.oracle
         assert eventually.oid == "1:eventually"
         assert eventually.clean and eventually.discharged and eventually.oracle
+
+
+@pytest.mark.parametrize("mode", ["off", "literal", "conservative"])
+def test_horizon_one_round_trips_through_the_audit(mode, tmp_path):
+    cfg = replace(corridor_config(mode), horizon=1)
+    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=3)
+    assert [len(t.steps) for t in result.traces] == [1, 1, 1]
+    path = tmp_path / "h1.trace.jsonl"
+    write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
+    episodes = read_traces(path)
+    assert [len(ep.steps) for ep in episodes] == [1, 1, 1]
+    for ep, trace in zip(episodes, result.traces):
+        assert ep.header["horizon"] == 1
+        assert ep.steps[0]["executed"] == trace.steps[0].executed
+        assert ep.steps[0]["next_state"] == trace.steps[0].next_state
+    report = audit_traces(cfg, episodes)
+    assert report.ok
+    assert all(ep.max_belief_error == 0.0 for ep in report.episodes)
 
 
 def test_audit_reports_unshielded_violations_as_consistent(tmp_path):

@@ -16,7 +16,7 @@ from beliefshield.model import (
     LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update,
     components_from_flat, correct, expected_reward, flat_from_components,
     predicted_belief, sample_initial_state,
-    _sample_index, sample_observation, sample_transition, validate_model, validate_tables,
+    _row_tables, _sample_index, sample_observation, sample_transition, validate_model, validate_tables,
 )
 
 from conftest import (
@@ -297,8 +297,9 @@ def test_conservative_shield_skips_only_impossible_observations(likelihood, safe
                        prev=values_at(mon, b)).overridden is not safe
 
 
-def test_sampling_follows_deterministic_rows():
-    m = Mpomdp(
+def deterministic_model() -> Mpomdp:
+    """Two states that swap under the one action, each seen exactly."""
+    return Mpomdp(
         state_names=("s0", "s1"),
         agent_names=("solo",),
         action_names=(("go",),),
@@ -308,6 +309,10 @@ def test_sampling_follows_deterministic_rows():
         observation=np.array([[[1.0, 0.0]], [[0.0, 1.0]]]),
         reward=np.zeros((2, 1)),
     )
+
+
+def test_sampling_follows_deterministic_rows():
+    m = deterministic_model()
     rng = np.random.default_rng(0)
     assert sample_initial_state(m, rng) == 1
     assert sample_transition(0, 0, m, rng) == 1
@@ -324,7 +329,99 @@ def test_sampling_past_the_row_sum_lands_on_the_last_index():
             return 1.0 - 1e-12
 
     row = np.array([0.3, 0.2, 0.5 - 1e-9])
-    assert _sample_index(row, Above()) == 2
+    assert _sample_index(_row_tables(row[None, :])[0], Above()) == 2
+
+
+class FixedDraw:
+    """Generator stand-in whose every random() returns u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def one_action_model(transition: np.ndarray, observation: np.ndarray,
+                     initial: np.ndarray) -> Mpomdp:
+    """One agent with one action over (n, n) transition and (n, k)
+    observation rows."""
+    n, k = observation.shape
+    return Mpomdp(
+        state_names=tuple(f"s{i}" for i in range(n)),
+        agent_names=("solo",),
+        action_names=(("go",),),
+        observation_names=(tuple(f"z{j}" for j in range(k)),),
+        initial=Belief(initial),
+        transition=transition[:, None, :],
+        observation=observation[:, None, :],
+        reward=np.zeros((n, 1)),
+    )
+
+
+def test_a_draw_past_the_row_sum_skips_trailing_zero_entries():
+    # The row sums to just under 1, so a u above its total falls past the
+    # last bin; it lands on the last entry with mass, not on the zero.
+    row = np.array([0.5, 0.5 - 1e-9, 0.0])
+    m = one_action_model(np.array([row] * 3), np.ones((3, 1)), row)
+    assert sample_transition(0, 0, m, FixedDraw(1.0 - 1e-12)) == 1
+    assert sample_initial_state(m, FixedDraw(1.0 - 1e-12)) == 1
+
+
+def cumsum_draw(row: np.ndarray, u: float) -> int:
+    """Reference inverse-CDF draw: a full-row cumsum and searchsorted,
+    clamped to the row, moved to the last positive entry when the clamped
+    index has no mass."""
+    j = min(int(np.searchsorted(np.cumsum(row), u, side="right")), len(row) - 1)
+    return j if row[j] > 0 else int(np.flatnonzero(row > 0)[-1])
+
+
+def probe_draws(row: np.ndarray) -> list[float]:
+    """0, each running sum and its two float neighbours, and the largest
+    double below 1, as far as they are valid draws in [0, 1)."""
+    us = {0.0, 1.0 - 2.0 ** -53}
+    for c in np.cumsum(row).tolist():
+        us.update((c, float(np.nextafter(c, 0.0)), float(np.nextafter(c, 2.0))))
+    return sorted(u for u in us if 0.0 <= u < 1.0)
+
+
+@st.composite
+def stochastic_rows(draw, k: int) -> np.ndarray:
+    """A row of k entries, any of which may be zero (leading, interior,
+    trailing, or all but one), scaled to sum to 1 or 1 +- 1e-9."""
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                        min_size=k, max_size=k).filter(any))
+    total = draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9]))
+    return np.array(raw) / sum(raw) * total
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), k=st.integers(1, 6))
+def test_table_draws_match_the_cumsum_draw(data, n, k):
+    transition = np.array([data.draw(stochastic_rows(n)) for _ in range(n)])
+    observation = np.array([data.draw(stochastic_rows(k)) for _ in range(n)])
+    initial = data.draw(stochastic_rows(n))
+    m = one_action_model(transition, observation, initial)
+    for u in probe_draws(initial):
+        assert sample_initial_state(m, FixedDraw(u)) == cumsum_draw(initial, u)
+    for q in range(n):
+        for u in probe_draws(transition[q]):
+            assert sample_transition(q, 0, m, FixedDraw(u)) == cumsum_draw(transition[q], u)
+        for u in probe_draws(observation[q]):
+            assert sample_observation(q, 0, m, FixedDraw(u)) == cumsum_draw(observation[q], u)
+
+
+def test_replace_rebuilds_the_successor_tables():
+    m = deterministic_model()
+    flipped = replace(m, transition=m.transition[:, :, ::-1],
+                      observation=m.observation[:, :, ::-1],
+                      initial=Belief(m.initial.probs[::-1]))
+    u = FixedDraw(0.5)
+    assert sample_initial_state(flipped, u) == 0
+    assert sample_transition(0, 0, flipped, u) == 0
+    assert sample_transition(1, 0, flipped, u) == 1
+    assert sample_observation(0, 0, flipped, u) == 1
+    assert sample_observation(1, 0, flipped, u) == 0
 
 
 def test_sampling_matches_row_frequencies():

@@ -219,13 +219,15 @@ def test_deadlock_ends_episode_with_barrier_report():
     # h = b(s0) - 0.5 collapses from 0.5 to -0.5 for the only action.
     margin = NegBeliefPred("margin", Difference(BeliefVar(0, "s0"), Constant(0.5)))
     mon = compile_monitor(Always(margin), m, CFG)
-    scen = Scenario(model=m, monitor=mon, policy=FixedAction(0),
-                    shield_mode="literal", horizon=10)
-    trace = run_episode(scen, np.random.default_rng(0))
-    assert trace.end_reason == END_DEADLOCK
-    assert trace.steps == ()
-    assert trace.end_detail["step"] == 1
-    assert trace.end_detail["candidate_barriers"][0]["0:always"] == pytest.approx(-0.5)
+    for mode in ("literal", "conservative"):
+        scen = Scenario(model=m, monitor=mon, policy=FixedAction(0),
+                        shield_mode=mode, horizon=10)
+        trace = run_episode(scen, np.random.default_rng(0))
+        assert trace.end_reason == END_DEADLOCK
+        assert trace.steps == ()
+        assert trace.end_detail["step"] == 1
+        assert list(trace.end_detail["candidate_barriers"]) == [0]
+        assert trace.end_detail["candidate_barriers"][0]["0:always"] == pytest.approx(-0.5)
 
 
 def test_abort_on_violation_truncates_the_episode():
