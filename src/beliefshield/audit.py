@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
 from .ldtl import Letter, oracle_satisfies
 from .model import Belief, belief_update
@@ -83,12 +83,6 @@ class AuditReport:
         return all(ep.ok for ep in self.episodes)
 
 
-def _checked_index(value, bound: int, what: str, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < bound:
-        raise ConfigError(f"{what} {value!r} out of range [0, {bound})", where)
-    return value
-
-
 def _recorded_belief(value, n_states: int, where: str) -> np.ndarray:
     try:
         recorded = np.asarray(value, dtype=float)
@@ -120,11 +114,11 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
     for rec in ep.steps:
         step = rec["step"]
         where = f"episode {ep.episode} step {step}"
-        action = _checked_index(rec.get("executed"), m.n_joint_actions,
-                                "executed action", where)
-        obs = _checked_index(rec.get("observation"), m.n_joint_observations,
-                             "observation", where)
-        _checked_index(rec.get("next_state"), m.n_states, "next state", where)
+        action = checked_index(rec.get("executed"), m.n_joint_actions,
+                               "executed action", where)
+        obs = checked_index(rec.get("observation"), m.n_joint_observations,
+                            "observation", where)
+        checked_index(rec.get("next_state"), m.n_states, "next state", where)
         try:
             b_next = belief_update(belief, action, obs, m)
         except ZeroLikelihood as exc:
@@ -157,6 +151,7 @@ def _verdict_mismatches(episode: int, contexts: list[StepContext]) -> tuple[str,
     out = []
     for ctx in contexts:
         step = ctx.record["step"]
+        where = f"episode {episode} step {step}"
         try:
             recorded = {r["oid"]: r for r in ctx.record["verdict"]["records"]}
             replayed = {r.oid: r for r in ctx.verdict.records}
@@ -165,8 +160,9 @@ def _verdict_mismatches(episode: int, contexts: list[StepContext]) -> tuple[str,
                     or not _same_record(recorded[oid], replayed[oid])]
             passed = ctx.record["verdict"]["passed"]
         except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed verdict: {type(exc).__name__} {exc}",
-                              f"episode {episode} step {step}") from exc
+            raise ConfigError(f"malformed verdict: {type(exc).__name__} {exc}", where) from exc
+        if not isinstance(passed, bool):
+            raise ConfigError(f"malformed verdict: passed is {passed!r}, not a boolean", where)
         if diff:
             out.append(f"step {step}: recorded and replayed verdicts differ on {diff}")
         if passed != ctx.verdict.passed:
@@ -178,8 +174,8 @@ def _verdict_mismatches(episode: int, contexts: list[StepContext]) -> tuple[str,
 def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[EpisodeAudit, list[StepContext]]:
     m = cfg.model
     contexts, max_err = replay_episode(cfg, ep)
-    initial_state = _checked_index(ep.header.get("initial_state"), m.n_states,
-                                   "initial state", f"episode {ep.episode} header")
+    initial_state = checked_index(ep.header.get("initial_state"), m.n_states,
+                                  "initial state", f"episode {ep.episode} header")
     word = [Letter(initial_state, m.initial)]
     word.extend(Letter(ctx.record["next_state"], ctx.belief_after) for ctx in contexts)
 

@@ -20,13 +20,16 @@ A scenario file is a mapping with these keys (* = required):
 
 `action` is a list of per-agent action names; omitting it makes the
 entry apply to every joint action. Joint observation keys join the
-per-agent observation names with '+', so no observation name may
-contain '+'. A missing or null optional section takes its default;
-`monitor` and `policy`, when given, must be mappings. Every
-(state, action) pair must be covered by exactly one transition entry
-and one observation entry.
+per-agent observation names with '+'. A missing or null optional
+section takes its default; `monitor` and `policy`, when given, must be
+mappings. Every (state, action) pair must be covered by exactly one
+transition entry and one observation entry.
 Rows are validated as written (each must already sum to 1 within 1e-9)
 and only then renormalized exactly.
+
+Rules on names and settings live in the constructors (`check_names`,
+`MonitorConfig`, `ScenarioConfig`); this module checks the YAML shape:
+types, keys, coverage, stochastic rows and finite numbers.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import yaml
 from .barrier import FtParams, LinearAlpha
 from .errors import BeliefShieldError, ConfigError
 from .ldtl import BeliefExpr, Formula, expr_text
-from .model import Belief, Mpomdp, components_from_flat, flat_from_components, validate_tables
+from .model import (OBS_JOIN, Belief, Mpomdp, check_names, components_from_flat,
+                     flat_from_components, validate_tables)
 from .monitor import Monitor, MonitorConfig, compile_monitor
 from .parsing import parse_expr, parse_formula
 from .sim import (
@@ -50,19 +54,27 @@ from .sim import (
     Scenario,
 )
 
-OBS_JOIN = "+"
-
 # libyaml's parser when PyYAML was built with it (several times faster on
 # large tables), else the pure-Python one; both build the same data.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+# Integer run settings: (key, default, lower bound).
+RUN_SETTINGS = (("horizon", 100, 1), ("episodes", 1, 1), ("seed", 0, 0))
+
+
+def checked_index(value, bound: int, what: str, where: str) -> int:
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or not 0 <= value < bound):
+        raise ConfigError(f"{what} {value!r} out of range [0, {bound})", where)
+    return value
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated scenario. Its monitor is compiled once, at
-    construction, into `start_monitor`; every episode and the audit
-    start from it. `dataclasses.replace` constructs anew, so a changed
-    formula, model or monitor config always gets a fresh monitor."""
+    """A scenario whose settings construction checks. Its monitor is
+    compiled once, at construction, into `start_monitor`; every episode
+    and the audit start from it. `dataclasses.replace` constructs anew,
+    so a changed setting is checked again and a monitor compiled anew."""
 
     name: str
     model: Mpomdp
@@ -78,6 +90,18 @@ class ScenarioConfig:
     start_monitor: Monitor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.shield_mode not in SHIELD_MODES:
+            raise ConfigError(f"unknown shield mode {self.shield_mode!r} "
+                              f"(expected one of {SHIELD_MODES})", "shield")
+        for key, _, lower in RUN_SETTINGS:
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool) or value < lower:
+                raise ConfigError(f"expected an integer >= {lower}", key)
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError("expected a non-empty string", "name")
+        if isinstance(self.policy, FixedAction):
+            checked_index(self.policy.action, self.model.n_joint_actions, "joint action",
+                          "policy.action")
         object.__setattr__(self, "start_monitor",
                            compile_monitor(self.formula, self.model, self.monitor))
 
@@ -110,15 +134,14 @@ def _mapping(value, keys, path: str) -> dict:
     return value
 
 
-def _name_list(value, path: str) -> list[str]:
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(s, str) and s for s in value)):
-        raise ConfigError("expected a non-empty list of names", path)
-    seen = set()
-    for s in value:
-        if s in seen:
-            raise ConfigError(f"duplicate name {s!r}", path)
-        seen.add(s)
+def _name_list(value, what: str, path: str) -> list[str]:
+    """A list of `what` names, held to the model's name rules."""
+    if not isinstance(value, list):
+        raise ConfigError("expected a list of names", path)
+    try:
+        check_names(value, what)
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from exc
     return value
 
 
@@ -130,15 +153,6 @@ def _number(value, path: str) -> float:
         raise ConfigError(f"expected a finite number, got {value!r}", path)
     return float(value)
 
-
-def _integer(value, lower: int, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < lower:
-        raise ConfigError(f"expected an integer >= {lower}", path)
-    return value
-
-
-# Integer run settings: (key, default, lower bound).
-RUN_SETTINGS = (("horizon", 100, 1), ("episodes", 1, 1), ("seed", 0, 0))
 
 MONITOR_SETTINGS = ("delta", "gamma", "rho", "eps")
 
@@ -168,17 +182,12 @@ def _parse_agents(raw, path: str) -> tuple[list[str], list[list[str]], list[list
     for i, entry in enumerate(raw):
         here = f"{path}[{i}]"
         _mapping(entry, None, here)
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise ConfigError("missing agent name", f"{here}.name")
-        if name in names:
-            raise ConfigError(f"duplicate agent name {name!r}", f"{here}.name")
-        names.append(name)
-        actions.append(_name_list(entry.get("actions"), f"{here}.actions"))
-        observations.append(_name_list(entry.get("observations"), f"{here}.observations"))
-        if any(OBS_JOIN in z for z in observations[-1]):
-            raise ConfigError(f"observation names may not contain {OBS_JOIN!r}",
-                              f"{here}.observations")
+        names.append(entry.get("name"))
+        # The names so far, so that a repeat is located at its own entry.
+        _name_list(names, "agent", f"{here}.name")
+        actions.append(_name_list(entry.get("actions"), "action", f"{here}.actions"))
+        observations.append(_name_list(entry.get("observations"), "observation",
+                                       f"{here}.observations"))
         _mapping(entry, ("name", "actions", "observations"), here)
     return names, actions, observations
 
@@ -268,7 +277,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
                     "observation", "reward", "predicates", "formula", "monitor",
                     "policy", "shield", "horizon", "episodes", "seed"), source)
 
-    states = _name_list(_require(data, "states", source), "states")
+    states = _name_list(_require(data, "states", source), "state", "states")
     agent_names, action_names, observation_names = _parse_agents(
         _require(data, "agents", source), "agents")
     idx = _JointIndex(states, action_names, observation_names)
@@ -370,33 +379,23 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             f"unknown policy kind {kind!r} (expected fixed, greedy, or random)",
             "policy.kind")
 
-    shield_mode = data.get("shield", "off")
-    if shield_mode not in SHIELD_MODES:
-        raise ConfigError(
-            f"unknown shield mode {shield_mode!r} (expected one of {SHIELD_MODES})",
-            "shield")
-
-    run = {key: _integer(data.get(key, default), lower, key)
-           for key, default, lower in RUN_SETTINGS}
-
-    name = data.get("name", source)
-    if not isinstance(name, str) or not name:
-        raise ConfigError("expected a non-empty string", "name")
-
-    # Construction compiles the monitor; a parseable but unmonitorable
-    # formula is a config error, not a runtime one.
+    # Construction checks the settings and compiles the monitor; a
+    # parseable but unmonitorable formula is a config error, not a
+    # runtime one.
     try:
         return ScenarioConfig(
-            name=name,
+            name=data.get("name", source),
             model=model,
             predicates=predicates,
             formula=formula,
             formula_text=formula_text,
             monitor=monitor,
             policy=policy,
-            shield_mode=shield_mode,
-            **run,
+            shield_mode=data.get("shield", "off"),
+            **{key: data.get(key, default) for key, default, _ in RUN_SETTINGS},
         )
+    except ConfigError:
+        raise
     except BeliefShieldError as exc:
         raise ConfigError(str(exc), "formula") from exc
 

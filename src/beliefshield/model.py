@@ -20,9 +20,10 @@ rng.random() and picks the entry that bisect_right(sums, u) points at.
 The running sums are the row's own np.cumsum, taken at those
 positions, so a draw equals np.searchsorted(np.cumsum(row), u,
 side="right") bit for bit wherever that index has positive mass: a zero
-entry adds nothing to the sum, so no u falls in its bin. A u at or above the row's total, possible when a row
-sums to just under 1, lands on the last positive entry: no draw ever
-picks a zero-probability entry.
+entry adds nothing to the sum, so no u falls in its bin. A u at or
+above the row's total, possible when a row sums to just under 1, lands
+on the last positive entry, which construction requires every row to
+have: no draw ever picks a zero-probability entry.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .errors import ZeroLikelihood
 
 SIMPLEX_ATOL = 1e-9
 LIKELIHOOD_FLOOR = 1e-12
+
+# Joins per-agent observation names into a joint observation label.
+OBS_JOIN = "+"
 
 
 def flat_from_components(components: tuple[int, ...], radices: tuple[int, ...]) -> int:
@@ -60,6 +64,24 @@ def components_from_flat(flat: int, radices: tuple[int, ...]) -> tuple[int, ...]
         out.append(flat % r)
         flat //= r
     return tuple(reversed(out))
+
+
+def check_names(names, what: str) -> None:
+    """The name rules for one list of `what` (state, agent, action or
+    observation) names: at least one, each a non-empty string, none
+    twice. An observation name may not contain OBS_JOIN, or two joint
+    observations could share a label. Raises ValueError."""
+    if not names:
+        raise ValueError(f"expected at least one {what} name")
+    seen = set()
+    for name in names:
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"{what} names must be non-empty strings, got {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate {what} name {name!r}")
+        if what == "observation" and OBS_JOIN in name:
+            raise ValueError(f"observation names may not contain {OBS_JOIN!r}")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -107,22 +129,14 @@ RowTable = tuple[list[int], list[float]]
 
 
 def _row_tables(block: np.ndarray) -> list[RowTable]:
-    """Successor table of every row of an (n, k) block of stochastic rows.
-
-    A row without a positive entry, which only a model built in code and
-    never validated can have, always draws its last index.
-    """
+    """Successor table of every row of an (n, k) block of stochastic rows,
+    each of which has a positive entry."""
     positive = block > 0
     indices = np.nonzero(positive)[1].tolist()
     sums = np.cumsum(block, axis=1)[positive].tolist()
-    last = block.shape[1] - 1
-    tables: list[RowTable] = []
-    start = 0
-    for end in np.cumsum(positive.sum(axis=1)).tolist():
-        tables.append((indices[start:end], sums[start:end - 1]) if end > start
-                      else ([last], []))
-        start = end
-    return tables
+    ends = np.cumsum(positive.sum(axis=1)).tolist()
+    return [(indices[start:end], sums[start:end - 1])
+            for start, end in zip([0] + ends, ends)]
 
 
 @dataclass(frozen=True)
@@ -162,6 +176,13 @@ class Mpomdp:
     successors: SuccessorTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_names(self.state_names, "state")
+        check_names(self.agent_names, "agent")
+        if not len(self.action_names) == len(self.observation_names) == self.n_agents:
+            raise ValueError("expected one action and one observation name list per agent")
+        for actions, observations in zip(self.action_names, self.observation_names):
+            check_names(actions, "action")
+            check_names(observations, "observation")
         na = int(np.prod(self.action_radices))
         nz = int(np.prod(self.observation_radices))
         object.__setattr__(self, "n_joint_actions", na)
@@ -178,8 +199,12 @@ class Mpomdp:
             raise ValueError(f"reward shape {r.shape}, expected {(n, na)}")
         if len(self.initial) != n:
             raise ValueError(f"initial belief over {len(self.initial)} states, model has {n}")
-        if len(set(self.state_names)) != n:
-            raise ValueError("state names must be unique")
+        for table, rows in (("transition", t), ("observation", o),
+                            ("initial", self.initial.probs[None, :])):
+            empty = np.argwhere(~(rows > 0).any(axis=-1))
+            if empty.size:
+                raise ValueError(str(Violation(table, tuple(empty[0].tolist()),
+                                               "row has no positive entry")))
         # Stored action-major, a copy viewed as (n, A, n): transition[:, a, :]
         # is then one contiguous block, so a prediction reads only that
         # action's kernel.

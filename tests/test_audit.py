@@ -363,3 +363,18 @@ def test_malformed_step_is_a_config_error(corridor_run, tmp_path, edit):
     with pytest.raises(ConfigError) as err:
         audit_traces(cfg, read_traces(tamper(path, tmp_path, malform)))
     assert str(err.value).startswith("episode 2 step 8: ")
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", None], ids=["1", "0", "string", "null"])
+def test_a_passed_flag_that_is_not_a_boolean_is_a_config_error(corridor_run, tmp_path, value):
+    # 1 == True, so a number compared as a flag would pass the audit.
+    cfg, _, path = corridor_run
+
+    def recast(rec):
+        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 5:
+            rec["verdict"]["passed"] = value
+
+    with pytest.raises(ConfigError) as err:
+        audit_traces(cfg, read_traces(tamper(path, tmp_path, recast)))
+    assert str(err.value) == (
+        f"episode 1 step 5: malformed verdict: passed is {value!r}, not a boolean")

@@ -171,6 +171,18 @@ def test_audit_of_a_malformed_trace_is_a_usage_error(corridor_yaml, run_dir, tmp
     assert capsys.readouterr().err.startswith("error: episode 0 step 2: malformed verdict")
 
 
+def test_audit_of_a_numeric_passed_flag_is_a_usage_error(corridor_yaml, run_dir, tmp_path,
+                                                         capsys):
+    def recast(rec):
+        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 3:
+            rec["verdict"]["passed"] = int(rec["verdict"]["passed"])
+
+    bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, recast)
+    assert main(["audit", str(corridor_yaml), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: episode 1 step 3: malformed verdict: passed is 1, not a boolean")
+
+
 def test_validate_and_audit_compile_the_monitor_once(corridor_yaml, run_dir, compile_calls,
                                                     capsys):
     assert main(["validate", str(corridor_yaml)]) == 0

@@ -3,11 +3,14 @@ renormalization, and round trips through the YAML form."""
 
 import copy
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beliefshield import (
     Always,
@@ -23,6 +26,8 @@ from beliefshield import (
     MonitorConfig,
     Mpomdp,
     NegBeliefPred,
+    RandomUniform,
+    SHIELD_MODES,
     ScenarioConfig,
     UnsupportedNesting,
     audit_traces,
@@ -535,3 +540,155 @@ def test_invalid_yaml_is_a_config_error_with_either_loader(loader, tmp_path, mon
     bad.write_text("{]")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(bad)
+
+
+# --------------------------------------------------------------------------
+# Constructor rules: whatever the Python API builds, the file format holds
+
+
+PAIR_SPEC = {
+    "name": "pair", "states": ["good", "bad"],
+    "agents": [("runner", ["go", "wait"], ["hot", "cold"]), ("watcher", ["scan"], ["ping"])],
+    "tables": 0, "policy": 1, "shield": "literal", "horizon": 2, "episodes": 1, "seed": 0,
+}
+
+
+def build_scenario(spec: dict) -> ScenarioConfig:
+    """The scenario a spec describes, built through the Python API.
+
+    Its tables are random dyadic rows drawn from `spec["tables"]`, so a
+    load renormalizes them to the same bits. `policy` is "greedy",
+    "random" or a fixed joint action index. The one predicate names no
+    state: `expr_text` can spell only state names that are identifiers.
+    """
+    rng = np.random.default_rng(spec["tables"])
+    states = tuple(spec["states"])
+    action_names = tuple(tuple(actions) for _, actions, _ in spec["agents"])
+    observation_names = tuple(tuple(obs) for _, _, obs in spec["agents"])
+    n = len(states)
+    na = int(np.prod([len(a) for a in action_names]))
+    nz = int(np.prod([len(z) for z in observation_names]))
+    model = Mpomdp(
+        state_names=states, agent_names=tuple(name for name, _, _ in spec["agents"]),
+        action_names=action_names, observation_names=observation_names,
+        initial=Belief(dyadic_rows(rng, (n,))), transition=dyadic_rows(rng, (n, na, n)),
+        observation=dyadic_rows(rng, (n, na, nz)), reward=rng.normal(size=(n, na)))
+    predicates = {"high": parse_expr("0.25 - 0.5", {})}
+    policy = {"greedy": GreedyReward(), "random": RandomUniform()}.get(spec["policy"])
+    return ScenarioConfig(
+        name=spec["name"], model=model, predicates=predicates,
+        formula=parse_formula("G !high", predicates, model.state_index),
+        formula_text="G !high", monitor=MonitorConfig(),
+        policy=FixedAction(spec["policy"]) if policy is None else policy,
+        shield_mode=spec["shield"], horizon=spec["horizon"], episodes=spec["episodes"],
+        seed=spec["seed"])
+
+
+def with_first_agent(spec: dict, edit) -> dict:
+    """`spec` with edit(name, actions, observations) applied to its
+    first agent."""
+    (name, actions, observations), *rest = spec["agents"]
+    return {**spec, "agents": [edit(name, actions, observations), *rest]}
+
+
+# One flaw each, as an edit of a spec, with the error it gives on
+# PAIR_SPEC. Each of these built without error while the rules lived
+# only in the file reader, and write_config then crashed or wrote a file
+# that load_config rejects.
+RULE_BREAKS = {
+    "duplicate-agent": (lambda s: {**s, "agents": s["agents"] + s["agents"][:1]},
+                        "duplicate agent name 'runner'"),
+    "duplicate-action": (lambda s: with_first_agent(s, lambda n, a, z: (n, a + a[:1], z)),
+                         "duplicate action name 'go'"),
+    "duplicate-observation": (lambda s: with_first_agent(s, lambda n, a, z: (n, a, z + z[:1])),
+                              "duplicate observation name 'hot'"),
+    "join-in-observation": (lambda s: with_first_agent(s, lambda n, a, z: (n, a, z + ["x+y"])),
+                            "observation names may not contain '+'"),
+    "empty-state": (lambda s: {**s, "states": s["states"] + [""]},
+                    "state names must be non-empty strings, got ''"),
+    "empty-name": (lambda s: {**s, "name": ""}, "name: expected a non-empty string"),
+    "negative-seed": (lambda s: {**s, "seed": -1}, "seed: expected an integer >= 0"),
+    "no-episodes": (lambda s: {**s, "episodes": 0}, "episodes: expected an integer >= 1"),
+    "no-horizon": (lambda s: {**s, "horizon": 0}, "horizon: expected an integer >= 1"),
+    "unknown-shield": (lambda s: {**s, "shield": "sometimes"},
+                       "shield: unknown shield mode 'sometimes'"),
+    "fixed-action-out-of-range": (lambda s: {**s, "policy": 99},
+                                  "policy.action: joint action 99 out of range [0, 2)"),
+}
+
+# Names that YAML would read as something else were they not quoted.
+YAML_WORDS = ["null", "yes", "1e3", "a:b", "#x", "~"]
+
+
+@pytest.mark.parametrize("case", RULE_BREAKS)
+def test_a_rule_break_raises_at_construction(case):
+    flaw, message = RULE_BREAKS[case]
+    with pytest.raises((ValueError, ConfigError)) as err:
+        build_scenario(flaw(PAIR_SPEC))
+    assert str(err.value).startswith(message), str(err.value)
+
+
+NAMES = st.one_of(st.sampled_from(YAML_WORDS), st.text(min_size=1, max_size=4))
+
+
+@st.composite
+def scenario_specs(draw) -> dict:
+    """Specs for small scenarios with arbitrary names, half of them
+    edited by one of RULE_BREAKS."""
+    names = partial(st.lists, NAMES, min_size=1, unique=True)
+    agents = draw(st.lists(st.tuples(NAMES, names(max_size=3), names(max_size=2)),
+                           min_size=1, max_size=2, unique_by=lambda agent: agent[0]))
+    n_joint_actions = int(np.prod([len(actions) for _, actions, _ in agents]))
+    spec = {
+        "name": draw(NAMES),
+        "states": draw(names(max_size=4)),
+        "agents": agents,
+        "tables": draw(st.integers(0, 2**32 - 1)),
+        "policy": draw(st.one_of(st.sampled_from(["greedy", "random"]),
+                                 st.integers(0, n_joint_actions - 1))),
+        "shield": draw(st.sampled_from(SHIELD_MODES)),
+        "horizon": draw(st.integers(1, 3)),
+        "episodes": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 3)),
+    }
+    flaw = draw(st.none() | st.sampled_from(sorted(RULE_BREAKS)))
+    return spec if flaw is None else RULE_BREAKS[flaw][0](spec)
+
+
+def seeded_with(specs):
+    """Run a property on each of `specs` before the drawn ones."""
+    def decorate(test):
+        for spec in specs:
+            test = example(spec=spec)(test)
+        return test
+    return decorate
+
+
+def assert_same_config(a: ScenarioConfig, b: ScenarioConfig) -> None:
+    for table in ("transition", "observation", "reward"):
+        assert np.array_equal(getattr(a.model, table), getattr(b.model, table))
+    assert np.array_equal(a.model.initial.probs, b.model.initial.probs)
+    names = ("state_names", "agent_names", "action_names", "observation_names")
+    assert [getattr(a.model, k) for k in names] == [getattr(b.model, k) for k in names]
+    settings_ = ("name", "predicates", "formula", "formula_text", "monitor", "policy",
+                 "shield_mode", "horizon", "episodes", "seed")
+    assert [getattr(a, k) for k in settings_] == [getattr(b, k) for k in settings_]
+
+
+@seeded_with([flaw(PAIR_SPEC) for flaw, _ in RULE_BREAKS.values()] + [
+    {**PAIR_SPEC, "name": word, "states": YAML_WORDS,
+     "agents": [(word, YAML_WORDS, YAML_WORDS[::-1])]} for word in YAML_WORDS])
+@settings(max_examples=150, deadline=None)
+@given(spec=scenario_specs())
+def test_what_the_api_builds_round_trips_through_a_file(spec, tmp_path_factory):
+    try:
+        cfg = build_scenario(spec)
+    except (ValueError, ConfigError):
+        return
+    first = tmp_path_factory.getbasetemp() / "api_first.yaml"
+    second = tmp_path_factory.getbasetemp() / "api_second.yaml"
+    write_config(cfg, first)
+    back = load_config(first)
+    assert_same_config(back, cfg)
+    write_config(back, second)
+    assert first.read_bytes() == second.read_bytes()

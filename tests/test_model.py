@@ -411,6 +411,40 @@ def test_table_draws_match_the_cumsum_draw(data, n, k):
             assert sample_observation(q, 0, m, FixedDraw(u)) == cumsum_draw(observation[q], u)
 
 
+def test_a_row_without_a_positive_entry_cannot_build_a_model():
+    # Such a row cannot be drawn from: an inverse-CDF draw over it would
+    # pick an index of probability 0 (here state 2).
+    transition = np.full((3, 3), 1 / 3)
+    transition[0] = 0.0
+    with pytest.raises(ValueError, match=r"^transition\[0, 0\]: row has no positive entry$"):
+        one_action_model(transition, np.ones((3, 1)), np.full(3, 1 / 3))
+    observation = np.ones((3, 2)) / 2
+    observation[2] = [0.0, np.nan]
+    with pytest.raises(ValueError, match=r"^observation\[2, 0\]: row has no positive entry$"):
+        one_action_model(np.eye(3), observation, np.full(3, 1 / 3))
+    with pytest.raises(ValueError, match=r"^initial\[0\]: row has no positive entry$"):
+        one_action_model(np.eye(3), np.ones((3, 1)), np.zeros(3))
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"state_names": ("s0", "s0")}, "duplicate state name 's0'"),
+    ({"state_names": ("s0", "")}, "state names must be non-empty strings, got ''"),
+    ({"agent_names": (None,)}, "agent names must be non-empty strings, got None"),
+    ({"action_names": (("go", "go"),)}, "duplicate action name 'go'"),
+    ({"observation_names": (("hot", "hot+cold"),)}, "observation names may not contain '+'"),
+    ({"agent_names": (), "action_names": (), "observation_names": ()},
+     "expected at least one agent name"),
+    ({"action_names": ((),)}, "expected at least one action name"),
+    ({"action_names": (("go",), ("go",))},
+     "expected one action and one observation name list per agent"),
+], ids=["duplicate-state", "empty-state", "agent-not-a-string", "duplicate-action",
+        "join-in-observation", "no-agents", "no-actions", "lists-per-agent"])
+def test_name_rules_hold_at_construction(edit, message):
+    with pytest.raises(ValueError) as err:
+        replace(reference_model(), **edit)
+    assert str(err.value) == message
+
+
 def test_replace_rebuilds_the_successor_tables():
     m = deterministic_model()
     flipped = replace(m, transition=m.transition[:, :, ::-1],
