@@ -12,12 +12,7 @@ sufficient barrier conditions on beliefs, so its verdicts need not
 coincide with the hidden-state semantics and a disagreement is
 informational, not an audit failure.
 
-One pass evaluates each replayed belief once. The filter computes it
-from the belief before it, and the barriers are evaluated at it once;
-those values are the next step's barrier values at b_prev. Reusing them
-is exact: a successor monitor only drops obligations (by discharging
-them), and an evaluator gives the same bits on the same entries. The
-simulator carries the values the same way, so the replay repeats its
+One pass evaluates each replayed belief once, with the simulator's
 arithmetic step for step. The oracle takes each letter's belief entries
 once and applies each belief atom's compiled evaluator, which is
 bit-identical to the tests' tree-walking reference.
@@ -107,9 +102,7 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
     if not max_err <= BELIEF_TOL:
         raise TraceMismatch(ep.episode, 0, max_err)
 
-    belief = m.initial
-    mon = cfg.start_monitor
-    prev = barrier_values(mon, belief.probs.tolist())
+    belief, mon = m.initial, cfg.start_monitor
     contexts: list[StepContext] = []
     for rec in ep.steps:
         step = rec["step"]
@@ -128,10 +121,9 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
         max_err = max(max_err, err)
         if not err <= BELIEF_TOL:
             raise TraceMismatch(ep.episode, step, err)
-        nxt = barrier_values(mon, b_next.probs.tolist())
-        verdict, mon_next = check_step(mon, prev, nxt)
-        contexts.append(StepContext(rec, b_next, verdict, mon_next))
-        belief, mon, prev = b_next, mon_next, nxt
+        verdict, mon = check_step(mon, barrier_values(mon, b_next.probs.tolist()))
+        contexts.append(StepContext(rec, b_next, verdict, mon))
+        belief = b_next
     return contexts, max_err
 
 

@@ -69,6 +69,18 @@ def checked_index(value, bound: int, what: str, where: str) -> int:
     return value
 
 
+def _check_expr_text(expr: BeliefExpr, state_index: dict[str, int], path: str) -> None:
+    """Require that expr's text parses back to expr, so that a written
+    file loads it unchanged."""
+    text = expr_text(expr)
+    try:
+        same = parse_expr(text, state_index) == expr
+    except BeliefShieldError as exc:
+        raise ConfigError(f"{text!r} does not parse back: {exc}", path) from exc
+    if not same:
+        raise ConfigError(f"{text!r} parses back as a different expression", path)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A scenario whose settings construction checks. Its monitor is
@@ -99,9 +111,14 @@ class ScenarioConfig:
                 raise ConfigError(f"expected an integer >= {lower}", key)
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("expected a non-empty string", "name")
+        if not isinstance(self.policy, NominalPolicy):
+            raise ConfigError(f"expected a FixedAction, GreedyReward or RandomUniform, "
+                              f"got {self.policy!r}", "policy")
         if isinstance(self.policy, FixedAction):
             checked_index(self.policy.action, self.model.n_joint_actions, "joint action",
                           "policy.action")
+        for name, expr in self.predicates.items():
+            _check_expr_text(expr, self.model.state_index, f"predicates.{name}")
         object.__setattr__(self, "start_monitor",
                            compile_monitor(self.formula, self.model, self.monitor))
 

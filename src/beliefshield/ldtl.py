@@ -126,7 +126,8 @@ def _expr_text(expr: BeliefExpr, parent: str = "") -> str:
         text = f"{_expr_text(expr.left, 'add')} - {_expr_text(expr.right, 'add')}"
         return f"({text})" if parent in ("add", "mul") else text
     if isinstance(expr, Product):
-        return " * ".join(_expr_text(c, "mul") for c in expr.children)
+        text = " * ".join(_expr_text(c, "mul") for c in expr.children)
+        return f"({text})" if parent == "mul" else text
     if isinstance(expr, Min):
         return "min(" + ", ".join(_expr_text(c) for c in expr.children) + ")"
     if isinstance(expr, Max):

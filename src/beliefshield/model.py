@@ -199,6 +199,11 @@ class Mpomdp:
             raise ValueError(f"reward shape {r.shape}, expected {(n, na)}")
         if len(self.initial) != n:
             raise ValueError(f"initial belief over {len(self.initial)} states, model has {n}")
+        bad = np.argwhere(~np.isfinite(r))
+        if bad.size:
+            q, a = bad[0].tolist()
+            raise ValueError(str(Violation("reward", (q, a),
+                                           f"expected a finite number, got {r[q, a]}")))
         for table, rows in (("transition", t), ("observation", o),
                             ("initial", self.initial.probs[None, :])):
             empty = np.argwhere(~(rows > 0).any(axis=-1))

@@ -35,12 +35,15 @@ discharged obligation is not evaluated again: its records read
 
 Monitors are immutable; check_step returns the verdict together with
 the successor monitor, so candidate actions can be probed without
-mutation. A step is two parts: the barrier values at each belief
+mutation. A step is two parts: the barrier values at the next belief
 (barrier_values), then the kind's float-only rule for every active
 obligation (check_step), which builds a new record only for an
-obligation whose state changed. The simulator and the audit evaluate
-each belief once and pass its values to the step into it and the step
-out of it; the shield reuses the same rules through step_passes.
+obligation whose state changed; the shield reuses the same rules
+through step_passes. A monitor holds the barrier values at the belief
+it has reached (compile_monitor's at the model's initial belief), so
+each belief is evaluated once, as it is reached, and no caller carries
+them; this is exact, because a successor only discharges obligations
+and no rule reads the values of a discharged one.
 """
 
 from __future__ import annotations
@@ -164,13 +167,17 @@ class StepVerdict:
         return tuple(r.oid for r in self.records if r.status == "fail")
 
 
+BarrierValues = list[list[float]]
+
+
 @dataclass(frozen=True)
 class Monitor:
-    """Immutable monitor state: obligations plus the number of
-    transitions examined so far."""
+    """Immutable monitor state: obligations, their barrier values at the
+    belief reached, and the number of transitions examined so far."""
 
     config: MonitorConfig
     obligations: tuple[Obligation, ...]
+    values: BarrierValues
     step_count: int = 0
 
     @property
@@ -221,7 +228,9 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
         obligations.append(Obligation(
             f"{i}:{kind}", kind, label,
             tuple(translate_core(core, m, config.delta) for core in cores)))
-    return Monitor(config=config, obligations=tuple(obligations))
+    p = m.initial.probs.tolist()
+    return Monitor(config, tuple(obligations),
+                   [[f(p) for f in ob.evaluators] for ob in obligations])
 
 
 def conjuncts(phi: Formula) -> list[Formula]:
@@ -322,8 +331,6 @@ _RULES = {
     "now": _now,
 }
 
-BarrierValues = list[list[float]]
-
 
 def barrier_values(mon: Monitor, p: list[float]) -> BarrierValues:
     """Barrier values of every obligation at the belief whose entries
@@ -332,15 +339,14 @@ def barrier_values(mon: Monitor, p: list[float]) -> BarrierValues:
             for ob in mon.obligations]
 
 
-def check_step(mon: Monitor, prev: BarrierValues, nxt: BarrierValues
-               ) -> tuple[StepVerdict, Monitor]:
-    """Verdict and successor monitor for a transition, given the barrier
-    values at b_prev and b_next."""
+def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[StepVerdict, Monitor]:
+    """Verdict and successor monitor for the transition from the belief
+    mon has reached to the one whose barrier values are nxt."""
     first = mon.step_count == 0
     step = mon.step_count + 1
     records: list[ObligationRecord] = []
     obligations: list[Obligation] = []
-    for ob, h_prev, h_next in zip(mon.obligations, prev, nxt):
+    for ob, h_prev, h_next in zip(mon.obligations, mon.values, nxt):
         if ob.discharged:
             records.append(ObligationRecord(ob.oid, ob.kind, "inactive", ob.value))
         else:
@@ -351,17 +357,16 @@ def check_step(mon: Monitor, prev: BarrierValues, nxt: BarrierValues
                 ob = replace(ob, **changes)
         obligations.append(ob)
     verdict = StepVerdict(step=step, records=tuple(records))
-    return verdict, Monitor(config=mon.config, obligations=tuple(obligations), step_count=step)
+    return verdict, Monitor(mon.config, tuple(obligations), nxt, step)
 
 
-def step_passes(mon: Monitor, prev: BarrierValues, nxt: BarrierValues) -> bool:
-    """Whether check_step(mon, prev, nxt) passes, without building
-    records or a successor."""
+def step_passes(mon: Monitor, nxt: BarrierValues) -> bool:
+    """Whether check_step(mon, nxt) passes, without building records or
+    a successor."""
     first = mon.step_count == 0
     step = mon.step_count + 1
-    for ob, h_prev, h_next in zip(mon.obligations, prev, nxt):
+    for ob, h_prev, h_next in zip(mon.obligations, mon.values, nxt):
         if not ob.discharged and _RULES[ob.kind](
                 ob, h_prev, h_next, first, step, mon.config)[0] == "fail":
             return False
     return True
-

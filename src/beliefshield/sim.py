@@ -9,13 +9,6 @@ observation, so the recorded verdict is the one the executed belief
 actually produced. The RNG draw order (nominal next state, observation,
 then executed next state only on override) is fixed; identical seeds
 reproduce identical traces.
-
-Like the audit, the loop evaluates each belief's barriers once, as the
-belief is reached, and carries them into the next step as its values
-at b_prev, in every shield mode. This is exact: a successor monitor
-only discharges obligations, check_step never reads prev for a
-discharged one, and an evaluator gives the same bits on the same
-entries.
 """
 
 from __future__ import annotations
@@ -131,9 +124,7 @@ class Trace:
 def run_episode(scenario: Scenario, rng: np.random.Generator,
                 episode: int = 0) -> Trace:
     m = scenario.model
-    mon = scenario.monitor
-    belief = m.initial
-    prev = barrier_values(mon, belief.probs.tolist())
+    belief, mon = m.initial, scenario.monitor
     state = sample_initial_state(m, rng)
     initial_state = state
     steps: list[TraceStep] = []
@@ -155,13 +146,11 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
                 end_reason = END_ZERO_LIKELIHOOD
                 end_detail = {"action": a_nom, "observation": z}
                 break
-            values = barrier_values(mon, b_next.probs.tolist())
-            verdict, mon = check_step(mon, prev, values)
+            verdict, mon = check_step(mon, barrier_values(mon, b_next.probs.tolist()))
             next_state = q_nom
         else:
             try:
-                decision = shield_step(m, mon, belief, z, a_nom,
-                                       mode=scenario.shield_mode, prev=prev)
+                decision = shield_step(m, mon, belief, z, a_nom, mode=scenario.shield_mode)
             except SafetyDeadlock as exc:
                 end_reason = END_DEADLOCK
                 end_detail = {"step": exc.step,
@@ -172,7 +161,6 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
             nominal_reward = decision.nominal_reward
             candidate_rewards = decision.candidate_rewards
             b_next = decision.next_belief
-            values = decision.next_values
             verdict = decision.verdict
             mon = decision.next_monitor
             next_state = (sample_transition(state, executed, m, rng)
@@ -192,7 +180,7 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
             nominal_reward=nominal_reward,
             candidate_rewards=candidate_rewards,
         ))
-        state, belief, prev = next_state, b_next, values
+        state, belief = next_state, b_next
 
         if not verdict.passed and scenario.abort_on_violation:
             end_reason = END_VIOLATION_ABORT

@@ -9,7 +9,7 @@ barrier evaluations."""
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -22,9 +22,7 @@ from beliefshield.ldtl import (
 from beliefshield.model import (
     Belief, Mpomdp, belief_update, expected_reward, predicted_belief,
 )
-from beliefshield.monitor import (
-    BarrierValues, Monitor, StepVerdict, barrier_values, check_step,
-)
+from beliefshield.monitor import Monitor, StepVerdict, barrier_values, check_step
 
 
 def count_calls(monkeypatch, name: str) -> list:
@@ -80,9 +78,10 @@ def evaluate_expr(expr: BeliefExpr, belief: Belief) -> float:
     raise TypeError(f"not a belief expression: {expr!r}")
 
 
-def values_at(mon: Monitor, b: Belief) -> BarrierValues:
-    """mon's barrier values at b: the prev that shield_step takes."""
-    return barrier_values(mon, b.probs.tolist())
+def values_at(mon: Monitor, b: Belief) -> Monitor:
+    """mon moved to b: the same obligations, holding their barrier
+    values at b."""
+    return replace(mon, values=barrier_values(mon, b.probs.tolist()))
 
 
 def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[StepVerdict, Monitor]:
@@ -92,8 +91,8 @@ def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[StepVerd
     treats b_prev as the starting belief (position 0) and runs the
     activation checks described in `beliefshield.monitor`'s docstring.
     """
-    return check_step(mon, barrier_values(mon, b_prev.probs.tolist()),
-                      barrier_values(mon, b_next.probs.tolist()))
+    mon = values_at(mon, b_prev)
+    return check_step(mon, barrier_values(mon, b_next.probs.tolist()))
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -558,8 +558,8 @@ def build_scenario(spec: dict) -> ScenarioConfig:
 
     Its tables are random dyadic rows drawn from `spec["tables"]`, so a
     load renormalizes them to the same bits. `policy` is "greedy",
-    "random" or a fixed joint action index. The one predicate names no
-    state: `expr_text` can spell only state names that are identifiers.
+    "random", a fixed joint action index, or any other value to pass as
+    the policy itself. The one predicate is over the first state.
     """
     rng = np.random.default_rng(spec["tables"])
     states = tuple(spec["states"])
@@ -573,13 +573,16 @@ def build_scenario(spec: dict) -> ScenarioConfig:
         action_names=action_names, observation_names=observation_names,
         initial=Belief(dyadic_rows(rng, (n,))), transition=dyadic_rows(rng, (n, na, n)),
         observation=dyadic_rows(rng, (n, na, nz)), reward=rng.normal(size=(n, na)))
-    predicates = {"high": parse_expr("0.25 - 0.5", {})}
-    policy = {"greedy": GreedyReward(), "random": RandomUniform()}.get(spec["policy"])
+    predicates = {"high": Difference(BeliefVar(0, states[0]), Constant(0.5))}
+    policy = spec["policy"]
+    if isinstance(policy, int):
+        policy = FixedAction(policy)
+    policy = {"greedy": GreedyReward(), "random": RandomUniform()}.get(policy, policy)
     return ScenarioConfig(
         name=spec["name"], model=model, predicates=predicates,
         formula=parse_formula("G !high", predicates, model.state_index),
         formula_text="G !high", monitor=MonitorConfig(),
-        policy=FixedAction(spec["policy"]) if policy is None else policy,
+        policy=policy,
         shield_mode=spec["shield"], horizon=spec["horizon"], episodes=spec["episodes"],
         seed=spec["seed"])
 
@@ -614,6 +617,12 @@ RULE_BREAKS = {
                        "shield: unknown shield mode 'sometimes'"),
     "fixed-action-out-of-range": (lambda s: {**s, "policy": 99},
                                   "policy.action: joint action 99 out of range [0, 2)"),
+    "policy-not-a-policy": (lambda s: {**s, "policy": "argmax"},
+                            "policy: expected a FixedAction, GreedyReward or RandomUniform, "
+                            "got 'argmax'"),
+    "state-in-predicate-not-an-identifier": (
+        lambda s: {**s, "states": ["a:b", *s["states"][1:]]},
+        "predicates.high: 'b(a:b) - 0.5' does not parse back: line 1, column 4"),
 }
 
 # Names that YAML would read as something else were they not quoted.
@@ -626,6 +635,25 @@ def test_a_rule_break_raises_at_construction(case):
     with pytest.raises((ValueError, ConfigError)) as err:
         build_scenario(flaw(PAIR_SPEC))
     assert str(err.value).startswith(message), str(err.value)
+
+
+def test_a_predicate_that_reads_back_differently_cannot_build_a_config():
+    # A state name that disagrees with its index writes text that loads
+    # as another state.
+    cfg = corridor_config("literal")
+    swapped = Difference(Constant(0.5), BeliefVar(0, cfg.model.state_names[1]))
+    with pytest.raises(ConfigError, match=r"^predicates\.swapped: '0\.5 - b\(\w+\)' "
+                                          r"parses back as a different expression$"):
+        replace(cfg, predicates={**cfg.predicates, "swapped": swapped})
+
+
+def test_a_product_inside_a_product_survives_write_and_load(tmp_path):
+    cfg = corridor_config("literal")
+    nested = parse_expr("0.3 * (0.7 * b(a1_h1))", cfg.model.state_index)
+    assert nested.children[1] == parse_expr("0.7 * b(a1_h1)", cfg.model.state_index)
+    write_config(replace(cfg, predicates={**cfg.predicates, "scaled": nested}),
+                 tmp_path / "nested.yaml")
+    assert load_config(tmp_path / "nested.yaml").predicates["scaled"] == nested
 
 
 NAMES = st.one_of(st.sampled_from(YAML_WORDS), st.text(min_size=1, max_size=4))

@@ -293,8 +293,7 @@ def test_conservative_shield_skips_only_impossible_observations(likelihood, safe
     mon = compile_monitor(Always(NegBeliefPred("true", Constant(1.0))), m, MonitorConfig())
     reference = [c.action for c in shield_reference(m, mon, b, z, a, CONSERVATIVE).safe]
     assert (a in reference) is safe
-    assert shield_step(m, mon, b, z, a, CONSERVATIVE,
-                       prev=values_at(mon, b)).overridden is not safe
+    assert shield_step(m, values_at(mon, b), b, z, a, CONSERVATIVE).overridden is not safe
 
 
 def deterministic_model() -> Mpomdp:
@@ -424,6 +423,16 @@ def test_a_row_without_a_positive_entry_cannot_build_a_model():
         one_action_model(np.eye(3), observation, np.full(3, 1 / 3))
     with pytest.raises(ValueError, match=r"^initial\[0\]: row has no positive entry$"):
         one_action_model(np.eye(3), np.ones((3, 1)), np.zeros(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_reward_cannot_build_a_model(value):
+    # write_config would spell it .nan or .inf, which load_config rejects.
+    reward = np.zeros((3, 1))
+    reward[1, 0] = value
+    message = rf"^reward\[1, 0\]: expected a finite number, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        replace(one_action_model(np.eye(3), np.ones((3, 1)), np.full(3, 1 / 3)), reward=reward)
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -1,5 +1,7 @@
 """Monitor compilation and step-by-step obligation checking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +36,7 @@ from beliefshield import (
     ft_dtbf_check,
     ft_time_bound,
 )
-from beliefshield.monitor import check_step
+from beliefshield.monitor import barrier_values, check_step, step_passes
 
 from conftest import evaluate_expr, monitor_step
 
@@ -287,14 +289,11 @@ def test_finite_time_zero_slack_reach_never_fails(rho, eps, h0):
     # quotient floored, so a trajectory with no slack at all may first
     # reach 0 one step after it and must still not fail.
     cfg = MonitorConfig(ft=FtParams(rho=rho, eps=eps))
-    mon = compile_monitor(Eventually(REACH), MODEL, cfg)
+    mon = replace(compile_monitor(Eventually(REACH), MODEL, cfg), values=[[h0]])
     deadline = ft_time_bound(h0, cfg.ft)
-    h = h0
     while not mon.all_discharged:
-        h_next = tightest_contraction(h, cfg.ft)
-        verdict, mon = check_step(mon, [[h]], [[h_next]])
+        verdict, mon = check_step(mon, [[tightest_contraction(mon.values[0][0], cfg.ft)]])
         assert verdict.passed, verdict.records[0].detail
-        h = h_next
     assert mon.step_count <= deadline + 1
 
 
@@ -403,6 +402,25 @@ def test_monitor_step_is_pure():
     assert m1 == m2
     assert mon.step_count == 0
     assert m1.step_count == 1
+
+
+def test_a_monitor_holds_the_barrier_values_of_the_belief_it_has_reached():
+    mon = compile_monitor(And(Always(MARGIN), Until(MARGIN, REACH)), MODEL, CFG)
+    at_start = [[evaluate_expr(e, MODEL.initial) for e in ob.barriers]
+                for ob in mon.obligations]
+    assert mon.values == at_start
+    with pytest.raises(TypeError):
+        Monitor(CFG, mon.obligations)
+    nxt = barrier_values(mon, b_pair(0.2, -0.4).probs.tolist())
+    _, successor = check_step(mon, nxt)
+    assert successor.values == nxt
+    # The next verdict depends on the values, so equality does too: the
+    # decay bound holds for 0.2 -> 0.15 but not for 0.4 -> 0.15.
+    later = barrier_values(successor, b_pair(0.15, -0.3).probs.tolist())
+    higher = replace(successor, values=barrier_values(successor, b_pair(0.4, -0.4).probs.tolist()))
+    assert step_passes(successor, later)
+    assert not step_passes(higher, later)
+    assert successor != higher
 
 
 # Each dischargeable kind, with a belief path that discharges it on the

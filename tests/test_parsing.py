@@ -2,7 +2,7 @@
 and print/parse round trips."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefshield import (
@@ -278,13 +278,17 @@ belief_vars = st.integers(min_value=0, max_value=3).map(
 
 
 def extend_expr(children):
-    # The parser flattens +/* chains, so generated Sum/Product nodes never
-    # directly contain their own kind.
-    non_sum = children.filter(lambda e: not isinstance(e, Sum))
-    non_prod = children.filter(lambda e: not isinstance(e, Product))
+    # The parser flattens a +/* chain into one Sum/Product, so one of
+    # these holds its own kind only after its first child, where the
+    # text puts it in parentheses.
+    def chain(kind):
+        first = children.filter(lambda e: not isinstance(e, kind))
+        rest = st.lists(children, min_size=1, max_size=3)
+        return st.builds(lambda head, tail: kind((head, *tail)), first, rest)
+
     return st.one_of(
-        st.lists(non_sum, min_size=2, max_size=4).map(tuple).map(Sum),
-        st.lists(non_prod, min_size=2, max_size=4).map(tuple).map(Product),
+        chain(Sum),
+        chain(Product),
         st.builds(Difference, children, children),
         st.lists(children, min_size=1, max_size=3).map(tuple).map(Min),
         st.lists(children, min_size=1, max_size=3).map(tuple).map(Max),
@@ -296,5 +300,7 @@ exprs = st.recursive(constants | belief_vars, extend_expr, max_leaves=10)
 
 @settings(max_examples=300, deadline=None)
 @given(exprs)
+@example(Product((Constant(0.3), Product((Constant(0.7), BeliefVar(1, STATE_NAMES[1]))))))
+@example(Sum((Constant(0.3), Sum((Constant(0.7), BeliefVar(1, STATE_NAMES[1]))))))
 def test_expr_print_parse_round_trip(expr):
     assert parse_expr(expr_text(expr), STATE_INDEX) == expr

@@ -81,7 +81,7 @@ B0 = Belief((1.0, 0.0, 0.0))
 
 def test_nominal_action_accepted_without_override():
     m = line_model({(0, STAY): 1.0})
-    decision = shield_step(m, line_monitor(m), B0, 0, STAY, prev=values_at(line_monitor(m), B0))
+    decision = shield_step(m, values_at(line_monitor(m), B0), B0, 0, STAY)
     assert not decision.overridden
     assert decision.executed == STAY
     assert decision.candidate_rewards == ((STAY, 1.0),)
@@ -99,7 +99,7 @@ def test_override_picks_closest_reward_to_nominal():
         (1, LEAP): 3.4,
     }
     m = line_model(rewards)
-    decision = shield_step(m, line_monitor(m), B0, 0, SPIKE, prev=values_at(line_monitor(m), B0))
+    decision = shield_step(m, values_at(line_monitor(m), B0), B0, 0, SPIKE)
     assert decision.overridden
     assert decision.executed == LEAP
     assert decision.nominal_reward == pytest.approx(5.0)
@@ -123,7 +123,7 @@ def test_override_tie_resolves_to_lowest_flat_index():
         (1, LEAP): 3.0,
     }
     m = line_model(rewards)
-    decision = shield_step(m, line_monitor(m), B0, 0, SPIKE, prev=values_at(line_monitor(m), B0))
+    decision = shield_step(m, values_at(line_monitor(m), B0), B0, 0, SPIKE)
     assert decision.overridden
     assert decision.executed == STAY
 
@@ -133,8 +133,7 @@ def test_deadlock_reports_barriers_for_every_action():
     # Start already past the threshold: every action fails the start check.
     b_bad = Belief((0.4, 0.0, 0.6))
     with pytest.raises(SafetyDeadlock) as err:
-        shield_step(m, line_monitor(m), b_bad, 0, STAY,
-                    prev=values_at(line_monitor(m), b_bad))
+        shield_step(m, values_at(line_monitor(m), b_bad), b_bad, 0, STAY)
     assert err.value.step == 1
     barriers = err.value.candidate_barriers
     assert sorted(barriers) == [STAY, SPIKE, DRIFT, LEAP]
@@ -156,7 +155,7 @@ def test_enumerate_matches_shield_candidates():
         assert c.reward == pytest.approx(
             expected_reward(c.belief, c.action, m)
         )
-    decision = shield_step(m, mon, B0, 0, SPIKE, prev=values_at(mon, B0))
+    decision = shield_step(m, values_at(mon, B0), B0, 0, SPIKE)
     assert decision.candidate_rewards == tuple(
         (c.action, c.reward) for c in candidates
     )
@@ -203,7 +202,7 @@ def test_impossible_nominal_falls_back_to_predicted_reward():
     m = signal_model()
     mon = trivially_safe_monitor(m)
     b = Belief((0.75, 0.25))
-    decision = shield_step(m, mon, b, ZA, JAM, prev=values_at(mon, b))
+    decision = shield_step(m, values_at(mon, b), b, ZA, JAM)
     assert decision.overridden
     assert decision.executed == GO
     # Identity dynamics: predicted belief equals b, reward 0.75*4 + 0.25*8.
@@ -216,9 +215,9 @@ def test_deadlock_marks_zero_likelihood_candidates_empty():
     doomed = compile_monitor(
         Always(NegBeliefPred("never", Constant(-1.0))), m, CFG
     )
+    b = Belief((0.75, 0.25))
     with pytest.raises(SafetyDeadlock) as err:
-        shield_step(m, doomed, Belief((0.75, 0.25)), ZA, GO,
-                    prev=values_at(doomed, Belief((0.75, 0.25))))
+        shield_step(m, values_at(doomed, b), b, ZA, GO)
     assert err.value.candidate_barriers[JAM] == {}
     assert err.value.candidate_barriers[GO]["0:always"] == pytest.approx(-1.0)
 
@@ -262,12 +261,10 @@ def test_conservative_rejects_actions_unsafe_under_other_observations():
     assert [c.action for c in literal] == [PROBE, SIT]
     assert [c.action for c in conservative] == [SIT]
 
-    accepted = shield_step(m, margin_monitor(m), b, ZA, PROBE, LITERAL,
-                           prev=values_at(margin_monitor(m), b))
+    accepted = shield_step(m, values_at(margin_monitor(m), b), b, ZA, PROBE, LITERAL)
     assert not accepted.overridden
 
-    overridden = shield_step(m, margin_monitor(m), b, ZA, PROBE, CONSERVATIVE,
-                             prev=values_at(margin_monitor(m), b))
+    overridden = shield_step(m, values_at(margin_monitor(m), b), b, ZA, PROBE, CONSERVATIVE)
     assert overridden.overridden
     assert overridden.executed == SIT
     # The executed successor still follows the observation actually seen.
@@ -276,9 +273,9 @@ def test_conservative_rejects_actions_unsafe_under_other_observations():
 
 def test_unknown_mode_rejected():
     m = sensor_model()
+    b = Belief((0.75, 0.25))
     with pytest.raises(ValueError):
-        shield_step(m, margin_monitor(m), Belief((0.75, 0.25)), ZA, PROBE, "off",
-                    prev=values_at(margin_monitor(m), Belief((0.75, 0.25))))
+        shield_step(m, values_at(margin_monitor(m), b), b, ZA, PROBE, "off")
 
 
 # --------------------------------------------------------------------------
@@ -356,12 +353,12 @@ def test_batched_shield_matches_enumeration(seed, mode):
     expected = reference_choice(ref, a_nom)
     if expected is None:
         with pytest.raises(SafetyDeadlock) as err:
-            shield_step(m, mon, b, z, a_nom, mode, prev=values_at(mon, b))
+            shield_step(m, values_at(mon, b), b, z, a_nom, mode)
         assert err.value.step == mon.step_count + 1
         assert err.value.candidate_barriers == reference_barriers(ref)
         return
     r_n, best, safe = expected
-    decision = shield_step(m, mon, b, z, a_nom, mode, prev=values_at(mon, b))
+    decision = shield_step(m, values_at(mon, b), b, z, a_nom, mode)
     assert decision.overridden == (best.action != a_nom)
     assert decision.executed == best.action
     assert decision.nominal_reward == r_n
@@ -385,6 +382,6 @@ def test_forced_deadlock_reports_every_action(seed, mode):
     z = int(rng.integers(m.n_joint_observations))
     a_nom = int(rng.integers(m.n_joint_actions))
     with pytest.raises(SafetyDeadlock) as err:
-        shield_step(m, mon, b, z, a_nom, mode, prev=values_at(mon, b))
+        shield_step(m, values_at(mon, b), b, z, a_nom, mode)
     assert err.value.candidate_barriers == reference_barriers(
         shield_reference(m, mon, b, z, a_nom, mode))
