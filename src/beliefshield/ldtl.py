@@ -11,16 +11,18 @@ The trace oracle evaluates a formula on a finite word of
 (hidden state, belief) letters with the standard finite-trace closure:
 `always` means "at every remaining position", `eventually` and `until`
 need an in-word witness, and `next` at the last position is false.
-Belief atoms carry their expression compiled once (compile_expr), and
-the oracle applies it to each letter's entries, taken once per letter.
-The tests keep a tree-walking evaluator as the reference that
-compile_expr matches bit for bit.
+compile_expr turns an expression into one generated Python function,
+a flat sequence of assignments with one local per inner node, which
+monitor barriers and belief atoms both carry. Belief atoms compile
+their expression once, and the oracle applies it to each letter's
+entries, taken once per letter. The tests keep a tree-walking evaluator
+as the reference that compile_expr matches bit for bit.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 from .model import Belief
@@ -72,46 +74,69 @@ class Max:
 
 Evaluator = Callable[[Sequence[float]], float]
 
+# The builtin that folds each variadic node's children.
+_FOLDS = {Sum: "sum", Min: "min", Max: "max"}
+
+
+def _children(expr: BeliefExpr) -> tuple[BeliefExpr, ...]:
+    if isinstance(expr, (Sum, Product, Min, Max)):
+        return expr.children
+    if isinstance(expr, Difference):
+        return (expr.left, expr.right)
+    raise TypeError(f"not a belief expression: {expr!r}")
+
 
 def compile_expr(expr: BeliefExpr) -> Evaluator:
-    """Compile an expression into a function of the belief entries as
-    Python floats (`belief.probs.tolist()`).
+    """Compile an expression into one generated function of the belief
+    entries as Python floats (`belief.probs.tolist()`).
 
-    The function performs the float operations of the tests'
-    tree-walking reference evaluator in the same order (`sum`, `min`
-    and `max` are the builtins, products fold from 1.0), so its value
-    is bit-identical to the reference's.
+    The function assigns one local per inner node, in post-order, from
+    operands that are entries `p[i]`, constants bound by name in the
+    function's globals, or earlier locals:
+
+        def expr(p):
+            t0 = sum((p[4], p[9], ))
+            t1 = c0 - t0
+            return t1
+
+    It performs the float operations of the tests' tree-walking
+    reference evaluator in the same order (`sum`, `min` and `max` are
+    the builtins on the children's values, products fold from 1.0), so
+    its value is bit-identical to the reference's. Only int indices and
+    generated names enter the source, and the source has no nesting, so
+    any expression compiles, however deep or wide. Raises TypeError for
+    a node that is not an expression or an index that is not an integer.
     """
-    if isinstance(expr, Constant):
-        value = float(expr.value)
-        return lambda p: value
-    if isinstance(expr, BeliefVar):
-        return itemgetter(expr.index)
-    if isinstance(expr, Sum):
-        if len(expr.children) > 1 and all(isinstance(c, BeliefVar) for c in expr.children):
-            entries = itemgetter(*(c.index for c in expr.children))
-            return lambda p: sum(entries(p))
-        terms = tuple(compile_expr(c) for c in expr.children)
-        return lambda p: sum([f(p) for f in terms])
-    if isinstance(expr, Difference):
-        left, right = compile_expr(expr.left), compile_expr(expr.right)
-        return lambda p: left(p) - right(p)
-    if isinstance(expr, Product):
-        factors = tuple(compile_expr(c) for c in expr.children)
-
-        def product(p):
-            out = 1.0
-            for f in factors:
-                out *= f(p)
-            return out
-        return product
-    if isinstance(expr, Min):
-        terms = tuple(compile_expr(c) for c in expr.children)
-        return lambda p: min([f(p) for f in terms])
-    if isinstance(expr, Max):
-        terms = tuple(compile_expr(c) for c in expr.children)
-        return lambda p: max([f(p) for f in terms])
-    raise TypeError(f"not a belief expression: {expr!r}")
+    namespace: dict[str, float] = {}
+    lines: list[str] = []
+    operands: list[str] = []  # one per finished node, in post-order
+    todo: list[tuple[BeliefExpr, bool]] = [(expr, False)]
+    while todo:
+        node, children_done = todo.pop()
+        if isinstance(node, BeliefVar):
+            operands.append(f"p[{operator.index(node.index)}]")
+        elif isinstance(node, Constant):
+            name = f"c{len(namespace)}"
+            namespace[name] = float(node.value)
+            operands.append(name)
+        elif not children_done:
+            todo.append((node, True))
+            todo.extend((c, False) for c in reversed(_children(node)))
+        else:
+            split = len(operands) - len(_children(node))
+            args = operands[split:]
+            del operands[split:]
+            if isinstance(node, Difference):
+                value = f"{args[0]} - {args[1]}"
+            elif isinstance(node, Product):
+                value = " * ".join(["1.0", *args])
+            else:
+                value = _FOLDS[type(node)] + "((" + "".join(a + ", " for a in args) + "))"
+            lines.append(f"    t{len(lines)} = {value}\n")
+            operands.append(f"t{len(lines) - 1}")
+    source = "def expr(p):\n" + "".join(lines) + f"    return {operands[0]}\n"
+    exec(compile(source, "<belief expression>", "exec"), namespace)
+    return namespace["expr"]
 
 
 def _expr_text(expr: BeliefExpr, parent: str = "") -> str:

@@ -188,7 +188,7 @@ class Mpomdp:
         object.__setattr__(self, "n_joint_actions", na)
         object.__setattr__(self, "n_joint_observations", nz)
         t = np.asarray(self.transition, dtype=float)
-        o = np.asarray(self.observation, dtype=float).copy()
+        o = np.asarray(self.observation, dtype=float)
         r = np.asarray(self.reward, dtype=float).copy()
         n = self.n_states
         if t.shape != (n, na, n):
@@ -210,10 +210,13 @@ class Mpomdp:
             if empty.size:
                 raise ValueError(str(Violation(table, tuple(empty[0].tolist()),
                                                "row has no positive entry")))
-        # Stored action-major, a copy viewed as (n, A, n): transition[:, a, :]
-        # is then one contiguous block, so a prediction reads only that
-        # action's kernel.
+        # Stored action-major, copies viewed as (n, A, n) and (n, A, Z):
+        # transition[:, a, :] is then one contiguous block, so a
+        # prediction reads only that action's kernel, and
+        # observation[:, a, :].T is a C-contiguous (Z, n) block whose row
+        # z is observation[:, a, z].
         t = np.array(t.transpose(1, 0, 2), order="C").transpose(1, 0, 2)
+        o = np.array(o.transpose(1, 2, 0), order="C").transpose(2, 0, 1)
         for arr in (t, o, r):
             arr.setflags(write=False)
         object.__setattr__(self, "transition", t)

@@ -24,10 +24,16 @@ Belief-expression grammar (predicate definitions; no division):
     factor ::= NUMBER | '-' factor | 'b' '(' IDENT ')'
              | ('min' | 'max') '(' expr (',' expr)* ')'
              | '(' expr ')'
+
+A NUMBER must be finite. Each `term` of a formula and each `factor` of
+an expression is one level of nesting, and neither parser goes deeper
+than MAX_NESTING levels: both raise FormulaSyntaxError at the token
+that would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, NegationOfCompound, UnknownPredicate, UnknownState
@@ -91,10 +97,17 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# Deepest nesting of parentheses, operators and calls either parser
+# accepts. Each level costs the parser a few stack frames, so without a
+# bound deep text would exhaust the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -118,6 +131,21 @@ class _Cursor:
             + (f" {tok.text!r}" if tok.text else ""),
             tok.line, tok.column, expected,
         )
+
+
+def _nested(parse):
+    """Count the levels of a recursive parse method on the cursor, and
+    refuse to go deeper than MAX_NESTING."""
+    def nested(self, cur: _Cursor):
+        if cur.depth == MAX_NESTING:
+            tok = cur.peek()
+            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels",
+                                     tok.line, tok.column)
+        cur.depth += 1
+        result = parse(self, cur)
+        cur.depth -= 1
+        return result
+    return nested
 
 
 # --------------------------------------------------------------------------
@@ -152,6 +180,7 @@ class FormulaParser:
             phi = And(phi, rhs) if op.kind == "&" else Or(phi, rhs)
         return phi
 
+    @_nested
     def _term(self, cur: _Cursor) -> Formula:
         tok = cur.peek()
         if tok.kind == "ident" and tok.text in _TEMPORAL:
@@ -286,14 +315,19 @@ class ExprParser:
             node = Product(node.children + (rhs,)) if isinstance(node, Product) else Product((node, rhs))
         return node
 
+    @_nested
     def _factor(self, cur: _Cursor) -> BeliefExpr:
         tok = cur.peek()
         if tok.kind == "number":
             cur.advance()
             try:
-                return Constant(float(tok.text))
+                value = float(tok.text)
             except ValueError:
                 raise FormulaSyntaxError(f"bad number {tok.text!r}", tok.line, tok.column)
+            if not math.isfinite(value):
+                raise FormulaSyntaxError(f"number {tok.text!r} is not finite",
+                                         tok.line, tok.column)
+            return Constant(value)
         if tok.kind == "-":
             cur.advance()
             return Difference(Constant(0.0), self._factor(cur))

@@ -14,14 +14,19 @@ In "conservative" mode a candidate must additionally pass under every
 observation of positive predicted probability, not just the shared one.
 
 Every candidate, the nominal included, goes through one check built on
-the filter's own two steps: predicted_belief once, then correct under z
-and, in conservative mode, under every other observation from that same
-prediction. Beliefs, rewards and barrier values are therefore those of
-belief_update bit for bit. The shield evaluates only posteriors, each
-once; a Belief, verdict and successor Monitor are built only for the
-executed action. The tests check every decision against a brute-force
-reference that updates the belief and evaluates both beliefs' barriers
-one action at a time.
+the filter's own two steps: predicted_belief once, then the correction
+under z. In conservative mode, once z passes, the prediction is
+corrected under every observation at once, as the (Z, n) product of
+the action's observation block and the prediction, whose row sums are
+the likelihoods; a posterior is divided out only for the observations
+checked, up to the first that fails. Each product, sum and quotient is
+correct's own, so beliefs, rewards and barrier values are those of
+belief_update bit for bit, and the likelihood floor splits impossible
+from failing observations as correct does. The shield evaluates only posteriors,
+each once; a Belief, verdict and successor Monitor are built only for
+the executed action. The tests check every decision against a
+brute-force reference that updates the belief and evaluates both
+beliefs' barriers one action at a time.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SafetyDeadlock, ZeroLikelihood
-from .model import Belief, Mpomdp, correct, predicted_belief
+from .errors import SafetyDeadlock
+from .model import LIKELIHOOD_FLOOR, Belief, Mpomdp, predicted_belief
 from .monitor import (
     BarrierValues, Monitor, StepVerdict, barrier_values, check_step, step_passes,
 )
@@ -64,16 +69,22 @@ def _reward(belief: np.ndarray, action: int, m: Mpomdp) -> float:
     return float(belief @ m.reward[:, action])
 
 
-def _passes_under(m: Mpomdp, mon: Monitor, predicted: np.ndarray, action: int,
+def _corrections(m: Mpomdp, predicted: np.ndarray, action: int
+                 ) -> tuple[np.ndarray, list[float]]:
+    """correct's numerator under every observation, as the rows of one
+    (Z, n) product, and its normalizers, the rows' sums."""
+    numer = m.observation[:, action, :].T * predicted
+    return numer, numer.sum(axis=1).tolist()
+
+
+def _passes_under(mon: Monitor, numer: np.ndarray, likelihood: list[float],
                   obs: int) -> bool:
     """Whether the step to the posterior under obs passes; an observation
     of zero likelihood is impossible and passes, one whose likelihood is
     positive but at most the floor does not."""
-    try:
-        posterior = correct(predicted, action, obs, m)
-    except ZeroLikelihood as exc:
-        return exc.denominator == 0.0
-    return step_passes(mon, barrier_values(mon, posterior.tolist()))
+    if likelihood[obs] <= LIKELIHOOD_FLOOR:
+        return likelihood[obs] == 0.0
+    return step_passes(mon, barrier_values(mon, (numer[obs] / likelihood[obs]).tolist()))
 
 
 def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int,
@@ -86,14 +97,18 @@ def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int,
     conservative mode, under every other observation.
     """
     predicted = predicted_belief(b_prev, action, m)
-    try:
-        posterior = correct(predicted, action, z, m)
-    except ZeroLikelihood:
+    # correct's arithmetic under z, the one row literal mode reads.
+    numer = m.observation[:, action, z] * predicted
+    likelihood = float(numer.sum())
+    if likelihood <= LIKELIHOOD_FLOOR:
         return predicted, None, False
+    posterior = numer / likelihood
     values = barrier_values(mon, posterior.tolist())
-    safe = step_passes(mon, values) and (mode == LITERAL or all(
-        _passes_under(m, mon, predicted, action, other)
-        for other in range(m.n_joint_observations) if other != z))
+    safe = step_passes(mon, values)
+    if safe and mode == CONSERVATIVE:
+        rows, likelihoods = _corrections(m, predicted, action)
+        safe = all(_passes_under(mon, rows, likelihoods, other)
+                   for other in range(m.n_joint_observations) if other != z)
     return posterior, values, safe
 
 

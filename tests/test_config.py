@@ -269,6 +269,23 @@ def test_formula_and_predicate_errors():
         reject(data, "predicates: expected a map")
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("predicates", "1e400 - b(bad)", "line 1, column 1: number '1e400' is not finite"),
+    ("predicates", "(" * 500 + "b(bad)" + ")" * 500,
+     "line 1, column 101: nested deeper than 100 levels"),
+    ("formula", "(" * 500 + "G !risky" + ")" * 500,
+     "line 1, column 101: nested deeper than 100 levels"),
+], ids=["overflowing-number", "deep-predicate", "deep-formula"])
+def test_text_the_parsers_refuse_is_reported_where_it_is(key, text, message):
+    data = base_config()
+    if key == "predicates":
+        data["predicates"]["risky"] = text
+        reject(data, f"predicates.risky: {message}")
+    else:
+        data["formula"] = text
+        reject(data, f"formula: {message}")
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
                                    pytest.param(10**400, id="10**400")])
 def test_non_finite_numbers_are_rejected(value):

@@ -1,6 +1,7 @@
 """Finite-trace semantics, expression evaluation, and printing."""
 
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ VARS = st.integers(min_value=0, max_value=N_VARS - 1).map(lambda i: BeliefVar(i,
 LEAVES = st.one_of(
     st.floats(min_value=-2.0, max_value=2.0).map(Constant),
     VARS,
-    # All-variable sums, one child included, take the compiled fast path.
+    # All-variable sums, one child included, as state-set barriers are.
     st.lists(VARS, min_size=1, max_size=6).map(lambda c: Sum(tuple(c))),
 )
 
@@ -215,3 +216,48 @@ def test_compiled_expr_is_bit_identical_to_evaluate_expr(expr, weights):
 def test_compiled_expr_rejects_non_expressions():
     with pytest.raises(TypeError):
         compile_expr(IN0)
+
+
+B5 = Belief(np.array([0.05, 0.1, 0.2, 0.3, 0.35]))
+
+
+def deep_nest(levels: int):
+    """Min and Product alternating `levels` deep, each level with a
+    belief entry and a constant beside the level below."""
+    expr = BeliefVar(0, "s0")
+    for i in range(levels):
+        var, const = BeliefVar(i % N_VARS, f"s{i % N_VARS}"), Constant(1.0 + i / levels)
+        expr = Min((var, expr, const)) if i % 2 else Product((const, expr, var))
+    return expr
+
+
+def evaluate_deep(expr, b: Belief) -> float:
+    # The tree-walking reference recurses once per level or more.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 10_000)
+    try:
+        return evaluate_expr(expr, b)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("expr", [
+    pytest.param(Sum(tuple(BeliefVar(i % N_VARS, f"s{i % N_VARS}") if i % 3 else Constant(i / 5000)
+                           for i in range(5000))), id="5000-term-sum"),
+    # Deeper than CPython's limit of 200 nested brackets in source text.
+    pytest.param(deep_nest(600), id="600-level-nest"),
+])
+def test_compiled_expr_of_any_size_is_bit_identical_to_evaluate_expr(expr):
+    assert _bits(compile_expr(expr)(B5.probs.tolist())) == _bits(evaluate_deep(expr, B5))
+
+
+@pytest.mark.parametrize("name", ['a"b', "a'b", "b)", "line\nbreak", "p[0]) + 1 #"])
+def test_a_state_name_never_enters_the_generated_code(name):
+    expr = Difference(BeliefVar(3, name), Constant(0.5))
+    assert _bits(compile_expr(expr)(B5.probs.tolist())) == _bits(evaluate_expr(expr, B5))
+
+
+@pytest.mark.parametrize("index", [1.0, "1", "0] + 1 #", None])
+def test_compiled_expr_rejects_a_non_integer_index(index):
+    with pytest.raises(TypeError):
+        compile_expr(Sum((Constant(1.0), BeliefVar(index, "s1"))))

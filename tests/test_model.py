@@ -12,6 +12,7 @@ from beliefshield import (
     shield_step,
 )
 from beliefshield.errors import ZeroLikelihood
+from beliefshield.shield import _corrections, _passes_under
 from beliefshield.model import (
     LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update,
     components_from_flat, correct, expected_reward, flat_from_components,
@@ -294,6 +295,82 @@ def test_conservative_shield_skips_only_impossible_observations(likelihood, safe
     reference = [c.action for c in shield_reference(m, mon, b, z, a, CONSERVATIVE).safe]
     assert (a in reference) is safe
     assert shield_step(m, values_at(mon, b), b, z, a, CONSERVATIVE).overridden is not safe
+
+
+# Likelihoods an observation is given in the batched-correction property:
+# impossible, positive but below the floor, at the floor, the next float
+# above it, or an ordinary share of each row (None).
+LIKELIHOODS = {
+    "zero": 0.0,
+    "below": 0.5 * LIKELIHOOD_FLOOR,
+    "floor": LIKELIHOOD_FLOOR,
+    "above": float(np.nextafter(LIKELIHOOD_FLOOR, 1.0)),
+    "ordinary": None,
+}
+
+
+def observation_block(rng, predicted: np.ndarray, kinds: list[str]) -> np.ndarray:
+    """One action's (n, Z) observation block whose observation k has the
+    likelihood LIKELIHOODS[kinds[k]] under predicted, exactly: such an
+    observation is seen only in state 0, where predicted holds a power
+    of two, so every product and sum it takes is exact. The ordinary
+    observations share the rest of each row."""
+    n = len(predicted)
+    block = rng.random((n, len(kinds))) + 1e-3
+    special = [k for k, kind in enumerate(kinds) if kind != "ordinary"]
+    block[:, special] = 0.0
+    block[0, special] = [LIKELIHOODS[kinds[k]] / predicted[0] for k in special]
+    ordinary = [k for k, kind in enumerate(kinds) if kind == "ordinary"]
+    rest = 1.0 - block[:, special].sum(axis=1)
+    block[:, ordinary] *= (rest / block[:, ordinary].sum(axis=1))[:, None]
+    return block
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=3),
+       st.lists(st.sampled_from(sorted(LIKELIHOODS)), max_size=7),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_corrections_are_corrects_bit_for_bit(n, n_actions, kinds, seed):
+    # The shield corrects a prediction under every observation at once.
+    # Each posterior it divides out must be correct's bit for bit, and
+    # the floor must split impossible from failing observations as
+    # correct does: a ZeroLikelihood of denominator 0 passes, any other
+    # fails, and every posterior passes a barrier that always holds.
+    rng = np.random.default_rng(seed)
+    kinds = ["ordinary", *kinds]
+    rng.shuffle(kinds)
+    predicted = np.zeros(n)
+    if n == 1:
+        predicted[0] = 1.0
+    else:
+        predicted[0] = 0.5
+        predicted[1:] = 0.5 * random_simplex(rng, n - 1) * (rng.random(n - 1) < 0.8)
+    transition = rng.random((n, n_actions, n)) + 1e-3
+    m = Mpomdp(
+        state_names=tuple(f"s{i}" for i in range(n)),
+        agent_names=("solo",),
+        action_names=(tuple(f"a{j}" for j in range(n_actions)),),
+        observation_names=(tuple(f"z{k}" for k in range(len(kinds))),),
+        initial=Belief(random_simplex(rng, n)),
+        transition=transition / transition.sum(axis=2, keepdims=True),
+        observation=np.stack([observation_block(rng, predicted, kinds)
+                              for _ in range(n_actions)], axis=1),
+        reward=np.zeros((n, n_actions)),
+    )
+    a = int(rng.integers(n_actions))
+    mon = compile_monitor(Always(NegBeliefPred("true", Constant(1.0))), m, MonitorConfig())
+    numer, likelihood = _corrections(m, predicted, a)
+    for obs, kind in enumerate(kinds):
+        if kind != "ordinary":
+            assert likelihood[obs] == LIKELIHOODS[kind]
+        try:
+            posterior = correct(predicted, a, obs, m)
+        except ZeroLikelihood as exc:
+            assert np.float64(likelihood[obs]).tobytes() == np.float64(exc.denominator).tobytes()
+            assert _passes_under(mon, numer, likelihood, obs) is (exc.denominator == 0.0)
+        else:
+            assert (numer[obs] / likelihood[obs]).tobytes() == posterior.tobytes()
+            assert _passes_under(mon, numer, likelihood, obs)
 
 
 def deterministic_model() -> Mpomdp:

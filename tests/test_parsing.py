@@ -32,6 +32,7 @@ from beliefshield import (
     parse_formula,
     pretty_print,
 )
+from beliefshield.parsing import MAX_NESTING
 
 STATE_INDEX = {"s0": 0, "s1": 1, "s2": 2, "s3": 3}
 STATE_NAMES = ("s0", "s1", "s2", "s3")
@@ -234,6 +235,36 @@ def test_expression_errors():
         parse_expr("frac(1)", STATE_INDEX)
     with pytest.raises(FormulaSyntaxError):
         parse_expr("min()", STATE_INDEX)
+
+
+def test_a_number_that_overflows_is_a_located_syntax_error():
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_expr("0.5 -\n  1e400", STATE_INDEX)
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert "number '1e400' is not finite" in str(err.value)
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("min(", ")"), ("-", "")])
+def test_deep_expression_nesting_is_a_located_syntax_error(opener, closer):
+    # The parser would exhaust the interpreter's recursion limit first.
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_expr(opener * 500 + "b(s0)" + closer * 500, STATE_INDEX)
+    assert (err.value.line, err.value.column) == (1, len(opener) * MAX_NESTING + 1)
+    assert f"nested deeper than {MAX_NESTING} levels" in str(err.value)
+    inside = MAX_NESTING - 1
+    parse_expr(opener * inside + "b(s0)" + closer * inside, STATE_INDEX)
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("G ", ""), ("!(", ")"),
+                                            ("low U ", "")])
+def test_deep_formula_nesting_is_a_located_syntax_error(opener, closer):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse(opener * 500 + "low" + closer * 500)
+    assert (err.value.line, err.value.column) == (1, len(opener) * MAX_NESTING + 1)
+    assert f"nested deeper than {MAX_NESTING} levels" in str(err.value)
+    if opener != "!(":  # a negated compound is rejected at any depth
+        inside = MAX_NESTING - 1
+        parse(opener * inside + "low" + closer * inside)
 
 
 # --------------------------------------------------------------------------
