@@ -3,9 +3,9 @@ evaluation, finite-trace semantics, and canonical printing.
 
 Atoms are either state-set membership (the hidden state lies in a set A)
 or belief predicates (an arithmetic expression f over belief entries,
-satisfied when f(b) < 0). Negation exists only on atoms; compound
-structure is built from and/or and the temporal operators next, until,
-eventually, always.
+satisfied when f(b) < 0). Negation exists only on atoms, so a negated
+atom is the same atom with `negated=True`; compound structure is built
+from and/or and the temporal operators next, until, eventually, always.
 
 The trace oracle evaluates a formula on a finite word of
 (hidden state, belief) letters with the standard finite-trace closure:
@@ -13,16 +13,18 @@ The trace oracle evaluates a formula on a finite word of
 need an in-word witness, and `next` at the last position is false.
 compile_expr turns an expression into one generated Python function,
 a flat sequence of assignments with one local per inner node, which
-monitor barriers and belief atoms both carry. Belief atoms compile
-their expression once, and the oracle applies it to each letter's
-entries, taken once per letter. The tests keep a tree-walking evaluator
-as the reference that compile_expr matches bit for bit.
+monitor barriers and belief atoms both carry. A belief atom compiles
+its expression on first use, so only the oracle pays for it, and the
+oracle applies it to each letter's entries, taken once per letter. The
+tests keep a tree-walking evaluator as the reference that compile_expr
+matches bit for bit.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 from .model import Belief
@@ -168,50 +170,30 @@ def expr_text(expr: BeliefExpr) -> str:
 # --------------------------------------------------------------------------
 # Formulas
 
-Formula = Union[
-    "StateSet", "NegStateSet", "BeliefPred", "NegBeliefPred",
-    "And", "Or", "Next", "Until", "Eventually", "Always",
-]
+Formula = Union["StateSet", "BeliefPred", "And", "Or", "Next", "Until", "Eventually", "Always"]
 
 
 @dataclass(frozen=True)
 class StateSet:
-    """Hidden state lies in the named set."""
+    """Hidden state lies in the named set (outside it when negated)."""
 
     indices: tuple[int, ...]
     names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class NegStateSet:
-    indices: tuple[int, ...]
-    names: tuple[str, ...]
+    negated: bool = False
 
 
 @dataclass(frozen=True)
 class BeliefPred:
-    """Satisfied when expr(belief) < 0. evaluator is expr compiled once,
-    for the oracle."""
+    """Satisfied when expr(belief) < 0 (>= 0 when negated)."""
 
     name: str
     expr: BeliefExpr
-    evaluator: Evaluator = field(init=False, repr=False, compare=False)
+    negated: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "evaluator", compile_expr(self.expr))
-
-
-@dataclass(frozen=True)
-class NegBeliefPred:
-    """Satisfied when expr(belief) >= 0. evaluator is expr compiled once,
-    for the oracle."""
-
-    name: str
-    expr: BeliefExpr
-    evaluator: Evaluator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "evaluator", compile_expr(self.expr))
+    @cached_property
+    def evaluator(self) -> Evaluator:
+        """expr compiled on first use, which only the oracle makes."""
+        return compile_expr(self.expr)
 
 
 @dataclass(frozen=True)
@@ -247,17 +229,9 @@ class Always:
     child: Formula
 
 
-_ATOMS = (StateSet, NegStateSet, BeliefPred, NegBeliefPred)
-_POSITIVE_ATOMS = (StateSet, BeliefPred)
-
-
-def is_atom(phi: Formula) -> bool:
-    return isinstance(phi, _ATOMS)
-
-
 def is_propositional(phi: Formula) -> bool:
     """True when phi contains no temporal operator."""
-    if is_atom(phi):
+    if isinstance(phi, (StateSet, BeliefPred)):
         return True
     if isinstance(phi, (And, Or)):
         return is_propositional(phi.left) and is_propositional(phi.right)
@@ -290,13 +264,12 @@ def oracle_satisfies(phi: Formula, word: Word, i: int = 0) -> bool:
     if not 0 <= i < len(word):
         raise IndexError(f"position {i} outside word of length {len(word)}")
     if isinstance(phi, StateSet):
-        return word[i].state in phi.indices
-    if isinstance(phi, NegStateSet):
-        return word[i].state not in phi.indices
+        return (word[i].state in phi.indices) != phi.negated
     if isinstance(phi, BeliefPred):
-        return phi.evaluator(word[i].entries) < 0.0
-    if isinstance(phi, NegBeliefPred):
-        return phi.evaluator(word[i].entries) >= 0.0
+        # Two comparisons rather than one flipped: a NaN value is false
+        # under both polarities.
+        value = phi.evaluator(word[i].entries)
+        return value >= 0.0 if phi.negated else value < 0.0
     if isinstance(phi, And):
         return oracle_satisfies(phi.left, word, i) and oracle_satisfies(phi.right, word, i)
     if isinstance(phi, Or):
@@ -320,20 +293,12 @@ def oracle_satisfies(phi: Formula, word: Word, i: int = 0) -> bool:
 # Printing
 
 
-def _state_set_text(names: tuple[str, ...]) -> str:
-    return "in({" + ", ".join(names) + "})"
-
-
 def _term_text(phi: Formula) -> str:
     """Render phi as a grammar `term`, parenthesizing and/or children."""
     if isinstance(phi, StateSet):
-        return _state_set_text(phi.names)
-    if isinstance(phi, NegStateSet):
-        return "!" + _state_set_text(phi.names)
+        return "!" * phi.negated + "in({" + ", ".join(phi.names) + "})"
     if isinstance(phi, BeliefPred):
-        return phi.name
-    if isinstance(phi, NegBeliefPred):
-        return "!" + phi.name
+        return "!" * phi.negated + phi.name
     if isinstance(phi, Next):
         return "X " + _term_text(phi.child)
     if isinstance(phi, Eventually):
@@ -341,7 +306,7 @@ def _term_text(phi: Formula) -> str:
     if isinstance(phi, Always):
         return "G " + _term_text(phi.child)
     if isinstance(phi, Until):
-        if not isinstance(phi.left, _POSITIVE_ATOMS):
+        if not isinstance(phi.left, (StateSet, BeliefPred)) or phi.left.negated:
             raise ValueError(
                 "the concrete grammar only allows a plain atom on the left of U"
             )

@@ -4,12 +4,13 @@ step along a belief trajectory.
 Supported shape: a top-level conjunction whose conjuncts are `G core`,
 `F core`, `core1 U core2`, `X core`, or a bare propositional `core`,
 where every core is propositional (atoms combined with and/or). Each
-core translates to a single barrier expression:
+core translates to a single barrier expression, one rule per atom kind
+with its `negated` flag choosing between two forms:
 
     state-set atom        ->  sum of member beliefs - 1
-    negated state-set     ->  sum of complement beliefs - 1
+      negated             ->  sum of complement beliefs - 1
     belief predicate f    ->  -f + delta     (small delta > 0)
-    negated predicate !f  ->  f
+      negated (!f)        ->  f
     and / or              ->  pointwise min / max
 
 Every conjunct becomes one `Obligation` record. Its kind selects the
@@ -55,8 +56,8 @@ from .barrier import FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_b
 from .errors import UnsupportedNesting
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
-    Eventually, Evaluator, Formula, Max, Min, NegBeliefPred, NegStateSet, Next,
-    Or, StateSet, Sum, Until, compile_expr, describe, is_propositional,
+    Eventually, Evaluator, Formula, Max, Min, Next, Or, StateSet, Sum, Until,
+    compile_expr, describe, is_propositional,
 )
 from .model import Mpomdp
 
@@ -83,18 +84,12 @@ def translate_core(core: Formula, m: Mpomdp, delta: float) -> BeliefExpr:
     propositional core (exactly for negated predicates and up to the
     delta offset for positive ones; state atoms via their belief mass)."""
     if isinstance(core, StateSet):
-        members = tuple(BeliefVar(q, m.state_names[q]) for q in core.indices)
-        return Difference(Sum(members), Constant(1.0))
-    if isinstance(core, NegStateSet):
-        complement = tuple(
-            BeliefVar(q, m.state_names[q])
-            for q in range(m.n_states) if q not in core.indices
-        )
-        return Difference(Sum(complement), Constant(1.0))
+        members = ([q for q in range(m.n_states) if q not in core.indices]
+                   if core.negated else core.indices)
+        return Difference(Sum(tuple(BeliefVar(q, m.state_names[q]) for q in members)),
+                          Constant(1.0))
     if isinstance(core, BeliefPred):
-        return Difference(Constant(delta), core.expr)
-    if isinstance(core, NegBeliefPred):
-        return core.expr
+        return core.expr if core.negated else Difference(Constant(delta), core.expr)
     if isinstance(core, And):
         return Min(_flatten(core, And, m, delta))
     if isinstance(core, Or):

@@ -14,8 +14,9 @@ associate left; `!` binds to atoms only):
     atom    ::= IDENT                        # predicate name
               | 'in' '(' '{' IDENT (',' IDENT)* '}' ')'
 
-`!(a | b)` over atoms is accepted and normalized to `!a & !b`; any other
-compound under `!` is rejected (NegationOfCompound).
+A negated atom is the atom with `negated=True`. `!(a | b)` over atoms
+is accepted and normalized to `!a & !b`; any other compound under `!`
+is rejected (NegationOfCompound).
 
 Belief-expression grammar (predicate definitions; no division):
 
@@ -26,21 +27,22 @@ Belief-expression grammar (predicate definitions; no division):
              | '(' expr ')'
 
 A NUMBER must be finite. Each `term` of a formula and each `factor` of
-an expression is one level of nesting, and neither parser goes deeper
-than MAX_NESTING levels: both raise FormulaSyntaxError at the token
-that would.
+an expression is one level of nesting. So is each `&` or `|` of a
+formula chain and each `-` of an expression chain, since a chain builds
+a tree as deep as it is long; `+` and `*` build one flat node and are
+not counted. Neither parser goes deeper than MAX_NESTING levels: both
+raise FormulaSyntaxError at the token that would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import FormulaSyntaxError, NegationOfCompound, UnknownPredicate, UnknownState
 from .ldtl import (
     And, Always, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
-    Eventually, Formula, Max, Min, NegBeliefPred, NegStateSet, Next, Or,
-    Product, StateSet, Sum, Until,
+    Eventually, Formula, Max, Min, Next, Or, Product, StateSet, Sum, Until,
 )
 
 _SYMBOLS = ("&", "|", "!", "(", ")", "{", "}", ",", "+", "-", "*", "=")
@@ -97,9 +99,10 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# Deepest nesting of parentheses, operators and calls either parser
-# accepts. Each level costs the parser a few stack frames, so without a
-# bound deep text would exhaust the interpreter's recursion limit.
+# Deepest nesting of parentheses, operators, calls and chain links
+# either parser accepts. Each level costs the parser, or a walker of the
+# tree it builds, a few stack frames, so without a bound deep text would
+# exhaust the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
@@ -107,7 +110,8 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0
+        self.depth = 0    # levels open at the current token
+        self.deepest = 0  # deepest level the innermost chain has built
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -122,6 +126,18 @@ class _Cursor:
         if self.peek().kind != kind:
             raise self.unexpected(*(expected_names or (kind,)))
         return self.advance()
+
+    def link(self) -> None:
+        """Count one more link of the innermost chain: all it has built
+        so far goes one level deeper."""
+        if self.deepest == MAX_NESTING:
+            raise self.too_deep()
+        self.deepest += 1
+
+    def too_deep(self) -> FormulaSyntaxError:
+        tok = self.peek()
+        return FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels",
+                                  tok.line, tok.column)
 
     def unexpected(self, *expected: str) -> FormulaSyntaxError:
         """The error for the next token, where one of `expected` belongs."""
@@ -138,14 +154,24 @@ def _nested(parse):
     refuse to go deeper than MAX_NESTING."""
     def nested(self, cur: _Cursor):
         if cur.depth == MAX_NESTING:
-            tok = cur.peek()
-            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels",
-                                     tok.line, tok.column)
+            raise cur.too_deep()
         cur.depth += 1
+        cur.deepest = max(cur.deepest, cur.depth)
         result = parse(self, cur)
         cur.depth -= 1
         return result
     return nested
+
+
+def _chain(parse):
+    """Measure a chain parse method on its own: the links it counts
+    deepen what it builds, not the siblings parsed before it."""
+    def chain(self, cur: _Cursor):
+        outer, cur.deepest = cur.deepest, cur.depth
+        result = parse(self, cur)
+        cur.deepest = max(outer, cur.deepest)
+        return result
+    return chain
 
 
 # --------------------------------------------------------------------------
@@ -172,10 +198,12 @@ class FormulaParser:
             )
         return phi
 
+    @_chain
     def _formula(self, cur: _Cursor) -> Formula:
         phi = self._term(cur)
         while cur.peek().kind in ("&", "|"):
             op = cur.advance()
+            cur.link()
             rhs = self._term(cur)
             phi = And(phi, rhs) if op.kind == "&" else Or(phi, rhs)
         return phi
@@ -205,7 +233,7 @@ class FormulaParser:
     def _negated(self, cur: _Cursor, bang: Token) -> Formula:
         tok = cur.peek()
         if tok.kind == "ident":
-            return _negate_atom(self._atom(cur))
+            return replace(self._atom(cur), negated=True)
         if tok.kind == "(":
             cur.advance()
             inner = self._formula(cur)
@@ -217,7 +245,7 @@ class FormulaParser:
                     "disjunction of atoms",
                     bang.line, bang.column,
                 )
-            negated = [_negate_atom(a) for a in atoms]
+            negated = [replace(a, negated=True) for a in atoms]
             phi: Formula = negated[0]
             for nxt in negated[1:]:
                 phi = And(phi, nxt)
@@ -250,17 +278,9 @@ class FormulaParser:
         return BeliefPred(tok.text, self.predicates[tok.text])
 
 
-def _negate_atom(atom: Formula) -> Formula:
-    if isinstance(atom, StateSet):
-        return NegStateSet(atom.indices, atom.names)
-    if isinstance(atom, BeliefPred):
-        return NegBeliefPred(atom.name, atom.expr)
-    raise TypeError(f"not a positive atom: {atom!r}")
-
-
 def _disjunction_of_atoms(phi: Formula) -> list[Formula] | None:
     """Flatten an or-chain of positive atoms; None if phi is anything else."""
-    if isinstance(phi, (StateSet, BeliefPred)):
+    if isinstance(phi, (StateSet, BeliefPred)) and not phi.negated:
         return [phi]
     if isinstance(phi, Or):
         left = _disjunction_of_atoms(phi.left)
@@ -296,10 +316,13 @@ class ExprParser:
             )
         return expr
 
+    @_chain
     def _expr(self, cur: _Cursor) -> BeliefExpr:
         node = self._mul(cur)
         while cur.peek().kind in ("+", "-"):
             op = cur.advance()
+            if op.kind == "-":
+                cur.link()
             rhs = self._mul(cur)
             if op.kind == "+":
                 node = Sum(node.children + (rhs,)) if isinstance(node, Sum) else Sum((node, rhs))

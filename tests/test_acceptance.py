@@ -32,7 +32,7 @@ from beliefshield.config import ScenarioConfig
 from beliefshield.errors import ZeroLikelihood
 from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
-    Max, Min, NegBeliefPred, Next, Or, Sum, Until, describe,
+    Max, Min, Next, Or, Sum, Until, describe,
 )
 from beliefshield.model import Belief, Mpomdp, belief_update
 from beliefshield.monitor import MonitorConfig, compile_monitor
@@ -121,8 +121,8 @@ def _random_scenario(i: int) -> ScenarioConfig:
     m = random_model(rng, max_states=5, max_agents=2, max_radix=2)
     predicates = dict(_random_predicate(rng, m, j)
                       for j in range(int(rng.integers(2, 4))))
-    atoms = [cls(name, expr) for name, expr in predicates.items()
-             for cls in (BeliefPred, NegBeliefPred)]
+    atoms = [BeliefPred(name, expr, negated=negated) for name, expr in predicates.items()
+             for negated in (False, True)]
     conjuncts = [_random_conjunct(rng, atoms)
                  for _ in range(int(rng.integers(1, 3)))]
     phi = conjuncts[0]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from beliefshield import (
     Always,
     Belief,
+    BeliefPred,
     BeliefVar,
     ConfigError,
     Constant,
@@ -25,7 +26,6 @@ from beliefshield import (
     LinearAlpha,
     MonitorConfig,
     Mpomdp,
-    NegBeliefPred,
     RandomUniform,
     SHIELD_MODES,
     ScenarioConfig,
@@ -43,6 +43,8 @@ from beliefshield import (
 from beliefshield import config, presets
 from beliefshield.config import config_to_dict
 from beliefshield.presets import FORMULA, corridor_config
+
+from conftest import count_calls
 
 
 def base_config() -> dict:
@@ -112,7 +114,7 @@ def test_base_config_builds_the_model():
     assert np.array_equal(m.observation[1, 1], [0.0, 1.0])
     assert np.array_equal(m.reward, [[1.0, 1.0], [-2.0, 0.0]])
     assert cfg.formula == Always(
-        NegBeliefPred("risky", Difference(BeliefVar(1, "bad"), Constant(0.5)))
+        BeliefPred("risky", Difference(BeliefVar(1, "bad"), Constant(0.5)), negated=True)
     )
     assert cfg.policy == FixedAction(0)
     assert cfg.shield_mode == "literal"
@@ -275,7 +277,14 @@ def test_formula_and_predicate_errors():
      "line 1, column 101: nested deeper than 100 levels"),
     ("formula", "(" * 500 + "G !risky" + ")" * 500,
      "line 1, column 101: nested deeper than 100 levels"),
-], ids=["overflowing-number", "deep-predicate", "deep-formula"])
+    # A chain builds a tree as deep as it is long, so each link is a
+    # level. `F` is one more, so there the 99th `&` is one too many.
+    ("predicates", " - ".join(["b(bad)"] * 1000),
+     "line 1, column 901: nested deeper than 100 levels"),
+    ("formula", " & ".join(["F risky"] * 1000),
+     "line 1, column 991: nested deeper than 100 levels"),
+], ids=["overflowing-number", "deep-predicate", "deep-formula", "long-difference-chain",
+        "long-conjunction-chain"])
 def test_text_the_parsers_refuse_is_reported_where_it_is(key, text, message):
     data = base_config()
     if key == "predicates":
@@ -386,6 +395,14 @@ def test_load_run_write_read_audit_compiles_the_monitor_once(named, tmp_path, co
     assert report.ok and len(report.episodes) == 3
     assert cfg.name == ("corridor" if named else "hall")
     assert len(compile_calls) == 1
+
+
+def test_a_load_compiles_only_the_monitors_barriers(monkeypatch):
+    calls = count_calls(monkeypatch, "compile_expr")
+    load_config(CONFIGS / "corridor.yaml")
+    # One barrier for each obligation of `G !(…) & F at_goal`. Belief
+    # atoms compile on first use, which only the audit's oracle makes.
+    assert len(calls) == 2
 
 
 def test_replace_recompiles_the_start_monitor():

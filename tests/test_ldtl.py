@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
-    Letter, Max, Min, NegBeliefPred, NegStateSet, Next, Or, Product, StateSet,
+    Letter, Max, Min, Next, Or, Product, StateSet,
     Sum, Until, compile_expr, describe, expr_text,
     is_propositional, oracle_satisfies, pretty_print,
 )
@@ -27,11 +27,11 @@ def letters(*states: int) -> tuple[Letter, ...]:
 
 IN0 = StateSet((0,), ("s0",))
 IN1 = StateSet((1,), ("s1",))
-NOT0 = NegStateSet((0,), ("s0",))
+NOT0 = StateSet((0,), ("s0",), negated=True)
 
 # Satisfied iff b(s1) > 0.5; B2 satisfies it.
 HIGH1 = BeliefPred("high1", Difference(Constant(0.5), BeliefVar(1, "s1")))
-TRUE = NegBeliefPred("always_true", Constant(1.0))
+TRUE = BeliefPred("always_true", Constant(1.0), negated=True)
 
 
 def test_expr_evaluation():
@@ -50,9 +50,9 @@ def test_atoms_on_single_letters():
     assert oracle_satisfies(IN0, word)
     assert not oracle_satisfies(IN1, word)
     assert not oracle_satisfies(NOT0, word)
-    assert oracle_satisfies(NegStateSet((1,), ("s1",)), word)
+    assert oracle_satisfies(StateSet((1,), ("s1",), negated=True), word)
     assert oracle_satisfies(HIGH1, word)  # 0.5 - 0.75 < 0
-    assert not oracle_satisfies(NegBeliefPred("high1", HIGH1.expr), word)
+    assert not oracle_satisfies(BeliefPred("high1", HIGH1.expr, negated=True), word)
     assert oracle_satisfies(TRUE, word)
 
 
@@ -107,7 +107,7 @@ def test_always_eventually_duality_on_atoms():
     # !G f == F !f checked via the negated-atom encodings.
     rng = np.random.default_rng(9)
     f = HIGH1
-    neg_f = NegBeliefPred(f.name, f.expr)
+    neg_f = BeliefPred(f.name, f.expr, negated=True)
     for _ in range(200):
         n = int(rng.integers(1, 6))
         word = tuple(
@@ -123,7 +123,14 @@ def test_belief_atom_at_zero_is_false_and_its_negation_true():
     f = Difference(BeliefVar(0, "s0"), Constant(0.25))
     word = letters(0)
     assert not oracle_satisfies(BeliefPred("f", f), word)
-    assert oracle_satisfies(NegBeliefPred("f", f), word)
+    assert oracle_satisfies(BeliefPred("f", f, negated=True), word)
+
+
+def test_a_nan_belief_atom_is_false_under_both_polarities():
+    word = letters(0)
+    nan = Constant(float("nan"))
+    assert not oracle_satisfies(BeliefPred("f", nan), word)
+    assert not oracle_satisfies(BeliefPred("f", nan, negated=True), word)
 
 
 def test_is_propositional():
@@ -133,8 +140,8 @@ def test_is_propositional():
 
 
 def test_pretty_print_golden():
-    assert pretty_print(Always(And(NegBeliefPred("a", Constant(0.0)),
-                                   NegBeliefPred("b", Constant(0.0))))) == \
+    assert pretty_print(Always(And(BeliefPred("a", Constant(0.0), negated=True),
+                                   BeliefPred("b", Constant(0.0), negated=True)))) == \
         "G (!a & !b)"
     assert pretty_print(And(Always(IN0), Eventually(HIGH1))) == \
         "G in({s0}) & F high1"

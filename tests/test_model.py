@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefshield import (
-    CONSERVATIVE, Always, Constant, MonitorConfig, NegBeliefPred, compile_monitor,
+    CONSERVATIVE, Always, BeliefPred, Constant, MonitorConfig, compile_monitor,
     shield_step,
 )
 from beliefshield.errors import ZeroLikelihood
@@ -291,7 +291,8 @@ def test_conservative_shield_skips_only_impossible_observations(likelihood, safe
         m = random_model(rng)
     b, a, z, other = m.initial, 0, 0, 1
     m = with_likelihood(m, b, a, other, likelihood)
-    mon = compile_monitor(Always(NegBeliefPred("true", Constant(1.0))), m, MonitorConfig())
+    true = Always(BeliefPred("true", Constant(1.0), negated=True))
+    mon = compile_monitor(true, m, MonitorConfig())
     reference = [c.action for c in shield_reference(m, mon, b, z, a, CONSERVATIVE).safe]
     assert (a in reference) is safe
     assert shield_step(m, values_at(mon, b), b, z, a, CONSERVATIVE).overridden is not safe
@@ -358,7 +359,8 @@ def test_batched_corrections_are_corrects_bit_for_bit(n, n_actions, kinds, seed)
         reward=np.zeros((n, n_actions)),
     )
     a = int(rng.integers(n_actions))
-    mon = compile_monitor(Always(NegBeliefPred("true", Constant(1.0))), m, MonitorConfig())
+    true = Always(BeliefPred("true", Constant(1.0), negated=True))
+    mon = compile_monitor(true, m, MonitorConfig())
     numer, likelihood = _corrections(m, predicted, a)
     for obs, kind in enumerate(kinds):
         if kind != "ordinary":

@@ -19,7 +19,6 @@ from beliefshield import (
     Monitor,
     MonitorConfig,
     Mpomdp,
-    NegBeliefPred,
     Next,
     And,
     Until,
@@ -30,7 +29,6 @@ from beliefshield import (
     Min,
     Max,
     StateSet,
-    NegStateSet,
     BeliefPred,
     Sum,
     ft_dtbf_check,
@@ -61,8 +59,8 @@ MODEL = tiny_model(3)
 
 # Barriers h = b(q0) - 0.5 and h = b(q1) - 0.5; negated predicates
 # translate to their expression verbatim, so beliefs set h directly.
-MARGIN = NegBeliefPred("margin", Difference(BeliefVar(0, "q0"), Constant(0.5)))
-REACH = NegBeliefPred("reach", Difference(BeliefVar(1, "q1"), Constant(0.5)))
+MARGIN = BeliefPred("margin", Difference(BeliefVar(0, "q0"), Constant(0.5)), negated=True)
+REACH = BeliefPred("reach", Difference(BeliefVar(1, "q1"), Constant(0.5)), negated=True)
 
 CFG = MonitorConfig(delta=1e-3, alpha=LinearAlpha(0.5), ft=FtParams(rho=0.5, eps=0.1))
 
@@ -102,14 +100,14 @@ def test_translate_state_set_is_member_mass_minus_one():
 
 
 def test_translate_negated_state_set_uses_complement():
-    expr = translate_core(NegStateSet((1,), ("q1",)), MODEL, 1e-3)
+    expr = translate_core(StateSet((1,), ("q1",), negated=True), MODEL, 1e-3)
     assert expr == Difference(Sum((BeliefVar(0, "q0"), BeliefVar(2, "q2"))), Constant(1.0))
 
 
 def test_translate_predicates_offset_and_sign():
     f = Difference(BeliefVar(0, "q0"), Constant(0.5))
     assert translate_core(BeliefPred("p", f), MODEL, 1e-3) == Difference(Constant(1e-3), f)
-    assert translate_core(NegBeliefPred("p", f), MODEL, 1e-3) == f
+    assert translate_core(BeliefPred("p", f, negated=True), MODEL, 1e-3) == f
 
 
 def test_translate_and_or_flatten_to_min_max():

@@ -1,6 +1,8 @@
 """Formula and belief-expression parsing: golden parses, error reporting,
 and print/parse round trips."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,6 @@ from beliefshield import (
     FormulaSyntaxError,
     Max,
     Min,
-    NegBeliefPred,
-    NegStateSet,
     NegationOfCompound,
     Next,
     Or,
@@ -85,14 +85,14 @@ def test_state_sets_sort_by_state_index():
 
 
 def test_negation_of_atoms():
-    assert parse("!low") == NegBeliefPred("low", PRED_EXPRS["low"])
-    assert parse("!in({s1})") == NegStateSet((1,), ("s1",))
+    assert parse("!low") == BeliefPred("low", PRED_EXPRS["low"], negated=True)
+    assert parse("!in({s1})") == StateSet((1,), ("s1",), negated=True)
 
 
 def test_negated_disjunction_normalizes_to_conjunction():
-    neg_low = NegBeliefPred("low", PRED_EXPRS["low"])
-    neg_mid = NegBeliefPred("mid", PRED_EXPRS["mid"])
-    neg_s0 = NegStateSet((0,), ("s0",))
+    neg_low = BeliefPred("low", PRED_EXPRS["low"], negated=True)
+    neg_mid = BeliefPred("mid", PRED_EXPRS["mid"], negated=True)
+    neg_s0 = StateSet((0,), ("s0",), negated=True)
     assert parse("!(low | mid)") == And(neg_low, neg_mid)
     assert parse("!(low | mid | in({s0}))") == And(And(neg_low, neg_mid), neg_s0)
     assert parse("G !(low | mid)") == Always(And(neg_low, neg_mid))
@@ -105,6 +105,8 @@ def test_negation_of_compound_is_rejected():
         parse("!(G low)")
     with pytest.raises(NegationOfCompound):
         parse("!(!low)")
+    with pytest.raises(NegationOfCompound):
+        parse("!(!low | mid)")
     assert issubclass(NegationOfCompound, FormulaSyntaxError)
 
 
@@ -244,7 +246,8 @@ def test_a_number_that_overflows_is_a_located_syntax_error():
     assert "number '1e400' is not finite" in str(err.value)
 
 
-@pytest.mark.parametrize("opener, closer", [("(", ")"), ("min(", ")"), ("-", "")])
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("min(", ")"), ("-", ""),
+                                            ("b(s0) - ", "")])
 def test_deep_expression_nesting_is_a_located_syntax_error(opener, closer):
     # The parser would exhaust the interpreter's recursion limit first.
     with pytest.raises(FormulaSyntaxError) as err:
@@ -256,7 +259,7 @@ def test_deep_expression_nesting_is_a_located_syntax_error(opener, closer):
 
 
 @pytest.mark.parametrize("opener, closer", [("(", ")"), ("G ", ""), ("!(", ")"),
-                                            ("low U ", "")])
+                                            ("low U ", ""), ("low & ", ""), ("low | ", "")])
 def test_deep_formula_nesting_is_a_located_syntax_error(opener, closer):
     with pytest.raises(FormulaSyntaxError) as err:
         parse(opener * 500 + "low" + closer * 500)
@@ -265,6 +268,15 @@ def test_deep_formula_nesting_is_a_located_syntax_error(opener, closer):
     if opener != "!(":  # a negated compound is rejected at any depth
         inside = MAX_NESTING - 1
         parse(opener * inside + "low" + closer * inside)
+
+
+def test_a_chain_counts_as_deep_as_the_tree_it_builds():
+    chain = " & ".join(["low"] * 60)
+    # A chain on the left of another hangs below all of its links.
+    with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+        parse(f"({chain}) & {chain}")
+    # Chains side by side are no deeper than one of them.
+    parse(f"mid | ({chain}) | ({chain})")
 
 
 # --------------------------------------------------------------------------
@@ -277,8 +289,8 @@ state_atoms = st.lists(
 pos_atoms = pred_atoms | state_atoms
 atoms = st.one_of(
     pos_atoms,
-    pred_atoms.map(lambda a: NegBeliefPred(a.name, a.expr)),
-    state_atoms.map(lambda a: NegStateSet(a.indices, a.names)),
+    pred_atoms.map(lambda a: replace(a, negated=True)),
+    state_atoms.map(lambda a: replace(a, negated=True)),
 )
 
 

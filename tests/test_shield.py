@@ -25,7 +25,6 @@ from beliefshield import (
     LITERAL,
     MonitorConfig,
     Mpomdp,
-    NegBeliefPred,
     Next,
     SafetyDeadlock,
     Sum,
@@ -72,7 +71,7 @@ def line_model(rewards: dict[tuple[int, int], float]) -> Mpomdp:
 
 def line_monitor(m: Mpomdp):
     # Safe while s2 carries less than half the mass: h = 0.5 - b(s2).
-    clear = NegBeliefPred("clear", Difference(Constant(0.5), BeliefVar(2, "s2")))
+    clear = BeliefPred("clear", Difference(Constant(0.5), BeliefVar(2, "s2")), negated=True)
     return compile_monitor(Always(clear), m, CFG)
 
 
@@ -187,7 +186,7 @@ def signal_model() -> Mpomdp:
 
 
 def trivially_safe_monitor(m: Mpomdp):
-    return compile_monitor(Always(NegBeliefPred("ok", Constant(1.0))), m, CFG)
+    return compile_monitor(Always(BeliefPred("ok", Constant(1.0), negated=True)), m, CFG)
 
 
 def test_zero_likelihood_candidate_is_unsafe_not_an_error():
@@ -213,7 +212,7 @@ def test_deadlock_marks_zero_likelihood_candidates_empty():
     m = signal_model()
     # Impossible monitor: barrier -1 forever fails the start check.
     doomed = compile_monitor(
-        Always(NegBeliefPred("never", Constant(-1.0))), m, CFG
+        Always(BeliefPred("never", Constant(-1.0), negated=True)), m, CFG
     )
     b = Belief((0.75, 0.25))
     with pytest.raises(SafetyDeadlock) as err:
@@ -249,7 +248,7 @@ def sensor_model() -> Mpomdp:
 
 def margin_monitor(m: Mpomdp):
     # h = b(u0) - 0.5, so posteriors that shift mass onto u1 break it.
-    margin = NegBeliefPred("margin", Difference(BeliefVar(0, "u0"), Constant(0.5)))
+    margin = BeliefPred("margin", Difference(BeliefVar(0, "u0"), Constant(0.5)), negated=True)
     return compile_monitor(Always(margin), m, CFG)
 
 
@@ -306,7 +305,7 @@ def random_monitor(rng: np.random.Generator, m: Mpomdp):
     def core():
         if rng.random() < 0.5:
             return BeliefPred("below", mass_below())
-        return NegBeliefPred("above", mass_below())
+        return BeliefPred("above", mass_below(), negated=True)
 
     kinds = (lambda: Always(core()), lambda: Eventually(core()),
              lambda: Until(core(), core()), lambda: Next(core()), core)
@@ -375,8 +374,8 @@ def test_forced_deadlock_reports_every_action(seed, mode):
     rng = np.random.default_rng(seed)
     m = with_impossible_observations(rng, random_model(rng))
     # A negative constant barrier fails the start check for every action.
-    doomed = Always(NegBeliefPred("never", Difference(
-        Constant(-1.0), BeliefVar(int(rng.integers(m.n_states)), "s"))))
+    doomed = Always(BeliefPred("never", Difference(
+        Constant(-1.0), BeliefVar(int(rng.integers(m.n_states)), "s")), negated=True))
     mon = compile_monitor(doomed, m, CFG)
     b = Belief(random_simplex(rng, m.n_states))
     z = int(rng.integers(m.n_joint_observations))

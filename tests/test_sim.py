@@ -8,6 +8,7 @@ from beliefshield import (
     Always,
     And,
     Belief,
+    BeliefPred,
     BeliefVar,
     Constant,
     Difference,
@@ -18,7 +19,6 @@ from beliefshield import (
     LinearAlpha,
     MonitorConfig,
     Mpomdp,
-    NegBeliefPred,
     Next,
     RandomUniform,
     Scenario,
@@ -57,7 +57,7 @@ def one_state_model() -> Mpomdp:
 
 
 def safe_monitor(m: Mpomdp):
-    return compile_monitor(Always(NegBeliefPred("ok", Constant(1.0))), m, CFG)
+    return compile_monitor(Always(BeliefPred("ok", Constant(1.0), negated=True)), m, CFG)
 
 
 def trace_skeleton(trace):
@@ -217,7 +217,7 @@ def test_deadlock_ends_episode_with_barrier_report():
         reward=np.zeros((2, 1)),
     )
     # h = b(s0) - 0.5 collapses from 0.5 to -0.5 for the only action.
-    margin = NegBeliefPred("margin", Difference(BeliefVar(0, "s0"), Constant(0.5)))
+    margin = BeliefPred("margin", Difference(BeliefVar(0, "s0"), Constant(0.5)), negated=True)
     mon = compile_monitor(Always(margin), m, CFG)
     for mode in ("literal", "conservative"):
         scen = Scenario(model=m, monitor=mon, policy=FixedAction(0),
@@ -314,10 +314,10 @@ def _all_kinds_formula(m: Mpomdp):
     start = float(m.initial.probs[0])
 
     def at_least(name, x):
-        return NegBeliefPred(name, Difference(b0, Constant(x)))
+        return BeliefPred(name, Difference(b0, Constant(x)), negated=True)
 
     def at_most(name, x):
-        return NegBeliefPred(name, Difference(Constant(x), b0))
+        return BeliefPred(name, Difference(Constant(x), b0), negated=True)
 
     return And(And(And(And(
         Always(at_most("capped", 0.99)),
