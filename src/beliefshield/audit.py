@@ -3,8 +3,11 @@ monitor, and evaluate the formula's finite-trace semantics on the
 replayed word.
 
 The replay recomputes every belief from the recorded actions and
-observations; any deviation beyond 1e-9 from the recorded beliefs
-raises TraceMismatch. Monitor verdicts are recomputed the same way and
+observations and decodes each recorded one by its episode's trace
+version (`traceio.recorded_belief`). A recorded belief whose bytes equal
+the replayed belief's has error 0.0; otherwise the error is the largest
+entry-wise deviation, and one beyond 1e-9, or not finite, raises
+TraceMismatch. Monitor verdicts are recomputed the same way and
 compared record by record: oid, kind, status and detail exactly, the
 barrier value within 1e-9, and the step's passed flag. The finite-trace
 verdict per top-level conjunct is reported alongside; the monitor checks
@@ -31,7 +34,7 @@ from .model import Belief, belief_update
 from .monitor import (
     Monitor, ObligationRecord, StepVerdict, barrier_values, check_step, conjuncts,
 )
-from .traceio import EpisodeRecord
+from .traceio import EpisodeRecord, recorded_belief
 
 BELIEF_TOL = 1e-9
 
@@ -78,15 +81,14 @@ class AuditReport:
         return all(ep.ok for ep in self.episodes)
 
 
-def _recorded_belief(value, n_states: int, where: str) -> np.ndarray:
-    try:
-        recorded = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"belief is not a list of numbers: {exc}", where) from exc
-    if recorded.shape != (n_states,):
-        raise ConfigError(
-            f"belief has {recorded.size} entries, model has {n_states} states", where)
-    return recorded
+def _belief_error(recorded: bytes, probs: np.ndarray) -> float:
+    """Largest deviation of a recorded belief (little-endian float64
+    bytes) from a replayed one; NaN when a recorded entry is NaN. Equal
+    bytes skip the arithmetic, which is every step of an untampered
+    trace on a little-endian machine."""
+    if recorded == probs.tobytes():
+        return 0.0
+    return float(np.max(np.abs(np.frombuffer(recorded, "<f8") - probs)))
 
 
 def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepContext], float]:
@@ -95,9 +97,9 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
     belief deviates from the recorded one by more than 1e-9, or by a
     non-finite amount (a NaN or null entry)."""
     m = cfg.model
-    recorded0 = _recorded_belief(ep.header.get("initial_belief", []), m.n_states,
-                                 f"episode {ep.episode} header")
-    max_err = float(np.max(np.abs(recorded0 - m.initial.probs)))
+    recorded0 = recorded_belief(ep.header.get("initial_belief", []), ep.version, m.n_states,
+                                f"episode {ep.episode} header")
+    max_err = _belief_error(recorded0, m.initial.probs)
     # Negated, so that a NaN deviation fails too.
     if not max_err <= BELIEF_TOL:
         raise TraceMismatch(ep.episode, 0, max_err)
@@ -116,8 +118,8 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
             b_next = belief_update(belief, action, obs, m)
         except ZeroLikelihood as exc:
             raise TraceMismatch(ep.episode, step, float("inf")) from exc
-        recorded = _recorded_belief(rec.get("belief", []), m.n_states, where)
-        err = float(np.max(np.abs(recorded - b_next.probs)))
+        recorded = recorded_belief(rec.get("belief", []), ep.version, m.n_states, where)
+        err = _belief_error(recorded, b_next.probs)
         max_err = max(max_err, err)
         if not err <= BELIEF_TOL:
             raise TraceMismatch(ep.episode, step, err)

@@ -142,16 +142,23 @@ def compile_expr(expr: BeliefExpr) -> Evaluator:
 
 
 def _expr_text(expr: BeliefExpr, parent: str = "") -> str:
+    """parent is "" where a chain of `+` and `-` may stand bare: a whole
+    expression, an argument, the left operand of `-` or the first term
+    of `+`. It is "add" for a later operand of `+` or `-`, and "mul" for
+    an operand of `*`."""
     if isinstance(expr, Constant):
         return repr(float(expr.value))
     if isinstance(expr, BeliefVar):
         return f"b({expr.name})"
     if isinstance(expr, Sum):
-        text = " + ".join(_expr_text(c, "add") for c in expr.children)
-        return f"({text})" if parent in ("add", "mul") else text
+        first, *rest = expr.children
+        text = " + ".join([_expr_text(first)] + [_expr_text(c, "add") for c in rest])
+        return f"({text})" if parent else text
     if isinstance(expr, Difference):
-        text = f"{_expr_text(expr.left, 'add')} - {_expr_text(expr.right, 'add')}"
-        return f"({text})" if parent in ("add", "mul") else text
+        if expr.left == Constant(0.0) and isinstance(expr.right, (Constant, BeliefVar)):
+            return "-" + _expr_text(expr.right)
+        text = f"{_expr_text(expr.left)} - {_expr_text(expr.right, 'add')}"
+        return f"({text})" if parent else text
     if isinstance(expr, Product):
         text = " * ".join(_expr_text(c, "mul") for c in expr.children)
         return f"({text})" if parent == "mul" else text
@@ -163,7 +170,9 @@ def _expr_text(expr: BeliefExpr, parent: str = "") -> str:
 
 
 def expr_text(expr: BeliefExpr) -> str:
-    """Expression in the concrete syntax accepted by the config parser."""
+    """Expression in the concrete syntax accepted by the config parser,
+    with no parentheses the parser does not need, so that the parser
+    counts no more nesting in it than in any text that spells expr."""
     return _expr_text(expr)
 
 

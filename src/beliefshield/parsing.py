@@ -32,6 +32,12 @@ formula chain and each `-` of an expression chain, since a chain builds
 a tree as deep as it is long; `+` and `*` build one flat node and are
 not counted. Neither parser goes deeper than MAX_NESTING levels: both
 raise FormulaSyntaxError at the token that would.
+
+A tree built in Python has no text to count. `formula_nesting` and
+`expr_nesting` measure it without recursion: the levels the parser
+counts in the cheapest text that spells it, which is the text
+`pretty_print` and `expr_text` write. So a tree parsed from any accepted
+text measures at most MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -382,3 +388,95 @@ class ExprParser:
 def parse_expr(text: str, state_index: dict[str, int]) -> BeliefExpr:
     """Parse belief-expression text, resolving state names."""
     return ExprParser(state_index).parse(text)
+
+
+# --------------------------------------------------------------------------
+# Nesting of trees built in Python
+
+
+def _post_order(root, children, levels):
+    """levels(node, [levels of each child]) at root, children first, with
+    an explicit stack; a node shared by several parents is measured once."""
+    done: dict[int, tuple[int, ...]] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kids = children(node)
+        todo = [k for k in kids if id(k) not in done]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            done[id(node)] = levels(node, [done[id(k)] for k in kids])
+    return done[id(root)]
+
+
+def _formula_children(phi) -> tuple:
+    if isinstance(phi, (And, Or, Until)):
+        return (phi.left, phi.right)
+    if isinstance(phi, (Always, Eventually, Next)):
+        return (phi.child,)
+    return ()
+
+
+def _formula_levels(phi, kids: list[tuple[int, int]]) -> tuple[int, int]:
+    """(as a formula, as a term). A link deepens its chain's left side
+    only; a chain as a term needs parentheses, one term deeper."""
+    if isinstance(phi, (And, Or)):
+        (left, _), (_, right) = kids
+        chain = max(left + 1, right)
+        return chain, 1 + chain
+    if kids:  # a temporal operator or until: one term around its operands' terms
+        term = 1 + max(t for _, t in kids)
+        return term, term
+    return 1, 1
+
+
+def formula_nesting(phi: Formula) -> int:
+    """The levels the formula parser counts in the cheapest text that
+    spells phi."""
+    return _post_order(phi, _formula_children, _formula_levels)[0]
+
+
+def _expr_children(expr) -> tuple:
+    if isinstance(expr, (Sum, Product, Min, Max)):
+        return expr.children
+    if isinstance(expr, Difference):
+        return (expr.left, expr.right)
+    return ()
+
+
+def _expr_levels(expr, kids: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """(as an expression, as a term, as a factor). A `-` link deepens its
+    chain's left side only; a chain in a term's or a factor's place and
+    a product in a factor's place need parentheses, one factor deeper.
+    A sum first in a sum, which no text spells (the parser flattens
+    it), counts as one in parentheses too, so that sums cannot nest
+    unmeasured. `0 - x` is also the unary `-x`, one factor around x's."""
+    if not kids:
+        return 1, 1, 1
+    if isinstance(expr, Sum):
+        first = kids[0][2] if isinstance(expr.children[0], Sum) else kids[0][0]
+        chain = max([first] + [t for _, t, _ in kids[1:]])
+        return chain, 1 + chain, 1 + chain
+    if isinstance(expr, Product):
+        term = max(f for _, _, f in kids)
+        return term, term, 1 + term
+    if isinstance(expr, Difference):
+        (left, _, _), (_, right, right_factor) = kids
+        chain = max(left + 1, right)
+        factor = 1 + chain
+        if expr.left == Constant(0.0):
+            factor = min(factor, 1 + right_factor)
+        return chain, factor, factor
+    factor = 1 + max(e for e, _, _ in kids)  # min or max of whole expressions
+    return factor, factor, factor
+
+
+def expr_nesting(expr: BeliefExpr) -> int:
+    """The levels the expression parser counts in the cheapest text that
+    spells expr."""
+    return _post_order(expr, _expr_children, _expr_levels)[0]

@@ -1,21 +1,32 @@
 """Trace serialization: JSON Lines episode records and a summary CSV.
 
 Each episode contributes a versioned header line, one line per step,
-and an end line. Key order is fixed, floats are written with full repr
-precision, and nothing time- or host-dependent is recorded, so reruns
-with the same seed produce byte-identical files.
+and an end line. Key order is fixed and nothing time- or host-dependent
+is recorded, so reruns with the same seed produce byte-identical files.
+
+Version 2 stores each belief (the header's `initial_belief`, each
+step's `belief`) as one base64 string of its entries as little-endian
+float64, so the recorded bits are the filter's bits; other floats are
+written with full repr precision. Version 1 wrote beliefs as lists of
+decimals, also exact under repr, and is still read. `read_traces`
+parses the JSON only; `recorded_belief` decodes a belief by its
+episode's version, where the audit can name the step it came from.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .sim import BatchResult, Trace, TraceStep
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 SUMMARY_FIELDS = ("episode", "steps", "end_reason", "violations", "overrides",
                   "first_discharge_step", "total_reward")
@@ -23,6 +34,34 @@ SUMMARY_FIELDS = ("episode", "steps", "end_reason", "violations", "overrides",
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def encode_belief(probs: np.ndarray) -> str:
+    """A belief's entries as base64 of their little-endian float64 bytes."""
+    return base64.b64encode(probs.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def recorded_belief(value, version: int, n_states: int, where: str) -> bytes:
+    """The little-endian float64 bytes of a belief recorded by a trace of
+    `version`. Raises ConfigError at `where` for a value that is not a
+    belief of `n_states` entries in that version's encoding."""
+    if version == 1:
+        try:
+            recorded = np.asarray(value, dtype="<f8")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"belief is not a list of numbers: {exc}", where) from exc
+        if recorded.shape != (n_states,):
+            raise ConfigError(
+                f"belief has {recorded.size} entries, model has {n_states} states", where)
+        return recorded.tobytes()
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ConfigError(f"belief is not a base64 string: {exc}", where) from exc
+    if len(raw) != 8 * n_states:
+        raise ConfigError(f"belief has {len(raw)} bytes, {n_states} states need "
+                          f"{8 * n_states}", where)
+    return raw
 
 
 def _header_line(trace: Trace, scenario_name: str, shield_mode: str,
@@ -36,7 +75,7 @@ def _header_line(trace: Trace, scenario_name: str, shield_mode: str,
         "shield": shield_mode,
         "horizon": horizon,
         "initial_state": trace.initial_state,
-        "initial_belief": list(trace.initial_belief.probs),
+        "initial_belief": encode_belief(trace.initial_belief.probs),
     })
 
 
@@ -51,7 +90,7 @@ def _step_line(episode: int, s: TraceStep) -> str:
         "overridden": s.overridden,
         "observation": s.observation,
         "next_state": s.next_state,
-        "belief": list(s.belief.probs),
+        "belief": encode_belief(s.belief.probs),
         "verdict": {
             "passed": s.verdict.passed,
             "records": [
@@ -106,6 +145,10 @@ class EpisodeRecord:
     def episode(self) -> int:
         return self.header["episode"]
 
+    @property
+    def version(self) -> int:
+        return self.header["version"]
+
 
 def read_traces(path: str | Path) -> list[EpisodeRecord]:
     """Parse a trace file back into per-episode records, checking line
@@ -135,7 +178,8 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
             if kind == "header":
                 if header is not None:
                     raise ConfigError("header before previous episode ended", where)
-                if rec.get("version") != TRACE_VERSION:
+                if (type(rec.get("version")) is not int
+                        or rec["version"] not in READABLE_VERSIONS):
                     raise ConfigError(
                         f"unsupported trace version {rec.get('version')!r}", where)
                 if type(rec.get("episode")) is not int:

@@ -3,11 +3,12 @@ evaluators (the tree-walking `evaluate_expr` that compiled barriers
 match bit for bit, and `monitor_step`, which evaluates both beliefs of
 a step afresh), the independent two-pass posterior oracle the filter is
 checked against, the one-action-at-a-time brute-force reference the
-shield is checked against, and counters of monitor compilations and
-barrier evaluations."""
+shield is checked against, counters of monitor compilations and
+barrier evaluations, and the decoding of beliefs in trace records."""
 
 from __future__ import annotations
 
+import base64
 import sys
 from dataclasses import dataclass, replace
 
@@ -23,6 +24,20 @@ from beliefshield.model import (
     Belief, Mpomdp, belief_update, expected_reward, predicted_belief,
 )
 from beliefshield.monitor import Monitor, StepVerdict, barrier_values, check_step
+from beliefshield.traceio import encode_belief
+
+
+def decode_belief(text: str) -> np.ndarray:
+    """A version 2 trace belief as a writable float64 array."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8").copy()
+
+
+def edit_belief(rec: dict, key: str, edit) -> None:
+    """Decode the version 2 belief rec[key], apply edit(entries) to the
+    array in place, and store it encoded again."""
+    entries = decode_belief(rec[key])
+    edit(entries)
+    rec[key] = encode_belief(entries)
 
 
 def count_calls(monkeypatch, name: str) -> list:

@@ -1,9 +1,11 @@
-"""Trace files and audit replay: round trips, tamper detection, and the
-finite-trace oracle columns."""
+"""Trace files and audit replay: round trips, tamper detection, the
+finite-trace oracle columns, and version 1 traces, which stay readable."""
 
+import base64
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,19 @@ from beliefshield import (
     write_traces,
 )
 from beliefshield.sim import BatchResult
-from beliefshield.traceio import SUMMARY_FIELDS
+from beliefshield.traceio import SUMMARY_FIELDS, TRACE_VERSION, encode_belief
 from beliefshield.presets import corridor_config
+
+from conftest import decode_belief, edit_belief
+
+# Written by `write_traces` at commit 3a765b5, the last version 1 writer,
+# from `run_batch(v1_config().to_scenario(), base_seed=7, episodes=2)`:
+# 2 episodes of 12 steps, beliefs as lists of decimals.
+V1_TRACE = Path(__file__).resolve().parent / "data" / "corridor_literal_v1.trace.jsonl"
+
+
+def v1_config():
+    return replace(corridor_config("literal"), horizon=12)
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +46,10 @@ def corridor_run(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "corridor.trace.jsonl"
     write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
     return cfg, result, path
+
+
+def bump_first_entry(entries):
+    entries[0] += 1e-6
 
 
 def dump_line(rec: dict) -> str:
@@ -65,14 +82,16 @@ def test_trace_file_round_trip(corridor_run):
         assert ep.header["horizon"] == 200
         assert ep.header["base_seed"] == cfg.seed
         assert ep.header["initial_state"] == trace.initial_state
-        assert ep.header["initial_belief"] == list(trace.initial_belief.probs)
+        assert ep.header["version"] == TRACE_VERSION == 2
+        assert decode_belief(ep.header["initial_belief"]).tobytes() == \
+            trace.initial_belief.probs.tobytes()
         assert len(ep.steps) == len(trace.steps)
         assert ep.end["reason"] == trace.end_reason
         first = ep.steps[0]
         assert first["nominal"] == trace.steps[0].nominal
         assert first["executed"] == trace.steps[0].executed
         assert first["overridden"] == trace.steps[0].overridden
-        assert first["belief"] == list(trace.steps[0].belief.probs)
+        assert decode_belief(first["belief"]).tobytes() == trace.steps[0].belief.probs.tobytes()
         statuses = [r["status"] for r in first["verdict"]["records"]]
         assert len(statuses) == 2
 
@@ -137,10 +156,11 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
     assert ":1" in str(err.value)
 
     header = json.loads(lines[0])
-    header["version"] = 99
-    with pytest.raises(ConfigError) as err:
-        read_traces(rewrite([dump_line(header)] + lines[1:]))
-    assert "unsupported trace version 99" in str(err.value)
+    for version in (99, 0, 3, True, 2.0, "2", None):
+        header["version"] = version
+        with pytest.raises(ConfigError) as err:
+            read_traces(rewrite([dump_line(header)] + lines[1:]))
+        assert f"unsupported trace version {version!r}" in str(err.value)
 
     header["version"] = 1
     del header["episode"]
@@ -262,7 +282,7 @@ def test_tampered_belief_raises_trace_mismatch(corridor_run, tmp_path):
 
     def bump(rec):
         if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 5:
-            rec["belief"][0] += 1e-6
+            edit_belief(rec, "belief", bump_first_entry)
 
     bad = tamper(path, tmp_path, bump)
     with pytest.raises(TraceMismatch) as err:
@@ -277,7 +297,7 @@ def test_tampered_initial_belief_is_step_zero_mismatch(corridor_run, tmp_path):
 
     def bump(rec):
         if rec.get("type") == "header" and rec["episode"] == 0:
-            rec["initial_belief"][0] += 1e-6
+            edit_belief(rec, "initial_belief", bump_first_entry)
 
     with pytest.raises(TraceMismatch) as err:
         replay_episode(cfg, read_traces(tamper(path, tmp_path, bump))[0])
@@ -330,16 +350,21 @@ def test_out_of_range_indices_are_config_errors(corridor_run, tmp_path):
     assert "episode 0 step 3" in str(err.value)
 
 
-@pytest.mark.parametrize("record, value", [("header", float("nan")), ("step", float("nan")),
-                                           ("step", None)],
-                         ids=["header-nan", "step-nan", "step-null"])
-def test_non_finite_belief_is_a_mismatch(corridor_run, tmp_path, record, value):
-    cfg, _, path = corridor_run
+# A null entry exists only in version 1's decimal lists.
+@pytest.mark.parametrize("version, record, value", [
+    (2, "header", float("nan")), (2, "step", float("nan")), (1, "step", None),
+    (1, "header", float("nan")), (1, "step", float("nan")),
+], ids=["header-nan", "step-nan", "step-null", "v1-header-nan", "v1-step-nan"])
+def test_non_finite_belief_is_a_mismatch(corridor_run, tmp_path, version, record, value):
+    cfg, _, path = corridor_run if version == 2 else (v1_config(), None, V1_TRACE)
     key = "initial_belief" if record == "header" else "belief"
 
     def poison(rec):
         if rec.get("type") == record and rec["episode"] == 1 and rec.get("step", 0) in (0, 6):
-            rec[key] = [value] * len(rec[key])
+            if version == 1:
+                rec[key] = [value] * len(rec[key])
+            else:
+                edit_belief(rec, key, lambda entries: entries.fill(value))
 
     with pytest.raises(TraceMismatch) as err:
         audit_traces(cfg, read_traces(tamper(path, tmp_path, poison)))
@@ -352,7 +377,15 @@ def test_non_finite_belief_is_a_mismatch(corridor_run, tmp_path, record, value):
     lambda rec: rec["verdict"]["records"][0].pop("oid"),
     lambda rec: rec["verdict"].update(records=5),
     lambda rec: rec.update(belief="abc"),
-], ids=["no-verdict", "no-passed", "no-oid", "records-not-a-list", "belief-not-numbers"])
+    lambda rec: rec.update(belief=None),
+    lambda rec: rec.update(belief=rec["belief"][:8] + "!" + rec["belief"][8:]),
+    lambda rec: rec.update(belief=decode_belief(rec["belief"]).tolist()),
+    lambda rec: rec.update(belief=encode_belief(decode_belief(rec["belief"])[:-1])),
+    lambda rec: rec.update(belief=base64.b64encode(
+        base64.b64decode(rec["belief"])[:-1]).decode()),
+], ids=["no-verdict", "no-passed", "no-oid", "records-not-a-list", "belief-not-numbers",
+        "belief-null", "belief-not-base64", "belief-as-v1-decimals", "belief-short-by-an-entry",
+        "belief-short-by-a-byte"])
 def test_malformed_step_is_a_config_error(corridor_run, tmp_path, edit):
     cfg, _, path = corridor_run
 
@@ -378,3 +411,38 @@ def test_a_passed_flag_that_is_not_a_boolean_is_a_config_error(corridor_run, tmp
         audit_traces(cfg, read_traces(tamper(path, tmp_path, recast)))
     assert str(err.value) == (
         f"episode 1 step 5: malformed verdict: passed is {value!r}, not a boolean")
+
+
+# --------------------------------------------------------------------------
+# Version 1 traces
+
+
+def test_a_v1_trace_audits_clean():
+    episodes = read_traces(V1_TRACE)
+    assert [(ep.version, len(ep.steps)) for ep in episodes] == [(1, 12), (1, 12)]
+    report = audit_traces(v1_config(), episodes)
+    assert report.ok
+    assert [ep.max_belief_error for ep in report.episodes] == [0.0, 0.0]
+
+
+def test_v2_differs_from_v1_only_in_its_belief_encoding(tmp_path):
+    cfg = v1_config()
+    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=2)
+    path = tmp_path / "v2.trace.jsonl"
+    write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
+    v1_lines = V1_TRACE.read_text().splitlines()
+    v2_lines = path.read_text().splitlines()
+    assert len(v2_lines) == len(v1_lines) == 2 * (1 + 12 + 1)
+    beliefs = 0
+    for old_line, new_line in zip(v1_lines, v2_lines):
+        old, new = json.loads(old_line), json.loads(new_line)
+        if old["type"] == "header":
+            assert (old.pop("version"), new.pop("version")) == (1, 2)
+        key = {"header": "initial_belief", "step": "belief"}.get(old["type"])
+        if key is not None:
+            decimals = np.array(old.pop(key), dtype=float)
+            decoded = decode_belief(new.pop(key))
+            assert np.array_equal(decoded.view("<u8"), decimals.view("<u8"))
+            beliefs += 1
+        assert new == old
+    assert beliefs == 2 * (1 + 12)

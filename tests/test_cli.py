@@ -10,6 +10,8 @@ from beliefshield.cli import SWEEP_FIELDS, _sweep_config, main
 from beliefshield.config import config_to_dict, monitor_settings
 from beliefshield.presets import corridor_config
 
+from conftest import edit_belief
+
 
 @pytest.fixture(scope="module")
 def corridor_yaml(tmp_path_factory):
@@ -150,9 +152,12 @@ def test_audit_flags_tampered_verdict(corridor_yaml, run_dir, tmp_path, capsys):
 
 
 def test_audit_flags_tampered_belief(corridor_yaml, run_dir, tmp_path, capsys):
+    def bump_first_entry(entries):
+        entries[0] += 1e-6
+
     def bump(rec):
         if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 4:
-            rec["belief"][0] += 1e-6
+            edit_belief(rec, "belief", bump_first_entry)
 
     bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, bump)
     assert main(["audit", str(corridor_yaml), str(bad)]) == 1

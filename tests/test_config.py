@@ -42,6 +42,9 @@ from beliefshield import (
 )
 from beliefshield import config, presets
 from beliefshield.config import config_to_dict
+from beliefshield.errors import FormulaSyntaxError
+from beliefshield.ldtl import And, Eventually, Max, Min, Or, Product, Sum, expr_text, pretty_print
+from beliefshield.parsing import MAX_NESTING
 from beliefshield.presets import FORMULA, corridor_config
 
 from conftest import count_calls
@@ -679,6 +682,97 @@ def test_a_predicate_that_reads_back_differently_cannot_build_a_config():
     with pytest.raises(ConfigError, match=r"^predicates\.swapped: '0\.5 - b\(\w+\)' "
                                           r"parses back as a different expression$"):
         replace(cfg, predicates={**cfg.predicates, "swapped": swapped})
+
+
+# Trees built in Python, k levels of one shape deep. Each is held to the
+# nesting limit at the same k as the text that spells it (pretty_print's
+# or expr_text's) is held to it by the parser.
+def _nest(k, wrap, inner):
+    for _ in range(k):
+        inner = wrap(inner)
+    return inner
+
+
+_CORRIDOR = corridor_config("literal")
+_GOAL = parse_formula("F at_goal", _CORRIDOR.predicates, _CORRIDOR.model.state_index)
+_ATOM = parse_formula("near_patroller", _CORRIDOR.predicates, _CORRIDOR.model.state_index)
+_B = BeliefVar(0, _CORRIDOR.model.state_names[0])
+_HALF = Constant(0.5)
+
+FORMULA_SHAPES = {
+    "conjunction-chain": lambda k: _nest(k, lambda phi: And(phi, _GOAL), _GOAL),
+    "nested-conjunction": lambda k: _nest(k, lambda phi: And(_GOAL, phi), _GOAL),
+    "always-over-nested-disjunctions": lambda k: Always(
+        _nest(k, lambda phi: Or(_ATOM, And(_ATOM, phi)), _ATOM)),
+    "conjunction-of-nested-disjunctions": lambda k: And(_GOAL, Always(
+        _nest(k, lambda phi: Or(phi, Or(_ATOM, _ATOM)), _ATOM))),
+}
+EXPR_SHAPES = {
+    "difference-chain": lambda k: _nest(k, lambda e: Difference(e, _B), _B),
+    "nested-difference": lambda k: _nest(k, lambda e: Difference(_B, e), _B),
+    "nested-min": lambda k: _nest(k, lambda e: Min((e, _B)), _B),
+    "difference-of-min": lambda k: _nest(k, lambda e: Difference(_HALF, Min((e,))), _B),
+    "unary-minus": lambda k: _nest(k, lambda e: Difference(Constant(0.0), e), _B),
+    "product-of-sums": lambda k: _nest(
+        k, lambda e: Product((_B, Sum((_HALF, e)))), _B),
+    "sum-led-by-difference": lambda k: _nest(
+        k, lambda e: Sum((Difference(e, _B), Max((_HALF, _B)))), _B),
+    "max-of-differences": lambda k: _nest(k, lambda e: Max((Difference(e, _B),)), _B),
+}
+
+
+def _deepest_parsed(shape, text, parse_text):
+    """The largest k whose text the parser accepts."""
+    k = 0
+    while True:
+        try:
+            parse_text(text(shape(k + 1)))
+        except FormulaSyntaxError as exc:
+            assert f"nested deeper than {MAX_NESTING} levels" in str(exc)
+            return k
+        k += 1
+
+
+@pytest.mark.parametrize("shape", FORMULA_SHAPES)
+def test_a_formula_built_in_python_is_held_to_the_parsers_limit(shape):
+    build, states = FORMULA_SHAPES[shape], _CORRIDOR.model.state_index
+    k = _deepest_parsed(build, pretty_print,
+                        lambda text: parse_formula(text, _CORRIDOR.predicates, states))
+    assert k > 10
+    replace(_CORRIDOR, formula=build(k))
+    with pytest.raises(ConfigError) as err:
+        replace(_CORRIDOR, formula=build(k + 1))
+    assert str(err.value) == f"formula: nested deeper than {MAX_NESTING} levels"
+
+
+@pytest.mark.parametrize("shape", EXPR_SHAPES)
+def test_a_predicate_built_in_python_is_held_to_the_parsers_limit(shape):
+    build, states = EXPR_SHAPES[shape], _CORRIDOR.model.state_index
+    k = _deepest_parsed(build, expr_text, lambda text: parse_expr(text, states))
+    assert k > 10
+    assert parse_expr(expr_text(build(k)), states) == build(k)
+    replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": build(k)})
+    with pytest.raises(ConfigError) as err:
+        replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": build(k + 1)})
+    assert str(err.value) == f"predicates.deep: nested deeper than {MAX_NESTING} levels"
+
+
+def test_a_formula_nested_a_thousand_levels_is_a_config_error():
+    for phi in (FORMULA_SHAPES["nested-conjunction"](1000),
+                FORMULA_SHAPES["conjunction-chain"](1000)):
+        with pytest.raises(ConfigError, match="^formula: nested deeper than 100 levels$"):
+            replace(_CORRIDOR, formula=phi)
+
+
+def test_a_predicate_nested_a_thousand_levels_is_a_config_error():
+    # A sum first in a sum and a product first in a product, which no
+    # text spells, nest as deep as any other node.
+    for expr in (EXPR_SHAPES["nested-difference"](1000),
+                 _nest(1000, lambda e: Sum((e, _B)), _B),
+                 _nest(1000, lambda e: Product((e, _B)), _B)):
+        with pytest.raises(ConfigError,
+                           match=r"^predicates\.deep: nested deeper than 100 levels$"):
+            replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": expr})
 
 
 def test_a_product_inside_a_product_survives_write_and_load(tmp_path):

@@ -37,19 +37,19 @@ EPISODES = 20
 
 GOLDEN = {
     "corridor":
-        "c807d0a0aaa005b0a07c5b296e5eeb80f6e5462241dbe78068c829ae62805c36",
+        "674d79a59dfa6e5fc924cbb3f4ab82efa7b6d4d829e5d9c01e47afbb46d86492",
     "corridor_unshielded":
-        "08a31b51c510ac43de454bf8b8507bd25b9931f21a7fafeb6382002f197fff3d",
+        "b936a8b5913bb4656356aea133bd647dd6cb06590803aef3544ec677be768729",
     "corridor_conservative":
-        "23f267bea45dc759c90d02b6e30b06ef83addaa1179efd33b8383e198fabbbd6",
+        "e7027bb5c13f2abf0fd11012fb43dacd0d4b5f03ae11e91536109619753c97c4",
     "corridor_random":
-        "406b209af45ef82768f1b21a0487ec1b08d57c417794d0d6fd672461337b1b9a",
+        "1e968121cac549915979310dafea40ed168f4fe0b830149579db506031581d3a",
     "corridor_all_kinds_off":
-        "012a4c73b5be269efca3bc82069902f182873b6b2a4a3f927bd4b60b2d999091",
+        "e155a41a15c85ed9dc09cb619c07b28c9c5c642d432300ed54ba5882912c2f9f",
     "corridor_all_kinds_literal":
-        "d53c74bf33319b94296940876573ff8c1d545b3e75a93a14f0f4b83b08ed1030",
+        "c05835cfef90e74ff51bc59db26d313c73b213cd579c291fbcb9337bae57a966",
     "corridor_all_kinds_conservative":
-        "0f572887f86ad569976467f87c9c38a3ce6af814dc27706d2436f642ed140750",
+        "ecbabb949f2390147d67bfd5cd852f6058a9e20a2c529e05eece850bfbb55970",
 }
 
 ALL_KINDS_FORMULA = ("G !(near_patroller | near_debris) & F at_goal & clear U at_goal"

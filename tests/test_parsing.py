@@ -2,6 +2,7 @@
 and print/parse round trips."""
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +33,8 @@ from beliefshield import (
     parse_formula,
     pretty_print,
 )
-from beliefshield.parsing import MAX_NESTING
+from beliefshield import parsing
+from beliefshield.parsing import MAX_NESTING, expr_nesting, formula_nesting
 
 STATE_INDEX = {"s0": 0, "s1": 1, "s2": 2, "s3": 3}
 STATE_NAMES = ("s0", "s1", "s2", "s3")
@@ -347,3 +349,56 @@ exprs = st.recursive(constants | belief_vars, extend_expr, max_leaves=10)
 @example(Sum((Constant(0.3), Sum((Constant(0.7), BeliefVar(1, STATE_NAMES[1]))))))
 def test_expr_print_parse_round_trip(expr):
     assert parse_expr(expr_text(expr), STATE_INDEX) == expr
+
+
+# --------------------------------------------------------------------------
+# Nesting of trees built in Python
+
+
+def levels_parsed(parse_text, text: str) -> int:
+    """The fewest levels under which parse_text accepts text: the levels
+    the parser counts in it."""
+    levels = 1
+    while True:
+        with patch.object(parsing, "MAX_NESTING", levels):
+            try:
+                parse_text(text)
+                return levels
+            except FormulaSyntaxError as exc:
+                assert "nested deeper than" in str(exc)
+        levels += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas)
+def test_formula_nesting_is_what_the_parser_counts_in_its_text(phi):
+    assert formula_nesting(phi) == levels_parsed(parse, pretty_print(phi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exprs)
+@example(Difference(Constant(0.0), BeliefVar(0, "s0")))
+@example(Product((BeliefVar(0, "s0"), Difference(Constant(0.0), BeliefVar(0, "s0")))))
+@example(Difference(Constant(0.0), Difference(Constant(0.0), BeliefVar(0, "s0"))))
+def test_expr_nesting_is_what_the_parser_counts_in_its_text(expr):
+    assert expr_nesting(expr) == levels_parsed(
+        lambda text: parse_expr(text, STATE_INDEX), expr_text(expr))
+
+
+def test_any_text_measures_no_deeper_than_the_parser_counts():
+    # Unary minus, redundant parentheses and flattened chains cost the
+    # parser more than the tree's own text does, never less.
+    for text in ("-b(s0)", "- -b(s0)", "-(b(s0) * b(s1))", "((b(s0)) - (b(s1)))",
+                 "(b(s0) + b(s1)) + b(s2)", "(b(s0) * b(s1)) * -b(s2)", "min(-(-b(s0)))"):
+        expr = parse_expr(text, STATE_INDEX)
+        assert expr_nesting(expr) <= levels_parsed(
+            lambda t: parse_expr(t, STATE_INDEX), text), text
+    for text in ("!(low | mid)", "(low & mid) & high", "((G low))", "low U (mid & F high)"):
+        assert formula_nesting(parse(text)) <= levels_parsed(parse, text), text
+
+
+def test_a_shared_subtree_is_measured_once():
+    phi = LOW
+    for _ in range(200):
+        phi = And(phi, phi)
+    assert formula_nesting(phi) == 201
