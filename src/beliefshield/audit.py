@@ -3,16 +3,18 @@ monitor, and evaluate the formula's finite-trace semantics on the
 replayed word.
 
 The replay recomputes every belief from the recorded actions and
-observations and decodes each recorded one by its episode's trace
-version (`traceio.recorded_belief`). A recorded belief whose bytes equal
-the replayed belief's has error 0.0; otherwise the error is the largest
-entry-wise deviation, and one beyond 1e-9, or not finite, raises
-TraceMismatch. Monitor verdicts are recomputed the same way and
-compared record by record: oid, kind, status and detail exactly, the
-barrier value within 1e-9, and the step's passed flag. The finite-trace
-verdict per top-level conjunct is reported alongside; the monitor checks
-sufficient barrier conditions on beliefs, so its verdicts need not
-coincide with the hidden-state semantics and a disagreement is
+observations. A version 2 belief whose string is the replayed belief's
+encoding (`traceio.encode_belief`) has error 0.0 and is never decoded;
+any other is decoded by its episode's trace version
+(`traceio.recorded_belief`), which rejects a malformed one. A recorded
+belief whose bytes equal the replayed belief's has error 0.0; otherwise
+the error is the largest entry-wise deviation, and one beyond 1e-9, or
+not finite, raises TraceMismatch. Monitor verdicts are recomputed the
+same way and compared record by record: oid, kind, status and detail
+exactly, the barrier value within 1e-9, and the step's passed flag. The
+finite-trace verdict per top-level conjunct is reported alongside; the
+monitor checks sufficient barrier conditions on beliefs, so its verdicts
+need not coincide with the hidden-state semantics and a disagreement is
 informational, not an audit failure.
 
 One pass evaluates each replayed belief once, with the simulator's
@@ -34,7 +36,7 @@ from .model import Belief, belief_update
 from .monitor import (
     Monitor, ObligationRecord, StepVerdict, barrier_values, check_step, conjuncts,
 )
-from .traceio import EpisodeRecord, recorded_belief
+from .traceio import EpisodeRecord, encode_belief, recorded_belief
 
 BELIEF_TOL = 1e-9
 
@@ -81,11 +83,16 @@ class AuditReport:
         return all(ep.ok for ep in self.episodes)
 
 
-def _belief_error(recorded: bytes, probs: np.ndarray) -> float:
-    """Largest deviation of a recorded belief (little-endian float64
-    bytes) from a replayed one; NaN when a recorded entry is NaN. Equal
-    bytes skip the arithmetic, which is every step of an untampered
-    trace on a little-endian machine."""
+def _belief_error(value, ep: EpisodeRecord, probs: np.ndarray, where: str) -> float:
+    """Largest deviation of a belief recorded in ep from a replayed one;
+    NaN when a recorded entry is NaN. A version 2 string equal to the
+    replayed belief's encoding skips the decode, and equal bytes skip the
+    arithmetic: one or the other is every step of an untampered trace. A
+    malformed string never equals an encoding, so it is always decoded
+    and refused."""
+    if ep.version == 2 and value == encode_belief(probs):
+        return 0.0
+    recorded = recorded_belief(value, ep.version, len(probs), where)
     if recorded == probs.tobytes():
         return 0.0
     return float(np.max(np.abs(np.frombuffer(recorded, "<f8") - probs)))
@@ -97,9 +104,8 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
     belief deviates from the recorded one by more than 1e-9, or by a
     non-finite amount (a NaN or null entry)."""
     m = cfg.model
-    recorded0 = recorded_belief(ep.header.get("initial_belief", []), ep.version, m.n_states,
-                                f"episode {ep.episode} header")
-    max_err = _belief_error(recorded0, m.initial.probs)
+    max_err = _belief_error(ep.header.get("initial_belief", []), ep, m.initial.probs,
+                            f"episode {ep.episode} header")
     # Negated, so that a NaN deviation fails too.
     if not max_err <= BELIEF_TOL:
         raise TraceMismatch(ep.episode, 0, max_err)
@@ -118,8 +124,7 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
             b_next = belief_update(belief, action, obs, m)
         except ZeroLikelihood as exc:
             raise TraceMismatch(ep.episode, step, float("inf")) from exc
-        recorded = recorded_belief(rec.get("belief", []), ep.version, m.n_states, where)
-        err = _belief_error(recorded, b_next.probs)
+        err = _belief_error(rec.get("belief", []), ep, b_next.probs, where)
         max_err = max(max_err, err)
         if not err <= BELIEF_TOL:
             raise TraceMismatch(ep.episode, step, err)

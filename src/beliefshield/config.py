@@ -44,11 +44,11 @@ import yaml
 
 from .barrier import FtParams, LinearAlpha
 from .errors import BeliefShieldError, ConfigError
-from .ldtl import BeliefExpr, Formula, expr_text
+from .ldtl import BeliefExpr, Formula, expr_text, height
 from .model import (OBS_JOIN, Belief, Mpomdp, check_names, components_from_flat,
                      flat_from_components, validate_tables)
 from .monitor import Monitor, MonitorConfig, compile_monitor
-from .parsing import MAX_NESTING, expr_nesting, formula_nesting, parse_expr, parse_formula
+from .parsing import MAX_NESTING, parse_expr, parse_formula
 from .sim import (
     SHIELD_MODES, FixedAction, GreedyReward, NominalPolicy, RandomUniform,
     Scenario,
@@ -117,14 +117,15 @@ class ScenarioConfig:
         if isinstance(self.policy, FixedAction):
             checked_index(self.policy.action, self.model.n_joint_actions, "joint action",
                           "policy.action")
-        # Measured without recursion, before the walkers below recurse
-        # into a tree built in Python, which no parser has bounded.
+        # The one bound on every tree, parsed or built in Python: its
+        # height, measured without recursion before any walker below
+        # (printing, ==, the monitor's translation) recurses into it.
         too_deep = f"nested deeper than {MAX_NESTING} levels"
         for name, expr in self.predicates.items():
-            if expr_nesting(expr) > MAX_NESTING:
+            if height(expr) > MAX_NESTING:
                 raise ConfigError(too_deep, f"predicates.{name}")
             _check_expr_text(expr, self.model.state_index, f"predicates.{name}")
-        if formula_nesting(self.formula) > MAX_NESTING:
+        if height(self.formula) > MAX_NESTING:
             raise ConfigError(too_deep, "formula")
         object.__setattr__(self, "start_monitor",
                            compile_monitor(self.formula, self.model, self.monitor))

@@ -1,5 +1,6 @@
-"""Linear temporal logic over belief trajectories: ASTs, expression
-evaluation, finite-trace semantics, and canonical printing.
+"""Linear temporal logic over belief trajectories: ASTs and their
+height, expression evaluation, finite-trace semantics, and canonical
+printing.
 
 Atoms are either state-set membership (the hidden state lies in a set A)
 or belief predicates (an arithmetic expression f over belief entries,
@@ -80,14 +81,6 @@ Evaluator = Callable[[Sequence[float]], float]
 _FOLDS = {Sum: "sum", Min: "min", Max: "max"}
 
 
-def _children(expr: BeliefExpr) -> tuple[BeliefExpr, ...]:
-    if isinstance(expr, (Sum, Product, Min, Max)):
-        return expr.children
-    if isinstance(expr, Difference):
-        return (expr.left, expr.right)
-    raise TypeError(f"not a belief expression: {expr!r}")
-
-
 def compile_expr(expr: BeliefExpr) -> Evaluator:
     """Compile an expression into one generated function of the belief
     entries as Python floats (`belief.probs.tolist()`).
@@ -121,11 +114,13 @@ def compile_expr(expr: BeliefExpr) -> Evaluator:
             name = f"c{len(namespace)}"
             namespace[name] = float(node.value)
             operands.append(name)
+        elif not isinstance(node, (Sum, Difference, Product, Min, Max)):
+            raise TypeError(f"not a belief expression: {node!r}")
         elif not children_done:
             todo.append((node, True))
-            todo.extend((c, False) for c in reversed(_children(node)))
+            todo.extend((c, False) for c in reversed(children(node)))
         else:
-            split = len(operands) - len(_children(node))
+            split = len(operands) - len(children(node))
             args = operands[split:]
             del operands[split:]
             if isinstance(node, Difference):
@@ -171,8 +166,10 @@ def _expr_text(expr: BeliefExpr, parent: str = "") -> str:
 
 def expr_text(expr: BeliefExpr) -> str:
     """Expression in the concrete syntax accepted by the config parser,
-    with no parentheses the parser does not need, so that the parser
-    counts no more nesting in it than in any text that spells expr."""
+    with no parentheses the parser does not need. Each level the parser
+    counts in this text is a different node on one path of expr, so an
+    expression of height at most 100 parses back within the parser's
+    100 levels (`parsing.MAX_NESTING`)."""
     return _expr_text(expr)
 
 
@@ -236,6 +233,43 @@ class Eventually:
 @dataclass(frozen=True)
 class Always:
     child: Formula
+
+
+# --------------------------------------------------------------------------
+# Tree shape
+
+
+def children(node) -> tuple:
+    """The subtrees directly under a formula or expression node. A belief
+    atom is a leaf: its expression is a tree of its own."""
+    if isinstance(node, (Sum, Product, Min, Max)):
+        return node.children
+    if isinstance(node, (Difference, And, Or, Until)):
+        return (node.left, node.right)
+    if isinstance(node, (Next, Eventually, Always)):
+        return (node.child,)
+    return ()
+
+
+def height(root) -> int:
+    """The number of nodes on the tallest path from root down to a leaf.
+    Measured with an explicit stack, so a tree of any height measures,
+    and a subtree shared by several parents is measured once."""
+    done: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kids = children(node)
+        todo = [k for k in kids if id(k) not in done]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            done[id(node)] = 1 + max((done[id(k)] for k in kids), default=0)
+    return done[id(root)]
 
 
 def is_propositional(phi: Formula) -> bool:

@@ -27,17 +27,14 @@ Belief-expression grammar (predicate definitions; no division):
              | '(' expr ')'
 
 A NUMBER must be finite. Each `term` of a formula and each `factor` of
-an expression is one level of nesting. So is each `&` or `|` of a
-formula chain and each `-` of an expression chain, since a chain builds
-a tree as deep as it is long; `+` and `*` build one flat node and are
-not counted. Neither parser goes deeper than MAX_NESTING levels: both
-raise FormulaSyntaxError at the token that would.
-
-A tree built in Python has no text to count. `formula_nesting` and
-`expr_nesting` measure it without recursion: the levels the parser
-counts in the cheapest text that spells it, which is the text
-`pretty_print` and `expr_text` write. So a tree parsed from any accepted
-text measures at most MAX_NESTING.
+an expression is one level of nesting, the levels the parsers recurse
+through. Neither parser goes deeper than MAX_NESTING levels: both raise
+FormulaSyntaxError at the token that would. A chain (`&`, `|`, `+`,
+`-`, `*`) is parsed in a loop, so it costs no level at any length,
+though `&`, `|` and `-` build a tree as tall as the chain is long.
+The tree's height (`ldtl.height`) is bounded where the scenario is
+built, by `ScenarioConfig`, for parsed trees and trees built in Python
+alike.
 """
 
 from __future__ import annotations
@@ -105,10 +102,10 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# Deepest nesting of parentheses, operators, calls and chain links
-# either parser accepts. Each level costs the parser, or a walker of the
-# tree it builds, a few stack frames, so without a bound deep text would
-# exhaust the interpreter's recursion limit.
+# Deepest nesting either parser accepts, and the greatest height of a
+# formula or predicate a scenario accepts. Each level costs the parser,
+# or a walker of the tree, a few stack frames, so without a bound a deep
+# text or tree would exhaust the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
@@ -116,8 +113,7 @@ class _Cursor:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0    # levels open at the current token
-        self.deepest = 0  # deepest level the innermost chain has built
+        self.depth = 0  # levels open at the current token
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -132,18 +128,6 @@ class _Cursor:
         if self.peek().kind != kind:
             raise self.unexpected(*(expected_names or (kind,)))
         return self.advance()
-
-    def link(self) -> None:
-        """Count one more link of the innermost chain: all it has built
-        so far goes one level deeper."""
-        if self.deepest == MAX_NESTING:
-            raise self.too_deep()
-        self.deepest += 1
-
-    def too_deep(self) -> FormulaSyntaxError:
-        tok = self.peek()
-        return FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels",
-                                  tok.line, tok.column)
 
     def unexpected(self, *expected: str) -> FormulaSyntaxError:
         """The error for the next token, where one of `expected` belongs."""
@@ -160,24 +144,14 @@ def _nested(parse):
     refuse to go deeper than MAX_NESTING."""
     def nested(self, cur: _Cursor):
         if cur.depth == MAX_NESTING:
-            raise cur.too_deep()
+            tok = cur.peek()
+            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels",
+                                     tok.line, tok.column)
         cur.depth += 1
-        cur.deepest = max(cur.deepest, cur.depth)
         result = parse(self, cur)
         cur.depth -= 1
         return result
     return nested
-
-
-def _chain(parse):
-    """Measure a chain parse method on its own: the links it counts
-    deepen what it builds, not the siblings parsed before it."""
-    def chain(self, cur: _Cursor):
-        outer, cur.deepest = cur.deepest, cur.depth
-        result = parse(self, cur)
-        cur.deepest = max(outer, cur.deepest)
-        return result
-    return chain
 
 
 # --------------------------------------------------------------------------
@@ -204,12 +178,10 @@ class FormulaParser:
             )
         return phi
 
-    @_chain
     def _formula(self, cur: _Cursor) -> Formula:
         phi = self._term(cur)
         while cur.peek().kind in ("&", "|"):
             op = cur.advance()
-            cur.link()
             rhs = self._term(cur)
             phi = And(phi, rhs) if op.kind == "&" else Or(phi, rhs)
         return phi
@@ -285,16 +257,19 @@ class FormulaParser:
 
 
 def _disjunction_of_atoms(phi: Formula) -> list[Formula] | None:
-    """Flatten an or-chain of positive atoms; None if phi is anything else."""
-    if isinstance(phi, (StateSet, BeliefPred)) and not phi.negated:
-        return [phi]
-    if isinstance(phi, Or):
-        left = _disjunction_of_atoms(phi.left)
-        right = _disjunction_of_atoms(phi.right)
-        if left is None or right is None:
+    """The atoms of an or-chain of positive atoms, left to right, found
+    without recursion, as a chain may be any length; None if phi is
+    anything else."""
+    atoms, todo = [], [phi]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Or):
+            todo += (node.right, node.left)
+        elif isinstance(node, (StateSet, BeliefPred)) and not node.negated:
+            atoms.append(node)
+        else:
             return None
-        return left + right
-    return None
+    return atoms
 
 
 def parse_formula(text: str, predicates: dict[str, BeliefExpr],
@@ -322,13 +297,10 @@ class ExprParser:
             )
         return expr
 
-    @_chain
     def _expr(self, cur: _Cursor) -> BeliefExpr:
         node = self._mul(cur)
         while cur.peek().kind in ("+", "-"):
             op = cur.advance()
-            if op.kind == "-":
-                cur.link()
             rhs = self._mul(cur)
             if op.kind == "+":
                 node = Sum(node.children + (rhs,)) if isinstance(node, Sum) else Sum((node, rhs))
@@ -388,95 +360,3 @@ class ExprParser:
 def parse_expr(text: str, state_index: dict[str, int]) -> BeliefExpr:
     """Parse belief-expression text, resolving state names."""
     return ExprParser(state_index).parse(text)
-
-
-# --------------------------------------------------------------------------
-# Nesting of trees built in Python
-
-
-def _post_order(root, children, levels):
-    """levels(node, [levels of each child]) at root, children first, with
-    an explicit stack; a node shared by several parents is measured once."""
-    done: dict[int, tuple[int, ...]] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        kids = children(node)
-        todo = [k for k in kids if id(k) not in done]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
-            done[id(node)] = levels(node, [done[id(k)] for k in kids])
-    return done[id(root)]
-
-
-def _formula_children(phi) -> tuple:
-    if isinstance(phi, (And, Or, Until)):
-        return (phi.left, phi.right)
-    if isinstance(phi, (Always, Eventually, Next)):
-        return (phi.child,)
-    return ()
-
-
-def _formula_levels(phi, kids: list[tuple[int, int]]) -> tuple[int, int]:
-    """(as a formula, as a term). A link deepens its chain's left side
-    only; a chain as a term needs parentheses, one term deeper."""
-    if isinstance(phi, (And, Or)):
-        (left, _), (_, right) = kids
-        chain = max(left + 1, right)
-        return chain, 1 + chain
-    if kids:  # a temporal operator or until: one term around its operands' terms
-        term = 1 + max(t for _, t in kids)
-        return term, term
-    return 1, 1
-
-
-def formula_nesting(phi: Formula) -> int:
-    """The levels the formula parser counts in the cheapest text that
-    spells phi."""
-    return _post_order(phi, _formula_children, _formula_levels)[0]
-
-
-def _expr_children(expr) -> tuple:
-    if isinstance(expr, (Sum, Product, Min, Max)):
-        return expr.children
-    if isinstance(expr, Difference):
-        return (expr.left, expr.right)
-    return ()
-
-
-def _expr_levels(expr, kids: list[tuple[int, int, int]]) -> tuple[int, int, int]:
-    """(as an expression, as a term, as a factor). A `-` link deepens its
-    chain's left side only; a chain in a term's or a factor's place and
-    a product in a factor's place need parentheses, one factor deeper.
-    A sum first in a sum, which no text spells (the parser flattens
-    it), counts as one in parentheses too, so that sums cannot nest
-    unmeasured. `0 - x` is also the unary `-x`, one factor around x's."""
-    if not kids:
-        return 1, 1, 1
-    if isinstance(expr, Sum):
-        first = kids[0][2] if isinstance(expr.children[0], Sum) else kids[0][0]
-        chain = max([first] + [t for _, t, _ in kids[1:]])
-        return chain, 1 + chain, 1 + chain
-    if isinstance(expr, Product):
-        term = max(f for _, _, f in kids)
-        return term, term, 1 + term
-    if isinstance(expr, Difference):
-        (left, _, _), (_, right, right_factor) = kids
-        chain = max(left + 1, right)
-        factor = 1 + chain
-        if expr.left == Constant(0.0):
-            factor = min(factor, 1 + right_factor)
-        return chain, factor, factor
-    factor = 1 + max(e for e, _, _ in kids)  # min or max of whole expressions
-    return factor, factor, factor
-
-
-def expr_nesting(expr: BeliefExpr) -> int:
-    """The levels the expression parser counts in the cheapest text that
-    spells expr."""
-    return _post_order(expr, _expr_children, _expr_levels)[0]

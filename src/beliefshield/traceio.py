@@ -11,6 +11,8 @@ written with full repr precision. Version 1 wrote beliefs as lists of
 decimals, also exact under repr, and is still read. `read_traces`
 parses the JSON only; `recorded_belief` decodes a belief by its
 episode's version, where the audit can name the step it came from.
+Step numbers and the end line's step count must be JSON integers: `true`
+or `1.0` is refused, though either equals 1 in Python.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
             elif kind == "step":
                 if header is None:
                     raise ConfigError("step record outside an episode", where)
-                if rec.get("step") != len(steps) + 1:
+                if type(rec.get("step")) is not int or rec["step"] != len(steps) + 1:
                     raise ConfigError(
                         f"step {rec.get('step')} out of order (expected {len(steps) + 1})",
                         where)
@@ -196,7 +198,7 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
             elif kind == "end":
                 if header is None:
                     raise ConfigError("end record outside an episode", where)
-                if rec.get("steps") != len(steps):
+                if type(rec.get("steps")) is not int or rec["steps"] != len(steps):
                     raise ConfigError(
                         f"end record claims {rec.get('steps')} steps, found {len(steps)}",
                         where)

@@ -188,6 +188,19 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
         read_traces(rewrite(lines[:end_idx] + [dump_line(end)] + lines[end_idx + 1:]))
     assert "claims" in str(err.value)
 
+    # A step number or a step count that only equals an integer: `true`
+    # and `1.0` both equal 1 in Python.
+    for value in (True, 1.0):
+        step = json.loads(lines[1])
+        step["step"] = value
+        with pytest.raises(ConfigError) as err:
+            read_traces(rewrite([lines[0], dump_line(step)] + lines[2:]))
+        assert f"bad.trace.jsonl:2: step {value} out of order (expected 1)" in str(err.value)
+        end["steps"] = value
+        with pytest.raises(ConfigError) as err:
+            read_traces(rewrite([lines[0], lines[1], dump_line(end)]))
+        assert f"bad.trace.jsonl:3: end record claims {value} steps, found 1" in str(err.value)
+
     # Header arriving before the previous episode ended.
     with pytest.raises(ConfigError) as err:
         read_traces(rewrite([lines[0], lines[1], lines[0]]))
@@ -243,6 +256,18 @@ def test_audit_accepts_clean_corridor_traces(corridor_run):
         assert always.clean and always.discharged and always.oracle
         assert eventually.oid == "1:eventually"
         assert eventually.clean and eventually.discharged and eventually.oracle
+
+
+def test_a_clean_v2_audit_decodes_no_belief(corridor_run, monkeypatch):
+    cfg, _, path = corridor_run
+    episodes = read_traces(path)
+    calls = []
+    real = base64.b64decode
+    monkeypatch.setattr(base64, "b64decode",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    report = audit_traces(cfg, episodes)
+    assert report.ok and all(ep.max_belief_error == 0.0 for ep in report.episodes)
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", ["off", "literal", "conservative"])

@@ -42,8 +42,9 @@ from beliefshield import (
 )
 from beliefshield import config, presets
 from beliefshield.config import config_to_dict
-from beliefshield.errors import FormulaSyntaxError
-from beliefshield.ldtl import And, Eventually, Max, Min, Or, Product, Sum, expr_text, pretty_print
+from beliefshield.ldtl import (
+    And, Eventually, Max, Min, Or, Product, Sum, describe, expr_text, height, pretty_print,
+)
 from beliefshield.parsing import MAX_NESTING
 from beliefshield.presets import FORMULA, corridor_config
 
@@ -280,12 +281,10 @@ def test_formula_and_predicate_errors():
      "line 1, column 101: nested deeper than 100 levels"),
     ("formula", "(" * 500 + "G !risky" + ")" * 500,
      "line 1, column 101: nested deeper than 100 levels"),
-    # A chain builds a tree as deep as it is long, so each link is a
-    # level. `F` is one more, so there the 99th `&` is one too many.
-    ("predicates", " - ".join(["b(bad)"] * 1000),
-     "line 1, column 901: nested deeper than 100 levels"),
-    ("formula", " & ".join(["F risky"] * 1000),
-     "line 1, column 991: nested deeper than 100 levels"),
+    # A chain parses at any length, but builds a tree as tall as it is
+    # long: the scenario refuses that tree at its key, with no position.
+    ("predicates", " - ".join(["b(bad)"] * 1000), "nested deeper than 100 levels"),
+    ("formula", " & ".join(["F risky"] * 1000), "nested deeper than 100 levels"),
 ], ids=["overflowing-number", "deep-predicate", "deep-formula", "long-difference-chain",
         "long-conjunction-chain"])
 def test_text_the_parsers_refuse_is_reported_where_it_is(key, text, message):
@@ -684,9 +683,9 @@ def test_a_predicate_that_reads_back_differently_cannot_build_a_config():
         replace(cfg, predicates={**cfg.predicates, "swapped": swapped})
 
 
-# Trees built in Python, k levels of one shape deep. Each is held to the
-# nesting limit at the same k as the text that spells it (pretty_print's
-# or expr_text's) is held to it by the parser.
+# Trees built in Python, each shape at any height. Each is held to the
+# nesting limit by its height alone, whatever its text would cost the
+# parser.
 def _nest(k, wrap, inner):
     for _ in range(k):
         inner = wrap(inner)
@@ -699,61 +698,55 @@ _ATOM = parse_formula("near_patroller", _CORRIDOR.predicates, _CORRIDOR.model.st
 _B = BeliefVar(0, _CORRIDOR.model.state_names[0])
 _HALF = Constant(0.5)
 
+
+def _nest2(h, wrap, leaves):
+    """wrap, which adds two levels, nested exactly h tall on leaves[0]
+    (1 tall) or leaves[1] (2 tall)."""
+    return _nest((h - 1) // 2, wrap, leaves[1 - h % 2])
+
+
+# Each shape builds a tree exactly h tall.
 FORMULA_SHAPES = {
-    "conjunction-chain": lambda k: _nest(k, lambda phi: And(phi, _GOAL), _GOAL),
-    "nested-conjunction": lambda k: _nest(k, lambda phi: And(_GOAL, phi), _GOAL),
-    "always-over-nested-disjunctions": lambda k: Always(
-        _nest(k, lambda phi: Or(_ATOM, And(_ATOM, phi)), _ATOM)),
-    "conjunction-of-nested-disjunctions": lambda k: And(_GOAL, Always(
-        _nest(k, lambda phi: Or(phi, Or(_ATOM, _ATOM)), _ATOM))),
+    "conjunction-chain": lambda h: _nest(h - 2, lambda phi: And(phi, _GOAL), _GOAL),
+    "nested-conjunction": lambda h: _nest(h - 2, lambda phi: And(_GOAL, phi), _GOAL),
+    "always-over-nested-disjunctions": lambda h: Always(_nest2(
+        h - 1, lambda phi: Or(_ATOM, And(_ATOM, phi)), (_ATOM, Or(_ATOM, _ATOM)))),
+    "conjunction-of-nested-disjunctions": lambda h: And(_GOAL, Always(
+        _nest(h - 4, lambda phi: Or(phi, Or(_ATOM, _ATOM)), _ATOM))),
 }
+_B2 = (_B, Min((_B,)))
 EXPR_SHAPES = {
-    "difference-chain": lambda k: _nest(k, lambda e: Difference(e, _B), _B),
-    "nested-difference": lambda k: _nest(k, lambda e: Difference(_B, e), _B),
-    "nested-min": lambda k: _nest(k, lambda e: Min((e, _B)), _B),
-    "difference-of-min": lambda k: _nest(k, lambda e: Difference(_HALF, Min((e,))), _B),
-    "unary-minus": lambda k: _nest(k, lambda e: Difference(Constant(0.0), e), _B),
-    "product-of-sums": lambda k: _nest(
-        k, lambda e: Product((_B, Sum((_HALF, e)))), _B),
-    "sum-led-by-difference": lambda k: _nest(
-        k, lambda e: Sum((Difference(e, _B), Max((_HALF, _B)))), _B),
-    "max-of-differences": lambda k: _nest(k, lambda e: Max((Difference(e, _B),)), _B),
+    "difference-chain": lambda h: _nest(h - 1, lambda e: Difference(e, _B), _B),
+    "nested-difference": lambda h: _nest(h - 1, lambda e: Difference(_B, e), _B),
+    "nested-min": lambda h: _nest(h - 1, lambda e: Min((e, _B)), _B),
+    "difference-of-min": lambda h: _nest2(h, lambda e: Difference(_HALF, Min((e,))), _B2),
+    "unary-minus": lambda h: _nest(h - 1, lambda e: Difference(Constant(0.0), e), _B),
+    "product-of-sums": lambda h: _nest2(h, lambda e: Product((_B, Sum((_HALF, e)))), _B2),
+    "sum-led-by-difference": lambda h: _nest2(
+        h, lambda e: Sum((Difference(e, _B), Max((_HALF, _B)))), _B2),
+    "max-of-differences": lambda h: _nest2(h, lambda e: Max((Difference(e, _B),)), _B2),
 }
-
-
-def _deepest_parsed(shape, text, parse_text):
-    """The largest k whose text the parser accepts."""
-    k = 0
-    while True:
-        try:
-            parse_text(text(shape(k + 1)))
-        except FormulaSyntaxError as exc:
-            assert f"nested deeper than {MAX_NESTING} levels" in str(exc)
-            return k
-        k += 1
 
 
 @pytest.mark.parametrize("shape", FORMULA_SHAPES)
 def test_a_formula_built_in_python_is_held_to_the_parsers_limit(shape):
-    build, states = FORMULA_SHAPES[shape], _CORRIDOR.model.state_index
-    k = _deepest_parsed(build, pretty_print,
-                        lambda text: parse_formula(text, _CORRIDOR.predicates, states))
-    assert k > 10
-    replace(_CORRIDOR, formula=build(k))
+    build = FORMULA_SHAPES[shape]
+    assert all(height(build(h)) == h for h in (MAX_NESTING, MAX_NESTING + 1))
+    replace(_CORRIDOR, formula=build(MAX_NESTING))
     with pytest.raises(ConfigError) as err:
-        replace(_CORRIDOR, formula=build(k + 1))
+        replace(_CORRIDOR, formula=build(MAX_NESTING + 1))
     assert str(err.value) == f"formula: nested deeper than {MAX_NESTING} levels"
 
 
 @pytest.mark.parametrize("shape", EXPR_SHAPES)
 def test_a_predicate_built_in_python_is_held_to_the_parsers_limit(shape):
     build, states = EXPR_SHAPES[shape], _CORRIDOR.model.state_index
-    k = _deepest_parsed(build, expr_text, lambda text: parse_expr(text, states))
-    assert k > 10
-    assert parse_expr(expr_text(build(k)), states) == build(k)
-    replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": build(k)})
+    assert all(height(build(h)) == h for h in (MAX_NESTING, MAX_NESTING + 1))
+    # Its text parses back within the parser's levels.
+    assert parse_expr(expr_text(build(MAX_NESTING)), states) == build(MAX_NESTING)
+    replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": build(MAX_NESTING)})
     with pytest.raises(ConfigError) as err:
-        replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": build(k + 1)})
+        replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": build(MAX_NESTING + 1)})
     assert str(err.value) == f"predicates.deep: nested deeper than {MAX_NESTING} levels"
 
 
@@ -773,6 +766,50 @@ def test_a_predicate_nested_a_thousand_levels_is_a_config_error():
         with pytest.raises(ConfigError,
                            match=r"^predicates\.deep: nested deeper than 100 levels$"):
             replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": expr})
+
+
+def test_text_within_the_parsers_levels_can_build_a_tree_too_tall():
+    # Each parenthesized sum in a product costs the parser one level but
+    # adds a sum and a product to the tree's height.
+    text = "b(bad)"
+    for _ in range(50):
+        text = f"({text} * b(bad) + b(good))"
+    assert height(parse_expr(text, {"good": 0, "bad": 1})) == 101
+    data = base_config()
+    data["predicates"]["risky"] = text
+    with pytest.raises(ConfigError, match=r"^predicates\.risky: nested deeper than 100 levels$"):
+        parse(data)
+
+
+def _tall_scenario():
+    """The corridor with a predicate and a formula 100 tall, the formula
+    a chain of `F deep`, so that the monitor translates the predicate and
+    the shield and the oracle evaluate it."""
+    deep = EXPR_SHAPES["difference-chain"](MAX_NESTING)
+    goal = Eventually(BeliefPred("deep", deep))
+    phi = _nest(MAX_NESTING - 2, lambda f: And(f, goal), goal)
+    return replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": deep},
+                   formula=phi, formula_text=pretty_print(phi))
+
+
+def test_trees_at_the_height_limit_pass_every_walker(tmp_path):
+    cfg = _tall_scenario()
+    deep = cfg.predicates["deep"]
+    assert height(deep) == height(cfg.formula) == MAX_NESTING
+    result = run_batch(cfg.to_scenario(), cfg.seed, episodes=2)
+    trace = tmp_path / "tall.trace.jsonl"
+    write_traces(result, trace, cfg.name, cfg.shield_mode, cfg.horizon)
+    report = audit_traces(cfg, read_traces(trace))
+    assert report.ok and len(report.episodes) == 2
+    assert all(len(ep.obligations) == MAX_NESTING - 1 for ep in report.episodes)
+    # Printing, repr and == walk each tree to its leaves.
+    assert parse_formula(describe(cfg.formula), cfg.predicates,
+                         cfg.model.state_index) == cfg.formula
+    assert parse_expr(expr_text(deep), cfg.model.state_index) == deep
+    again = _tall_scenario()
+    for tree, same in ((cfg.formula, again.formula), (deep, again.predicates["deep"])):
+        assert tree == same and tree is not same
+        assert repr(tree) == repr(same)
 
 
 def test_a_product_inside_a_product_survives_write_and_load(tmp_path):
