@@ -128,7 +128,7 @@ def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepCon
         max_err = max(max_err, err)
         if not err <= BELIEF_TOL:
             raise TraceMismatch(ep.episode, step, err)
-        verdict, mon = check_step(mon, barrier_values(mon, b_next.probs.tolist()))
+        verdict, mon = check_step(mon, barrier_values(mon, b_next.probs))
         contexts.append(StepContext(rec, b_next, verdict, mon))
         belief = b_next
     return contexts, max_err

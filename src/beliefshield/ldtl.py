@@ -13,12 +13,14 @@ The trace oracle evaluates a formula on a finite word of
 `always` means "at every remaining position", `eventually` and `until`
 need an in-word witness, and `next` at the last position is false.
 compile_expr turns an expression into one generated Python function,
-a flat sequence of assignments with one local per inner node, which
-monitor barriers and belief atoms both carry. A belief atom compiles
-its expression on first use, so only the oracle pays for it, and the
-oracle applies it to each letter's entries, taken once per letter. The
-tests keep a tree-walking evaluator as the reference that compile_expr
-matches bit for bit.
+a flat sequence of assignments with one local per inner node, of a
+list of floats. A belief atom compiles its expression on first use, so
+only the oracle pays for it, and the oracle applies it to each letter's
+entries, taken once per letter. A monitor compiles each barrier with
+its sums of entries standing as leaves, and applies it to the leaf
+values it gathers from the belief array (see `monitor`). The tests keep
+a tree-walking evaluator as the reference that compile_expr matches
+bit for bit.
 """
 
 from __future__ import annotations
@@ -82,8 +84,10 @@ _FOLDS = {Sum: "sum", Min: "min", Max: "max"}
 
 
 def compile_expr(expr: BeliefExpr) -> Evaluator:
-    """Compile an expression into one generated function of the belief
-    entries as Python floats (`belief.probs.tolist()`).
+    """Compile an expression into one generated function of a list of
+    floats p, where `BeliefVar(i)` reads p[i]: a belief's entries
+    (`belief.probs.tolist()`, as the oracle passes them), or a monitor's
+    leaf values, where i is a leaf's position (see `monitor`).
 
     The function assigns one local per inner node, in post-order, from
     operands that are entries `p[i]`, constants bound by name in the
@@ -146,11 +150,11 @@ def _expr_text(expr: BeliefExpr, parent: str = "") -> str:
     if isinstance(expr, BeliefVar):
         return f"b({expr.name})"
     if isinstance(expr, Sum):
-        first, *rest = expr.children
-        text = " + ".join([_expr_text(first)] + [_expr_text(c, "add") for c in rest])
+        text = " + ".join(_expr_text(c, "add" if i else "") for i, c in enumerate(expr.children))
         return f"({text})" if parent else text
     if isinstance(expr, Difference):
-        if expr.left == Constant(0.0) and isinstance(expr.right, (Constant, BeliefVar)):
+        # `-0.5` reads as one number, so only an entry is negated bare.
+        if expr.left == Constant(0.0) and isinstance(expr.right, BeliefVar):
             return "-" + _expr_text(expr.right)
         text = f"{_expr_text(expr.left)} - {_expr_text(expr.right, 'add')}"
         return f"({text})" if parent else text

@@ -45,19 +45,33 @@ it has reached (compile_monitor's at the model's initial belief), so
 each belief is evaluated once, as it is reached, and no caller carries
 them; this is exact, because a successor only discharges obligations
 and no rule reads the values of a discharged one.
+
+barrier_values takes the belief as its float64 array and reads it
+through the monitor's leaf table. Each sum whose children are all
+entries b(q), such as a state-set atom's member mass, is one bin, and
+one gathered np.bincount per belief sums every bin. np.bincount starts
+each bin at 0.0 and adds its entries in child order, the float
+operations of the builtin `sum` on Python 3.10 and 3.11, so the values
+are those of the sums themselves bit for bit. An entry outside such a
+sum is read on its own, so that a -0.0 keeps its sign. The evaluators,
+compiled once by compile_expr from the barriers with each bin and each
+such entry standing as one leaf, read the bins and entries as a list.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .barrier import FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_bound
 from .errors import UnsupportedNesting
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
     Eventually, Evaluator, Formula, Max, Min, Next, Or, StateSet, Sum, Until,
-    compile_expr, describe, is_propositional,
+    children, compile_expr, describe, is_propositional,
 )
 from .model import Mpomdp
 
@@ -113,8 +127,9 @@ class Obligation:
 
     kind is "always", "eventually", "until", "next" or "now" and selects
     the step rule in _RULES. barriers holds one expression, or (left,
-    right) for until; evaluators are their compiled forms, built once
-    and carried to every successor by `replace`. deadline is the reach
+    right) for until; evaluators are their compiled forms over the
+    monitor's leaf values, built once by compile_monitor and carried to
+    every successor by `replace`. deadline is the reach
     deadline an eventually obligation fixes at activation. value is the
     barrier recorded at the step the obligation was discharged, which
     every later `inactive` record repeats.
@@ -124,7 +139,7 @@ class Obligation:
     kind: str
     label: str
     barriers: tuple[BeliefExpr, ...]
-    evaluators: tuple[Evaluator, ...] = field(default=(), repr=False, compare=False)
+    evaluators: tuple[Evaluator, ...] = field(repr=False, compare=False)
     deadline: int | None = None
     discharged: bool = False
     value: float | None = None
@@ -132,9 +147,6 @@ class Obligation:
     def __post_init__(self):
         if self.kind not in _RULES:
             raise ValueError(f"unknown obligation kind {self.kind!r}")
-        if not self.evaluators:
-            object.__setattr__(self, "evaluators",
-                               tuple(compile_expr(e) for e in self.barriers))
 
 
 @dataclass(frozen=True)
@@ -166,11 +178,89 @@ BarrierValues = list[list[float]]
 
 
 @dataclass(frozen=True)
+class LeafTable:
+    """Where barrier_values reads a belief. index holds the state of
+    every entry of every bin, bin by bin in child order, and bins the
+    bin of each; bare holds the states of the entries read on their own.
+    The evaluators read bin k at position k of the leaf values and
+    bare[j] at position n_bins + j."""
+
+    index: np.ndarray
+    bins: np.ndarray
+    n_bins: int
+    bare: np.ndarray
+
+
+def _leaf_key(node: BeliefExpr) -> tuple[int, ...] | int | None:
+    """A leaf's state indices: a tuple for a bin, a sum whose children
+    are all entries (at least one), an int for any other entry, and
+    None for a node that is not a leaf."""
+    if isinstance(node, BeliefVar):
+        return operator.index(node.index)
+    if (isinstance(node, Sum) and node.children
+            and all(isinstance(c, BeliefVar) for c in node.children)):
+        return tuple(operator.index(c.index) for c in node.children)
+    return None
+
+
+def _leaf_table(barriers: list[BeliefExpr]) -> tuple[LeafTable, dict]:
+    """The leaf table of a monitor's barriers, and each leaf's position
+    among the leaf values, by its key. Equal sums share one bin and an
+    entry is read once, however often it occurs. Walked without
+    recursion."""
+    bins: dict[tuple[int, ...], int] = {}
+    bare: dict[int, int] = {}
+    todo = list(barriers)
+    while todo:
+        node = todo.pop()
+        key = _leaf_key(node)
+        if key is None:
+            todo.extend(children(node))
+        elif isinstance(key, tuple):
+            bins.setdefault(key, len(bins))
+        else:
+            bare.setdefault(key, len(bare))
+    table = LeafTable(
+        index=np.array([q for key in bins for q in key], dtype=np.intp),
+        bins=np.array([k for key, k in bins.items() for _ in key], dtype=np.intp),
+        n_bins=len(bins),
+        bare=np.array(list(bare), dtype=np.intp))
+    return table, {**bins, **{q: len(bins) + j for q, j in bare.items()}}
+
+
+def _read_leaves(expr: BeliefExpr, slots: dict) -> BeliefExpr:
+    """expr with each leaf replaced by the entry of its position among
+    the leaf values, which compile_expr reads from that list. Rebuilt in
+    post-order without recursion."""
+    operands: list[BeliefExpr] = []
+    todo: list[tuple[BeliefExpr, bool]] = [(expr, False)]
+    while todo:
+        node, children_done = todo.pop()
+        key = _leaf_key(node)
+        if key is not None:
+            operands.append(BeliefVar(slots[key], f"leaf{slots[key]}"))
+        elif not children(node):
+            operands.append(node)
+        elif not children_done:
+            todo.append((node, True))
+            todo.extend((c, False) for c in reversed(children(node)))
+        else:
+            split = len(operands) - len(children(node))
+            args = tuple(operands[split:])
+            del operands[split:]
+            operands.append(Difference(*args) if isinstance(node, Difference)
+                            else type(node)(args))
+    return operands[0]
+
+
+@dataclass(frozen=True)
 class Monitor:
-    """Immutable monitor state: obligations, their barrier values at the
-    belief reached, and the number of transitions examined so far."""
+    """Immutable monitor state: the leaf table its evaluators read,
+    obligations, their barrier values at the belief reached, and the
+    number of transitions examined so far."""
 
     config: MonitorConfig
+    leaves: LeafTable = field(repr=False, compare=False)
     obligations: tuple[Obligation, ...]
     values: BarrierValues
     step_count: int = 0
@@ -205,7 +295,7 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
     (nested temporal operators, temporal operands of or, an until with a
     temporal side, and so on).
     """
-    obligations = []
+    shapes = []
     for i, conjunct in enumerate(conjuncts(phi)):
         label = describe(conjunct)
         shape = _TEMPORAL.get(type(conjunct))
@@ -220,12 +310,15 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
                 f"conjunct {label!r} is not a temporal obligation over a "
                 f"propositional core"
             )
-        obligations.append(Obligation(
-            f"{i}:{kind}", kind, label,
-            tuple(translate_core(core, m, config.delta) for core in cores)))
-    p = m.initial.probs.tolist()
-    return Monitor(config, tuple(obligations),
-                   [[f(p) for f in ob.evaluators] for ob in obligations])
+        shapes.append((f"{i}:{kind}", kind, label,
+                       tuple(translate_core(core, m, config.delta) for core in cores)))
+    leaves, slots = _leaf_table([e for *_, barriers in shapes for e in barriers])
+    obligations = tuple(
+        Obligation(oid, kind, label, barriers,
+                   tuple(compile_expr(_read_leaves(e, slots)) for e in barriers))
+        for oid, kind, label, barriers in shapes)
+    start = Monitor(config, leaves, obligations, [])
+    return replace(start, values=barrier_values(start, m.initial.probs))
 
 
 def conjuncts(phi: Formula) -> list[Formula]:
@@ -327,10 +420,14 @@ _RULES = {
 }
 
 
-def barrier_values(mon: Monitor, p: list[float]) -> BarrierValues:
-    """Barrier values of every obligation at the belief whose entries
-    are p (`belief.probs.tolist()`); empty for discharged obligations."""
-    return [[] if ob.discharged else [f(p) for f in ob.evaluators]
+def barrier_values(mon: Monitor, probs: np.ndarray) -> BarrierValues:
+    """Barrier values of every obligation at the belief whose float64
+    entries are probs; empty for discharged obligations."""
+    leaves = mon.leaves
+    s = np.bincount(leaves.bins, probs.take(leaves.index), leaves.n_bins).tolist()
+    if leaves.bare.size:
+        s += probs.take(leaves.bare).tolist()
+    return [[] if ob.discharged else [f(s) for f in ob.evaluators]
             for ob in mon.obligations]
 
 
@@ -352,7 +449,7 @@ def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[StepVerdict, Monitor]:
                 ob = replace(ob, **changes)
         obligations.append(ob)
     verdict = StepVerdict(step=step, records=tuple(records))
-    return verdict, Monitor(mon.config, tuple(obligations), nxt, step)
+    return verdict, Monitor(mon.config, mon.leaves, tuple(obligations), nxt, step)
 
 
 def step_passes(mon: Monitor, nxt: BarrierValues) -> bool:

@@ -22,16 +22,18 @@ Belief-expression grammar (predicate definitions; no division):
 
     expr   ::= term (('+' | '-') term)*
     term   ::= factor ('*' factor)*
-    factor ::= NUMBER | '-' factor | 'b' '(' IDENT ')'
+    factor ::= NUMBER | '-' NUMBER | '-' factor | 'b' '(' IDENT ')'
              | ('min' | 'max') '(' expr (',' expr)* ')'
              | '(' expr ')'
 
-A NUMBER must be finite. Each `term` of a formula and each `factor` of
-an expression is one level of nesting, the levels the parsers recurse
-through. Neither parser goes deeper than MAX_NESTING levels: both raise
-FormulaSyntaxError at the token that would. A chain (`&`, `|`, `+`,
-`-`, `*`) is parsed in a loop, so it costs no level at any length,
-though `&`, `|` and `-` build a tree as tall as the chain is long.
+A NUMBER must be finite. `-` before a NUMBER makes one negative
+constant, 0.0 - NUMBER; before any other factor f it is 0 - f. Each
+`term` of a formula and each `factor` of an expression is one level of
+nesting, the levels the parsers recurse through. Neither parser goes
+deeper than MAX_NESTING levels: both raise FormulaSyntaxError at the
+token that would. A chain (`&`, `|`, `+`, `-`, `*`) is parsed in a
+loop, so it costs no level at any length, though `&`, `|` and `-`
+build a tree as tall as the chain is long.
 The tree's height (`ldtl.height`) is bounded where the scenario is
 built, by `ScenarioConfig`, for parsed trees and trees built in Python
 alike.
@@ -316,21 +318,29 @@ class ExprParser:
             node = Product(node.children + (rhs,)) if isinstance(node, Product) else Product((node, rhs))
         return node
 
+    @staticmethod
+    def _number(cur: _Cursor) -> float:
+        tok = cur.advance()
+        try:
+            value = float(tok.text)
+        except ValueError:
+            raise FormulaSyntaxError(f"bad number {tok.text!r}", tok.line, tok.column)
+        if not math.isfinite(value):
+            raise FormulaSyntaxError(f"number {tok.text!r} is not finite",
+                                     tok.line, tok.column)
+        return value
+
     @_nested
     def _factor(self, cur: _Cursor) -> BeliefExpr:
         tok = cur.peek()
         if tok.kind == "number":
-            cur.advance()
-            try:
-                value = float(tok.text)
-            except ValueError:
-                raise FormulaSyntaxError(f"bad number {tok.text!r}", tok.line, tok.column)
-            if not math.isfinite(value):
-                raise FormulaSyntaxError(f"number {tok.text!r} is not finite",
-                                         tok.line, tok.column)
-            return Constant(value)
+            return Constant(self._number(cur))
         if tok.kind == "-":
             cur.advance()
+            if cur.peek().kind == "number":
+                # A negative number, at this one level. 0.0 - x is the
+                # value `0 - x` has always had: -x, and +0.0 for `-0`.
+                return Constant(0.0 - self._number(cur))
             return Difference(Constant(0.0), self._factor(cur))
         if tok.kind == "(":
             cur.advance()

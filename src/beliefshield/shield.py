@@ -84,7 +84,7 @@ def _passes_under(mon: Monitor, numer: np.ndarray, likelihood: list[float],
     positive but at most the floor does not."""
     if likelihood[obs] <= LIKELIHOOD_FLOOR:
         return likelihood[obs] == 0.0
-    return step_passes(mon, barrier_values(mon, (numer[obs] / likelihood[obs]).tolist()))
+    return step_passes(mon, barrier_values(mon, numer[obs] / likelihood[obs]))
 
 
 def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int,
@@ -103,7 +103,7 @@ def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int,
     if likelihood <= LIKELIHOOD_FLOOR:
         return predicted, None, False
     posterior = numer / likelihood
-    values = barrier_values(mon, posterior.tolist())
+    values = barrier_values(mon, posterior)
     safe = step_passes(mon, values)
     if safe and mode == CONSERVATIVE:
         rows, likelihoods = _corrections(m, predicted, action)

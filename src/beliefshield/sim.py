@@ -146,7 +146,7 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
                 end_reason = END_ZERO_LIKELIHOOD
                 end_detail = {"action": a_nom, "observation": z}
                 break
-            verdict, mon = check_step(mon, barrier_values(mon, b_next.probs.tolist()))
+            verdict, mon = check_step(mon, barrier_values(mon, b_next.probs))
             next_state = q_nom
         else:
             try:

@@ -96,7 +96,7 @@ def evaluate_expr(expr: BeliefExpr, belief: Belief) -> float:
 def values_at(mon: Monitor, b: Belief) -> Monitor:
     """mon moved to b: the same obligations, holding their barrier
     values at b."""
-    return replace(mon, values=barrier_values(mon, b.probs.tolist()))
+    return replace(mon, values=barrier_values(mon, b.probs))
 
 
 def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[StepVerdict, Monitor]:
@@ -107,7 +107,7 @@ def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[StepVerd
     activation checks described in `beliefshield.monitor`'s docstring.
     """
     mon = values_at(mon, b_prev)
-    return check_step(mon, barrier_values(mon, b_next.probs.tolist()))
+    return check_step(mon, barrier_values(mon, b_next.probs))
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:

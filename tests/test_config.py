@@ -821,6 +821,24 @@ def test_a_product_inside_a_product_survives_write_and_load(tmp_path):
     assert load_config(tmp_path / "nested.yaml").predicates["scaled"] == nested
 
 
+def test_a_negative_constant_survives_write_and_load(tmp_path):
+    cfg = corridor_config("literal")
+    b0 = BeliefVar(0, cfg.model.state_names[0])
+    predicates = {**cfg.predicates, "neg": Sum((b0, Constant(-0.5))),
+                  "zero_minus": Difference(Constant(0.0), Constant(0.5))}
+    built = replace(cfg, predicates=predicates)
+    write_config(built, tmp_path / "neg.yaml")
+    assert "neg: b(a0_h1) + -0.5" in (tmp_path / "neg.yaml").read_text()
+    assert "zero_minus: 0.0 - 0.5" in (tmp_path / "neg.yaml").read_text()
+    assert load_config(tmp_path / "neg.yaml").predicates == predicates
+
+
+@pytest.mark.parametrize("kind", [Sum, Product, Min, Max])
+def test_an_empty_node_built_in_python_is_a_config_error(kind):
+    with pytest.raises(ConfigError, match=r"^predicates\.x: '[a-z()]*' does not parse back"):
+        replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "x": kind(())})
+
+
 NAMES = st.one_of(st.sampled_from(YAML_WORDS), st.text(min_size=1, max_size=4))
 
 

@@ -1,5 +1,6 @@
 """Monitor compilation and step-by-step obligation checking."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from beliefshield import (
     translate_core,
     Min,
     Max,
+    Product,
     StateSet,
     BeliefPred,
     Sum,
@@ -409,13 +411,13 @@ def test_a_monitor_holds_the_barrier_values_of_the_belief_it_has_reached():
     assert mon.values == at_start
     with pytest.raises(TypeError):
         Monitor(CFG, mon.obligations)
-    nxt = barrier_values(mon, b_pair(0.2, -0.4).probs.tolist())
+    nxt = barrier_values(mon, b_pair(0.2, -0.4).probs)
     _, successor = check_step(mon, nxt)
     assert successor.values == nxt
     # The next verdict depends on the values, so equality does too: the
     # decay bound holds for 0.2 -> 0.15 but not for 0.4 -> 0.15.
-    later = barrier_values(successor, b_pair(0.15, -0.3).probs.tolist())
-    higher = replace(successor, values=barrier_values(successor, b_pair(0.4, -0.4).probs.tolist()))
+    later = barrier_values(successor, b_pair(0.15, -0.3).probs)
+    higher = replace(successor, values=barrier_values(successor, b_pair(0.4, -0.4).probs))
     assert step_passes(successor, later)
     assert not step_passes(higher, later)
     assert successor != higher
@@ -445,3 +447,88 @@ def test_inactive_records_repeat_the_discharge_value(kind):
     assert [v.records[0].barrier for v in verdicts[1:]] == [decided.barrier] * 2
     assert mon.obligations[0].value == decided.barrier
     assert mon.step_count == 3
+
+
+# --------------------------------------------------------------------------
+# Leaf table: every sum of entries is one bin of one np.bincount
+
+
+def left_to_right(expr, p) -> float:
+    """Reference value of a barrier at the entries p: each sum adds its
+    children to 0.0 one at a time, whatever `sum` does on this Python."""
+    if isinstance(expr, Constant):
+        return float(expr.value)
+    if isinstance(expr, BeliefVar):
+        return p[expr.index]
+    if isinstance(expr, Sum):
+        acc = 0.0
+        for c in expr.children:
+            acc += left_to_right(c, p)
+        return acc
+    if isinstance(expr, Difference):
+        return left_to_right(expr.left, p) - left_to_right(expr.right, p)
+    if isinstance(expr, Product):
+        out = 1.0
+        for c in expr.children:
+            out *= left_to_right(c, p)
+        return out
+    values = [left_to_right(c, p) for c in expr.children]
+    return min(values) if isinstance(expr, Min) else max(values)
+
+
+def _bits(values: list[float]) -> list[bytes]:
+    return [struct.pack("<d", v) for v in values]
+
+
+LEAF_MODEL = tiny_model(4)
+_ENTRY = st.integers(0, 3).map(lambda q: BeliefVar(q, f"q{q}"))
+# Repeated entries and one-entry sums included; long sums are where a
+# pairwise summation rounds differently.
+_ENTRY_SUM = st.lists(_ENTRY, min_size=1, max_size=24).map(lambda cs: Sum(tuple(cs)))
+_LEAF_EXPRS = st.recursive(
+    _ENTRY | _ENTRY_SUM | st.floats(-2.0, 2.0).map(Constant),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda cs: Product(tuple(cs))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda cs: Min(tuple(cs))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda cs: Max(tuple(cs))),
+        st.builds(Difference, kids, kids),
+    ),
+    max_leaves=6,
+)
+_LEAF_BELIEF = st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.7]) | st.floats(0.0, 1.0),
+                        min_size=4, max_size=4).map(lambda xs: np.array(xs, dtype=float))
+# A negated predicate's barrier is its expression; next and now
+# obligations are discharged by the first step, eventually ones when
+# they start or land at or above 0.
+_WRAP = {"always": Always, "eventually": Eventually, "next": Next, "now": lambda a: a}
+_NEG_ZERO_FIRST = np.array([-0.0, 0.2, 0.3, 0.5])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_WRAP)), _LEAF_EXPRS), min_size=1, max_size=4),
+       _LEAF_BELIEF, _LEAF_BELIEF)
+# A bare entry at -0.0 keeps its sign; a one-entry sum of it is +0.0.
+@example([("always", BeliefVar(0, "q0"))], _NEG_ZERO_FIRST, _NEG_ZERO_FIRST)
+@example([("always", Sum((BeliefVar(0, "q0"),)))], _NEG_ZERO_FIRST, _NEG_ZERO_FIRST)
+@example([("now", Min((Sum((BeliefVar(0, "q0"),)), BeliefVar(0, "q0")))),
+          ("always", Product((Constant(-1.0), BeliefVar(0, "q0"))))],
+         _NEG_ZERO_FIRST, _NEG_ZERO_FIRST)
+def test_barrier_values_are_left_to_right_sums_bit_for_bit(barriers, first, second):
+    conjuncts = [_WRAP[kind](BeliefPred(f"p{i}", e, negated=True))
+                 for i, (kind, e) in enumerate(barriers)]
+    phi = conjuncts[0]
+    for c in conjuncts[1:]:
+        phi = And(phi, c)
+    mon = compile_monitor(phi, LEAF_MODEL, CFG)
+    start = LEAF_MODEL.initial.probs.tolist()
+    assert [_bits(v) for v in mon.values] == [
+        _bits([left_to_right(e, start) for e in ob.barriers]) for ob in mon.obligations]
+    at_first = barrier_values(mon, first)
+    assert [_bits(v) for v in at_first] == [
+        _bits([left_to_right(e, first.tolist()) for e in ob.barriers])
+        for ob in mon.obligations]
+    _, successor = check_step(mon, at_first)
+    assert not any(ob.discharged for ob in mon.obligations)
+    assert [_bits(v) for v in barrier_values(successor, second)] == [
+        [] if ob.discharged else _bits([left_to_right(e, second.tolist()) for e in ob.barriers])
+        for ob in successor.obligations]

@@ -1,6 +1,8 @@
 """Formula and belief-expression parsing: golden parses, error reporting,
 and print/parse round trips."""
 
+import math
+import struct
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -34,7 +36,7 @@ from beliefshield import (
     pretty_print,
 )
 from beliefshield import ldtl, parsing
-from beliefshield.ldtl import height
+from beliefshield.ldtl import compile_expr, height
 from beliefshield.parsing import MAX_NESTING
 
 STATE_INDEX = {"s0": 0, "s1": 1, "s2": 2, "s3": 3}
@@ -214,9 +216,33 @@ def test_expression_number_formats():
 
 def test_unary_minus_becomes_difference_from_zero():
     assert parse_expr("-b(s0)", STATE_INDEX) == Difference(Constant(0.0), BeliefVar(0, "s0"))
-    assert parse_expr("--1", STATE_INDEX) == Difference(
-        Constant(0.0), Difference(Constant(0.0), Constant(1.0))
-    )
+    assert parse_expr("--1", STATE_INDEX) == Difference(Constant(0.0), Constant(-1.0))
+
+
+def test_minus_before_a_number_is_a_negative_constant():
+    assert parse_expr("-0.5", STATE_INDEX) == Constant(-0.5)
+    assert parse_expr("b(s0) + -0.5", STATE_INDEX) == Sum((BeliefVar(0, "s0"), Constant(-0.5)))
+    # `-0` has always read as 0 - 0, which is +0.0.
+    assert math.copysign(1.0, parse_expr("-0", STATE_INDEX).value) == 1.0
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# Each text with the value it had when `-x` always read as `0 - x`.
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1.0))
+@example(0.0, 0.5)
+@example(0.5, 0.0)
+def test_a_negative_number_keeps_the_value_its_text_had(x, p0):
+    def at(text):
+        return compile_expr(parse_expr(text, STATE_INDEX))([p0, 0.0, 0.0, 0.0])
+
+    assert _bits(at(f"-{x!r}")) == _bits(0.0 - x)
+    assert _bits(at(f"--{x!r}")) == _bits(0.0 - (0.0 - x))
+    assert _bits(at(f"b(s0) * -{x!r}")) == _bits(1.0 * p0 * (0.0 - x))
+    assert _bits(at(f"b(s0) - -{x!r}")) == _bits(p0 - (0.0 - x))
 
 
 def test_belief_vars_and_min_max():
@@ -318,7 +344,7 @@ def test_formula_print_parse_round_trip(phi):
     assert parse(pretty_print(phi)) == phi
 
 
-constants = st.floats(min_value=0.0, max_value=1e6, allow_nan=False).map(Constant)
+constants = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).map(Constant)
 belief_vars = st.integers(min_value=0, max_value=3).map(
     lambda i: BeliefVar(i, STATE_NAMES[i])
 )
@@ -349,6 +375,9 @@ exprs = st.recursive(constants | belief_vars, extend_expr, max_leaves=10)
 @given(exprs)
 @example(Product((Constant(0.3), Product((Constant(0.7), BeliefVar(1, STATE_NAMES[1]))))))
 @example(Sum((Constant(0.3), Sum((Constant(0.7), BeliefVar(1, STATE_NAMES[1]))))))
+@example(Sum((BeliefVar(0, STATE_NAMES[0]), Constant(-0.5))))
+@example(Difference(Constant(0.0), Constant(0.5)))
+@example(Difference(Constant(0.0), Constant(-0.5)))
 def test_expr_print_parse_round_trip(expr):
     assert parse_expr(expr_text(expr), STATE_INDEX) == expr
 
