@@ -2,12 +2,25 @@
 
 Given the nominal joint action, the shared observation z, and the
 current belief, the shield accepts the nominal action when its belief
-update passes the monitor. Otherwise it checks every other joint action
-the same way, in flat-index order, and executes the safe one whose
-expected immediate reward (over its own updated belief) deviates least,
-in squared distance, from the nominal's reference reward. Ties resolve
-to the lowest flat action index. A candidate whose update has zero
-likelihood is unsafe, not an error; if no candidate passes, the shield
+update passes the monitor. Otherwise it interferes as little as it can,
+choosing lexicographically:
+
+1. the fewest agents whose action component differs from the nominal's;
+2. the least |r - r_n|, where r is a candidate's expected immediate
+   reward over its own updated belief and r_n the nominal's reference
+   reward; every candidate within REWARD_TIE (in reward units) of the
+   least deviation at its level counts as tied;
+3. the lowest flat action index.
+
+Candidates are checked level by level, one agent changed, then two, and
+so on, in flat-index order within a level, and the search stops after
+the first level with a safe candidate. No candidate of a later level
+can beat it under the rule, so stopping there is exact. Measuring ties
+against the level's least deviation, not pairwise, keeps "tied"
+transitive; and since candidates that no agent's reward separates tie
+mathematically, the band keeps the last bits of a BLAS dot product from
+picking among them. A candidate whose update has zero likelihood is
+unsafe, not an error; if no action at any level passes, the shield
 raises SafetyDeadlock rather than executing anything unsafe.
 
 In "conservative" mode a candidate must additionally pass under every
@@ -26,23 +39,29 @@ from failing observations as correct does. The shield evaluates only posteriors,
 each once; a Belief, verdict and successor Monitor are built only for
 the executed action. The tests check every decision against a
 brute-force reference that updates the belief and evaluates both
-beliefs' barriers one action at a time.
+beliefs' barriers one action at a time, for every action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import SafetyDeadlock
-from .model import LIKELIHOOD_FLOOR, Belief, Mpomdp, predicted_belief
+from .model import (
+    LIKELIHOOD_FLOOR, Belief, Mpomdp, components_from_flat, predicted_belief,
+)
 from .monitor import (
     BarrierValues, Monitor, StepVerdict, barrier_values, check_step, step_passes,
 )
 
 LITERAL = "literal"
 CONSERVATIVE = "conservative"
+
+# Reward deviations within this distance of a level's least count as tied.
+REWARD_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,8 +70,8 @@ class ShieldDecision:
 
     executed is the flat joint-action index; verdict/next_belief/
     next_monitor describe its update; candidate_rewards lists (flat
-    index, reward) for the safe candidates considered (just the nominal
-    when it passed outright).
+    index, reward) for the safe candidates of the deciding level, in
+    flat order (just the nominal when it passed outright).
     """
 
     executed: int
@@ -120,11 +139,26 @@ def _barriers_after(mon: Monitor, values: BarrierValues | None) -> dict[str, flo
     return {r.oid: r.barrier for r in verdict.records if r.barrier is not None}
 
 
+@cache
+def _levels(action_radices: tuple[int, ...], nominal: int) -> tuple[tuple[int, ...], ...]:
+    """The joint actions other than nominal, grouped by the number of
+    agents whose component differs from nominal's, fewest first, in flat
+    order within each level; levels with no action are left out."""
+    target = components_from_flat(nominal, action_radices)
+    levels: list[list[int]] = [[] for _ in action_radices]
+    for a in range(int(np.prod(action_radices))):
+        changed = sum(c != t for c, t in zip(components_from_flat(a, action_radices), target))
+        if changed:
+            levels[changed - 1].append(a)
+    return tuple(tuple(level) for level in levels if level)
+
+
 def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
                 a_nominal: int, mode: str = LITERAL) -> ShieldDecision:
-    """Accept the nominal action or substitute the safe alternative with
-    the closest expected reward, where mon has reached b_prev. Raises
-    SafetyDeadlock when nothing is safe."""
+    """Accept the nominal action or substitute the safe alternative that
+    changes the fewest agents' actions and, among those, has the closest
+    expected reward, where mon has reached b_prev. Raises SafetyDeadlock
+    when nothing is safe."""
     if mode not in (LITERAL, CONSERVATIVE):
         raise ValueError(f"unknown shield mode: {mode!r}")
 
@@ -136,14 +170,20 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
     if nominal_safe:
         best, candidates = a_nominal, [(a_nominal, r_n)]
     else:
-        checks = {a: nominal if a == a_nominal else _check(m, mon, b_prev, z, a, mode)
-                  for a in range(m.n_joint_actions)}
-        candidates = [(a, _reward(row, a, m)) for a, (row, _, safe) in checks.items() if safe]
-        if not candidates:
+        checks = {a_nominal: nominal}
+        for level in _levels(m.action_radices, a_nominal):
+            for a in level:
+                checks[a] = _check(m, mon, b_prev, z, a, mode)
+            candidates = [(a, _reward(checks[a][0], a, m)) for a in level if checks[a][2]]
+            if candidates:
+                break
+        else:
             raise SafetyDeadlock(mon.step_count + 1, {
-                a: _barriers_after(mon, values) for a, (_, values, _) in checks.items()})
-        # min keeps the first of equal deviations: the lowest flat index.
-        best = min(candidates, key=lambda c: (c[1] - r_n) ** 2)[0]
+                a: _barriers_after(mon, checks[a][1]) for a in range(m.n_joint_actions)})
+        # Candidates are in flat order, so the first within the tie band
+        # of the least deviation has the lowest index.
+        least = min(abs(r - r_n) for _, r in candidates)
+        best = next(a for a, r in candidates if abs(r - r_n) <= least + REWARD_TIE)
         row, values, _ = checks[best]
 
     verdict, successor = check_step(mon, values)

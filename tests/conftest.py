@@ -3,7 +3,7 @@ evaluators (the tree-walking `evaluate_expr` that compiled barriers
 match bit for bit, and `monitor_step`, which evaluates both beliefs of
 a step afresh), the independent two-pass posterior oracle the filter is
 checked against, the one-action-at-a-time brute-force reference the
-shield is checked against, counters of monitor compilations and
+shield's rule is checked against, counters of monitor compilations and
 barrier evaluations, and the decoding of beliefs in trace records."""
 
 from __future__ import annotations
@@ -176,6 +176,12 @@ class ActionCheck:
     monitor: Monitor | None      # the successor monitor
     safe: bool                   # passes under z and, if conservative, every other z
     reward: float | None         # expected reward at the posterior
+    changed: int                 # agents whose action differs from the nominal's
+
+
+# The documented tie band: reward deviations within it of a level's least
+# count as tied.
+REWARD_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -189,6 +195,26 @@ class ShieldReference:
     @property
     def safe(self) -> list[ActionCheck]:
         return [c for c in self.actions if c.safe]
+
+    @property
+    def level(self) -> list[ActionCheck]:
+        """The deciding level: the safe actions that change the fewest
+        agents, in flat order (the nominal alone when it is safe)."""
+        safe = self.safe
+        fewest = min((c.changed for c in safe), default=None)
+        return [c for c in safe if c.changed == fewest]
+
+    @property
+    def choice(self) -> ActionCheck | None:
+        """The documented rule over every action: fewest agents changed,
+        then the least |reward - nominal reward| with deviations within
+        REWARD_TIE of the level's least tied, then the lowest flat index.
+        None when no action is safe."""
+        level = self.level
+        if not level:
+            return None
+        devs = [abs(c.reward - self.nominal_reward) for c in level]
+        return next(c for c, d in zip(level, devs) if d <= min(devs) + REWARD_TIE)
 
 
 def _passes_every_other_observation(m: Mpomdp, mon: Monitor, b: Belief, z: int,
@@ -209,22 +235,24 @@ def _passes_every_other_observation(m: Mpomdp, mon: Monitor, b: Belief, z: int,
 
 def shield_reference(m: Mpomdp, mon: Monitor, b: Belief, z: int, a_nominal: int,
                      mode: str = LITERAL) -> ShieldReference:
-    """The shield's candidate check done the long way: a full
-    belief_update and monitor_step per action and, in conservative mode,
-    per other observation of positive predicted probability. A
+    """The shield's candidate check done the long way, for every action:
+    a full belief_update and monitor_step per action and, in conservative
+    mode, per other observation of positive predicted probability. A
     zero-likelihood update makes an action unsafe."""
+    nominal_names = m.joint_action_label(a_nominal)
     checks = []
     for action in range(m.n_joint_actions):
+        changed = sum(x != y for x, y in zip(m.joint_action_label(action), nominal_names))
         try:
             b_next = belief_update(b, action, z, m)
         except ZeroLikelihood:
-            checks.append(ActionCheck(action, None, None, None, False, None))
+            checks.append(ActionCheck(action, None, None, None, False, None, changed))
             continue
         verdict, successor = monitor_step(mon, b, b_next)
         safe = verdict.passed and (
             mode != CONSERVATIVE or _passes_every_other_observation(m, mon, b, z, action))
         checks.append(ActionCheck(action, b_next, verdict, successor, safe,
-                                  expected_reward(b_next, action, m)))
+                                  expected_reward(b_next, action, m), changed))
     nominal = checks[a_nominal]
     if nominal.belief is None:
         r_n = float(predicted_belief(b, a_nominal, m) @ m.reward[:, a_nominal])

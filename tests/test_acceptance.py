@@ -392,7 +392,10 @@ def test_criterion_7_clean_discharged_episodes_satisfy_oracle(random_runs):
 
 
 # --------------------------------------------------------------------------
-# Criterion 8: override optimality
+# Criterion 8: override optimality. An override changes the fewest agents
+# that any safe joint action changes and, among the safe actions that
+# change that many, has the reward closest to the nominal's: none closer
+# by more than the 1e-9 tie band, and ties at the lowest flat index.
 
 
 def _rescan_overrides(cfg: ScenarioConfig, trace) -> int:
@@ -404,18 +407,16 @@ def _rescan_overrides(cfg: ScenarioConfig, trace) -> int:
         if s.overridden:
             ref = shield_reference(m, mon, b_prev, s.observation, s.nominal,
                                    cfg.shield_mode)
-            cands = ref.safe
-            flats = [c.action for c in cands]
-            assert s.executed in flats
+            assert ref.nominal_reward == s.nominal_reward
+            level = ref.level
+            executed = next(c for c in level if c.action == s.executed)
+            assert executed.changed == min(c.changed for c in ref.safe) > 0
             r_n = ref.nominal_reward
-            assert r_n == s.nominal_reward
-            devs = [(c.reward - r_n) ** 2 for c in cands]
-            exec_dev = devs[flats.index(s.executed)]
-            assert all(d >= exec_dev for d in devs)
+            devs = [abs(c.reward - r_n) for c in level]
+            assert all(d + 1e-9 >= abs(executed.reward - r_n) for d in devs)
             # ties must have resolved to the lowest flat index
-            assert flats[devs.index(exec_dev)] == s.executed
-            assert tuple((c.action, c.reward) for c in cands) \
-                == s.candidate_rewards
+            assert ref.choice is executed
+            assert tuple((c.action, c.reward) for c in level) == s.candidate_rewards
             checked += 1
         _, mon = monitor_step(mon, b_prev, s.belief)
         b_prev = s.belief
@@ -433,8 +434,9 @@ def test_criterion_8_every_override_is_reward_optimal(corridor_shielded,
                            for rcfg, rresult, _ in runs
                            for t in rresult.traces)
     note(f"criterion 8 PASS: re-enumerated {corridor_overrides} corridor and "
-         f"{random_overrides} random-scenario overrides; none beaten on "
-         f"squared reward deviation, all ties at lowest index")
+         f"{random_overrides} random-scenario overrides; each changes the fewest "
+         f"agents of any safe action, none beaten on reward deviation within "
+         f"its level beyond 1e-9, all ties at lowest index")
 
 
 # --------------------------------------------------------------------------

@@ -29,9 +29,11 @@ from beliefshield.presets import corridor_config
 
 from conftest import decode_belief, edit_belief
 
-# Written by `write_traces` at commit 3a765b5, the last version 1 writer,
-# from `run_batch(v1_config().to_scenario(), base_seed=7, episodes=2)`:
-# 2 episodes of 12 steps, beliefs as lists of decimals.
+# `run_batch(v1_config().to_scenario(), base_seed=7, episodes=2)`, written
+# by `write_traces` with the version 1 belief encoding (`TRACE_VERSION`
+# set to 1 and `encode_belief` to `probs.tolist()`): 2 episodes of 12
+# steps, beliefs as lists of decimals. On the same batch this gives the
+# bytes of the version 1 writer (commit 3a765b5).
 V1_TRACE = Path(__file__).resolve().parent / "data" / "corridor_literal_v1.trace.jsonl"
 
 

@@ -386,18 +386,18 @@ def test_expr_print_parse_round_trip(expr):
 # Height of trees and the parser's levels
 
 
-def levels_parsed(parse_text, text: str) -> int:
+def levels_parsed(parse_text, text: str, tree_height: int) -> int:
     """The fewest levels under which parse_text accepts text: the levels
-    the parser counts in it."""
-    levels = 1
-    while True:
+    the parser counts in it. Tries up to tree_height + 1 levels, and
+    fails naming text when none of them parses it."""
+    for levels in range(1, tree_height + 2):
         with patch.object(parsing, "MAX_NESTING", levels):
             try:
                 parse_text(text)
                 return levels
             except FormulaSyntaxError as exc:
                 assert "nested deeper than" in str(exc)
-        levels += 1
+    pytest.fail(f"{text!r} does not parse within {tree_height + 1} levels")
 
 
 # A tree at most MAX_NESTING tall prints as text the parser accepts, so a
@@ -406,7 +406,7 @@ def levels_parsed(parse_text, text: str) -> int:
 @settings(max_examples=300, deadline=None)
 @given(formulas)
 def test_a_printed_formula_parses_within_its_height(phi):
-    assert levels_parsed(parse, pretty_print(phi)) <= height(phi)
+    assert levels_parsed(parse, pretty_print(phi), height(phi)) <= height(phi)
 
 
 @settings(max_examples=300, deadline=None)
@@ -416,7 +416,7 @@ def test_a_printed_formula_parses_within_its_height(phi):
 @example(Difference(Constant(0.0), Difference(Constant(0.0), BeliefVar(0, "s0"))))
 def test_a_printed_expr_parses_within_its_height(expr):
     assert levels_parsed(lambda text: parse_expr(text, STATE_INDEX),
-                         expr_text(expr)) <= height(expr)
+                         expr_text(expr), height(expr)) <= height(expr)
 
 
 def test_a_shared_subtree_is_measured_once(monkeypatch):

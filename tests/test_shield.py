@@ -1,5 +1,6 @@
-"""Shield decisions: nominal acceptance, reward-matched overrides, tie
-breaks, deadlocks, and the conservative mode."""
+"""Shield decisions: nominal acceptance, overrides that change the fewest
+agents and then match the nominal's reward, tie breaks, deadlocks, and
+the conservative mode."""
 
 from functools import reduce
 
@@ -158,6 +159,97 @@ def test_enumerate_matches_shield_candidates():
     assert decision.candidate_rewards == tuple(
         (c.action, c.reward) for c in candidates
     )
+
+
+# --------------------------------------------------------------------------
+# Fewest agents changed first: three agents, two actions each
+
+START, BAD, GOOD = 0, 1, 2
+
+
+def team_model(unsafe: set[int], rewards: dict[int, float], nominal_reward: float = 0.0) -> Mpomdp:
+    """Three agents choosing keep or swap: eight joint actions, flat index
+    4*c0 + 2*c1 + c2. Each action in unsafe moves all mass to bad, every
+    other to good, and one observation sees nothing; an action's reward
+    is rewards[a] at good and nominal_reward at bad."""
+    t = np.zeros((3, 8, 3))
+    r = np.zeros((3, 8))
+    for a in range(8):
+        t[:, a, BAD if a in unsafe else GOOD] = 1.0
+        r[GOOD, a] = rewards.get(a, 0.0)
+        r[BAD, a] = nominal_reward
+    return Mpomdp(
+        state_names=("start", "bad", "good"),
+        agent_names=("x", "y", "z"),
+        action_names=(("keep", "swap"),) * 3,
+        observation_names=(("none",),) * 3,
+        initial=Belief((1.0, 0.0, 0.0)),
+        transition=t,
+        observation=np.ones((3, 8, 1)),
+        reward=r,
+    )
+
+
+def team_monitor(m: Mpomdp):
+    # Safe while bad carries less than half the mass: h = 0.5 - b(bad).
+    clear = BeliefPred("clear", Difference(Constant(0.5), BeliefVar(BAD, "bad")), negated=True)
+    return values_at(compile_monitor(Always(clear), m, CFG), m.initial)
+
+
+def team_step(m: Mpomdp, nominal: int = 0):
+    return shield_step(m, team_monitor(m), m.initial, 0, nominal)
+
+
+def test_one_agent_changed_beats_a_closer_reward_that_changes_two(barrier_calls):
+    # Action 3 (keep, swap, swap) matches the nominal's reward exactly,
+    # but changes two agents; 1, 2 and 4 change one.
+    m = team_model(unsafe={0}, rewards={1: 5.0, 2: 6.0, 4: 7.0, 3: 1.0, 7: 1.0},
+                   nominal_reward=1.0)
+    mon = team_monitor(m)
+    barrier_calls.clear()
+    decision = shield_step(m, mon, m.initial, 0, 0)
+    assert decision.overridden
+    assert decision.executed == 1
+    assert decision.nominal_reward == 1.0
+    assert decision.candidate_rewards == ((1, 5.0), (2, 6.0), (4, 7.0))
+    # The nominal and the three one-agent changes; no two-agent change
+    # is checked once one agent's change is safe.
+    assert len(barrier_calls) == 4
+
+
+def test_two_agents_changed_when_every_one_agent_change_is_unsafe():
+    m = team_model(unsafe={0, 1, 2, 4}, rewards={3: 4.0, 5: 2.0, 6: 9.0, 7: 1.0},
+                   nominal_reward=1.0)
+    decision = team_step(m)
+    assert decision.executed == 5
+    assert decision.candidate_rewards == ((3, 4.0), (5, 2.0), (6, 9.0))
+
+
+@pytest.mark.parametrize("rewards, executed", [
+    # 1e-10 apart: tied, so the lowest flat index wins.
+    ({1: 2.0 + 1e-10, 2: 2.0}, 1),
+    # The band is on |r - r_n|, so a deviation below the nominal ties too.
+    ({1: -2.0 - 1e-10, 2: 2.0}, 1),
+    # 1e-6 apart: not tied, so the closer one wins.
+    ({1: 2.0 + 1e-6, 2: 2.0}, 2),
+    ({1: -2.0 - 1e-6, 2: 2.0}, 2),
+], ids=["1e-10-above", "1e-10-below", "1e-6-above", "1e-6-below"])
+def test_rewards_within_the_tie_band_go_to_the_lowest_index(rewards, executed):
+    m = team_model(unsafe={0}, rewards={**rewards, 4: 9.0})
+    assert team_step(m).executed == executed
+
+
+def test_a_deadlock_checks_every_level_and_lists_every_action_in_flat_order(barrier_calls):
+    m = team_model(unsafe=set(range(8)), rewards={})
+    mon = team_monitor(m)
+    barrier_calls.clear()
+    with pytest.raises(SafetyDeadlock) as err:
+        shield_step(m, mon, m.initial, 0, 5)
+    barriers = err.value.candidate_barriers
+    assert list(barriers) == list(range(8))
+    assert all(b == {"0:always": -0.5} for b in barriers.values())
+    # Each action's posterior is evaluated once, the nominal's included.
+    assert len(barrier_calls) == 8
 
 
 # --------------------------------------------------------------------------
@@ -324,20 +416,6 @@ def reference_barriers(ref):
             for c in ref.actions}
 
 
-def reference_choice(ref, a_nom):
-    """The documented rule over the reference's safe actions: the nominal
-    when it is safe, else the safe action whose reward is closest to the
-    nominal's reference reward, lowest index on ties. Returns (nominal
-    reward, chosen candidate, safe candidates), or None on deadlock."""
-    r_n, safe = ref.nominal_reward, ref.safe
-    if ref.actions[a_nom].safe:
-        return r_n, ref.actions[a_nom], [ref.actions[a_nom]]
-    if not safe:
-        return None
-    best = min(safe, key=lambda c: ((c.reward - r_n) ** 2, c.action))
-    return r_n, best, safe
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([LITERAL, CONSERVATIVE]))
 def test_batched_shield_matches_enumeration(seed, mode):
@@ -349,19 +427,18 @@ def test_batched_shield_matches_enumeration(seed, mode):
     a_nom = int(rng.integers(m.n_joint_actions))
 
     ref = shield_reference(m, mon, b, z, a_nom, mode)
-    expected = reference_choice(ref, a_nom)
-    if expected is None:
+    best = ref.choice
+    if best is None:
         with pytest.raises(SafetyDeadlock) as err:
             shield_step(m, values_at(mon, b), b, z, a_nom, mode)
         assert err.value.step == mon.step_count + 1
         assert err.value.candidate_barriers == reference_barriers(ref)
         return
-    r_n, best, safe = expected
     decision = shield_step(m, values_at(mon, b), b, z, a_nom, mode)
     assert decision.overridden == (best.action != a_nom)
     assert decision.executed == best.action
-    assert decision.nominal_reward == r_n
-    assert decision.candidate_rewards == tuple((c.action, c.reward) for c in safe)
+    assert decision.nominal_reward == ref.nominal_reward
+    assert decision.candidate_rewards == tuple((c.action, c.reward) for c in ref.level)
     assert decision.verdict == best.verdict
     assert decision.next_monitor == best.monitor
     assert np.array_equal(decision.next_belief.probs.view(np.int64),

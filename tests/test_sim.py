@@ -295,12 +295,14 @@ def test_each_belief_is_evaluated_once(mode, barrier_calls):
     if mode == "off":
         assert len(barrier_calls) == steps
     else:
-        # The nominal's posterior once per step, and on an override every
-        # other action's posterior once (z is possible after each of the
-        # corridor's actions).
+        # The nominal's posterior once per step, and on an override the
+        # posterior of each action that changes one agent's component
+        # once: z is possible after each of the corridor's actions, and
+        # one of those is safe at every override, so the shield checks
+        # no action that changes both agents.
         assert agg["override_steps"] > 0
-        alternatives = agg["override_steps"] * (scen.model.n_joint_actions - 1)
-        assert len(barrier_calls) == steps + alternatives
+        one_agent = sum(r - 1 for r in scen.model.action_radices)
+        assert len(barrier_calls) == steps + agg["override_steps"] * one_agent
 
 
 def _all_kinds_formula(m: Mpomdp):
