@@ -4,7 +4,7 @@ temporal formula language with belief predicates, barrier-style
 step checks compiled from formulas, a one-step greedy shield, and a
 reproducible episode simulator with trace audit tooling."""
 
-from .audit import AuditReport, EpisodeAudit, ObligationAudit, StepContext, audit_episode, audit_traces, replay_episode
+from .audit import AuditReport, EpisodeAudit, ObligationAudit, audit_episode, audit_traces
 from .barrier import FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_bound
 from .config import ScenarioConfig, load_config, parse_config, write_config
 from .errors import (

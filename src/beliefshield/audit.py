@@ -2,29 +2,42 @@
 monitor, and evaluate the formula's finite-trace semantics on the
 replayed word.
 
-The replay recomputes every belief from the recorded actions and
-observations. A version 2 belief whose string is the replayed belief's
-encoding (`traceio.encode_belief`) has error 0.0 and is never decoded;
-any other is decoded by its episode's trace version
-(`traceio.recorded_belief`), which rejects a malformed one. A recorded
-belief whose bytes equal the replayed belief's has error 0.0; otherwise
-the error is the largest entry-wise deviation, and one beyond 1e-9, or
-not finite, raises TraceMismatch. Monitor verdicts are recomputed the
-same way and compared record by record: oid, kind, status and detail
-exactly, the barrier value within 1e-9, and the step's passed flag. The
-finite-trace verdict per top-level conjunct is reported alongside; the
-monitor checks sufficient barrier conditions on beliefs, so its verdicts
-need not coincide with the hidden-state semantics and a disagreement is
-informational, not an audit failure.
+`audit_episode` makes one pass over an episode's step lines in file
+order. Each step's indices are checked, its belief is recomputed from
+the recorded action and observation and compared, the monitor steps on
+the replayed belief, and its verdict is compared with the recorded one;
+the first fault in file order is the one raised.
 
-One pass evaluates each replayed belief once, with the simulator's
-arithmetic step for step. The oracle takes each letter's belief entries
-once and applies each belief atom's compiled evaluator, which is
-bit-identical to the tests' tree-walking reference.
+A version 2 belief whose string is the replayed belief's encoding
+(`traceio.encode_belief`) has error 0.0 and is never decoded; any other
+is decoded by its episode's trace version (`traceio.recorded_belief`),
+which rejects a malformed one. A recorded belief whose bytes equal the
+replayed belief's has error 0.0; otherwise the error is the largest
+entry-wise deviation, and one beyond 1e-9, or not finite, raises
+TraceMismatch.
+
+Verdict records are compared in order, position by position, as the
+writer lists them in the monitor's obligation order, so a file whose
+records are reordered does not audit. Oid, kind and status must be
+equal, the barrier value within 1e-9, and the step's passed flag equal.
+A detail is compared by what it says, not by how it prints: its text
+outside number tokens must be equal, integer tokens must be equal, and
+other numbers, printed with `%.6g`, must agree within one unit in their
+sixth significant digit. A barrier a last bit away from the recorded one
+can print one digit apart, as on another BLAS kernel.
+
+The finite-trace verdict per top-level conjunct is reported alongside;
+the monitor checks sufficient barrier conditions on beliefs, so its
+verdicts need not coincide with the hidden-state semantics and a
+disagreement is informational, not an audit failure. The oracle takes
+each letter's belief entries once and applies each belief atom's
+compiled evaluator, which is bit-identical to the tests' tree-walking
+reference.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,23 +45,14 @@ import numpy as np
 from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
 from .ldtl import Letter, oracle_satisfies
-from .model import Belief, belief_update
-from .monitor import (
-    Monitor, ObligationRecord, StepVerdict, barrier_values, check_step, conjuncts,
-)
+from .model import belief_update
+from .monitor import ObligationRecord, StepVerdict, barrier_values, check_step, conjuncts
 from .traceio import EpisodeRecord, encode_belief, recorded_belief
 
 BELIEF_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class StepContext:
-    """One recorded step and what its replay reached."""
-
-    record: dict
-    belief_after: Belief
-    verdict: StepVerdict
-    monitor_after: Monitor
+# A number as `%.6g` or `str` of an int prints it.
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 @dataclass(frozen=True)
@@ -98,43 +102,31 @@ def _belief_error(value, ep: EpisodeRecord, probs: np.ndarray, where: str) -> fl
     return float(np.max(np.abs(np.frombuffer(recorded, "<f8") - probs)))
 
 
-def replay_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[list[StepContext], float]:
-    """Recompute the episode's beliefs and verdicts from its recorded
-    actions and observations. Raises TraceMismatch when a replayed
-    belief deviates from the recorded one by more than 1e-9, or by a
-    non-finite amount (a NaN or null entry)."""
-    m = cfg.model
-    max_err = _belief_error(ep.header.get("initial_belief", []), ep, m.initial.probs,
-                            f"episode {ep.episode} header")
-    # Negated, so that a NaN deviation fails too.
-    if not max_err <= BELIEF_TOL:
-        raise TraceMismatch(ep.episode, 0, max_err)
-
-    belief, mon = m.initial, cfg.start_monitor
-    contexts: list[StepContext] = []
-    for rec in ep.steps:
-        step = rec["step"]
-        where = f"episode {ep.episode} step {step}"
-        action = checked_index(rec.get("executed"), m.n_joint_actions,
-                               "executed action", where)
-        obs = checked_index(rec.get("observation"), m.n_joint_observations,
-                            "observation", where)
-        checked_index(rec.get("next_state"), m.n_states, "next state", where)
-        try:
-            b_next = belief_update(belief, action, obs, m)
-        except ZeroLikelihood as exc:
-            raise TraceMismatch(ep.episode, step, float("inf")) from exc
-        err = _belief_error(rec.get("belief", []), ep, b_next.probs, where)
-        max_err = max(max_err, err)
-        if not err <= BELIEF_TOL:
-            raise TraceMismatch(ep.episode, step, err)
-        verdict, mon = check_step(mon, barrier_values(mon, b_next.probs))
-        contexts.append(StepContext(rec, b_next, verdict, mon))
-        belief = b_next
-    return contexts, max_err
+def _same_detail(recorded, replayed: str) -> bool:
+    """Whether a recorded detail says what the replayed one says: equal
+    text outside number tokens, equal integers, and other numbers within
+    1e-9 + 1e-5 * max(|x|, |y|)."""
+    if recorded == replayed:
+        return True
+    if not isinstance(recorded, str):
+        return False
+    got, want = _NUMBER.split(recorded), _NUMBER.split(replayed)
+    if len(got) != len(want) or got[::2] != want[::2]:
+        return False
+    for x, y in zip(got[1::2], want[1::2]):
+        if not any(c in x or c in y for c in ".eE"):
+            if int(x) != int(y):
+                return False
+        elif not abs(float(x) - float(y)) <= 1e-9 + 1e-5 * max(abs(float(x)), abs(float(y))):
+            return False
+    return True
 
 
-def _same_record(recorded: dict, replayed: ObligationRecord) -> bool:
+def _same_record(recorded, replayed: ObligationRecord) -> bool:
+    """Raises KeyError or TypeError for a recorded entry that is not a
+    record with an oid."""
+    if recorded["oid"] != replayed.oid:
+        return False
     barrier = recorded.get("barrier")
     if barrier is None or replayed.barrier is None:
         same_barrier = barrier is None and replayed.barrier is None
@@ -143,66 +135,85 @@ def _same_record(recorded: dict, replayed: ObligationRecord) -> bool:
                         and abs(barrier - replayed.barrier) <= BELIEF_TOL)
     return (same_barrier and recorded.get("kind") == replayed.kind
             and recorded.get("status") == replayed.status
-            and recorded.get("detail") == replayed.detail)
+            and _same_detail(recorded.get("detail"), replayed.detail))
 
 
-def _verdict_mismatches(episode: int, contexts: list[StepContext]) -> tuple[str, ...]:
+def _verdict_mismatches(rec: dict, verdict: StepVerdict, step: int, where: str) -> list[str]:
+    """How a step line's recorded verdict differs from the replayed one,
+    record by record in order. Raises ConfigError at `where` for a
+    malformed verdict."""
+    try:
+        records, passed = rec["verdict"]["records"], rec["verdict"]["passed"]
+        diff = [r.oid for got, r in zip(records, verdict.records) if not _same_record(got, r)]
+        diff += [got["oid"] for got in records[len(verdict.records):]]
+        diff += [r.oid for r in verdict.records[len(records):]]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed verdict: {type(exc).__name__} {exc}", where) from exc
+    if not isinstance(passed, bool):
+        raise ConfigError(f"malformed verdict: passed is {passed!r}, not a boolean", where)
     out = []
-    for ctx in contexts:
-        step = ctx.record["step"]
-        where = f"episode {episode} step {step}"
-        try:
-            recorded = {r["oid"]: r for r in ctx.record["verdict"]["records"]}
-            replayed = {r.oid: r for r in ctx.verdict.records}
-            diff = [oid for oid in sorted(recorded.keys() | replayed.keys())
-                    if oid not in recorded or oid not in replayed
-                    or not _same_record(recorded[oid], replayed[oid])]
-            passed = ctx.record["verdict"]["passed"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed verdict: {type(exc).__name__} {exc}", where) from exc
-        if not isinstance(passed, bool):
-            raise ConfigError(f"malformed verdict: passed is {passed!r}, not a boolean", where)
-        if diff:
-            out.append(f"step {step}: recorded and replayed verdicts differ on {diff}")
-        if passed != ctx.verdict.passed:
-            out.append(f"step {step}: recorded passed flag {passed}, "
-                       f"replayed {ctx.verdict.passed}")
-    return tuple(out)
+    if diff:
+        out.append(f"step {step}: recorded and replayed verdicts differ on {diff}")
+    if passed != verdict.passed:
+        out.append(f"step {step}: recorded passed flag {passed}, replayed {verdict.passed}")
+    return out
 
 
-def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> tuple[EpisodeAudit, list[StepContext]]:
+def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
+    """Replay one episode in a single pass over its steps. Raises
+    TraceMismatch when a replayed belief deviates from the recorded one
+    by more than 1e-9, or by a non-finite amount (a NaN or null entry),
+    and ConfigError for a malformed line; the first fault in file order
+    is the one raised."""
     m = cfg.model
-    contexts, max_err = replay_episode(cfg, ep)
+    where = f"episode {ep.episode} header"
+    max_err = _belief_error(ep.header.get("initial_belief", []), ep, m.initial.probs, where)
+    # Negated, so that a NaN deviation fails too.
+    if not max_err <= BELIEF_TOL:
+        raise TraceMismatch(ep.episode, 0, max_err)
     initial_state = checked_index(ep.header.get("initial_state"), m.n_states,
-                                  "initial state", f"episode {ep.episode} header")
-    word = [Letter(initial_state, m.initial)]
-    word.extend(Letter(ctx.record["next_state"], ctx.belief_after) for ctx in contexts)
+                                  "initial state", where)
 
-    final_mon = contexts[-1].monitor_after if contexts else cfg.start_monitor
-    failed_oids = {r.oid for ctx in contexts for r in ctx.verdict.records
-                   if r.status == "fail"}
-    pending = set(final_mon.pending())
+    belief, mon = m.initial, cfg.start_monitor
+    word = [Letter(initial_state, belief)]
+    failed: set[str] = set()
+    mismatches: list[str] = []
+    for rec in ep.steps:
+        step = rec["step"]
+        where = f"episode {ep.episode} step {step}"
+        action = checked_index(rec.get("executed"), m.n_joint_actions,
+                               "executed action", where)
+        obs = checked_index(rec.get("observation"), m.n_joint_observations,
+                            "observation", where)
+        state = checked_index(rec.get("next_state"), m.n_states, "next state", where)
+        try:
+            belief = belief_update(belief, action, obs, m)
+        except ZeroLikelihood as exc:
+            raise TraceMismatch(ep.episode, step, float("inf")) from exc
+        err = _belief_error(rec.get("belief", []), ep, belief.probs, where)
+        max_err = max(max_err, err)
+        if not err <= BELIEF_TOL:
+            raise TraceMismatch(ep.episode, step, err)
+        verdict, mon = check_step(mon, barrier_values(mon, belief.probs))
+        mismatches.extend(_verdict_mismatches(rec, verdict, step, where))
+        failed.update(r.oid for r in verdict.records if r.status == "fail")
+        word.append(Letter(state, belief))
 
-    obligations = []
-    for ob, conjunct in zip(final_mon.obligations, conjuncts(cfg.formula)):
-        obligations.append(ObligationAudit(
-            oid=ob.oid,
-            label=ob.label,
-            clean=ob.oid not in failed_oids,
-            discharged=ob.oid not in pending,
-            oracle=oracle_satisfies(conjunct, tuple(word)),
-        ))
-
-    audit = EpisodeAudit(
+    pending = set(mon.pending())
+    letters = tuple(word)
+    return EpisodeAudit(
         episode=ep.episode,
-        steps=len(contexts),
+        steps=len(ep.steps),
         end_reason=ep.end.get("reason", ""),
         max_belief_error=max_err,
-        obligations=tuple(obligations),
-        verdict_mismatches=_verdict_mismatches(ep.episode, contexts),
+        obligations=tuple(
+            ObligationAudit(oid=ob.oid, label=ob.label, clean=ob.oid not in failed,
+                            discharged=ob.oid not in pending,
+                            oracle=oracle_satisfies(conjunct, letters))
+            for ob, conjunct in zip(mon.obligations, conjuncts(cfg.formula))),
+        verdict_mismatches=tuple(mismatches),
     )
-    return audit, contexts
 
 
 def audit_traces(cfg: ScenarioConfig, episodes: list[EpisodeRecord]) -> AuditReport:
-    return AuditReport(tuple(audit_episode(cfg, ep)[0] for ep in episodes))
+    return AuditReport(tuple(audit_episode(cfg, ep) for ep in episodes))

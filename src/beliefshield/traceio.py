@@ -11,8 +11,9 @@ written with full repr precision. Version 1 wrote beliefs as lists of
 decimals, also exact under repr, and is still read. `read_traces`
 parses the JSON only; `recorded_belief` decodes a belief by its
 episode's version, where the audit can name the step it came from.
-Step numbers and the end line's step count must be JSON integers: `true`
-or `1.0` is refused, though either equals 1 in Python.
+Step numbers, the end line's step count and each step and end line's
+episode, which must be its header's, must be JSON integers: `true` or
+`1.0` is refused, though either equals 1 in Python.
 """
 
 from __future__ import annotations
@@ -152,6 +153,12 @@ class EpisodeRecord:
         return self.header["version"]
 
 
+def _check_episode(rec: dict, header: dict, where: str) -> None:
+    if type(rec.get("episode")) is not int or rec["episode"] != header["episode"]:
+        raise ConfigError(f"{rec['type']} record of episode {rec.get('episode')!r} "
+                          f"inside episode {header['episode']}", where)
+
+
 def read_traces(path: str | Path) -> list[EpisodeRecord]:
     """Parse a trace file back into per-episode records, checking line
     structure and ordering. The file is read one line at a time, and a
@@ -190,6 +197,7 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
             elif kind == "step":
                 if header is None:
                     raise ConfigError("step record outside an episode", where)
+                _check_episode(rec, header, where)
                 if type(rec.get("step")) is not int or rec["step"] != len(steps) + 1:
                     raise ConfigError(
                         f"step {rec.get('step')} out of order (expected {len(steps) + 1})",
@@ -198,6 +206,7 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
             elif kind == "end":
                 if header is None:
                     raise ConfigError("end record outside an episode", where)
+                _check_episode(rec, header, where)
                 if type(rec.get("steps")) is not int or rec["steps"] != len(steps):
                     raise ConfigError(
                         f"end record claims {rec.get('steps')} steps, found {len(steps)}",

@@ -18,11 +18,13 @@ from beliefshield import (
     audit_episode,
     audit_traces,
     read_traces,
-    replay_episode,
     run_batch,
     write_summary,
     write_traces,
 )
+from beliefshield import audit
+from beliefshield.audit import _same_detail
+from beliefshield.monitor import check_step
 from beliefshield.sim import BatchResult
 from beliefshield.traceio import SUMMARY_FIELDS, TRACE_VERSION, encode_belief
 from beliefshield.presets import corridor_config
@@ -120,6 +122,25 @@ def test_summary_csv_matches_episode_rows(corridor_run, tmp_path):
             assert got[field] == str(want[field])
     assert rows[0]["first_discharge_step"] == "4"
     assert rows[0]["violations"] == "0"
+
+
+@pytest.mark.parametrize("kind, episode, lineno", [("step", 99, 2), ("end", 42, None)])
+def test_a_line_of_another_episode_is_a_config_error(corridor_run, tmp_path, kind, episode, lineno):
+    _, _, path = corridor_run
+    lines = path.read_text().splitlines()
+    if lineno is None:
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if json.loads(line)["type"] == "end")
+    rec = json.loads(lines[lineno - 1])
+    assert (rec["type"], rec["episode"]) == (kind, 0)
+    rec["episode"] = episode
+    lines[lineno - 1] = dump_line(rec)
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        read_traces(bad)
+    assert str(err.value) == (
+        f"{bad}:{lineno}: {kind} record of episode {episode} inside episode 0")
 
 
 def test_end_detail_survives_serialization(tmp_path):
@@ -235,15 +256,19 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
 # Replay and audit
 
 
-def test_replay_recomputes_beliefs_exactly(corridor_run):
+def test_replay_recomputes_beliefs_exactly(corridor_run, monkeypatch):
     cfg, result, path = corridor_run
-    ep = read_traces(path)[0]
-    contexts, max_err = replay_episode(cfg, ep)
-    assert len(contexts) == len(result.traces[0].steps)
-    assert max_err == 0.0
-    for ctx, step in zip(contexts, result.traces[0].steps):
-        assert np.array_equal(ctx.belief_after.probs, step.belief.probs)
-        assert ctx.verdict == step.verdict
+    verdicts = []
+
+    def recording_check_step(mon, values):
+        verdict, successor = check_step(mon, values)
+        verdicts.append(verdict)
+        return verdict, successor
+
+    monkeypatch.setattr(audit, "check_step", recording_check_step)
+    report = audit_traces(cfg, read_traces(path))
+    assert [ep.max_belief_error for ep in report.episodes] == [0.0] * len(result.traces)
+    assert verdicts == [step.verdict for trace in result.traces for step in trace.steps]
 
 
 def test_audit_accepts_clean_corridor_traces(corridor_run):
@@ -327,7 +352,7 @@ def test_tampered_initial_belief_is_step_zero_mismatch(corridor_run, tmp_path):
             edit_belief(rec, "initial_belief", bump_first_entry)
 
     with pytest.raises(TraceMismatch) as err:
-        replay_episode(cfg, read_traces(tamper(path, tmp_path, bump))[0])
+        audit_episode(cfg, read_traces(tamper(path, tmp_path, bump))[0])
     assert err.value.step == 0
 
 
@@ -364,6 +389,58 @@ def test_tampered_record_field_is_a_mismatch(corridor_run, tmp_path, field, valu
         "step 9: recorded and replayed verdicts differ on ['0:always']",)
 
 
+def test_reordered_records_are_a_mismatch(corridor_run, tmp_path):
+    # The writer lists records in the monitor's obligation order, and the
+    # audit compares them position by position.
+    cfg, _, path = corridor_run
+
+    def swap(rec):
+        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 9:
+            rec["verdict"]["records"].reverse()
+
+    report = audit_traces(cfg, read_traces(tamper(path, tmp_path, swap)))
+    assert [ep.episode for ep in report.episodes if not ep.ok] == [1]
+    assert report.episodes[1].verdict_mismatches == (
+        "step 9: recorded and replayed verdicts differ on ['0:always', '1:eventually']",)
+
+
+@pytest.mark.parametrize("recorded, replayed, same", [
+    ("-0.368137", "-0.368138", True),
+    ("decay bound broken (0.9 -> -0.368137)", "decay bound broken (0.9 -> -0.368138)", True),
+    ("right barrier 1e-05", "right barrier 1.00001e-05", True),
+    ("right barrier -0.368137", "right barrier -0.368141", False),
+    ("right barrier 0.5", "right barrier -0.5", False),
+    ("deadline 5 passed", "deadline 6 passed", False),
+    ("reached at step 4 (deadline 7)", "reached at step 4 (deadline 7.0)", True),
+    ("rewritten", "", False),
+    ("rewritten", "right barrier 0.5", False),
+    ("right barrier 0.5", "left barrier 0.5", False),
+    ("barrier 0.5", "barrier 0.5 0.5", False),
+    (None, "", False),
+], ids=["sixth-digit", "sixth-digit-in-text", "exponent", "fifth-digit", "sign", "integer",
+        "integer-and-float", "rewritten-empty", "rewritten-text", "text", "token-count",
+        "not-a-string"])
+def test_a_detail_is_compared_by_what_it_says(recorded, replayed, same):
+    # %.6g prints -0.3681374999999999 as -0.368137 and -0.3681375 as
+    # -0.368138: one unit in the sixth significant digit is allowed.
+    assert _same_detail(recorded, replayed) is same
+
+
+def test_the_first_fault_in_file_order_is_raised(corridor_run, tmp_path):
+    cfg, _, path = corridor_run
+
+    def two_faults(rec):
+        if rec.get("type") == "step" and rec["episode"] == 0:
+            if rec["step"] == 3:
+                rec["verdict"].pop("passed")
+            if rec["step"] == 8:
+                edit_belief(rec, "belief", bump_first_entry)
+
+    with pytest.raises(ConfigError) as err:
+        audit_traces(cfg, read_traces(tamper(path, tmp_path, two_faults)))
+    assert str(err.value).startswith("episode 0 step 3: malformed verdict")
+
+
 def test_out_of_range_indices_are_config_errors(corridor_run, tmp_path):
     cfg, _, path = corridor_run
 
@@ -372,7 +449,7 @@ def test_out_of_range_indices_are_config_errors(corridor_run, tmp_path):
             rec["executed"] = 99
 
     with pytest.raises(ConfigError) as err:
-        replay_episode(cfg, read_traces(tamper(path, tmp_path, clobber))[0])
+        audit_episode(cfg, read_traces(tamper(path, tmp_path, clobber))[0])
     assert "executed action 99 out of range" in str(err.value)
     assert "episode 0 step 3" in str(err.value)
 
