@@ -24,7 +24,8 @@ A detail is compared by what it says, not by how it prints: its text
 outside number tokens must be equal, integer tokens must be equal, and
 other numbers, printed with `%.6g`, must agree within one unit in their
 sixth significant digit. A barrier a last bit away from the recorded one
-can print one digit apart, as on another BLAS kernel.
+can print one digit apart, as in a trace written by another numpy
+release or by a filter that added in another order.
 
 The finite-trace verdict per top-level conjunct is reported alongside;
 the monitor checks sufficient barrier conditions on beliefs, so its

@@ -79,8 +79,15 @@ class Max:
 
 Evaluator = Callable[[Sequence[float]], float]
 
-# The builtin that folds each variadic node's children.
-_FOLDS = {Sum: "sum", Min: "min", Max: "max"}
+# How each variadic node folds its children: from a start value with an
+# operator, left to right, or with a builtin.
+_FOLDS = {Sum: ("0.0", " + "), Product: ("1.0", " * ")}
+_BUILTINS = {Min: "min", Max: "max"}
+
+# Operands per generated line of a fold. CPython compiles a chain of
+# binary operators recursively, and one of about 3000 operands exceeds
+# its recursion limit, so a longer fold continues on further lines.
+_FOLD_CHUNK = 256
 
 
 def compile_expr(expr: BeliefExpr) -> Evaluator:
@@ -94,21 +101,26 @@ def compile_expr(expr: BeliefExpr) -> Evaluator:
     function's globals, or earlier locals:
 
         def expr(p):
-            t0 = sum((p[4], p[9], ))
+            t0 = 0.0 + p[4] + p[9]
             t1 = c0 - t0
             return t1
 
     It performs the float operations of the tests' tree-walking
-    reference evaluator in the same order (`sum`, `min` and `max` are
-    the builtins on the children's values, products fold from 1.0), so
-    its value is bit-identical to the reference's. Only int indices and
-    generated names enter the source, and the source has no nesting, so
-    any expression compiles, however deep or wide. Raises TypeError for
-    a node that is not an expression or an index that is not an integer.
+    reference evaluator in the same order: sums fold their children
+    left to right from 0.0 and products from 1.0, and `min` and `max`
+    are the builtins on the children's values. So its value is
+    bit-identical to the reference's, and no builtin `sum`, whose float
+    algorithm differs between Python versions, enters it. Only int
+    indices and generated names enter the source, the source has no
+    nesting, and a fold of more than _FOLD_CHUNK operands continues on
+    further lines that reassign its local, so any expression compiles,
+    however deep or wide. Raises TypeError for a node that is not an
+    expression or an index that is not an integer.
     """
     namespace: dict[str, float] = {}
     lines: list[str] = []
     operands: list[str] = []  # one per finished node, in post-order
+    inner = 0  # inner nodes finished, each with its own local
     todo: list[tuple[BeliefExpr, bool]] = [(expr, False)]
     while todo:
         node, children_done = todo.pop()
@@ -127,14 +139,19 @@ def compile_expr(expr: BeliefExpr) -> Evaluator:
             split = len(operands) - len(children(node))
             args = operands[split:]
             del operands[split:]
+            local = f"t{inner}"
+            inner += 1
             if isinstance(node, Difference):
-                value = f"{args[0]} - {args[1]}"
-            elif isinstance(node, Product):
-                value = " * ".join(["1.0", *args])
+                lines.append(f"    {local} = {args[0]} - {args[1]}\n")
+            elif isinstance(node, (Min, Max)):
+                lines.append(f"    {local} = {_BUILTINS[type(node)]}(("
+                             + "".join(a + ", " for a in args) + "))\n")
             else:
-                value = _FOLDS[type(node)] + "((" + "".join(a + ", " for a in args) + "))"
-            lines.append(f"    t{len(lines)} = {value}\n")
-            operands.append(f"t{len(lines) - 1}")
+                start, op = _FOLDS[type(node)]
+                for i in range(0, max(len(args), 1), _FOLD_CHUNK):
+                    head = local if i else start
+                    lines.append(f"    {local} = " + op.join([head, *args[i:i + _FOLD_CHUNK]]) + "\n")
+            operands.append(local)
     source = "def expr(p):\n" + "".join(lines) + f"    return {operands[0]}\n"
     exec(compile(source, "<belief expression>", "exec"), namespace)
     return namespace["expr"]

@@ -11,6 +11,14 @@ per-agent components, agent 0 most significant.
 All stochastic rows must sum to 1 within 1e-9; loaders renormalize once
 after validation, the filter itself never renormalizes inputs silently.
 
+The filter's arithmetic is in a fixed order, so its bits depend on
+neither the BLAS library nor the CPU kernel it picks. The model stores
+each action's non-zero transition entries once, in ascending source
+state order, and the prediction adds each successor's terms in that
+order, from 0.0 (see predicted_belief). Expected rewards and the
+correction's normalizer are numpy sums over one contiguous product
+vector, whose pairwise order numpy fixes by the vector's length.
+
 Sampling is an inverse-CDF draw over successor tables that the model
 builds once, when it is constructed: one per transition row (q, a), one
 per observation row (q', a) and one for the initial distribution. A
@@ -139,14 +147,31 @@ def _row_tables(block: np.ndarray) -> list[RowTable]:
             for start, end in zip([0] + ends, ends)]
 
 
+# An action's transition kernel as its non-zero entries (src, dst, w):
+# w[k] = transition[src[k], a, dst[k]], in ascending (src, dst) order.
+Kernel = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _kernel(block: np.ndarray) -> Kernel:
+    """Non-zero entries of one action's (n, n) transition block, row by
+    row."""
+    src, dst = np.nonzero(block)
+    entries = (src, dst, block[src, dst])
+    for arr in entries:
+        arr.setflags(write=False)
+    return entries
+
+
 @dataclass(frozen=True)
 class SuccessorTables:
     """Every row's successor table, built once per model: transition[a][q],
-    observation[a][q'] and initial."""
+    observation[a][q'] and initial; and kernels[a], each action's
+    transition entries, which the prediction sums."""
 
     transition: list[list[RowTable]]
     observation: list[list[RowTable]]
     initial: RowTable
+    kernels: list[Kernel]
 
 
 @dataclass(frozen=True)
@@ -174,6 +199,8 @@ class Mpomdp:
     n_joint_actions: int = field(init=False, repr=False, compare=False)
     n_joint_observations: int = field(init=False, repr=False, compare=False)
     successors: SuccessorTables = field(init=False, repr=False, compare=False)
+    # reward[:, a] for each a, as contiguous rows of the stored table.
+    reward_rows: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_names(self.state_names, "state")
@@ -189,7 +216,7 @@ class Mpomdp:
         object.__setattr__(self, "n_joint_observations", nz)
         t = np.asarray(self.transition, dtype=float)
         o = np.asarray(self.observation, dtype=float)
-        r = np.asarray(self.reward, dtype=float).copy()
+        r = np.asarray(self.reward, dtype=float)
         n = self.n_states
         if t.shape != (n, na, n):
             raise ValueError(f"transition shape {t.shape}, expected {(n, na, n)}")
@@ -210,18 +237,20 @@ class Mpomdp:
             if empty.size:
                 raise ValueError(str(Violation(table, tuple(empty[0].tolist()),
                                                "row has no positive entry")))
-        # Stored action-major, copies viewed as (n, A, n) and (n, A, Z):
-        # transition[:, a, :] is then one contiguous block, so a
-        # prediction reads only that action's kernel, and
+        # Stored action-major, copies viewed as (n, A, n), (n, A, Z) and
+        # (n, A): transition[:, a, :] is then one contiguous block, so an
+        # action's kernel is listed from one block,
         # observation[:, a, :].T is a C-contiguous (Z, n) block whose row
-        # z is observation[:, a, z].
+        # z is observation[:, a, z], and reward[:, a] is a contiguous row.
         t = np.array(t.transpose(1, 0, 2), order="C").transpose(1, 0, 2)
         o = np.array(o.transpose(1, 2, 0), order="C").transpose(2, 0, 1)
+        r = np.array(r.T, order="C").T
         for arr in (t, o, r):
             arr.setflags(write=False)
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "observation", o)
         object.__setattr__(self, "reward", r)
+        object.__setattr__(self, "reward_rows", list(r.T))
         object.__setattr__(self, "state_index", {s: i for i, s in enumerate(self.state_names)})
         # One action slice at a time, so the cumsum temporaries stay at
         # one (n, k) block.
@@ -229,6 +258,7 @@ class Mpomdp:
             transition=[_row_tables(t[:, a, :]) for a in range(na)],
             observation=[_row_tables(o[:, a, :]) for a in range(na)],
             initial=_row_tables(self.initial.probs[None, :])[0],
+            kernels=[_kernel(t[:, a, :]) for a in range(na)],
         ))
 
     @property
@@ -301,8 +331,15 @@ def validate_model(m: Mpomdp) -> list[Violation]:
 
 def predicted_belief(b: Belief, action: int, m: Mpomdp) -> np.ndarray:
     """One-step prediction: push b through the transition kernel, no
-    observation correction. Returns a raw probability vector."""
-    return b.probs @ m.transition[:, action, :]
+    observation correction. Returns a raw probability vector.
+
+    Entry q' is sum_q b(q) * transition[q, a, q'] over the non-zero
+    entries of the action's kernel, added in ascending q from 0.0, so
+    its bits are those of that scalar loop on any CPU."""
+    src, dst, w = m.successors.kernels[action]
+    terms = b.probs[src]
+    terms *= w
+    return np.bincount(dst, terms, m.n_states)
 
 
 def correct(predicted: np.ndarray, action: int, obs: int, m: Mpomdp) -> np.ndarray:
@@ -330,8 +367,9 @@ def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:
 
 
 def expected_reward(b: Belief, action: int, m: Mpomdp) -> float:
-    """Belief-weighted immediate reward sum_q b(q) * reward[q, a]."""
-    return float(b.probs @ m.reward[:, action])
+    """Belief-weighted immediate reward sum_q b(q) * reward[q, a], as
+    numpy's sum of the product vector."""
+    return float(np.add.reduce(b.probs * m.reward_rows[action]))
 
 
 def _sample_index(table: RowTable, rng: np.random.Generator) -> int:

@@ -18,7 +18,7 @@ the first level with a safe candidate. No candidate of a later level
 can beat it under the rule, so stopping there is exact. Measuring ties
 against the level's least deviation, not pairwise, keeps "tied"
 transitive; and since candidates that no agent's reward separates tie
-mathematically, the band keeps the last bits of a BLAS dot product from
+mathematically, the band keeps the last bits of a reward sum from
 picking among them. A candidate whose update has zero likelihood is
 unsafe, not an error; if no action at any level passes, the shield
 raises SafetyDeadlock rather than executing anything unsafe.
@@ -85,7 +85,7 @@ class ShieldDecision:
 
 def _reward(belief: np.ndarray, action: int, m: Mpomdp) -> float:
     # expected_reward's arithmetic on a raw belief vector.
-    return float(belief @ m.reward[:, action])
+    return float(np.add.reduce(belief * m.reward_rows[action]))
 
 
 def _corrections(m: Mpomdp, predicted: np.ndarray, action: int

@@ -78,7 +78,10 @@ def evaluate_expr(expr: BeliefExpr, belief: Belief) -> float:
     if isinstance(expr, BeliefVar):
         return belief[expr.index]
     if isinstance(expr, Sum):
-        return sum(evaluate_expr(c, belief) for c in expr.children)
+        out = 0.0
+        for c in expr.children:
+            out += evaluate_expr(c, belief)
+        return out
     if isinstance(expr, Difference):
         return evaluate_expr(expr.left, belief) - evaluate_expr(expr.right, belief)
     if isinstance(expr, Product):
@@ -255,7 +258,7 @@ def shield_reference(m: Mpomdp, mon: Monitor, b: Belief, z: int, a_nominal: int,
                                   expected_reward(b_next, action, m), changed))
     nominal = checks[a_nominal]
     if nominal.belief is None:
-        r_n = float(predicted_belief(b, a_nominal, m) @ m.reward[:, a_nominal])
+        r_n = expected_reward(Belief(predicted_belief(b, a_nominal, m)), a_nominal, m)
     else:
         r_n = nominal.reward
     return ShieldReference(r_n, tuple(checks))

@@ -11,33 +11,42 @@ the `corridor_all_kinds_*` batches add an until, a next and a bare
 propositional conjunct; their traces pin every obligation kind's
 records, including the `inactive` records that follow a discharge.
 
-Python 3.12 made `sum()` use compensated summation for floats, which
-changes the barrier values the expression evaluator produces, so the
-hashes (taken on Python 3.11) only hold before 3.12. The filter's
-matrix products come from BLAS, and OpenBLAS picks its kernel for the
-CPU at run time; kernels add in different orders, so the byte hashes
-pin that kernel (taken with numpy 2.4's bundled OpenBLAS on its AVX-512
-kernel), not only the library. `OPENBLAS_CORETYPE=Haswell` forces the
-AVX2 kernel, under which the byte hashes fail.
+The filter, the shield and the monitor add in fixed orders: predictions
+sum each action's transition entries in ascending source state, rewards
+and normalizers are numpy sums over one contiguous vector, and
+generated barrier sums fold left to right from 0.0. No BLAS product
+enters a trace, so the byte hashes hold under every OpenBLAS kernel
+tried: the default, which was the AVX-512 one on the x86-64 machine that
+took them, and `OPENBLAS_CORETYPE` set to Haswell, Zen, Sandybridge,
+Nehalem or Prescott; and with numpy's AVX2 and AVX-512 loops disabled
+through `NPY_DISABLE_CPU_FEATURES`. They were last re-baselined when
+the prediction left BLAS; no decision moved.
+
+Python 3.12 made the builtin `sum()` use compensated summation for
+floats. The generated evaluators no longer call it, but the hashes were
+taken on Python 3.11 and have not been checked on 3.12, so they are
+skipped there.
 
 The decision hashes cover only each step's nominal and executed
-actions, its override flag and its verdict statuses, which do not
-depend on those last bits: candidates whose rewards differ only in
-them fall within the shield's tie band. They hold under the default
-kernel and under `OPENBLAS_CORETYPE` set to Haswell, Zen, Sandybridge,
-Nehalem or Prescott, and CI runs them under Haswell.
+actions, its override flag and its verdict statuses. They are kept
+beside the byte hashes because a change that moves last bits on
+purpose must still leave them unedited: candidates whose rewards differ
+only in last bits fall within the shield's tie band.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import beliefshield
 from beliefshield.config import load_config
 from beliefshield.parsing import parse_expr, parse_formula
 from beliefshield.sim import RandomUniform, run_batch
@@ -48,19 +57,19 @@ EPISODES = 20
 
 GOLDEN = {
     "corridor":
-        "287032071f4755a6231e88734525632bc7e2790ead5808ddf55a0be779e9e592",
+        "22a3da3f8cc226a56a2624a97cf52e1a86fbee0cdd2dc491e1926ebfca6308c4",
     "corridor_unshielded":
-        "b936a8b5913bb4656356aea133bd647dd6cb06590803aef3544ec677be768729",
+        "ff56665b6ac24b8d64f45373c6579247c716193a061002b31ad78ab6f083c74d",
     "corridor_conservative":
-        "dd3f89f9c3cd2f570b772159bd10f7adb4aa9af0ac2d333ba3e8d63ca5c3f906",
+        "b77327cef2e16a4255aca3d4e85d03d7543f08fe415428b3b4dcf5663ee76a2e",
     "corridor_random":
-        "5cf5755977e9aec2bba163853b989cdc44e319db87fa5fc5813633f1ee54408c",
+        "3885531ef9ad28a533998c6dadaa2e637e4d789c4e60e67004261fdbab7b2a74",
     "corridor_all_kinds_off":
-        "e155a41a15c85ed9dc09cb619c07b28c9c5c642d432300ed54ba5882912c2f9f",
+        "caaf60f8a6729bfcd9ed4939d23148b95fc7f8d6a69892a710cbee75c4d33008",
     "corridor_all_kinds_literal":
-        "ab9d224b59b16fecabdb87fe4e7df005e2fcb6b6012bc94aa31a18ed83b11eec",
+        "152445c05edd5aae8c65d5bfb12f4d667061625bd803261c6a99f2a260975442",
     "corridor_all_kinds_conservative":
-        "22b4bebeade0111b391349e4fa6ac35666fc1aa5cb04ff1cc9c086c8a8a22b9e",
+        "3ace3d3ffcf86ff97f86afa0f4cb3dc62c200e0d7daf05ceb141a7b0499abd26",
 }
 
 # The shielded batches' decisions: see decisions_sha256.
@@ -82,8 +91,7 @@ ALL_KINDS_FORMULA = ("G !(near_patroller | near_debris) & F at_goal & clear U at
 
 pytestmark = pytest.mark.skipif(
     sys.version_info >= (3, 12),
-    reason="sum() uses compensated float summation from Python 3.12 on, "
-           "so barrier values differ in the last bits from the 3.11 hashes",
+    reason="the hashes were taken on Python 3.11 and are unverified on 3.12 and later",
 )
 
 
@@ -135,3 +143,27 @@ def test_trace_bytes_match_golden_hash(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN_DECISIONS))
 def test_decisions_match_golden_hash(name):
     assert decisions_sha256(name) == GOLDEN_DECISIONS[name]
+
+
+# Writes the batch named argv[1] into the directory argv[2] and prints its
+# hash, in a fresh interpreter, where OpenBLAS reads OPENBLAS_CORETYPE.
+_WRITE_BATCH = ("import sys; from pathlib import Path; from test_golden import trace_sha256; "
+                "print(trace_sha256(sys.argv[1], Path(sys.argv[2])))")
+
+
+def test_trace_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(beliefshield.__file__).resolve().parents[1]), str(Path(__file__).parent)])
+    written = {}
+    for kernel in ("", "Haswell", "Prescott"):
+        out = tmp_path / (kernel or "default")
+        out.mkdir()
+        run = subprocess.run(
+            [sys.executable, "-c", _WRITE_BATCH, "corridor", str(out)],
+            env=dict(env, OPENBLAS_CORETYPE=kernel) if kernel else env,
+            capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == GOLDEN["corridor"], kernel
+        written[kernel] = (out / "corridor.trace.jsonl").read_bytes()
+    assert written["Haswell"] == written[""]
+    assert written["Prescott"] == written[""]

@@ -251,6 +251,11 @@ def evaluate_deep(expr, b: Belief) -> float:
 @pytest.mark.parametrize("expr", [
     pytest.param(Sum(tuple(BeliefVar(i % N_VARS, f"s{i % N_VARS}") if i % 3 else Constant(i / 5000)
                            for i in range(5000))), id="5000-term-sum"),
+    # A chain of about 3000 binary operators exceeds CPython's compiler
+    # recursion limit.
+    pytest.param(Product(tuple(BeliefVar(i % N_VARS, f"s{i % N_VARS}") if i % 1000 == 0
+                               else Constant(1.0 + (i % 7) / 5000) for i in range(5000))),
+                 id="5000-factor-product"),
     # Deeper than CPython's limit of 200 nested brackets in source text.
     pytest.param(deep_nest(600), id="600-level-nest"),
 ])

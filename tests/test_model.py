@@ -139,6 +139,44 @@ def test_predicted_belief_and_expected_reward():
     assert expected_reward(b, 0, m) == pytest.approx(0.25)
 
 
+def sparse_rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Stochastic rows along the last axis, each dense, with zero
+    entries, or with one successor."""
+    rows = rng.random(shape) + 1e-3
+    kind = rng.integers(3, size=shape[:-1])
+    rows[kind == 1] *= rng.random((int((kind == 1).sum()), shape[-1])) < 0.5
+    one = np.argwhere(kind == 2)
+    rows[tuple(one.T)] = 0.0
+    rows[(*one.T, rng.integers(shape[-1], size=len(one)))] = 1.0
+    # A row that lost every entry keeps its first.
+    empty = ~(rows > 0).any(axis=-1)
+    rows[empty, 0] = 1.0
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_predicted_belief_adds_in_ascending_source_order(seed, zeros_in_belief):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, max_states=12)
+    m = replace(m, transition=sparse_rows(rng, m.transition.shape))
+    probs = random_simplex(rng, m.n_states)
+    if zeros_in_belief:
+        probs[rng.random(m.n_states) < 0.3] = 0.0
+    b = Belief(probs)
+    t = m.transition
+    for a in range(m.n_joint_actions):
+        expected = []
+        for q_next in range(m.n_states):
+            acc = 0.0
+            for q in range(m.n_states):
+                acc += float(b.probs[q]) * float(t[q, a, q_next])
+            expected.append(acc)
+        predicted = predicted_belief(b, a, m)
+        assert np.array_equal(predicted.view("<u8"), np.array(expected).view("<u8"))
+        assert np.allclose(predicted, b.probs @ t[:, a, :], rtol=0.0, atol=1e-15)
+
+
 def test_validate_model_flags_bad_rows_with_indices():
     m = reference_model()
     bad_t = m.transition.copy()
