@@ -14,6 +14,15 @@ episode's version, where the audit can name the step it came from.
 Step numbers, the end line's step count and each step and end line's
 episode, which must be its header's, must be JSON integers: `true` or
 `1.0` is refused, though either equals 1 in Python.
+
+A step line is filled into one fixed template, whose bytes are the ones
+`json.dumps(..., separators=(",", ":"))` writes: strings go through
+json's own ASCII escaper, floats through `float.__repr__`, and the
+base64 belief needs no escape. Header and end lines, once per episode
+and with a free-form end `detail`, go through `json`. A float JSON
+cannot hold (inf or nan) is a ConfigError naming the episode, the line
+and the field, and then no file is written. Files are written as ASCII,
+which every line is, and read as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import base64
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +45,19 @@ SUMMARY_FIELDS = ("episode", "steps", "end_reason", "violations", "overrides",
                   "first_discharge_step", "total_reward")
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_string = json.encoder.encode_basestring_ascii
+_float = float.__repr__
+_NOT_FINITE = frozenset(("inf", "-inf", "nan"))
+
+# A step line as json.dumps(..., separators=(",", ":")) writes it: keys in
+# this order, strings through json's own ASCII escaper, floats by repr.
+_STEP_LINE = ('{"type":"step","episode":%d,"step":%d,"prev_state":%d,"nominal":%d,'
+              '"executed":%d,"overridden":%s,"observation":%d,"next_state":%d,'
+              '"belief":"%s","verdict":{"passed":%s,"records":[%s]},'
+              '"realized_reward":%s,"nominal_reward":%s,"candidate_rewards":[%s]}')
+_RECORD = '{"oid":%s,"kind":%s,"status":%s,"barrier":%s,"detail":%s}'
+_CANDIDATE = "[%d,%s]"
 
 
 def encode_belief(probs: np.ndarray) -> str:
@@ -67,9 +88,27 @@ def recorded_belief(value, version: int, n_states: int, where: str) -> bytes:
     return raw
 
 
+def _floats(value, field: str = ""):
+    """(path, value) of each float inside nested dicts, lists and tuples."""
+    if isinstance(value, float):
+        yield field, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _floats(item, f"{field}.{key}" if field else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _floats(item, f"{field}[{i}]")
+
+
+def _not_finite(fields: dict, where: str) -> ConfigError:
+    """The error for the first float in `fields` that JSON cannot write."""
+    field, value = next((f, v) for f, v in _floats(fields) if not math.isfinite(v))
+    return ConfigError(f"{field} is {_float(value)}, not a finite number", where)
+
+
 def _header_line(trace: Trace, scenario_name: str, shield_mode: str,
                  horizon: int, base_seed: int) -> str:
-    return _dump({
+    return _ENCODER.encode({
         "type": "header",
         "version": TRACE_VERSION,
         "scenario": scenario_name,
@@ -83,39 +122,42 @@ def _header_line(trace: Trace, scenario_name: str, shield_mode: str,
 
 
 def _step_line(episode: int, s: TraceStep) -> str:
-    return _dump({
-        "type": "step",
-        "episode": episode,
-        "step": s.step,
-        "prev_state": s.prev_state,
-        "nominal": s.nominal,
-        "executed": s.executed,
-        "overridden": s.overridden,
-        "observation": s.observation,
-        "next_state": s.next_state,
-        "belief": encode_belief(s.belief.probs),
-        "verdict": {
-            "passed": s.verdict.passed,
-            "records": [
-                {"oid": r.oid, "kind": r.kind, "status": r.status,
-                 "barrier": r.barrier, "detail": r.detail}
-                for r in s.verdict.records
-            ],
-        },
-        "realized_reward": s.realized_reward,
-        "nominal_reward": s.nominal_reward,
-        "candidate_rewards": [list(pair) for pair in s.candidate_rewards],
-    })
+    records = s.verdict.records
+    barriers = ["null" if r.barrier is None else _float(r.barrier) for r in records]
+    realized = _float(s.realized_reward)
+    nominal = "null" if s.nominal_reward is None else _float(s.nominal_reward)
+    rewards = [_float(reward) for _, reward in s.candidate_rewards]
+    if not _NOT_FINITE.isdisjoint((realized, nominal, *barriers, *rewards)):
+        raise _not_finite({"verdict": {"records": [{"barrier": r.barrier} for r in records]},
+                           "realized_reward": s.realized_reward,
+                           "nominal_reward": s.nominal_reward,
+                           "candidate_rewards": s.candidate_rewards},
+                          f"episode {episode} step {s.step}")
+    return _STEP_LINE % (
+        episode, s.step, s.prev_state, s.nominal, s.executed,
+        "true" if s.overridden else "false", s.observation, s.next_state,
+        encode_belief(s.belief.probs), "true" if s.verdict.passed else "false",
+        ",".join([_RECORD % (_string(r.oid), _string(r.kind), _string(r.status),
+                             barrier, _string(r.detail))
+                  for r, barrier in zip(records, barriers)]),
+        realized, nominal,
+        ",".join([_CANDIDATE % (action, reward)
+                  for (action, _), reward in zip(s.candidate_rewards, rewards)]),
+    )
 
 
 def _end_line(trace: Trace) -> str:
-    return _dump({
-        "type": "end",
-        "episode": trace.episode,
-        "steps": len(trace.steps),
-        "reason": trace.end_reason,
-        "detail": trace.end_detail,
-    })
+    try:
+        return _ENCODER.encode({
+            "type": "end",
+            "episode": trace.episode,
+            "steps": len(trace.steps),
+            "reason": trace.end_reason,
+            "detail": trace.end_detail,
+        })
+    except ValueError as exc:  # a float out of JSON's range
+        raise _not_finite({"detail": trace.end_detail},
+                          f"episode {trace.episode} end") from exc
 
 
 def write_traces(result: BatchResult, path: str | Path, scenario_name: str,
@@ -126,7 +168,7 @@ def write_traces(result: BatchResult, path: str | Path, scenario_name: str,
                                   result.base_seed))
         lines.extend(_step_line(trace.episode, s) for s in trace.steps)
         lines.append(_end_line(trace))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def write_summary(result: BatchResult, path: str | Path) -> None:
@@ -161,12 +203,13 @@ def _check_episode(rec: dict, header: dict, where: str) -> None:
 
 def read_traces(path: str | Path) -> list[EpisodeRecord]:
     """Parse a trace file back into per-episode records, checking line
-    structure and ordering. The file is read one line at a time, and a
-    line ends at a newline only: json.dumps escapes every other line
-    break."""
+    structure and ordering. The file is read as bytes one line at a
+    time, so a line ends at a newline only (the writer escapes every
+    other line break), and each line is decoded as UTF-8 whatever the
+    locale."""
     path = Path(path)
     try:
-        fh = path.open(newline="\n")
+        fh = path.open("rb")
     except OSError as exc:
         raise ConfigError(f"cannot read file: {exc.strerror or exc}", str(path)) from exc
     episodes: list[EpisodeRecord] = []
@@ -178,7 +221,9 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"not UTF-8: {exc}", where) from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"not valid JSON: {exc}", where) from exc
             if not isinstance(rec, dict):

@@ -4,11 +4,14 @@ finite-trace oracle columns, and version 1 traces, which stay readable."""
 import base64
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beliefshield import (
     Belief,
@@ -24,18 +27,17 @@ from beliefshield import (
 )
 from beliefshield import audit
 from beliefshield.audit import _same_detail
-from beliefshield.monitor import check_step
-from beliefshield.sim import BatchResult
-from beliefshield.traceio import SUMMARY_FIELDS, TRACE_VERSION, encode_belief
+from beliefshield.monitor import ObligationRecord, StepVerdict, check_step
+from beliefshield.sim import BatchResult, TraceStep
+from beliefshield.traceio import SUMMARY_FIELDS, TRACE_VERSION, _step_line, encode_belief
 from beliefshield.presets import corridor_config
 
 from conftest import decode_belief, edit_belief
 
-# `run_batch(v1_config().to_scenario(), base_seed=7, episodes=2)`, written
-# by `write_traces` with the version 1 belief encoding (`TRACE_VERSION`
-# set to 1 and `encode_belief` to `probs.tolist()`): 2 episodes of 12
-# steps, beliefs as lists of decimals. On the same batch this gives the
-# bytes of the version 1 writer (commit 3a765b5).
+# `run_batch(v1_config().to_scenario(), base_seed=7, episodes=2)` as the
+# version 1 writer (commit 3a765b5) wrote it: 2 episodes of 12 steps,
+# beliefs as lists of decimals. test_v2_differs_from_v1_only_in_its_belief_encoding
+# rebuilds it byte for byte from the version 2 trace of the same batch.
 V1_TRACE = Path(__file__).resolve().parent / "data" / "corridor_literal_v1.trace.jsonl"
 
 
@@ -160,6 +162,95 @@ def test_end_detail_survives_serialization(tmp_path):
     assert ep.end["detail"]["candidate_barriers"] == {"0": {"0:always": -0.5}}
 
 
+def reference_step_line(episode: int, s: TraceStep) -> str:
+    """A step line as the dict-and-json.dumps writer wrote it."""
+    return json.dumps({
+        "type": "step",
+        "episode": episode,
+        "step": s.step,
+        "prev_state": s.prev_state,
+        "nominal": s.nominal,
+        "executed": s.executed,
+        "overridden": s.overridden,
+        "observation": s.observation,
+        "next_state": s.next_state,
+        "belief": encode_belief(s.belief.probs),
+        "verdict": {
+            "passed": s.verdict.passed,
+            "records": [
+                {"oid": r.oid, "kind": r.kind, "status": r.status,
+                 "barrier": r.barrier, "detail": r.detail}
+                for r in s.verdict.records
+            ],
+        },
+        "realized_reward": s.realized_reward,
+        "nominal_reward": s.nominal_reward,
+        "candidate_rewards": [list(pair) for pair in s.candidate_rewards],
+    }, separators=(",", ":"), allow_nan=False)
+
+
+FINITE = st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 0.1]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+TEXT = st.sampled_from(['', 'a "quoted" \\ back\\slash', '\x00\x1f\n\r\t\x7f\u2028',
+                        'caf\u00e9 \u2603 \U0001f600', '\ud800']) | st.text()
+COUNT = st.integers(0, 2**40)
+RECORD = st.builds(ObligationRecord, oid=TEXT, kind=TEXT,
+                   status=st.sampled_from(["pass", "fail", "discharged", "inactive"]),
+                   barrier=st.none() | FINITE, detail=TEXT)
+TRACE_STEP = st.builds(
+    TraceStep, step=COUNT, prev_state=COUNT, nominal=COUNT, executed=COUNT,
+    overridden=st.booleans(), observation=COUNT, next_state=COUNT,
+    belief=st.lists(FINITE, min_size=1, max_size=4).map(Belief),
+    verdict=st.builds(StepVerdict, step=COUNT, records=st.lists(RECORD, max_size=3).map(tuple)),
+    realized_reward=FINITE, nominal_reward=st.none() | FINITE,
+    candidate_rewards=st.lists(st.tuples(COUNT, FINITE), max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(episode=COUNT, s=TRACE_STEP)
+@example(episode=0, s=TraceStep(
+    step=1, prev_state=0, nominal=0, executed=0, overridden=False, observation=0,
+    next_state=0, belief=Belief((1.0,)), verdict=StepVerdict(1, ()), realized_reward=-0.0))
+def test_a_step_line_has_the_bytes_json_dumps_writes(episode, s):
+    assert _step_line(episode, s) == reference_step_line(episode, s)
+
+
+def tiny_step(**changes) -> TraceStep:
+    step = TraceStep(
+        step=1, prev_state=0, nominal=0, executed=1, overridden=True, observation=0,
+        next_state=0, belief=Belief((1.0,)),
+        verdict=StepVerdict(1, (ObligationRecord("0:always", "always", "pass", 0.25),
+                                ObligationRecord("1:eventually", "eventually", "pass", -0.5))),
+        realized_reward=1.0, nominal_reward=0.5, candidate_rewards=((1, 0.75), (2, 0.5)))
+    return replace(step, **changes)
+
+
+@pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"),
+                                         (math.nan, "nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("where, field, step, detail", [
+    ("step 1", "verdict.records[1].barrier",
+     lambda v: tiny_step(verdict=StepVerdict(1, (
+         ObligationRecord("0:always", "always", "pass", 0.25),
+         ObligationRecord("1:eventually", "eventually", "pass", v)))), None),
+    ("step 1", "realized_reward", lambda v: tiny_step(realized_reward=v), None),
+    ("step 1", "nominal_reward", lambda v: tiny_step(nominal_reward=v), None),
+    ("step 1", "candidate_rewards[1][1]",
+     lambda v: tiny_step(candidate_rewards=((1, 0.75), (2, v))), None),
+    ("end", "detail.candidate_barriers.4.0:always", lambda v: tiny_step(),
+     lambda v: {"step": 2, "candidate_barriers": {3: {"0:always": -0.5}, 4: {"0:always": v}}}),
+], ids=["barrier", "realized", "nominal", "candidate", "end-detail"])
+def test_a_float_json_cannot_write_is_named_and_nothing_is_written(
+        tmp_path, value, text, where, field, step, detail):
+    trace = Trace(episode=3, initial_state=0, initial_belief=Belief((1.0,)),
+                  steps=(step(value),), end_reason="deadlock",
+                  end_detail={} if detail is None else detail(value))
+    path = tmp_path / "nonfinite.trace.jsonl"
+    with pytest.raises(ConfigError) as err:
+        write_traces(BatchResult(base_seed=0, traces=(trace,)), path, "tiny", "literal", 5)
+    assert str(err.value) == f"episode 3 {where}: {field} is {text}, not a finite number"
+    assert not path.exists()
+
+
 # --------------------------------------------------------------------------
 # Malformed files
 
@@ -244,6 +335,15 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
         with pytest.raises(ConfigError) as err:
             read_traces(rewrite([lines[0], not_an_object] + lines[2:]))
         assert "bad.trace.jsonl:2: expected a JSON object" in str(err.value)
+
+    # A byte that cannot start a UTF-8 sequence, whatever the locale.
+    raw = path.read_bytes().split(b"\n")
+    raw[1] = raw[1][:40] + b"\xff" + raw[1][40:]
+    broken = tmp_path / "broken.trace.jsonl"
+    broken.write_bytes(b"\n".join(raw))
+    with pytest.raises(ConfigError) as err:
+        read_traces(broken)
+    assert str(err.value).startswith(f"{broken}:2: not UTF-8: ")
 
     empty = tmp_path / "empty.trace.jsonl"
     empty.write_text("\n")
@@ -530,23 +630,23 @@ def test_a_v1_trace_audits_clean():
 
 
 def test_v2_differs_from_v1_only_in_its_belief_encoding(tmp_path):
+    # Version 1 in each header and each belief as a list of decimals,
+    # through json.dumps as the version 1 writer did, turn the version 2
+    # trace of the fixture's batch into the fixture's bytes.
     cfg = v1_config()
+    assert cfg.seed == 7
     result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=2)
     path = tmp_path / "v2.trace.jsonl"
     write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
-    v1_lines = V1_TRACE.read_text().splitlines()
-    v2_lines = path.read_text().splitlines()
-    assert len(v2_lines) == len(v1_lines) == 2 * (1 + 12 + 1)
-    beliefs = 0
-    for old_line, new_line in zip(v1_lines, v2_lines):
-        old, new = json.loads(old_line), json.loads(new_line)
-        if old["type"] == "header":
-            assert (old.pop("version"), new.pop("version")) == (1, 2)
-        key = {"header": "initial_belief", "step": "belief"}.get(old["type"])
-        if key is not None:
-            decimals = np.array(old.pop(key), dtype=float)
-            decoded = decode_belief(new.pop(key))
-            assert np.array_equal(decoded.view("<u8"), decimals.view("<u8"))
-            beliefs += 1
-        assert new == old
-    assert beliefs == 2 * (1 + 12)
+    lines = []
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec["type"] == "header":
+            assert rec["version"] == 2
+            rec.update(version=1,
+                       initial_belief=decode_belief(rec["initial_belief"]).tolist())
+        elif rec["type"] == "step":
+            rec["belief"] = decode_belief(rec["belief"]).tolist()
+        lines.append(json.dumps(rec, separators=(",", ":")))
+    assert len(lines) == 2 * (1 + 12 + 1)
+    assert ("\n".join(lines) + "\n").encode("ascii") == V1_TRACE.read_bytes()

@@ -123,6 +123,23 @@ def test_run_missing_config_is_usage_error(tmp_path, capsys):
     assert "error:" in err and "cannot read file" in err
 
 
+def test_run_of_a_predicate_that_overflows_is_a_usage_error(corridor_yaml, tmp_path, capsys):
+    # Validation accepts the predicate; its barrier values are -inf and
+    # nan, which JSON cannot write.
+    data = yaml.safe_load(corridor_yaml.read_text())
+    data["predicates"]["near_patroller"] = "0.1 - 1e300 * 1e300 * (b(h1_h1) + b(h2_h2))"
+    bad = tmp_path / "overflow.yaml"
+    bad.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert main(["validate", str(bad)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--episodes", "2", "--horizon", "5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: episode 0 end: detail.candidate_barriers.0.0:always is nan,"
+                          " not a finite number")
+    assert not (out / "corridor.trace.jsonl").exists()
+
+
 def test_out_dir_env_fallback(corridor_yaml, tmp_path, monkeypatch):
     monkeypatch.setenv("BELIEFSHIELD_OUT", str(tmp_path / "from_env"))
     assert main(["run", str(corridor_yaml), "--episodes", "1"]) == 0
@@ -186,6 +203,16 @@ def test_audit_of_a_numeric_passed_flag_is_a_usage_error(corridor_yaml, run_dir,
     assert main(["audit", str(corridor_yaml), str(bad)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: episode 1 step 3: malformed verdict: passed is 1, not a boolean")
+
+
+def test_audit_of_a_trace_that_is_not_utf8_is_a_usage_error(corridor_yaml, run_dir, tmp_path,
+                                                           capsys):
+    lines = (run_dir / "corridor.trace.jsonl").read_bytes().split(b"\n")
+    lines[1] = lines[1][:40] + b"\xff" + lines[1][40:]
+    bad = tmp_path / "latin.trace.jsonl"
+    bad.write_bytes(b"\n".join(lines))
+    assert main(["audit", str(corridor_yaml), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: not UTF-8: ")
 
 
 def test_validate_and_audit_compile_the_monitor_once(corridor_yaml, run_dir, compile_calls,
