@@ -75,8 +75,14 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _out_dir(arg: str | None) -> Path:
+    """Create the output directory; called before any episode runs, so
+    a path that cannot be a directory fails at once, as a usage error."""
     out = Path(arg or os.environ.get("BELIEFSHIELD_OUT") or "runs")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {str(out)!r}: {exc.strerror or exc}",
+                          "--out") from exc
     return out
 
 
@@ -124,8 +130,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    result = _run_batch(cfg, strict=args.strict)
     out = _out_dir(args.out)
+    result = _run_batch(cfg, strict=args.strict)
     trace_path = out / f"{cfg.name}.trace.jsonl"
     summary_path = out / f"{cfg.name}.summary.csv"
     write_traces(result, trace_path, cfg.name, cfg.shield_mode, cfg.horizon)

@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from ._gc import paused_gc
 from .barrier import FtParams, LinearAlpha
 from .errors import BeliefShieldError, ConfigError
 from .ldtl import BeliefExpr, Formula, expr_text, height
@@ -426,18 +427,23 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
+    """Load and check a scenario file, read as UTF-8 whatever the
+    locale."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read file: {exc.strerror or exc}", str(path)) from exc
-    try:
-        data = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"not valid YAML: {exc}", str(path)) from exc
-    if isinstance(data, dict) and "name" not in data:
-        data = {**data, "name": path.stem}
-    return parse_config(data, source=str(path))
+    with paused_gc():
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read file: {exc.strerror or exc}", str(path)) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8: {exc}", str(path)) from exc
+        try:
+            data = yaml.load(text, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"not valid YAML: {exc}", str(path)) from exc
+        if isinstance(data, dict) and "name" not in data:
+            data = {**data, "name": path.stem}
+        return parse_config(data, source=str(path))
 
 
 def _dist_map(labels, row: np.ndarray) -> dict[str, float]:

@@ -154,7 +154,10 @@ def compile_expr(expr: BeliefExpr) -> Evaluator:
             operands.append(local)
     source = "def expr(p):\n" + "".join(lines) + f"    return {operands[0]}\n"
     exec(compile(source, "<belief expression>", "exec"), namespace)
-    return namespace["expr"]
+    # Popped, so that the function's globals do not hold it: no
+    # reference cycle, and a dropped monitor is freed by reference
+    # counting alone.
+    return namespace.pop("expr")
 
 
 def _expr_text(expr: BeliefExpr, parent: str = "") -> str:

@@ -18,6 +18,7 @@ from statistics import fmean
 
 import numpy as np
 
+from ._gc import paused_gc
 from .errors import SafetyDeadlock, ZeroLikelihood
 from .model import (
     Belief, Mpomdp, belief_update, expected_reward, sample_initial_state,
@@ -241,8 +242,9 @@ def run_batch(scenario: Scenario, base_seed: int, episodes: int) -> BatchResult:
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
     children = np.random.SeedSequence(base_seed).spawn(episodes)
-    traces = tuple(
-        run_episode(scenario, np.random.default_rng(children[i]), episode=i)
-        for i in range(episodes)
-    )
+    with paused_gc():
+        traces = tuple(
+            run_episode(scenario, np.random.default_rng(children[i]), episode=i)
+            for i in range(episodes)
+        )
     return BatchResult(base_seed=base_seed, traces=traces)

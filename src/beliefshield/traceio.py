@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._gc import paused_gc
 from .errors import ConfigError
 from .sim import BatchResult, Trace, TraceStep
 
@@ -215,7 +216,7 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
     episodes: list[EpisodeRecord] = []
     header: dict | None = None
     steps: list[dict] = []
-    with fh:
+    with fh, paused_gc():
         for lineno, line in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
             if not line.strip():

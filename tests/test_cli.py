@@ -140,6 +140,37 @@ def test_run_of_a_predicate_that_overflows_is_a_usage_error(corridor_yaml, tmp_p
     assert not (out / "corridor.trace.jsonl").exists()
 
 
+def test_validate_of_a_file_that_is_not_utf8_is_invalid(corridor_yaml, tmp_path, capsys):
+    bad = tmp_path / "latin.yaml"
+    bad.write_bytes(b"# \xff\n" + corridor_yaml.read_bytes())
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid: {bad}: not UTF-8: ")
+
+
+def test_run_of_a_file_that_is_not_utf8_is_a_usage_error(corridor_yaml, tmp_path, capsys):
+    bad = tmp_path / "latin.yaml"
+    bad.write_bytes(b"# \xff\n" + corridor_yaml.read_bytes())
+    assert main(["run", str(bad), "--episodes", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--param", "gamma", "--values", "0.5,0.9"]], ids=["run", "sweep"])
+def test_an_out_that_cannot_be_a_directory_fails_before_any_episode(
+        command, corridor_yaml, tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr("beliefshield.cli.run_batch", lambda *args: ran.append(args))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    argv = [command[0], str(corridor_yaml), *command[1:], "--episodes", "1",
+            "--out", str(blocker / "sub")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: --out: cannot create directory '{blocker / 'sub'}': ")
+    assert ran == []
+
+
 def test_out_dir_env_fallback(corridor_yaml, tmp_path, monkeypatch):
     monkeypatch.setenv("BELIEFSHIELD_OUT", str(tmp_path / "from_env"))
     assert main(["run", str(corridor_yaml), "--episodes", "1"]) == 0

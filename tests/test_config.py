@@ -376,6 +376,19 @@ def test_load_config_reads_yaml_and_defaults_name_to_stem(tmp_path):
     assert "broken.yaml" in str(err.value)
 
 
+def test_load_config_reads_utf8_whatever_the_locale(tmp_path):
+    text = yaml.safe_dump(config_to_dict(corridor_config("literal")), sort_keys=False)
+    good = tmp_path / "accented.yaml"
+    good.write_bytes(("# Gang f\u00fcr zwei Roboter\n" + text).encode("utf-8"))
+    assert load_config(good).name == "corridor"
+
+    bad = tmp_path / "latin.yaml"
+    bad.write_bytes(b"# Gang f\xfcr zwei Roboter\n" + text.encode("ascii"))
+    with pytest.raises(ConfigError) as err:
+        load_config(bad)
+    assert str(err.value).startswith(f"{bad}: not UTF-8: ")
+
+
 # --------------------------------------------------------------------------
 # The start monitor
 

@@ -91,14 +91,16 @@ def test_degenerate_episode_records_every_step():
     assert trace.override_count == 0
 
 
+def impossible(belief, action, z, model):
+    """A stand-in for `belief_update` under which every observation has
+    zero likelihood."""
+    raise ZeroLikelihood(action, z, 0.0)
+
+
 def test_zero_likelihood_observation_ends_episode(monkeypatch):
     m = one_state_model()
     scen = Scenario(model=m, monitor=safe_monitor(m), policy=FixedAction(0),
                     shield_mode="off", horizon=5)
-
-    def impossible(belief, action, z, model):
-        raise ZeroLikelihood(action, z, 0.0)
-
     monkeypatch.setattr("beliefshield.sim.belief_update", impossible)
     trace = run_episode(scen, np.random.default_rng(0))
     assert trace.end_reason == END_ZERO_LIKELIHOOD
@@ -203,7 +205,8 @@ def test_hidden_states_follow_the_transition_support():
 # End reasons
 
 
-def test_deadlock_ends_episode_with_barrier_report():
+def deadlock_scenario(mode: str) -> Scenario:
+    """A shielded scenario whose only action is unsafe at step 1."""
     t = np.zeros((2, 1, 2))
     t[:, 0] = (0.0, 1.0)  # every action dumps all mass on s1
     m = Mpomdp(
@@ -218,11 +221,13 @@ def test_deadlock_ends_episode_with_barrier_report():
     )
     # h = b(s0) - 0.5 collapses from 0.5 to -0.5 for the only action.
     margin = BeliefPred("margin", Difference(BeliefVar(0, "s0"), Constant(0.5)), negated=True)
-    mon = compile_monitor(Always(margin), m, CFG)
+    return Scenario(model=m, monitor=compile_monitor(Always(margin), m, CFG),
+                    policy=FixedAction(0), shield_mode=mode, horizon=10)
+
+
+def test_deadlock_ends_episode_with_barrier_report():
     for mode in ("literal", "conservative"):
-        scen = Scenario(model=m, monitor=mon, policy=FixedAction(0),
-                        shield_mode=mode, horizon=10)
-        trace = run_episode(scen, np.random.default_rng(0))
+        trace = run_episode(deadlock_scenario(mode), np.random.default_rng(0))
         assert trace.end_reason == END_DEADLOCK
         assert trace.steps == ()
         assert trace.end_detail["step"] == 1
