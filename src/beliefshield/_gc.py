@@ -5,6 +5,9 @@ tens to hundreds of thousands of containers that stay alive until the
 call returns. By default, every 700 net allocations the collector
 traverses the young ones, finds nothing to free, and promotes them; on
 a 1.4 MB scenario file that was about a third of the load's time.
+Auditing a trace builds fewer that last, but its allocations trigger
+the same young collections, and now and then a full one over every
+record read.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ def paused_gc() -> Iterator[None]:
       The callers build trees that point one way: YAML nodes and the
       scenario's maps, arrays, frozen dataclasses and generated barrier
       functions (whose globals do not hold them), episode traces whose
-      steps hold beliefs and verdicts, and decoded trace records. No
+      steps hold beliefs and verdicts, decoded trace records, and the
+      audit's replayed beliefs, monitors and reports. No
       object they build refers back to one that holds it, so the pause
       defers no garbage (`tests/test_gc.py` checks that the
       collector finds nothing after each of them).

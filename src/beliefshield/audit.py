@@ -2,13 +2,17 @@
 monitor, and evaluate the formula's finite-trace semantics on the
 replayed word.
 
-`audit_episode` makes one pass over an episode's step lines in file
-order. Each step's indices are checked, its belief is recomputed from
-the recorded action and observation and compared, the monitor steps on
-the replayed belief, and its verdict is compared with the recorded one;
-the first fault in file order is the one raised.
+`audit_episode` first checks that the obligations the episode lists
+are the monitor's, in its order, then makes one pass over the
+episode's step rows (`traceio.STEP_COLUMNS`) in file order. Each step's
+indices are checked, its belief is recomputed from the recorded action
+and observation and compared, the monitor steps on the replayed belief,
+and its verdict is compared with the recorded one; the first fault in
+file order is the one raised. Versions 1 and 2 list no obligations in
+the header; there the first step's records' oids and kinds stand for
+them (see `traceio.EpisodeRecord`), and their labels are not checked.
 
-A version 2 belief whose string is the replayed belief's encoding
+A version 2 or 3 belief whose string is the replayed belief's encoding
 (`traceio.encode_belief`) has error 0.0 and is never decoded; any other
 is decoded by its episode's trace version (`traceio.recorded_belief`),
 which rejects a malformed one. A recorded belief whose bytes equal the
@@ -18,8 +22,8 @@ TraceMismatch.
 
 Verdict records are compared in order, position by position, as the
 writer lists them in the monitor's obligation order, so a file whose
-records are reordered does not audit. Oid, kind and status must be
-equal, the barrier value within 1e-9, and the step's passed flag equal.
+records are reordered does not audit. Each is [status, barrier,
+detail]: the status must be equal and the barrier value within 1e-9.
 A detail is compared by what it says, not by how it prints: its text
 outside number tokens must be equal, integer tokens must be equal, and
 other numbers, printed with `%.6g`, must agree within one unit in their
@@ -43,11 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._gc import paused_gc
 from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
 from .ldtl import Letter, oracle_satisfies
 from .model import belief_update
-from .monitor import ObligationRecord, StepVerdict, barrier_values, check_step, conjuncts
+from .monitor import (
+    Monitor, ObligationRecord, StepVerdict, barrier_values, check_step, conjuncts,
+)
 from .traceio import EpisodeRecord, encode_belief, recorded_belief
 
 BELIEF_TOL = 1e-9
@@ -90,12 +97,12 @@ class AuditReport:
 
 def _belief_error(value, ep: EpisodeRecord, probs: np.ndarray, where: str) -> float:
     """Largest deviation of a belief recorded in ep from a replayed one;
-    NaN when a recorded entry is NaN. A version 2 string equal to the
+    NaN when a recorded entry is NaN. A version 2 or 3 string equal to the
     replayed belief's encoding skips the decode, and equal bytes skip the
     arithmetic: one or the other is every step of an untampered trace. A
     malformed string never equals an encoding, so it is always decoded
     and refused."""
-    if ep.version == 2 and value == encode_belief(probs):
+    if ep.version >= 2 and value == encode_belief(probs):
         return 0.0
     recorded = recorded_belief(value, ep.version, len(probs), where)
     if recorded == probs.tobytes():
@@ -123,41 +130,49 @@ def _same_detail(recorded, replayed: str) -> bool:
     return True
 
 
-def _same_record(recorded, replayed: ObligationRecord) -> bool:
-    """Raises KeyError or TypeError for a recorded entry that is not a
-    record with an oid."""
-    if recorded["oid"] != replayed.oid:
-        return False
-    barrier = recorded.get("barrier")
+def _same_record(recorded, replayed: ObligationRecord, where: str) -> bool:
+    """Whether a recorded [status, barrier, detail] agrees with a replayed
+    record. Raises ConfigError at `where` for an entry of another shape."""
+    if type(recorded) is not list or len(recorded) != 3:
+        raise ConfigError(f"malformed verdict: record {recorded!r} is not "
+                          "[status, barrier, detail]", where)
+    status, barrier, detail = recorded
     if barrier is None or replayed.barrier is None:
         same_barrier = barrier is None and replayed.barrier is None
     else:
-        same_barrier = (isinstance(barrier, float)
+        same_barrier = (type(barrier) is float
                         and abs(barrier - replayed.barrier) <= BELIEF_TOL)
-    return (same_barrier and recorded.get("kind") == replayed.kind
-            and recorded.get("status") == replayed.status
-            and _same_detail(recorded.get("detail"), replayed.detail))
+    return (same_barrier and status == replayed.status
+            and _same_detail(detail, replayed.detail))
 
 
-def _verdict_mismatches(rec: dict, verdict: StepVerdict, step: int, where: str) -> list[str]:
-    """How a step line's recorded verdict differs from the replayed one,
-    record by record in order. Raises ConfigError at `where` for a
-    malformed verdict."""
-    try:
-        records, passed = rec["verdict"]["records"], rec["verdict"]["passed"]
-        diff = [r.oid for got, r in zip(records, verdict.records) if not _same_record(got, r)]
-        diff += [got["oid"] for got in records[len(verdict.records):]]
-        diff += [r.oid for r in verdict.records[len(records):]]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed verdict: {type(exc).__name__} {exc}", where) from exc
-    if not isinstance(passed, bool):
-        raise ConfigError(f"malformed verdict: passed is {passed!r}, not a boolean", where)
-    out = []
+def _verdict_mismatches(recorded, verdict: StepVerdict, step: int, where: str) -> list[str]:
+    """How a step's recorded verdict differs from the replayed one,
+    record by record in order. Raises ConfigError at `where` unless it
+    is a list of one well-formed record per obligation."""
+    replayed = verdict.records
+    if type(recorded) is not list or len(recorded) != len(replayed):
+        raise ConfigError(f"malformed verdict: expected a list of {len(replayed)} records, "
+                          f"got {recorded!r}", where)
+    diff = [r.oid for got, r in zip(recorded, replayed) if not _same_record(got, r, where)]
     if diff:
-        out.append(f"step {step}: recorded and replayed verdicts differ on {diff}")
-    if passed != verdict.passed:
-        out.append(f"step {step}: recorded passed flag {passed}, replayed {verdict.passed}")
-    return out
+        return [f"step {step}: recorded and replayed verdicts differ on {diff}"]
+    return []
+
+
+def _check_obligations(ep: EpisodeRecord, mon: Monitor) -> None:
+    """Raises ConfigError at the episode's header when the obligations
+    its verdicts are listed by are not the monitor's."""
+    listed = ep.obligations
+    if ep.version < 3:
+        if listed is None:
+            return
+        expected = [[ob.oid, ob.kind] for ob in mon.obligations]
+    else:
+        expected = [[ob.oid, ob.kind, ob.label] for ob in mon.obligations]
+    if listed != expected:
+        raise ConfigError(f"obligations {listed!r} are not the monitor's {expected!r}",
+                          f"episode {ep.episode} header")
 
 
 def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
@@ -167,6 +182,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
     and ConfigError for a malformed line; the first fault in file order
     is the one raised."""
     m = cfg.model
+    _check_obligations(ep, cfg.start_monitor)
     where = f"episode {ep.episode} header"
     max_err = _belief_error(ep.header.get("initial_belief", []), ep, m.initial.probs, where)
     # Negated, so that a NaN deviation fails too.
@@ -179,24 +195,22 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
     word = [Letter(initial_state, belief)]
     failed: set[str] = set()
     mismatches: list[str] = []
-    for rec in ep.steps:
-        step = rec["step"]
+    for row in ep.steps:
+        step, _, _, executed, _, observation, next_state, recorded, records, _, _, _ = row
         where = f"episode {ep.episode} step {step}"
-        action = checked_index(rec.get("executed"), m.n_joint_actions,
-                               "executed action", where)
-        obs = checked_index(rec.get("observation"), m.n_joint_observations,
-                            "observation", where)
-        state = checked_index(rec.get("next_state"), m.n_states, "next state", where)
+        action = checked_index(executed, m.n_joint_actions, "executed action", where)
+        obs = checked_index(observation, m.n_joint_observations, "observation", where)
+        state = checked_index(next_state, m.n_states, "next state", where)
         try:
             belief = belief_update(belief, action, obs, m)
         except ZeroLikelihood as exc:
             raise TraceMismatch(ep.episode, step, float("inf")) from exc
-        err = _belief_error(rec.get("belief", []), ep, belief.probs, where)
+        err = _belief_error(recorded, ep, belief.probs, where)
         max_err = max(max_err, err)
         if not err <= BELIEF_TOL:
             raise TraceMismatch(ep.episode, step, err)
         verdict, mon = check_step(mon, barrier_values(mon, belief.probs))
-        mismatches.extend(_verdict_mismatches(rec, verdict, step, where))
+        mismatches.extend(_verdict_mismatches(records, verdict, step, where))
         failed.update(r.oid for r in verdict.records if r.status == "fail")
         word.append(Letter(state, belief))
 
@@ -217,4 +231,8 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
 
 
 def audit_traces(cfg: ScenarioConfig, episodes: list[EpisodeRecord]) -> AuditReport:
-    return AuditReport(tuple(audit_episode(cfg, ep) for ep in episodes))
+    """Audit each episode in turn, with automatic cyclic collection paused
+    (see `_gc.paused_gc`): the replay builds beliefs, monitor states and
+    letters at every step and frees them by reference counting."""
+    with paused_gc():
+        return AuditReport(tuple(audit_episode(cfg, ep) for ep in episodes))

@@ -110,9 +110,10 @@ class Belief:
 
     Only the shape is checked here. Values are checked where a belief
     enters: validate_tables at config load, validate_model for models
-    built in code, and the audit's replay of recorded beliefs. Filter
-    outputs need no check: each is a non-negative vector divided by a
-    normalizer above LIKELIHOOD_FLOOR.
+    built in code, and the audit's replay of recorded beliefs. A belief
+    built from outside data holds a read-only copy of it. Filter outputs
+    need no check and no copy (see `owning`): each is a fresh
+    non-negative vector divided by a normalizer above LIKELIHOOD_FLOOR.
     """
 
     probs: np.ndarray
@@ -123,6 +124,16 @@ class Belief:
             raise ValueError(f"belief must be a vector, got shape {p.shape}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
+
+    @classmethod
+    def owning(cls, probs: np.ndarray) -> "Belief":
+        """A belief that takes over `probs`, a fresh float64 vector that
+        no one else holds, without copying or checking it, and makes it
+        read-only."""
+        probs.setflags(write=False)
+        b = object.__new__(cls)
+        object.__setattr__(b, "probs", probs)
+        return b
 
     def __getitem__(self, q: int) -> float:
         return float(self.probs[q])
@@ -363,7 +374,7 @@ def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:
 
     posterior(q') ∝ observation[q', a, z] * sum_q transition[q, a, q'] * b(q)
     """
-    return Belief(correct(predicted_belief(b, action, m), action, obs, m))
+    return Belief.owning(correct(predicted_belief(b, action, m), action, obs, m))
 
 
 def expected_reward(b: Belief, action: int, m: Mpomdp) -> float:

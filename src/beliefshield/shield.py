@@ -193,6 +193,6 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
         nominal_reward=r_n,
         candidate_rewards=tuple(candidates),
         verdict=verdict,
-        next_belief=Belief(row),
+        next_belief=Belief.owning(row),
         next_monitor=successor,
     )

@@ -199,8 +199,14 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class BatchResult:
+    """A batch's traces, and the (oid, kind, label) of each obligation of
+    the monitor every episode starts from, in its order: the order of
+    every step's verdict records, which a trace file lists once per
+    episode."""
+
     base_seed: int
     traces: tuple[Trace, ...]
+    obligations: tuple[tuple[str, str, str], ...]
 
     def episode_rows(self) -> list[dict]:
         """Per-episode summary rows, one dict per episode."""
@@ -247,4 +253,6 @@ def run_batch(scenario: Scenario, base_seed: int, episodes: int) -> BatchResult:
             run_episode(scenario, np.random.default_rng(children[i]), episode=i)
             for i in range(episodes)
         )
-    return BatchResult(base_seed=base_seed, traces=traces)
+    return BatchResult(base_seed=base_seed, traces=traces,
+                       obligations=tuple((ob.oid, ob.kind, ob.label)
+                                         for ob in scenario.monitor.obligations))

@@ -4,13 +4,16 @@ match bit for bit, and `monitor_step`, which evaluates both beliefs of
 a step afresh), the independent two-pass posterior oracle the filter is
 checked against, the one-action-at-a-time brute-force reference the
 shield's rule is checked against, counters of monitor compilations and
-barrier evaluations, and the decoding of beliefs in trace records."""
+barrier evaluations, and the editing of trace lines and of the beliefs
+they record."""
 
 from __future__ import annotations
 
 import base64
+import json
 import sys
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,20 +27,50 @@ from beliefshield.model import (
     Belief, Mpomdp, belief_update, expected_reward, predicted_belief,
 )
 from beliefshield.monitor import Monitor, StepVerdict, barrier_values, check_step
-from beliefshield.traceio import encode_belief
+from beliefshield.traceio import STEP_COLUMNS, encode_belief
+
+# A version 3 step row's column positions by name.
+COLUMN = {name: i for i, name in enumerate(STEP_COLUMNS)}
 
 
 def decode_belief(text: str) -> np.ndarray:
-    """A version 2 trace belief as a writable float64 array."""
+    """A version 2 or 3 trace belief as a writable float64 array."""
     return np.frombuffer(base64.b64decode(text, validate=True), "<f8").copy()
 
 
-def edit_belief(rec: dict, key: str, edit) -> None:
-    """Decode the version 2 belief rec[key], apply edit(entries) to the
+def edit_belief(rec, key, edit) -> None:
+    """Decode the version 2 or 3 belief rec[key] (a header's key, a
+    version 2 step's key or a row's column), apply edit(entries) to the
     array in place, and store it encoded again."""
     entries = decode_belief(rec[key])
     edit(entries)
     rec[key] = encode_belief(entries)
+
+
+def edit_trace(path: Path, out: Path, episode: int, step: int | None, edit) -> Path:
+    """Write the trace at `path` to `out` with edit(line) applied to one
+    parsed line, which is then written back as json.dumps writes it: the
+    line of `step` in `episode` (a version 3 row or a version 1 or 2
+    object), or with step None the episode's header. Every other line
+    is copied as it is."""
+    lines = path.read_text().splitlines()
+    current = None
+    for i, text in enumerate(lines):
+        rec = json.loads(text)
+        if isinstance(rec, dict) and rec["type"] == "header":
+            current, hit = rec["episode"], step is None
+        elif isinstance(rec, list):
+            hit = rec[0] == step
+        else:
+            hit = rec["type"] == "step" and rec["step"] == step
+        if hit and current == episode:
+            edit(rec)
+            lines[i] = json.dumps(rec, separators=(",", ":"))
+            break
+    else:
+        raise AssertionError(f"no line of episode {episode} step {step} in {path}")
+    out.write_text("\n".join(lines) + "\n")
+    return out
 
 
 def count_calls(monkeypatch, name: str) -> list:

@@ -1,5 +1,6 @@
 """Trace files and audit replay: round trips, tamper detection, the
-finite-trace oracle columns, and version 1 traces, which stay readable."""
+finite-trace oracle columns, and version 1 and 2 traces, which stay
+readable."""
 
 import base64
 import csv
@@ -8,7 +9,6 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,20 +29,75 @@ from beliefshield import audit
 from beliefshield.audit import _same_detail
 from beliefshield.monitor import ObligationRecord, StepVerdict, check_step
 from beliefshield.sim import BatchResult, TraceStep
-from beliefshield.traceio import SUMMARY_FIELDS, TRACE_VERSION, _step_line, encode_belief
+from beliefshield.traceio import (
+    STEP_COLUMNS, SUMMARY_FIELDS, TRACE_VERSION, _loads, _step_line, encode_belief,
+)
 from beliefshield.presets import corridor_config
 
-from conftest import decode_belief, edit_belief
+from conftest import COLUMN, decode_belief, edit_belief, edit_trace
 
+DATA = Path(__file__).resolve().parent / "data"
 # `run_batch(v1_config().to_scenario(), base_seed=7, episodes=2)` as the
 # version 1 writer (commit 3a765b5) wrote it: 2 episodes of 12 steps,
 # beliefs as lists of decimals. test_v2_differs_from_v1_only_in_its_belief_encoding
 # rebuilds it byte for byte from the version 2 trace of the same batch.
-V1_TRACE = Path(__file__).resolve().parent / "data" / "corridor_literal_v1.trace.jsonl"
+V1_TRACE = DATA / "corridor_literal_v1.trace.jsonl"
+# The same batch as the version 2 writer (commit 84e36de) wrote it: step
+# lines as objects, beliefs as base64. v2_trace_text rebuilds it byte for
+# byte.
+V2_TRACE = DATA / "corridor_literal_v2.trace.jsonl"
+
+BELIEF, VERDICT = COLUMN["belief"], COLUMN["verdict"]
 
 
 def v1_config():
     return replace(corridor_config("literal"), horizon=12)
+
+
+def dump_line(rec) -> str:
+    return json.dumps(rec, separators=(",", ":"))
+
+
+def reference_v2_step_line(episode: int, s: TraceStep) -> str:
+    """A step line as the version 2 writer wrote it."""
+    return json.dumps({
+        "type": "step",
+        "episode": episode,
+        "step": s.step,
+        "prev_state": s.prev_state,
+        "nominal": s.nominal,
+        "executed": s.executed,
+        "overridden": s.overridden,
+        "observation": s.observation,
+        "next_state": s.next_state,
+        "belief": encode_belief(s.belief.probs),
+        "verdict": {
+            "passed": s.verdict.passed,
+            "records": [
+                {"oid": r.oid, "kind": r.kind, "status": r.status,
+                 "barrier": r.barrier, "detail": r.detail}
+                for r in s.verdict.records
+            ],
+        },
+        "realized_reward": s.realized_reward,
+        "nominal_reward": s.nominal_reward,
+        "candidate_rewards": [list(pair) for pair in s.candidate_rewards],
+    }, separators=(",", ":"), allow_nan=False)
+
+
+def v2_trace_text(result: BatchResult, scenario: str, shield: str, horizon: int) -> str:
+    """A batch's trace file as the version 2 writer wrote it."""
+    lines = []
+    for t in result.traces:
+        lines.append(dump_line({
+            "type": "header", "version": 2, "scenario": scenario, "episode": t.episode,
+            "base_seed": result.base_seed, "shield": shield, "horizon": horizon,
+            "initial_state": t.initial_state,
+            "initial_belief": encode_belief(t.initial_belief.probs)}))
+        lines.extend(reference_v2_step_line(t.episode, s) for s in t.steps)
+        lines.append(dump_line({"type": "end", "episode": t.episode, "steps": len(t.steps),
+                                "reason": t.end_reason, "detail": t.end_detail}))
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -54,24 +109,22 @@ def corridor_run(tmp_path_factory):
     return cfg, result, path
 
 
+@pytest.fixture(scope="module")
+def corridor_run_v2(corridor_run, tmp_path_factory):
+    """corridor_run's batch as a version 2 trace file."""
+    cfg, result, _ = corridor_run
+    path = tmp_path_factory.mktemp("traces") / "corridor.v2.trace.jsonl"
+    path.write_text(v2_trace_text(result, cfg.name, cfg.shield_mode, cfg.horizon))
+    return path
+
+
 def bump_first_entry(entries):
     entries[0] += 1e-6
 
 
-def dump_line(rec: dict) -> str:
-    return json.dumps(rec, separators=(",", ":"))
-
-
-def tamper(path, tmp_path, mutate):
-    """Apply mutate(rec) to each parsed line; write the result next door."""
-    out = tmp_path / "tampered.trace.jsonl"
-    lines = []
-    for line in path.read_text().splitlines():
-        rec = json.loads(line)
-        mutate(rec)
-        lines.append(dump_line(rec))
-    out.write_text("\n".join(lines) + "\n")
-    return out
+def tampered(path, tmp_path, episode, step, edit):
+    """The trace at `path` with one line edited (see conftest.edit_trace)."""
+    return edit_trace(path, tmp_path / "tampered.trace.jsonl", episode, step, edit)
 
 
 # --------------------------------------------------------------------------
@@ -82,24 +135,29 @@ def test_trace_file_round_trip(corridor_run):
     cfg, result, path = corridor_run
     episodes = read_traces(path)
     assert [ep.episode for ep in episodes] == [0, 1, 2]
+    assert result.obligations == (
+        ("0:always", "always", "G (!near_patroller & !near_debris)"),
+        ("1:eventually", "eventually", "F at_goal"))
     for ep, trace in zip(episodes, result.traces):
         assert ep.header["scenario"] == "corridor"
         assert ep.header["shield"] == "literal"
         assert ep.header["horizon"] == 200
         assert ep.header["base_seed"] == cfg.seed
         assert ep.header["initial_state"] == trace.initial_state
-        assert ep.header["version"] == TRACE_VERSION == 2
+        assert ep.header["version"] == TRACE_VERSION == 3
+        assert ep.header["obligations"] == ep.obligations == [list(o) for o in result.obligations]
         assert decode_belief(ep.header["initial_belief"]).tobytes() == \
             trace.initial_belief.probs.tobytes()
         assert len(ep.steps) == len(trace.steps)
         assert ep.end["reason"] == trace.end_reason
-        first = ep.steps[0]
+        first = dict(zip(STEP_COLUMNS, ep.steps[0]))
         assert first["nominal"] == trace.steps[0].nominal
         assert first["executed"] == trace.steps[0].executed
         assert first["overridden"] == trace.steps[0].overridden
         assert decode_belief(first["belief"]).tobytes() == trace.steps[0].belief.probs.tobytes()
-        statuses = [r["status"] for r in first["verdict"]["records"]]
-        assert len(statuses) == 2
+        assert first["verdict"] == [[r.status, r.barrier, r.detail]
+                                    for r in trace.steps[0].verdict.records]
+        assert len(first["verdict"]) == 2
 
 
 def test_rerun_writes_identical_bytes(corridor_run, tmp_path):
@@ -127,12 +185,14 @@ def test_summary_csv_matches_episode_rows(corridor_run, tmp_path):
 
 
 @pytest.mark.parametrize("kind, episode, lineno", [("step", 99, 2), ("end", 42, None)])
-def test_a_line_of_another_episode_is_a_config_error(corridor_run, tmp_path, kind, episode, lineno):
-    _, _, path = corridor_run
+def test_a_line_of_another_episode_is_a_config_error(corridor_run, corridor_run_v2, tmp_path,
+                                                     kind, episode, lineno):
+    # Only version 1 and 2 step lines and end lines name their episode.
+    path = corridor_run_v2 if kind == "step" else corridor_run[2]
     lines = path.read_text().splitlines()
     if lineno is None:
         lineno = next(i for i, line in enumerate(lines, start=1)
-                      if json.loads(line)["type"] == "end")
+                      if line.startswith('{"type":"end"'))
     rec = json.loads(lines[lineno - 1])
     assert (rec["type"], rec["episode"]) == (kind, 0)
     rec["episode"] = episode
@@ -155,38 +215,22 @@ def test_end_detail_survives_serialization(tmp_path):
         end_detail={"step": 1, "candidate_barriers": {0: {"0:always": -0.5}}},
     )
     path = tmp_path / "deadlock.trace.jsonl"
-    write_traces(BatchResult(base_seed=0, traces=(trace,)), path, "tiny", "literal", 5)
+    write_traces(BatchResult(base_seed=0, traces=(trace,), obligations=()), path,
+                 "tiny", "literal", 5)
     ep = read_traces(path)[0]
     assert ep.end["reason"] == "deadlock"
     # JSON stringifies the integer action keys.
     assert ep.end["detail"]["candidate_barriers"] == {"0": {"0:always": -0.5}}
 
 
-def reference_step_line(episode: int, s: TraceStep) -> str:
-    """A step line as the dict-and-json.dumps writer wrote it."""
-    return json.dumps({
-        "type": "step",
-        "episode": episode,
-        "step": s.step,
-        "prev_state": s.prev_state,
-        "nominal": s.nominal,
-        "executed": s.executed,
-        "overridden": s.overridden,
-        "observation": s.observation,
-        "next_state": s.next_state,
-        "belief": encode_belief(s.belief.probs),
-        "verdict": {
-            "passed": s.verdict.passed,
-            "records": [
-                {"oid": r.oid, "kind": r.kind, "status": r.status,
-                 "barrier": r.barrier, "detail": r.detail}
-                for r in s.verdict.records
-            ],
-        },
-        "realized_reward": s.realized_reward,
-        "nominal_reward": s.nominal_reward,
-        "candidate_rewards": [list(pair) for pair in s.candidate_rewards],
-    }, separators=(",", ":"), allow_nan=False)
+def reference_step_line(s: TraceStep) -> str:
+    """A step row as json.dumps writes it."""
+    return json.dumps([
+        s.step, s.prev_state, s.nominal, s.executed, s.overridden, s.observation,
+        s.next_state, encode_belief(s.belief.probs),
+        [[r.status, r.barrier, r.detail] for r in s.verdict.records],
+        s.realized_reward, s.nominal_reward, [list(pair) for pair in s.candidate_rewards],
+    ], separators=(",", ":"), allow_nan=False)
 
 
 FINITE = st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 0.1]) | st.floats(
@@ -195,7 +239,7 @@ TEXT = st.sampled_from(['', 'a "quoted" \\ back\\slash', '\x00\x1f\n\r\t\x7f\u20
                         'caf\u00e9 \u2603 \U0001f600', '\ud800']) | st.text()
 COUNT = st.integers(0, 2**40)
 RECORD = st.builds(ObligationRecord, oid=TEXT, kind=TEXT,
-                   status=st.sampled_from(["pass", "fail", "discharged", "inactive"]),
+                   status=st.sampled_from(["pass", "fail", "discharged", "inactive"]) | TEXT,
                    barrier=st.none() | FINITE, detail=TEXT)
 TRACE_STEP = st.builds(
     TraceStep, step=COUNT, prev_state=COUNT, nominal=COUNT, executed=COUNT,
@@ -212,7 +256,7 @@ TRACE_STEP = st.builds(
     step=1, prev_state=0, nominal=0, executed=0, overridden=False, observation=0,
     next_state=0, belief=Belief((1.0,)), verdict=StepVerdict(1, ()), realized_reward=-0.0))
 def test_a_step_line_has_the_bytes_json_dumps_writes(episode, s):
-    assert _step_line(episode, s) == reference_step_line(episode, s)
+    assert _step_line(episode, s) == reference_step_line(s)
 
 
 def tiny_step(**changes) -> TraceStep:
@@ -225,10 +269,13 @@ def tiny_step(**changes) -> TraceStep:
     return replace(step, **changes)
 
 
+TINY_OBLIGATIONS = (("0:always", "always", "G p"), ("1:eventually", "eventually", "F q"))
+
+
 @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"),
                                          (math.nan, "nan")], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("where, field, step, detail", [
-    ("step 1", "verdict.records[1].barrier",
+    ("step 1", "verdict[1].barrier",
      lambda v: tiny_step(verdict=StepVerdict(1, (
          ObligationRecord("0:always", "always", "pass", 0.25),
          ObligationRecord("1:eventually", "eventually", "pass", v)))), None),
@@ -246,9 +293,32 @@ def test_a_float_json_cannot_write_is_named_and_nothing_is_written(
                   end_detail={} if detail is None else detail(value))
     path = tmp_path / "nonfinite.trace.jsonl"
     with pytest.raises(ConfigError) as err:
-        write_traces(BatchResult(base_seed=0, traces=(trace,)), path, "tiny", "literal", 5)
+        write_traces(BatchResult(base_seed=0, traces=(trace,), obligations=TINY_OBLIGATIONS),
+                     path, "tiny", "literal", 5)
     assert str(err.value) == f"episode 3 {where}: {field} is {text}, not a finite number"
     assert not path.exists()
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+PAD = st.sampled_from(["", " ", "\n", " \t\r\n", "\x0c", "\x0b", "\u2028", "\ufeff", "x"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.tuples(PAD, JSON.map(json.dumps), PAD).map("".join) | st.text() | st.sampled_from([
+    "[1,]", "[1] [2]", '"\\ud800"', "NaN", "-Infinity", "{", "", "01"]))
+def test_a_line_is_decoded_as_json_loads_decodes_it(text):
+    try:
+        want = json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as err:
+            _loads(text)
+        assert str(err.value) == str(exc)
+    else:
+        # Through dumps, so that a NaN equals itself.
+        assert json.dumps(_loads(text)) == json.dumps(want)
 
 
 # --------------------------------------------------------------------------
@@ -270,13 +340,13 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
     assert ":1" in str(err.value)
 
     header = json.loads(lines[0])
-    for version in (99, 0, 3, True, 2.0, "2", None):
+    for version in (99, 0, 4, True, 3.0, "3", None):
         header["version"] = version
         with pytest.raises(ConfigError) as err:
             read_traces(rewrite([dump_line(header)] + lines[1:]))
         assert f"unsupported trace version {version!r}" in str(err.value)
 
-    header["version"] = 1
+    header["version"] = 3
     del header["episode"]
     with pytest.raises(ConfigError) as err:
         read_traces(rewrite([dump_line(header)] + lines[1:]))
@@ -294,8 +364,7 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
     assert "outside an episode" in str(err.value)
 
     # End line claiming the wrong count.
-    end_idx = next(i for i, l in enumerate(lines)
-                   if json.loads(l)["type"] == "end")
+    end_idx = next(i for i, l in enumerate(lines) if l.startswith('{"type":"end"'))
     end = json.loads(lines[end_idx])
     end["steps"] += 1
     with pytest.raises(ConfigError) as err:
@@ -306,7 +375,7 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
     # and `1.0` both equal 1 in Python.
     for value in (True, 1.0):
         step = json.loads(lines[1])
-        step["step"] = value
+        step[0] = value
         with pytest.raises(ConfigError) as err:
             read_traces(rewrite([lines[0], dump_line(step)] + lines[2:]))
         assert f"bad.trace.jsonl:2: step {value} out of order (expected 1)" in str(err.value)
@@ -325,16 +394,25 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
         read_traces(rewrite(lines[:5]))
     assert "ends inside an episode" in str(err.value)
 
-    unknown = json.loads(lines[1])
+    unknown = json.loads(lines[0])
     unknown["type"] = "banana"
     with pytest.raises(ConfigError) as err:
         read_traces(rewrite([lines[0], dump_line(unknown)] + lines[2:]))
     assert "unknown record type 'banana'" in str(err.value)
 
-    for not_an_object in ("[1, 2]", "5", '"step"', "null"):
+    for neither in ("5", '"step"', "null"):
         with pytest.raises(ConfigError) as err:
-            read_traces(rewrite([lines[0], not_an_object] + lines[2:]))
-        assert "bad.trace.jsonl:2: expected a JSON object" in str(err.value)
+            read_traces(rewrite([lines[0], neither] + lines[2:]))
+        assert "bad.trace.jsonl:2: expected a JSON object or array" in str(err.value)
+
+    # A version 3 header must list its obligations.
+    header = json.loads(lines[0])
+    for obligations in (None, "0:always", {"0:always": "always"}):
+        header["obligations"] = obligations
+        with pytest.raises(ConfigError) as err:
+            read_traces(rewrite([dump_line(header)] + lines[1:]))
+        assert str(err.value).endswith(
+            "bad.trace.jsonl:1: version 3 header needs a list of obligations")
 
     # A byte that cannot start a UTF-8 sequence, whatever the locale.
     raw = path.read_bytes().split(b"\n")
@@ -350,6 +428,49 @@ def test_read_rejects_malformed_lines(corridor_run, tmp_path):
     with pytest.raises(ConfigError) as err:
         read_traces(empty)
     assert "no episodes found" in str(err.value)
+
+
+@pytest.mark.parametrize("edit, columns", [
+    (lambda row: row.pop(), 11),
+    (lambda row: row.pop(VERDICT), 11),
+    (lambda row: row.append(True), 13),
+    (lambda row: row.insert(1, 0), 13),
+    (lambda row: row.clear(), 0),
+], ids=["last-dropped", "verdict-dropped", "one-appended", "one-inserted", "empty"])
+def test_a_row_of_another_length_is_a_config_error(corridor_run, tmp_path, edit, columns):
+    _, result, path = corridor_run
+    lineno = len(result.traces[0].steps) + 3 + 6  # episode 1, step 6
+    with pytest.raises(ConfigError) as err:
+        read_traces(tampered(path, tmp_path, 1, 6, edit))
+    assert str(err.value) == (f"{tmp_path / 'tampered.trace.jsonl'}:{lineno}: episode 1 step 6 "
+                              f"has {columns} columns, expected 12")
+
+
+def test_a_step_object_in_a_v3_episode_is_a_config_error(corridor_run, tmp_path):
+    _, result, path = corridor_run
+    lines = path.read_text().splitlines()
+    lineno = len(result.traces[0].steps) + 3 + 4  # episode 1, step 4
+    v2_line = reference_v2_step_line(1, result.traces[1].steps[3])
+    assert json.loads(lines[lineno - 1])[0] == 4
+    lines[lineno - 1] = v2_line
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        read_traces(bad)
+    assert str(err.value) == (
+        f"{bad}:{lineno}: episode 1 step 4 is an object, version 3 writes an array")
+
+
+def test_a_step_array_in_a_v2_episode_is_a_config_error(corridor_run, corridor_run_v2, tmp_path):
+    _, result, path = corridor_run
+    lines = corridor_run_v2.read_text().splitlines()
+    lines[2] = path.read_text().splitlines()[2]
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        read_traces(bad)
+    assert str(err.value) == (
+        f"{bad}:3: episode 0 step 2 is an array, version 2 writes an object")
 
 
 # --------------------------------------------------------------------------
@@ -385,9 +506,10 @@ def test_audit_accepts_clean_corridor_traces(corridor_run):
         assert eventually.clean and eventually.discharged and eventually.oracle
 
 
-def test_a_clean_v2_audit_decodes_no_belief(corridor_run, monkeypatch):
+def test_a_clean_v2_audit_decodes_no_belief(corridor_run, corridor_run_v2, monkeypatch):
+    # Version 3 encodes beliefs as version 2 does.
     cfg, _, path = corridor_run
-    episodes = read_traces(path)
+    episodes = read_traces(path) + read_traces(corridor_run_v2)
     calls = []
     real = base64.b64decode
     monkeypatch.setattr(base64, "b64decode",
@@ -408,8 +530,8 @@ def test_horizon_one_round_trips_through_the_audit(mode, tmp_path):
     assert [len(ep.steps) for ep in episodes] == [1, 1, 1]
     for ep, trace in zip(episodes, result.traces):
         assert ep.header["horizon"] == 1
-        assert ep.steps[0]["executed"] == trace.steps[0].executed
-        assert ep.steps[0]["next_state"] == trace.steps[0].next_state
+        assert ep.steps[0][COLUMN["executed"]] == trace.steps[0].executed
+        assert ep.steps[0][COLUMN["next_state"]] == trace.steps[0].next_state
     report = audit_traces(cfg, episodes)
     assert report.ok
     assert all(ep.max_belief_error == 0.0 for ep in report.episodes)
@@ -429,14 +551,16 @@ def test_audit_reports_unshielded_violations_as_consistent(tmp_path):
     assert not always.oracle
 
 
+def test_a_v2_trace_audits_as_its_v3_trace_does(corridor_run, corridor_run_v2):
+    cfg, _, path = corridor_run
+    v2, v3 = read_traces(corridor_run_v2), read_traces(path)
+    assert [ep.steps for ep in v2] == [ep.steps for ep in v3]
+    assert audit_traces(cfg, v2) == audit_traces(cfg, v3)
+
+
 def test_tampered_belief_raises_trace_mismatch(corridor_run, tmp_path):
     cfg, _, path = corridor_run
-
-    def bump(rec):
-        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 5:
-            edit_belief(rec, "belief", bump_first_entry)
-
-    bad = tamper(path, tmp_path, bump)
+    bad = tampered(path, tmp_path, 1, 5, lambda row: edit_belief(row, BELIEF, bump_first_entry))
     with pytest.raises(TraceMismatch) as err:
         audit_traces(cfg, read_traces(bad))
     assert err.value.episode == 1
@@ -446,43 +570,76 @@ def test_tampered_belief_raises_trace_mismatch(corridor_run, tmp_path):
 
 def test_tampered_initial_belief_is_step_zero_mismatch(corridor_run, tmp_path):
     cfg, _, path = corridor_run
+    bad = tampered(path, tmp_path, 0, None,
+                   lambda rec: edit_belief(rec, "initial_belief", bump_first_entry))
+    with pytest.raises(TraceMismatch) as err:
+        audit_episode(cfg, read_traces(bad)[0])
+    assert err.value.step == 0
 
-    def bump(rec):
-        if rec.get("type") == "header" and rec["episode"] == 0:
-            edit_belief(rec, "initial_belief", bump_first_entry)
+
+@pytest.mark.parametrize("column, change", [
+    ("executed", lambda a: (a + 1) % 6), ("observation", lambda z: 1 - z),
+], ids=["executed", "observation"])
+def test_a_tampered_action_or_observation_is_a_belief_mismatch(
+        corridor_run, tmp_path, column, change):
+    # The replay follows the recorded action and observation, so another
+    # one moves the replayed belief away from the recorded one.
+    cfg, _, path = corridor_run
+
+    def edit(row):
+        row[COLUMN[column]] = change(row[COLUMN[column]])
 
     with pytest.raises(TraceMismatch) as err:
-        audit_episode(cfg, read_traces(tamper(path, tmp_path, bump))[0])
-    assert err.value.step == 0
+        audit_traces(cfg, read_traces(tampered(path, tmp_path, 2, 9, edit)))
+    assert (err.value.episode, err.value.step) == (2, 9)
 
 
 def test_tampered_verdict_is_a_mismatch_not_an_exception(corridor_run, tmp_path):
     cfg, _, path = corridor_run
 
-    def flip(rec):
-        if rec.get("type") == "step" and rec["episode"] == 0 and rec["step"] == 7:
-            rec["verdict"]["records"][0]["status"] = "fail"
-            rec["verdict"]["passed"] = False
+    def flip(row):
+        assert row[VERDICT][0][0] == "pass"
+        row[VERDICT][0][0] = "fail"
 
-    report = audit_traces(cfg, read_traces(tamper(path, tmp_path, flip)))
+    report = audit_traces(cfg, read_traces(tampered(path, tmp_path, 0, 7, flip)))
     assert not report.ok
     bad = report.episodes[0]
     assert not bad.ok
-    assert len(bad.verdict_mismatches) == 2
-    assert all("step 7" in s for s in bad.verdict_mismatches)
+    assert bad.verdict_mismatches == (
+        "step 7: recorded and replayed verdicts differ on ['0:always']",)
     assert report.episodes[1].ok
 
 
+def test_a_fail_status_flipped_to_pass_is_a_mismatch(tmp_path):
+    cfg = corridor_config("off")
+    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=2)
+    path = tmp_path / "unshielded.trace.jsonl"
+    write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
+    episode, step, index = next(
+        (t.episode, s.step, i) for t in result.traces for s in t.steps
+        for i, r in enumerate(s.verdict.records) if r.status == "fail")
+    oid = result.obligations[index][0]
+
+    def flip(row):
+        assert row[VERDICT][index][0] == "fail"
+        row[VERDICT][index][0] = "pass"
+
+    report = audit_traces(cfg, read_traces(tampered(path, tmp_path, episode, step, flip)))
+    assert [ep.episode for ep in report.episodes if not ep.ok] == [episode]
+    assert report.episodes[episode].verdict_mismatches == (
+        f"step {step}: recorded and replayed verdicts differ on [{oid!r}]",)
+
+
 @pytest.mark.parametrize("field, value",
-                         [("barrier", 5.0), ("detail", "rewritten"), ("kind", "next")])
+                         [("barrier", 5.0), ("detail", "rewritten"), ("status", "inactive")],
+                         ids=["barrier-5.0", "detail-rewritten", "status-inactive"])
 def test_tampered_record_field_is_a_mismatch(corridor_run, tmp_path, field, value):
     cfg, _, path = corridor_run
 
-    def edit(rec):
-        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 9:
-            rec["verdict"]["records"][0][field] = value
+    def edit(row):
+        row[VERDICT][0][("status", "barrier", "detail").index(field)] = value
 
-    report = audit_traces(cfg, read_traces(tamper(path, tmp_path, edit)))
+    report = audit_traces(cfg, read_traces(tampered(path, tmp_path, 1, 9, edit)))
     assert not report.ok
     assert [ep.episode for ep in report.episodes if not ep.ok] == [1]
     assert report.episodes[1].verdict_mismatches == (
@@ -493,15 +650,50 @@ def test_reordered_records_are_a_mismatch(corridor_run, tmp_path):
     # The writer lists records in the monitor's obligation order, and the
     # audit compares them position by position.
     cfg, _, path = corridor_run
-
-    def swap(rec):
-        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 9:
-            rec["verdict"]["records"].reverse()
-
-    report = audit_traces(cfg, read_traces(tamper(path, tmp_path, swap)))
+    report = audit_traces(cfg, read_traces(
+        tampered(path, tmp_path, 1, 9, lambda row: row[VERDICT].reverse())))
     assert [ep.episode for ep in report.episodes if not ep.ok] == [1]
     assert report.episodes[1].verdict_mismatches == (
         "step 9: recorded and replayed verdicts differ on ['0:always', '1:eventually']",)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obligations: obligations.pop(),
+    lambda obligations: obligations.append(["2:next", "next", "X at_goal"]),
+    lambda obligations: obligations[1].__setitem__(0, "1:always"),
+    lambda obligations: obligations[0].__setitem__(1, "eventually"),
+    lambda obligations: obligations[1].__setitem__(2, "F clear"),
+    lambda obligations: obligations.reverse(),
+    lambda obligations: obligations[0].pop(),
+], ids=["one-fewer", "one-more", "oid", "kind", "label", "reordered", "no-label"])
+def test_header_obligations_that_are_not_the_monitors_are_a_config_error(
+        corridor_run, tmp_path, edit):
+    cfg, _, path = corridor_run
+    bad = tampered(path, tmp_path, 1, None, lambda header: edit(header["obligations"]))
+    episodes = read_traces(bad)
+    assert audit_episode(cfg, episodes[0]).ok
+    with pytest.raises(ConfigError) as err:
+        audit_traces(cfg, episodes)
+    assert str(err.value).startswith("episode 1 header: obligations ")
+    assert "are not the monitor's" in str(err.value)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda verdict: verdict.clear(),
+    lambda verdict: verdict.pop(),
+    lambda verdict: verdict.append(["pass", None, ""]),
+    lambda verdict: verdict.__setitem__(slice(None), [5]),
+    lambda verdict: verdict.__setitem__(0, "pass"),
+    lambda verdict: verdict.__setitem__(0, verdict[0][:2]),
+    lambda verdict: verdict[0].append(""),
+], ids=["empty", "one-fewer", "one-more", "not-a-list", "record-not-a-list",
+        "record-of-two", "record-of-four"])
+def test_a_malformed_verdict_is_a_config_error(corridor_run, tmp_path, edit):
+    cfg, _, path = corridor_run
+    bad = tampered(path, tmp_path, 2, 8, lambda row: edit(row[VERDICT]))
+    with pytest.raises(ConfigError) as err:
+        audit_traces(cfg, read_traces(bad))
+    assert str(err.value).startswith("episode 2 step 8: malformed verdict: ")
 
 
 @pytest.mark.parametrize("recorded, replayed, same", [
@@ -528,97 +720,150 @@ def test_a_detail_is_compared_by_what_it_says(recorded, replayed, same):
 
 def test_the_first_fault_in_file_order_is_raised(corridor_run, tmp_path):
     cfg, _, path = corridor_run
-
-    def two_faults(rec):
-        if rec.get("type") == "step" and rec["episode"] == 0:
-            if rec["step"] == 3:
-                rec["verdict"].pop("passed")
-            if rec["step"] == 8:
-                edit_belief(rec, "belief", bump_first_entry)
-
+    first = tampered(path, tmp_path, 0, 3, lambda row: row.__setitem__(VERDICT, {}))
+    both = edit_trace(first, tmp_path / "both.trace.jsonl", 0, 8,
+                      lambda row: edit_belief(row, BELIEF, bump_first_entry))
     with pytest.raises(ConfigError) as err:
-        audit_traces(cfg, read_traces(tamper(path, tmp_path, two_faults)))
+        audit_traces(cfg, read_traces(both))
     assert str(err.value).startswith("episode 0 step 3: malformed verdict")
 
 
 def test_out_of_range_indices_are_config_errors(corridor_run, tmp_path):
     cfg, _, path = corridor_run
-
-    def clobber(rec):
-        if rec.get("type") == "step" and rec["episode"] == 0 and rec["step"] == 3:
-            rec["executed"] = 99
-
+    bad = tampered(path, tmp_path, 0, 3, lambda row: row.__setitem__(COLUMN["executed"], 99))
     with pytest.raises(ConfigError) as err:
-        audit_episode(cfg, read_traces(tamper(path, tmp_path, clobber))[0])
+        audit_episode(cfg, read_traces(bad)[0])
     assert "executed action 99 out of range" in str(err.value)
     assert "episode 0 step 3" in str(err.value)
 
 
+@pytest.mark.parametrize("column, what", [
+    ("observation", "observation"), ("next_state", "next state"),
+])
+def test_an_out_of_range_observation_or_next_state_is_a_config_error(
+        corridor_run, tmp_path, column, what):
+    # The next state is the hidden state: the replay cannot recompute
+    # it, so only its range is checked; it enters the oracle's word.
+    cfg, _, path = corridor_run
+    bad = tampered(path, tmp_path, 0, 3, lambda row: row.__setitem__(COLUMN[column], 99))
+    with pytest.raises(ConfigError) as err:
+        audit_episode(cfg, read_traces(bad)[0])
+    assert f"{what} 99 out of range" in str(err.value)
+    assert str(err.value).startswith("episode 0 step 3: ")
+
+
 # A null entry exists only in version 1's decimal lists.
 @pytest.mark.parametrize("version, record, value", [
-    (2, "header", float("nan")), (2, "step", float("nan")), (1, "step", None),
+    (3, "header", float("nan")), (3, "step", float("nan")), (1, "step", None),
     (1, "header", float("nan")), (1, "step", float("nan")),
 ], ids=["header-nan", "step-nan", "step-null", "v1-header-nan", "v1-step-nan"])
 def test_non_finite_belief_is_a_mismatch(corridor_run, tmp_path, version, record, value):
-    cfg, _, path = corridor_run if version == 2 else (v1_config(), None, V1_TRACE)
-    key = "initial_belief" if record == "header" else "belief"
+    cfg, _, path = corridor_run if version == 3 else (v1_config(), None, V1_TRACE)
+    step = None if record == "header" else 6
+    key = ("initial_belief" if record == "header"
+           else BELIEF if version == 3 else "belief")
 
     def poison(rec):
-        if rec.get("type") == record and rec["episode"] == 1 and rec.get("step", 0) in (0, 6):
-            if version == 1:
-                rec[key] = [value] * len(rec[key])
-            else:
-                edit_belief(rec, key, lambda entries: entries.fill(value))
+        if version == 1:
+            rec[key] = [value] * len(rec[key])
+        else:
+            edit_belief(rec, key, lambda entries: entries.fill(value))
 
     with pytest.raises(TraceMismatch) as err:
-        audit_traces(cfg, read_traces(tamper(path, tmp_path, poison)))
+        audit_traces(cfg, read_traces(tampered(path, tmp_path, 1, step, poison)))
     assert (err.value.episode, err.value.step) == (1, 0 if record == "header" else 6)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda rec: rec.pop("verdict"),
-    lambda rec: rec["verdict"].pop("passed"),
-    lambda rec: rec["verdict"]["records"][0].pop("oid"),
-    lambda rec: rec["verdict"].update(records=5),
-    lambda rec: rec.update(belief="abc"),
-    lambda rec: rec.update(belief=None),
-    lambda rec: rec.update(belief=rec["belief"][:8] + "!" + rec["belief"][8:]),
-    lambda rec: rec.update(belief=decode_belief(rec["belief"]).tolist()),
-    lambda rec: rec.update(belief=encode_belief(decode_belief(rec["belief"])[:-1])),
-    lambda rec: rec.update(belief=base64.b64encode(
-        base64.b64decode(rec["belief"])[:-1]).decode()),
+# Versions 1 and 2 step lines are objects, whose verdict read_traces
+# checks as it turns them into rows; a version 3 belief is a column.
+@pytest.mark.parametrize("version, edit", [
+    (2, lambda rec: rec.pop("verdict")),
+    (2, lambda rec: rec["verdict"].pop("passed")),
+    (2, lambda rec: rec["verdict"]["records"][0].pop("oid")),
+    (2, lambda rec: rec["verdict"].update(records=5)),
+    (3, lambda belief: "abc"),
+    (3, lambda belief: None),
+    (3, lambda belief: belief[:8] + "!" + belief[8:]),
+    (3, lambda belief: decode_belief(belief).tolist()),
+    (3, lambda belief: encode_belief(decode_belief(belief)[:-1])),
+    (3, lambda belief: base64.b64encode(base64.b64decode(belief)[:-1]).decode()),
 ], ids=["no-verdict", "no-passed", "no-oid", "records-not-a-list", "belief-not-numbers",
         "belief-null", "belief-not-base64", "belief-as-v1-decimals", "belief-short-by-an-entry",
         "belief-short-by-a-byte"])
-def test_malformed_step_is_a_config_error(corridor_run, tmp_path, edit):
+def test_malformed_step_is_a_config_error(corridor_run, corridor_run_v2, tmp_path, version, edit):
     cfg, _, path = corridor_run
-
-    def malform(rec):
-        if rec.get("type") == "step" and rec["episode"] == 2 and rec["step"] == 8:
-            edit(rec)
+    if version == 2:
+        path, malform = corridor_run_v2, edit
+    else:
+        def malform(row):
+            row[BELIEF] = edit(row[BELIEF])
 
     with pytest.raises(ConfigError) as err:
-        audit_traces(cfg, read_traces(tamper(path, tmp_path, malform)))
+        audit_traces(cfg, read_traces(tampered(path, tmp_path, 2, 8, malform)))
     assert str(err.value).startswith("episode 2 step 8: ")
 
 
 @pytest.mark.parametrize("value", [1, 0, "true", None], ids=["1", "0", "string", "null"])
-def test_a_passed_flag_that_is_not_a_boolean_is_a_config_error(corridor_run, tmp_path, value):
-    # 1 == True, so a number compared as a flag would pass the audit.
-    cfg, _, path = corridor_run
-
-    def recast(rec):
-        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 5:
-            rec["verdict"]["passed"] = value
-
+def test_a_passed_flag_that_is_not_a_boolean_is_a_config_error(corridor_run, corridor_run_v2,
+                                                               tmp_path, value):
+    # Versions 1 and 2 record a passed flag; 1 == True, so a number
+    # compared as a flag would pass.
+    cfg, _, _ = corridor_run
+    bad = tampered(corridor_run_v2, tmp_path, 1, 5,
+                   lambda rec: rec["verdict"].update(passed=value))
     with pytest.raises(ConfigError) as err:
-        audit_traces(cfg, read_traces(tamper(path, tmp_path, recast)))
+        audit_traces(cfg, read_traces(bad))
     assert str(err.value) == (
         f"episode 1 step 5: malformed verdict: passed is {value!r}, not a boolean")
 
 
+def test_a_v2_passed_flag_its_statuses_contradict_is_a_config_error(
+        corridor_run, corridor_run_v2, tmp_path):
+    cfg, _, _ = corridor_run
+    bad = tampered(corridor_run_v2, tmp_path, 1, 5,
+                   lambda rec: rec["verdict"].update(passed=False))
+    with pytest.raises(ConfigError) as err:
+        audit_traces(cfg, read_traces(bad))
+    assert str(err.value) == (
+        "episode 1 step 5: malformed verdict: passed is False, statuses ['pass', 'inactive']")
+
+
+@pytest.mark.parametrize("field, value", [("oid", "0:eventually"), ("kind", "next")],
+                         ids=["oid", "kind"])
+def test_a_v2_record_of_another_obligation_is_a_config_error(
+        corridor_run, corridor_run_v2, tmp_path, field, value):
+    # A version 2 episode's first step names its obligations, which every
+    # later step must repeat.
+    cfg, _, _ = corridor_run
+    bad = tampered(corridor_run_v2, tmp_path, 1, 9,
+                   lambda rec: rec["verdict"]["records"][0].update({field: value}))
+    with pytest.raises(ConfigError) as err:
+        audit_traces(cfg, read_traces(bad))
+    assert str(err.value).startswith("episode 1 step 9: records of obligations [[")
+
+
+def test_a_v2_episode_of_other_obligations_is_a_config_error(
+        corridor_run, corridor_run_v2, tmp_path):
+    # Every step agrees, so the first step's obligations are held to the
+    # monitor's.
+    cfg, _, _ = corridor_run
+    lines = corridor_run_v2.read_text().splitlines()
+    episode = [json.loads(line)["episode"] for line in lines]
+    lines = [line.replace('"kind":"always"', '"kind":"next"') if e == 1 else line
+             for line, e in zip(lines, episode)]
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    episodes = read_traces(bad)
+    assert episodes[1].obligations == [["0:always", "next"], ["1:eventually", "eventually"]]
+    with pytest.raises(ConfigError) as err:
+        audit_traces(cfg, episodes)
+    assert str(err.value) == (
+        "episode 1 header: obligations [['0:always', 'next'], ['1:eventually', 'eventually']] "
+        "are not the monitor's [['0:always', 'always'], ['1:eventually', 'eventually']]")
+
+
 # --------------------------------------------------------------------------
-# Version 1 traces
+# Version 1 and 2 traces
 
 
 def test_a_v1_trace_audits_clean():
@@ -629,17 +874,28 @@ def test_a_v1_trace_audits_clean():
     assert [ep.max_belief_error for ep in report.episodes] == [0.0, 0.0]
 
 
-def test_v2_differs_from_v1_only_in_its_belief_encoding(tmp_path):
+def test_a_v2_trace_audits_clean():
+    episodes = read_traces(V2_TRACE)
+    assert [(ep.version, len(ep.steps)) for ep in episodes] == [(2, 12), (2, 12)]
+    report = audit_traces(v1_config(), episodes)
+    assert report.ok
+    assert [ep.max_belief_error for ep in report.episodes] == [0.0, 0.0]
+    assert report == audit_traces(v1_config(), read_traces(V1_TRACE))
+
+
+def test_the_v2_fixture_is_what_the_v2_writer_wrote():
+    cfg = v1_config()
+    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=2)
+    text = v2_trace_text(result, cfg.name, cfg.shield_mode, cfg.horizon)
+    assert text.encode("ascii") == V2_TRACE.read_bytes()
+
+
+def test_v2_differs_from_v1_only_in_its_belief_encoding():
     # Version 1 in each header and each belief as a list of decimals,
     # through json.dumps as the version 1 writer did, turn the version 2
-    # trace of the fixture's batch into the fixture's bytes.
-    cfg = v1_config()
-    assert cfg.seed == 7
-    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=2)
-    path = tmp_path / "v2.trace.jsonl"
-    write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
+    # fixture into the version 1 fixture's bytes.
     lines = []
-    for line in path.read_text().splitlines():
+    for line in V2_TRACE.read_text().splitlines():
         rec = json.loads(line)
         if rec["type"] == "header":
             assert rec["version"] == 2

@@ -1,7 +1,7 @@
 """End-to-end command line checks, run in process through cli.main."""
 
 import csv
-import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -10,7 +10,9 @@ from beliefshield.cli import SWEEP_FIELDS, _sweep_config, main
 from beliefshield.config import config_to_dict, monitor_settings
 from beliefshield.presets import corridor_config
 
-from conftest import edit_belief
+from conftest import COLUMN, edit_belief, edit_trace
+
+V2_TRACE = Path(__file__).resolve().parent / "data" / "corridor_literal_v2.trace.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +31,9 @@ def run_dir(corridor_yaml, tmp_path_factory):
     return out
 
 
-def retarget(trace_path, tmp_path, mutate):
-    out = tmp_path / "tampered.trace.jsonl"
-    lines = []
-    for line in trace_path.read_text().splitlines():
-        rec = json.loads(line)
-        mutate(rec)
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    out.write_text("\n".join(lines) + "\n")
-    return out
+def retarget(trace_path, tmp_path, episode, step, edit):
+    """The trace with one line edited (see conftest.edit_trace)."""
+    return edit_trace(trace_path, tmp_path / "tampered.trace.jsonl", episode, step, edit)
 
 
 def test_validate_ok(corridor_yaml, capsys):
@@ -186,13 +182,18 @@ def test_audit_accepts_own_output(corridor_yaml, run_dir, capsys):
     assert "audit OK" in out
 
 
-def test_audit_flags_tampered_verdict(corridor_yaml, run_dir, tmp_path, capsys):
-    def flip(rec):
-        if rec.get("type") == "step" and rec["episode"] == 0 and rec["step"] == 3:
-            rec["verdict"]["records"][0]["status"] = "fail"
-            rec["verdict"]["passed"] = False
+@pytest.mark.parametrize("version", [1, 2])
+def test_audit_accepts_the_older_versions_fixtures(corridor_yaml, version, capsys):
+    fixture = V2_TRACE.with_name(f"corridor_literal_v{version}.trace.jsonl")
+    assert main(["audit", str(corridor_yaml), str(fixture)]) == 0
+    assert "audit OK" in capsys.readouterr().out
 
-    bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, flip)
+
+def test_audit_flags_tampered_verdict(corridor_yaml, run_dir, tmp_path, capsys):
+    def flip(row):
+        row[COLUMN["verdict"]][0][0] = "fail"
+
+    bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, 0, 3, flip)
     assert main(["audit", str(corridor_yaml), str(bad)]) == 1
     err = capsys.readouterr().err
     assert "MISMATCH" in err
@@ -203,11 +204,10 @@ def test_audit_flags_tampered_belief(corridor_yaml, run_dir, tmp_path, capsys):
     def bump_first_entry(entries):
         entries[0] += 1e-6
 
-    def bump(rec):
-        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 4:
-            edit_belief(rec, "belief", bump_first_entry)
+    def bump(row):
+        edit_belief(row, COLUMN["belief"], bump_first_entry)
 
-    bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, bump)
+    bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, 1, 4, bump)
     assert main(["audit", str(corridor_yaml), str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("FAIL:") and "episode 1 step 4" in err
@@ -215,22 +215,21 @@ def test_audit_flags_tampered_belief(corridor_yaml, run_dir, tmp_path, capsys):
 
 def test_audit_of_a_malformed_trace_is_a_usage_error(corridor_yaml, run_dir, tmp_path,
                                                      capsys):
-    def drop(rec):
-        if rec.get("type") == "step" and rec["episode"] == 0 and rec["step"] == 2:
-            del rec["verdict"]
+    def drop(row):
+        row[COLUMN["verdict"]] = None
 
-    bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, drop)
+    bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, 0, 2, drop)
     assert main(["audit", str(corridor_yaml), str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: episode 0 step 2: malformed verdict")
 
 
 def test_audit_of_a_numeric_passed_flag_is_a_usage_error(corridor_yaml, run_dir, tmp_path,
                                                          capsys):
+    # Only versions 1 and 2 record a passed flag.
     def recast(rec):
-        if rec.get("type") == "step" and rec["episode"] == 1 and rec["step"] == 3:
-            rec["verdict"]["passed"] = int(rec["verdict"]["passed"])
+        rec["verdict"]["passed"] = int(rec["verdict"]["passed"])
 
-    bad = retarget(run_dir / "corridor.trace.jsonl", tmp_path, recast)
+    bad = retarget(V2_TRACE, tmp_path, 1, 3, recast)
     assert main(["audit", str(corridor_yaml), str(bad)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: episode 1 step 3: malformed verdict: passed is 1, not a boolean")

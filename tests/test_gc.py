@@ -1,7 +1,8 @@
 """The garbage-collector pause in the bulk builders: `load_config`,
-`run_batch` and `read_traces` leave the collector as they found it, on
-success and on error, leave what they built in the oldest generation,
-and build no reference cycles for the collector to find."""
+`run_batch`, `read_traces` and `audit_traces` leave the collector as
+they found it, on success and on error, leave what they built in the
+oldest generation, and build no reference cycles for the collector to
+find."""
 
 import gc
 from dataclasses import replace
@@ -12,10 +13,11 @@ import pytest
 from beliefshield import (
     FixedAction, Scenario, audit_traces, load_config, read_traces, run_batch, write_traces,
 )
-from beliefshield.errors import ConfigError
+from beliefshield.errors import ConfigError, TraceMismatch
 from beliefshield.presets import corridor_config
 from beliefshield.sim import END_DEADLOCK, END_ZERO_LIKELIHOOD, SHIELD_MODES
 
+from conftest import COLUMN, edit_belief, edit_trace
 from test_sim import deadlock_scenario, impossible, one_state_model, safe_monitor
 
 CORRIDOR = Path(__file__).resolve().parent.parent / "configs" / "corridor.yaml"
@@ -67,6 +69,10 @@ def test_each_builder_leaves_the_collector_as_it_found_it(gc_was_enabled, corrid
     episodes = read_traces(corridor_trace)
     assert gc.isenabled() is gc_was_enabled
     assert in_oldest_generation(episodes) is gc_was_enabled
+    report = audit_traces(corridor_config("literal"), episodes)
+    assert report.ok
+    assert gc.isenabled() is gc_was_enabled
+    assert in_oldest_generation(report.episodes) is gc_was_enabled
 
 
 def test_a_builder_that_raises_leaves_the_collector_as_it_found_it(
@@ -82,6 +88,16 @@ def test_a_builder_that_raises_leaves_the_collector_as_it_found_it(
     bad_trace.write_text("\n".join(lines[:3] + [lines[3][:-1]]) + "\n")
     with pytest.raises(ConfigError, match=":4: not valid JSON"):
         read_traces(bad_trace)
+    assert gc.isenabled() is gc_was_enabled
+
+    def bump(entries):
+        entries[0] += 1e-6
+
+    bumped = edit_trace(corridor_trace, tmp_path / "bumped.trace.jsonl", 1, 5,
+                        lambda row: edit_belief(row, COLUMN["belief"], bump))
+    episodes = read_traces(bumped)
+    with pytest.raises(TraceMismatch):
+        audit_traces(corridor_config("literal"), episodes)
     assert gc.isenabled() is gc_was_enabled
 
     def interrupted(*args, **kwargs):

@@ -19,8 +19,10 @@ enters a trace, so the byte hashes hold under every OpenBLAS kernel
 tried: the default, which was the AVX-512 one on the x86-64 machine that
 took them, and `OPENBLAS_CORETYPE` set to Haswell, Zen, Sandybridge,
 Nehalem or Prescott; and with numpy's AVX2 and AVX-512 loops disabled
-through `NPY_DISABLE_CPU_FEATURES`. They were last re-baselined when
-the prediction left BLAS; no decision moved.
+through `NPY_DISABLE_CPU_FEATURES`. They were re-baselined when the
+prediction left BLAS, and last when trace version 3 wrote each step as
+a positional array and the obligations once per header; the steps'
+content, every decision and every audit report stayed as they were.
 
 Python 3.12 made the builtin `sum()` use compensated summation for
 floats. The generated evaluators no longer call it, but the hashes were
@@ -57,19 +59,19 @@ EPISODES = 20
 
 GOLDEN = {
     "corridor":
-        "22a3da3f8cc226a56a2624a97cf52e1a86fbee0cdd2dc491e1926ebfca6308c4",
+        "de74257a839bff3c33e128642524b4f6e02b3fd0a0549a4d2cae352c0082ebcb",
     "corridor_unshielded":
-        "ff56665b6ac24b8d64f45373c6579247c716193a061002b31ad78ab6f083c74d",
+        "edf04ccff5847e3f8ef8afade3a733bda81db423c72677123f4707848ba0b97d",
     "corridor_conservative":
-        "b77327cef2e16a4255aca3d4e85d03d7543f08fe415428b3b4dcf5663ee76a2e",
+        "caf576a9ee392e445aff1419090aa65b9e10bd8a831952a460fad25ee36deb98",
     "corridor_random":
-        "3885531ef9ad28a533998c6dadaa2e637e4d789c4e60e67004261fdbab7b2a74",
+        "396f310481285abbdf186cad2ec146183584a9a4df35cd507e9833b89ea782dc",
     "corridor_all_kinds_off":
-        "caaf60f8a6729bfcd9ed4939d23148b95fc7f8d6a69892a710cbee75c4d33008",
+        "ddb65fa650241aca00293d35ac33ec837c4988d5e9214e966af7c3da7523a7c6",
     "corridor_all_kinds_literal":
-        "152445c05edd5aae8c65d5bfb12f4d667061625bd803261c6a99f2a260975442",
+        "23fe665666681a66bd45c87340b35ff000361bc2c603f458c10607b0e485a27e",
     "corridor_all_kinds_conservative":
-        "3ace3d3ffcf86ff97f86afa0f4cb3dc62c200e0d7daf05ceb141a7b0499abd26",
+        "d92f287e59666c72af38a5f8d3ee8cbd1a868890a5991cc3227316f3df495e9e",
 }
 
 # The shielded batches' decisions: see decisions_sha256.

@@ -237,6 +237,31 @@ def test_belief_is_read_only():
         b.probs[0] = 1.0
 
 
+def test_a_belief_of_outside_data_holds_a_copy():
+    data = np.array([0.5, 0.5])
+    b = Belief(data)
+    data[0] = 1.0
+    assert b.probs.tolist() == [0.5, 0.5]
+    assert data.flags.writeable
+
+
+def test_filter_and_shield_outputs_are_taken_over_read_only(monkeypatch):
+    # The filter's belief holds the very array its correction returned,
+    # and neither it nor the shield's executed belief can be written to.
+    m = reference_model()
+    made = []
+    monkeypatch.setattr("beliefshield.model.correct",
+                        lambda *args: made.append(correct(*args)) or made[-1])
+    posterior = belief_update(m.initial, 0, 0, m)
+    assert posterior.probs is made[-1]
+    assert not posterior.probs.flags.writeable
+    mon = compile_monitor(Always(BeliefPred("true", Constant(1.0), negated=True)), m,
+                          MonitorConfig())
+    decision = shield_step(m, mon, m.initial, 0, 0)
+    assert decision.next_belief.probs.tobytes() == posterior.probs.tobytes()
+    assert not decision.next_belief.probs.flags.writeable
+
+
 def test_mixed_radix_round_trip_exhaustive():
     radices = (3, 2, 4)
     size = 3 * 2 * 4
