@@ -50,11 +50,9 @@ import numpy as np
 from ._gc import paused_gc
 from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
-from .ldtl import Letter, oracle_satisfies
+from .ldtl import And, Letter, chain_operands, oracle_satisfies
 from .model import belief_update
-from .monitor import (
-    Monitor, ObligationRecord, StepVerdict, barrier_values, check_step, conjuncts,
-)
+from .monitor import Monitor, ObligationRecord, StepVerdict, barrier_values, check_step
 from .traceio import EpisodeRecord, encode_belief, recorded_belief
 
 BELIEF_TOL = 1e-9
@@ -211,7 +209,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
             raise TraceMismatch(ep.episode, step, err)
         verdict, mon = check_step(mon, barrier_values(mon, belief.probs))
         mismatches.extend(_verdict_mismatches(records, verdict, step, where))
-        failed.update(r.oid for r in verdict.records if r.status == "fail")
+        failed.update(verdict.failing)
         word.append(Letter(state, belief))
 
     pending = set(mon.pending())
@@ -225,7 +223,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
             ObligationAudit(oid=ob.oid, label=ob.label, clean=ob.oid not in failed,
                             discharged=ob.oid not in pending,
                             oracle=oracle_satisfies(conjunct, letters))
-            for ob, conjunct in zip(mon.obligations, conjuncts(cfg.formula))),
+            for ob, conjunct in zip(mon.obligations, chain_operands(cfg.formula, And))),
         verdict_mismatches=tuple(mismatches),
     )
 

@@ -13,7 +13,8 @@ A scenario file is a mapping with these keys (* = required):
   formula*        formula text over predicates and state sets
   monitor         {delta, gamma, rho, eps}
   policy          {kind: fixed|greedy|random, action?: [name, ...]}
-  shield          off | literal | conservative
+  shield          'off' | literal | conservative (quote 'off': YAML reads
+                  a bare off as false)
   horizon         steps per episode (default 100)
   episodes        episodes per batch (default 1)
   seed            base RNG seed (default 0)
@@ -218,6 +219,15 @@ def _parse_agents(raw, path: str) -> tuple[list[str], list[list[str]], list[list
     return names, actions, observations
 
 
+def _joint_observation_labels(observation_names) -> list[str]:
+    """Each joint observation's label, by flat index: the agents'
+    observation names joined with '+', as in `none+ping_a`."""
+    radices = tuple(len(z) for z in observation_names)
+    return [OBS_JOIN.join(names[c] for names, c in
+                          zip(observation_names, components_from_flat(flat, radices)))
+            for flat in range(int(np.prod(radices)))]
+
+
 class _JointIndex:
     """Name lookup for states and joint actions/observations."""
 
@@ -228,12 +238,8 @@ class _JointIndex:
         self.observation_names = observation_names
         self.action_radices = [len(a) for a in action_names]
         self.n_joint_actions = int(np.prod(self.action_radices))
-        obs_radices = tuple(len(z) for z in observation_names)
-        self.joint_obs_index: dict[str, int] = {}
-        for flat in range(int(np.prod(obs_radices))):
-            comps = components_from_flat(flat, obs_radices)
-            label = OBS_JOIN.join(names[c] for names, c in zip(observation_names, comps))
-            self.joint_obs_index[label] = flat
+        self.joint_obs_index = {
+            label: flat for flat, label in enumerate(_joint_observation_labels(observation_names))}
 
     def state(self, name, path: str) -> int:
         if name not in self.state_index:
@@ -405,6 +411,10 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
             f"unknown policy kind {kind!r} (expected fixed, greedy, or random)",
             "policy.kind")
 
+    if data.get("shield") is False:
+        raise ConfigError("false is not a shield mode; YAML reads an unquoted off "
+                          "as false, so write 'off'", "shield")
+
     # Construction checks the settings and compiles the monitor; a
     # parseable but unmonitorable formula is a config error, not a
     # runtime one.
@@ -472,8 +482,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     """The YAML-ready mapping for a scenario config."""
     m = cfg.model
     action_lists = [list(m.joint_action_label(a)) for a in range(m.n_joint_actions)]
-    obs_labels = [OBS_JOIN.join(m.joint_observation_label(z))
-                  for z in range(m.n_joint_observations)]
+    obs_labels = _joint_observation_labels(m.observation_names)
     reward_entries = _table_entries(m.reward, m.state_names, "state", "value",
                                     float, action_lists)
     data = {

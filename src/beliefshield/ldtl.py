@@ -16,11 +16,11 @@ compile_expr turns an expression into one generated Python function,
 a flat sequence of assignments with one local per inner node, of a
 list of floats. A belief atom compiles its expression on first use, so
 only the oracle pays for it, and the oracle applies it to each letter's
-entries, taken once per letter. A monitor compiles each barrier with
-its sums of entries standing as leaves, and applies it to the leaf
-values it gathers from the belief array (see `monitor`). The tests keep
-a tree-walking evaluator as the reference that compile_expr matches
-bit for bit.
+entries, taken once per letter. A monitor compiles each barrier with a
+lookup that reads its sums of entries as leaves, and applies it to the
+leaf values it gathers from the belief array (see `monitor`). The tests
+keep a tree-walking evaluator as the reference that compile_expr
+matches bit for bit.
 """
 
 from __future__ import annotations
@@ -90,14 +90,22 @@ _BUILTINS = {Min: "min", Max: "max"}
 _FOLD_CHUNK = 256
 
 
-def compile_expr(expr: BeliefExpr) -> Evaluator:
+def _entry(node: BeliefExpr) -> int | None:
+    """compile_expr's default leaf lookup: `BeliefVar(i)` reads p[i]."""
+    return operator.index(node.index) if isinstance(node, BeliefVar) else None
+
+
+def compile_expr(expr: BeliefExpr,
+                 leaf: Callable[[BeliefExpr], int | None] = _entry) -> Evaluator:
     """Compile an expression into one generated function of a list of
-    floats p, where `BeliefVar(i)` reads p[i]: a belief's entries
-    (`belief.probs.tolist()`, as the oracle passes them), or a monitor's
-    leaf values, where i is a leaf's position (see `monitor`).
+    floats p. leaf(node) is the position in p of a node read as one
+    value, or None for a node compiled from its children. By default
+    `BeliefVar(i)` reads p[i], for a belief's entries
+    (`belief.probs.tolist()`, as the oracle passes them); a monitor
+    passes the positions of its leaf values (see `monitor`).
 
     The function assigns one local per inner node, in post-order, from
-    operands that are entries `p[i]`, constants bound by name in the
+    operands that are leaves `p[i]`, constants bound by name in the
     function's globals, or earlier locals:
 
         def expr(p):
@@ -110,12 +118,12 @@ def compile_expr(expr: BeliefExpr) -> Evaluator:
     left to right from 0.0 and products from 1.0, and `min` and `max`
     are the builtins on the children's values. So its value is
     bit-identical to the reference's, and no builtin `sum`, whose float
-    algorithm differs between Python versions, enters it. Only int
-    indices and generated names enter the source, the source has no
-    nesting, and a fold of more than _FOLD_CHUNK operands continues on
-    further lines that reassign its local, so any expression compiles,
-    however deep or wide. Raises TypeError for a node that is not an
-    expression or an index that is not an integer.
+    algorithm differs between Python versions, enters it. Only the int
+    positions leaf returns and generated names enter the source, the
+    source has no nesting, and a fold of more than _FOLD_CHUNK operands
+    continues on further lines that reassign its local, so any
+    expression compiles, however deep or wide. Raises TypeError for a
+    node that is not an expression or an index that is not an integer.
     """
     namespace: dict[str, float] = {}
     lines: list[str] = []
@@ -124,8 +132,9 @@ def compile_expr(expr: BeliefExpr) -> Evaluator:
     todo: list[tuple[BeliefExpr, bool]] = [(expr, False)]
     while todo:
         node, children_done = todo.pop()
-        if isinstance(node, BeliefVar):
-            operands.append(f"p[{operator.index(node.index)}]")
+        position = leaf(node)
+        if position is not None:
+            operands.append(f"p[{position}]")
         elif isinstance(node, Constant):
             name = f"c{len(namespace)}"
             namespace[name] = float(node.value)
@@ -294,6 +303,20 @@ def height(root) -> int:
             stack.pop()
             done[id(node)] = 1 + max((done[id(k)] for k in kids), default=0)
     return done[id(root)]
+
+
+def chain_operands(phi: Formula, op: type) -> list[Formula]:
+    """The operands of the chain of op nodes (And or Or) at phi, left to
+    right; [phi] when phi is not an op. Walked without recursion, as a
+    chain may be any length."""
+    found, todo = [], [phi]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, op):
+            todo += (node.right, node.left)
+        else:
+            found.append(node)
+    return found
 
 
 def is_propositional(phi: Formula) -> bool:

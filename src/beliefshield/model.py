@@ -292,10 +292,6 @@ class Mpomdp:
         comps = components_from_flat(flat, self.action_radices)
         return tuple(self.action_names[i][c] for i, c in enumerate(comps))
 
-    def joint_observation_label(self, flat: int) -> tuple[str, ...]:
-        comps = components_from_flat(flat, self.observation_radices)
-        return tuple(self.observation_names[i][c] for i, c in enumerate(comps))
-
 
 @dataclass(frozen=True)
 class Violation:

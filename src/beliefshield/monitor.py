@@ -53,9 +53,10 @@ one gathered np.bincount per belief sums every bin. np.bincount starts
 each bin at 0.0 and adds its entries in child order, the float
 operations of the builtin `sum` on Python 3.10 and 3.11, so the values
 are those of the sums themselves bit for bit. An entry outside such a
-sum is read on its own, so that a -0.0 keeps its sign. The evaluators,
-compiled once by compile_expr from the barriers with each bin and each
-such entry standing as one leaf, read the bins and entries as a list.
+sum is read on its own, so that a -0.0 keeps its sign. compile_expr
+compiles each barrier once, reading each bin and each such entry
+directly from the list of leaf values at the position the monitor's
+leaf lookup gives it.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -71,7 +73,7 @@ from .errors import UnsupportedNesting
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
     Eventually, Evaluator, Formula, Max, Min, Next, Or, StateSet, Sum, Until,
-    children, compile_expr, describe, is_propositional,
+    chain_operands, children, compile_expr, describe, is_propositional,
 )
 from .model import Mpomdp
 
@@ -105,16 +107,10 @@ def translate_core(core: Formula, m: Mpomdp, delta: float) -> BeliefExpr:
     if isinstance(core, BeliefPred):
         return core.expr if core.negated else Difference(Constant(delta), core.expr)
     if isinstance(core, And):
-        return Min(_flatten(core, And, m, delta))
+        return Min(tuple(translate_core(c, m, delta) for c in chain_operands(core, And)))
     if isinstance(core, Or):
-        return Max(_flatten(core, Or, m, delta))
+        return Max(tuple(translate_core(c, m, delta) for c in chain_operands(core, Or)))
     raise UnsupportedNesting(f"not a propositional core: {describe(core)}")
-
-
-def _flatten(core: Formula, op: type, m: Mpomdp, delta: float) -> tuple[BeliefExpr, ...]:
-    if isinstance(core, op):
-        return _flatten(core.left, op, m, delta) + _flatten(core.right, op, m, delta)
-    return (translate_core(core, m, delta),)
 
 
 # --------------------------------------------------------------------------
@@ -203,11 +199,12 @@ def _leaf_key(node: BeliefExpr) -> tuple[int, ...] | int | None:
     return None
 
 
-def _leaf_table(barriers: list[BeliefExpr]) -> tuple[LeafTable, dict]:
-    """The leaf table of a monitor's barriers, and each leaf's position
-    among the leaf values, by its key. Equal sums share one bin and an
-    entry is read once, however often it occurs. Walked without
-    recursion."""
+def _leaf_table(barriers: list[BeliefExpr]
+                ) -> tuple[LeafTable, Callable[[BeliefExpr], int | None]]:
+    """The leaf table of a monitor's barriers, and compile_expr's leaf
+    lookup for it: a leaf's position among the leaf values, None for any
+    other node. Equal sums share one bin and an entry is read once,
+    however often it occurs. Walked without recursion."""
     bins: dict[tuple[int, ...], int] = {}
     bare: dict[int, int] = {}
     todo = list(barriers)
@@ -225,32 +222,8 @@ def _leaf_table(barriers: list[BeliefExpr]) -> tuple[LeafTable, dict]:
         bins=np.array([k for key, k in bins.items() for _ in key], dtype=np.intp),
         n_bins=len(bins),
         bare=np.array(list(bare), dtype=np.intp))
-    return table, {**bins, **{q: len(bins) + j for q, j in bare.items()}}
-
-
-def _read_leaves(expr: BeliefExpr, slots: dict) -> BeliefExpr:
-    """expr with each leaf replaced by the entry of its position among
-    the leaf values, which compile_expr reads from that list. Rebuilt in
-    post-order without recursion."""
-    operands: list[BeliefExpr] = []
-    todo: list[tuple[BeliefExpr, bool]] = [(expr, False)]
-    while todo:
-        node, children_done = todo.pop()
-        key = _leaf_key(node)
-        if key is not None:
-            operands.append(BeliefVar(slots[key], f"leaf{slots[key]}"))
-        elif not children(node):
-            operands.append(node)
-        elif not children_done:
-            todo.append((node, True))
-            todo.extend((c, False) for c in reversed(children(node)))
-        else:
-            split = len(operands) - len(children(node))
-            args = tuple(operands[split:])
-            del operands[split:]
-            operands.append(Difference(*args) if isinstance(node, Difference)
-                            else type(node)(args))
-    return operands[0]
+    slots = {**bins, **{q: len(bins) + j for q, j in bare.items()}}
+    return table, lambda node: slots.get(_leaf_key(node))
 
 
 @dataclass(frozen=True)
@@ -296,7 +269,7 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
     temporal side, and so on).
     """
     shapes = []
-    for i, conjunct in enumerate(conjuncts(phi)):
+    for i, conjunct in enumerate(chain_operands(phi, And)):
         label = describe(conjunct)
         shape = _TEMPORAL.get(type(conjunct))
         if shape is not None:
@@ -312,20 +285,13 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
             )
         shapes.append((f"{i}:{kind}", kind, label,
                        tuple(translate_core(core, m, config.delta) for core in cores)))
-    leaves, slots = _leaf_table([e for *_, barriers in shapes for e in barriers])
+    leaves, leaf = _leaf_table([e for *_, barriers in shapes for e in barriers])
     obligations = tuple(
         Obligation(oid, kind, label, barriers,
-                   tuple(compile_expr(_read_leaves(e, slots)) for e in barriers))
+                   tuple(compile_expr(e, leaf) for e in barriers))
         for oid, kind, label, barriers in shapes)
     start = Monitor(config, leaves, obligations, [])
     return replace(start, values=barrier_values(start, m.initial.probs))
-
-
-def conjuncts(phi: Formula) -> list[Formula]:
-    """The top-level conjuncts of phi, left to right."""
-    if isinstance(phi, And):
-        return conjuncts(phi.left) + conjuncts(phi.right)
-    return [phi]
 
 
 def _require_propositional(core: Formula, label: str) -> None:

@@ -48,6 +48,7 @@ from .errors import FormulaSyntaxError, NegationOfCompound, UnknownPredicate, Un
 from .ldtl import (
     And, Always, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
     Eventually, Formula, Max, Min, Next, Or, Product, StateSet, Sum, Until,
+    chain_operands,
 )
 
 _SYMBOLS = ("&", "|", "!", "(", ")", "{", "}", ",", "+", "-", "*", "=")
@@ -218,8 +219,9 @@ class FormulaParser:
             cur.advance()
             inner = self._formula(cur)
             cur.expect(")")
-            atoms = _disjunction_of_atoms(inner)
-            if atoms is None:
+            atoms = chain_operands(inner, Or)
+            if not all(isinstance(a, (StateSet, BeliefPred)) and not a.negated
+                       for a in atoms):
                 raise NegationOfCompound(
                     "`!` applies only to an atom or to a parenthesized "
                     "disjunction of atoms",
@@ -256,22 +258,6 @@ class FormulaParser:
         if tok.text not in self.predicates:
             raise UnknownPredicate(tok.text)
         return BeliefPred(tok.text, self.predicates[tok.text])
-
-
-def _disjunction_of_atoms(phi: Formula) -> list[Formula] | None:
-    """The atoms of an or-chain of positive atoms, left to right, found
-    without recursion, as a chain may be any length; None if phi is
-    anything else."""
-    atoms, todo = [], [phi]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Or):
-            todo += (node.right, node.left)
-        elif isinstance(node, (StateSet, BeliefPred)) and not node.negated:
-            atoms.append(node)
-        else:
-            return None
-    return atoms
 
 
 def parse_formula(text: str, predicates: dict[str, BeliefExpr],

@@ -27,19 +27,16 @@ In "conservative" mode a candidate must additionally pass under every
 observation of positive predicted probability, not just the shared one.
 
 Every candidate, the nominal included, goes through one check built on
-the filter's own two steps: predicted_belief once, then the correction
-under z. In conservative mode, once z passes, the prediction is
-corrected under every observation at once, as the (Z, n) product of
-the action's observation block and the prediction, whose row sums are
-the likelihoods; a posterior is divided out only for the observations
-checked, up to the first that fails. Each product, sum and quotient is
-correct's own, so beliefs, rewards and barrier values are those of
-belief_update bit for bit, and the likelihood floor splits impossible
-from failing observations as correct does. The shield evaluates only posteriors,
-each once; a Belief, verdict and successor Monitor are built only for
-the executed action. The tests check every decision against a
-brute-force reference that updates the belief and evaluates both
-beliefs' barriers one action at a time, for every action.
+the filter's own two steps: predicted_belief once, then correct under
+z. In conservative mode, once z passes, the prediction is corrected
+under every observation at once, as the (Z, n) product of the action's
+observation block and the prediction, whose row sums are the
+likelihoods; a posterior is divided out only for the observations
+checked, up to the first that fails. The shield evaluates only
+posteriors, each once; a Belief, verdict and successor Monitor are
+built only for the executed action. The tests check every decision
+against a brute-force reference that updates the belief and evaluates
+both beliefs' barriers one action at a time, for every action.
 """
 
 from __future__ import annotations
@@ -49,9 +46,9 @@ from functools import cache
 
 import numpy as np
 
-from .errors import SafetyDeadlock
+from .errors import SafetyDeadlock, ZeroLikelihood
 from .model import (
-    LIKELIHOOD_FLOOR, Belief, Mpomdp, components_from_flat, predicted_belief,
+    LIKELIHOOD_FLOOR, Belief, Mpomdp, components_from_flat, correct, predicted_belief,
 )
 from .monitor import (
     BarrierValues, Monitor, StepVerdict, barrier_values, check_step, step_passes,
@@ -116,12 +113,10 @@ def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int,
     conservative mode, under every other observation.
     """
     predicted = predicted_belief(b_prev, action, m)
-    # correct's arithmetic under z, the one row literal mode reads.
-    numer = m.observation[:, action, z] * predicted
-    likelihood = float(numer.sum())
-    if likelihood <= LIKELIHOOD_FLOOR:
+    try:
+        posterior = correct(predicted, action, z, m)
+    except ZeroLikelihood:
         return predicted, None, False
-    posterior = numer / likelihood
     values = barrier_values(mon, posterior)
     safe = step_passes(mon, values)
     if safe and mode == CONSERVATIVE:

@@ -90,9 +90,19 @@ def recorded_belief(value, version: int, n_states: int, where: str) -> bytes:
     `version`. Raises ConfigError at `where` for a value that is not a
     belief of `n_states` entries in that version's encoding."""
     if version == 1:
+        # JSON numbers and null (a NaN) only: asarray would also convert
+        # a string or a boolean.
+        if not isinstance(value, list):
+            raise ConfigError(
+                f"belief is not a list of numbers: {type(value).__name__}", where)
+        for i, entry in enumerate(value):
+            if not (entry is None or isinstance(entry, (int, float))
+                    and not isinstance(entry, bool)):
+                raise ConfigError(
+                    f"belief is not a list of numbers: entry {i} is {entry!r}", where)
         try:
             recorded = np.asarray(value, dtype="<f8")
-        except (TypeError, ValueError) as exc:
+        except OverflowError as exc:
             raise ConfigError(f"belief is not a list of numbers: {exc}", where) from exc
         if recorded.shape != (n_states,):
             raise ConfigError(

@@ -774,6 +774,25 @@ def test_non_finite_belief_is_a_mismatch(corridor_run, tmp_path, version, record
     assert (err.value.episode, err.value.step) == (1, 0 if record == "header" else 6)
 
 
+# A JSON string or boolean is not a number, though np.asarray converts
+# it: as strings, or with false for 0.0, the step's belief is the
+# replayed one.
+@pytest.mark.parametrize("edit, entry", [
+    (lambda belief: [repr(x) for x in belief], "'0.44625'"),
+    (lambda belief: [False if x == 0.0 else x for x in belief], "False"),
+    (lambda belief: [True, *belief[1:]], "True"),
+], ids=["strings", "false-for-zero", "true"])
+def test_a_v1_belief_entry_that_is_not_a_number_is_a_config_error(tmp_path, edit, entry):
+    def malform(rec):
+        rec["belief"] = edit(rec["belief"])
+
+    with pytest.raises(ConfigError) as err:
+        audit_traces(v1_config(), read_traces(tampered(V1_TRACE, tmp_path, 0, 1, malform)))
+    assert str(err.value).startswith(
+        "episode 0 step 1: belief is not a list of numbers: entry ")
+    assert str(err.value).endswith(f" is {entry}")
+
+
 # Versions 1 and 2 step lines are objects, whose verdict read_traces
 # checks as it turns them into rows; a version 3 belief is a column.
 @pytest.mark.parametrize("version, edit", [

@@ -64,6 +64,16 @@ def test_validate_rejects_a_nan_mass(corridor_yaml, tmp_path, capsys):
     assert "initial.a1_h1: expected a finite number, got nan" in capsys.readouterr().err
 
 
+def test_validate_of_an_unquoted_off_says_to_quote_it(tmp_path, capsys):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "corridor_unshielded.yaml"
+    bare = tmp_path / "bare.yaml"
+    bare.write_text(shipped.read_text().replace("shield: 'off'", "shield: off"))
+    assert main(["validate", str(bare)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid: shield: false is not a shield mode; YAML reads an unquoted off as "
+        "false, so write 'off'\n")
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.yaml")]) == 1
     err = capsys.readouterr().err

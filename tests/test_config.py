@@ -356,6 +356,21 @@ def test_monitor_policy_and_run_setting_errors():
         reject(data, key)
 
 
+@pytest.mark.parametrize("spelling", ["off", "Off", "OFF", "false"])
+def test_an_unquoted_off_is_refused_with_how_to_write_it(tmp_path, spelling):
+    # YAML 1.1 reads a bare off as false; false is not a spelling of the mode.
+    text = yaml.safe_dump(base_config(), sort_keys=False)
+    path = tmp_path / "bare.yaml"
+    path.write_text(text.replace("shield: literal", f"shield: {spelling}"))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == (
+        "shield: false is not a shield mode; YAML reads an unquoted off as false, "
+        "so write 'off'")
+    path.write_text(text.replace("shield: literal", "shield: 'off'"))
+    assert load_config(path).shield_mode == "off"
+
+
 # --------------------------------------------------------------------------
 # Files and round trips
 

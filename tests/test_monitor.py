@@ -22,6 +22,7 @@ from beliefshield import (
     Mpomdp,
     Next,
     And,
+    Or,
     Until,
     UnsupportedNesting,
     compile_monitor,
@@ -36,6 +37,7 @@ from beliefshield import (
     ft_dtbf_check,
     ft_time_bound,
 )
+from beliefshield.ldtl import chain_operands
 from beliefshield.monitor import barrier_values, check_step, step_passes
 
 from conftest import evaluate_expr, monitor_step
@@ -123,6 +125,60 @@ def test_translate_and_or_flatten_to_min_max():
     expr = translate_core(core, MODEL, 1e-3)
     assert isinstance(expr, Max)
     assert len(expr.children) == 3
+
+
+# The recursive walks that monitor.conjuncts and monitor._flatten were,
+# kept as the reference for ldtl.chain_operands.
+def reference_conjuncts(phi):
+    if isinstance(phi, And):
+        return reference_conjuncts(phi.left) + reference_conjuncts(phi.right)
+    return [phi]
+
+
+def reference_flatten(core, op, m, delta):
+    if isinstance(core, op):
+        return (reference_flatten(core.left, op, m, delta)
+                + reference_flatten(core.right, op, m, delta))
+    return (translate_core(core, m, delta),)
+
+
+_ATOMS = st.sampled_from([MARGIN, REACH, replace(REACH, negated=False),
+                          StateSet((0,), ("q0",)), StateSet((1, 2), ("q1", "q2"), negated=True)])
+# And and Or nested on either side of each other and of themselves.
+_CORES = st.recursive(
+    _ATOMS, lambda kids: st.builds(And, kids, kids) | st.builds(Or, kids, kids), max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CORES)
+def test_chain_operands_match_the_recursive_walks(core):
+    found = chain_operands(core, And)
+    assert found == reference_conjuncts(core)
+    assert [id(f) for f in found] == [id(f) for f in reference_conjuncts(core)]
+    for op, node in ((And, Min), (Or, Max)):
+        if isinstance(core, op):
+            expected = node(reference_flatten(core, op, MODEL, 1e-3))
+            assert translate_core(core, MODEL, 1e-3) == expected
+
+
+# 3000 operands nest 3000 deep, past CPython's default recursion limit.
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_long_conjunction_compiles_to_one_obligation_per_conjunct(side):
+    phi = Always(MARGIN)
+    for _ in range(2999):
+        phi = And(phi, Always(MARGIN)) if side == "left" else And(Always(MARGIN), phi)
+    mon = compile_monitor(phi, MODEL, CFG)
+    assert len(mon.obligations) == 3000
+    assert mon.obligations[-1].oid == "2999:always"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_long_disjunction_translates_to_one_max(side):
+    core = MARGIN
+    for _ in range(2999):
+        core = Or(core, REACH) if side == "left" else Or(REACH, core)
+    barrier = translate_core(core, MODEL, 1e-3)
+    assert isinstance(barrier, Max) and len(barrier.children) == 3000
 
 
 def test_translate_rejects_temporal_core():
