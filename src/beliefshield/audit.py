@@ -50,7 +50,7 @@ import numpy as np
 from ._gc import paused_gc
 from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
-from .ldtl import And, Letter, chain_operands, oracle_satisfies
+from .ldtl import And, Letter, oracle_satisfies
 from .model import belief_update
 from .monitor import Monitor, ObligationRecord, StepVerdict, barrier_values, check_step
 from .traceio import EpisodeRecord, encode_belief, recorded_belief
@@ -214,6 +214,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
 
     pending = set(mon.pending())
     letters = tuple(word)
+    conjuncts = cfg.formula.children if isinstance(cfg.formula, And) else (cfg.formula,)
     return EpisodeAudit(
         episode=ep.episode,
         steps=len(ep.steps),
@@ -223,7 +224,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
             ObligationAudit(oid=ob.oid, label=ob.label, clean=ob.oid not in failed,
                             discharged=ob.oid not in pending,
                             oracle=oracle_satisfies(conjunct, letters))
-            for ob, conjunct in zip(mon.obligations, chain_operands(cfg.formula, And))),
+            for ob, conjunct in zip(mon.obligations, conjuncts)),
         verdict_mismatches=tuple(mismatches),
     )
 

@@ -7,6 +7,9 @@ or belief predicates (an arithmetic expression f over belief entries,
 satisfied when f(b) < 0). Negation exists only on atoms, so a negated
 atom is the same atom with `negated=True`; compound structure is built
 from and/or and the temporal operators next, until, eventually, always.
+An and/or node is a whole chain of its operator, its operands a tuple
+like a sum's, so `height` counts a chain as one level, as the parser
+does, and no walker recurses along a chain.
 
 The trace oracle evaluates a formula on a finite word of
 (hidden state, belief) letters with the standard finite-trace closure:
@@ -235,16 +238,28 @@ class BeliefPred:
         return compile_expr(self.expr)
 
 
-@dataclass(frozen=True)
-class And:
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, init=False)
+class _Chain:
+    """A chain of one operator as one node: its operands, left to right,
+    with each operand of the node's own type spliced in as its children,
+    so that And(And(a, b), c), And(a, And(b, c)) and And(a, b, c) are
+    the same node."""
+
+    children: tuple[Formula, ...]
+
+    def __init__(self, *operands: Formula):
+        if len(operands) < 2:
+            raise TypeError(f"{type(self).__name__} takes at least two operands")
+        object.__setattr__(self, "children", tuple(
+            k for o in operands for k in (o.children if type(o) is type(self) else (o,))))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: Formula
-    right: Formula
+class And(_Chain):
+    pass
+
+
+class Or(_Chain):
+    pass
 
 
 @dataclass(frozen=True)
@@ -275,9 +290,9 @@ class Always:
 def children(node) -> tuple:
     """The subtrees directly under a formula or expression node. A belief
     atom is a leaf: its expression is a tree of its own."""
-    if isinstance(node, (Sum, Product, Min, Max)):
+    if isinstance(node, (Sum, Product, Min, Max, _Chain)):
         return node.children
-    if isinstance(node, (Difference, And, Or, Until)):
+    if isinstance(node, (Difference, Until)):
         return (node.left, node.right)
     if isinstance(node, (Next, Eventually, Always)):
         return (node.child,)
@@ -305,26 +320,12 @@ def height(root) -> int:
     return done[id(root)]
 
 
-def chain_operands(phi: Formula, op: type) -> list[Formula]:
-    """The operands of the chain of op nodes (And or Or) at phi, left to
-    right; [phi] when phi is not an op. Walked without recursion, as a
-    chain may be any length."""
-    found, todo = [], [phi]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, op):
-            todo += (node.right, node.left)
-        else:
-            found.append(node)
-    return found
-
-
 def is_propositional(phi: Formula) -> bool:
     """True when phi contains no temporal operator."""
     if isinstance(phi, (StateSet, BeliefPred)):
         return True
-    if isinstance(phi, (And, Or)):
-        return is_propositional(phi.left) and is_propositional(phi.right)
+    if isinstance(phi, _Chain):
+        return all(is_propositional(c) for c in phi.children)
     return False
 
 
@@ -361,9 +362,9 @@ def oracle_satisfies(phi: Formula, word: Word, i: int = 0) -> bool:
         value = phi.evaluator(word[i].entries)
         return value >= 0.0 if phi.negated else value < 0.0
     if isinstance(phi, And):
-        return oracle_satisfies(phi.left, word, i) and oracle_satisfies(phi.right, word, i)
+        return all(oracle_satisfies(c, word, i) for c in phi.children)
     if isinstance(phi, Or):
-        return oracle_satisfies(phi.left, word, i) or oracle_satisfies(phi.right, word, i)
+        return any(oracle_satisfies(c, word, i) for c in phi.children)
     if isinstance(phi, Next):
         # No next position on a finite word: false at the last letter.
         return i + 1 < len(word) and oracle_satisfies(phi.child, word, i + 1)
@@ -401,7 +402,7 @@ def _term_text(phi: Formula) -> str:
                 "the concrete grammar only allows a plain atom on the left of U"
             )
         return _term_text(phi.left) + " U " + _term_text(phi.right)
-    if isinstance(phi, (And, Or)):
+    if isinstance(phi, _Chain):
         return "(" + pretty_print(phi) + ")"
     raise TypeError(f"not a formula: {phi!r}")
 
@@ -413,10 +414,13 @@ def pretty_print(phi: Formula) -> str:
     Raises ValueError for shapes the grammar cannot spell (an until
     whose left side is not a plain atom).
     """
-    if isinstance(phi, (And, Or)):
+    if isinstance(phi, _Chain):
+        # A first operand that is a chain (of the other operator) reads
+        # bare: `&` and `|` share one precedence and associate left.
+        first, *rest = phi.children
         op = " & " if isinstance(phi, And) else " | "
-        left = pretty_print(phi.left) if isinstance(phi.left, (And, Or)) else _term_text(phi.left)
-        return left + op + _term_text(phi.right)
+        return op.join([pretty_print(first) if isinstance(first, _Chain)
+                        else _term_text(first), *map(_term_text, rest)])
     return _term_text(phi)
 
 

@@ -11,10 +11,11 @@ with its `negated` flag choosing between two forms:
       negated             ->  sum of complement beliefs - 1
     belief predicate f    ->  -f + delta     (small delta > 0)
       negated (!f)        ->  f
-    and / or              ->  pointwise min / max
+    and / or chain        ->  pointwise min / max of its operands
 
-Every conjunct becomes one `Obligation` record. Its kind selects the
-rule in the `_RULES` table that checks it between consecutive beliefs:
+Every conjunct, an operand of the top-level And chain, becomes one
+`Obligation` record. Its kind selects the rule in the `_RULES` table
+that checks it between consecutive beliefs:
 
     always      G core    invariance (decay bound) every step, plus
                           membership of the starting belief;
@@ -73,7 +74,7 @@ from .errors import UnsupportedNesting
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
     Eventually, Evaluator, Formula, Max, Min, Next, Or, StateSet, Sum, Until,
-    chain_operands, children, compile_expr, describe, is_propositional,
+    children, compile_expr, describe, is_propositional,
 )
 from .model import Mpomdp
 
@@ -106,10 +107,9 @@ def translate_core(core: Formula, m: Mpomdp, delta: float) -> BeliefExpr:
                           Constant(1.0))
     if isinstance(core, BeliefPred):
         return core.expr if core.negated else Difference(Constant(delta), core.expr)
-    if isinstance(core, And):
-        return Min(tuple(translate_core(c, m, delta) for c in chain_operands(core, And)))
-    if isinstance(core, Or):
-        return Max(tuple(translate_core(c, m, delta) for c in chain_operands(core, Or)))
+    if isinstance(core, (And, Or)):
+        node = Min if isinstance(core, And) else Max
+        return node(tuple(translate_core(c, m, delta) for c in core.children))
     raise UnsupportedNesting(f"not a propositional core: {describe(core)}")
 
 
@@ -269,7 +269,7 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
     temporal side, and so on).
     """
     shapes = []
-    for i, conjunct in enumerate(chain_operands(phi, And)):
+    for i, conjunct in enumerate(phi.children if isinstance(phi, And) else (phi,)):
         label = describe(conjunct)
         shape = _TEMPORAL.get(type(conjunct))
         if shape is not None:

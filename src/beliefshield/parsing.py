@@ -32,8 +32,8 @@ constant, 0.0 - NUMBER; before any other factor f it is 0 - f. Each
 nesting, the levels the parsers recurse through. Neither parser goes
 deeper than MAX_NESTING levels: both raise FormulaSyntaxError at the
 token that would. A chain (`&`, `|`, `+`, `-`, `*`) is parsed in a
-loop, so it costs no level at any length, though `&`, `|` and `-`
-build a tree as tall as the chain is long.
+loop, so it costs no level at any length. A run of one of `&`, `|`,
+`+`, `*` is one node; `-` builds a tree as tall as the chain is long.
 The tree's height (`ldtl.height`) is bounded where the scenario is
 built, by `ScenarioConfig`, for parsed trees and trees built in Python
 alike.
@@ -48,7 +48,6 @@ from .errors import FormulaSyntaxError, NegationOfCompound, UnknownPredicate, Un
 from .ldtl import (
     And, Always, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
     Eventually, Formula, Max, Min, Next, Or, Product, StateSet, Sum, Until,
-    chain_operands,
 )
 
 _SYMBOLS = ("&", "|", "!", "(", ")", "{", "}", ",", "+", "-", "*", "=")
@@ -161,6 +160,7 @@ def _nested(parse):
 # Formula parser
 
 _TEMPORAL = {"G": Always, "F": Eventually, "X": Next}
+_CHAINS = {"&": And, "|": Or}
 
 
 class FormulaParser:
@@ -182,12 +182,17 @@ class FormulaParser:
         return phi
 
     def _formula(self, cur: _Cursor) -> Formula:
-        phi = self._term(cur)
+        # Each maximal run of one operator is one node, built by one
+        # call when the run ends: one pass over its operands.
+        operands = [self._term(cur)]
+        op = None
         while cur.peek().kind in ("&", "|"):
-            op = cur.advance()
-            rhs = self._term(cur)
-            phi = And(phi, rhs) if op.kind == "&" else Or(phi, rhs)
-        return phi
+            kind = cur.advance().kind
+            if kind != op and len(operands) > 1:
+                operands = [_CHAINS[op](*operands)]
+            op = kind
+            operands.append(self._term(cur))
+        return _CHAINS[op](*operands) if len(operands) > 1 else operands[0]
 
     @_nested
     def _term(self, cur: _Cursor) -> Formula:
@@ -219,7 +224,7 @@ class FormulaParser:
             cur.advance()
             inner = self._formula(cur)
             cur.expect(")")
-            atoms = chain_operands(inner, Or)
+            atoms = inner.children if isinstance(inner, Or) else (inner,)
             if not all(isinstance(a, (StateSet, BeliefPred)) and not a.negated
                        for a in atoms):
                 raise NegationOfCompound(
@@ -228,10 +233,7 @@ class FormulaParser:
                     bang.line, bang.column,
                 )
             negated = [replace(a, negated=True) for a in atoms]
-            phi: Formula = negated[0]
-            for nxt in negated[1:]:
-                phi = And(phi, nxt)
-            return phi
+            return And(*negated) if len(negated) > 1 else negated[0]
         raise FormulaSyntaxError(
             f"unexpected {tok.kind if tok.kind != 'end' else 'end of input'} after `!`",
             tok.line, tok.column, ("predicate name", "in", "("),

@@ -28,11 +28,11 @@ observation of positive predicted probability, not just the shared one.
 
 Every candidate, the nominal included, goes through one check built on
 the filter's own two steps: predicted_belief once, then correct under
-z. In conservative mode, once z passes, the prediction is corrected
-under every observation at once, as the (Z, n) product of the action's
-observation block and the prediction, whose row sums are the
-likelihoods; a posterior is divided out only for the observations
-checked, up to the first that fails. The shield evaluates only
+z. In conservative mode, once z passes, the same prediction goes
+through correct under each other observation in turn, up to the first
+that fails. An observation correct refuses with ZeroLikelihood passes
+when its likelihood is exactly zero (it cannot happen) and fails when
+it is positive but at most the floor. The shield evaluates only
 posteriors, each once; a Belief, verdict and successor Monitor are
 built only for the executed action. The tests check every decision
 against a brute-force reference that updates the belief and evaluates
@@ -47,9 +47,7 @@ from functools import cache
 import numpy as np
 
 from .errors import SafetyDeadlock, ZeroLikelihood
-from .model import (
-    LIKELIHOOD_FLOOR, Belief, Mpomdp, components_from_flat, correct, predicted_belief,
-)
+from .model import Belief, Mpomdp, components_from_flat, correct, predicted_belief
 from .monitor import (
     BarrierValues, Monitor, StepVerdict, barrier_values, check_step, step_passes,
 )
@@ -85,22 +83,16 @@ def _reward(belief: np.ndarray, action: int, m: Mpomdp) -> float:
     return float(np.add.reduce(belief * m.reward_rows[action]))
 
 
-def _corrections(m: Mpomdp, predicted: np.ndarray, action: int
-                 ) -> tuple[np.ndarray, list[float]]:
-    """correct's numerator under every observation, as the rows of one
-    (Z, n) product, and its normalizers, the rows' sums."""
-    numer = m.observation[:, action, :].T * predicted
-    return numer, numer.sum(axis=1).tolist()
-
-
-def _passes_under(mon: Monitor, numer: np.ndarray, likelihood: list[float],
+def _passes_under(m: Mpomdp, mon: Monitor, predicted: np.ndarray, action: int,
                   obs: int) -> bool:
     """Whether the step to the posterior under obs passes; an observation
     of zero likelihood is impossible and passes, one whose likelihood is
     positive but at most the floor does not."""
-    if likelihood[obs] <= LIKELIHOOD_FLOOR:
-        return likelihood[obs] == 0.0
-    return step_passes(mon, barrier_values(mon, numer[obs] / likelihood[obs]))
+    try:
+        posterior = correct(predicted, action, obs, m)
+    except ZeroLikelihood as exc:
+        return exc.denominator == 0.0
+    return step_passes(mon, barrier_values(mon, posterior))
 
 
 def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int,
@@ -120,8 +112,7 @@ def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int,
     values = barrier_values(mon, posterior)
     safe = step_passes(mon, values)
     if safe and mode == CONSERVATIVE:
-        rows, likelihoods = _corrections(m, predicted, action)
-        safe = all(_passes_under(mon, rows, likelihoods, other)
+        safe = all(_passes_under(m, mon, predicted, action, other)
                    for other in range(m.n_joint_observations) if other != z)
     return posterior, values, safe
 

@@ -281,12 +281,13 @@ def test_formula_and_predicate_errors():
      "line 1, column 101: nested deeper than 100 levels"),
     ("formula", "(" * 500 + "G !risky" + ")" * 500,
      "line 1, column 101: nested deeper than 100 levels"),
-    # A chain parses at any length, but builds a tree as tall as it is
-    # long: the scenario refuses that tree at its key, with no position.
+    # A `-` chain, or a chain whose operators alternate, parses at any
+    # length, but builds a tree as tall as it is long: the scenario
+    # refuses that tree at its key, with no position.
     ("predicates", " - ".join(["b(bad)"] * 1000), "nested deeper than 100 levels"),
-    ("formula", " & ".join(["F risky"] * 1000), "nested deeper than 100 levels"),
+    ("formula", "G (risky" + " & risky | risky" * 500 + ")", "nested deeper than 100 levels"),
 ], ids=["overflowing-number", "deep-predicate", "deep-formula", "long-difference-chain",
-        "long-conjunction-chain"])
+        "long-alternating-chain"])
 def test_text_the_parsers_refuse_is_reported_where_it_is(key, text, message):
     data = base_config()
     if key == "predicates":
@@ -295,6 +296,18 @@ def test_text_the_parsers_refuse_is_reported_where_it_is(key, text, message):
     else:
         data["formula"] = text
         reject(data, f"formula: {message}")
+
+
+# A run of one operator is one node, one level at any length.
+@pytest.mark.parametrize("n", [150, 1000])
+def test_a_long_conjunction_loads_as_one_obligation_per_conjunct(n):
+    data = config_to_dict(corridor_config("literal"))
+    data["formula"] = " & ".join(["F at_goal"] * n)
+    cfg = parse(data)
+    assert height(cfg.formula) == 3
+    obligations = cfg.start_monitor.obligations
+    assert [ob.oid for ob in obligations] == [f"{i}:eventually" for i in range(n)]
+    assert {ob.label for ob in obligations} == {"F at_goal"}
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
@@ -733,14 +746,24 @@ def _nest2(h, wrap, leaves):
     return _nest((h - 1) // 2, wrap, leaves[1 - h % 2])
 
 
-# Each shape builds a tree exactly h tall.
+def _alternate(phi, atom, first):
+    """And or Or of phi and atom, whichever phi is not, so that phi is
+    an operand of its own and the tree grows one level."""
+    op = Or if isinstance(phi, And) else And
+    return op(phi, atom) if first else op(atom, phi)
+
+
+# Each shape builds a tree exactly h tall. A chain of one operator is
+# one node, so a tall chain alternates `&` with `|`, one node per run.
 FORMULA_SHAPES = {
-    "conjunction-chain": lambda h: _nest(h - 2, lambda phi: And(phi, _GOAL), _GOAL),
-    "nested-conjunction": lambda h: _nest(h - 2, lambda phi: And(_GOAL, phi), _GOAL),
+    "conjunction-chain": lambda h: Always(
+        _nest(h - 2, lambda phi: _alternate(phi, _ATOM, True), _ATOM)),
+    "nested-conjunction": lambda h: Always(
+        _nest(h - 2, lambda phi: _alternate(phi, _ATOM, False), _ATOM)),
     "always-over-nested-disjunctions": lambda h: Always(_nest2(
         h - 1, lambda phi: Or(_ATOM, And(_ATOM, phi)), (_ATOM, Or(_ATOM, _ATOM)))),
-    "conjunction-of-nested-disjunctions": lambda h: And(_GOAL, Always(
-        _nest(h - 4, lambda phi: Or(phi, Or(_ATOM, _ATOM)), _ATOM))),
+    "conjunction-of-nested-disjunctions": lambda h: And(_GOAL, Always(_nest2(
+        h - 2, lambda phi: Or(And(phi, _ATOM), _ATOM), (_ATOM, Or(_ATOM, _ATOM))))),
 }
 _B2 = (_B, Min((_B,)))
 EXPR_SHAPES = {
@@ -811,11 +834,13 @@ def test_text_within_the_parsers_levels_can_build_a_tree_too_tall():
 
 def _tall_scenario():
     """The corridor with a predicate and a formula 100 tall, the formula
-    a chain of `F deep`, so that the monitor translates the predicate and
+    a conjunction of 98 × `F deep` and a `G` over `deep` atoms whose `&`
+    and `|` alternate, so that the monitor translates the predicate and
     the shield and the oracle evaluate it."""
     deep = EXPR_SHAPES["difference-chain"](MAX_NESTING)
-    goal = Eventually(BeliefPred("deep", deep))
-    phi = _nest(MAX_NESTING - 2, lambda f: And(f, goal), goal)
+    atom = BeliefPred("deep", deep)
+    core = _nest(MAX_NESTING - 3, lambda f: _alternate(f, atom, True), atom)
+    phi = And(*[Eventually(atom)] * (MAX_NESTING - 2), Always(core))
     return replace(_CORRIDOR, predicates={**_CORRIDOR.predicates, "deep": deep},
                    formula=phi, formula_text=pretty_print(phi))
 

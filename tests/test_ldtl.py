@@ -150,6 +150,15 @@ def test_pretty_print_golden():
     assert pretty_print(Or(IN0, And(IN1, HIGH1))) == "in({s0}) | (in({s1}) & high1)"
 
 
+def test_a_chain_prints_its_operands_in_one_run():
+    # A parenthesized group of the same operator is spliced into its
+    # chain, so it prints without parentheses; a chain of the other
+    # operator reads bare only as the first operand.
+    assert pretty_print(And(IN0, And(IN1, HIGH1))) == "in({s0}) & in({s1}) & high1"
+    assert pretty_print(And(Or(IN0, IN1), HIGH1, Or(IN1, HIGH1))) == \
+        "in({s0}) | in({s1}) & high1 & (in({s1}) | high1)"
+
+
 def test_expr_text_golden():
     expr = Difference(Constant(0.1),
                       Sum((BeliefVar(0, "h1_h1"), BeliefVar(1, "h2_h2"))))

@@ -12,7 +12,7 @@ from beliefshield import (
     shield_step,
 )
 from beliefshield.errors import ZeroLikelihood
-from beliefshield.shield import _corrections, _passes_under
+from beliefshield.shield import _passes_under
 from beliefshield.model import (
     LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update,
     components_from_flat, correct, expected_reward, flat_from_components,
@@ -361,7 +361,7 @@ def test_conservative_shield_skips_only_impossible_observations(likelihood, safe
     assert shield_step(m, values_at(mon, b), b, z, a, CONSERVATIVE).overridden is not safe
 
 
-# Likelihoods an observation is given in the batched-correction property:
+# Likelihoods an observation is given in the floor property below:
 # impossible, positive but below the floor, at the floor, the next float
 # above it, or an ordinary share of each row (None).
 LIKELIHOODS = {
@@ -394,12 +394,13 @@ def observation_block(rng, predicted: np.ndarray, kinds: list[str]) -> np.ndarra
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=3),
        st.lists(st.sampled_from(sorted(LIKELIHOODS)), max_size=7),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_batched_corrections_are_corrects_bit_for_bit(n, n_actions, kinds, seed):
-    # The shield corrects a prediction under every observation at once.
-    # Each posterior it divides out must be correct's bit for bit, and
-    # the floor must split impossible from failing observations as
-    # correct does: a ZeroLikelihood of denominator 0 passes, any other
-    # fails, and every posterior passes a barrier that always holds.
+def test_an_observation_the_floor_refuses_passes_only_when_impossible(
+        n, n_actions, kinds, seed):
+    # The conservative shield corrects a prediction under each other
+    # observation with correct itself. The floor must split impossible
+    # from failing observations: a ZeroLikelihood of denominator 0
+    # passes, any other fails, and every posterior passes a barrier that
+    # always holds.
     rng = np.random.default_rng(seed)
     kinds = ["ordinary", *kinds]
     rng.shuffle(kinds)
@@ -424,18 +425,18 @@ def test_batched_corrections_are_corrects_bit_for_bit(n, n_actions, kinds, seed)
     a = int(rng.integers(n_actions))
     true = Always(BeliefPred("true", Constant(1.0), negated=True))
     mon = compile_monitor(true, m, MonitorConfig())
-    numer, likelihood = _corrections(m, predicted, a)
     for obs, kind in enumerate(kinds):
-        if kind != "ordinary":
-            assert likelihood[obs] == LIKELIHOODS[kind]
+        passes = _passes_under(m, mon, predicted, a, obs)
         try:
-            posterior = correct(predicted, a, obs, m)
+            correct(predicted, a, obs, m)
         except ZeroLikelihood as exc:
-            assert np.float64(likelihood[obs]).tobytes() == np.float64(exc.denominator).tobytes()
-            assert _passes_under(mon, numer, likelihood, obs) is (exc.denominator == 0.0)
+            assert kind in ("zero", "below", "floor", "ordinary")
+            if kind != "ordinary":
+                assert exc.denominator == LIKELIHOODS[kind]
+            assert passes is (exc.denominator == 0.0)
         else:
-            assert (numer[obs] / likelihood[obs]).tobytes() == posterior.tobytes()
-            assert _passes_under(mon, numer, likelihood, obs)
+            assert kind in ("above", "ordinary")
+            assert passes is True
 
 
 def deterministic_model() -> Mpomdp:

@@ -37,7 +37,7 @@ from beliefshield import (
     ft_dtbf_check,
     ft_time_bound,
 )
-from beliefshield.ldtl import chain_operands
+from beliefshield.ldtl import describe
 from beliefshield.monitor import barrier_values, check_step, step_passes
 
 from conftest import evaluate_expr, monitor_step
@@ -127,41 +127,58 @@ def test_translate_and_or_flatten_to_min_max():
     assert len(expr.children) == 3
 
 
-# The recursive walks that monitor.conjuncts and monitor._flatten were,
-# kept as the reference for ldtl.chain_operands.
-def reference_conjuncts(phi):
-    if isinstance(phi, And):
-        return reference_conjuncts(phi.left) + reference_conjuncts(phi.right)
-    return [phi]
+# A binary nesting is an atom or a tuple (op, left, right), op And or Or:
+# the tree the parser built before a chain became one node. build makes
+# it through the constructors; the reference walks are the recursive
+# flatten and translation of that binary tree.
+def build(tree):
+    return tree[0](build(tree[1]), build(tree[2])) if isinstance(tree, tuple) else tree
 
 
-def reference_flatten(core, op, m, delta):
-    if isinstance(core, op):
-        return (reference_flatten(core.left, op, m, delta)
-                + reference_flatten(core.right, op, m, delta))
-    return (translate_core(core, m, delta),)
+def reference_operands(tree, op):
+    if isinstance(tree, tuple) and tree[0] is op:
+        return reference_operands(tree[1], op) + reference_operands(tree[2], op)
+    return [tree]
+
+
+def reference_translate(tree):
+    if isinstance(tree, tuple):
+        node = Min if tree[0] is And else Max
+        return node(tuple(reference_translate(t) for t in reference_operands(tree, tree[0])))
+    return translate_core(tree, MODEL, 1e-3)
 
 
 _ATOMS = st.sampled_from([MARGIN, REACH, replace(REACH, negated=False),
                           StateSet((0,), ("q0",)), StateSet((1, 2), ("q1", "q2"), negated=True)])
 # And and Or nested on either side of each other and of themselves.
-_CORES = st.recursive(
-    _ATOMS, lambda kids: st.builds(And, kids, kids) | st.builds(Or, kids, kids), max_leaves=16)
+_NESTINGS = st.recursive(
+    _ATOMS, lambda kids: st.tuples(st.sampled_from([And, Or]), kids, kids), max_leaves=16)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_CORES)
-def test_chain_operands_match_the_recursive_walks(core):
-    found = chain_operands(core, And)
-    assert found == reference_conjuncts(core)
-    assert [id(f) for f in found] == [id(f) for f in reference_conjuncts(core)]
-    for op, node in ((And, Min), (Or, Max)):
-        if isinstance(core, op):
-            expected = node(reference_flatten(core, op, MODEL, 1e-3))
-            assert translate_core(core, MODEL, 1e-3) == expected
+@given(_NESTINGS)
+def test_binary_nestings_built_through_the_constructors_flatten_as_before(tree):
+    phi = build(tree)
+    for op in (And, Or):
+        operands = phi.children if isinstance(phi, op) else (phi,)
+        assert list(operands) == [build(t) for t in reference_operands(tree, op)]
+    assert translate_core(phi, MODEL, 1e-3) == reference_translate(tree)
 
 
-# 3000 operands nest 3000 deep, past CPython's default recursion limit.
+def test_a_chain_is_one_node_however_it_is_built():
+    a, b, c = MARGIN, REACH, StateSet((0,), ("q0",))
+    assert And(And(a, b), c) == And(a, And(b, c)) == And(a, b, c)
+    assert And(a, b, c).children == (a, b, c)
+    assert Or(Or(a, b), Or(b, c)).children == (a, b, b, c)
+    # A chain of the other operator is an operand like any other.
+    assert And(Or(a, b), c).children == (Or(a, b), c)
+    for op in (And, Or):
+        for operands in ((), (a,), (And(a, b),)):
+            with pytest.raises(TypeError, match="at least two operands"):
+                op(*operands)
+
+
+# Added one at a time, on either side, 3000 operands make one chain.
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_a_long_conjunction_compiles_to_one_obligation_per_conjunct(side):
     phi = Always(MARGIN)
@@ -179,6 +196,15 @@ def test_a_long_disjunction_translates_to_one_max(side):
         core = Or(core, REACH) if side == "left" else Or(REACH, core)
     barrier = translate_core(core, MODEL, 1e-3)
     assert isinstance(barrier, Max) and len(barrier.children) == 3000
+
+
+def test_a_long_disjunction_under_always_compiles_and_prints():
+    core = Or(*[MARGIN, REACH] * 1500)
+    mon = compile_monitor(Always(core), MODEL, CFG)
+    text = "G (" + " | ".join(["!margin", "!reach"] * 1500) + ")"
+    assert [ob.label for ob in mon.obligations] == [text]
+    assert describe(Always(core)) == text
+    assert len(mon.obligations[0].barriers[0].children) == 3000
 
 
 def test_translate_rejects_temporal_core():

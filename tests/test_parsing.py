@@ -66,6 +66,13 @@ def test_connectives_share_precedence_and_associate_left():
     assert parse("low | mid & high") == And(Or(LOW, MID), HIGH)
 
 
+def test_each_run_of_one_connective_is_one_node():
+    assert parse("low & mid & high | low | mid & high") == \
+        And(Or(And(LOW, MID, HIGH), LOW, MID), HIGH)
+    assert parse("(low & mid) & high") == parse("low & (mid & high)") == And(LOW, MID, HIGH)
+    assert parse("!(low | (mid | high))") == parse("!(low | mid | high)")
+
+
 def test_parentheses_override_association():
     assert parse("low & (mid | high)") == And(LOW, Or(MID, HIGH))
 
@@ -299,14 +306,18 @@ def test_deep_formula_nesting_is_a_located_syntax_error(opener, closer):
 
 
 def test_a_chain_parses_at_any_length():
-    # A chain costs the parser no level, however tall the tree it
-    # builds; the scenario bounds that tree by its height.
+    # A chain costs the parser no level. A run of one operator is one
+    # node; a `-` chain, or one whose operators alternate, builds a tree
+    # as tall as it is long, which the scenario bounds by its height.
     phi = parse(" & ".join(["low"] * 1000))
-    assert height(phi) == 1000
+    assert isinstance(phi, And) and phi.children == (LOW,) * 1000
+    assert height(phi) == 2
+    alternating = parse("low" + " & low | low" * 500)
+    assert height(alternating) == 1001
     assert height(parse_expr(" - ".join(["b(s0)"] * 1000), STATE_INDEX)) == 1000
     negated = parse("G !(" + " | ".join(["low"] * 1000) + ")")
-    assert height(negated) == 1001
-    assert negated.child.right == replace(LOW, negated=True)
+    assert height(negated) == 3
+    assert negated.child.children == (replace(LOW, negated=True),) * 1000
 
 
 # --------------------------------------------------------------------------
@@ -420,9 +431,11 @@ def test_a_printed_expr_parses_within_its_height(expr):
 
 
 def test_a_shared_subtree_is_measured_once(monkeypatch):
+    # And over Or over And ..., so that no operand splices into its
+    # parent: each node has the one node below it as both operands.
     phi = LOW
-    for _ in range(200):
-        phi = And(phi, phi)
+    for k in range(200):
+        phi = (And, Or)[k % 2](phi, phi)
     calls = []
     real = ldtl.children
     monkeypatch.setattr(ldtl, "children", lambda node: calls.append(node) or real(node))
