@@ -3,14 +3,24 @@ monitor, and evaluate the formula's finite-trace semantics on the
 replayed word.
 
 `audit_episode` first checks that the obligations the episode lists
-are the monitor's, in its order, then makes one pass over the
-episode's step rows (`traceio.STEP_COLUMNS`) in file order. Each step's
-indices are checked, its belief is recomputed from the recorded action
-and observation and compared, the monitor steps on the replayed belief,
-and its verdict is compared with the recorded one; the first fault in
-file order is the one raised. Versions 1 and 2 list no obligations in
-the header; there the first step's records' oids and kinds stand for
-them (see `traceio.EpisodeRecord`), and their labels are not checked.
+are the monitor's, in its order, then makes two passes over the
+episode's step rows (`traceio.STEP_COLUMNS`) in file order. Versions 1
+and 2 list no obligations in the header; there the first step's
+records' oids and kinds stand for them (see `traceio.EpisodeRecord`),
+and their labels are not checked.
+
+Pass 1 replays the belief chain. Each step's indices are checked, and
+its belief is recomputed from the recorded action and observation and
+compared with the recorded one; the pass stops at the first fault, and
+holds it. One gather (`monitor.leaf_values`) then reads the leaf values
+of every belief it replayed from their (T, n) stack. Pass 2 walks the
+steps before that fault: the monitor's evaluators on each step's leaf
+values, `check_step`, and the comparison of its verdict with the
+recorded one, which raises for a malformed verdict. Only then is pass
+1's fault raised. Within a step the checks run in the order index,
+belief, verdict, and pass 2 covers every step before the first index or
+belief fault, so the first fault in file order is the one raised, as
+in a single pass.
 
 A version 2 or 3 belief whose string is the replayed belief's encoding
 (`traceio.encode_belief`) has error 0.0 and is never decoded; any other
@@ -24,6 +34,12 @@ Verdict records are compared in order, position by position, as the
 writer lists them in the monitor's obligation order, so a file whose
 records are reordered does not audit. Each is [status, barrier,
 detail]: the status must be equal and the barrier value within 1e-9.
+A recorded verdict equal to the replayed [[status, barrier, detail],
+...] under `==` is accepted by that one comparison, as every step of an
+untampered trace is, provided every recorded barrier is a float or
+null: an int or a boolean can equal the replayed float, but a barrier
+must be a float, so such a verdict goes to the record-by-record
+comparison, which reports it.
 A detail is compared by what it says, not by how it prints: its text
 outside number tokens must be equal, integer tokens must be equal, and
 other numbers, printed with `%.6g`, must agree within one unit in their
@@ -52,10 +68,17 @@ from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
 from .ldtl import And, Letter, oracle_satisfies
 from .model import belief_update
-from .monitor import Monitor, ObligationRecord, StepVerdict, barrier_values, check_step
-from .traceio import EpisodeRecord, encode_belief, recorded_belief
+from .monitor import (
+    Monitor, ObligationRecord, StepVerdict, check_step, evaluate_barriers, leaf_values,
+)
+from .traceio import STEP_COLUMNS, EpisodeRecord, encode_belief, recorded_belief
 
 BELIEF_TOL = 1e-9
+
+_VERDICT = STEP_COLUMNS.index("verdict")
+# What a recorded barrier may be for the replayed verdict to be accepted
+# by equality: _same_record holds any other type to differ.
+_BARRIER_TYPES = (float, type(None))
 
 # A number as `%.6g` or `str` of an int prints it.
 _NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
@@ -93,16 +116,22 @@ class AuditReport:
         return all(ep.ok for ep in self.episodes)
 
 
-def _belief_error(value, ep: EpisodeRecord, probs: np.ndarray, where: str) -> float:
+def _where(ep: EpisodeRecord, step: int | None) -> str:
+    """Where a fault at a step of ep, or at its header (None), is reported."""
+    return f"episode {ep.episode} " + ("header" if step is None else f"step {step}")
+
+
+def _belief_error(value, ep: EpisodeRecord, probs: np.ndarray, step: int | None) -> float:
     """Largest deviation of a belief recorded in ep from a replayed one;
-    NaN when a recorded entry is NaN. A version 2 or 3 string equal to the
+    NaN when a recorded entry is NaN. step is the belief's step, None for
+    the header's initial belief. A version 2 or 3 string equal to the
     replayed belief's encoding skips the decode, and equal bytes skip the
     arithmetic: one or the other is every step of an untampered trace. A
     malformed string never equals an encoding, so it is always decoded
     and refused."""
     if ep.version >= 2 and value == encode_belief(probs):
         return 0.0
-    recorded = recorded_belief(value, ep.version, len(probs), where)
+    recorded = recorded_belief(value, ep.version, len(probs), _where(ep, step))
     if recorded == probs.tobytes():
         return 0.0
     return float(np.max(np.abs(np.frombuffer(recorded, "<f8") - probs)))
@@ -170,50 +199,82 @@ def _check_obligations(ep: EpisodeRecord, mon: Monitor) -> None:
         expected = [[ob.oid, ob.kind, ob.label] for ob in mon.obligations]
     if listed != expected:
         raise ConfigError(f"obligations {listed!r} are not the monitor's {expected!r}",
-                          f"episode {ep.episode} header")
+                          _where(ep, None))
+
+
+def _plain_barriers(recorded: list) -> bool:
+    """Whether every barrier of a recorded verdict, already equal to the
+    replayed one, is a float or null, as _same_record requires of it."""
+    for record in recorded:
+        if type(record[1]) not in _BARRIER_TYPES:
+            return False
+    return True
 
 
 def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
-    """Replay one episode in a single pass over its steps. Raises
-    TraceMismatch when a replayed belief deviates from the recorded one
-    by more than 1e-9, or by a non-finite amount (a NaN or null entry),
-    and ConfigError for a malformed line; the first fault in file order
-    is the one raised."""
+    """Replay one episode in two passes over its steps (see the module
+    docstring). Raises TraceMismatch when a replayed belief deviates from
+    the recorded one by more than 1e-9, or by a non-finite amount (a NaN
+    or null entry), and ConfigError for a malformed line; the first fault
+    in file order is the one raised."""
     m = cfg.model
-    _check_obligations(ep, cfg.start_monitor)
-    where = f"episode {ep.episode} header"
-    max_err = _belief_error(ep.header.get("initial_belief", []), ep, m.initial.probs, where)
+    start = cfg.start_monitor
+    _check_obligations(ep, start)
+    max_err = _belief_error(ep.header.get("initial_belief", []), ep, m.initial.probs, None)
     # Negated, so that a NaN deviation fails too.
     if not max_err <= BELIEF_TOL:
         raise TraceMismatch(ep.episode, 0, max_err)
     initial_state = checked_index(ep.header.get("initial_state"), m.n_states,
-                                  "initial state", where)
+                                  "initial state", _where(ep, None))
 
-    belief, mon = m.initial, cfg.start_monitor
-    word = [Letter(initial_state, belief)]
+    # Pass 1: the belief chain, up to the first faulty index or belief.
+    n_actions, n_observations, n_states = m.n_joint_actions, m.n_joint_observations, m.n_states
+    belief = m.initial
+    beliefs, states = [], []
+    fault = None
+    try:
+        for row in ep.steps:
+            step, _, _, action, _, obs, state, recorded, _, _, _, _ = row
+            if not (type(action) is int and 0 <= action < n_actions
+                    and type(obs) is int and 0 <= obs < n_observations
+                    and type(state) is int and 0 <= state < n_states):
+                where = _where(ep, step)
+                action = checked_index(action, n_actions, "executed action", where)
+                obs = checked_index(obs, n_observations, "observation", where)
+                state = checked_index(state, n_states, "next state", where)
+            try:
+                belief = belief_update(belief, action, obs, m)
+            except ZeroLikelihood as exc:
+                raise TraceMismatch(ep.episode, step, float("inf")) from exc
+            err = _belief_error(recorded, ep, belief.probs, step)
+            max_err = max(max_err, err)
+            if not err <= BELIEF_TOL:
+                raise TraceMismatch(ep.episode, step, err)
+            beliefs.append(belief)
+            states.append(state)
+    except (ConfigError, TraceMismatch) as exc:
+        fault = exc
+
+    # Pass 2: the verdicts of the steps pass 1 replayed, whose leaf values
+    # one gather reads from the stack of their beliefs.
+    stack = np.array([b.probs for b in beliefs]).reshape(len(beliefs), n_states)
+    mon = start
     failed: set[str] = set()
     mismatches: list[str] = []
-    for row in ep.steps:
-        step, _, _, executed, _, observation, next_state, recorded, records, _, _, _ = row
-        where = f"episode {ep.episode} step {step}"
-        action = checked_index(executed, m.n_joint_actions, "executed action", where)
-        obs = checked_index(observation, m.n_joint_observations, "observation", where)
-        state = checked_index(next_state, m.n_states, "next state", where)
-        try:
-            belief = belief_update(belief, action, obs, m)
-        except ZeroLikelihood as exc:
-            raise TraceMismatch(ep.episode, step, float("inf")) from exc
-        err = _belief_error(recorded, ep, belief.probs, where)
-        max_err = max(max_err, err)
-        if not err <= BELIEF_TOL:
-            raise TraceMismatch(ep.episode, step, err)
-        verdict, mon = check_step(mon, barrier_values(mon, belief.probs))
-        mismatches.extend(_verdict_mismatches(records, verdict, step, where))
-        failed.update(verdict.failing)
-        word.append(Letter(state, belief))
+    for row, s in zip(ep.steps, leaf_values(start.leaves, stack)):
+        verdict, mon = check_step(mon, evaluate_barriers(mon, s))
+        step, records, replayed = row[0], row[_VERDICT], verdict.records
+        if (records != [[r.status, r.barrier, r.detail] for r in replayed]
+                or not _plain_barriers(records)):
+            mismatches.extend(_verdict_mismatches(records, verdict, step, _where(ep, step)))
+        for r in replayed:
+            if r.status == "fail":
+                failed.add(r.oid)
+    if fault is not None:
+        raise fault
 
     pending = set(mon.pending())
-    letters = tuple(word)
+    letters = (Letter(initial_state, m.initial), *map(Letter, states, beliefs))
     conjuncts = cfg.formula.children if isinstance(cfg.formula, And) else (cfg.formula,)
     return EpisodeAudit(
         episode=ep.episode,

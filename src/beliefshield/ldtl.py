@@ -361,22 +361,39 @@ def oracle_satisfies(phi: Formula, word: Word, i: int = 0) -> bool:
         # under both polarities.
         value = phi.evaluator(word[i].entries)
         return value >= 0.0 if phi.negated else value < 0.0
+    # Plain loops rather than all/any over generators, which cost about
+    # twice as much per operand; each stops at the same operand.
     if isinstance(phi, And):
-        return all(oracle_satisfies(c, word, i) for c in phi.children)
+        for c in phi.children:
+            if not oracle_satisfies(c, word, i):
+                return False
+        return True
     if isinstance(phi, Or):
-        return any(oracle_satisfies(c, word, i) for c in phi.children)
+        for c in phi.children:
+            if oracle_satisfies(c, word, i):
+                return True
+        return False
     if isinstance(phi, Next):
         # No next position on a finite word: false at the last letter.
         return i + 1 < len(word) and oracle_satisfies(phi.child, word, i + 1)
     if isinstance(phi, Until):
         for j in range(i, len(word)):
             if oracle_satisfies(phi.right, word, j):
-                return all(oracle_satisfies(phi.left, word, k) for k in range(i, j))
+                for k in range(i, j):
+                    if not oracle_satisfies(phi.left, word, k):
+                        return False
+                return True
         return False
     if isinstance(phi, Eventually):
-        return any(oracle_satisfies(phi.child, word, j) for j in range(i, len(word)))
+        for j in range(i, len(word)):
+            if oracle_satisfies(phi.child, word, j):
+                return True
+        return False
     if isinstance(phi, Always):
-        return all(oracle_satisfies(phi.child, word, j) for j in range(i, len(word)))
+        for j in range(i, len(word)):
+            if not oracle_satisfies(phi.child, word, j):
+                return False
+        return True
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -48,16 +48,18 @@ them; this is exact, because a successor only discharges obligations
 and no rule reads the values of a discharged one.
 
 barrier_values takes the belief as its float64 array and reads it
-through the monitor's leaf table. Each sum whose children are all
-entries b(q), such as a state-set atom's member mass, is one bin, and
-one gathered np.bincount per belief sums every bin. np.bincount starts
-each bin at 0.0 and adds its entries in child order, the float
-operations of the builtin `sum` on Python 3.10 and 3.11, so the values
-are those of the sums themselves bit for bit. An entry outside such a
-sum is read on its own, so that a -0.0 keeps its sign. compile_expr
-compiles each barrier once, reading each bin and each such entry
-directly from the list of leaf values at the position the monitor's
-leaf lookup gives it.
+through the monitor's leaf table (leaf_values, which also reads a (T, n)
+stack of beliefs at once, for the audit). Each sum whose children are
+all entries b(q), such as a state-set atom's member mass, is one bin,
+and one gathered np.bincount per belief or stack sums every bin.
+np.bincount starts each bin at 0.0 and adds its entries in child
+order, the float operations of the builtin `sum` on Python 3.10 and
+3.11, so the values are those of the sums themselves bit for bit. An
+entry outside such a sum is read on its own, so that a -0.0 keeps its
+sign. compile_expr compiles each barrier once, reading each bin and
+each such entry directly from the list of leaf values at the position
+the monitor's leaf lookup gives it; evaluate_barriers applies them to
+one belief's list.
 """
 
 from __future__ import annotations
@@ -386,15 +388,38 @@ _RULES = {
 }
 
 
+def leaf_values(leaves: LeafTable, beliefs: np.ndarray) -> list:
+    """The leaf values of a belief, a float64 array of its n entries, as
+    one list: its bins, then its bare entries. Of a (T, n) stack of
+    beliefs, one such list per row: row r's entries are read at r * n + q
+    and its bins numbered after row r - 1's, so one np.bincount sums
+    every row's bins, each in child order as for a single belief."""
+    index, bins, t = leaves.index, leaves.bins, 1
+    stacked = beliefs.ndim == 2
+    if stacked:
+        t, n = beliefs.shape
+        rows = np.arange(t)[:, None]
+        index = (index + n * rows).ravel()
+        bins = (bins + leaves.n_bins * rows).ravel()
+    values = np.bincount(bins, beliefs.take(index), t * leaves.n_bins)
+    if stacked:
+        values = values.reshape(t, leaves.n_bins)
+    if leaves.bare.size:
+        values = np.concatenate((values, beliefs.take(leaves.bare, axis=-1)), axis=-1)
+    return values.tolist()
+
+
+def evaluate_barriers(mon: Monitor, s: list[float]) -> BarrierValues:
+    """Barrier values of every obligation from one belief's leaf values
+    s (see leaf_values); empty for discharged obligations."""
+    return [[] if ob.discharged else [f(s) for f in ob.evaluators]
+            for ob in mon.obligations]
+
+
 def barrier_values(mon: Monitor, probs: np.ndarray) -> BarrierValues:
     """Barrier values of every obligation at the belief whose float64
     entries are probs; empty for discharged obligations."""
-    leaves = mon.leaves
-    s = np.bincount(leaves.bins, probs.take(leaves.index), leaves.n_bins).tolist()
-    if leaves.bare.size:
-        s += probs.take(leaves.bare).tolist()
-    return [[] if ob.discharged else [f(s) for f in ob.evaluators]
-            for ob in mon.obligations]
+    return evaluate_barriers(mon, leaf_values(mon.leaves, probs))
 
 
 def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[StepVerdict, Monitor]:

@@ -288,23 +288,31 @@ class ExprParser:
         return expr
 
     def _expr(self, cur: _Cursor) -> BeliefExpr:
+        # Each run of `+` is one Sum, built when the run ends; a Sum the
+        # run starts from (a parenthesized one) is extended, not nested.
         node = self._mul(cur)
         while cur.peek().kind in ("+", "-"):
-            op = cur.advance()
-            rhs = self._mul(cur)
-            if op.kind == "+":
-                node = Sum(node.children + (rhs,)) if isinstance(node, Sum) else Sum((node, rhs))
-            else:
-                node = Difference(node, rhs)
+            if cur.advance().kind == "-":
+                node = Difference(node, self._mul(cur))
+                continue
+            terms = [*node.children] if isinstance(node, Sum) else [node]
+            terms.append(self._mul(cur))
+            while cur.peek().kind == "+":
+                cur.advance()
+                terms.append(self._mul(cur))
+            node = Sum(tuple(terms))
         return node
 
     def _mul(self, cur: _Cursor) -> BeliefExpr:
+        # Each run of `*` is one Product, built as _expr builds a Sum.
         node = self._factor(cur)
+        if cur.peek().kind != "*":
+            return node
+        factors = [*node.children] if isinstance(node, Product) else [node]
         while cur.peek().kind == "*":
             cur.advance()
-            rhs = self._factor(cur)
-            node = Product(node.children + (rhs,)) if isinstance(node, Product) else Product((node, rhs))
-        return node
+            factors.append(self._factor(cur))
+        return Product(tuple(factors))
 
     @staticmethod
     def _number(cur: _Cursor) -> float:

@@ -28,6 +28,7 @@ from beliefshield import (
 from beliefshield import audit
 from beliefshield.audit import _same_detail
 from beliefshield.monitor import ObligationRecord, StepVerdict, check_step
+from beliefshield.parsing import parse_expr, parse_formula
 from beliefshield.sim import BatchResult, TraceStep
 from beliefshield.traceio import (
     STEP_COLUMNS, SUMMARY_FIELDS, TRACE_VERSION, _loads, _step_line, encode_belief,
@@ -718,14 +719,77 @@ def test_a_detail_is_compared_by_what_it_says(recorded, replayed, same):
     assert _same_detail(recorded, replayed) is same
 
 
-def test_the_first_fault_in_file_order_is_raised(corridor_run, tmp_path):
+# One fault of each kind the audit finds in a step, in the order it checks
+# them there: indices, then the belief, then the verdict.
+FAULTS = {
+    "index": lambda row: row.__setitem__(COLUMN["executed"], 99),
+    "belief": lambda row: edit_belief(row, BELIEF, bump_first_entry),
+    "verdict": lambda row: row.__setitem__(VERDICT, {}),
+}
+
+
+@pytest.mark.parametrize("faults", [
+    # Each order of two kinds on two steps.
+    *([(first, 3), (second, 8)] for first in FAULTS for second in FAULTS if first != second),
+    # Two or three kinds on one step.
+    [("index", 5), ("belief", 5)], [("index", 5), ("verdict", 5)],
+    [("belief", 5), ("verdict", 5)], [("index", 5), ("belief", 5), ("verdict", 5)],
+], ids=lambda faults: "-".join(f"{kind}{step}" for kind, step in faults))
+def test_the_first_fault_in_file_order_is_raised(corridor_run, tmp_path, faults):
+    # faults lists (kind, step) in episode 0 in the order the audit meets
+    # them; the first is the one raised.
     cfg, _, path = corridor_run
-    first = tampered(path, tmp_path, 0, 3, lambda row: row.__setitem__(VERDICT, {}))
-    both = edit_trace(first, tmp_path / "both.trace.jsonl", 0, 8,
-                      lambda row: edit_belief(row, BELIEF, bump_first_entry))
-    with pytest.raises(ConfigError) as err:
-        audit_traces(cfg, read_traces(both))
-    assert str(err.value).startswith("episode 0 step 3: malformed verdict")
+    for i, (kind, step) in enumerate(faults):
+        path = edit_trace(path, tmp_path / f"fault{i}.trace.jsonl", 0, step, FAULTS[kind])
+    with pytest.raises((ConfigError, TraceMismatch)) as err:
+        audit_traces(cfg, read_traces(path))
+    kind, step = faults[0]
+    if kind == "belief":
+        assert type(err.value) is TraceMismatch
+        assert (err.value.episode, err.value.step) == (0, step)
+    else:
+        assert type(err.value) is ConfigError
+        what = "executed action 99 out of range" if kind == "index" else "malformed verdict"
+        assert str(err.value).startswith(f"episode 0 step {step}: {what}")
+
+
+@pytest.fixture(scope="module")
+def integral_run(tmp_path_factory):
+    """A corridor batch, shield off, whose formula is F in({a0_h1, a0_h2})
+    & G !a0_mass: barriers b(a0_h1) + b(a0_h2) - 1 and b(a0_h1) + b(a0_h2).
+    The belief puts no mass on a0 at step 1, so they read exactly -1.0
+    and 0.0 there."""
+    cfg = corridor_config("off")
+    states = cfg.model.state_index
+    predicates = dict(cfg.predicates, a0_mass=parse_expr("b(a0_h1) + b(a0_h2)", states))
+    text = "F in({a0_h1, a0_h2}) & G !a0_mass"
+    cfg = replace(cfg, predicates=predicates, formula_text=text,
+                  formula=parse_formula(text, predicates, states))
+    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=1)
+    path = tmp_path_factory.mktemp("traces") / "integral.trace.jsonl"
+    write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
+    return cfg, path
+
+
+@pytest.mark.parametrize("index, barrier", [(0, -1), (1, 0), (1, False)],
+                         ids=["int-minus-one", "int-zero", "false"])
+def test_an_int_or_bool_barrier_equal_to_the_replayed_float_is_a_mismatch(
+        integral_run, tmp_path, index, barrier):
+    # JSON keeps -1 and 0 ints and false a boolean, and each equals the
+    # replayed float under ==; only a float or null barrier is accepted.
+    cfg, path = integral_run
+    clean = read_traces(path)[0]
+    assert audit_episode(cfg, clean).ok
+    recorded = clean.steps[0][VERDICT][index][1]
+    assert type(recorded) is float and recorded == barrier
+
+    def edit(row):
+        row[VERDICT][index][1] = barrier
+
+    report = audit_episode(cfg, read_traces(tampered(path, tmp_path, 0, 1, edit))[0])
+    oid = f"{index}:{('eventually', 'always')[index]}"
+    assert report.verdict_mismatches == (
+        f"step 1: recorded and replayed verdicts differ on [{oid!r}]",)
 
 
 def test_out_of_range_indices_are_config_errors(corridor_run, tmp_path):

@@ -94,6 +94,30 @@ def test_until_requires_witness_and_left_prefix():
     assert not oracle_satisfies(Until(IN0, IN1), letters(0, 0, 0))
 
 
+# Reads entry 99 of a two-entry belief: evaluating it raises IndexError.
+UNREADABLE = BeliefPred("unreadable", Difference(Constant(0.5), BeliefVar(99, "s99")))
+
+
+@pytest.mark.parametrize("phi, states, expected", [
+    (And(IN1, UNREADABLE), (0,), False),
+    (And(IN0, IN1, UNREADABLE), (0,), False),
+    (Or(IN0, UNREADABLE), (0,), True),
+    (Or(IN1, IN0, UNREADABLE), (0,), True),
+    # Position 1 would evaluate UNREADABLE.
+    (Always(And(IN1, UNREADABLE)), (0, 1), False),
+    (Eventually(Or(IN0, UNREADABLE)), (0, 1), True),
+    # The right side first holds at position 1; position 2 would raise.
+    (Until(NOT0, Or(IN0, And(IN1, UNREADABLE))), (2, 0, 1), True),
+    # The left side first fails at position 0; position 1 would raise.
+    (Until(And(IN1, UNREADABLE), IN0), (2, 1, 0), False),
+], ids=["and", "and-chain", "or", "or-chain", "always", "eventually", "until-right",
+        "until-left"])
+def test_the_oracle_evaluates_no_operand_after_the_deciding_one(phi, states, expected):
+    with pytest.raises(IndexError):
+        oracle_satisfies(UNREADABLE, letters(0))
+    assert oracle_satisfies(phi, letters(*states)) is expected
+
+
 def test_eventually_equals_true_until():
     rng = np.random.default_rng(8)
     for _ in range(200):

@@ -38,7 +38,7 @@ from beliefshield import (
     ft_time_bound,
 )
 from beliefshield.ldtl import describe
-from beliefshield.monitor import barrier_values, check_step, step_passes
+from beliefshield.monitor import barrier_values, check_step, leaf_values, step_passes
 
 from conftest import evaluate_expr, monitor_step
 
@@ -614,3 +614,18 @@ def test_barrier_values_are_left_to_right_sums_bit_for_bit(barriers, first, seco
     assert [_bits(v) for v in barrier_values(successor, second)] == [
         [] if ob.discharged else _bits([left_to_right(e, second.tolist()) for e in ob.barriers])
         for ob in successor.obligations]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LEAF_EXPRS, min_size=1, max_size=4), st.lists(_LEAF_BELIEF, max_size=5))
+@example([BeliefVar(0, "q0"), Sum((BeliefVar(0, "q0"), BeliefVar(2, "q2")))],
+         [_NEG_ZERO_FIRST, _NEG_ZERO_FIRST[::-1]])
+def test_a_stack_of_beliefs_reads_as_each_of_its_rows_does(barriers, beliefs):
+    # The audit gathers the leaf values of an episode's beliefs at once,
+    # with each row's bins numbered after the previous row's.
+    conjuncts = [Always(BeliefPred(f"p{i}", e, negated=True)) for i, e in enumerate(barriers)]
+    mon = compile_monitor(And(*conjuncts) if len(conjuncts) > 1 else conjuncts[0],
+                          LEAF_MODEL, CFG)
+    stack = np.array(beliefs).reshape(len(beliefs), 4)
+    assert [_bits(row) for row in leaf_values(mon.leaves, stack)] == [
+        _bits(leaf_values(mon.leaves, b)) for b in beliefs]
