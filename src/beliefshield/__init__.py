@@ -24,8 +24,7 @@ from .model import (
     validate_model, validate_tables,
 )
 from .monitor import (
-    Monitor, MonitorConfig, Obligation, ObligationRecord, StepVerdict,
-    compile_monitor, translate_core,
+    Monitor, MonitorConfig, Obligation, compile_monitor, translate_core,
 )
 from .parsing import parse_expr, parse_formula
 from .shield import CONSERVATIVE, LITERAL, ShieldDecision, shield_step

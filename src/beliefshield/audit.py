@@ -34,11 +34,11 @@ Verdict records are compared in order, position by position, as the
 writer lists them in the monitor's obligation order, so a file whose
 records are reordered does not audit. Each is [status, barrier,
 detail]: the status must be equal and the barrier value within 1e-9.
-A recorded verdict equal to the replayed [[status, barrier, detail],
-...] under `==` is accepted by that one comparison, as every step of an
-untampered trace is, provided every recorded barrier is a float or
-null: an int or a boolean can equal the replayed float, but a barrier
-must be a float, so such a verdict goes to the record-by-record
+check_step's records are in the recorded form, so a recorded verdict
+equal to them under `==` is accepted by that one comparison, as every
+step of an untampered trace is, provided every recorded barrier is a
+float or null: an int or a boolean can equal the replayed float, but a
+barrier must be a float, so such a verdict goes to the record-by-record
 comparison, which reports it.
 A detail is compared by what it says, not by how it prints: its text
 outside number tokens must be equal, integer tokens must be equal, and
@@ -50,10 +50,11 @@ release or by a filter that added in another order.
 The finite-trace verdict per top-level conjunct is reported alongside;
 the monitor checks sufficient barrier conditions on beliefs, so its
 verdicts need not coincide with the hidden-state semantics and a
-disagreement is informational, not an audit failure. The oracle takes
-each letter's belief entries once and applies each belief atom's
-compiled evaluator, which is bit-identical to the tests' tree-walking
-reference.
+disagreement is informational, not an audit failure. Each letter holds
+its belief's entries as a list of floats, every step's taken from the
+replayed stack by one `tolist()`, and the oracle applies each belief
+atom's compiled evaluator to them, which is bit-identical to the tests'
+tree-walking reference.
 """
 
 from __future__ import annotations
@@ -68,9 +69,7 @@ from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
 from .ldtl import And, Letter, oracle_satisfies
 from .model import belief_update
-from .monitor import (
-    Monitor, ObligationRecord, StepVerdict, check_step, evaluate_barriers, leaf_values,
-)
+from .monitor import Monitor, Records, check_step, evaluate_barriers, leaf_values
 from .traceio import STEP_COLUMNS, EpisodeRecord, encode_belief, recorded_belief
 
 BELIEF_TOL = 1e-9
@@ -157,31 +156,34 @@ def _same_detail(recorded, replayed: str) -> bool:
     return True
 
 
-def _same_record(recorded, replayed: ObligationRecord, where: str) -> bool:
+def _same_record(recorded, replayed: list, where: str) -> bool:
     """Whether a recorded [status, barrier, detail] agrees with a replayed
-    record. Raises ConfigError at `where` for an entry of another shape."""
+    one. Raises ConfigError at `where` for an entry of another shape."""
     if type(recorded) is not list or len(recorded) != 3:
         raise ConfigError(f"malformed verdict: record {recorded!r} is not "
                           "[status, barrier, detail]", where)
     status, barrier, detail = recorded
-    if barrier is None or replayed.barrier is None:
-        same_barrier = barrier is None and replayed.barrier is None
+    want_status, want_barrier, want_detail = replayed
+    if barrier is None or want_barrier is None:
+        same_barrier = barrier is None and want_barrier is None
     else:
         same_barrier = (type(barrier) is float
-                        and abs(barrier - replayed.barrier) <= BELIEF_TOL)
-    return (same_barrier and status == replayed.status
-            and _same_detail(detail, replayed.detail))
+                        and abs(barrier - want_barrier) <= BELIEF_TOL)
+    return (same_barrier and status == want_status
+            and _same_detail(detail, want_detail))
 
 
-def _verdict_mismatches(recorded, verdict: StepVerdict, step: int, where: str) -> list[str]:
-    """How a step's recorded verdict differs from the replayed one,
-    record by record in order. Raises ConfigError at `where` unless it
-    is a list of one well-formed record per obligation."""
-    replayed = verdict.records
+def _verdict_mismatches(recorded, replayed: Records, oids: list[str], step: int,
+                        where: str) -> list[str]:
+    """How a step's recorded verdict differs from the replayed records,
+    record by record in order; oids names the obligation at each
+    position. Raises ConfigError at `where` unless it is a list of one
+    well-formed record per obligation."""
     if type(recorded) is not list or len(recorded) != len(replayed):
         raise ConfigError(f"malformed verdict: expected a list of {len(replayed)} records, "
                           f"got {recorded!r}", where)
-    diff = [r.oid for got, r in zip(recorded, replayed) if not _same_record(got, r, where)]
+    diff = [oid for oid, got, want in zip(oids, recorded, replayed)
+            if not _same_record(got, want, where)]
     if diff:
         return [f"step {step}: recorded and replayed verdicts differ on {diff}"]
     return []
@@ -259,22 +261,25 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
     # one gather reads from the stack of their beliefs.
     stack = np.array([b.probs for b in beliefs]).reshape(len(beliefs), n_states)
     mon = start
+    oids = [ob.oid for ob in start.obligations]
     failed: set[str] = set()
     mismatches: list[str] = []
     for row, s in zip(ep.steps, leaf_values(start.leaves, stack)):
-        verdict, mon = check_step(mon, evaluate_barriers(mon, s))
-        step, records, replayed = row[0], row[_VERDICT], verdict.records
-        if (records != [[r.status, r.barrier, r.detail] for r in replayed]
-                or not _plain_barriers(records)):
-            mismatches.extend(_verdict_mismatches(records, verdict, step, _where(ep, step)))
-        for r in replayed:
-            if r.status == "fail":
-                failed.add(r.oid)
+        records, mon = check_step(mon, evaluate_barriers(mon, s))
+        recorded = row[_VERDICT]
+        if recorded != records or not _plain_barriers(recorded):
+            step = row[0]
+            mismatches.extend(_verdict_mismatches(recorded, records, oids, step,
+                                                  _where(ep, step)))
+        for oid, (status, _, _) in zip(oids, records):
+            if status == "fail":
+                failed.add(oid)
     if fault is not None:
         raise fault
 
     pending = set(mon.pending())
-    letters = (Letter(initial_state, m.initial), *map(Letter, states, beliefs))
+    letters = (Letter(initial_state, m.initial.probs.tolist()),
+               *map(Letter, states, stack.tolist()))
     conjuncts = cfg.formula.children if isinstance(cfg.formula, And) else (cfg.formula,)
     return EpisodeAudit(
         episode=ep.episode,

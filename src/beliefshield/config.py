@@ -25,8 +25,8 @@ per-agent observation names with '+'. A missing or null optional
 section takes its default; `monitor` and `policy`, when given, must be
 mappings. Every (state, action) pair must be covered by exactly one
 transition entry and one observation entry.
-Rows are validated as written (each must already sum to 1 within 1e-9)
-and only then renormalized exactly.
+Rows are validated as written (each must already sum to 1 within 1e-9,
+with no negative entry) and only then renormalized exactly.
 
 Rules on names and settings live in the constructors (`check_names`,
 `MonitorConfig`, `ScenarioConfig`); this module checks the YAML shape:

@@ -11,15 +11,15 @@ An and/or node is a whole chain of its operator, its operands a tuple
 like a sum's, so `height` counts a chain as one level, as the parser
 does, and no walker recurses along a chain.
 
-The trace oracle evaluates a formula on a finite word of
-(hidden state, belief) letters with the standard finite-trace closure:
+The trace oracle evaluates a formula on a finite word of (hidden
+state, belief entries) letters with the standard finite-trace closure:
 `always` means "at every remaining position", `eventually` and `until`
 need an in-word witness, and `next` at the last position is false.
 compile_expr turns an expression into one generated Python function,
 a flat sequence of assignments with one local per inner node, of a
 list of floats. A belief atom compiles its expression on first use, so
 only the oracle pays for it, and the oracle applies it to each letter's
-entries, taken once per letter. A monitor compiles each barrier with a
+entries, a list of floats. A monitor compiles each barrier with a
 lookup that reads its sums of entries as leaves, and applies it to the
 leaf values it gathers from the belief array (see `monitor`). The tests
 keep a tree-walking evaluator as the reference that compile_expr
@@ -29,11 +29,9 @@ matches bit for bit.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
-
-from .model import Belief
+from typing import Callable, NamedTuple, Sequence, Union
 
 # --------------------------------------------------------------------------
 # Belief expressions
@@ -333,18 +331,13 @@ def is_propositional(phi: Formula) -> bool:
 # Finite-trace oracle
 
 
-@dataclass(frozen=True)
-class Letter:
-    """One position of a word: hidden state index and the belief held.
-    entries is `belief.probs.tolist()`, taken once for every atom the
-    oracle evaluates at this position."""
+class Letter(NamedTuple):
+    """One position of a word: hidden state index and the entries of the
+    belief held, as a list of floats, which every belief atom the oracle
+    evaluates at this position reads."""
 
     state: int
-    belief: Belief
-    entries: list[float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", self.belief.probs.tolist())
+    entries: list[float]
 
 
 Word = tuple[Letter, ...]

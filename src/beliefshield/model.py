@@ -8,8 +8,11 @@ observation z in the successor state, reward[q, a] an immediate reward.
 Joint actions and observations are flat mixed-radix encodings of the
 per-agent components, agent 0 most significant.
 
-All stochastic rows must sum to 1 within 1e-9; loaders renormalize once
-after validation, the filter itself never renormalizes inputs silently.
+All stochastic rows must sum to 1 within 1e-9, with no entry negative
+or above 1 + 1e-9; loaders renormalize once after validation, the
+filter itself never renormalizes inputs silently. A negative entry is
+refused however small, since renormalizing keeps its sign and the
+filter would carry it into a belief.
 
 The filter's arithmetic is in a fixed order, so its bits depend on
 neither the BLAS library nor the CPU kernel it picks. The model stores
@@ -314,7 +317,7 @@ def _check_rows(table: str, rows: np.ndarray, out: list[Violation]) -> None:
     for idx in bad_sum:
         out.append(Violation(table, tuple(int(i) for i in idx),
                              f"row sums to {sums[tuple(idx)]:.12g}, not 1"))
-    bad_entry = np.argwhere(~((rows >= -SIMPLEX_ATOL) & (rows <= 1.0 + SIMPLEX_ATOL)))
+    bad_entry = np.argwhere(~((rows >= 0.0) & (rows <= 1.0 + SIMPLEX_ATOL)))
     for idx in bad_entry:
         out.append(Violation(table, tuple(int(i) for i in idx),
                              f"entry {rows[tuple(idx)]:.12g} outside [0, 1]"))

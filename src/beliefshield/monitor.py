@@ -35,17 +35,23 @@ One-shot kinds are discharged by their single check, pass or fail. A
 discharged obligation is not evaluated again: its records read
 `inactive` and repeat the barrier value it was discharged with.
 
-Monitors are immutable; check_step returns the verdict together with
-the successor monitor, so candidate actions can be probed without
-mutation. A step is two parts: the barrier values at the next belief
-(barrier_values), then the kind's float-only rule for every active
-obligation (check_step), which builds a new record only for an
-obligation whose state changed; the shield reuses the same rules
-through step_passes. A monitor holds the barrier values at the belief
-it has reached (compile_monitor's at the model's initial belief), so
-each belief is evaluated once, as it is reached, and no caller carries
-them; this is exact, because a successor only discharges obligations
-and no rule reads the values of a discharged one.
+Monitors are immutable; check_step returns the step's records and the
+successor monitor, so candidate actions can be probed without mutation.
+The records are one [status, barrier, detail] list per obligation, in
+the monitor's obligation order: the form a version 3 trace row holds
+them in (see `traceio`), so the writer writes them and the audit
+compares them as they are. An oid or kind is read from the obligation
+at a record's position, and `passed` says whether a step passed. The
+successor holds a new Obligation only where a rule changed one (a
+deadline fixed, a discharge) and shares the others. A step is two
+parts: the barrier values at the next belief (barrier_values), then the
+kind's float-only rule for every active obligation (check_step); the
+shield reuses the same rules through step_passes. A monitor holds the
+barrier values at the belief it has reached (compile_monitor's at the
+model's initial belief), so each belief is evaluated once, as it is
+reached, and no caller carries them; this is exact, because a
+successor only discharges obligations and no rule reads the values of
+a discharged one.
 
 barrier_values takes the belief as its float64 array and reads it
 through the monitor's leaf table (leaf_values, which also reads a (T, n)
@@ -147,32 +153,10 @@ class Obligation:
             raise ValueError(f"unknown obligation kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ObligationRecord:
-    """Outcome of one obligation at one step."""
-
-    oid: str
-    kind: str
-    status: str  # "pass" | "fail" | "discharged" | "inactive"
-    barrier: float | None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class StepVerdict:
-    step: int
-    records: tuple[ObligationRecord, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.status != "fail" for r in self.records)
-
-    @property
-    def failing(self) -> tuple[str, ...]:
-        return tuple(r.oid for r in self.records if r.status == "fail")
-
-
 BarrierValues = list[list[float]]
+# check_step's records; a status is "pass", "fail", "discharged" or
+# "inactive".
+Records = list[list]
 
 
 @dataclass(frozen=True)
@@ -422,25 +406,31 @@ def barrier_values(mon: Monitor, probs: np.ndarray) -> BarrierValues:
     return evaluate_barriers(mon, leaf_values(mon.leaves, probs))
 
 
-def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[StepVerdict, Monitor]:
-    """Verdict and successor monitor for the transition from the belief
+def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Monitor]:
+    """Records and successor monitor for the transition from the belief
     mon has reached to the one whose barrier values are nxt."""
     first = mon.step_count == 0
     step = mon.step_count + 1
-    records: list[ObligationRecord] = []
+    records: Records = []
     obligations: list[Obligation] = []
     for ob, h_prev, h_next in zip(mon.obligations, mon.values, nxt):
         if ob.discharged:
-            records.append(ObligationRecord(ob.oid, ob.kind, "inactive", ob.value))
+            records.append(["inactive", ob.value, ""])
         else:
-            status, value, detail, changes = _RULES[ob.kind](
-                ob, h_prev, h_next, first, step, mon.config)
-            records.append(ObligationRecord(ob.oid, ob.kind, status, value, detail))
+            *record, changes = _RULES[ob.kind](ob, h_prev, h_next, first, step, mon.config)
+            records.append(record)
             if changes:
                 ob = replace(ob, **changes)
         obligations.append(ob)
-    verdict = StepVerdict(step=step, records=tuple(records))
-    return verdict, Monitor(mon.config, mon.leaves, tuple(obligations), nxt, step)
+    return records, Monitor(mon.config, mon.leaves, tuple(obligations), nxt, step)
+
+
+def passed(records: Records) -> bool:
+    """Whether a step passed: no record's status is "fail"."""
+    for status, _, _ in records:
+        if status == "fail":
+            return False
+    return True
 
 
 def step_passes(mon: Monitor, nxt: BarrierValues) -> bool:

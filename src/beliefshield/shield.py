@@ -49,7 +49,7 @@ import numpy as np
 from .errors import SafetyDeadlock, ZeroLikelihood
 from .model import Belief, Mpomdp, components_from_flat, correct, predicted_belief
 from .monitor import (
-    BarrierValues, Monitor, StepVerdict, barrier_values, check_step, step_passes,
+    BarrierValues, Monitor, Records, barrier_values, check_step, step_passes,
 )
 
 LITERAL = "literal"
@@ -63,17 +63,18 @@ REWARD_TIE = 1e-9
 class ShieldDecision:
     """Outcome of one shield invocation.
 
-    executed is the flat joint-action index; verdict/next_belief/
-    next_monitor describe its update; candidate_rewards lists (flat
-    index, reward) for the safe candidates of the deciding level, in
-    flat order (just the nominal when it passed outright).
+    executed is the flat joint-action index; verdict (check_step's
+    records), next_belief and next_monitor describe its update;
+    candidate_rewards lists (flat index, reward) for the safe candidates
+    of the deciding level, in flat order (just the nominal when it
+    passed outright).
     """
 
     executed: int
     overridden: bool
     nominal_reward: float
     candidate_rewards: tuple[tuple[int, float], ...]
-    verdict: StepVerdict
+    verdict: Records
     next_belief: Belief
     next_monitor: Monitor
 
@@ -121,8 +122,9 @@ def _barriers_after(mon: Monitor, values: BarrierValues | None) -> dict[str, flo
     """Recorded barrier value of each obligation, for deadlock reports."""
     if values is None:
         return {}
-    verdict, _ = check_step(mon, values)
-    return {r.oid: r.barrier for r in verdict.records if r.barrier is not None}
+    records, _ = check_step(mon, values)
+    return {ob.oid: barrier for ob, (_, barrier, _) in zip(mon.obligations, records)
+            if barrier is not None}
 
 
 @cache
@@ -172,13 +174,13 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
         best = next(a for a, r in candidates if abs(r - r_n) <= least + REWARD_TIE)
         row, values, _ = checks[best]
 
-    verdict, successor = check_step(mon, values)
+    records, successor = check_step(mon, values)
     return ShieldDecision(
         executed=best,
         overridden=not nominal_safe,
         nominal_reward=r_n,
         candidate_rewards=tuple(candidates),
-        verdict=verdict,
+        verdict=records,
         next_belief=Belief.owning(row),
         next_monitor=successor,
     )

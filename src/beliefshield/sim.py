@@ -24,7 +24,7 @@ from .model import (
     Belief, Mpomdp, belief_update, expected_reward, sample_initial_state,
     sample_observation, sample_transition,
 )
-from .monitor import Monitor, StepVerdict, barrier_values, check_step
+from .monitor import Monitor, Records, barrier_values, check_step, passed
 from .shield import CONSERVATIVE, LITERAL, shield_step
 
 SHIELD_OFF = "off"
@@ -98,7 +98,7 @@ class TraceStep:
     observation: int
     next_state: int
     belief: Belief
-    verdict: StepVerdict
+    verdict: Records
     realized_reward: float
     nominal_reward: float | None = None
     candidate_rewards: tuple[tuple[int, float], ...] = ()
@@ -115,7 +115,7 @@ class Trace:
 
     @property
     def violation_steps(self) -> list[TraceStep]:
-        return [s for s in self.steps if not s.verdict.passed]
+        return [s for s in self.steps if not passed(s.verdict)]
 
     @property
     def override_count(self) -> int:
@@ -183,7 +183,7 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
         ))
         state, belief = next_state, b_next
 
-        if not verdict.passed and scenario.abort_on_violation:
+        if scenario.abort_on_violation and not passed(verdict):
             end_reason = END_VIOLATION_ABORT
             break
 
@@ -211,11 +211,13 @@ class BatchResult:
     def episode_rows(self) -> list[dict]:
         """Per-episode summary rows, one dict per episode."""
         rows = []
+        kinds = [kind for _, kind, _ in self.obligations]
         for t in self.traces:
             # Only reach obligations count: a next or bare conjunct is
             # discharged by its single check at step 1.
-            reached = [s.step for s in t.steps for r in s.verdict.records
-                       if r.status == "discharged" and r.kind in ("eventually", "until")]
+            reached = [s.step for s in t.steps
+                       for kind, (status, _, _) in zip(kinds, s.verdict)
+                       if status == "discharged" and kind in ("eventually", "until")]
             rows.append({
                 "episode": t.episode,
                 "steps": len(t.steps),

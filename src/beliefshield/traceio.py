@@ -54,6 +54,7 @@ import numpy as np
 
 from ._gc import paused_gc
 from .errors import ConfigError
+from .monitor import passed
 from .sim import BatchResult, Trace, TraceStep
 
 TRACE_VERSION = 3
@@ -153,13 +154,13 @@ def _header_line(trace: Trace, result: BatchResult, scenario_name: str,
 
 
 def _step_line(episode: int, s: TraceStep) -> str:
-    records = s.verdict.records
-    barriers = ["null" if r.barrier is None else _float(r.barrier) for r in records]
+    records = s.verdict
+    barriers = ["null" if barrier is None else _float(barrier) for _, barrier, _ in records]
     realized = _float(s.realized_reward)
     nominal = "null" if s.nominal_reward is None else _float(s.nominal_reward)
     rewards = [_float(reward) for _, reward in s.candidate_rewards]
     if not _NOT_FINITE.isdisjoint((realized, nominal, *barriers, *rewards)):
-        raise _not_finite({"verdict": [{"barrier": r.barrier} for r in records],
+        raise _not_finite({"verdict": [{"barrier": barrier} for _, barrier, _ in records],
                            "realized_reward": s.realized_reward,
                            "nominal_reward": s.nominal_reward,
                            "candidate_rewards": s.candidate_rewards},
@@ -168,8 +169,8 @@ def _step_line(episode: int, s: TraceStep) -> str:
         s.step, s.prev_state, s.nominal, s.executed,
         "true" if s.overridden else "false", s.observation, s.next_state,
         encode_belief(s.belief.probs),
-        ",".join([_RECORD % (_string(r.status), barrier, _string(r.detail))
-                  for r, barrier in zip(records, barriers)]),
+        ",".join([_RECORD % (_string(status), barrier, _string(detail))
+                  for (status, _, detail), barrier in zip(records, barriers)]),
         realized, nominal,
         ",".join([_CANDIDATE % (action, reward)
                   for (action, _), reward in zip(s.candidate_rewards, rewards)]),
@@ -242,15 +243,15 @@ def _row_of(rec: dict, where: str) -> tuple[list, list]:
     kind] of each of its records. Raises ConfigError at `where` for a
     malformed verdict or a passed flag that its statuses contradict."""
     try:
-        records, passed = rec["verdict"]["records"], rec["verdict"]["passed"]
+        records, flag = rec["verdict"]["records"], rec["verdict"]["passed"]
         named = [[r["oid"], r.get("kind")] for r in records]
         verdict = [[r.get("status"), r.get("barrier"), r.get("detail")] for r in records]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed verdict: {type(exc).__name__} {exc}", where) from exc
-    if not isinstance(passed, bool):
-        raise ConfigError(f"malformed verdict: passed is {passed!r}, not a boolean", where)
-    if passed != all(status != "fail" for status, _, _ in verdict):
-        raise ConfigError(f"malformed verdict: passed is {passed}, statuses "
+    if not isinstance(flag, bool):
+        raise ConfigError(f"malformed verdict: passed is {flag!r}, not a boolean", where)
+    if flag != passed(verdict):
+        raise ConfigError(f"malformed verdict: passed is {flag}, statuses "
                           f"{[status for status, _, _ in verdict]}", where)
     row = [rec["step"], rec.get("prev_state"), rec.get("nominal"), rec.get("executed"),
            rec.get("overridden"), rec.get("observation"), rec.get("next_state"),

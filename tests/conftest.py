@@ -26,7 +26,7 @@ from beliefshield.ldtl import (
 from beliefshield.model import (
     Belief, Mpomdp, belief_update, expected_reward, predicted_belief,
 )
-from beliefshield.monitor import Monitor, StepVerdict, barrier_values, check_step
+from beliefshield.monitor import Monitor, Records, barrier_values, check_step, passed
 from beliefshield.traceio import STEP_COLUMNS, encode_belief
 
 # A version 3 step row's column positions by name.
@@ -135,7 +135,7 @@ def values_at(mon: Monitor, b: Belief) -> Monitor:
     return replace(mon, values=barrier_values(mon, b.probs))
 
 
-def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[StepVerdict, Monitor]:
+def monitor_step(mon: Monitor, b_prev: Belief, b_next: Belief) -> tuple[Records, Monitor]:
     """Check the transition b_prev -> b_next against every obligation.
 
     Pure: returns the verdict and the successor monitor. The first call
@@ -208,7 +208,7 @@ class ActionCheck:
 
     action: int
     belief: Belief | None        # posterior under z; None when z is impossible
-    verdict: StepVerdict | None  # the monitor's verdict on that step
+    verdict: Records | None      # the monitor's verdict on that step
     monitor: Monitor | None      # the successor monitor
     safe: bool                   # passes under z and, if conservative, every other z
     reward: float | None         # expected reward at the posterior
@@ -264,7 +264,7 @@ def _passes_every_other_observation(m: Mpomdp, mon: Monitor, b: Belief, z: int,
         except ZeroLikelihood:
             return False
         other_verdict, _ = monitor_step(mon, b, b_other)
-        if not other_verdict.passed:
+        if not passed(other_verdict):
             return False
     return True
 
@@ -285,7 +285,7 @@ def shield_reference(m: Mpomdp, mon: Monitor, b: Belief, z: int, a_nominal: int,
             checks.append(ActionCheck(action, None, None, None, False, None, changed))
             continue
         verdict, successor = monitor_step(mon, b, b_next)
-        safe = verdict.passed and (
+        safe = passed(verdict) and (
             mode != CONSERVATIVE or _passes_every_other_observation(m, mon, b, z, action))
         checks.append(ActionCheck(action, b_next, verdict, successor, safe,
                                   expected_reward(b_next, action, m), changed))

@@ -27,7 +27,7 @@ from beliefshield import (
 )
 from beliefshield import audit
 from beliefshield.audit import _same_detail
-from beliefshield.monitor import ObligationRecord, StepVerdict, check_step
+from beliefshield.monitor import check_step, passed
 from beliefshield.parsing import parse_expr, parse_formula
 from beliefshield.sim import BatchResult, TraceStep
 from beliefshield.traceio import (
@@ -59,8 +59,9 @@ def dump_line(rec) -> str:
     return json.dumps(rec, separators=(",", ":"))
 
 
-def reference_v2_step_line(episode: int, s: TraceStep) -> str:
-    """A step line as the version 2 writer wrote it."""
+def reference_v2_step_line(episode: int, s: TraceStep, obligations) -> str:
+    """A step line as the version 2 writer wrote it, its records named
+    by the batch's (oid, kind, label) obligations."""
     return json.dumps({
         "type": "step",
         "episode": episode,
@@ -73,11 +74,11 @@ def reference_v2_step_line(episode: int, s: TraceStep) -> str:
         "next_state": s.next_state,
         "belief": encode_belief(s.belief.probs),
         "verdict": {
-            "passed": s.verdict.passed,
+            "passed": passed(s.verdict),
             "records": [
-                {"oid": r.oid, "kind": r.kind, "status": r.status,
-                 "barrier": r.barrier, "detail": r.detail}
-                for r in s.verdict.records
+                {"oid": oid, "kind": kind, "status": status,
+                 "barrier": barrier, "detail": detail}
+                for (oid, kind, _), (status, barrier, detail) in zip(obligations, s.verdict)
             ],
         },
         "realized_reward": s.realized_reward,
@@ -95,7 +96,8 @@ def v2_trace_text(result: BatchResult, scenario: str, shield: str, horizon: int)
             "base_seed": result.base_seed, "shield": shield, "horizon": horizon,
             "initial_state": t.initial_state,
             "initial_belief": encode_belief(t.initial_belief.probs)}))
-        lines.extend(reference_v2_step_line(t.episode, s) for s in t.steps)
+        lines.extend(reference_v2_step_line(t.episode, s, result.obligations)
+                     for s in t.steps)
         lines.append(dump_line({"type": "end", "episode": t.episode, "steps": len(t.steps),
                                 "reason": t.end_reason, "detail": t.end_detail}))
     return "\n".join(lines) + "\n"
@@ -156,9 +158,21 @@ def test_trace_file_round_trip(corridor_run):
         assert first["executed"] == trace.steps[0].executed
         assert first["overridden"] == trace.steps[0].overridden
         assert decode_belief(first["belief"]).tobytes() == trace.steps[0].belief.probs.tobytes()
-        assert first["verdict"] == [[r.status, r.barrier, r.detail]
-                                    for r in trace.steps[0].verdict.records]
+        assert first["verdict"] == trace.steps[0].verdict
         assert len(first["verdict"]) == 2
+
+
+@pytest.mark.parametrize("mode", ["off", "literal", "conservative"])
+def test_every_verdict_is_the_row_column_it_is_written_as(mode, tmp_path):
+    # check_step's records are the form a version 3 row records: each
+    # step's verdict in memory equals its row's verdict column read back.
+    cfg = corridor_config(mode)
+    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=3)
+    path = tmp_path / "corridor.trace.jsonl"
+    write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
+    in_memory = [s.verdict for t in result.traces for s in t.steps]
+    assert in_memory
+    assert in_memory == [row[VERDICT] for ep in read_traces(path) for row in ep.steps]
 
 
 def test_rerun_writes_identical_bytes(corridor_run, tmp_path):
@@ -229,7 +243,7 @@ def reference_step_line(s: TraceStep) -> str:
     return json.dumps([
         s.step, s.prev_state, s.nominal, s.executed, s.overridden, s.observation,
         s.next_state, encode_belief(s.belief.probs),
-        [[r.status, r.barrier, r.detail] for r in s.verdict.records],
+        s.verdict,
         s.realized_reward, s.nominal_reward, [list(pair) for pair in s.candidate_rewards],
     ], separators=(",", ":"), allow_nan=False)
 
@@ -239,14 +253,13 @@ FINITE = st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 0.1]) | st.floats(
 TEXT = st.sampled_from(['', 'a "quoted" \\ back\\slash', '\x00\x1f\n\r\t\x7f\u2028',
                         'caf\u00e9 \u2603 \U0001f600', '\ud800']) | st.text()
 COUNT = st.integers(0, 2**40)
-RECORD = st.builds(ObligationRecord, oid=TEXT, kind=TEXT,
-                   status=st.sampled_from(["pass", "fail", "discharged", "inactive"]) | TEXT,
-                   barrier=st.none() | FINITE, detail=TEXT)
+RECORD = st.tuples(st.sampled_from(["pass", "fail", "discharged", "inactive"]) | TEXT,
+                   st.none() | FINITE, TEXT).map(list)
 TRACE_STEP = st.builds(
     TraceStep, step=COUNT, prev_state=COUNT, nominal=COUNT, executed=COUNT,
     overridden=st.booleans(), observation=COUNT, next_state=COUNT,
     belief=st.lists(FINITE, min_size=1, max_size=4).map(Belief),
-    verdict=st.builds(StepVerdict, step=COUNT, records=st.lists(RECORD, max_size=3).map(tuple)),
+    verdict=st.lists(RECORD, max_size=3),
     realized_reward=FINITE, nominal_reward=st.none() | FINITE,
     candidate_rewards=st.lists(st.tuples(COUNT, FINITE), max_size=3).map(tuple))
 
@@ -255,7 +268,7 @@ TRACE_STEP = st.builds(
 @given(episode=COUNT, s=TRACE_STEP)
 @example(episode=0, s=TraceStep(
     step=1, prev_state=0, nominal=0, executed=0, overridden=False, observation=0,
-    next_state=0, belief=Belief((1.0,)), verdict=StepVerdict(1, ()), realized_reward=-0.0))
+    next_state=0, belief=Belief((1.0,)), verdict=[], realized_reward=-0.0))
 def test_a_step_line_has_the_bytes_json_dumps_writes(episode, s):
     assert _step_line(episode, s) == reference_step_line(s)
 
@@ -264,8 +277,7 @@ def tiny_step(**changes) -> TraceStep:
     step = TraceStep(
         step=1, prev_state=0, nominal=0, executed=1, overridden=True, observation=0,
         next_state=0, belief=Belief((1.0,)),
-        verdict=StepVerdict(1, (ObligationRecord("0:always", "always", "pass", 0.25),
-                                ObligationRecord("1:eventually", "eventually", "pass", -0.5))),
+        verdict=[["pass", 0.25, ""], ["pass", -0.5, ""]],
         realized_reward=1.0, nominal_reward=0.5, candidate_rewards=((1, 0.75), (2, 0.5)))
     return replace(step, **changes)
 
@@ -277,9 +289,7 @@ TINY_OBLIGATIONS = (("0:always", "always", "G p"), ("1:eventually", "eventually"
                                          (math.nan, "nan")], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("where, field, step, detail", [
     ("step 1", "verdict[1].barrier",
-     lambda v: tiny_step(verdict=StepVerdict(1, (
-         ObligationRecord("0:always", "always", "pass", 0.25),
-         ObligationRecord("1:eventually", "eventually", "pass", v)))), None),
+     lambda v: tiny_step(verdict=[["pass", 0.25, ""], ["pass", v, ""]]), None),
     ("step 1", "realized_reward", lambda v: tiny_step(realized_reward=v), None),
     ("step 1", "nominal_reward", lambda v: tiny_step(nominal_reward=v), None),
     ("step 1", "candidate_rewards[1][1]",
@@ -451,7 +461,7 @@ def test_a_step_object_in_a_v3_episode_is_a_config_error(corridor_run, tmp_path)
     _, result, path = corridor_run
     lines = path.read_text().splitlines()
     lineno = len(result.traces[0].steps) + 3 + 4  # episode 1, step 4
-    v2_line = reference_v2_step_line(1, result.traces[1].steps[3])
+    v2_line = reference_v2_step_line(1, result.traces[1].steps[3], result.obligations)
     assert json.loads(lines[lineno - 1])[0] == 4
     lines[lineno - 1] = v2_line
     bad = tmp_path / "bad.trace.jsonl"
@@ -618,7 +628,7 @@ def test_a_fail_status_flipped_to_pass_is_a_mismatch(tmp_path):
     write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
     episode, step, index = next(
         (t.episode, s.step, i) for t in result.traces for s in t.steps
-        for i, r in enumerate(s.verdict.records) if r.status == "fail")
+        for i, (status, _, _) in enumerate(s.verdict) if status == "fail")
     oid = result.obligations[index][0]
 
     def flip(row):

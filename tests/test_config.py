@@ -610,6 +610,19 @@ def test_shipped_configs_match_their_generator(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == (CONFIGS / name).read_bytes()
 
 
+def test_a_negative_entry_within_the_row_sum_tolerance_is_refused():
+    # The row still sums to 1 within 1e-9, but renormalizing keeps the
+    # entry's sign, and the filter would carry it into a belief.
+    data = yaml.safe_load((CONFIGS / "corridor.yaml").read_text())
+    row = data["transition"][0]
+    assert (row["from"], row["action"]) == ("a0_h1", ["follow_route", "hold"])
+    row["next"]["a0_h1"] += 5e-10
+    row["next"]["a2_h1"] = -5e-10
+    with pytest.raises(ConfigError) as err:
+        parse_config(data, source="corridor.yaml")
+    assert "transition[0, 0, 4]: entry -5e-10 outside [0, 1]" in str(err.value)
+
+
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 def test_invalid_yaml_is_a_config_error_with_either_loader(loader, tmp_path, monkeypatch):
     monkeypatch.setattr(config, "_YAML_LOADER", loader)

@@ -132,7 +132,7 @@ def decisions_sha256(name: str) -> str:
     executed actions, override flag and each verdict record's status."""
     _, result = _batch(name)
     lines = [json.dumps([t.episode, s.step, s.nominal, s.executed, s.overridden,
-                         [r.status for r in s.verdict.records]]) + "\n"
+                         [status for status, _, _ in s.verdict]]) + "\n"
              for t in result.traces for s in t.steps]
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 

@@ -18,7 +18,7 @@ from beliefshield.model import Belief
 
 from conftest import evaluate_expr
 
-B2 = Belief(np.array([0.25, 0.75]))
+B2 = [0.25, 0.75]
 
 
 def letters(*states: int) -> tuple[Letter, ...]:
@@ -135,8 +135,8 @@ def test_always_eventually_duality_on_atoms():
     for _ in range(200):
         n = int(rng.integers(1, 6))
         word = tuple(
-            Letter(0, Belief(np.array([p, 1.0 - p])))
-            for p in rng.uniform(0.0, 1.0, size=n)
+            Letter(0, [p, 1.0 - p])
+            for p in rng.uniform(0.0, 1.0, size=n).tolist()
         )
         assert oracle_satisfies(Always(f), word) != \
             oracle_satisfies(Eventually(neg_f), word)

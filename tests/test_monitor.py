@@ -38,9 +38,14 @@ from beliefshield import (
     ft_time_bound,
 )
 from beliefshield.ldtl import describe
-from beliefshield.monitor import barrier_values, check_step, leaf_values, step_passes
+from beliefshield.monitor import (
+    barrier_values, check_step, leaf_values, passed, step_passes,
+)
 
 from conftest import evaluate_expr, monitor_step
+
+# Positions in a record, check_step's [status, barrier, detail].
+STATUS, BARRIER, DETAIL = range(3)
 
 
 def tiny_model(n_states: int) -> Mpomdp:
@@ -266,25 +271,26 @@ def test_config_rejects_nonpositive_delta():
 def test_invariance_passes_while_decay_bound_holds():
     mon = compile_monitor(Always(MARGIN), MODEL, CFG)
     verdicts, _ = walk(mon, [b_margin(0.4), b_margin(0.25), b_margin(0.13)])
-    assert [v.passed for v in verdicts] == [True, True]
-    assert verdicts[0].records[0].barrier == pytest.approx(0.25)
+    assert [passed(v) for v in verdicts] == [True, True]
+    assert verdicts[0][0][BARRIER] == pytest.approx(0.25)
 
 
 def test_invariance_fails_on_negative_start():
     mon = compile_monitor(Always(MARGIN), MODEL, CFG)
     verdicts, _ = walk(mon, [b_margin(-0.1), b_margin(0.3)])
-    rec = verdicts[0].records[0]
-    assert rec.status == "fail"
-    assert "start barrier" in rec.detail
-    assert verdicts[0].failing == ("0:always",)
+    rec = verdicts[0][0]
+    assert rec[STATUS] == "fail"
+    assert "start barrier" in rec[DETAIL]
+    assert [ob.oid for ob, (status, _, _) in zip(mon.obligations, verdicts[0])
+            if status == "fail"] == ["0:always"]
 
 
 def test_invariance_fails_on_broken_decay():
     mon = compile_monitor(Always(MARGIN), MODEL, CFG)
     verdicts, _ = walk(mon, [b_margin(0.4), b_margin(0.15)])
-    rec = verdicts[0].records[0]
-    assert rec.status == "fail"
-    assert "decay bound broken" in rec.detail
+    rec = verdicts[0][0]
+    assert rec[STATUS] == "fail"
+    assert "decay bound broken" in rec[DETAIL]
 
 
 def test_invariance_is_never_pending():
@@ -301,7 +307,7 @@ def test_finite_time_deadline_fixed_at_activation():
     # h0 = -0.4 with rho=0.5, eps=0.1 gives floor(log2(5)) = 2 steps.
     mon = compile_monitor(Eventually(REACH), MODEL, CFG)
     verdicts, mon2 = walk(mon, [b_reach(-0.4), b_reach(-0.13)])
-    assert verdicts[0].records[0].status == "pass"
+    assert verdicts[0][0][STATUS] == "pass"
     assert mon2.obligations[0].deadline == 2
     assert not mon2.all_discharged
     assert mon2.pending() == ("0:eventually",)
@@ -310,45 +316,45 @@ def test_finite_time_deadline_fixed_at_activation():
 def test_finite_time_discharges_on_reaching_zero():
     mon = compile_monitor(Eventually(REACH), MODEL, CFG)
     verdicts, mon2 = walk(mon, [b_reach(-0.4), b_reach(-0.13), b_reach(0.02)])
-    assert verdicts[1].records[0].status == "discharged"
-    assert verdicts[1].records[0].detail == "reached at step 2 (deadline 2)"
+    assert verdicts[1][0][STATUS] == "discharged"
+    assert verdicts[1][0][DETAIL] == "reached at step 2 (deadline 2)"
     assert mon2.all_discharged
 
 
 def test_finite_time_discharged_at_start_then_inactive():
     mon = compile_monitor(Eventually(REACH), MODEL, CFG)
     verdicts, _ = walk(mon, [b_reach(0.1), b_reach(-0.3), b_reach(-0.3)])
-    assert verdicts[0].records[0].status == "discharged"
-    assert verdicts[0].records[0].detail == "satisfied at start"
-    assert verdicts[1].records[0].status == "inactive"
-    assert all(v.passed for v in verdicts)
+    assert verdicts[0][0][STATUS] == "discharged"
+    assert verdicts[0][0][DETAIL] == "satisfied at start"
+    assert verdicts[1][0][STATUS] == "inactive"
+    assert all(passed(v) for v in verdicts)
 
 
 def test_finite_time_fails_on_broken_contraction():
     mon = compile_monitor(Eventually(REACH), MODEL, CFG)
     verdicts, _ = walk(mon, [b_reach(-0.4), b_reach(-0.36)])
-    rec = verdicts[0].records[0]
-    assert rec.status == "fail"
-    assert "contraction broken" in rec.detail
+    rec = verdicts[0][0]
+    assert rec[STATUS] == "fail"
+    assert "contraction broken" in rec[DETAIL]
 
 
 def test_finite_time_fails_past_deadline():
     # Deadline 2: a stall at step 2 leaves h < 0 after a compliant step 3.
     mon = compile_monitor(Eventually(REACH), MODEL, CFG)
     verdicts, _ = walk(mon, [b_reach(-0.4), b_reach(-0.13), b_reach(-0.13), b_reach(-0.01)])
-    rec = verdicts[2].records[0]
-    assert rec.status == "fail"
-    assert rec.detail == "deadline 2 passed"
+    rec = verdicts[2][0]
+    assert rec[STATUS] == "fail"
+    assert rec[DETAIL] == "deadline 2 passed"
 
 
 def test_finite_time_reports_both_problems():
     mon = compile_monitor(Eventually(REACH), MODEL, CFG)
     verdicts, _ = walk(mon, [b_reach(-0.4), b_reach(-0.13), b_reach(-0.13), b_reach(-0.12)])
-    rec = verdicts[2].records[0]
-    assert rec.status == "fail"
-    assert "contraction broken" in rec.detail
-    assert "deadline 2 passed" in rec.detail
-    assert "; " in rec.detail
+    rec = verdicts[2][0]
+    assert rec[STATUS] == "fail"
+    assert "contraction broken" in rec[DETAIL]
+    assert "deadline 2 passed" in rec[DETAIL]
+    assert "; " in rec[DETAIL]
 
 
 def tightest_contraction(h: float, p: FtParams) -> float:
@@ -375,7 +381,7 @@ def test_finite_time_zero_slack_reach_never_fails(rho, eps, h0):
     deadline = ft_time_bound(h0, cfg.ft)
     while not mon.all_discharged:
         verdict, mon = check_step(mon, [[tightest_contraction(mon.values[0][0], cfg.ft)]])
-        assert verdict.passed, verdict.records[0].detail
+        assert passed(verdict), verdict[0][DETAIL]
     assert mon.step_count <= deadline + 1
 
 
@@ -391,9 +397,9 @@ def test_until_discharged_when_right_holds_at_start():
     verdicts, mon = walk(
         until_monitor(), [b_pair(-0.3, 0.1), b_pair(-0.3, -0.3), b_pair(0.2, -0.3)]
     )
-    assert verdicts[0].records[0].status == "discharged"
-    assert verdicts[0].records[0].detail == "right side satisfied at start"
-    assert verdicts[1].records[0].status == "inactive"
+    assert verdicts[0][0][STATUS] == "discharged"
+    assert verdicts[0][0][DETAIL] == "right side satisfied at start"
+    assert verdicts[1][0][STATUS] == "inactive"
     assert mon.all_discharged
 
 
@@ -401,40 +407,40 @@ def test_until_discharge_beats_left_decay_on_same_step():
     # Left collapses 0.3 -> -0.4 on the discharging transition; the right
     # side reaching zero makes that irrelevant.
     verdicts, mon = walk(until_monitor(), [b_pair(0.3, -0.3), b_pair(-0.4, 0.2)])
-    assert verdicts[0].records[0].status == "discharged"
-    assert verdicts[0].records[0].detail == "right side reached at step 1"
+    assert verdicts[0][0][STATUS] == "discharged"
+    assert verdicts[0][0][DETAIL] == "right side reached at step 1"
     assert mon.all_discharged
 
 
 def test_until_fails_on_negative_left_start():
     verdicts, _ = walk(until_monitor(), [b_pair(-0.2, -0.4), b_pair(0.3, -0.3)])
-    rec = verdicts[0].records[0]
-    assert rec.status == "fail"
-    assert "left barrier" in rec.detail and "at start" in rec.detail
+    rec = verdicts[0][0]
+    assert rec[STATUS] == "fail"
+    assert "left barrier" in rec[DETAIL] and "at start" in rec[DETAIL]
 
 
 def test_until_right_reaching_at_step_one_cannot_excuse_left_start():
     # Right is negative at the start, so position zero needs the left
     # side; reaching the right side one step later must not discharge.
     verdicts, mon = walk(until_monitor(), [b_pair(-0.2, -0.3), b_pair(-0.4, 0.3)])
-    rec = verdicts[0].records[0]
-    assert rec.status == "fail"
-    assert "left barrier" in rec.detail and "at start" in rec.detail
+    rec = verdicts[0][0]
+    assert rec[STATUS] == "fail"
+    assert "left barrier" in rec[DETAIL] and "at start" in rec[DETAIL]
     assert mon.pending() == ("0:until",)
 
 
 def test_until_fails_on_broken_left_decay():
     verdicts, _ = walk(until_monitor(), [b_pair(0.4, -0.4), b_pair(0.05, -0.4)])
-    rec = verdicts[0].records[0]
-    assert rec.status == "fail"
-    assert "left decay bound broken" in rec.detail
+    rec = verdicts[0][0]
+    assert rec[STATUS] == "fail"
+    assert "left decay bound broken" in rec[DETAIL]
 
 
 def test_until_passes_while_waiting():
     verdicts, mon = walk(until_monitor(), [b_pair(0.4, -0.4), b_pair(0.25, -0.3)])
-    rec = verdicts[0].records[0]
-    assert rec.status == "pass"
-    assert "right barrier" in rec.detail
+    rec = verdicts[0][0]
+    assert rec[STATUS] == "pass"
+    assert "right barrier" in rec[DETAIL]
     assert mon.pending() == ("0:until",)
 
 
@@ -445,30 +451,30 @@ def test_until_passes_while_waiting():
 def test_next_checks_position_one_only():
     mon = compile_monitor(Next(REACH), MODEL, CFG)
     verdicts, mon2 = walk(mon, [b_reach(-0.4), b_reach(0.1), b_reach(-0.4)])
-    assert verdicts[0].records[0].status == "discharged"
-    assert verdicts[1].records[0].status == "inactive"
+    assert verdicts[0][0][STATUS] == "discharged"
+    assert verdicts[1][0][STATUS] == "inactive"
     assert mon2.all_discharged
 
 
 def test_next_fails_when_position_one_misses():
     mon = compile_monitor(Next(REACH), MODEL, CFG)
     verdicts, mon2 = walk(mon, [b_reach(0.4), b_reach(-0.1), b_reach(0.4)])
-    assert verdicts[0].records[0].status == "fail"
-    assert verdicts[0].records[0].detail == "barrier < 0 at the next step"
+    assert verdicts[0][0][STATUS] == "fail"
+    assert verdicts[0][0][DETAIL] == "barrier < 0 at the next step"
     # One-shot either way: later steps are inactive.
-    assert verdicts[1].records[0].status == "inactive"
+    assert verdicts[1][0][STATUS] == "inactive"
 
 
 def test_one_shot_checks_starting_belief():
     mon = compile_monitor(MARGIN, MODEL, CFG)
     verdicts, _ = walk(mon, [b_margin(0.2), b_margin(-0.4)])
-    assert verdicts[0].records[0].status == "discharged"
+    assert verdicts[0][0][STATUS] == "discharged"
 
     mon = compile_monitor(MARGIN, MODEL, CFG)
     verdicts, _ = walk(mon, [b_margin(-0.2), b_margin(0.4)])
-    rec = verdicts[0].records[0]
-    assert rec.status == "fail"
-    assert rec.detail == "barrier < 0 at start"
+    rec = verdicts[0][0]
+    assert rec[STATUS] == "fail"
+    assert rec[DETAIL] == "barrier < 0 at start"
 
 
 # --------------------------------------------------------------------------
@@ -522,12 +528,12 @@ def test_inactive_records_repeat_the_discharge_value(kind):
     phi, beliefs = DISCHARGE_PATHS[kind]
     mon = compile_monitor(phi, MODEL, CFG)
     verdicts, mon = walk(mon, beliefs)
-    decided = verdicts[0].records[0]
-    assert decided.kind == kind
-    assert decided.status in ("discharged", "fail")
-    assert [v.records[0].status for v in verdicts[1:]] == ["inactive", "inactive"]
-    assert [v.records[0].barrier for v in verdicts[1:]] == [decided.barrier] * 2
-    assert mon.obligations[0].value == decided.barrier
+    decided = verdicts[0][0]
+    assert mon.obligations[0].kind == kind
+    assert decided[STATUS] in ("discharged", "fail")
+    assert [v[0][STATUS] for v in verdicts[1:]] == ["inactive", "inactive"]
+    assert [v[0][BARRIER] for v in verdicts[1:]] == [decided[BARRIER]] * 2
+    assert mon.obligations[0].value == decided[BARRIER]
     assert mon.step_count == 3
 
 

@@ -35,6 +35,7 @@ from beliefshield import (
     expected_reward,
     shield_step,
 )
+from beliefshield.monitor import passed
 
 CFG = MonitorConfig(delta=1e-3, alpha=LinearAlpha(0.5), ft=FtParams(rho=0.9, eps=0.1))
 
@@ -86,7 +87,7 @@ def test_nominal_action_accepted_without_override():
     assert decision.executed == STAY
     assert decision.candidate_rewards == ((STAY, 1.0),)
     assert decision.nominal_reward == 1.0
-    assert decision.verdict.passed
+    assert passed(decision.verdict)
     assert decision.next_monitor.step_count == 1
     assert np.array_equal(decision.next_belief.probs, belief_update(B0, STAY, 0, m).probs)
 
@@ -149,7 +150,7 @@ def test_enumerate_matches_shield_candidates():
     candidates = shield_reference(m, mon, B0, 0, SPIKE).safe
     assert [c.action for c in candidates] == [STAY, DRIFT, LEAP]
     for c in candidates:
-        assert c.verdict.passed
+        assert passed(c.verdict)
         assert c.monitor.step_count == 1
         assert np.array_equal(c.belief.probs, belief_update(B0, c.action, 0, m).probs)
         assert c.reward == pytest.approx(
@@ -409,10 +410,12 @@ def random_monitor(rng: np.random.Generator, m: Mpomdp):
     return mon
 
 
-def reference_barriers(ref):
-    """Per-action barrier report from the reference's verdicts."""
+def reference_barriers(ref, mon):
+    """Per-action barrier report from the reference's verdicts, each
+    record named by mon's obligation at its position."""
     return {c.action: {} if c.verdict is None else
-            {r.oid: r.barrier for r in c.verdict.records if r.barrier is not None}
+            {ob.oid: barrier for ob, (_, barrier, _) in zip(mon.obligations, c.verdict)
+             if barrier is not None}
             for c in ref.actions}
 
 
@@ -432,7 +435,7 @@ def test_batched_shield_matches_enumeration(seed, mode):
         with pytest.raises(SafetyDeadlock) as err:
             shield_step(m, values_at(mon, b), b, z, a_nom, mode)
         assert err.value.step == mon.step_count + 1
-        assert err.value.candidate_barriers == reference_barriers(ref)
+        assert err.value.candidate_barriers == reference_barriers(ref, mon)
         return
     decision = shield_step(m, values_at(mon, b), b, z, a_nom, mode)
     assert decision.overridden == (best.action != a_nom)
@@ -460,4 +463,4 @@ def test_forced_deadlock_reports_every_action(seed, mode):
     with pytest.raises(SafetyDeadlock) as err:
         shield_step(m, values_at(mon, b), b, z, a_nom, mode)
     assert err.value.candidate_barriers == reference_barriers(
-        shield_reference(m, mon, b, z, a_nom, mode))
+        shield_reference(m, mon, b, z, a_nom, mode), mon)

@@ -35,6 +35,7 @@ from beliefshield.sim import (
     END_VIOLATION_ABORT,
     END_ZERO_LIKELIHOOD,
 )
+from beliefshield.monitor import passed
 from beliefshield.presets import corridor_config
 
 from conftest import count_calls, monitor_step, random_model
@@ -84,7 +85,7 @@ def test_degenerate_episode_records_every_step():
         assert (s.step, s.prev_state, s.next_state) == (i, 0, 0)
         assert s.executed == s.nominal == 0
         assert not s.overridden
-        assert s.verdict.passed
+        assert passed(s.verdict)
         assert s.realized_reward == 0.25
         assert np.array_equal(s.belief.probs, [1.0])
     assert trace.violation_steps == []
@@ -240,7 +241,7 @@ def test_abort_on_violation_truncates_the_episode():
     trace = run_episode(scen, np.random.default_rng(0))
     assert trace.end_reason == END_VIOLATION_ABORT
     assert len(trace.steps) == 1
-    assert not trace.steps[0].verdict.passed
+    assert not passed(trace.steps[0].verdict)
 
 
 # --------------------------------------------------------------------------
@@ -360,6 +361,6 @@ def test_carried_values_match_a_fresh_evaluation_of_both_beliefs(model, mode, mo
             assert successor[id(s.verdict)] == mon
             belief = s.belief
             steps += 1
-            inactive += sum(r.status == "inactive" for r in s.verdict.records)
+            inactive += sum(status == "inactive" for status, _, _ in s.verdict)
     # Obligations were discharged mid-episode, so carried values skipped them.
     assert steps and inactive
