@@ -9,26 +9,37 @@ and 2 list no obligations in the header; there the first step's
 records' oids and kinds stand for them (see `traceio.EpisodeRecord`),
 and their labels are not checked.
 
-Pass 1 replays the belief chain. Each step's indices are checked, and
-its belief is recomputed from the recorded action and observation and
-compared with the recorded one; the pass stops at the first fault, and
-holds it. One gather (`monitor.leaf_values`) then reads the leaf values
-of every belief it replayed from their (T, n) stack. Pass 2 walks the
-steps before that fault: the monitor's evaluators on each step's leaf
-values, `check_step`, and the comparison of its verdict with the
-recorded one, which raises for a malformed verdict. Only then is pass
-1's fault raised. Within a step the checks run in the order index,
-belief, verdict, and pass 2 covers every step before the first index or
-belief fault, so the first fault in file order is the one raised, as
-in a single pass.
+Pass 1 replays the belief chain in two parts. The stacked check
+(`_exact_prefix`) first reads the rows up to the first whose indices
+are out of range or whose belief its version's decoding
+(`traceio.recorded_belief`) refuses, and replays each of their steps
+from the recorded belief before it, all at once. Where every step up to
+t replays its recorded belief bit for bit, the sequential replay from
+the initial belief gives those beliefs too, by induction, so those
+steps are verified with error 0.0. From the first step whose replay
+differs in any bit, or whose observation the filter would refuse, the
+sequential replay runs as it always has: each step's indices are
+checked, its belief is recomputed from the last one with `belief_update`
+and compared with the recorded one, and the pass stops at the first
+fault, and holds it. An untampered trace is verified whole, and
+`belief_update` is never called. One gather (`monitor.leaf_values`)
+then reads the leaf values of every belief pass 1 replayed from their
+(T, n) stack. Pass 2 walks the steps before that fault: the monitor's
+evaluators on each step's leaf values, `check_step`, and the comparison
+of its verdict with the recorded one, which raises for a malformed
+verdict. Only then is pass 1's fault raised. Within a step the checks
+run in the order index, belief, verdict, and pass 2 covers every step
+before the first index or belief fault, so the first fault in file
+order is the one raised, as in a single pass.
 
-A version 2 or 3 belief whose string is the replayed belief's encoding
-(`traceio.encode_belief`) has error 0.0 and is never decoded; any other
-is decoded by its episode's trace version (`traceio.recorded_belief`),
-which rejects a malformed one. A recorded belief whose bytes equal the
-replayed belief's has error 0.0; otherwise the error is the largest
-entry-wise deviation, and one beyond 1e-9, or not finite, raises
-TraceMismatch.
+The header's initial belief, held to the model's, and each belief of
+the sequential replay are compared one at a time: a version 2 or 3
+string that is the replayed belief's encoding (`traceio.encode_belief`)
+has error 0.0 and is not decoded; any other is decoded by its episode's
+trace version, which rejects a malformed one. A recorded belief whose
+bytes equal the replayed belief's has error 0.0; otherwise the error is
+the largest entry-wise deviation, and one beyond 1e-9, or not finite,
+raises TraceMismatch.
 
 Verdict records are compared in order, position by position, as the
 writer lists them in the monitor's obligation order, so a file whose
@@ -68,7 +79,7 @@ from ._gc import paused_gc
 from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
 from .ldtl import And, Letter, oracle_satisfies
-from .model import belief_update
+from .model import LIKELIHOOD_FLOOR, Belief, Mpomdp, belief_update, belief_updates
 from .monitor import Monitor, Records, check_step, evaluate_barriers, leaf_values
 from .traceio import STEP_COLUMNS, EpisodeRecord, encode_belief, recorded_belief
 
@@ -125,9 +136,8 @@ def _belief_error(value, ep: EpisodeRecord, probs: np.ndarray, step: int | None)
     NaN when a recorded entry is NaN. step is the belief's step, None for
     the header's initial belief. A version 2 or 3 string equal to the
     replayed belief's encoding skips the decode, and equal bytes skip the
-    arithmetic: one or the other is every step of an untampered trace. A
-    malformed string never equals an encoding, so it is always decoded
-    and refused."""
+    arithmetic. A malformed string never equals an encoding, so it is
+    always decoded and refused."""
     if ep.version >= 2 and value == encode_belief(probs):
         return 0.0
     recorded = recorded_belief(value, ep.version, len(probs), _where(ep, step))
@@ -213,6 +223,50 @@ def _plain_barriers(recorded: list) -> bool:
     return True
 
 
+def _exact_prefix(ep: EpisodeRecord, m: Mpomdp) -> tuple[np.ndarray, list[int]]:
+    """The recorded beliefs of the longest prefix of ep's steps that the
+    sequential replay gives bit for bit, as a (k, n) stack, and the next
+    states of those steps.
+
+    The rows are read up to the first whose indices are out of range or
+    whose belief its version's decoding refuses. Each of their steps is
+    replayed from the recorded belief before it (the initial belief for
+    step 1), every step at once (`model.belief_updates`). Where a step's
+    replay is the recorded belief bit for bit, and so is every step's
+    before it, the sequential replay gives that belief too, by induction
+    from the initial belief. The prefix ends at the first step whose
+    replay differs in any bit or whose normalizer is at most
+    LIKELIHOOD_FLOOR."""
+    n_actions, n_observations, n_states = m.n_joint_actions, m.n_joint_observations, m.n_states
+    actions, observations, states, raw = [], [], [], []
+    for row in ep.steps:
+        _, _, _, action, _, obs, state, value, _, _, _, _ = row
+        if not (type(action) is int and 0 <= action < n_actions
+                and type(obs) is int and 0 <= obs < n_observations
+                and type(state) is int and 0 <= state < n_states):
+            break
+        try:
+            # The sequential replay refuses the row again, naming its step.
+            raw.append(recorded_belief(value, ep.version, n_states, ""))
+        except ConfigError:
+            break
+        actions.append(action)
+        observations.append(obs)
+        states.append(state)
+    # The initial belief, then the recorded ones, as native float64,
+    # which "<f8" is on a little-endian machine.
+    chain = np.frombuffer(b"".join([m.initial.probs.astype("<f8").tobytes(), *raw]), "<f8")
+    chain = chain.astype(float, copy=False).reshape(len(raw) + 1, n_states)
+    recorded = chain[1:]
+    if not raw:
+        return recorded, states
+    replayed, normalizers = belief_updates(chain[:-1], np.array(actions), np.array(observations), m)
+    exact = ((normalizers > LIKELIHOOD_FLOOR)
+             & (replayed.view(np.uint64) == recorded.view(np.uint64)).all(axis=1))
+    k = int(np.argmin(exact)) if not exact.all() else len(raw)
+    return recorded[:k], states[:k]
+
+
 def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
     """Replay one episode in two passes over its steps (see the module
     docstring). Raises TraceMismatch when a replayed belief deviates from
@@ -229,37 +283,38 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
     initial_state = checked_index(ep.header.get("initial_state"), m.n_states,
                                   "initial state", _where(ep, None))
 
-    # Pass 1: the belief chain, up to the first faulty index or belief.
-    n_actions, n_observations, n_states = m.n_joint_actions, m.n_joint_observations, m.n_states
-    belief = m.initial
-    beliefs, states = [], []
+    # Pass 1: the belief chain, up to the first faulty index or belief:
+    # the prefix the stacked check verifies, then the sequential replay
+    # from the last belief it verified.
+    stack, states = _exact_prefix(ep, m)
+    verified = len(stack)
+    belief = m.initial if verified == 0 else Belief(stack[-1])
+    beliefs = []
     fault = None
     try:
-        for row in ep.steps:
-            step, _, _, action, _, obs, state, recorded, _, _, _, _ = row
-            if not (type(action) is int and 0 <= action < n_actions
-                    and type(obs) is int and 0 <= obs < n_observations
-                    and type(state) is int and 0 <= state < n_states):
-                where = _where(ep, step)
-                action = checked_index(action, n_actions, "executed action", where)
-                obs = checked_index(obs, n_observations, "observation", where)
-                state = checked_index(state, n_states, "next state", where)
+        for row in ep.steps[verified:]:
+            step, _, _, action, _, obs, state, value, _, _, _, _ = row
+            where = _where(ep, step)
+            action = checked_index(action, m.n_joint_actions, "executed action", where)
+            obs = checked_index(obs, m.n_joint_observations, "observation", where)
+            state = checked_index(state, m.n_states, "next state", where)
             try:
                 belief = belief_update(belief, action, obs, m)
             except ZeroLikelihood as exc:
                 raise TraceMismatch(ep.episode, step, float("inf")) from exc
-            err = _belief_error(recorded, ep, belief.probs, step)
+            err = _belief_error(value, ep, belief.probs, step)
             max_err = max(max_err, err)
             if not err <= BELIEF_TOL:
                 raise TraceMismatch(ep.episode, step, err)
-            beliefs.append(belief)
+            beliefs.append(belief.probs)
             states.append(state)
     except (ConfigError, TraceMismatch) as exc:
         fault = exc
+    if beliefs:
+        stack = np.concatenate((stack, beliefs))
 
     # Pass 2: the verdicts of the steps pass 1 replayed, whose leaf values
     # one gather reads from the stack of their beliefs.
-    stack = np.array([b.probs for b in beliefs]).reshape(len(beliefs), n_states)
     mon = start
     oids = [ob.oid for ob in start.obligations]
     failed: set[str] = set()

@@ -35,6 +35,7 @@ types, keys, coverage, stochastic rows and finite numbers.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -56,9 +57,29 @@ from .sim import (
     Scenario,
 )
 
-# libyaml's parser when PyYAML was built with it (several times faster on
-# large tables), else the pure-Python one; both build the same data.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader on libyaml's parser when PyYAML was built with it
+    (several times faster on large tables), else on the pure-Python one;
+    both build the same data."""
+
+
+class _YamlDumper(yaml.SafeDumper):
+    """The safe dumper, which quotes a string wherever the loader would
+    read its plain text as something else."""
+
+
+# PyYAML resolves plain scalars by YAML 1.1, whose floats need a dot and
+# a signed exponent, so `1e-3` and `-5e-10` would load as strings. YAML
+# 1.2 and JSON read every number with an exponent as a float. Added
+# after PyYAML's own resolvers, this one reads only what they read as a
+# string: `3` stays an int.
+for _cls in (_YamlLoader, _YamlDumper):
+    _cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+_YAML_LOADER = _YamlLoader
 
 # Integer run settings: (key, default, lower bound).
 RUN_SETTINGS = (("horizon", 100, 1), ("episodes", 1, 1), ("seed", 0, 0))
@@ -515,4 +536,4 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def write_config(cfg: ScenarioConfig, path: str | Path) -> None:
     Path(path).write_text(
-        yaml.safe_dump(config_to_dict(cfg), sort_keys=False, width=100))
+        yaml.dump(config_to_dict(cfg), Dumper=_YamlDumper, sort_keys=False, width=100))

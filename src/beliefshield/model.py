@@ -18,9 +18,13 @@ The filter's arithmetic is in a fixed order, so its bits depend on
 neither the BLAS library nor the CPU kernel it picks. The model stores
 each action's non-zero transition entries once, in ascending source
 state order, and the prediction adds each successor's terms in that
-order, from 0.0 (see predicted_belief). Expected rewards and the
-correction's normalizer are numpy sums over one contiguous product
-vector, whose pairwise order numpy fixes by the vector's length.
+order, from 0.0 (see _predict). Expected rewards and the correction's
+normalizer are numpy sums over one contiguous product vector, whose
+pairwise order numpy fixes by the vector's length. belief_updates
+filters a (k, n) stack of beliefs with the same two helpers, the rows
+of one action at once: each row's prediction terms go to bins of its
+own, in the same order, and each row's normalizer is the sum of its own
+contiguous row, so every row has the bits belief_update gives it.
 
 Sampling is an inverse-CDF draw over successor tables that the model
 builds once, when it is constructed: one per transition row (q, a), one
@@ -215,6 +219,9 @@ class Mpomdp:
     successors: SuccessorTables = field(init=False, repr=False, compare=False)
     # reward[:, a] for each a, as contiguous rows of the stored table.
     reward_rows: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    # observation[:, a, :].T for each a, a (Z, n) block of the stored
+    # table whose row z is observation[:, a, z].
+    likelihood_rows: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_names(self.state_names, "state")
@@ -265,6 +272,7 @@ class Mpomdp:
         object.__setattr__(self, "observation", o)
         object.__setattr__(self, "reward", r)
         object.__setattr__(self, "reward_rows", list(r.T))
+        object.__setattr__(self, "likelihood_rows", list(o.transpose(1, 2, 0)))
         object.__setattr__(self, "state_index", {s: i for i, s in enumerate(self.state_names)})
         # One action slice at a time, so the cumsum temporaries stay at
         # one (n, k) block.
@@ -339,17 +347,41 @@ def validate_model(m: Mpomdp) -> list[Violation]:
     return validate_tables(m.initial.probs, m.transition, m.observation)
 
 
-def predicted_belief(b: Belief, action: int, m: Mpomdp) -> np.ndarray:
-    """One-step prediction: push b through the transition kernel, no
-    observation correction. Returns a raw probability vector.
+def _predict(probs: np.ndarray, action: int, m: Mpomdp) -> np.ndarray:
+    """One-step prediction of a belief vector, or of each row of a (k, n)
+    stack of beliefs: push it through the transition kernel, no
+    observation correction. Returns raw probability vectors.
 
     Entry q' is sum_q b(q) * transition[q, a, q'] over the non-zero
     entries of the action's kernel, added in ascending q from 0.0, so
-    its bits are those of that scalar loop on any CPU."""
+    its bits are those of that scalar loop on any CPU. Of a stack, row
+    r's terms go to bins r * n + q' in the same order, so each row's
+    entries are those of its own prediction."""
     src, dst, w = m.successors.kernels[action]
-    terms = b.probs[src]
+    if probs.ndim == 1:
+        terms = probs[src]
+        terms *= w
+        return np.bincount(dst, terms, m.n_states)
+    terms = probs.take(src, axis=1)
     terms *= w
-    return np.bincount(dst, terms, m.n_states)
+    bins = (dst + np.arange(0, probs.size, m.n_states)[:, None]).ravel()
+    return np.bincount(bins, terms.ravel(), probs.size).reshape(probs.shape)
+
+
+def _weigh(predicted: np.ndarray, action: int, obs, m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
+    """The correction's numerator observation[q', a, z] * predicted(q')
+    and normalizer, the numerator's sum: of a predicted vector and an
+    observation, or of each row of a C-contiguous (k, n) stack and its
+    own entry of a (k,) array of observations. A row's sum is that of
+    its vector alone, as numpy sums each contiguous row pairwise by its
+    length."""
+    numer = m.likelihood_rows[action][obs] * predicted
+    return numer, numer.sum(axis=-1)
+
+
+def predicted_belief(b: Belief, action: int, m: Mpomdp) -> np.ndarray:
+    """One-step prediction of b (see _predict)."""
+    return _predict(b.probs, action, m)
 
 
 def correct(predicted: np.ndarray, action: int, obs: int, m: Mpomdp) -> np.ndarray:
@@ -360,10 +392,9 @@ def correct(predicted: np.ndarray, action: int, obs: int, m: Mpomdp) -> np.ndarr
     observation is impossible under the predicted belief and the
     posterior is undefined. Never renormalizes its inputs.
     """
-    numer = m.observation[:, action, obs] * predicted
-    denom = float(numer.sum())
+    numer, denom = _weigh(predicted, action, obs, m)
     if denom <= LIKELIHOOD_FLOOR:
-        raise ZeroLikelihood(action, obs, denom)
+        raise ZeroLikelihood(action, obs, float(denom))
     return numer / denom
 
 
@@ -374,6 +405,27 @@ def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:
     posterior(q') ∝ observation[q', a, z] * sum_q transition[q, a, q'] * b(q)
     """
     return Belief.owning(correct(predicted_belief(b, action, m), action, obs, m))
+
+
+def belief_updates(probs: np.ndarray, actions: np.ndarray, observations: np.ndarray,
+                   m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
+    """belief_update of each row of a (k, n) stack of beliefs under its own
+    action and observation, the rows of one action predicted and
+    corrected as one stack: the (k, n) posteriors and their (k,)
+    normalizers. A row whose normalizer is above LIKELIHOOD_FLOOR has the
+    bits belief_update gives it; any other row is undefined, and raises
+    nothing."""
+    posteriors = np.empty((len(probs), m.n_states))
+    normalizers = np.empty(len(probs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for action in np.flatnonzero(np.bincount(actions)).tolist():
+            rows = np.flatnonzero(actions == action)
+            numer, denom = _weigh(_predict(probs.take(rows, axis=0), action, m), action,
+                                  observations[rows], m)
+            numer /= denom[:, None]
+            posteriors[rows] = numer
+            normalizers[rows] = denom
+    return posteriors, normalizers
 
 
 def expected_reward(b: Belief, action: int, m: Mpomdp) -> float:

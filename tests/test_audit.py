@@ -3,12 +3,14 @@ finite-trace oracle columns, and version 1 and 2 traces, which stay
 readable."""
 
 import base64
+import copy
 import csv
 import json
 import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from beliefshield import (
 )
 from beliefshield import audit
 from beliefshield.audit import _same_detail
+from beliefshield.model import LIKELIHOOD_FLOOR, predicted_belief
 from beliefshield.monitor import check_step, passed
 from beliefshield.parsing import parse_expr, parse_formula
 from beliefshield.sim import BatchResult, TraceStep
@@ -517,17 +520,145 @@ def test_audit_accepts_clean_corridor_traces(corridor_run):
         assert eventually.clean and eventually.discharged and eventually.oracle
 
 
-def test_a_clean_v2_audit_decodes_no_belief(corridor_run, corridor_run_v2, monkeypatch):
-    # Version 3 encodes beliefs as version 2 does.
-    cfg, _, path = corridor_run
-    episodes = read_traces(path) + read_traces(corridor_run_v2)
+def sequential_audit(cfg, ep):
+    """audit_episode with no step verified by the stacked check: every
+    step is replayed from the one before, from the initial belief on."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audit, "belief_updates",
+                   lambda probs, *args: (probs, np.full(len(probs), np.nan)))
+        return audit_episode(cfg, ep)
+
+
+def outcome(audit_of, cfg, ep):
+    """What audit_of(cfg, ep) returns, or what it raises, as comparable
+    values."""
+    try:
+        return audit_of(cfg, ep)
+    except TraceMismatch as exc:
+        return TraceMismatch, str(exc), exc.episode, exc.step, exc.max_error
+    except ConfigError as exc:
+        return ConfigError, str(exc)
+
+
+def one_ulp_up(entries):
+    i = int(np.argmax(entries))
+    entries[i] = np.nextafter(entries[i], np.inf)
+
+
+def counted_belief_updates(monkeypatch) -> list:
+    """The (action, observation) of every belief_update the audit calls."""
     calls = []
-    real = base64.b64decode
-    monkeypatch.setattr(base64, "b64decode",
-                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    real = audit.belief_update
+    monkeypatch.setattr(audit, "belief_update",
+                        lambda b, action, obs, m: calls.append((action, obs)) or real(b, action, obs, m))
+    return calls
+
+
+@pytest.mark.parametrize("version", [1, 2, 3], ids=lambda version: f"v{version}")
+def test_a_clean_audit_replays_no_step_alone(corridor_run, corridor_run_v2, monkeypatch,
+                                             version):
+    # Every step of a clean trace is verified by the stacked check.
+    cfg, _, path = corridor_run
+    if version == 1:
+        cfg, path = v1_config(), V1_TRACE
+    elif version == 2:
+        path = corridor_run_v2
+    episodes = read_traces(path)
+    assert {ep.version for ep in episodes} == {version}
+    calls = counted_belief_updates(monkeypatch)
     report = audit_traces(cfg, episodes)
     assert report.ok and all(ep.max_belief_error == 0.0 for ep in report.episodes)
     assert calls == []
+
+
+def test_a_belief_one_ulp_off_is_replayed_step_by_step_from_its_step(
+        corridor_run, tmp_path, monkeypatch):
+    cfg, _, path = corridor_run
+    ep = read_traces(tampered(path, tmp_path, 1, 6,
+                              lambda row: edit_belief(row, BELIEF, one_ulp_up)))[1]
+    calls = counted_belief_updates(monkeypatch)
+    report = audit_episode(cfg, ep)
+    assert len(calls) == len(ep.steps) - 5
+    assert report.ok and report.max_belief_error > 0.0
+    assert report == sequential_audit(cfg, ep)
+
+
+def observing_corridor(likelihoods, directory: Path, episodes: int):
+    """The literal corridor with joint action 0 observing 0 and 1 with
+    `likelihoods` in every state, and the episodes of its trace."""
+    cfg = corridor_config("literal")
+    observation = cfg.model.observation.copy()
+    observation[:, 0, :] = likelihoods
+    cfg = replace(cfg, model=replace(cfg.model, observation=observation))
+    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=episodes)
+    path = directory / "observing.trace.jsonl"
+    write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
+    return cfg, read_traces(path)
+
+
+@pytest.fixture(scope="module")
+def muted_episodes(tmp_path_factory):
+    """Two episodes in which observation 1 after joint action 0 has
+    likelihood zero."""
+    return observing_corridor([1.0, 0.0], tmp_path_factory.mktemp("traces"), 2)
+
+
+def impossible_observation(row):
+    row[COLUMN["executed"]], row[COLUMN["observation"]] = 0, 1
+
+
+def tampered_status(row):
+    row[VERDICT][0][0] = "tampered"
+
+
+# One edit of a step after an exact prefix, of each kind pass 1 or the
+# verdict comparison tells apart.
+EDITS = {
+    "one-ulp": lambda row: edit_belief(row, BELIEF, one_ulp_up),
+    "beyond-tolerance": lambda row: edit_belief(row, BELIEF, bump_first_entry),
+    "zero-likelihood": impossible_observation,
+    "not-base64": lambda row: row.__setitem__(BELIEF, row[BELIEF][:8] + "!" + row[BELIEF][8:]),
+    "index": lambda row: row.__setitem__(COLUMN["executed"], 99),
+    "verdict": tampered_status,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(episode=st.integers(0, 1), step=st.integers(1, 200), kind=st.sampled_from(sorted(EDITS)))
+@example(episode=0, step=1, kind="zero-likelihood")
+@example(episode=1, step=200, kind="one-ulp")
+def test_an_edited_step_audits_as_the_sequential_replay_does(muted_episodes, episode, step, kind):
+    cfg, episodes = muted_episodes
+    ep = copy.deepcopy(episodes[episode])
+    assert ep.steps[step - 1][0] == step
+    EDITS[kind](ep.steps[step - 1])
+    got = outcome(audit_episode, cfg, ep)
+    assert got == outcome(sequential_audit, cfg, ep)
+    if kind == "one-ulp":
+        assert got.ok and got.max_belief_error > 0.0
+    elif kind == "verdict":
+        assert got.verdict_mismatches == (
+            f"step {step}: recorded and replayed verdicts differ on ['0:always']",)
+    else:
+        assert got[0] is (TraceMismatch if kind in ("beyond-tolerance", "zero-likelihood")
+                          else ConfigError)
+
+
+def test_a_step_below_the_likelihood_floor_is_not_verified_by_its_bits(tmp_path):
+    # After joint action 0, observation 1 has likelihood 1e-13, at most
+    # the floor, so the filter refuses the step even where the recorded
+    # belief holds the bits its division gives.
+    cfg, (ep,) = observing_corridor([1.0 - 1e-13, 1e-13], tmp_path, 1)
+    m = cfg.model
+    row = ep.steps[4]
+    numer = m.observation[:, 0, 1] * predicted_belief(Belief(decode_belief(ep.steps[3][BELIEF])),
+                                                      0, m)
+    assert 0.0 < numer.sum() <= LIKELIHOOD_FLOOR
+    row[COLUMN["executed"]], row[COLUMN["observation"]] = 0, 1
+    row[BELIEF] = encode_belief(numer / numer.sum())
+    with pytest.raises(TraceMismatch) as err:
+        audit_episode(cfg, ep)
+    assert (err.value.step, err.value.max_error) == (5, math.inf)
 
 
 @pytest.mark.parametrize("mode", ["off", "literal", "conservative"])

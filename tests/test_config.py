@@ -623,6 +623,54 @@ def test_a_negative_entry_within_the_row_sum_tolerance_is_refused():
     assert "transition[0, 0, 4]: entry -5e-10 outside [0, 1]" in str(err.value)
 
 
+def yaml_text(data: dict, **scalars: str) -> str:
+    """data as YAML, with each key of scalars written last as the plain
+    text scalars[key]."""
+    rest = {key: value for key, value in data.items() if key not in scalars}
+    return yaml.safe_dump(rest, sort_keys=False) + "".join(
+        f"{key}: {text}\n" for key, text in scalars.items())
+
+
+@pytest.mark.parametrize("text, value", [
+    ("{delta: 1e-3, gamma: 0.5, rho: 0.9, eps: 0.05}", 1e-3),
+    ("{delta: 5E-2, gamma: 0.5, rho: 0.9, eps: 0.05}", 5e-2),
+    ("{delta: .5e-1, gamma: 0.5, rho: 0.9, eps: 0.05}", 0.05),
+    ("{delta: 1.0e-3, gamma: 0.5, rho: 0.9, eps: 0.05}", 1e-3),
+], ids=["no-dot", "capital-e", "leading-dot", "yaml-1.1"])
+def test_a_number_with_an_exponent_loads_as_a_float(tmp_path, text, value):
+    # YAML 1.1 reads 1e-3 as a string; YAML 1.2, as JSON does, as a float.
+    path = tmp_path / "exponent.yaml"
+    path.write_text(yaml_text(base_config(), monitor=text, horizon="3"))
+    cfg = load_config(path)
+    assert cfg.monitor.delta == value
+    assert type(cfg.horizon) is int and cfg.horizon == 3
+
+
+def test_a_negative_entry_written_with_an_exponent_is_refused(tmp_path):
+    text = (CONFIGS / "corridor.yaml").read_text()
+    first = "    a0_h1: 0.14250000000000002\n"
+    assert text.count(first) > 1
+    path = tmp_path / "negative.yaml"
+    path.write_text(text.replace(first, "    a0_h1: 0.1425000005\n    a2_h1: -5e-10\n", 1))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert "transition[0, 0, 4]: entry -5e-10 outside [0, 1]" in str(err.value)
+
+
+def test_a_name_written_as_a_number_with_an_exponent_is_refused(tmp_path):
+    path = tmp_path / "named.yaml"
+    path.write_text(yaml_text(base_config(), states="[good, 1e3]"))
+    with pytest.raises(ConfigError, match="state names must be non-empty strings, got 1000.0"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("name", ["corridor.yaml", "corridor_unshielded.yaml"])
+def test_the_scenario_loader_reads_what_pyyaml_reads(name):
+    # Shipped files write every float with a dot, as PyYAML dumps them.
+    text = (CONFIGS / name).read_text()
+    assert yaml.load(text, Loader=config._YAML_LOADER) == yaml.safe_load(text)
+
+
 @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
 def test_invalid_yaml_is_a_config_error_with_either_loader(loader, tmp_path, monkeypatch):
     monkeypatch.setattr(config, "_YAML_LOADER", loader)

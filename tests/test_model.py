@@ -14,7 +14,7 @@ from beliefshield import (
 from beliefshield.errors import ZeroLikelihood
 from beliefshield.shield import _passes_under
 from beliefshield.model import (
-    LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update,
+    LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update, belief_updates,
     components_from_flat, correct, expected_reward, flat_from_components,
     predicted_belief, sample_initial_state,
     _row_tables, _sample_index, sample_observation, sample_transition, validate_model, validate_tables,
@@ -175,6 +175,33 @@ def test_predicted_belief_adds_in_ascending_source_order(seed, zeros_in_belief):
         predicted = predicted_belief(b, a, m)
         assert np.array_equal(predicted.view("<u8"), np.array(expected).view("<u8"))
         assert np.allclose(predicted, b.probs @ t[:, a, :], rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([6, 40, 300]))
+def test_belief_updates_give_each_row_the_bits_of_belief_update(seed, max_states):
+    # Each row of a stack is predicted into bins of its own and summed as
+    # one contiguous row, so its bits are those of the row alone; sizes
+    # above 128 take numpy's pairwise summation into blocks.
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, max_states=max_states, max_agents=2)
+    m = replace(m, transition=sparse_rows(rng, m.transition.shape),
+                observation=sparse_rows(rng, m.observation.shape))
+    k = int(rng.integers(1, 12))
+    probs = np.array([random_simplex(rng, m.n_states) for _ in range(k)])
+    actions = rng.integers(m.n_joint_actions, size=k)
+    observations = rng.integers(m.n_joint_observations, size=k)
+    posteriors, normalizers = belief_updates(probs, actions, observations, m)
+    assert posteriors.shape == probs.shape and normalizers.shape == (k,)
+    for row, a, z, posterior, normalizer in zip(probs, actions.tolist(), observations.tolist(),
+                                                posteriors, normalizers.tolist()):
+        try:
+            expected = belief_update(Belief(row), a, z, m).probs
+        except ZeroLikelihood as exc:
+            assert normalizer == exc.denominator
+            continue
+        assert normalizer > LIKELIHOOD_FLOOR
+        assert posterior.tobytes() == expected.tobytes()
 
 
 def test_validate_model_flags_bad_rows_with_indices():
