@@ -37,12 +37,16 @@ posteriors, each once; a Belief, verdict and successor Monitor are
 built only for the executed action. The tests check every decision
 against a brute-force reference that updates the belief and evaluates
 both beliefs' barriers one action at a time, for every action.
+
+The decision is a ShieldDecision, an immutable NamedTuple that the
+simulator unpacks by position in one statement; `decision._replace(...)`
+gives an edited copy, and it equals a plain tuple of the same items.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +63,7 @@ CONSERVATIVE = "conservative"
 REWARD_TIE = 1e-9
 
 
-@dataclass(frozen=True)
-class ShieldDecision:
+class ShieldDecision(NamedTuple):
     """Outcome of one shield invocation.
 
     executed is the flat joint-action index; verdict (check_step's
@@ -175,12 +178,5 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
         row, values, _ = checks[best]
 
     records, successor = check_step(mon, values)
-    return ShieldDecision(
-        executed=best,
-        overridden=not nominal_safe,
-        nominal_reward=r_n,
-        candidate_rewards=tuple(candidates),
-        verdict=records,
-        next_belief=Belief.owning(row),
-        next_monitor=successor,
-    )
+    return ShieldDecision(best, not nominal_safe, r_n, tuple(candidates), records,
+                          Belief.owning(row), successor)

@@ -9,12 +9,21 @@ observation, so the recorded verdict is the one the executed belief
 actually produced. The RNG draw order (nominal next state, observation,
 then executed next state only on override) is fixed; identical seeds
 reproduce identical traces.
+
+Each step is recorded as a TraceStep, a NamedTuple whose fields are a
+version 3 trace row's columns in their order (traceio.STEP_COLUMNS), so
+the trace writer formats it by position; only its belief is a Belief
+where the file holds base64. It is immutable and unpacks by position:
+`step._replace(...)` gives an edited copy where a dataclass took
+`dataclasses.replace`, and, being a tuple, a TraceStep equals a plain
+tuple of the same items.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import fmean
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +97,9 @@ class Scenario:
             raise ValueError("horizon must be at least 1")
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
+    """One simulated step, its fields in trace-row column order."""
+
     step: int
     prev_state: int
     nominal: int
@@ -157,30 +167,14 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
                 end_detail = {"step": exc.step,
                               "candidate_barriers": exc.candidate_barriers}
                 break
-            executed = decision.executed
-            overridden = decision.overridden
-            nominal_reward = decision.nominal_reward
-            candidate_rewards = decision.candidate_rewards
-            b_next = decision.next_belief
-            verdict = decision.verdict
-            mon = decision.next_monitor
+            (executed, overridden, nominal_reward, candidate_rewards, verdict, b_next,
+             mon) = decision
             next_state = (sample_transition(state, executed, m, rng)
                           if overridden else q_nom)
 
         steps.append(TraceStep(
-            step=step,
-            prev_state=state,
-            nominal=a_nom,
-            executed=executed,
-            overridden=overridden,
-            observation=z,
-            next_state=next_state,
-            belief=b_next,
-            verdict=verdict,
-            realized_reward=float(m.reward[state, executed]),
-            nominal_reward=nominal_reward,
-            candidate_rewards=candidate_rewards,
-        ))
+            step, state, a_nom, executed, overridden, z, next_state, b_next, verdict,
+            float(m.reward[state, executed]), nominal_reward, candidate_rewards))
         state, belief = next_state, b_next
 
         if scenario.abort_on_violation and not passed(verdict):

@@ -60,9 +60,8 @@ from .sim import BatchResult, Trace, TraceStep
 TRACE_VERSION = 3
 READABLE_VERSIONS = (1, 2, 3)
 
-STEP_COLUMNS = ("step", "prev_state", "nominal", "executed", "overridden", "observation",
-                "next_state", "belief", "verdict", "realized_reward", "nominal_reward",
-                "candidate_rewards")
+# A version 3 step row is a TraceStep's fields in their order.
+STEP_COLUMNS = TraceStep._fields
 
 SUMMARY_FIELDS = ("episode", "steps", "end_reason", "violations", "overrides",
                   "first_discharge_step", "total_reward")
@@ -154,26 +153,26 @@ def _header_line(trace: Trace, result: BatchResult, scenario_name: str,
 
 
 def _step_line(episode: int, s: TraceStep) -> str:
-    records = s.verdict
+    (step, prev_state, nominal, executed, overridden, observation, next_state, belief,
+     records, realized_reward, nominal_reward, candidate_rewards) = s
     barriers = ["null" if barrier is None else _float(barrier) for _, barrier, _ in records]
-    realized = _float(s.realized_reward)
-    nominal = "null" if s.nominal_reward is None else _float(s.nominal_reward)
-    rewards = [_float(reward) for _, reward in s.candidate_rewards]
-    if not _NOT_FINITE.isdisjoint((realized, nominal, *barriers, *rewards)):
+    realized = _float(realized_reward)
+    reference = "null" if nominal_reward is None else _float(nominal_reward)
+    rewards = [_float(reward) for _, reward in candidate_rewards]
+    if not _NOT_FINITE.isdisjoint((realized, reference, *barriers, *rewards)):
         raise _not_finite({"verdict": [{"barrier": barrier} for _, barrier, _ in records],
-                           "realized_reward": s.realized_reward,
-                           "nominal_reward": s.nominal_reward,
-                           "candidate_rewards": s.candidate_rewards},
-                          f"episode {episode} step {s.step}")
+                           "realized_reward": realized_reward,
+                           "nominal_reward": nominal_reward,
+                           "candidate_rewards": candidate_rewards},
+                          f"episode {episode} step {step}")
     return _STEP_LINE % (
-        s.step, s.prev_state, s.nominal, s.executed,
-        "true" if s.overridden else "false", s.observation, s.next_state,
-        encode_belief(s.belief.probs),
+        step, prev_state, nominal, executed, "true" if overridden else "false",
+        observation, next_state, encode_belief(belief.probs),
         ",".join([_RECORD % (_string(status), barrier, _string(detail))
                   for (status, _, detail), barrier in zip(records, barriers)]),
-        realized, nominal,
+        realized, reference,
         ",".join([_CANDIDATE % (action, reward)
-                  for (action, _), reward in zip(s.candidate_rewards, rewards)]),
+                  for (action, _), reward in zip(candidate_rewards, rewards)]),
     )
 
 

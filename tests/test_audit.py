@@ -282,7 +282,7 @@ def tiny_step(**changes) -> TraceStep:
         next_state=0, belief=Belief((1.0,)),
         verdict=[["pass", 0.25, ""], ["pass", -0.5, ""]],
         realized_reward=1.0, nominal_reward=0.5, candidate_rewards=((1, 0.75), (2, 0.5)))
-    return replace(step, **changes)
+    return step._replace(**changes)
 
 
 TINY_OBLIGATIONS = (("0:always", "always", "G p"), ("1:eventually", "eventually", "F q"))

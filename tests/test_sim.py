@@ -34,9 +34,11 @@ from beliefshield.sim import (
     END_HORIZON,
     END_VIOLATION_ABORT,
     END_ZERO_LIKELIHOOD,
+    TraceStep,
 )
 from beliefshield.monitor import passed
 from beliefshield.presets import corridor_config
+from beliefshield.traceio import STEP_COLUMNS, encode_belief, read_traces, write_traces
 
 from conftest import count_calls, monitor_step, random_model
 from test_golden import EPISODES, _scenario
@@ -242,6 +244,33 @@ def test_abort_on_violation_truncates_the_episode():
     assert trace.end_reason == END_VIOLATION_ABORT
     assert len(trace.steps) == 1
     assert not passed(trace.steps[0].verdict)
+
+
+# --------------------------------------------------------------------------
+# One record form: a simulated step is the trace row, column for column
+
+
+@pytest.mark.parametrize("mode", ["off", "literal", "conservative"])
+def test_each_step_is_the_row_read_back_column_by_column(mode, tmp_path):
+    assert TraceStep._fields == STEP_COLUMNS == (
+        "step", "prev_state", "nominal", "executed", "overridden", "observation",
+        "next_state", "belief", "verdict", "realized_reward", "nominal_reward",
+        "candidate_rewards")
+    cfg = corridor_config(mode)
+    result = run_batch(cfg.to_scenario(), base_seed=7, episodes=3)
+    path = tmp_path / "corridor.trace.jsonl"
+    write_traces(result, path, cfg.name, mode, cfg.horizon)
+    episodes = read_traces(path)
+    assert [len(ep.steps) for ep in episodes] == [len(t.steps) for t in result.traces]
+    for trace, ep in zip(result.traces, episodes):
+        for step, row in zip(trace.steps, ep.steps):
+            assert tuple(step) == step
+            for name, value, read in zip(STEP_COLUMNS, step, row, strict=True):
+                if name == "belief":
+                    value = encode_belief(value.probs)
+                elif name == "candidate_rewards":
+                    value = [list(pair) for pair in value]
+                assert read == value, (ep.episode, step.step, name)
 
 
 # --------------------------------------------------------------------------
