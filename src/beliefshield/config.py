@@ -31,6 +31,18 @@ with no negative entry) and only then renormalized exactly.
 Rules on names and settings live in the constructors (`check_names`,
 `MonitorConfig`, `ScenarioConfig`); this module checks the YAML shape:
 types, keys, coverage, stochastic rows and finite numbers.
+
+`load_config` reads a file from its parser's event stream, with the
+parser `yaml.load` would use (libyaml's when PyYAML has it), and builds
+the data `yaml.load` builds without its node graph: each mapping and
+sequence is filled as its events arrive, and an alias is the object its
+anchor built. Each distinct scalar (text and implicit flags) is
+resolved once, by YAML 1.1's rules and the exponent resolver below, and
+built once by the loader's own constructor. An explicit tag other than
+`!`, a merge key `<<` or value key `=`, an unhashable key, a duplicate
+anchor, an undefined alias or a second document goes to `yaml.load`,
+whose value or error stands. A date that does not exist, such as a
+plain `2001-02-30`, is a ConfigError at its line and column.
 """
 
 from __future__ import annotations
@@ -80,6 +92,109 @@ for _cls in (_YamlLoader, _YamlDumper):
         re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
         list("-+.0123456789"))
 _YAML_LOADER = _YamlLoader
+
+_STR_TAG = "tag:yaml.org,2002:str"
+# What the reader returns for a construct that only `yaml.load` builds.
+_FALLBACK = object()
+# A list being filled has this as its pending key; a mapping has _NO_KEY
+# until its next key is read, then that key until its value is.
+_IN_LIST, _NO_KEY = object(), object()
+
+
+def _read_yaml(text: str):
+    """What `yaml.load(text, Loader=_YAML_LOADER)` returns, built
+    straight from the loader's parser events, or from `yaml.load` itself
+    for a construct the event reader leaves to it."""
+    loader = _YAML_LOADER(text)
+    try:
+        data = _build(loader)
+    finally:
+        loader.dispose()
+    return yaml.load(text, Loader=_YAML_LOADER) if data is _FALLBACK else data
+
+
+def _scalar(loader, event):
+    """A scalar event's value, as the composer resolves its tag and the
+    constructor builds it; an impossible date is an error at the
+    scalar."""
+    tag = loader.resolve(yaml.ScalarNode, event.value, event.implicit)
+    if tag == _STR_TAG:
+        return event.value
+    construct = loader.yaml_constructors.get(tag)
+    if construct is None:  # a merge key `<<` or a value key `=`
+        return _FALLBACK
+    try:
+        return construct(loader, yaml.ScalarNode(tag, event.value,
+                                                 event.start_mark, event.end_mark))
+    except ValueError as exc:
+        raise yaml.constructor.ConstructorError(
+            None, None,
+            f"cannot read {event.value!r} as a {tag.rpartition(':')[2]}: {exc}",
+            event.start_mark) from exc
+
+
+def _build(loader):
+    """The single document's data from the loader's events, each
+    mapping and sequence filled as its events arrive, or _FALLBACK.
+    Scalars are resolved and built once per distinct (text, implicit);
+    every built scalar is immutable, so sharing one is exact."""
+    get_event = loader.get_event
+    scalars: dict = {}
+    anchors: dict = {}
+    get_event()  # the stream's start
+    if type(get_event()) is yaml.StreamEndEvent:
+        return None
+    root: list = []
+    top, key = root, _IN_LIST
+    stack = []
+    while True:
+        event = get_event()
+        kind = type(event)
+        if kind is yaml.ScalarEvent:
+            if event.tag is not None and event.tag != "!":
+                return _FALLBACK
+            try:
+                value = scalars[event.value, event.implicit]
+            except KeyError:
+                value = scalars[event.value, event.implicit] = _scalar(loader, event)
+                if value is _FALLBACK:
+                    return _FALLBACK
+        elif kind is yaml.AliasEvent:
+            value = anchors.get(event.anchor, _FALLBACK)
+            # An undefined alias, or an unhashable key.
+            if value is _FALLBACK or key is _NO_KEY and isinstance(value, (list, dict)):
+                return _FALLBACK
+        elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+            if event.tag is not None and event.tag != "!" or key is _NO_KEY:
+                return _FALLBACK
+            value = [] if kind is yaml.SequenceStartEvent else {}
+        elif kind is yaml.DocumentEndEvent:
+            break
+        else:  # the end of a sequence or a mapping
+            top, key = stack.pop()
+            continue
+        if event.anchor is not None and kind is not yaml.AliasEvent:
+            if event.anchor in anchors:
+                return _FALLBACK
+            anchors[event.anchor] = value
+        if key is _IN_LIST:
+            top.append(value)
+        elif key is _NO_KEY:
+            key = value
+        else:
+            top[key] = value
+            key = _NO_KEY
+        if kind is yaml.SequenceStartEvent:
+            stack.append((top, key))
+            top, key = value, _IN_LIST
+        elif kind is yaml.MappingStartEvent:
+            stack.append((top, key))
+            top, key = value, _NO_KEY
+    # A second document.
+    if type(get_event()) is not yaml.StreamEndEvent:
+        return _FALLBACK
+    return root[0]
+
 
 # Integer run settings: (key, default, lower bound).
 RUN_SETTINGS = (("horizon", 100, 1), ("episodes", 1, 1), ("seed", 0, 0))
@@ -469,8 +584,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"not UTF-8: {exc}", str(path)) from exc
         try:
-            data = yaml.load(text, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
+            data = _read_yaml(text)
+        # A ValueError is an impossible date that `yaml.load` built.
+        except (yaml.YAMLError, ValueError) as exc:
             raise ConfigError(f"not valid YAML: {exc}", str(path)) from exc
         if isinstance(data, dict) and "name" not in data:
             data = {**data, "name": path.stem}

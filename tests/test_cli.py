@@ -161,6 +161,26 @@ def test_run_of_a_file_that_is_not_utf8_is_a_usage_error(corridor_yaml, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, code, prefix", [
+    (["validate", "{cfg}"], 1, "invalid"),
+    (["run", "{cfg}", "--episodes", "1", "--out", "{out}"], 2, "error"),
+    (["audit", "{cfg}", str(V2_TRACE)], 2, "error"),
+], ids=["validate", "run", "audit"])
+def test_an_impossible_date_is_reported_at_its_line(command, code, prefix, tmp_path, capsys):
+    # YAML 1.1 reads a plain 2001-02-30 as a date, which does not exist.
+    text = (Path(__file__).resolve().parent.parent / "configs" / "corridor.yaml").read_text()
+    assert text.splitlines()[981] == "seed: 7"
+    bad = tmp_path / "date.yaml"
+    bad.write_text(text.replace("\nseed: 7\n", "\nseed: 2001-02-30\n"))
+    assert main([arg.format(cfg=bad, out=tmp_path / "out") for arg in command]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix}: {bad}: not valid YAML: cannot read '2001-02-30' "
+                          "as a timestamp: day is out of range for month")
+    assert "line 982, column 7" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["run"], ["sweep", "--param", "gamma", "--values", "0.5,0.9"]], ids=["run", "sweep"])
 def test_an_out_that_cannot_be_a_directory_fails_before_any_episode(

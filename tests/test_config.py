@@ -2,9 +2,11 @@
 renormalization, and round trips through the YAML form."""
 
 import copy
+import json
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -678,6 +680,196 @@ def test_invalid_yaml_is_a_config_error_with_either_loader(loader, tmp_path, mon
     bad.write_text("{]")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(bad)
+
+
+# The scenario loader itself and PyYAML's two loader bases.
+READERS = [config._YAML_LOADER] + LOADERS
+
+
+def outcome(read, text: str):
+    """(repr, value) of what read(text) returns, or (type, message) of
+    what it raises. Tuples compare repr first, so a NaN compares equal
+    by repr; PyYAML shares one NaN object, so the values compare equal
+    too."""
+    try:
+        data = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(data), data
+
+
+def assert_reads_as_yaml_load(text: str, loader) -> None:
+    expected = outcome(partial(yaml.load, Loader=loader), text)
+    with mock.patch.object(config, "_YAML_LOADER", loader):
+        got = outcome(config._read_yaml, text)
+    # A recursive list or mapping (`&a [*a]`) has no `==`; its repr
+    # shows where it recurses.
+    if isinstance(got[0], str) and ("[...]" in got[0] or "{...}" in got[0]):
+        assert got[0] == expected[0]
+    else:
+        assert got == expected
+
+
+# Plain scalars that YAML 1.1 (and the exponent resolver) reads as null,
+# bool, int, float, date and timestamp; `<<` and `=` are the merge and
+# value keys. Every date is a real one: an impossible date is a
+# ConfigError at its scalar where PyYAML raises a bare ValueError.
+TRICKY = ["yes", "Off", "~", "", "1e3", "-5e-10", ".5e-1", "0x1F", "017", "1_000", "1:30",
+          ".inf", "-.INF", ".nan", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "3", "-0.5",
+          "null", "a b", "<<", "="]
+
+
+def quoted(text: str, style: str) -> str:
+    if style == "single":
+        return "'" + text.replace("'", "''") + "'"
+    return json.dumps(text) if style == "double" else text
+
+
+# Nodes: ("scalar", text, style), ("alias", name), ("anchor", name, node),
+# ("seq", [node, ...]) and ("map", [(key, node), ...]) with scalar or
+# alias keys. Anchor names come from two letters, so a text may alias
+# an anchor before it is defined or define one twice.
+_names = st.sampled_from("ab")
+_scalar_nodes = st.tuples(st.just("scalar"), st.sampled_from(TRICKY),
+                          st.sampled_from(["plain", "single", "double"]))
+# One leaf in eight is an alias, so that most texts are valid.
+_leaves_or_aliases = st.integers(0, 7).flatmap(
+    lambda i: st.tuples(st.just("alias"), _names) if i == 0 else _scalar_nodes)
+yaml_nodes = st.recursive(
+    _leaves_or_aliases,
+    lambda inner: st.one_of(
+        st.tuples(st.just("seq"), st.lists(inner, max_size=3)),
+        st.tuples(st.just("map"), st.lists(st.tuples(_leaves_or_aliases, inner), max_size=3)),
+        st.tuples(st.just("anchor"), _names,
+                  st.tuples(st.just("seq"), st.lists(inner, max_size=3)))),
+    max_leaves=10)
+
+
+def flow_text(node) -> str:
+    kind = node[0]
+    if kind == "scalar":
+        return quoted(node[1], node[2])
+    if kind == "alias":
+        return f"*{node[1]} "
+    if kind == "anchor":
+        return f"&{node[1]} {flow_text(node[2])}"
+    if kind == "seq":
+        return "[" + ", ".join(flow_text(item) for item in node[1]) + "]"
+    return "{" + ", ".join(f"{flow_text(k)}: {flow_text(v)}" for k, v in node[1]) + "}"
+
+
+def block_lines(prefix: str, node, indent: int) -> list[str]:
+    """`node` in block style after `prefix` (`-`, `key:` or nothing),
+    its items on the lines below, indented two more."""
+    pad = " " * indent
+    anchor = ""
+    if node[0] == "anchor":
+        anchor, node = f"&{node[1]}", node[2]
+    if node[0] in ("scalar", "alias") or not node[1]:
+        return [f"{pad}{prefix} {anchor} {flow_text(node)}"]
+    lines = [f"{pad}{prefix} {anchor}"]
+    if node[0] == "seq":
+        for item in node[1]:
+            lines += block_lines("-", item, indent + 2)
+    else:
+        for key, value in node[1]:
+            lines += block_lines(f"{flow_text(key)}:", value, indent + 2)
+    return lines
+
+
+@pytest.mark.parametrize("loader", READERS, ids=lambda loader: loader.__name__)
+@settings(max_examples=200, deadline=None)
+@given(node=yaml_nodes, block=st.booleans())
+@example(node=("map", [(("scalar", "a", "plain"), ("anchor", "a", ("seq", [
+    ("scalar", ".nan", "plain"), ("scalar", "1e3", "plain")]))),
+    (("scalar", "b", "plain"), ("alias", "a"))]), block=True)
+@example(node=("seq", [("anchor", "a", ("seq", [])), ("anchor", "a", ("seq", []))]),
+         block=False)
+def test_the_reader_reads_what_pyyaml_reads(loader, node, block):
+    text = "\n".join(block_lines("", node, 0)) + "\n" if block else flow_text(node)
+    assert_reads_as_yaml_load(text, loader)
+
+
+_leaves = (st.sampled_from(TRICKY) | st.none() | st.booleans() | st.integers()
+           | st.floats() | st.dates())
+
+
+@st.composite
+def shared_data(draw):
+    """Nested lists and string-keyed mappings that hold the same few
+    sub-lists in several places, which the dumper writes once with an
+    anchor and then as aliases."""
+    pool = draw(st.lists(st.lists(_leaves, min_size=1, max_size=3), min_size=1, max_size=3))
+    nested = st.recursive(
+        st.booleans().flatmap(lambda shared: st.sampled_from(pool) if shared else _leaves),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(TRICKY), inner, max_size=3),
+        max_leaves=8)
+    return draw(st.lists(nested, min_size=2, max_size=4)
+                | st.dictionaries(st.sampled_from(TRICKY), nested, min_size=2, max_size=4))
+
+
+@pytest.mark.parametrize("loader", READERS, ids=lambda loader: loader.__name__)
+@settings(max_examples=100, deadline=None)
+@given(data=shared_data(), flow=st.sampled_from([None, False, True]))
+def test_the_reader_reads_what_pyyaml_reads_from_dumped_data(loader, data, flow):
+    text = yaml.dump(data, Dumper=yaml.SafeDumper, default_flow_style=flow)
+    assert_reads_as_yaml_load(text, loader)
+
+
+@pytest.mark.parametrize("loader", READERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("text", [
+    "a: !!str 3\n", "<<: {a: 1}\nb: 2\n", "=: 1\n", "? [1]\n: 2\n", "a: &x 1\nb: &x 2\n",
+    "[1, *y]\n", "--- 1\n--- 2\n",
+], ids=["explicit-tag", "merge-key", "value-key", "unhashable-key", "duplicate-anchor",
+        "undefined-alias", "second-document"])
+def test_a_construct_the_reader_leaves_to_yaml_load(text, loader, monkeypatch):
+    calls = []
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda *args, **kw: calls.append(args) or load(*args, **kw))
+    assert_reads_as_yaml_load(text, loader)
+    # Once as the reference above, once by the reader.
+    assert len(calls) == 2
+
+
+def test_shipped_and_written_configs_load_without_yaml_load(tmp_path, monkeypatch):
+    written = tmp_path / "wide.yaml"
+    write_config(build_scenario({
+        **PAIR_SPEC, "name": "wide", "states": [f"s{i}" for i in range(256)],
+        "policy": "greedy"}), written)
+    paths = [CONFIGS / "corridor.yaml", CONFIGS / "corridor_unshielded.yaml", written]
+    expected = [config_to_dict(parse_config(
+        yaml.load(path.read_text(), Loader=config._YAML_LOADER), source=str(path)))
+        for path in paths]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("yaml.load called")
+
+    monkeypatch.setattr(yaml, "load", refuse)
+    assert [config_to_dict(load_config(path)) for path in paths] == expected
+
+
+@pytest.mark.parametrize("loader", READERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("date, reason", [
+    ("2001-02-30", "day is out of range for month"),
+    ("2001-13-01", "month must be in 1..12"),
+])
+def test_an_impossible_date_is_a_config_error_at_its_scalar(loader, date, reason, tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr(config, "_YAML_LOADER", loader)
+    path = tmp_path / "date.yaml"
+    path.write_text(yaml_text(base_config(), seed=date))
+    line = path.read_text().splitlines().index(f"seed: {date}") + 1
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value).startswith(
+        f"{path}: not valid YAML: cannot read {date!r} as a timestamp: {reason}\n")
+    assert f", line {line}, column 7" in str(err.value)
+    # With a construct that only yaml.load builds, its ValueError is a
+    # ConfigError too.
+    path.write_text(yaml_text(base_config(), name="!!str pair", seed=date))
+    with pytest.raises(ConfigError, match=f"^{path}: not valid YAML: {reason}$"):
+        load_config(path)
 
 
 # --------------------------------------------------------------------------
