@@ -42,7 +42,10 @@ built once by the loader's own constructor. An explicit tag other than
 `!`, a merge key `<<` or value key `=`, an unhashable key, a duplicate
 anchor, an undefined alias or a second document goes to `yaml.load`,
 whose value or error stands. A date that does not exist, such as a
-plain `2001-02-30`, is a ConfigError at its line and column.
+plain `2001-02-30`, is a ConfigError at its line and column, and so is
+a collection nested deeper than `parsing.MAX_NESTING` levels: the
+reader reads on to the end of a file it leaves to `yaml.load`, so no
+file that holds one reaches it.
 """
 
 from __future__ import annotations
@@ -60,8 +63,7 @@ from ._gc import paused_gc
 from .barrier import FtParams, LinearAlpha
 from .errors import BeliefShieldError, ConfigError
 from .ldtl import BeliefExpr, Formula, expr_text, height
-from .model import (OBS_JOIN, Belief, Mpomdp, check_names, components_from_flat,
-                     flat_from_components, validate_tables)
+from .model import OBS_JOIN, Belief, Mpomdp, check_names, joint_labels, validate_tables
 from .monitor import Monitor, MonitorConfig, compile_monitor
 from .parsing import MAX_NESTING, parse_expr, parse_formula
 from .sim import (
@@ -133,11 +135,41 @@ def _scalar(loader, event):
             event.start_mark) from exc
 
 
+def _too_deep(event) -> yaml.YAMLError:
+    return yaml.constructor.ConstructorError(
+        None, None, f"nested deeper than {MAX_NESTING} levels", event.start_mark)
+
+
+def _fallback(loader, depth: int):
+    """_FALLBACK, once the rest of the stream, read from `depth` open
+    collections, has shown no collection nested deeper than MAX_NESTING:
+    `yaml.load` recurses once per level, in C with libyaml, and a deep
+    enough file overflows its stack. A parse error ends the check, since
+    `yaml.load` stops at it too, past no deeper collection."""
+    get_event = loader.get_event
+    while True:
+        try:
+            event = get_event()
+        except yaml.YAMLError:
+            return _FALLBACK
+        kind = type(event)
+        if kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+            depth += 1
+            if depth > MAX_NESTING:
+                raise _too_deep(event)
+        elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+            depth -= 1
+        elif kind is yaml.StreamEndEvent:
+            return _FALLBACK
+
+
 def _build(loader):
     """The single document's data from the loader's events, each
     mapping and sequence filled as its events arrive, or _FALLBACK.
     Scalars are resolved and built once per distinct (text, implicit);
-    every built scalar is immutable, so sharing one is exact."""
+    every built scalar is immutable, so sharing one is exact. A
+    collection nested deeper than MAX_NESTING is an error at its start,
+    in the event reader or before any `yaml.load`."""
     get_event = loader.get_event
     scalars: dict = {}
     anchors: dict = {}
@@ -152,31 +184,29 @@ def _build(loader):
         kind = type(event)
         if kind is yaml.ScalarEvent:
             if event.tag is not None and event.tag != "!":
-                return _FALLBACK
+                return _fallback(loader, len(stack))
             try:
                 value = scalars[event.value, event.implicit]
             except KeyError:
                 value = scalars[event.value, event.implicit] = _scalar(loader, event)
                 if value is _FALLBACK:
-                    return _FALLBACK
+                    return _fallback(loader, len(stack))
         elif kind is yaml.AliasEvent:
             value = anchors.get(event.anchor, _FALLBACK)
             # An undefined alias, or an unhashable key.
             if value is _FALLBACK or key is _NO_KEY and isinstance(value, (list, dict)):
-                return _FALLBACK
+                return _fallback(loader, len(stack))
         elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+            if len(stack) == MAX_NESTING:
+                raise _too_deep(event)
             if event.tag is not None and event.tag != "!" or key is _NO_KEY:
-                return _FALLBACK
+                return _fallback(loader, len(stack) + 1)
             value = [] if kind is yaml.SequenceStartEvent else {}
         elif kind is yaml.DocumentEndEvent:
             break
         else:  # the end of a sequence or a mapping
             top, key = stack.pop()
             continue
-        if event.anchor is not None and kind is not yaml.AliasEvent:
-            if event.anchor in anchors:
-                return _FALLBACK
-            anchors[event.anchor] = value
         if key is _IN_LIST:
             top.append(value)
         elif key is _NO_KEY:
@@ -190,9 +220,13 @@ def _build(loader):
         elif kind is yaml.MappingStartEvent:
             stack.append((top, key))
             top, key = value, _NO_KEY
+        if event.anchor is not None and kind is not yaml.AliasEvent:
+            if event.anchor in anchors:
+                return _fallback(loader, len(stack))
+            anchors[event.anchor] = value
     # A second document.
     if type(get_event()) is not yaml.StreamEndEvent:
-        return _FALLBACK
+        return _fallback(loader, 0)
     return root[0]
 
 
@@ -358,10 +392,7 @@ def _parse_agents(raw, path: str) -> tuple[list[str], list[list[str]], list[list
 def _joint_observation_labels(observation_names) -> list[str]:
     """Each joint observation's label, by flat index: the agents'
     observation names joined with '+', as in `none+ping_a`."""
-    radices = tuple(len(z) for z in observation_names)
-    return [OBS_JOIN.join(names[c] for names, c in
-                          zip(observation_names, components_from_flat(flat, radices)))
-            for flat in range(int(np.prod(radices)))]
+    return [OBS_JOIN.join(names) for names in joint_labels(observation_names)]
 
 
 class _JointIndex:
@@ -371,9 +402,9 @@ class _JointIndex:
                  observation_names: list[list[str]]):
         self.state_index = {s: i for i, s in enumerate(states)}
         self.action_names = action_names
-        self.observation_names = observation_names
-        self.action_radices = [len(a) for a in action_names]
-        self.n_joint_actions = int(np.prod(self.action_radices))
+        self.joint_action_index = {
+            label: flat for flat, label in enumerate(joint_labels(action_names))}
+        self.n_joint_actions = len(self.joint_action_index)
         self.joint_obs_index = {
             label: flat for flat, label in enumerate(_joint_observation_labels(observation_names))}
 
@@ -387,12 +418,10 @@ class _JointIndex:
                 or not all(isinstance(a, str) for a in value)):
             raise ConfigError(
                 f"expected a list of {len(self.action_names)} action names", path)
-        comps = []
         for i, (name, known) in enumerate(zip(value, self.action_names)):
             if name not in known:
                 raise ConfigError(f"unknown action {name!r} for agent {i}", f"{path}[{i}]")
-            comps.append(known.index(name))
-        return flat_from_components(tuple(comps), tuple(self.action_radices))
+        return self.joint_action_index[tuple(value)]
 
     def joint_observation(self, label, path: str) -> int:
         if label not in self.joint_obs_index:
@@ -618,7 +647,7 @@ def _table_entries(table: np.ndarray, states, key_from: str, key_value: str,
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """The YAML-ready mapping for a scenario config."""
     m = cfg.model
-    action_lists = [list(m.joint_action_label(a)) for a in range(m.n_joint_actions)]
+    action_lists = [list(label) for label in m.action_labels]
     obs_labels = _joint_observation_labels(m.observation_names)
     reward_entries = _table_entries(m.reward, m.state_names, "state", "value",
                                     float, action_lists)

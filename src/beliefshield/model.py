@@ -5,8 +5,8 @@ The model is a tuple of dense tables over a finite joint state space Q:
 transition[q, a, q'] is the probability of landing in q' after joint
 action a in state q, observation[q', a, z] the probability of the joint
 observation z in the successor state, reward[q, a] an immediate reward.
-Joint actions and observations are flat mixed-radix encodings of the
-per-agent components, agent 0 most significant.
+Joint actions and observations are flat indices in the order of
+`joint_labels`.
 
 All stochastic rows must sum to 1 within 1e-9, with no entry negative
 or above 1 + 1e-9; loaders renormalize once after validation, the
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -69,16 +70,11 @@ def flat_from_components(components: tuple[int, ...], radices: tuple[int, ...]) 
     return flat
 
 
-def components_from_flat(flat: int, radices: tuple[int, ...]) -> tuple[int, ...]:
-    """Invert flat_from_components."""
-    size = int(np.prod(radices)) if radices else 1
-    if not 0 <= flat < size:
-        raise ValueError(f"flat index {flat} out of range for radices {radices}")
-    out = []
-    for r in reversed(radices):
-        out.append(flat % r)
-        flat //= r
-    return tuple(reversed(out))
+def joint_labels(names) -> list[tuple]:
+    """Every joint combination of the agents' names (or ranges), by flat
+    index, agent 0 most significant: the order of every flat joint
+    action and joint observation, in tables and traces alike."""
+    return list(product(*names))
 
 
 def check_names(names, what: str) -> None:
@@ -201,8 +197,9 @@ class Mpomdp:
         observation: (n_states, n_joint_actions, n_joint_observations)
         reward:      (n_states, n_joint_actions)
 
-    n_joint_actions and n_joint_observations are the products of the
-    per-agent radices, fixed at construction.
+    action_labels lists each joint action's per-agent names by flat
+    index (joint_labels). It and the joint counts are fixed at
+    construction.
     """
 
     state_names: tuple[str, ...]
@@ -214,6 +211,7 @@ class Mpomdp:
     observation: np.ndarray
     reward: np.ndarray
     state_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    action_labels: list[tuple[str, ...]] = field(init=False, repr=False, compare=False)
     n_joint_actions: int = field(init=False, repr=False, compare=False)
     n_joint_observations: int = field(init=False, repr=False, compare=False)
     successors: SuccessorTables = field(init=False, repr=False, compare=False)
@@ -231,7 +229,8 @@ class Mpomdp:
         for actions, observations in zip(self.action_names, self.observation_names):
             check_names(actions, "action")
             check_names(observations, "observation")
-        na = int(np.prod(self.action_radices))
+        object.__setattr__(self, "action_labels", joint_labels(self.action_names))
+        na = len(self.action_labels)
         nz = int(np.prod(self.observation_radices))
         object.__setattr__(self, "n_joint_actions", na)
         object.__setattr__(self, "n_joint_observations", nz)
@@ -300,8 +299,10 @@ class Mpomdp:
         return tuple(len(z) for z in self.observation_names)
 
     def joint_action_label(self, flat: int) -> tuple[str, ...]:
-        comps = components_from_flat(flat, self.action_radices)
-        return tuple(self.action_names[i][c] for i, c in enumerate(comps))
+        if not 0 <= flat < self.n_joint_actions:
+            raise ValueError(f"flat index {flat} out of range for "
+                             f"{self.n_joint_actions} joint actions")
+        return self.action_labels[flat]
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .barrier import FtParams, LinearAlpha
 from .config import ScenarioConfig, write_config
-from .model import Belief, Mpomdp
+from .model import Belief, Mpomdp, joint_labels
 from .monitor import MonitorConfig
 from .parsing import parse_expr, parse_formula
 from .sim import FixedAction
@@ -99,10 +99,9 @@ def _patroller_kernel(action: str) -> np.ndarray:
 
 
 def corridor_model() -> Mpomdp:
-    states = tuple(f"{c}_{p}" for c in COURIER_CELLS for p in PATROLLER_CELLS)
-    nc, np_ = len(COURIER_CELLS), len(PATROLLER_CELLS)
-    n = nc * np_
-    na = len(COURIER_ACTIONS) * len(PATROLLER_ACTIONS)
+    states = tuple(f"{c}_{p}" for c, p in joint_labels((COURIER_CELLS, PATROLLER_CELLS)))
+    actions = joint_labels((COURIER_ACTIONS, PATROLLER_ACTIONS))
+    n, na = len(states), len(actions)
 
     courier_k = {a: _courier_kernel(a) for a in COURIER_ACTIONS}
     patroller_k = {a: _patroller_kernel(a) for a in PATROLLER_ACTIONS}
@@ -110,25 +109,19 @@ def corridor_model() -> Mpomdp:
     transition = np.zeros((n, na, n))
     observation = np.zeros((n, na, 2))
     reward = np.zeros((n, na))
-    for ci in range(nc):
-        for pi in range(np_):
-            q = ci * np_ + pi
-            for ai, ca in enumerate(COURIER_ACTIONS):
-                for aj, pa in enumerate(PATROLLER_ACTIONS):
-                    a = ai * len(PATROLLER_ACTIONS) + aj
-                    transition[q, a] = np.kron(courier_k[ca][ci], patroller_k[pa][pi])
-                    reward[q, a] = ACTION_BONUS[ca] + (
-                        GOAL_BONUS if COURIER_CELLS[ci] == GOAL else 0.0)
-            # Sensor reads the patroller's cell; ping_a means h1.
-            p_ping_a = SENSOR_CORRECT if PATROLLER_CELLS[pi] == "h1" else 1.0 - SENSOR_CORRECT
-            observation[q, :, 0] = p_ping_a
-            observation[q, :, 1] = 1.0 - p_ping_a
-
     initial = np.zeros(n)
-    for cell, mass in COURIER_START.items():
-        ci = COURIER_CELLS.index(cell)
-        for pi in range(np_):
-            initial[ci * np_ + pi] = mass / np_
+    for q, (ci, pi) in enumerate(joint_labels((range(len(COURIER_CELLS)),
+                                               range(len(PATROLLER_CELLS))))):
+        cell = COURIER_CELLS[ci]
+        for a, (ca, pa) in enumerate(actions):
+            # np.kron lists the joint successors in the same order.
+            transition[q, a] = np.kron(courier_k[ca][ci], patroller_k[pa][pi])
+            reward[q, a] = ACTION_BONUS[ca] + (GOAL_BONUS if cell == GOAL else 0.0)
+        # Sensor reads the patroller's cell; ping_a means h1.
+        p_ping_a = SENSOR_CORRECT if PATROLLER_CELLS[pi] == "h1" else 1.0 - SENSOR_CORRECT
+        observation[q, :, 0] = p_ping_a
+        observation[q, :, 1] = 1.0 - p_ping_a
+        initial[q] = COURIER_START.get(cell, 0.0) / len(PATROLLER_CELLS)
 
     return Mpomdp(
         state_names=states,
@@ -149,9 +142,7 @@ def corridor_config(shield_mode: str = "literal") -> ScenarioConfig:
     predicates = {name: parse_expr(text, model.state_index)
                   for name, text in PREDICATES.items()}
     formula = parse_formula(FORMULA, predicates, model.state_index)
-    nominal = FixedAction(
-        COURIER_ACTIONS.index("shortcut") * len(PATROLLER_ACTIONS)
-        + PATROLLER_ACTIONS.index("sweep"))
+    nominal = FixedAction(model.action_labels.index(("shortcut", "sweep")))
     return ScenarioConfig(
         name="corridor" if shield_mode != "off" else "corridor_unshielded",
         model=model,

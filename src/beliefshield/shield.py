@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SafetyDeadlock, ZeroLikelihood
-from .model import Belief, Mpomdp, components_from_flat, correct, predicted_belief
+from .model import Belief, Mpomdp, correct, joint_labels, predicted_belief
 from .monitor import (
     BarrierValues, Monitor, Records, barrier_values, check_step, step_passes,
 )
@@ -131,14 +131,16 @@ def _barriers_after(mon: Monitor, values: BarrierValues | None) -> dict[str, flo
 
 
 @cache
-def _levels(action_radices: tuple[int, ...], nominal: int) -> tuple[tuple[int, ...], ...]:
+def _levels(action_names: tuple[tuple[str, ...], ...],
+            nominal: int) -> tuple[tuple[int, ...], ...]:
     """The joint actions other than nominal, grouped by the number of
-    agents whose component differs from nominal's, fewest first, in flat
-    order within each level; levels with no action are left out."""
-    target = components_from_flat(nominal, action_radices)
-    levels: list[list[int]] = [[] for _ in action_radices]
-    for a in range(int(np.prod(action_radices))):
-        changed = sum(c != t for c, t in zip(components_from_flat(a, action_radices), target))
+    agents whose action name differs from nominal's, fewest first, in
+    flat order within each level; levels with no action are left out."""
+    labels = joint_labels(action_names)
+    target = labels[nominal]
+    levels: list[list[int]] = [[] for _ in action_names]
+    for a, label in enumerate(labels):
+        changed = sum(x != y for x, y in zip(label, target))
         if changed:
             levels[changed - 1].append(a)
     return tuple(tuple(level) for level in levels if level)
@@ -162,7 +164,7 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
         best, candidates = a_nominal, [(a_nominal, r_n)]
     else:
         checks = {a_nominal: nominal}
-        for level in _levels(m.action_radices, a_nominal):
+        for level in _levels(m.action_names, a_nominal):
             for a in level:
                 checks[a] = _check(m, mon, b_prev, z, a, mode)
             candidates = [(a, _reward(checks[a][0], a, m)) for a in level if checks[a][2]]

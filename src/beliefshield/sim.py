@@ -95,6 +95,10 @@ class Scenario:
             raise ValueError(f"unknown shield mode: {self.shield_mode!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+        if (isinstance(self.policy, FixedAction)
+                and not 0 <= self.policy.action < self.model.n_joint_actions):
+            raise ValueError(f"fixed action {self.policy.action} out of range "
+                             f"[0, {self.model.n_joint_actions})")
 
 
 class TraceStep(NamedTuple):

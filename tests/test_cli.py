@@ -1,11 +1,16 @@
-"""End-to-end command line checks, run in process through cli.main."""
+"""End-to-end command line checks, run in process through cli.main, and
+in a child process where a crash must fail the test, not end pytest."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import beliefshield
 from beliefshield.cli import SWEEP_FIELDS, _sweep_config, main
 from beliefshield.config import config_to_dict, monitor_settings
 from beliefshield.presets import corridor_config
@@ -179,6 +184,26 @@ def test_an_impossible_date_is_reported_at_its_line(command, code, prefix, tmp_p
     assert "line 982, column 7" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# `yaml.load` crashes on a file nested this deep, since libyaml's
+# composer recurses in C; the reader leaves a file to it when it holds an
+# explicit tag. Without one, reading libyaml's events to the end of the
+# file takes seconds at 20,000 levels and a minute at 100,000.
+@pytest.mark.parametrize("depth, tagged", [(100_000, True), (20_000, False)],
+                         ids=["tagged-100000", "plain-20000"])
+def test_validate_refuses_a_deeply_nested_file_in_a_child_process(depth, tagged, tmp_path):
+    text = (Path(__file__).resolve().parent.parent / "configs" / "corridor.yaml").read_text()
+    deep = tmp_path / "deep.yaml"
+    deep.write_text(text + ("b: !!str x\n" if tagged else "")
+                    + "deep: " + "[" * depth + "]" * depth + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(beliefshield.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "beliefshield.cli", "validate", str(deep)],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert run.returncode == 1, run.stderr[-2000:]
+    assert run.stderr.startswith(
+        f"invalid: {deep}: not valid YAML: nested deeper than 100 levels\n")
+    assert "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("command", [

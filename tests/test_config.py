@@ -3,6 +3,7 @@ renormalization, and round trips through the YAML form."""
 
 import copy
 import json
+import re
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -830,6 +831,44 @@ def test_a_construct_the_reader_leaves_to_yaml_load(text, loader, monkeypatch):
     assert_reads_as_yaml_load(text, loader)
     # Once as the reference above, once by the reader.
     assert len(calls) == 2
+
+
+def nested(depth: int, inner: str = "") -> str:
+    return "[" * depth + inner + "]" * depth
+
+
+# Texts whose deepest collection is `depth` levels down, each by a path
+# of the reader: all in the reader, or left to `yaml.load` before, at or
+# after that collection's start.
+DEEP_TEXTS = {
+    "plain": lambda depth: nested(depth),
+    "explicit-tag": lambda depth: f"[!!str x, {nested(depth - 1)}]",
+    "tagged-innermost": lambda depth: nested(depth - 1, "!!seq []"),
+    "duplicate-anchor": lambda depth: f"[&a 1, {nested(depth - 2, '&a []')}]",
+    "second-document": lambda depth: f"--- 1\n--- {nested(depth)}\n",
+}
+
+
+@pytest.mark.parametrize("loader", READERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("shape", DEEP_TEXTS)
+def test_a_collection_nested_too_deep_is_an_error_before_yaml_load(shape, loader, monkeypatch):
+    assert_reads_as_yaml_load(DEEP_TEXTS[shape](MAX_NESTING), loader)
+    text = DEEP_TEXTS[shape](MAX_NESTING + 1)
+    # Where the first collection too deep starts, at its tag or anchor if
+    # it has one.
+    lines = text.splitlines()
+    line = next(i for i, t in enumerate(lines) if t.count("[") > MAX_NESTING)
+    column = [m.start() for m in re.finditer(r"(?:!!seq |&a )?\[", lines[line])][MAX_NESTING]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("yaml.load called")
+
+    monkeypatch.setattr(yaml, "load", refuse)
+    monkeypatch.setattr(config, "_YAML_LOADER", loader)
+    with pytest.raises(yaml.YAMLError) as err:
+        config._read_yaml(text)
+    assert str(err.value).startswith(f"nested deeper than {MAX_NESTING} levels\n")
+    assert f", line {line + 1}, column {column + 1}" in str(err.value)
 
 
 def test_shipped_and_written_configs_load_without_yaml_load(tmp_path, monkeypatch):

@@ -12,10 +12,10 @@ from beliefshield import (
     shield_step,
 )
 from beliefshield.errors import ZeroLikelihood
-from beliefshield.shield import _passes_under
+from beliefshield.shield import _levels, _passes_under
 from beliefshield.model import (
     LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update, belief_updates,
-    components_from_flat, correct, expected_reward, flat_from_components,
+    correct, expected_reward, flat_from_components, joint_labels,
     predicted_belief, sample_initial_state,
     _row_tables, _sample_index, sample_observation, sample_transition, validate_model, validate_tables,
 )
@@ -291,24 +291,19 @@ def test_filter_and_shield_outputs_are_taken_over_read_only(monkeypatch):
 
 def test_mixed_radix_round_trip_exhaustive():
     radices = (3, 2, 4)
-    size = 3 * 2 * 4
-    seen = set()
-    for flat in range(size):
-        comps = components_from_flat(flat, radices)
+    labels = joint_labels([range(r) for r in radices])
+    assert len(labels) == len(set(labels)) == 3 * 2 * 4
+    for flat, comps in enumerate(labels):
         assert flat_from_components(comps, radices) == flat
-        seen.add(comps)
-    assert len(seen) == size
     # Agent 0 is most significant.
-    assert components_from_flat(0, radices) == (0, 0, 0)
-    assert components_from_flat(size - 1, radices) == (2, 1, 3)
-    assert flat_from_components((1, 0, 0), radices) == 8
+    assert labels[0] == (0, 0, 0)
+    assert labels[-1] == (2, 1, 3)
+    assert labels[8] == (1, 0, 0)
 
 
 def test_mixed_radix_rejects_out_of_range():
     with pytest.raises(ValueError):
         flat_from_components((3,), (3,))
-    with pytest.raises(ValueError):
-        components_from_flat(6, (3, 2))
     with pytest.raises(ValueError):
         flat_from_components((0, 0), (3,))
 
@@ -317,12 +312,10 @@ def test_mixed_radix_rejects_out_of_range():
        st.data())
 def test_mixed_radix_round_trip_property(radices, data):
     radices = tuple(radices)
-    size = int(np.prod(radices))
-    flat = data.draw(st.integers(min_value=0, max_value=size - 1))
-    comps = components_from_flat(flat, radices)
-    assert len(comps) == len(radices)
-    assert all(0 <= c < r for c, r in zip(comps, radices))
-    assert flat_from_components(comps, radices) == flat
+    labels = joint_labels([range(r) for r in radices])
+    assert len(labels) == int(np.prod(radices))
+    flat = data.draw(st.integers(min_value=0, max_value=len(labels) - 1))
+    assert flat_from_components(labels[flat], radices) == flat
 
 
 def with_likelihood(m: Mpomdp, b: Belief, a: int, z: int, target: float) -> Mpomdp:
@@ -647,6 +640,32 @@ def test_sampling_matches_row_frequencies():
 def test_joint_action_labels():
     rng = np.random.default_rng(21)
     m = random_model(rng, max_states=3)
+    assert m.action_labels == joint_labels(m.action_names)
     for flat in range(m.n_joint_actions):
         label = m.joint_action_label(flat)
         assert len(label) == m.n_agents
+        comps = tuple(names.index(x) for names, x in zip(m.action_names, label))
+        assert flat_from_components(comps, m.action_radices) == flat
+
+
+def test_joint_action_label_refuses_an_index_out_of_range():
+    m = random_model(np.random.default_rng(21), max_states=3)
+    # A negative index must not wrap to the last joint action.
+    for flat in (-1, m.n_joint_actions):
+        with pytest.raises(ValueError, match="out of range"):
+            m.joint_action_label(flat)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_shield_levels_group_every_action_by_names_changed(seed):
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, max_states=1, max_agents=4)
+    nominal = int(rng.integers(m.n_joint_actions))
+    target = m.joint_action_label(nominal)
+    by_changed: dict[int, list[int]] = {}
+    for a in range(m.n_joint_actions):
+        changed = sum(x != y for x, y in zip(m.joint_action_label(a), target))
+        by_changed.setdefault(changed, []).append(a)
+    expected = tuple(tuple(by_changed[k]) for k in sorted(by_changed) if k)
+    assert _levels(m.action_names, nominal) == expected

@@ -124,6 +124,10 @@ def test_scenario_rejects_bad_settings():
         Scenario(model=m, monitor=mon, policy=FixedAction(0), horizon=0)
     with pytest.raises(ValueError):
         run_batch(Scenario(model=m, monitor=mon, policy=FixedAction(0)), 1, 0)
+    # A negative action would index the model's tables from the end.
+    for action in (-1, m.n_joint_actions):
+        with pytest.raises(ValueError, match="out of range"):
+            Scenario(model=m, monitor=mon, policy=FixedAction(action))
 
 
 def test_greedy_policy_breaks_ties_low():
