@@ -22,12 +22,12 @@ sequential replay runs as it always has: each step's indices are
 checked, its belief is recomputed from the last one with `belief_update`
 and compared with the recorded one, and the pass stops at the first
 fault, and holds it. An untampered trace is verified whole, and
-`belief_update` is never called. One gather (`monitor.leaf_values`)
-then reads the leaf values of every belief pass 1 replayed from their
-(T, n) stack. Pass 2 walks the steps before that fault: the monitor's
-evaluators on each step's leaf values, `check_step`, and the comparison
-of its verdict with the recorded one, which raises for a malformed
-verdict. Only then is pass 1's fault raised. Within a step the checks
+`belief_update` is never called. Pass 2 checks the steps before that
+fault in one stacked pass, `monitor.check_steps` on the (T, n) stack of
+the beliefs pass 1 replayed, whose records are check_step's step after
+step, bit for bit. It then compares each step's records with the
+recorded verdict, which raises for a malformed one. Only then is pass
+1's fault raised. Within a step the checks
 run in the order index, belief, verdict, and pass 2 covers every step
 before the first index or belief fault, so the first fault in file
 order is the one raised, as in a single pass.
@@ -45,7 +45,7 @@ Verdict records are compared in order, position by position, as the
 writer lists them in the monitor's obligation order, so a file whose
 records are reordered does not audit. Each is [status, barrier,
 detail]: the status must be equal and the barrier value within 1e-9.
-check_step's records are in the recorded form, so a recorded verdict
+The monitor's records are in the recorded form, so a recorded verdict
 equal to them under `==` is accepted by that one comparison, as every
 step of an untampered trace is, provided every recorded barrier is a
 float or null: an int or a boolean can equal the replayed float, but a
@@ -61,11 +61,12 @@ release or by a filter that added in another order.
 The finite-trace verdict per top-level conjunct is reported alongside;
 the monitor checks sufficient barrier conditions on beliefs, so its
 verdicts need not coincide with the hidden-state semantics and a
-disagreement is informational, not an audit failure. Each letter holds
-its belief's entries as a list of floats, every step's taken from the
-replayed stack by one `tolist()`, and the oracle applies each belief
-atom's compiled evaluator to them, which is bit-identical to the tests'
-tree-walking reference.
+disagreement is informational, not an audit failure. The word is the
+episode's hidden states, the initial one first, and the stack of the
+beliefs held, the initial belief first. `oracle_satisfies` evaluates each
+conjunct over all the word's positions at once (`ldtl.oracle_columns`),
+equal at every position to the recursive `ldtl.oracle_satisfies`, which
+stays as the tests' reference, and reports its first.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ import numpy as np
 from ._gc import paused_gc
 from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
-from .ldtl import And, Letter, oracle_satisfies
+from .ldtl import And, Formula, oracle_columns
 from .model import LIKELIHOOD_FLOOR, Belief, Mpomdp, belief_update, belief_updates
-from .monitor import Monitor, Records, check_step, evaluate_barriers, leaf_values
+from .monitor import Monitor, Records, check_steps
 from .traceio import STEP_COLUMNS, EpisodeRecord, encode_belief, recorded_belief
 
 BELIEF_TOL = 1e-9
@@ -224,9 +225,9 @@ def _plain_barriers(recorded: list) -> bool:
 
 
 def _exact_prefix(ep: EpisodeRecord, m: Mpomdp) -> tuple[np.ndarray, list[int]]:
-    """The recorded beliefs of the longest prefix of ep's steps that the
-    sequential replay gives bit for bit, as a (k, n) stack, and the next
-    states of those steps.
+    """The initial belief and the recorded beliefs of the longest prefix
+    of ep's steps that the sequential replay gives bit for bit, as a
+    (k + 1, n) stack, and the next states of those steps.
 
     The rows are read up to the first whose indices are out of range or
     whose belief its version's decoding refuses. Each of their steps is
@@ -257,14 +258,22 @@ def _exact_prefix(ep: EpisodeRecord, m: Mpomdp) -> tuple[np.ndarray, list[int]]:
     # which "<f8" is on a little-endian machine.
     chain = np.frombuffer(b"".join([m.initial.probs.astype("<f8").tobytes(), *raw]), "<f8")
     chain = chain.astype(float, copy=False).reshape(len(raw) + 1, n_states)
-    recorded = chain[1:]
     if not raw:
-        return recorded, states
+        return chain, states
     replayed, normalizers = belief_updates(chain[:-1], np.array(actions), np.array(observations), m)
     exact = ((normalizers > LIKELIHOOD_FLOOR)
-             & (replayed.view(np.uint64) == recorded.view(np.uint64)).all(axis=1))
+             & (replayed.view(np.uint64) == chain[1:].view(np.uint64)).all(axis=1))
     k = int(np.argmin(exact)) if not exact.all() else len(raw)
-    return recorded[:k], states[:k]
+    return chain[:k + 1], states[:k]
+
+
+# perfbench/tracing.py times this module global as the `ldtl.oracle`
+# layer, so the audit calls the oracle through it, under this name.
+def oracle_satisfies(phi: Formula, states: np.ndarray, beliefs: np.ndarray) -> bool:
+    """Whether phi holds at the first position of a word given as
+    columns (see `ldtl.oracle_columns`): what `ldtl.oracle_satisfies`
+    gives on the word of those letters, as a Python bool."""
+    return bool(oracle_columns(phi, states, beliefs)[0])
 
 
 def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
@@ -286,9 +295,9 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
     # Pass 1: the belief chain, up to the first faulty index or belief:
     # the prefix the stacked check verifies, then the sequential replay
     # from the last belief it verified.
-    stack, states = _exact_prefix(ep, m)
-    verified = len(stack)
-    belief = m.initial if verified == 0 else Belief(stack[-1])
+    chain, states = _exact_prefix(ep, m)
+    verified = len(states)
+    belief = m.initial if verified == 0 else Belief(chain[-1])
     beliefs = []
     fault = None
     try:
@@ -311,16 +320,15 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
     except (ConfigError, TraceMismatch) as exc:
         fault = exc
     if beliefs:
-        stack = np.concatenate((stack, beliefs))
+        chain = np.concatenate((chain, beliefs))
 
-    # Pass 2: the verdicts of the steps pass 1 replayed, whose leaf values
-    # one gather reads from the stack of their beliefs.
-    mon = start
+    # Pass 2: the verdicts of the steps pass 1 replayed, all at once from
+    # the stack of their beliefs.
+    steps_records, mon = check_steps(start, chain[1:])
     oids = [ob.oid for ob in start.obligations]
     failed: set[str] = set()
     mismatches: list[str] = []
-    for row, s in zip(ep.steps, leaf_values(start.leaves, stack)):
-        records, mon = check_step(mon, evaluate_barriers(mon, s))
+    for row, records in zip(ep.steps, steps_records):
         recorded = row[_VERDICT]
         if recorded != records or not _plain_barriers(recorded):
             step = row[0]
@@ -333,8 +341,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
         raise fault
 
     pending = set(mon.pending())
-    letters = (Letter(initial_state, m.initial.probs.tolist()),
-               *map(Letter, states, stack.tolist()))
+    states = np.array([initial_state, *states], dtype=np.intp)
     conjuncts = cfg.formula.children if isinstance(cfg.formula, And) else (cfg.formula,)
     return EpisodeAudit(
         episode=ep.episode,
@@ -344,7 +351,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
         obligations=tuple(
             ObligationAudit(oid=ob.oid, label=ob.label, clean=ob.oid not in failed,
                             discharged=ob.oid not in pending,
-                            oracle=oracle_satisfies(conjunct, letters))
+                            oracle=oracle_satisfies(conjunct, states, chain))
             for ob, conjunct in zip(mon.obligations, conjuncts)),
         verdict_mismatches=tuple(mismatches),
     )
@@ -352,7 +359,7 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
 
 def audit_traces(cfg: ScenarioConfig, episodes: list[EpisodeRecord]) -> AuditReport:
     """Audit each episode in turn, with automatic cyclic collection paused
-    (see `_gc.paused_gc`): the replay builds beliefs, monitor states and
-    letters at every step and frees them by reference counting."""
+    (see `_gc.paused_gc`): the replay builds beliefs, records and arrays
+    for every episode and frees them by reference counting."""
     with paused_gc():
         return AuditReport(tuple(audit_episode(cfg, ep) for ep in episodes))

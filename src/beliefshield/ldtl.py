@@ -11,19 +11,32 @@ An and/or node is a whole chain of its operator, its operands a tuple
 like a sum's, so `height` counts a chain as one level, as the parser
 does, and no walker recurses along a chain.
 
-The trace oracle evaluates a formula on a finite word of (hidden
-state, belief entries) letters with the standard finite-trace closure:
-`always` means "at every remaining position", `eventually` and `until`
-need an in-word witness, and `next` at the last position is false.
-compile_expr turns an expression into one generated Python function,
-a flat sequence of assignments with one local per inner node, of a
-list of floats. A belief atom compiles its expression on first use, so
-only the oracle pays for it, and the oracle applies it to each letter's
-entries, a list of floats. A monitor compiles each barrier with a
-lookup that reads its sums of entries as leaves, and applies it to the
-leaf values it gathers from the belief array (see `monitor`). The tests
-keep a tree-walking evaluator as the reference that compile_expr
-matches bit for bit.
+The trace oracle evaluates a formula on a finite word with the
+standard finite-trace closure: `always` means "at every remaining
+position", `eventually` and `until` need an in-word witness, and `next`
+at the last position is false. oracle_satisfies is the reference: it
+recurses over a word of (hidden state, belief entries) letters, one
+position at a time. oracle_columns gives the same truth at every
+position of a word given as columns, an array of hidden states and the
+stack of the beliefs held, which is how the audit holds an episode: it
+walks the formula bottom-up without recursion, as `height` does, each
+atom one boolean column over all positions and each operator one array
+operation on its operands' columns.
+
+compile_expr turns an expression into one generated Python function, a
+flat sequence of assignments with one local per inner node, of a list of
+floats. A belief atom compiles its expression on first use, so only the
+oracle pays for it: over the belief's entries for oracle_satisfies, over
+its own leaf table for oracle_columns. A monitor compiles each barrier
+with a lookup that reads each sum of entries as one leaf (leaf_table),
+and applies it to the leaf values one np.bincount gathers from the
+belief array (gather_leaves; see `monitor`). evaluate_columns runs the
+same generated code on columns: each leaf reads a row of a 2-D array,
+one column per position, +, - and * act elementwise, and min and max are
+rebound to folds that pick, position by position, the operand the
+builtin picks. The tests keep a tree-walking evaluator as the reference
+that compile_expr matches bit for bit, and evaluate_columns matches
+compile_expr row by row.
 """
 
 from __future__ import annotations
@@ -31,7 +44,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from types import FunctionType
 from typing import Callable, NamedTuple, Sequence, Union
+
+import numpy as np
 
 # --------------------------------------------------------------------------
 # Belief expressions
@@ -170,6 +186,125 @@ def compile_expr(expr: BeliefExpr,
     return namespace.pop("expr")
 
 
+@dataclass(frozen=True)
+class LeafTable:
+    """Where a set of expressions reads a belief (see gather_leaves).
+    index holds the state of every entry of every bin, bin by bin in
+    child order, and bins the bin of each; bare holds the states of the
+    entries read on their own. The expressions, compiled with the lookup
+    leaf_table gives, read bin k at position k of the leaf values and
+    bare[j] at position n_bins + j."""
+
+    index: np.ndarray
+    bins: np.ndarray
+    n_bins: int
+    bare: np.ndarray
+
+
+def _leaf_key(node: BeliefExpr) -> tuple[int, ...] | int | None:
+    """A leaf's state indices: a tuple for a bin, a sum whose children
+    are all entries (at least one), an int for any other entry, and
+    None for a node that is not a leaf."""
+    if isinstance(node, BeliefVar):
+        return operator.index(node.index)
+    if (isinstance(node, Sum) and node.children
+            and all(isinstance(c, BeliefVar) for c in node.children)):
+        return tuple(operator.index(c.index) for c in node.children)
+    return None
+
+
+def leaf_table(exprs: list[BeliefExpr]
+               ) -> tuple[LeafTable, Callable[[BeliefExpr], int | None]]:
+    """The leaf table of exprs, and compile_expr's leaf lookup for it: a
+    leaf's position among the leaf values, None for any other node.
+    Equal sums share one bin and an entry is read once, however often it
+    occurs. Walked without recursion."""
+    bins: dict[tuple[int, ...], int] = {}
+    bare: dict[int, int] = {}
+    todo = list(exprs)
+    while todo:
+        node = todo.pop()
+        key = _leaf_key(node)
+        if key is None:
+            todo.extend(children(node))
+        elif isinstance(key, tuple):
+            bins.setdefault(key, len(bins))
+        else:
+            bare.setdefault(key, len(bare))
+    table = LeafTable(
+        index=np.array([q for key in bins for q in key], dtype=np.intp),
+        bins=np.array([k for key, k in bins.items() for _ in key], dtype=np.intp),
+        n_bins=len(bins),
+        bare=np.array(list(bare), dtype=np.intp))
+    slots = {**bins, **{q: len(bins) + j for q, j in bare.items()}}
+    return table, lambda node: slots.get(_leaf_key(node))
+
+
+def gather_leaves(leaves: LeafTable, beliefs: np.ndarray) -> np.ndarray:
+    """The leaf values of a belief, a float64 array of its n entries: its
+    bins, then its bare entries. Of a (T, n) stack of beliefs, a (T, L)
+    array, one such row per belief: row r's entries are read at r * n + q
+    and its bins numbered after row r - 1's, so one np.bincount sums
+    every row's bins, each in child order as for a single belief.
+
+    np.bincount starts each bin at 0.0 and adds its entries in child
+    order, the float operations of the builtin `sum` on Python 3.10 and
+    3.11 and of compile_expr's fold, so a bin holds its sum's value bit
+    for bit. An entry outside such a sum is read on its own, so that a
+    -0.0 keeps its sign."""
+    index, bins, t = leaves.index, leaves.bins, 1
+    stacked = beliefs.ndim == 2
+    if stacked:
+        t, n = beliefs.shape
+        rows = np.arange(t)[:, None]
+        index = (index + n * rows).ravel()
+        bins = (bins + leaves.n_bins * rows).ravel()
+    values = np.bincount(bins, beliefs.take(index), t * leaves.n_bins)
+    if stacked:
+        values = values.reshape(t, leaves.n_bins)
+    if leaves.bare.size:
+        values = np.concatenate((values, beliefs.take(leaves.bare, axis=-1)), axis=-1)
+    return values
+
+
+def _column_min(operands: tuple) -> np.ndarray:
+    """The builtin `min` of operands, position by position: it keeps its
+    first operand and takes a later one only where that one is less, so
+    a NaN first operand stands, a NaN later one is passed over, and of
+    0.0 and -0.0 the first stands."""
+    acc = operands[0]
+    for x in operands[1:]:
+        acc = np.where(x < acc, x, acc)
+    return acc
+
+
+def _column_max(operands: tuple) -> np.ndarray:
+    """The builtin `max` of operands, position by position (see
+    _column_min)."""
+    acc = operands[0]
+    for x in operands[1:]:
+        acc = np.where(x > acc, x, acc)
+    return acc
+
+
+_COLUMN_BUILTINS = {"min": _column_min, "max": _column_max}
+
+
+def evaluate_columns(f: Evaluator, p: np.ndarray) -> np.ndarray:
+    """The values of f, a function compile_expr generated, at every
+    column of p, a 2-D float64 array whose row i holds leaf i's value at
+    each position: one float64 array, a constant f broadcast to every
+    position. f's own code runs with p's rows as its leaves and with
+    `min` and `max` bound to _column_min and _column_max, so each
+    position's value has the bits f gives for that column's list of
+    values. An overflow or an invalid operation yields inf or NaN, as
+    Python's float arithmetic does; run under
+    `np.errstate(over="ignore", invalid="ignore")` to keep numpy silent
+    about it, as Python is."""
+    columns = FunctionType(f.__code__, {**f.__globals__, **_COLUMN_BUILTINS})
+    return np.broadcast_to(columns(p), p.shape[1:])
+
+
 def _expr_text(expr: BeliefExpr, parent: str = "") -> str:
     """parent is "" where a chain of `+` and `-` may stand bare: a whole
     expression, an argument, the left operand of `-` or the first term
@@ -234,6 +369,13 @@ class BeliefPred:
     def evaluator(self) -> Evaluator:
         """expr compiled on first use, which only the oracle makes."""
         return compile_expr(self.expr)
+
+    @cached_property
+    def leaf_form(self) -> tuple[LeafTable, Evaluator]:
+        """The leaf table of expr and expr compiled over its leaf values,
+        on first use, which only oracle_columns makes."""
+        table, leaf = leaf_table([self.expr])
+        return table, compile_expr(self.expr, leaf)
 
 
 @dataclass(frozen=True, init=False)
@@ -388,6 +530,77 @@ def oracle_satisfies(phi: Formula, word: Word, i: int = 0) -> bool:
                 return False
         return True
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def _next_true(column: np.ndarray) -> np.ndarray:
+    """At each position, the first position at or after it where column
+    is true; len(column) where there is none."""
+    n = len(column)
+    at = np.where(column, np.arange(n), n)
+    return np.minimum.accumulate(at[::-1])[::-1]
+
+
+def _truth_column(node: Formula, kids: list[np.ndarray], states: np.ndarray,
+                  beliefs: np.ndarray) -> np.ndarray:
+    """node's truth at every position, from its children's columns."""
+    if isinstance(node, StateSet):
+        member = (states[:, None] == np.array(node.indices, dtype=np.intp)).any(axis=1)
+        return member != node.negated
+    if isinstance(node, BeliefPred):
+        # As in oracle_satisfies: a NaN value is false under both
+        # polarities.
+        table, f = node.leaf_form
+        value = evaluate_columns(f, gather_leaves(table, beliefs).T)
+        return value >= 0.0 if node.negated else value < 0.0
+    if isinstance(node, And):
+        return np.logical_and.reduce(kids)
+    if isinstance(node, Or):
+        return np.logical_or.reduce(kids)
+    if isinstance(node, Next):
+        # No next position on a finite word: false at the last one.
+        out = np.zeros_like(kids[0])
+        out[:-1] = kids[0][1:]
+        return out
+    if isinstance(node, Eventually):
+        return np.logical_or.accumulate(kids[0][::-1])[::-1]
+    if isinstance(node, Always):
+        return np.logical_and.accumulate(kids[0][::-1])[::-1]
+    if isinstance(node, Until):
+        # A right-side position no later than the first position where
+        # the left side fails.
+        left, right = kids
+        witness = _next_true(right)
+        return (witness < len(right)) & (witness <= _next_true(~left))
+    raise TypeError(f"not a formula: {node!r}")
+
+
+def oracle_columns(phi: Formula, states: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+    """The truth of phi at every position of a finite word given as
+    columns, as a boolean array: states holds the hidden state at each of
+    its N positions and beliefs, an (N, n) float64 array, the belief held
+    at each. Position i's entry is oracle_satisfies(phi, word, i) for the
+    word of those letters. A belief atom reads only the belief entries
+    its expression names, through its leaf table (`BeliefPred.leaf_form`):
+    one np.bincount sums each of its sums of entries at every position.
+    Walked bottom-up without recursion, as `height` is; a subtree shared
+    by several parents is evaluated once."""
+    done: dict[int, np.ndarray] = {}
+    stack = [phi]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while stack:
+            node = stack[-1]
+            if id(node) in done:
+                stack.pop()
+                continue
+            kids = children(node)
+            todo = [k for k in kids if id(k) not in done]
+            if todo:
+                stack.extend(todo)
+            else:
+                stack.pop()
+                done[id(node)] = _truth_column(node, [done[id(k)] for k in kids],
+                                               states, beliefs)
+    return done[id(phi)]
 
 
 # --------------------------------------------------------------------------

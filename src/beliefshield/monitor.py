@@ -54,35 +54,49 @@ successor only discharges obligations and no rule reads the values of
 a discharged one.
 
 barrier_values takes the belief as its float64 array and reads it
-through the monitor's leaf table (leaf_values, which also reads a (T, n)
-stack of beliefs at once, for the audit). Each sum whose children are
-all entries b(q), such as a state-set atom's member mass, is one bin,
-and one gathered np.bincount per belief or stack sums every bin.
-np.bincount starts each bin at 0.0 and adds its entries in child
-order, the float operations of the builtin `sum` on Python 3.10 and
-3.11, so the values are those of the sums themselves bit for bit. An
-entry outside such a sum is read on its own, so that a -0.0 keeps its
-sign. compile_expr compiles each barrier once, reading each bin and
-each such entry directly from the list of leaf values at the position
-the monitor's leaf lookup gives it; evaluate_barriers applies them to
-one belief's list.
+through the monitor's leaf table (`ldtl.leaf_table`). Each sum whose
+children are all entries b(q), such as a state-set atom's member mass,
+is one bin, and one gathered np.bincount per belief sums every bin, bit
+for bit as the sum itself adds (`ldtl.gather_leaves`). compile_expr
+compiles each barrier once, reading each bin and each entry outside
+such a sum directly from the list of leaf values at the position the
+monitor's leaf lookup gives it, and barrier_values applies them to one
+belief's list.
+
+check_steps is the same check over a whole run of transitions, for the
+audit, which holds an episode's beliefs as one (T, n) stack. One gather
+reads the leaf values of every row, and each barrier is evaluated once
+as a column over all rows (`ldtl.evaluate_columns`). Each active
+obligation's rule in _RULES then walks its steps on the columns' floats
+up to the one that discharges it, so every rule is written once. An
+obligation is replaced only where its rule changes it, and the monitor
+reached is built once, at the end. The records and the monitor reached
+are those of check_step step after step, bit for bit. check_step stays
+for the simulator and the shield, which decide one transition at a
+time: on the shipped corridor, check_steps on a single transition
+costs about four times what barrier_values and check_step cost
+together.
+
+compile_monitor refuses an eventually obligation whose barrier at the
+initial belief fixes no reach deadline (NaN, -inf, or so far below 0
+that the step budget overflows): every deadline is fixed from those
+values, at the first step, which would raise instead.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from .barrier import FtParams, LinearAlpha, dtbf_check, ft_dtbf_check, ft_time_bound
-from .errors import UnsupportedNesting
+from .errors import BeliefShieldError, UnsupportedNesting
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
-    Eventually, Evaluator, Formula, Max, Min, Next, Or, StateSet, Sum, Until,
-    children, compile_expr, describe, is_propositional,
+    Eventually, Evaluator, Formula, LeafTable, Max, Min, Next, Or, StateSet, Sum,
+    Until, compile_expr, describe, evaluate_columns, gather_leaves, is_propositional,
+    leaf_table,
 )
 from .model import Mpomdp
 
@@ -160,59 +174,6 @@ Records = list[list]
 
 
 @dataclass(frozen=True)
-class LeafTable:
-    """Where barrier_values reads a belief. index holds the state of
-    every entry of every bin, bin by bin in child order, and bins the
-    bin of each; bare holds the states of the entries read on their own.
-    The evaluators read bin k at position k of the leaf values and
-    bare[j] at position n_bins + j."""
-
-    index: np.ndarray
-    bins: np.ndarray
-    n_bins: int
-    bare: np.ndarray
-
-
-def _leaf_key(node: BeliefExpr) -> tuple[int, ...] | int | None:
-    """A leaf's state indices: a tuple for a bin, a sum whose children
-    are all entries (at least one), an int for any other entry, and
-    None for a node that is not a leaf."""
-    if isinstance(node, BeliefVar):
-        return operator.index(node.index)
-    if (isinstance(node, Sum) and node.children
-            and all(isinstance(c, BeliefVar) for c in node.children)):
-        return tuple(operator.index(c.index) for c in node.children)
-    return None
-
-
-def _leaf_table(barriers: list[BeliefExpr]
-                ) -> tuple[LeafTable, Callable[[BeliefExpr], int | None]]:
-    """The leaf table of a monitor's barriers, and compile_expr's leaf
-    lookup for it: a leaf's position among the leaf values, None for any
-    other node. Equal sums share one bin and an entry is read once,
-    however often it occurs. Walked without recursion."""
-    bins: dict[tuple[int, ...], int] = {}
-    bare: dict[int, int] = {}
-    todo = list(barriers)
-    while todo:
-        node = todo.pop()
-        key = _leaf_key(node)
-        if key is None:
-            todo.extend(children(node))
-        elif isinstance(key, tuple):
-            bins.setdefault(key, len(bins))
-        else:
-            bare.setdefault(key, len(bare))
-    table = LeafTable(
-        index=np.array([q for key in bins for q in key], dtype=np.intp),
-        bins=np.array([k for key, k in bins.items() for _ in key], dtype=np.intp),
-        n_bins=len(bins),
-        bare=np.array(list(bare), dtype=np.intp))
-    slots = {**bins, **{q: len(bins) + j for q, j in bare.items()}}
-    return table, lambda node: slots.get(_leaf_key(node))
-
-
-@dataclass(frozen=True)
 class Monitor:
     """Immutable monitor state: the leaf table its evaluators read,
     obligations, their barrier values at the belief reached, and the
@@ -252,7 +213,9 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
 
     Raises UnsupportedNesting for anything outside the supported shape
     (nested temporal operators, temporal operands of or, an until with a
-    temporal side, and so on).
+    temporal side, and so on), and BeliefShieldError, naming the
+    obligation, for an eventually obligation whose barrier at the
+    model's initial belief fixes no reach deadline.
     """
     shapes = []
     for i, conjunct in enumerate(phi.children if isinstance(phi, And) else (phi,)):
@@ -271,13 +234,22 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
             )
         shapes.append((f"{i}:{kind}", kind, label,
                        tuple(translate_core(core, m, config.delta) for core in cores)))
-    leaves, leaf = _leaf_table([e for *_, barriers in shapes for e in barriers])
+    leaves, leaf = leaf_table([e for *_, barriers in shapes for e in barriers])
     obligations = tuple(
         Obligation(oid, kind, label, barriers,
                    tuple(compile_expr(e, leaf) for e in barriers))
         for oid, kind, label, barriers in shapes)
     start = Monitor(config, leaves, obligations, [])
-    return replace(start, values=barrier_values(start, m.initial.probs))
+    start = replace(start, values=barrier_values(start, m.initial.probs))
+    for ob, (h0, *_) in zip(start.obligations, start.values):
+        if ob.kind == "eventually" and not h0 >= 0.0:
+            try:
+                ft_time_bound(h0, config.ft)
+            except (ValueError, OverflowError):
+                raise BeliefShieldError(
+                    f"obligation {ob.oid} ({ob.label}) has start barrier {h0!r}, "
+                    f"which fixes no reach deadline") from None
+    return start
 
 
 def _require_propositional(core: Formula, label: str) -> None:
@@ -372,38 +344,13 @@ _RULES = {
 }
 
 
-def leaf_values(leaves: LeafTable, beliefs: np.ndarray) -> list:
-    """The leaf values of a belief, a float64 array of its n entries, as
-    one list: its bins, then its bare entries. Of a (T, n) stack of
-    beliefs, one such list per row: row r's entries are read at r * n + q
-    and its bins numbered after row r - 1's, so one np.bincount sums
-    every row's bins, each in child order as for a single belief."""
-    index, bins, t = leaves.index, leaves.bins, 1
-    stacked = beliefs.ndim == 2
-    if stacked:
-        t, n = beliefs.shape
-        rows = np.arange(t)[:, None]
-        index = (index + n * rows).ravel()
-        bins = (bins + leaves.n_bins * rows).ravel()
-    values = np.bincount(bins, beliefs.take(index), t * leaves.n_bins)
-    if stacked:
-        values = values.reshape(t, leaves.n_bins)
-    if leaves.bare.size:
-        values = np.concatenate((values, beliefs.take(leaves.bare, axis=-1)), axis=-1)
-    return values.tolist()
-
-
-def evaluate_barriers(mon: Monitor, s: list[float]) -> BarrierValues:
-    """Barrier values of every obligation from one belief's leaf values
-    s (see leaf_values); empty for discharged obligations."""
-    return [[] if ob.discharged else [f(s) for f in ob.evaluators]
-            for ob in mon.obligations]
-
-
 def barrier_values(mon: Monitor, probs: np.ndarray) -> BarrierValues:
     """Barrier values of every obligation at the belief whose float64
-    entries are probs; empty for discharged obligations."""
-    return evaluate_barriers(mon, leaf_values(mon.leaves, probs))
+    entries are probs, from the list of its leaf values; empty for
+    discharged obligations."""
+    s = gather_leaves(mon.leaves, probs).tolist()
+    return [[] if ob.discharged else [f(s) for f in ob.evaluators]
+            for ob in mon.obligations]
 
 
 def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Monitor]:
@@ -423,6 +370,51 @@ def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Monitor]:
                 ob = replace(ob, **changes)
         obligations.append(ob)
     return records, Monitor(mon.config, mon.leaves, tuple(obligations), nxt, step)
+
+
+def check_steps(mon: Monitor, beliefs: np.ndarray) -> tuple[list[Records], Monitor]:
+    """The records of every step and the monitor reached, for the T
+    transitions from the belief mon has reached through each row of
+    beliefs, a (T, n) float64 stack, in turn: what T successive
+    check_step calls, each on barrier_values of the next row, return,
+    bit for bit. No records and mon itself for T = 0.
+
+    One gather reads every row's leaf values (`ldtl.gather_leaves`) and
+    each barrier is evaluated once over all rows as a column
+    (`ldtl.evaluate_columns`). Each active obligation's rule then
+    decides its steps one after another on the columns' floats, up to
+    the one that discharges it, and the monitor reached is built once,
+    at the end."""
+    t = len(beliefs)
+    if not t:
+        return [], mon
+    leaves = gather_leaves(mon.leaves, beliefs).T
+    cfg = mon.config
+    columns: list[Records] = []
+    obligations: list[Obligation] = []
+    values: BarrierValues = []
+    for ob, prev in zip(mon.obligations, mon.values):
+        records: Records = []
+        if not ob.discharged:
+            rule = _RULES[ob.kind]
+            with np.errstate(over="ignore", invalid="ignore"):
+                cols = [evaluate_columns(f, leaves).tolist() for f in ob.evaluators]
+            for step, nxt in enumerate(zip(*cols), mon.step_count + 1):
+                *record, changes = rule(ob, prev, nxt, step == 1, step, cfg)
+                records.append(record)
+                prev = nxt
+                if changes:
+                    ob = replace(ob, **changes)
+                    if ob.discharged:
+                        break
+        # A monitor holds no values of an obligation discharged before
+        # the last step.
+        values.append([] if len(records) < t else list(prev))
+        records += [["inactive", ob.value, ""] for _ in range(t - len(records))]
+        columns.append(records)
+        obligations.append(ob)
+    return ([list(step_records) for step_records in zip(*columns)],
+            Monitor(cfg, mon.leaves, tuple(obligations), values, mon.step_count + t))
 
 
 def passed(records: Records) -> bool:

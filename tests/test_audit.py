@@ -30,7 +30,7 @@ from beliefshield import (
 from beliefshield import audit
 from beliefshield.audit import _same_detail
 from beliefshield.model import LIKELIHOOD_FLOOR, predicted_belief
-from beliefshield.monitor import check_step, passed
+from beliefshield.monitor import check_steps, passed
 from beliefshield.parsing import parse_expr, parse_formula
 from beliefshield.sim import BatchResult, TraceStep
 from beliefshield.traceio import (
@@ -38,7 +38,7 @@ from beliefshield.traceio import (
 )
 from beliefshield.presets import corridor_config
 
-from conftest import COLUMN, decode_belief, edit_belief, edit_trace
+from conftest import COLUMN, count_calls, decode_belief, edit_belief, edit_trace
 
 DATA = Path(__file__).resolve().parent / "data"
 # `run_batch(v1_config().to_scenario(), base_seed=7, episodes=2)` as the
@@ -495,15 +495,25 @@ def test_replay_recomputes_beliefs_exactly(corridor_run, monkeypatch):
     cfg, result, path = corridor_run
     verdicts = []
 
-    def recording_check_step(mon, values):
-        verdict, successor = check_step(mon, values)
-        verdicts.append(verdict)
-        return verdict, successor
+    def recording_check_steps(mon, beliefs):
+        steps_records, reached = check_steps(mon, beliefs)
+        verdicts.extend(steps_records)
+        return steps_records, reached
 
-    monkeypatch.setattr(audit, "check_step", recording_check_step)
+    monkeypatch.setattr(audit, "check_steps", recording_check_steps)
     report = audit_traces(cfg, read_traces(path))
     assert [ep.max_belief_error for ep in report.episodes] == [0.0] * len(result.traces)
     assert verdicts == [step.verdict for trace in result.traces for step in trace.steps]
+
+
+def test_the_audit_checks_no_step_one_at_a_time(corridor_run, monkeypatch):
+    cfg, _, path = corridor_run
+    episodes = read_traces(path)
+    expected = audit_traces(cfg, episodes)
+    calls = [count_calls(monkeypatch, name)
+             for name in ("check_step", "barrier_values")]
+    assert audit_traces(cfg, episodes) == expected
+    assert calls == [[], []]
 
 
 def test_audit_accepts_clean_corridor_traces(corridor_run):

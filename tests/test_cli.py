@@ -151,6 +151,27 @@ def test_run_of_a_predicate_that_overflows_is_a_usage_error(corridor_yaml, tmp_p
     assert not (out / "corridor.trace.jsonl").exists()
 
 
+@pytest.mark.parametrize("at_goal, start", [
+    ("1e200 * 1e200 * (0.5 - (b(a3_h1) + b(a3_h2)))", "-inf"),
+    ("1e200 * 1e200 * 0.0 * (0.5 - (b(a3_h1) + b(a3_h2)))", "nan"),
+], ids=["-inf", "nan"])
+def test_an_eventually_obligation_whose_start_fixes_no_deadline_is_refused(
+        at_goal, start, corridor_yaml, tmp_path, capsys):
+    # Its reach deadline would be fixed from this value at the first step.
+    data = yaml.safe_load(corridor_yaml.read_text())
+    data["predicates"]["at_goal"] = at_goal
+    bad = tmp_path / "no_deadline.yaml"
+    bad.write_text(yaml.safe_dump(data, sort_keys=False))
+    why = (f"formula: obligation 1:eventually (F at_goal) has start barrier {start}, "
+           "which fixes no reach deadline\n")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"invalid: {why}"
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--episodes", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {why}"
+    assert not out.exists()
+
+
 def test_validate_of_a_file_that_is_not_utf8_is_invalid(corridor_yaml, tmp_path, capsys):
     bad = tmp_path / "latin.yaml"
     bad.write_bytes(b"# \xff\n" + corridor_yaml.read_bytes())

@@ -1,18 +1,19 @@
 """Finite-trace semantics, expression evaluation, and printing."""
 
+import math
 import struct
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
     Letter, Max, Min, Next, Or, Product, StateSet,
-    Sum, Until, compile_expr, describe, expr_text,
-    is_propositional, oracle_satisfies, pretty_print,
+    Sum, Until, compile_expr, describe, evaluate_columns, expr_text,
+    is_propositional, oracle_columns, oracle_satisfies, pretty_print,
 )
 from beliefshield.model import Belief
 
@@ -250,7 +251,41 @@ def _bits(x: float) -> bytes:
 def test_compiled_expr_is_bit_identical_to_evaluate_expr(expr, weights):
     p = np.array(weights)
     b = Belief(p / p.sum() if p.sum() > 0 else np.full(N_VARS, 1.0 / N_VARS))
-    assert _bits(compile_expr(expr)(b.probs.tolist())) == _bits(evaluate_expr(expr, b))
+    f = compile_expr(expr)
+    expected = _bits(evaluate_expr(expr, b))
+    assert _bits(f(b.probs.tolist())) == expected
+    # The column form, on a one-column array of the entries.
+    with np.errstate(over="ignore", invalid="ignore"):
+        (value,) = evaluate_columns(f, b.probs[:, None])
+    assert _bits(float(value)) == expected
+
+
+# Operands where min and max differ from np.minimum and np.maximum, and
+# where + - * overflow or turn invalid.
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308])
+SPECIAL_EXPRS = st.recursive(st.one_of(LEAVES, SPECIAL.map(Constant)), _nodes, max_leaves=16)
+ROWS = st.lists(st.lists(SPECIAL | st.floats(), min_size=N_VARS, max_size=N_VARS), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SPECIAL_EXPRS, ROWS)
+@example(Min((Constant(0.0), Constant(-0.0))), [[0.0] * N_VARS])
+@example(Max((BeliefVar(0, "s0"), Constant(math.nan), BeliefVar(1, "s1"))),
+         [[-0.0, 0.0, 1.0, 2.0, 3.0], [math.nan, 1.0, 0.0, 0.0, 0.0]])
+@example(Constant(0.5), [])
+def test_the_column_form_is_the_scalar_form_row_by_row(expr, rows):
+    f = compile_expr(expr)
+    stack = np.array(rows, dtype=float).reshape(len(rows), N_VARS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = evaluate_columns(f, stack.T)
+    assert values.dtype == np.float64 and values.shape == (len(rows),)
+    expected = np.array([f(row) for row in rows], dtype=float)
+    # Where two NaNs meet in + - or *, which one's sign and payload the
+    # result keeps is the compiler's choice of operand order, in numpy's
+    # loops as in CPython's; every NaN prints and compares as nan.
+    both_nan = np.isnan(values) & np.isnan(expected)
+    assert (values.view(np.uint64) == expected.view(np.uint64))[~both_nan].all()
+    assert (np.isnan(values) == np.isnan(expected)).all()
 
 
 def test_compiled_expr_rejects_non_expressions():
@@ -306,3 +341,48 @@ def test_a_state_name_never_enters_the_generated_code(name):
 def test_compiled_expr_rejects_a_non_integer_index(index):
     with pytest.raises(TypeError):
         compile_expr(Sum((Constant(1.0), BeliefVar(index, "s1"))))
+
+
+# --------------------------------------------------------------------------
+# The oracle over columns
+
+N_WORD = 3
+_WORD_ENTRY = st.integers(0, N_WORD - 1).map(lambda q: BeliefVar(q, f"s{q}"))
+_ATOM_EXPRS = st.recursive(
+    _WORD_ENTRY
+    | st.lists(_WORD_ENTRY, min_size=1, max_size=4).map(lambda c: Sum(tuple(c)))
+    | st.floats(-1.0, 1.0).map(Constant),
+    _nodes, max_leaves=6)
+_ATOMS = st.one_of(
+    st.builds(lambda q, negated: StateSet(tuple(q), tuple(f"s{i}" for i in q), negated),
+              st.lists(st.integers(0, N_WORD - 1), unique=True, max_size=N_WORD),
+              st.booleans()),
+    st.builds(lambda expr, negated: BeliefPred("p", expr, negated), _ATOM_EXPRS, st.booleans()),
+)
+FORMULAS = st.recursive(_ATOMS, lambda kids: st.one_of(
+    st.lists(kids, min_size=2, max_size=3).map(lambda cs: And(*cs)),
+    st.lists(kids, min_size=2, max_size=3).map(lambda cs: Or(*cs)),
+    kids.map(Next), kids.map(Eventually), kids.map(Always),
+    st.builds(Until, kids, kids),
+), max_leaves=8)
+_WORD_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan]) | st.floats(0.0, 1.0)
+WORDS = st.lists(st.tuples(st.integers(0, N_WORD - 1),
+                           st.lists(_WORD_VALUES, min_size=N_WORD, max_size=N_WORD)),
+                 min_size=1, max_size=6)
+_SHARED = Or(IN1, Next(HIGH1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FORMULAS, WORDS)
+@example(Next(IN0), [(0, [0.25, 0.75, 0.0])])
+@example(Until(And(NOT0, Or(IN1, HIGH1)), Always(Or(IN0, Next(IN1)))),
+         [(1, [0.25, 0.75, 0.0]), (2, [0.5, 0.5, 0.0]), (0, [1.0, 0.0, 0.0]),
+          (1, [0.0, 1.0, 0.0])])
+@example(And(_SHARED, Eventually(_SHARED)), [(0, B2 + [0.0]), (1, [0.75, 0.25, 0.0])])
+def test_the_column_oracle_is_the_oracle_at_every_position(phi, word):
+    letters = tuple(Letter(q, entries) for q, entries in word)
+    states = np.array([q for q, _ in word])
+    beliefs = np.array([entries for _, entries in word])
+    got = oracle_columns(phi, states, beliefs)
+    assert got.dtype == bool
+    assert got.tolist() == [oracle_satisfies(phi, letters, i) for i in range(len(word))]

@@ -37,9 +37,10 @@ from beliefshield import (
     ft_dtbf_check,
     ft_time_bound,
 )
-from beliefshield.ldtl import describe
+from beliefshield.ldtl import describe, gather_leaves
+from beliefshield.errors import BeliefShieldError
 from beliefshield.monitor import (
-    barrier_values, check_step, leaf_values, passed, step_passes,
+    barrier_values, check_step, check_steps, passed, step_passes,
 )
 
 from conftest import evaluate_expr, monitor_step
@@ -633,5 +634,70 @@ def test_a_stack_of_beliefs_reads_as_each_of_its_rows_does(barriers, beliefs):
     mon = compile_monitor(And(*conjuncts) if len(conjuncts) > 1 else conjuncts[0],
                           LEAF_MODEL, CFG)
     stack = np.array(beliefs).reshape(len(beliefs), 4)
-    assert [_bits(row) for row in leaf_values(mon.leaves, stack)] == [
-        _bits(leaf_values(mon.leaves, b)) for b in beliefs]
+    assert [_bits(row) for row in gather_leaves(mon.leaves, stack).tolist()] == [
+        _bits(gather_leaves(mon.leaves, b).tolist()) for b in beliefs]
+
+
+# --------------------------------------------------------------------------
+# Stacked steps: check_steps is check_step step after step
+
+# Beliefs as arrays of any floats: barrier_values reads them as they are.
+_ANY_BELIEF = st.lists(
+    st.sampled_from([0.0, -0.0, 0.1, 0.5, 0.9, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan])
+    | st.floats(-1.0, 1.0),
+    min_size=4, max_size=4).map(lambda xs: np.array(xs, dtype=float))
+_KIND_OF = {"always": Always, "eventually": Eventually, "next": Next, "now": lambda a: a,
+            "until": Until}
+
+
+def _obligation(kind: str, left, right):
+    """A conjunct of `kind` whose barriers are left (and right for
+    until): a negated predicate's barrier is its expression."""
+    atoms = [BeliefPred(f"p{i}", e, negated=True) for i, e in enumerate((left, right))]
+    return _KIND_OF[kind](*atoms) if kind == "until" else _KIND_OF[kind](atoms[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_KIND_OF)), _LEAF_EXPRS, _LEAF_EXPRS),
+                min_size=1, max_size=4),
+       st.integers(0, 3), st.lists(_ANY_BELIEF, max_size=8),
+       st.sampled_from([CFG, MonitorConfig(delta=1e-3, alpha=LinearAlpha(0.9),
+                                           ft=FtParams(rho=0.99, eps=0.1))]))
+# The until rule's cases: right side at the start, left side negative at
+# the start while the right side reaches at step 1, and a later reach.
+@example([("until", Product((Constant(-1.0), BeliefVar(0, "q0"))), BeliefVar(1, "q1"))], 0,
+         [np.array([0.0, 0.2, 0.3, 0.5]), np.array([0.0, -0.1, 0.3, 0.5])], CFG)
+@example([("always", BeliefVar(0, "q0"), BeliefVar(0, "q0")),
+          ("eventually", Difference(BeliefVar(1, "q1"), Constant(0.9)), BeliefVar(0, "q0"))],
+         1, [np.array([0.5, 0.1, 0.2, 0.2])] * 6 + [np.array([0.5, 0.95, 0.2, 0.2])], CFG)
+def test_check_steps_is_check_step_step_after_step(conjuncts, warm, beliefs, cfg):
+    obligations = [_obligation(*c) for c in conjuncts]
+    phi = obligations[0] if len(obligations) == 1 else And(*obligations)
+    try:
+        mon = compile_monitor(phi, LEAF_MODEL, cfg)
+    except BeliefShieldError:
+        return  # an eventually obligation whose start fixes no deadline
+    # Steps already taken, one at a time; then the rest both ways.
+    for b in beliefs[:warm]:
+        _, mon = check_step(mon, barrier_values(mon, b))
+    rest = beliefs[warm:]
+    expected, reached = [], mon
+    for b in rest:
+        records, reached = check_step(reached, barrier_values(reached, b))
+        expected.append(records)
+    stack = np.array(rest).reshape(len(rest), 4)
+    got, got_reached = check_steps(mon, stack)
+    # repr tells every float apart but NaNs, which no rule tells apart.
+    assert repr(got) == repr(expected)
+    assert repr(got_reached) == repr(reached)
+    assert [type(v) for r in got for _, v, _ in r] == [type(v) for r in expected for _, v, _ in r]
+    if not rest:
+        assert got_reached is mon
+
+
+@pytest.mark.parametrize("start", [-np.inf, np.nan, -1e308])
+def test_an_eventually_obligation_whose_start_fixes_no_deadline_is_refused(start):
+    reach = BeliefPred("reach", Sum((BeliefVar(0, "q0"), Constant(start))), negated=True)
+    with pytest.raises(BeliefShieldError, match=r"^obligation 1:eventually \(F !reach\) has "
+                       r"start barrier .*, which fixes no reach deadline$"):
+        compile_monitor(And(Always(MARGIN), Eventually(reach)), MODEL, CFG)
