@@ -2,38 +2,52 @@
 monitor, and evaluate the formula's finite-trace semantics on the
 replayed word.
 
-`audit_episode` first checks that the obligations the episode lists
-are the monitor's, in its order, then makes two passes over the
-episode's step rows (`traceio.STEP_COLUMNS`) in file order. Versions 1
-and 2 list no obligations in the header; there the first step's
-records' oids and kinds stand for them (see `traceio.EpisodeRecord`),
-and their labels are not checked.
+`audit_traces` audits a batch of episodes, and `audit_episode` is the
+audit of a batch of one. Each episode's audit first checks that the
+obligations the episode lists are the monitor's, in its order, then
+makes two passes over the episode's step rows (`traceio.STEP_COLUMNS`)
+in file order. Versions 1 and 2 list no obligations in the header;
+there the first step's records' oids and kinds stand for them (see
+`traceio.EpisodeRecord`), and their labels are not checked.
 
-Pass 1 replays the belief chain in two parts. The stacked check
-(`_exact_prefix`) first reads the rows up to the first whose indices
-are out of range or whose belief its version's decoding
-(`traceio.recorded_belief`) refuses, and replays each of their steps
-from the recorded belief before it, all at once. Where every step up to
-t replays its recorded belief bit for bit, the sequential replay from
-the initial belief gives those beliefs too, by induction, so those
-steps are verified with error 0.0. From the first step whose replay
-differs in any bit, or whose observation the filter would refuse, the
-sequential replay runs as it always has: each step's indices are
-checked, its belief is recomputed from the last one with `belief_update`
-and compared with the recorded one, and the pass stops at the first
-fault, and holds it. An untampered trace is verified whole, and
-`belief_update` is never called. Pass 2 checks the steps before that
-fault in one stacked pass, `monitor.check_steps` on the (T, n) stack of
-the beliefs pass 1 replayed, whose records are check_step's step after
-step, bit for bit. It then compares each step's records with the
-recorded verdict, which raises for a malformed one. Only then is pass
-1's fault raised. Within a step the checks
-run in the order index, belief, verdict, and pass 2 covers every step
-before the first index or belief fault, so the first fault in file
-order is the one raised, as in a single pass.
+Pass 1 replays the belief chain of every episode of the batch at once,
+in lockstep (`_Lockstep`). At step t, the rows of every episode still
+in lockstep are replayed from the beliefs it holds, as one stack of K
+rows (`model.belief_updates`, grouped by action). A row stays in lockstep
+only while its indices are in range, its normalizer is above
+LIKELIHOOD_FLOOR and its recorded belief is the replayed row's encoding
+(`traceio.matches_encoding`, one base64 pass over the stack; a version
+1 list must decode to the row's bytes). Every row in lockstep started
+from the initial belief and has the bits of each recorded belief before
+it, so, by induction, the sequential replay gives those beliefs too:
+they are verified with error 0.0, and no belief of a clean trace is
+decoded. At the rows that stay, the monitor's barriers and the
+formula's belief atoms are evaluated from one gather of their leaves
+(`ldtl.gather_leaves`, one leaf table for both), and their values are
+kept in one column over the batch's steps; the beliefs themselves are
+not kept. An episode that leaves the lockstep at
+step k + 1 runs the sequential replay from its kth belief, decoded from
+its bit-exact recorded string: each step's indices are checked, its
+belief is recomputed from the last one with `belief_update` and
+compared with the recorded one, and the pass stops at the first fault,
+and holds it. An untampered trace is verified whole by the lockstep,
+and `belief_update` is never called.
+
+Then each episode is finished in file order. Pass 2 of an episode the
+lockstep verified whole walks its range of the barrier columns with
+`monitor.walk_steps`, the rule walk `monitor.check_steps` also ends
+with; that of any other episode is `check_steps` on the (T, n) stack
+of the beliefs its pass 1 replayed. Either gives check_step's records
+step after step, bit for bit. Each step's records are then compared
+with the recorded verdict, which raises for a malformed one, and only
+then is pass 1's fault raised. Within a step the checks run in the
+order index, belief, verdict, and pass 2 covers every step before the
+first index or belief fault, so the first fault in an episode is the
+one raised; the episodes are finished in file order, so the first
+fault in the file is, as in one pass over the file.
 
 The header's initial belief, held to the model's, and each belief of
-the sequential replay are compared one at a time: a version 2 or 3
+a sequential replay are compared one at a time: a version 2 or 3
 string that is the replayed belief's encoding (`traceio.encode_belief`)
 has error 0.0 and is not decoded; any other is decoded by its episode's
 trace version, which rejects a malformed one. A recorded belief whose
@@ -61,17 +75,21 @@ release or by a filter that added in another order.
 The finite-trace verdict per top-level conjunct is reported alongside;
 the monitor checks sufficient barrier conditions on beliefs, so its
 verdicts need not coincide with the hidden-state semantics and a
-disagreement is informational, not an audit failure. The word is the
-episode's hidden states, the initial one first, and the stack of the
-beliefs held, the initial belief first. `oracle_satisfies` evaluates each
-conjunct over all the word's positions at once (`ldtl.oracle_columns`),
-equal at every position to the recursive `ldtl.oracle_satisfies`, which
-stays as the tests' reference, and reports its first.
+disagreement is informational, not an audit failure. An episode's word
+is its hidden states, the initial one first, and the beliefs held, the
+initial belief first. `oracle_satisfies` folds each conjunct once over
+the batch's words, laid end to end (`ldtl.fold_oracle`), from the
+belief atoms' truths the lockstep kept, and reports each word's first
+position, which an episode the lockstep verified whole reads; any other
+episode's word is folded alone, from its replayed beliefs. Each word is read on its
+own, equal at every position to the recursive `ldtl.oracle_satisfies`,
+which stays as the tests' reference.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +97,20 @@ import numpy as np
 from ._gc import paused_gc
 from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch, ZeroLikelihood
-from .ldtl import And, Formula, oracle_columns
-from .model import LIKELIHOOD_FLOOR, Belief, Mpomdp, belief_update, belief_updates
-from .monitor import Monitor, Records, check_steps
-from .traceio import STEP_COLUMNS, EpisodeRecord, encode_belief, recorded_belief
+from .ldtl import (
+    And, Formula, atom_truth, belief_atom_column, belief_atoms, compile_expr, evaluate_columns,
+    fold_oracle, gather_leaves, leaf_table,
+)
+from .model import LIKELIHOOD_FLOOR, Belief, belief_update, belief_updates
+from .monitor import Monitor, Records, check_steps, walk_steps
+from .traceio import (
+    STEP_COLUMNS, EpisodeRecord, encode_belief, matches_encoding, recorded_belief,
+)
 
 BELIEF_TOL = 1e-9
 
-_VERDICT = STEP_COLUMNS.index("verdict")
+_NEXT_STATE, _BELIEF, _VERDICT = (STEP_COLUMNS.index(c)
+                                  for c in ("next_state", "belief", "verdict"))
 # What a recorded barrier may be for the replayed verdict to be accepted
 # by equality: _same_record holds any other type to differ.
 _BARRIER_TYPES = (float, type(None))
@@ -224,80 +248,178 @@ def _plain_barriers(recorded: list) -> bool:
     return True
 
 
-def _exact_prefix(ep: EpisodeRecord, m: Mpomdp) -> tuple[np.ndarray, list[int]]:
-    """The initial belief and the recorded beliefs of the longest prefix
-    of ep's steps that the sequential replay gives bit for bit, as a
-    (k + 1, n) stack, and the next states of those steps.
-
-    The rows are read up to the first whose indices are out of range or
-    whose belief its version's decoding refuses. Each of their steps is
-    replayed from the recorded belief before it (the initial belief for
-    step 1), every step at once (`model.belief_updates`). Where a step's
-    replay is the recorded belief bit for bit, and so is every step's
-    before it, the sequential replay gives that belief too, by induction
-    from the initial belief. The prefix ends at the first step whose
-    replay differs in any bit or whose normalizer is at most
-    LIKELIHOOD_FLOOR."""
-    n_actions, n_observations, n_states = m.n_joint_actions, m.n_joint_observations, m.n_states
-    actions, observations, states, raw = [], [], [], []
-    for row in ep.steps:
-        _, _, _, action, _, obs, state, value, _, _, _, _ = row
-        if not (type(action) is int and 0 <= action < n_actions
-                and type(obs) is int and 0 <= obs < n_observations
-                and type(state) is int and 0 <= state < n_states):
-            break
+def _same_bits(values: tuple, versions: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Whether each recorded belief has the bits of its row of probs, as
+    a boolean array: a version 2 or 3 string is their encoding
+    (`traceio.matches_encoding`, one pass over the stack), a version 1
+    list decodes to their bytes."""
+    same = matches_encoding(values, probs)
+    for j in np.flatnonzero(versions == 1).tolist():
         try:
-            # The sequential replay refuses the row again, naming its step.
-            raw.append(recorded_belief(value, ep.version, n_states, ""))
+            same[j] = recorded_belief(values[j], 1, probs.shape[1], "") == probs[j].tobytes()
         except ConfigError:
-            break
-        actions.append(action)
-        observations.append(obs)
-        states.append(state)
-    # The initial belief, then the recorded ones, as native float64,
-    # which "<f8" is on a little-endian machine.
-    chain = np.frombuffer(b"".join([m.initial.probs.astype("<f8").tobytes(), *raw]), "<f8")
-    chain = chain.astype(float, copy=False).reshape(len(raw) + 1, n_states)
-    if not raw:
-        return chain, states
-    replayed, normalizers = belief_updates(chain[:-1], np.array(actions), np.array(observations), m)
-    exact = ((normalizers > LIKELIHOOD_FLOOR)
-             & (replayed.view(np.uint64) == chain[1:].view(np.uint64)).all(axis=1))
-    k = int(np.argmin(exact)) if not exact.all() else len(raw)
-    return chain[:k + 1], states[:k]
+            same[j] = False
+    return same
+
+
+def _indices(columns: tuple[tuple, ...], bounds: tuple[int, ...]
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of recorded indices, one per bound, as one intp array,
+    and whether every index of each row is an int, not a bool, below its
+    column's bound and not negative. An index of a row that is not has
+    no meaning."""
+    if set(map(type, chain.from_iterable(columns))) <= {int}:
+        raw = np.array(columns)
+    else:
+        raw = np.array([[v if type(v) is int else -1 for v in column] for column in columns])
+    valid = ((raw >= 0) & (raw < np.array(bounds)[:, None])).all(axis=0)
+    if not valid.all():
+        raw = np.where(valid, raw, 0)
+    return raw.astype(np.intp), valid
+
+
+def _conjuncts(phi: Formula) -> tuple[Formula, ...]:
+    """The top-level conjuncts of phi, in the monitor's obligation order."""
+    return phi.children if isinstance(phi, And) else (phi,)
+
+
+def _lenient_index(value, bound: int) -> int:
+    """value where checked_index accepts it, else 0: a stand-in for the
+    batch's columns, whose episode raises before they are read."""
+    try:
+        return checked_index(value, bound, "", "")
+    except ConfigError:
+        return 0
+
+
+class _Lockstep:
+    """Pass 1 over a batch in lockstep, and what it gives pass 2 and the
+    oracle.
+
+    At step t the rows of every episode still in lockstep are replayed
+    from the beliefs the lockstep holds as one stack
+    (`model.belief_updates`). A row stays only while its indices are in
+    range, its normalizer is above LIKELIHOOD_FLOOR and its recorded
+    belief has the replayed bits (`_same_bits`); the sequential replay
+    from the initial belief gives those beliefs too, by induction. At
+    the rows that stay, one gather reads the leaves of every barrier
+    and belief atom, and each barrier's value and each atom's truth are
+    kept, each episode's steps and word positions in one range of their
+    columns over the batch; the beliefs are not. Afterwards each
+    conjunct's oracle is folded once over the batch's words."""
+
+    def __init__(self, cfg: ScenarioConfig, episodes: list[EpisodeRecord]):
+        m, start = cfg.model, cfg.start_monitor
+        bounds = (m.n_joint_actions, m.n_joint_observations, m.n_states)
+        steps = [ep.steps for ep in episodes]
+        versions = np.array([ep.version for ep in episodes], dtype=np.intp)
+        lengths = np.array([len(rows) for rows in steps], dtype=np.intp)
+        # Each episode's first step among the batch's steps, and its
+        # word's first position among the words' positions: a word is
+        # the initial position and one per step.
+        first_step = np.concatenate(([0], np.cumsum(lengths)))
+        word_start = first_step[:-1] + np.arange(len(episodes))
+        self.first_step = first_step.tolist()
+        # The steps of each episode the lockstep verified.
+        self.verified = lengths.tolist()
+        states = np.zeros(len(episodes) + first_step[-1], dtype=np.min_scalar_type(m.n_states))
+        states[word_start] = [_lenient_index(ep.header.get("initial_state"), m.n_states)
+                              for ep in episodes]
+        atoms = belief_atoms(cfg.formula)
+        truths = {id(atom): np.zeros(len(states), dtype=bool) for atom in atoms}
+        # One leaf table for the barriers and the belief atoms, so that
+        # one gather per step reads the leaves of all of them. A barrier
+        # compiled over it has the bits of the monitor's own evaluator,
+        # which reads each sum of entries as the same bin.
+        table, leaf = leaf_table([*(e for ob in start.obligations for e in ob.barriers),
+                                  *(atom.expr for atom in atoms)])
+        barriers = [[] if ob.discharged else [compile_expr(e, leaf) for e in ob.barriers]
+                    for ob in start.obligations]
+        atom_values = [compile_expr(atom.expr, leaf) for atom in atoms]
+        # Each barrier's values at every step of the batch.
+        self.columns = [[np.zeros(first_step[-1]) for _ in evaluators] for evaluators in barriers]
+
+        at = np.flatnonzero(lengths)  # the episodes in lockstep
+        beliefs = np.tile(m.initial.probs, (len(at), 1))
+        step = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            leaves = gather_leaves(table, m.initial.probs[None]).T
+            for atom, f in zip(atoms, atom_values):
+                truths[id(atom)][word_start] = atom_truth(atom, evaluate_columns(f, leaves))[0]
+            while len(at):
+                _, _, _, actions, _, observations, next_states, values, *_ = zip(
+                    *[steps[i][step] for i in at.tolist()])
+                indices, valid = _indices((actions, observations, next_states), bounds)
+                posteriors, normalizers = belief_updates(beliefs, indices[0], indices[1], m)
+                step += 1
+                replayed = valid & (normalizers > LIKELIHOOD_FLOOR)
+                replayed &= _same_bits(values, versions[at], posteriors)
+                if not replayed.all():
+                    for i in at[~replayed].tolist():
+                        self.verified[i] = step - 1
+                    at, posteriors, indices = at[replayed], posteriors[replayed], indices[:, replayed]
+                at_steps = first_step[at] + (step - 1)
+                leaves = gather_leaves(table, posteriors).T
+                for columns, evaluators in zip(self.columns, barriers):
+                    for column, f in zip(columns, evaluators):
+                        column[at_steps] = evaluate_columns(f, leaves)
+                positions = word_start[at] + step
+                states[positions] = indices[2]
+                for atom, f in zip(atoms, atom_values):
+                    truths[id(atom)][positions] = atom_truth(atom, evaluate_columns(f, leaves))
+                # An episode verified whole leaves the lockstep.
+                going_on = lengths[at] > step
+                if not going_on.all():
+                    at, posteriors = at[going_on], posteriors[going_on]
+                beliefs = posteriors
+
+        word_end = word_start + lengths + 1
+        self.oracle = [oracle_satisfies(conjunct, states, truths, word_end)
+                       for conjunct in _conjuncts(cfg.formula)]
+
+    def walk(self, i: int, start: Monitor) -> tuple[list[Records], Monitor]:
+        """Pass 2 of episode i, verified whole by the lockstep: its
+        records and the monitor reached, from its range of the barrier
+        columns."""
+        lo, hi = self.first_step[i], self.first_step[i + 1]
+        return walk_steps(start, [[c[lo:hi].tolist() for c in cols] for cols in self.columns],
+                          hi - lo)
 
 
 # perfbench/tracing.py times this module global as the `ldtl.oracle`
 # layer, so the audit calls the oracle through it, under this name.
-def oracle_satisfies(phi: Formula, states: np.ndarray, beliefs: np.ndarray) -> bool:
-    """Whether phi holds at the first position of a word given as
-    columns (see `ldtl.oracle_columns`): what `ldtl.oracle_satisfies`
-    gives on the word of those letters, as a Python bool."""
-    return bool(oracle_columns(phi, states, beliefs)[0])
+def oracle_satisfies(phi: Formula, states: np.ndarray, truths: dict[int, np.ndarray],
+                     ends: np.ndarray) -> list[bool]:
+    """Whether phi holds at the first position of each word of words
+    laid end to end as columns (see `ldtl.fold_oracle`): truths maps the
+    id of each belief atom of phi to its truth at every position, and
+    ends holds the position after each word's last. What
+    `ldtl.oracle_satisfies` gives on each word's letters, as Python
+    bools."""
+    column = fold_oracle(phi, states, lambda atom: truths[id(atom)], ends)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1]
+    return column[starts].tolist()
 
 
-def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
-    """Replay one episode in two passes over its steps (see the module
-    docstring). Raises TraceMismatch when a replayed belief deviates from
-    the recorded one by more than 1e-9, or by a non-finite amount (a NaN
-    or null entry), and ConfigError for a malformed line; the first fault
-    in file order is the one raised."""
+def _replay(cfg: ScenarioConfig, ep: EpisodeRecord, verified: int, max_err: float
+            ) -> tuple[np.ndarray, list[int], float, Exception | None]:
+    """Pass 1 of an episode that left the lockstep after `verified`
+    steps: the beliefs of those steps, decoded from their recorded bits,
+    then the sequential replay from the last of them, up to the first
+    faulty index or belief. Returns the (T + 1, n) stack of the beliefs
+    replayed, the initial one first, the next states, the largest belief
+    error and the fault met, if any."""
     m = cfg.model
-    start = cfg.start_monitor
-    _check_obligations(ep, start)
-    max_err = _belief_error(ep.header.get("initial_belief", []), ep, m.initial.probs, None)
-    # Negated, so that a NaN deviation fails too.
-    if not max_err <= BELIEF_TOL:
-        raise TraceMismatch(ep.episode, 0, max_err)
-    initial_state = checked_index(ep.header.get("initial_state"), m.n_states,
-                                  "initial state", _where(ep, None))
-
-    # Pass 1: the belief chain, up to the first faulty index or belief:
-    # the prefix the stacked check verifies, then the sequential replay
-    # from the last belief it verified.
-    chain, states = _exact_prefix(ep, m)
-    verified = len(states)
-    belief = m.initial if verified == 0 else Belief(chain[-1])
+    states, raw = [], []
+    for row in ep.steps[:verified]:
+        states.append(row[_NEXT_STATE])
+        raw.append(recorded_belief(row[_BELIEF], ep.version, m.n_states, ""))
+    # The initial belief, then the recorded ones, as native float64,
+    # which "<f8" is on a little-endian machine.
+    chain = np.frombuffer(b"".join([m.initial.probs.astype("<f8").tobytes(), *raw]), "<f8")
+    chain = chain.astype(float, copy=False).reshape(len(raw) + 1, m.n_states)
+    belief = m.initial if not verified else Belief(chain[-1])
     beliefs = []
     fault = None
     try:
@@ -321,10 +443,41 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
         fault = exc
     if beliefs:
         chain = np.concatenate((chain, beliefs))
+    return chain, states, max_err, fault
 
-    # Pass 2: the verdicts of the steps pass 1 replayed, all at once from
-    # the stack of their beliefs.
-    steps_records, mon = check_steps(start, chain[1:])
+
+def _finish(cfg: ScenarioConfig, ep: EpisodeRecord, batch: _Lockstep, i: int) -> EpisodeAudit:
+    """The audit of episode i of the batch: its header, then pass 2 and
+    the oracle from the batch's columns where the lockstep verified it
+    whole; otherwise pass 1 from where the lockstep left it, and pass 2
+    and the oracle on its own beliefs."""
+    m = cfg.model
+    start = cfg.start_monitor
+    _check_obligations(ep, start)
+    max_err = _belief_error(ep.header.get("initial_belief", []), ep, m.initial.probs, None)
+    # Negated, so that a NaN deviation fails too.
+    if not max_err <= BELIEF_TOL:
+        raise TraceMismatch(ep.episode, 0, max_err)
+    initial_state = checked_index(ep.header.get("initial_state"), m.n_states,
+                                  "initial state", _where(ep, None))
+
+    fault = None
+    if batch.verified[i] == len(ep.steps):
+        steps_records, mon = batch.walk(i, start)
+        oracle = [column[i] for column in batch.oracle]
+    else:
+        chain, states, max_err, fault = _replay(cfg, ep, batch.verified[i], max_err)
+        # Pass 2: the verdicts of the steps pass 1 replayed, all at once
+        # from the stack of their beliefs.
+        steps_records, mon = check_steps(start, chain[1:])
+        states = np.array([initial_state, *states], dtype=np.intp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            truths = {id(atom): belief_atom_column(atom, chain)
+                      for atom in belief_atoms(cfg.formula)}
+        ends = np.array([len(chain)])
+        oracle = [oracle_satisfies(conjunct, states, truths, ends)[0]
+                  for conjunct in _conjuncts(cfg.formula)]
+
     oids = [ob.oid for ob in start.obligations]
     failed: set[str] = set()
     mismatches: list[str] = []
@@ -341,8 +494,6 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
         raise fault
 
     pending = set(mon.pending())
-    states = np.array([initial_state, *states], dtype=np.intp)
-    conjuncts = cfg.formula.children if isinstance(cfg.formula, And) else (cfg.formula,)
     return EpisodeAudit(
         episode=ep.episode,
         steps=len(ep.steps),
@@ -350,16 +501,26 @@ def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
         max_belief_error=max_err,
         obligations=tuple(
             ObligationAudit(oid=ob.oid, label=ob.label, clean=ob.oid not in failed,
-                            discharged=ob.oid not in pending,
-                            oracle=oracle_satisfies(conjunct, states, chain))
-            for ob, conjunct in zip(mon.obligations, conjuncts)),
+                            discharged=ob.oid not in pending, oracle=holds)
+            for ob, holds in zip(mon.obligations, oracle)),
         verdict_mismatches=tuple(mismatches),
     )
 
 
 def audit_traces(cfg: ScenarioConfig, episodes: list[EpisodeRecord]) -> AuditReport:
-    """Audit each episode in turn, with automatic cyclic collection paused
-    (see `_gc.paused_gc`): the replay builds beliefs, records and arrays
-    for every episode and frees them by reference counting."""
+    """Audit a batch of episodes: pass 1 over all of them in lockstep,
+    then each episode in file order (see the module docstring), with
+    automatic cyclic collection paused (see `_gc.paused_gc`): the replay
+    builds beliefs, records and arrays for every episode and frees them
+    by reference counting. Raises TraceMismatch when a replayed belief
+    deviates from the recorded one by more than 1e-9, or by a non-finite
+    amount (a NaN or null entry), and ConfigError for a malformed line;
+    the first fault in file order is the one raised."""
     with paused_gc():
-        return AuditReport(tuple(audit_episode(cfg, ep) for ep in episodes))
+        batch = _Lockstep(cfg, episodes)
+        return AuditReport(tuple(_finish(cfg, ep, batch, i) for i, ep in enumerate(episodes)))
+
+
+def audit_episode(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
+    """The audit of one episode: audit_traces of a batch of one."""
+    return audit_traces(cfg, [ep]).episodes[0]

@@ -18,16 +18,20 @@ at the last position is false. oracle_satisfies is the reference: it
 recurses over a word of (hidden state, belief entries) letters, one
 position at a time. oracle_columns gives the same truth at every
 position of a word given as columns, an array of hidden states and the
-stack of the beliefs held, which is how the audit holds an episode: it
-walks the formula bottom-up without recursion, as `height` does, each
-atom one boolean column over all positions and each operator one array
-operation on its operands' columns.
+stack of the beliefs held: it walks the formula bottom-up without
+recursion, as `height` does, each atom one boolean column over all
+positions and each operator one array operation on its operands'
+columns (fold_oracle). The columns may hold several words laid end to
+end, each read on its own up to its end, which is how the audit holds
+a batch: X is false at each word's last position, and F, G and U look
+for their witness or failure no further than the word's end.
 
 compile_expr turns an expression into one generated Python function, a
 flat sequence of assignments with one local per inner node, of a list of
 floats. A belief atom compiles its expression on first use, so only the
 oracle pays for it: over the belief's entries for oracle_satisfies, over
-its own leaf table for oracle_columns. A monitor compiles each barrier
+its own leaf table for its truth at each row of a stack of beliefs
+(belief_atom_column). A monitor compiles each barrier
 with a lookup that reads each sum of entries as one leaf (leaf_table),
 and applies it to the leaf values one np.bincount gathers from the
 belief array (gather_leaves; see `monitor`). evaluate_columns runs the
@@ -373,7 +377,7 @@ class BeliefPred:
     @cached_property
     def leaf_form(self) -> tuple[LeafTable, Evaluator]:
         """The leaf table of expr and expr compiled over its leaf values,
-        on first use, which only oracle_columns makes."""
+        on first use, which only belief_atom_column makes."""
         table, leaf = leaf_table([self.expr])
         return table, compile_expr(self.expr, leaf)
 
@@ -532,75 +536,126 @@ def oracle_satisfies(phi: Formula, word: Word, i: int = 0) -> bool:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def _next_true(column: np.ndarray) -> np.ndarray:
+def _next_true(column: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """At each position, the first position at or after it where column
-    is true; len(column) where there is none."""
+    is true, if that comes before ends, the end of the position's word;
+    its word's end where there is none. Positions increase, so the first
+    true position at or after a position in the whole column lies in its
+    word exactly when it comes before the word's end."""
     n = len(column)
-    at = np.where(column, np.arange(n), n)
-    return np.minimum.accumulate(at[::-1])[::-1]
+    at = np.where(column, np.arange(n, dtype=ends.dtype), n)
+    return np.minimum(np.minimum.accumulate(at[::-1])[::-1], ends)
 
 
 def _truth_column(node: Formula, kids: list[np.ndarray], states: np.ndarray,
-                  beliefs: np.ndarray) -> np.ndarray:
+                  truth: Callable[[BeliefPred], np.ndarray], ends: np.ndarray,
+                  last: np.ndarray) -> np.ndarray:
     """node's truth at every position, from its children's columns."""
     if isinstance(node, StateSet):
         member = (states[:, None] == np.array(node.indices, dtype=np.intp)).any(axis=1)
         return member != node.negated
     if isinstance(node, BeliefPred):
-        # As in oracle_satisfies: a NaN value is false under both
-        # polarities.
-        table, f = node.leaf_form
-        value = evaluate_columns(f, gather_leaves(table, beliefs).T)
-        return value >= 0.0 if node.negated else value < 0.0
+        return truth(node)
     if isinstance(node, And):
         return np.logical_and.reduce(kids)
     if isinstance(node, Or):
         return np.logical_or.reduce(kids)
     if isinstance(node, Next):
-        # No next position on a finite word: false at the last one.
+        # No next position on a finite word: false at each word's last.
         out = np.zeros_like(kids[0])
         out[:-1] = kids[0][1:]
+        out[last] = False
         return out
     if isinstance(node, Eventually):
-        return np.logical_or.accumulate(kids[0][::-1])[::-1]
+        return _next_true(kids[0], ends) < ends
     if isinstance(node, Always):
-        return np.logical_and.accumulate(kids[0][::-1])[::-1]
+        return _next_true(~kids[0], ends) == ends
     if isinstance(node, Until):
         # A right-side position no later than the first position where
         # the left side fails.
         left, right = kids
-        witness = _next_true(right)
-        return (witness < len(right)) & (witness <= _next_true(~left))
+        witness = _next_true(right, ends)
+        return (witness < ends) & (witness <= _next_true(~left, ends))
     raise TypeError(f"not a formula: {node!r}")
 
 
-def oracle_columns(phi: Formula, states: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+def belief_atoms(phi: Formula) -> list[BeliefPred]:
+    """The belief atoms of phi, each node once, however often it occurs."""
+    atoms: dict[int, BeliefPred] = {}
+    todo = [phi]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, BeliefPred):
+            atoms.setdefault(id(node), node)
+        else:
+            todo.extend(children(node))
+    return list(atoms.values())
+
+
+def belief_atom_column(atom: BeliefPred, beliefs: np.ndarray) -> np.ndarray:
+    """The atom's truth at each row of beliefs, an (N, n) float64 stack,
+    as a boolean array. It reads only the belief entries its expression
+    names, through its leaf table (`BeliefPred.leaf_form`): one
+    np.bincount sums each of its sums of entries at every row. Run under
+    `np.errstate(over="ignore", invalid="ignore")`, as evaluate_columns
+    is."""
+    table, f = atom.leaf_form
+    return atom_truth(atom, evaluate_columns(f, gather_leaves(table, beliefs).T))
+
+
+def atom_truth(atom: BeliefPred, value: np.ndarray) -> np.ndarray:
+    """Where a belief atom holds, from its expression's values: below 0,
+    or at or above 0 when negated. As in oracle_satisfies, a NaN value is
+    false under both polarities."""
+    return value >= 0.0 if atom.negated else value < 0.0
+
+
+def fold_oracle(phi: Formula, states: np.ndarray, truth: Callable[[BeliefPred], np.ndarray],
+                ends: np.ndarray | None = None) -> np.ndarray:
+    """The truth of phi at every position of words laid end to end as
+    columns, as a boolean array. states holds the hidden state at each
+    of the N positions, truth(atom) each belief atom's truth there, and
+    ends, strictly increasing, the position after each word's last, N
+    the last of them; None is one word of all N positions. Each word is
+    read on its own: `X` is false at its last position, and `F`, `G` and
+    `U` look no further than its end. Walked bottom-up without
+    recursion, as `height` is; a subtree shared by several parents is
+    evaluated once."""
+    n = len(states)
+    # Positions as the smallest unsigned type that holds n, so that a
+    # batch's position columns stay small.
+    ends = np.asarray([n] if ends is None else ends).astype(np.min_scalar_type(n))
+    position_ends = np.repeat(ends, np.diff(ends, prepend=0))
+    last = ends - 1
+    done: dict[int, np.ndarray] = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kids = children(node)
+        todo = [k for k in kids if id(k) not in done]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            done[id(node)] = _truth_column(node, [done[id(k)] for k in kids], states,
+                                           truth, position_ends, last)
+    return done[id(phi)]
+
+
+def oracle_columns(phi: Formula, states: np.ndarray, beliefs: np.ndarray,
+                   ends: np.ndarray | None = None) -> np.ndarray:
     """The truth of phi at every position of a finite word given as
     columns, as a boolean array: states holds the hidden state at each of
     its N positions and beliefs, an (N, n) float64 array, the belief held
     at each. Position i's entry is oracle_satisfies(phi, word, i) for the
-    word of those letters. A belief atom reads only the belief entries
-    its expression names, through its leaf table (`BeliefPred.leaf_form`):
-    one np.bincount sums each of its sums of entries at every position.
-    Walked bottom-up without recursion, as `height` is; a subtree shared
-    by several parents is evaluated once."""
-    done: dict[int, np.ndarray] = {}
-    stack = [phi]
+    word of those letters. With ends, the positions are words laid end
+    to end (see fold_oracle), and each position's entry is its own
+    word's."""
     with np.errstate(over="ignore", invalid="ignore"):
-        while stack:
-            node = stack[-1]
-            if id(node) in done:
-                stack.pop()
-                continue
-            kids = children(node)
-            todo = [k for k in kids if id(k) not in done]
-            if todo:
-                stack.extend(todo)
-            else:
-                stack.pop()
-                done[id(node)] = _truth_column(node, [done[id(k)] for k in kids],
-                                               states, beliefs)
-    return done[id(phi)]
+        return fold_oracle(phi, states, lambda atom: belief_atom_column(atom, beliefs), ends)
 
 
 # --------------------------------------------------------------------------

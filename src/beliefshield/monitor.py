@@ -66,16 +66,18 @@ belief's list.
 check_steps is the same check over a whole run of transitions, for the
 audit, which holds an episode's beliefs as one (T, n) stack. One gather
 reads the leaf values of every row, and each barrier is evaluated once
-as a column over all rows (`ldtl.evaluate_columns`). Each active
-obligation's rule in _RULES then walks its steps on the columns' floats
-up to the one that discharges it, so every rule is written once. An
-obligation is replaced only where its rule changes it, and the monitor
-reached is built once, at the end. The records and the monitor reached
-are those of check_step step after step, bit for bit. check_step stays
-for the simulator and the shield, which decide one transition at a
-time: on the shipped corridor, check_steps on a single transition
-costs about four times what barrier_values and check_step cost
-together.
+as a column over all rows (`ldtl.evaluate_columns`). walk_steps then
+walks each active obligation's rule in _RULES over its steps on the
+columns' floats, up to the one that discharges it, so every rule is
+written once. An obligation is replaced only where its rule changes
+it, and the monitor reached is built once, at the end. The records and
+the monitor reached are those of check_step step after step, bit for
+bit. The audit of a batch evaluates the barriers itself, at each step
+of its lockstep, and calls walk_steps on each episode's range of the
+columns it keeps over the batch. check_step stays for the simulator and
+the shield, which decide one transition at a time: on the shipped
+corridor, check_steps on a single transition costs about four times
+what barrier_values and check_step cost together.
 
 compile_monitor refuses an eventually obligation whose barrier at the
 initial belief fixes no reach deadline (NaN, -inf, or so far below 0
@@ -372,33 +374,28 @@ def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Monitor]:
     return records, Monitor(mon.config, mon.leaves, tuple(obligations), nxt, step)
 
 
-def check_steps(mon: Monitor, beliefs: np.ndarray) -> tuple[list[Records], Monitor]:
-    """The records of every step and the monitor reached, for the T
-    transitions from the belief mon has reached through each row of
-    beliefs, a (T, n) float64 stack, in turn: what T successive
-    check_step calls, each on barrier_values of the next row, return,
-    bit for bit. No records and mon itself for T = 0.
+def walk_steps(mon: Monitor, columns: list[list[list[float]]], t: int
+               ) -> tuple[list[Records], Monitor]:
+    """The records of every step and the monitor reached, for T
+    transitions from the belief mon has reached, given by their barrier
+    values: columns lists, per obligation, each barrier's T values (none
+    for a discharged one), as Python floats. What T successive check_step
+    calls return, bit for bit; no records and mon itself for T = 0.
 
-    One gather reads every row's leaf values (`ldtl.gather_leaves`) and
-    each barrier is evaluated once over all rows as a column
-    (`ldtl.evaluate_columns`). Each active obligation's rule then
-    decides its steps one after another on the columns' floats, up to
-    the one that discharges it, and the monitor reached is built once,
-    at the end."""
-    t = len(beliefs)
+    Each active obligation's rule decides its steps one after another,
+    up to the one that discharges it. An obligation is replaced only
+    where its rule changes it, and the monitor reached is built once, at
+    the end."""
     if not t:
         return [], mon
-    leaves = gather_leaves(mon.leaves, beliefs).T
     cfg = mon.config
-    columns: list[Records] = []
+    steps: list[Records] = []
     obligations: list[Obligation] = []
     values: BarrierValues = []
-    for ob, prev in zip(mon.obligations, mon.values):
+    for ob, prev, cols in zip(mon.obligations, mon.values, columns):
         records: Records = []
         if not ob.discharged:
             rule = _RULES[ob.kind]
-            with np.errstate(over="ignore", invalid="ignore"):
-                cols = [evaluate_columns(f, leaves).tolist() for f in ob.evaluators]
             for step, nxt in enumerate(zip(*cols), mon.step_count + 1):
                 *record, changes = rule(ob, prev, nxt, step == 1, step, cfg)
                 records.append(record)
@@ -411,10 +408,32 @@ def check_steps(mon: Monitor, beliefs: np.ndarray) -> tuple[list[Records], Monit
         # the last step.
         values.append([] if len(records) < t else list(prev))
         records += [["inactive", ob.value, ""] for _ in range(t - len(records))]
-        columns.append(records)
+        steps.append(records)
         obligations.append(ob)
-    return ([list(step_records) for step_records in zip(*columns)],
+    return ([list(step_records) for step_records in zip(*steps)],
             Monitor(cfg, mon.leaves, tuple(obligations), values, mon.step_count + t))
+
+
+def check_steps(mon: Monitor, beliefs: np.ndarray) -> tuple[list[Records], Monitor]:
+    """The records of every step and the monitor reached, for the T
+    transitions from the belief mon has reached through each row of
+    beliefs, a (T, n) float64 stack, in turn: what T successive
+    check_step calls, each on barrier_values of the next row, return,
+    bit for bit. No records and mon itself for T = 0.
+
+    One gather reads every row's leaf values (`ldtl.gather_leaves`),
+    each barrier is evaluated once over all rows as a column
+    (`ldtl.evaluate_columns`), and walk_steps walks each active
+    obligation's rule along the columns' floats."""
+    t = len(beliefs)
+    if not t:
+        return [], mon
+    leaves = gather_leaves(mon.leaves, beliefs).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [[] if ob.discharged else [evaluate_columns(f, leaves).tolist()
+                                             for f in ob.evaluators]
+                   for ob in mon.obligations]
+    return walk_steps(mon, columns, t)
 
 
 def passed(records: Records) -> bool:

@@ -45,10 +45,12 @@ which every line is, and read as UTF-8 whatever the locale.
 from __future__ import annotations
 
 import base64
+import binascii
 import csv
 import json
 import math
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -83,6 +85,31 @@ _CANDIDATE = "[%d,%s]"
 def encode_belief(probs: np.ndarray) -> str:
     """A belief's entries as base64 of their little-endian float64 bytes."""
     return base64.b64encode(probs.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def matches_encoding(values: Sequence, probs: np.ndarray) -> np.ndarray:
+    """Whether each of values is encode_belief of its row of probs, a
+    C-contiguous (k, n) float64 stack, as a boolean array. The stack is
+    encoded in one pass, each row padded with zero bytes to whole 3-byte
+    groups, so that each row's characters are its own. A row's padded
+    encoding is its encoding but for the last characters, where the
+    encoding has a "=" for each zero byte."""
+    k, n = probs.shape
+    size = 8 * n
+    pad = -size % 3
+    width = (size + pad) // 3 * 4
+    raw = np.zeros((k, size + pad), dtype=np.uint8)
+    raw[:, :size] = probs.astype("<f8", copy=False).view(np.uint8)
+    encoded = np.frombuffer(bytearray(binascii.b2a_base64(raw, newline=False)), np.uint8)
+    encoded = encoded.reshape(k, width)
+    encoded[:, width - pad:] = ord("=")
+    # A value of another type or length stands as "?", in no encoding,
+    # and so does each character of a value outside ASCII.
+    if not (set(map(type, values)) == {str} and set(map(len, values)) == {width}):
+        values = [value if type(value) is str and len(value) == width else "?" * width
+                  for value in values]
+    recorded = np.frombuffer("".join(values).encode("ascii", "replace"), np.uint8)
+    return (recorded.reshape(k, width) == encoded).all(axis=1)
 
 
 def recorded_belief(value, version: int, n_states: int, where: str) -> bytes:

@@ -29,12 +29,14 @@ from beliefshield import (
 )
 from beliefshield import audit
 from beliefshield.audit import _same_detail
+from beliefshield.barrier import FtParams
 from beliefshield.model import LIKELIHOOD_FLOOR, predicted_belief
-from beliefshield.monitor import check_steps, passed
+from beliefshield.monitor import passed, walk_steps
 from beliefshield.parsing import parse_expr, parse_formula
 from beliefshield.sim import BatchResult, TraceStep
 from beliefshield.traceio import (
     STEP_COLUMNS, SUMMARY_FIELDS, TRACE_VERSION, _loads, _step_line, encode_belief,
+    matches_encoding,
 )
 from beliefshield.presets import corridor_config
 
@@ -339,6 +341,31 @@ def test_a_line_is_decoded_as_json_loads_decodes_it(text):
 # Malformed files
 
 
+def retouched(value: str, edit: int) -> object:
+    """A belief's encoding with one edit: 0 leaves it, 1 flips the case
+    of a letter, 2 drops its last character, 3 adds one, 4 replaces its
+    last with a non-ASCII letter, 5 turns it into the list of its
+    characters, 6 pads it with "A" where it has a "="."""
+    if edit == 1:
+        i = next((i for i, c in enumerate(value) if c.isalpha()), None)
+        return value if i is None else value[:i] + value[i].swapcase() + value[i + 1:]
+    return [value, value, value[:-1], value + "A", value[:-1] + "\u00e9", list(value),
+            value.replace("=", "A")][edit]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n),
+              st.integers(0, 6)), min_size=1, max_size=5)))
+def test_a_stack_matches_the_encoding_of_each_row(rows):
+    # One pass over a (k, n) stack says, row by row, what comparing each
+    # value with encode_belief of its row says, whatever n is modulo 3.
+    probs = np.array([entries for entries, _ in rows])
+    values = [retouched(encode_belief(row), edit) for row, (_, edit) in zip(probs, rows)]
+    assert matches_encoding(values, probs).tolist() == [
+        value == encode_belief(row) for value, row in zip(values, probs)]
+
+
 def test_read_rejects_malformed_lines(corridor_run, tmp_path):
     _, _, path = corridor_run
     lines = path.read_text().splitlines()
@@ -495,12 +522,12 @@ def test_replay_recomputes_beliefs_exactly(corridor_run, monkeypatch):
     cfg, result, path = corridor_run
     verdicts = []
 
-    def recording_check_steps(mon, beliefs):
-        steps_records, reached = check_steps(mon, beliefs)
+    def recording_walk_steps(mon, columns, t):
+        steps_records, reached = walk_steps(mon, columns, t)
         verdicts.extend(steps_records)
         return steps_records, reached
 
-    monkeypatch.setattr(audit, "check_steps", recording_check_steps)
+    monkeypatch.setattr(audit, "walk_steps", recording_walk_steps)
     report = audit_traces(cfg, read_traces(path))
     assert [ep.max_belief_error for ep in report.episodes] == [0.0] * len(result.traces)
     assert verdicts == [step.verdict for trace in result.traces for step in trace.steps]
@@ -581,6 +608,23 @@ def test_a_clean_audit_replays_no_step_alone(corridor_run, corridor_run_v2, monk
     assert calls == []
 
 
+@pytest.mark.parametrize("version", [2, 3], ids=lambda version: f"v{version}")
+def test_a_clean_audit_decodes_no_belief(corridor_run, corridor_run_v2, monkeypatch, version):
+    # Every step's replayed belief is compared with its recorded string
+    # by its encoding, so a clean trace is verified without a decode.
+    cfg, _, path = corridor_run
+    episodes = read_traces(corridor_run_v2 if version == 2 else path)
+    assert {ep.version for ep in episodes} == {version}
+    calls = []
+    real = audit.recorded_belief
+    monkeypatch.setattr(audit, "recorded_belief",
+                        lambda *args: calls.append(args) or real(*args))
+    report = audit_traces(cfg, episodes)
+    assert report.ok and all(ep.max_belief_error == 0.0 for ep in report.episodes)
+    assert sum(len(ep.steps) for ep in episodes) == 600
+    assert calls == []
+
+
 def test_a_belief_one_ulp_off_is_replayed_step_by_step_from_its_step(
         corridor_run, tmp_path, monkeypatch):
     cfg, _, path = corridor_run
@@ -613,6 +657,25 @@ def muted_episodes(tmp_path_factory):
     return observing_corridor([1.0, 0.0], tmp_path_factory.mktemp("traces"), 2)
 
 
+@pytest.fixture(scope="module")
+def muted_batch_mates(muted_episodes, tmp_path_factory):
+    """Clean episodes of the muted corridor, of other lengths than 200
+    too, and each one's audit alone: two deadlocked before their first
+    step (rho 0.5), two of horizon 1 and two of 200 steps from another
+    seed."""
+    cfg, _ = muted_episodes
+    directory = tmp_path_factory.mktemp("traces")
+    stalled = replace(cfg, monitor=replace(cfg.monitor, ft=FtParams(0.5, cfg.monitor.ft.eps)))
+    mates = []
+    for i, variant in enumerate((stalled, replace(cfg, horizon=1), replace(cfg, seed=cfg.seed + 1))):
+        result = run_batch(variant.to_scenario(), base_seed=variant.seed, episodes=2)
+        path = directory / f"mates{i}.trace.jsonl"
+        write_traces(result, path, variant.name, variant.shield_mode, variant.horizon)
+        mates.extend(read_traces(path))
+    assert [len(ep.steps) for ep in mates] == [0, 0, 1, 1, 200, 200]
+    return mates, [audit_episode(cfg, ep) for ep in mates]
+
+
 def impossible_observation(row):
     row[COLUMN["executed"]], row[COLUMN["observation"]] = 0, 1
 
@@ -633,17 +696,37 @@ EDITS = {
 }
 
 
+def audit_in_batch(mates: list, position: int):
+    """audit_episode as the audit of a batch of mates with the episode at
+    `position`, which holds the mates' audits to be the ones given."""
+    episodes, audits = mates
+
+    def audit_of(cfg, ep):
+        report = audit_traces(cfg, [*episodes[:position], ep, *episodes[position:]])
+        others = report.episodes[:position] + report.episodes[position + 1:]
+        assert list(others) == audits
+        return report.episodes[position]
+    return audit_of
+
+
 @settings(max_examples=60, deadline=None)
-@given(episode=st.integers(0, 1), step=st.integers(1, 200), kind=st.sampled_from(sorted(EDITS)))
-@example(episode=0, step=1, kind="zero-likelihood")
-@example(episode=1, step=200, kind="one-ulp")
-def test_an_edited_step_audits_as_the_sequential_replay_does(muted_episodes, episode, step, kind):
+@given(episode=st.integers(0, 1), step=st.integers(1, 200), kind=st.sampled_from(sorted(EDITS)),
+       position=st.integers(0, 6))
+@example(episode=0, step=1, kind="zero-likelihood", position=0)
+@example(episode=1, step=200, kind="one-ulp", position=6)
+@example(episode=0, step=2, kind="beyond-tolerance", position=3)
+def test_an_edited_step_audits_as_the_sequential_replay_does(muted_episodes, muted_batch_mates,
+                                                             episode, step, kind, position):
+    # The edited episode audits alike alone, inside a batch of clean
+    # episodes of other lengths, which stay in lockstep longer or shorter
+    # than it, and by the sequential replay from its first step.
     cfg, episodes = muted_episodes
     ep = copy.deepcopy(episodes[episode])
     assert ep.steps[step - 1][0] == step
     EDITS[kind](ep.steps[step - 1])
     got = outcome(audit_episode, cfg, ep)
     assert got == outcome(sequential_audit, cfg, ep)
+    assert got == outcome(audit_in_batch(muted_batch_mates, position), cfg, ep)
     if kind == "one-ulp":
         assert got.ok and got.max_belief_error > 0.0
     elif kind == "verdict":
@@ -879,29 +962,43 @@ FAULTS = {
 }
 
 
+def located(faults: list[tuple]) -> list[tuple[str, int, int]]:
+    """Each (kind, step) or (kind, step, episode) as the latter, in
+    episode 0 where it names none."""
+    return [(kind, step, *(episode or [0])) for kind, step, *episode in faults]
+
+
 @pytest.mark.parametrize("faults", [
     # Each order of two kinds on two steps.
     *([(first, 3), (second, 8)] for first in FAULTS for second in FAULTS if first != second),
     # Two or three kinds on one step.
     [("index", 5), ("belief", 5)], [("index", 5), ("verdict", 5)],
     [("belief", 5), ("verdict", 5)], [("index", 5), ("belief", 5), ("verdict", 5)],
-], ids=lambda faults: "-".join(f"{kind}{step}" for kind, step in faults))
+    # A fault late in an episode comes before any in a later episode,
+    # however early in it.
+    [("verdict", 150), ("belief", 3, 2)], [("belief", 150, 1), ("belief", 7, 2)],
+    [("index", 200), ("index", 1, 1)], [("belief", 199), ("verdict", 2, 1), ("index", 1, 2)],
+    [("verdict", 150, 1), ("belief", 1, 2)],
+], ids=lambda faults: "-".join(
+    f"{kind}{step}" + (f"@ep{episode}" if episode else "")
+    for kind, step, episode in located(faults)))
 def test_the_first_fault_in_file_order_is_raised(corridor_run, tmp_path, faults):
-    # faults lists (kind, step) in episode 0 in the order the audit meets
-    # them; the first is the one raised.
+    # faults lists (kind, step), in episode 0, or (kind, step, episode),
+    # in the order the audit meets them; the first is the one raised.
     cfg, _, path = corridor_run
-    for i, (kind, step) in enumerate(faults):
-        path = edit_trace(path, tmp_path / f"fault{i}.trace.jsonl", 0, step, FAULTS[kind])
+    faults = located(faults)
+    for i, (kind, step, episode) in enumerate(faults):
+        path = edit_trace(path, tmp_path / f"fault{i}.trace.jsonl", episode, step, FAULTS[kind])
     with pytest.raises((ConfigError, TraceMismatch)) as err:
         audit_traces(cfg, read_traces(path))
-    kind, step = faults[0]
+    kind, step, episode = faults[0]
     if kind == "belief":
         assert type(err.value) is TraceMismatch
-        assert (err.value.episode, err.value.step) == (0, step)
+        assert (err.value.episode, err.value.step) == (episode, step)
     else:
         assert type(err.value) is ConfigError
         what = "executed action 99 out of range" if kind == "index" else "malformed verdict"
-        assert str(err.value).startswith(f"episode 0 step {step}: {what}")
+        assert str(err.value).startswith(f"episode {episode} step {step}: {what}")
 
 
 @pytest.fixture(scope="module")

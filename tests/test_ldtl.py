@@ -386,3 +386,26 @@ def test_the_column_oracle_is_the_oracle_at_every_position(phi, word):
     got = oracle_columns(phi, states, beliefs)
     assert got.dtype == bool
     assert got.tolist() == [oracle_satisfies(phi, letters, i) for i in range(len(word))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(FORMULAS, st.lists(WORDS, min_size=1, max_size=5))
+@example(Next(IN0), [[(0, [0.25, 0.75, 0.0])], [(0, [0.25, 0.75, 0.0])]])
+@example(Until(IN0, IN1), [[(0, B2 + [0.0]), (0, B2 + [0.0])], [(1, B2 + [0.0])]])
+@example(Always(IN0), [[(0, B2 + [0.0])], [(1, B2 + [0.0]), (0, B2 + [0.0])]])
+@example(Eventually(HIGH1), [[(0, [0.0, 0.0, 0.0])], [(0, B2 + [0.0])]])
+def test_the_segmented_oracle_reads_each_word_alone(phi, words):
+    # Words laid end to end, each column read up to its own word's end:
+    # X is false at each word's last position, and F, G and U look no
+    # further than its end.
+    letters = [letter for word in words for letter in word]
+    ends = np.cumsum([len(word) for word in words])
+    got = oracle_columns(phi, np.array([q for q, _ in letters]),
+                         np.array([entries for _, entries in letters]), ends)
+    assert got.dtype == bool and len(got) == len(letters)
+    for word, start, end in zip(words, [0, *ends[:-1]], ends):
+        alone = oracle_columns(phi, np.array([q for q, _ in word]),
+                               np.array([entries for _, entries in word]))
+        word_letters = tuple(Letter(q, entries) for q, entries in word)
+        assert got[start:end].tolist() == alone.tolist() == [
+            oracle_satisfies(phi, word_letters, i) for i in range(len(word))]
