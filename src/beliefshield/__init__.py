@@ -14,8 +14,8 @@ from .errors import (
 )
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
-    Eventually, Formula, Letter, Max, Min, Next, Or, Product, StateSet, Sum,
-    Until, describe, expr_text, oracle_columns, oracle_satisfies, pretty_print,
+    Eventually, Formula, Max, Min, Next, Or, Product, StateSet, Sum,
+    Until, describe, expr_text, oracle_columns, pretty_print,
 )
 from .model import (
     Belief, JointAction, Mpomdp, Violation, belief_update,

@@ -82,8 +82,8 @@ the batch's words, laid end to end (`ldtl.fold_oracle`), from the
 belief atoms' truths the lockstep kept, and reports each word's first
 position, which an episode the lockstep verified whole reads; any other
 episode's word is folded alone, from its replayed beliefs. Each word is read on its
-own, equal at every position to the recursive `ldtl.oracle_satisfies`,
-which stays as the tests' reference.
+own, equal at every position to the recursive oracle the tests keep as
+the reference.
 """
 
 from __future__ import annotations
@@ -393,9 +393,7 @@ def oracle_satisfies(phi: Formula, states: np.ndarray, truths: dict[int, np.ndar
     """Whether phi holds at the first position of each word of words
     laid end to end as columns (see `ldtl.fold_oracle`): truths maps the
     id of each belief atom of phi to its truth at every position, and
-    ends holds the position after each word's last. What
-    `ldtl.oracle_satisfies` gives on each word's letters, as Python
-    bools."""
+    ends holds the position after each word's last. Python bools."""
     column = fold_oracle(phi, states, lambda atom: truths[id(atom)], ends)
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1]

@@ -14,24 +14,23 @@ does, and no walker recurses along a chain.
 The trace oracle evaluates a formula on a finite word with the
 standard finite-trace closure: `always` means "at every remaining
 position", `eventually` and `until` need an in-word witness, and `next`
-at the last position is false. oracle_satisfies is the reference: it
-recurses over a word of (hidden state, belief entries) letters, one
-position at a time. oracle_columns gives the same truth at every
+at the last position is false. oracle_columns gives the truth at every
 position of a word given as columns, an array of hidden states and the
 stack of the beliefs held: it walks the formula bottom-up without
 recursion, as `height` does, each atom one boolean column over all
 positions and each operator one array operation on its operands'
-columns (fold_oracle). The columns may hold several words laid end to
+columns (fold_oracle). The tests keep a recursive oracle over a word of
+(hidden state, belief entries) letters, one position at a time, as its
+reference. The columns may hold several words laid end to
 end, each read on its own up to its end, which is how the audit holds
 a batch: X is false at each word's last position, and F, G and U look
 for their witness or failure no further than the word's end.
 
 compile_expr turns an expression into one generated Python function, a
 flat sequence of assignments with one local per inner node, of a list of
-floats. A belief atom compiles its expression on first use, so only the
-oracle pays for it: over the belief's entries for oracle_satisfies, over
-its own leaf table for its truth at each row of a stack of beliefs
-(belief_atom_column). A monitor compiles each barrier
+floats. A belief atom compiles its expression over its own leaf table
+on first use, so only the oracle pays for it, for its truth at each row
+of a stack of beliefs (belief_atom_column). A monitor compiles each barrier
 with a lookup that reads each sum of entries as one leaf (leaf_table),
 and applies it to the leaf values one np.bincount gathers from the
 belief array (gather_leaves; see `monitor`). evaluate_columns runs the
@@ -49,7 +48,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import FunctionType
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -370,11 +369,6 @@ class BeliefPred:
     negated: bool = False
 
     @cached_property
-    def evaluator(self) -> Evaluator:
-        """expr compiled on first use, which only the oracle makes."""
-        return compile_expr(self.expr)
-
-    @cached_property
     def leaf_form(self) -> tuple[LeafTable, Evaluator]:
         """The leaf table of expr and expr compiled over its leaf values,
         on first use, which only belief_atom_column makes."""
@@ -477,65 +471,6 @@ def is_propositional(phi: Formula) -> bool:
 # Finite-trace oracle
 
 
-class Letter(NamedTuple):
-    """One position of a word: hidden state index and the entries of the
-    belief held, as a list of floats, which every belief atom the oracle
-    evaluates at this position reads."""
-
-    state: int
-    entries: list[float]
-
-
-Word = tuple[Letter, ...]
-
-
-def oracle_satisfies(phi: Formula, word: Word, i: int = 0) -> bool:
-    """Ground-truth satisfaction of phi at position i of a finite word."""
-    if not 0 <= i < len(word):
-        raise IndexError(f"position {i} outside word of length {len(word)}")
-    if isinstance(phi, StateSet):
-        return (word[i].state in phi.indices) != phi.negated
-    if isinstance(phi, BeliefPred):
-        # Two comparisons rather than one flipped: a NaN value is false
-        # under both polarities.
-        value = phi.evaluator(word[i].entries)
-        return value >= 0.0 if phi.negated else value < 0.0
-    # Plain loops rather than all/any over generators, which cost about
-    # twice as much per operand; each stops at the same operand.
-    if isinstance(phi, And):
-        for c in phi.children:
-            if not oracle_satisfies(c, word, i):
-                return False
-        return True
-    if isinstance(phi, Or):
-        for c in phi.children:
-            if oracle_satisfies(c, word, i):
-                return True
-        return False
-    if isinstance(phi, Next):
-        # No next position on a finite word: false at the last letter.
-        return i + 1 < len(word) and oracle_satisfies(phi.child, word, i + 1)
-    if isinstance(phi, Until):
-        for j in range(i, len(word)):
-            if oracle_satisfies(phi.right, word, j):
-                for k in range(i, j):
-                    if not oracle_satisfies(phi.left, word, k):
-                        return False
-                return True
-        return False
-    if isinstance(phi, Eventually):
-        for j in range(i, len(word)):
-            if oracle_satisfies(phi.child, word, j):
-                return True
-        return False
-    if isinstance(phi, Always):
-        for j in range(i, len(word)):
-            if not oracle_satisfies(phi.child, word, j):
-                return False
-        return True
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 def _next_true(column: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """At each position, the first position at or after it where column
     is true, if that comes before ends, the end of the position's word;
@@ -605,8 +540,8 @@ def belief_atom_column(atom: BeliefPred, beliefs: np.ndarray) -> np.ndarray:
 
 def atom_truth(atom: BeliefPred, value: np.ndarray) -> np.ndarray:
     """Where a belief atom holds, from its expression's values: below 0,
-    or at or above 0 when negated. As in oracle_satisfies, a NaN value is
-    false under both polarities."""
+    or at or above 0 when negated. A NaN value is false under both
+    polarities."""
     return value >= 0.0 if atom.negated else value < 0.0
 
 
@@ -650,7 +585,7 @@ def oracle_columns(phi: Formula, states: np.ndarray, beliefs: np.ndarray,
     """The truth of phi at every position of a finite word given as
     columns, as a boolean array: states holds the hidden state at each of
     its N positions and beliefs, an (N, n) float64 array, the belief held
-    at each. Position i's entry is oracle_satisfies(phi, word, i) for the
+    at each. Position i's entry is the truth of phi at position i of the
     word of those letters. With ends, the positions are words laid end
     to end (see fold_oracle), and each position's entry is its own
     word's."""

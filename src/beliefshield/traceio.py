@@ -32,14 +32,21 @@ count and each version 1 or 2 step line's and each end line's episode,
 which must be its header's, must be JSON integers: `true` or `1.0` is
 refused, though either equals 1 in Python.
 
-A step line is filled into one fixed template, whose bytes are the ones
-`json.dumps(row, separators=(",", ":"))` writes: strings go through
-json's own ASCII escaper, floats through `float.__repr__`, and the
-base64 belief needs no escape. Header and end lines, once per episode
-and with a free-form end `detail`, go through `json`. A float JSON
-cannot hold (inf or nan) is a ConfigError naming the episode, the line
-and the field, and then no file is written. Files are written as ASCII,
-which every line is, and read as UTF-8 whatever the locale.
+An episode is formatted as columns (`_episode_text`): `zip(*steps)`
+turns its TraceSteps into the STEP_COLUMNS, and each column goes through
+one C-level formatter mapped over it: strings through json's own ASCII
+escaper, floats through `float.__repr__`, beliefs through
+`binascii.b2a_base64`. One `%` then fills a template of the episode's
+lines: its header, one line per step with a slot for each of that
+step's records and candidates, and its end line. The bytes are the ones
+`json.dumps(row, separators=(",", ":"))` writes. Header and end lines,
+once per episode and with a free-form end `detail`, go through `json`.
+A float JSON cannot hold (inf or nan) is looked for once per column; the
+first one in file order is a ConfigError naming the episode, the line
+and the field. Every episode is formatted before the file is opened, so
+such a float leaves no file. The episodes are then written one after
+another through one ASCII text handle, with no copy of the whole file.
+Files are read as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ import binascii
 import csv
 import json
 import math
+from functools import cache
+from itertools import accumulate, chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -74,17 +84,30 @@ _string = json.encoder.encode_basestring_ascii
 _float = float.__repr__
 _NOT_FINITE = frozenset(("inf", "-inf", "nan"))
 
-# A step row as json.dumps(row, separators=(",", ":")) writes it: columns
-# in STEP_COLUMNS order, strings through json's own ASCII escaper, floats
-# by repr.
-_STEP_LINE = '[%d,%d,%d,%d,%s,%d,%d,"%s",[%s],%s,%s,[%s]]'
-_RECORD = "[%s,%s,%s]"
-_CANDIDATE = "[%d,%s]"
+_BOOLEAN = ("false", "true")
+_FLOAT64 = np.dtype("<f8")
+_probs = attrgetter("probs")
+
+
+@cache
+def _step_template(records: int, candidates: int) -> str:
+    """The template of a step line, newline included, whose verdict has
+    `records` records and whose candidate list has `candidates` pairs: a
+    row as json.dumps(row, separators=(",", ":")) writes it, its columns
+    in STEP_COLUMNS order, with a slot for each string, as json's ASCII
+    escaper writes it, and for each float, as its repr."""
+    return ('[%d,%d,%d,%d,%s,%d,%d,"%s",[' + ",".join(["[%s,%s,%s]"] * records)
+            + "],%s,%s,[" + ",".join(["[%d,%s]"] * candidates) + "]]\n")
 
 
 def encode_belief(probs: np.ndarray) -> str:
-    """A belief's entries as base64 of their little-endian float64 bytes."""
-    return base64.b64encode(probs.astype("<f8", copy=False).tobytes()).decode("ascii")
+    """A belief's entries as base64 of their little-endian float64 bytes.
+    The bytes are a copy (tobytes): numpy keeps the format of every
+    buffer an array exports for as long as the array lives, 56 bytes for
+    each belief of a batch."""
+    if probs.dtype != _FLOAT64:
+        probs = probs.astype(_FLOAT64)
+    return binascii.b2a_base64(probs.tobytes(), newline=False).decode("ascii")
 
 
 def matches_encoding(values: Sequence, probs: np.ndarray) -> np.ndarray:
@@ -179,30 +202,6 @@ def _header_line(trace: Trace, result: BatchResult, scenario_name: str,
     })
 
 
-def _step_line(episode: int, s: TraceStep) -> str:
-    (step, prev_state, nominal, executed, overridden, observation, next_state, belief,
-     records, realized_reward, nominal_reward, candidate_rewards) = s
-    barriers = ["null" if barrier is None else _float(barrier) for _, barrier, _ in records]
-    realized = _float(realized_reward)
-    reference = "null" if nominal_reward is None else _float(nominal_reward)
-    rewards = [_float(reward) for _, reward in candidate_rewards]
-    if not _NOT_FINITE.isdisjoint((realized, reference, *barriers, *rewards)):
-        raise _not_finite({"verdict": [{"barrier": barrier} for _, barrier, _ in records],
-                           "realized_reward": realized_reward,
-                           "nominal_reward": nominal_reward,
-                           "candidate_rewards": candidate_rewards},
-                          f"episode {episode} step {step}")
-    return _STEP_LINE % (
-        step, prev_state, nominal, executed, "true" if overridden else "false",
-        observation, next_state, encode_belief(belief.probs),
-        ",".join([_RECORD % (_string(status), barrier, _string(detail))
-                  for (status, _, detail), barrier in zip(records, barriers)]),
-        realized, reference,
-        ",".join([_CANDIDATE % (action, reward)
-                  for (action, _), reward in zip(candidate_rewards, rewards)]),
-    )
-
-
 def _end_line(trace: Trace) -> str:
     try:
         return _ENCODER.encode({
@@ -217,14 +216,80 @@ def _end_line(trace: Trace) -> str:
                           f"episode {trace.episode} end") from exc
 
 
+def _floats_or_null(values) -> list[str]:
+    """Each of values, a float or None, as JSON writes it."""
+    try:
+        return list(map(_float, values))
+    except TypeError:
+        return ["null" if value is None else _float(value) for value in values]
+
+
+def _rows(values: list, width: int, counts: list[int]):
+    """values cut into consecutive slices of width * count items, one per
+    count."""
+    ends = list(accumulate(map(width.__mul__, counts)))
+    return map(values.__getitem__, map(slice, [0, *ends], ends))
+
+
+def _first_not_finite(trace: Trace) -> ConfigError:
+    """The error for the first float in the trace's steps that JSON
+    cannot write, in file order: by step, and within a step the verdict's
+    barriers, then the realized reward, the nominal reward and the
+    candidate rewards."""
+    for s in trace.steps:
+        fields = {"verdict": [{"barrier": barrier} for _, barrier, _ in s.verdict],
+                  "realized_reward": s.realized_reward,
+                  "nominal_reward": s.nominal_reward,
+                  "candidate_rewards": s.candidate_rewards}
+        if not all(math.isfinite(value) for _, value in _floats(fields)):
+            return _not_finite(fields, f"episode {trace.episode} step {s.step}")
+
+
+def _episode_text(trace: Trace, header: str) -> str:
+    """An episode's header line, step rows and end line, each ending in a
+    newline. The steps are formatted as columns, each through one C-level
+    formatter, and filled into one template of a line per step."""
+    if not trace.steps:
+        return "%s\n%s\n" % (header, _end_line(trace))
+    (number, prev_state, nominal, executed, overridden, observation, next_state, belief,
+     verdict, realized_reward, nominal_reward, candidate_rewards) = zip(*trace.steps)
+    # Each record's status, barrier and detail in turn, and each
+    # candidate's action and reward, over the whole episode.
+    records = list(chain.from_iterable(chain.from_iterable(verdict)))
+    pairs = list(chain.from_iterable(chain.from_iterable(candidate_rewards)))
+    barriers = _floats_or_null(records[1::3])
+    realized = list(map(_float, realized_reward))
+    reference = _floats_or_null(nominal_reward)
+    rewards = list(map(_float, pairs[1::2]))
+    if not (_NOT_FINITE.isdisjoint(barriers) and _NOT_FINITE.isdisjoint(realized)
+            and _NOT_FINITE.isdisjoint(reference) and _NOT_FINITE.isdisjoint(rewards)):
+        raise _first_not_finite(trace)
+    records[0::3] = map(_string, records[0::3])
+    records[1::3] = barriers
+    records[2::3] = map(_string, records[2::3])
+    pairs[1::2] = rewards
+    n_records = list(map(len, verdict))
+    n_candidates = list(map(len, candidate_rewards))
+    flags = map(_BOOLEAN.__getitem__, map(bool, overridden))
+    beliefs = map(encode_belief, map(_probs, belief))
+    rows = zip(
+        zip(number, prev_state, nominal, executed, flags, observation, next_state, beliefs),
+        _rows(records, 3, n_records), zip(realized, reference), _rows(pairs, 2, n_candidates))
+    template = "".join(["%s\n", *map(_step_template, n_records, n_candidates), "%s\n"])
+    return template % (header, *chain.from_iterable(chain.from_iterable(rows)),
+                       _end_line(trace))
+
+
 def write_traces(result: BatchResult, path: str | Path, scenario_name: str,
                  shield_mode: str, horizon: int) -> None:
-    lines = []
-    for trace in result.traces:
-        lines.append(_header_line(trace, result, scenario_name, shield_mode, horizon))
-        lines.extend(_step_line(trace.episode, s) for s in trace.steps)
-        lines.append(_end_line(trace))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write a batch as a version 3 trace file. Every episode is formatted
+    first, so a float JSON cannot write leaves no file; then the episodes
+    are written one after another through one ASCII text handle."""
+    episodes = [_episode_text(trace, _header_line(trace, result, scenario_name,
+                                                  shield_mode, horizon))
+                for trace in result.traces]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(episodes)
 
 
 def write_summary(result: BatchResult, path: str | Path) -> None:

@@ -1,11 +1,12 @@
 """Shared test helpers: random model generation, the reference
 evaluators (the tree-walking `evaluate_expr` that compiled barriers
-match bit for bit, and `monitor_step`, which evaluates both beliefs of
-a step afresh), the independent two-pass posterior oracle the filter is
-checked against, the one-action-at-a-time brute-force reference the
-shield's rule is checked against, counters of monitor compilations and
-barrier evaluations, and the editing of trace lines and of the beliefs
-they record."""
+match bit for bit, the recursive finite-trace `oracle_satisfies` that
+the oracle's columns match, and `monitor_step`, which evaluates both
+beliefs of a step afresh), the independent two-pass posterior oracle
+the filter is checked against, the one-action-at-a-time brute-force
+reference the shield's rule is checked against, counters of monitor
+compilations and barrier evaluations, and the editing of trace lines
+and of the beliefs they record."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ import pytest
 from beliefshield import CONSERVATIVE, LITERAL, monitor
 from beliefshield.errors import ZeroLikelihood
 from beliefshield.ldtl import (
-    BeliefExpr, BeliefVar, Constant, Difference, Max, Min, Product, Sum,
+    Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference, Eventually,
+    Formula, Max, Min, Next, Or, Product, StateSet, Sum, Until,
 )
 from beliefshield.model import (
     Belief, Mpomdp, belief_update, expected_reward, predicted_belief,
@@ -127,6 +130,63 @@ def evaluate_expr(expr: BeliefExpr, belief: Belief) -> float:
     if isinstance(expr, Max):
         return max(evaluate_expr(c, belief) for c in expr.children)
     raise TypeError(f"not a belief expression: {expr!r}")
+
+
+class Letter(NamedTuple):
+    """One position of a word: hidden state index and the entries of the
+    belief held, as a list of floats, which every belief atom the oracle
+    evaluates at this position reads."""
+
+    state: int
+    entries: list[float]
+
+
+def oracle_satisfies(phi: Formula, word: tuple[Letter, ...], i: int = 0) -> bool:
+    """Ground-truth satisfaction of phi at position i of a finite word:
+    the recursive reference that `ldtl.oracle_columns` is held to."""
+    if not 0 <= i < len(word):
+        raise IndexError(f"position {i} outside word of length {len(word)}")
+    if isinstance(phi, StateSet):
+        return (word[i].state in phi.indices) != phi.negated
+    if isinstance(phi, BeliefPred):
+        # Two comparisons rather than one flipped: a NaN value is false
+        # under both polarities.
+        value = evaluate_expr(phi.expr, word[i].entries)
+        return value >= 0.0 if phi.negated else value < 0.0
+    # Plain loops rather than all/any over generators, which cost about
+    # twice as much per operand; each stops at the same operand.
+    if isinstance(phi, And):
+        for c in phi.children:
+            if not oracle_satisfies(c, word, i):
+                return False
+        return True
+    if isinstance(phi, Or):
+        for c in phi.children:
+            if oracle_satisfies(c, word, i):
+                return True
+        return False
+    if isinstance(phi, Next):
+        # No next position on a finite word: false at the last letter.
+        return i + 1 < len(word) and oracle_satisfies(phi.child, word, i + 1)
+    if isinstance(phi, Until):
+        for j in range(i, len(word)):
+            if oracle_satisfies(phi.right, word, j):
+                for k in range(i, j):
+                    if not oracle_satisfies(phi.left, word, k):
+                        return False
+                return True
+        return False
+    if isinstance(phi, Eventually):
+        for j in range(i, len(word)):
+            if oracle_satisfies(phi.child, word, j):
+                return True
+        return False
+    if isinstance(phi, Always):
+        for j in range(i, len(word)):
+            if not oracle_satisfies(phi.child, word, j):
+                return False
+        return True
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def values_at(mon: Monitor, b: Belief) -> Monitor:

@@ -7,6 +7,7 @@ import copy
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from beliefshield.monitor import passed, walk_steps
 from beliefshield.parsing import parse_expr, parse_formula
 from beliefshield.sim import BatchResult, TraceStep
 from beliefshield.traceio import (
-    STEP_COLUMNS, SUMMARY_FIELDS, TRACE_VERSION, _loads, _step_line, encode_belief,
+    STEP_COLUMNS, SUMMARY_FIELDS, TRACE_VERSION, _episode_text, _loads, encode_belief,
     matches_encoding,
 )
 from beliefshield.presets import corridor_config
@@ -269,15 +270,6 @@ TRACE_STEP = st.builds(
     candidate_rewards=st.lists(st.tuples(COUNT, FINITE), max_size=3).map(tuple))
 
 
-@settings(max_examples=300, deadline=None)
-@given(episode=COUNT, s=TRACE_STEP)
-@example(episode=0, s=TraceStep(
-    step=1, prev_state=0, nominal=0, executed=0, overridden=False, observation=0,
-    next_state=0, belief=Belief((1.0,)), verdict=[], realized_reward=-0.0))
-def test_a_step_line_has_the_bytes_json_dumps_writes(episode, s):
-    assert _step_line(episode, s) == reference_step_line(s)
-
-
 def tiny_step(**changes) -> TraceStep:
     step = TraceStep(
         step=1, prev_state=0, nominal=0, executed=1, overridden=True, observation=0,
@@ -285,6 +277,61 @@ def tiny_step(**changes) -> TraceStep:
         verdict=[["pass", 0.25, ""], ["pass", -0.5, ""]],
         realized_reward=1.0, nominal_reward=0.5, candidate_rewards=((1, 0.75), (2, 0.5)))
     return step._replace(**changes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(episode=COUNT, s=TRACE_STEP)
+@example(episode=0, s=TraceStep(
+    step=1, prev_state=0, nominal=0, executed=0, overridden=False, observation=0,
+    next_state=0, belief=Belief((1.0,)), verdict=[], realized_reward=-0.0))
+def test_a_step_line_has_the_bytes_json_dumps_writes(episode, s):
+    trace = Trace(episode=episode, initial_state=0, initial_belief=Belief((1.0,)),
+                  steps=(s,), end_reason="horizon")
+    header, line, end, after = _episode_text(trace, "header").split("\n")
+    assert (header, line, after) == ("header", reference_step_line(s), "")
+
+
+def reference_trace_text(result: BatchResult, scenario: str, shield: str,
+                         horizon: int) -> str:
+    """A version 3 trace file as json.dumps writes each of its lines."""
+    lines = []
+    for t in result.traces:
+        lines.append(dump_line({
+            "type": "header", "version": TRACE_VERSION, "scenario": scenario,
+            "episode": t.episode, "base_seed": result.base_seed, "shield": shield,
+            "horizon": horizon, "obligations": result.obligations,
+            "initial_state": t.initial_state,
+            "initial_belief": encode_belief(t.initial_belief.probs)}))
+        lines.extend(reference_step_line(s) for s in t.steps)
+        lines.append(dump_line({"type": "end", "episode": t.episode, "steps": len(t.steps),
+                                "reason": t.end_reason, "detail": t.end_detail}))
+    return "".join(line + "\n" for line in lines)
+
+
+EPISODE = st.builds(
+    Trace, episode=COUNT, initial_state=COUNT,
+    initial_belief=st.lists(FINITE, min_size=1, max_size=4).map(Belief),
+    steps=st.lists(TRACE_STEP, max_size=5).map(tuple), end_reason=TEXT,
+    end_detail=st.dictionaries(TEXT, COUNT | FINITE | TEXT, max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces=st.lists(EPISODE, min_size=1, max_size=3),
+       obligations=st.lists(st.tuples(TEXT, TEXT, TEXT), max_size=2))
+@example(traces=[Trace(
+    episode=0, initial_state=0, initial_belief=Belief((1.0,)), end_reason="horizon",
+    steps=(tiny_step(verdict=[["pass", None, "\x00 caf\u00e9"]], nominal_reward=None,
+                     realized_reward=-0.0, candidate_rewards=()),
+           tiny_step(step=2, verdict=[["fail", 5e-324, ""], ["pass", 1e16, ""]],
+                     realized_reward=1e22, candidate_rewards=((0, 0.1), (3, -0.0), (5, 1e16))),
+           tiny_step(step=3, verdict=[]),
+           tiny_step(step=4, candidate_rewards=((1, 0.75),))))], obligations=[])
+def test_a_batch_has_the_bytes_json_dumps_writes(tmp_path_factory, traces, obligations):
+    result = BatchResult(base_seed=0, traces=tuple(traces), obligations=tuple(obligations))
+    path = tmp_path_factory.mktemp("batch") / "batch.trace.jsonl"
+    write_traces(result, path, "tiny \"scenario\"", "literal", 5)
+    assert path.read_bytes() == reference_trace_text(
+        result, "tiny \"scenario\"", "literal", 5).encode("ascii")
 
 
 TINY_OBLIGATIONS = (("0:always", "always", "G p"), ("1:eventually", "eventually", "F q"))
@@ -313,6 +360,56 @@ def test_a_float_json_cannot_write_is_named_and_nothing_is_written(
                      path, "tiny", "literal", 5)
     assert str(err.value) == f"episode 3 {where}: {field} is {text}, not a finite number"
     assert not path.exists()
+
+
+def nonfinite_episode(episode: int, changes: dict, detail: dict) -> Trace:
+    """Six tiny steps, step i edited by changes[i]."""
+    steps = tuple(tiny_step(step=i, **changes.get(i, {})) for i in range(1, 7))
+    return Trace(episode=episode, initial_state=0, initial_belief=Belief((1.0,)),
+                 steps=steps, end_reason="deadlock", end_detail=detail)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"verdict": [["pass", 0.25, ""], ["pass", math.nan, ""]], "realized_reward": math.inf,
+      "nominal_reward": -math.inf, "candidate_rewards": ((1, math.inf),)},
+     "verdict[1].barrier is nan"),
+    ({"realized_reward": -math.inf, "nominal_reward": math.nan,
+      "candidate_rewards": ((1, math.inf),)}, "realized_reward is -inf"),
+    ({"nominal_reward": math.nan, "candidate_rewards": ((1, math.inf),)},
+     "nominal_reward is nan"),
+    ({"candidate_rewards": ((1, 0.75), (2, math.inf), (3, math.nan))},
+     "candidate_rewards[1][1] is inf"),
+], ids=["barrier", "realized", "nominal", "candidate"])
+def test_the_first_float_json_cannot_write_in_file_order_is_named(tmp_path, changes, message):
+    # Episode 1 step 3 holds the first such float, in the file and within
+    # the step. Episode 1 step 5's barrier and episode 2's end detail
+    # hold later ones.
+    traces = (
+        nonfinite_episode(0, {}, {}),
+        nonfinite_episode(1, {3: changes, 5: {"verdict": [["pass", -math.inf, ""]]}}, {}),
+        nonfinite_episode(2, {}, {"candidate_barriers": {0: {"0:always": math.nan}}}),
+    )
+    path = tmp_path / "nonfinite.trace.jsonl"
+    with pytest.raises(ConfigError) as err:
+        write_traces(BatchResult(base_seed=0, traces=traces, obligations=TINY_OBLIGATIONS),
+                     path, "tiny", "literal", 5)
+    assert str(err.value) == f"episode 1 step 3: {message}, not a finite number"
+    assert not path.exists()
+
+
+def test_the_write_holds_little_more_than_the_file(tmp_path):
+    # Episodes are formatted one at a time and written one after another,
+    # with no copy of the whole file.
+    cfg = corridor_config("literal")
+    result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=100)
+    path = tmp_path / "corridor.trace.jsonl"
+    tracemalloc.start()
+    try:
+        write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * path.stat().st_size
 
 
 JSON = st.recursive(

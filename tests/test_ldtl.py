@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
-    Letter, Max, Min, Next, Or, Product, StateSet,
+    Max, Min, Next, Or, Product, StateSet,
     Sum, Until, compile_expr, describe, evaluate_columns, expr_text,
-    is_propositional, oracle_columns, oracle_satisfies, pretty_print,
+    is_propositional, oracle_columns, pretty_print,
 )
 from beliefshield.model import Belief
 
-from conftest import evaluate_expr
+from conftest import Letter, evaluate_expr, oracle_satisfies
 
 B2 = [0.25, 0.75]
 
