@@ -25,6 +25,10 @@ filters a (k, n) stack of beliefs with the same two helpers, the rows
 of one action at once: each row's prediction terms go to bins of its
 own, in the same order, and each row's normalizer is the sum of its own
 contiguous row, so every row has the bits belief_update gives it.
+It predicts at most CHUNK_TERMS kernel terms at once, so its
+temporaries stay bounded however many rows a stack has. The
+conservative shield weighs one prediction under every observation the
+same way (weigh_observations).
 
 Sampling is an inverse-CDF draw over successor tables that the model
 builds once, when it is constructed: one per transition row (q, a), one
@@ -372,7 +376,8 @@ def _predict(probs: np.ndarray, action: int, m: Mpomdp) -> np.ndarray:
 def _weigh(predicted: np.ndarray, action: int, obs, m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
     """The correction's numerator observation[q', a, z] * predicted(q')
     and normalizer, the numerator's sum: of a predicted vector and an
-    observation, or of each row of a C-contiguous (k, n) stack and its
+    observation, of a predicted vector and every observation (obs a
+    full slice), or of each row of a C-contiguous (k, n) stack and its
     own entry of a (k,) array of observations. A row's sum is that of
     its vector alone, as numpy sums each contiguous row pairwise by its
     length."""
@@ -399,6 +404,15 @@ def correct(predicted: np.ndarray, action: int, obs: int, m: Mpomdp) -> np.ndarr
     return numer / denom
 
 
+def weigh_observations(predicted: np.ndarray, action: int,
+                       m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
+    """correct's numerator and normalizer under every observation at
+    once: a (Z, n) stack whose row z is correct(predicted, action, z,
+    m)'s numerator, and the (Z,) row sums, each that observation's
+    normalizer bit for bit. No row is divided or refused here."""
+    return _weigh(predicted, action, slice(None), m)
+
+
 def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:
     """Exact Bayes filter step over the joint state, predicted_belief
     followed by correct:
@@ -408,24 +422,32 @@ def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:
     return Belief.owning(correct(predicted_belief(b, action, m), action, obs, m))
 
 
+# The most kernel terms belief_updates predicts at once: each term holds a
+# float64 and a bin index while its chunk is predicted.
+CHUNK_TERMS = 1 << 20
+
+
 def belief_updates(probs: np.ndarray, actions: np.ndarray, observations: np.ndarray,
                    m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
     """belief_update of each row of a (k, n) stack of beliefs under its own
     action and observation, the rows of one action predicted and
-    corrected as one stack: the (k, n) posteriors and their (k,)
-    normalizers. A row whose normalizer is above LIKELIHOOD_FLOOR has the
-    bits belief_update gives it; any other row is undefined, and raises
-    nothing."""
+    corrected as stacks of at most CHUNK_TERMS kernel terms: the (k, n)
+    posteriors and their (k,) normalizers. A row whose normalizer is
+    above LIKELIHOOD_FLOOR has the bits belief_update gives it, whatever
+    chunk it is in; any other row is undefined, and raises nothing."""
     posteriors = np.empty((len(probs), m.n_states))
     normalizers = np.empty(len(probs))
     with np.errstate(divide="ignore", invalid="ignore"):
         for action in np.flatnonzero(np.bincount(actions)).tolist():
             rows = np.flatnonzero(actions == action)
-            numer, denom = _weigh(_predict(probs.take(rows, axis=0), action, m), action,
-                                  observations[rows], m)
-            numer /= denom[:, None]
-            posteriors[rows] = numer
-            normalizers[rows] = denom
+            size = max(1, CHUNK_TERMS // len(m.successors.kernels[action][0]))
+            for start in range(0, len(rows), size):
+                chunk = rows[start:start + size]
+                numer, denom = _weigh(_predict(probs.take(chunk, axis=0), action, m),
+                                      action, observations[chunk], m)
+                numer /= denom[:, None]
+                posteriors[chunk] = numer
+                normalizers[chunk] = denom
     return posteriors, normalizers
 
 

@@ -45,8 +45,13 @@ at a record's position, and `passed` says whether a step passed. The
 successor holds a new Obligation only where a rule changed one (a
 deadline fixed, a discharge) and shares the others. A step is two
 parts: the barrier values at the next belief (barrier_values), then the
-kind's float-only rule for every active obligation (check_step); the
-shield reuses the same rules through step_passes. A monitor holds the
+kind's float-only rule for every active obligation (check_step).
+passing_step is the same walk, stopped at the first obligation that
+fails: it gives a passing step's records and the changes its rules
+make, and replaces no obligation and builds no monitor, so the shield
+walks each candidate once and builds the successor (`successor`) only
+for the action it executes. check_step and passing_step share one
+walker, so every rule is still written once. A monitor holds the
 barrier values at the belief it has reached (compile_monitor's at the
 model's initial belief), so each belief is evaluated once, as it is
 reached, and no caller carries them; this is exact, because a
@@ -74,10 +79,10 @@ it, and the monitor reached is built once, at the end. The records and
 the monitor reached are those of check_step step after step, bit for
 bit. The audit of a batch evaluates the barriers itself, at each step
 of its lockstep, and calls walk_steps on each episode's range of the
-columns it keeps over the batch. check_step stays for the simulator and
-the shield, which decide one transition at a time: on the shipped
-corridor, check_steps on a single transition costs about four times
-what barrier_values and check_step cost together.
+columns it keeps over the batch. check_step and passing_step stay for
+the simulator and the shield, which decide one transition at a time:
+on the shipped corridor, check_steps on a single transition costs
+about four times what barrier_values and check_step cost together.
 
 compile_monitor refuses an eventually obligation whose barrier at the
 initial belief fixes no reach deadline (NaN, -inf, or so far below 0
@@ -173,6 +178,9 @@ BarrierValues = list[list[float]]
 # check_step's records; a status is "pass", "fail", "discharged" or
 # "inactive".
 Records = list[list]
+# What one step's rules change: (position, field changes) for each
+# obligation the successor replaces.
+Changes = list[tuple[int, dict]]
 
 
 @dataclass(frozen=True)
@@ -355,23 +363,57 @@ def barrier_values(mon: Monitor, probs: np.ndarray) -> BarrierValues:
             for ob in mon.obligations]
 
 
-def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Monitor]:
-    """Records and successor monitor for the transition from the belief
-    mon has reached to the one whose barrier values are nxt."""
+def _walk(mon: Monitor, nxt: BarrierValues, stop_at_fail: bool
+          ) -> tuple[Records, Changes] | None:
+    """The records of the transition from the belief mon has reached to
+    the one whose barrier values are nxt, and the changes its rules make
+    to the obligations; with stop_at_fail, None at the first record that
+    fails."""
     first = mon.step_count == 0
     step = mon.step_count + 1
+    cfg = mon.config
     records: Records = []
-    obligations: list[Obligation] = []
+    changes: Changes = []
     for ob, h_prev, h_next in zip(mon.obligations, mon.values, nxt):
         if ob.discharged:
             records.append(["inactive", ob.value, ""])
-        else:
-            *record, changes = _RULES[ob.kind](ob, h_prev, h_next, first, step, mon.config)
-            records.append(record)
-            if changes:
-                ob = replace(ob, **changes)
-        obligations.append(ob)
-    return records, Monitor(mon.config, mon.leaves, tuple(obligations), nxt, step)
+            continue
+        status, barrier, detail, change = _RULES[ob.kind](ob, h_prev, h_next, first, step, cfg)
+        if status == "fail" and stop_at_fail:
+            return None
+        records.append([status, barrier, detail])
+        if change:
+            # One record per obligation so far: this one is the last.
+            changes.append((len(records) - 1, change))
+    return records, changes
+
+
+def successor(mon: Monitor, changes: Changes, nxt: BarrierValues) -> Monitor:
+    """The monitor one transition on from mon, whose rules made changes
+    on the way to the belief whose barrier values are nxt."""
+    obligations = mon.obligations
+    if changes:
+        obligations = list(obligations)
+        for i, change in changes:
+            obligations[i] = replace(obligations[i], **change)
+        obligations = tuple(obligations)
+    return Monitor(mon.config, mon.leaves, obligations, nxt, mon.step_count + 1)
+
+
+def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Monitor]:
+    """Records and successor monitor for the transition from the belief
+    mon has reached to the one whose barrier values are nxt."""
+    records, changes = _walk(mon, nxt, False)
+    return records, successor(mon, changes, nxt)
+
+
+def passing_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Changes] | None:
+    """check_step(mon, nxt)'s records and the changes from which
+    `successor` builds its monitor, when the step passes; None, from the
+    first obligation that fails on, when it does not. It walks no
+    obligation after a failing one, and replaces no obligation and
+    builds no monitor in either case."""
+    return _walk(mon, nxt, True)
 
 
 def walk_steps(mon: Monitor, columns: list[list[list[float]]], t: int
@@ -440,17 +482,5 @@ def passed(records: Records) -> bool:
     """Whether a step passed: no record's status is "fail"."""
     for status, _, _ in records:
         if status == "fail":
-            return False
-    return True
-
-
-def step_passes(mon: Monitor, nxt: BarrierValues) -> bool:
-    """Whether check_step(mon, nxt) passes, without building records or
-    a successor."""
-    first = mon.step_count == 0
-    step = mon.step_count + 1
-    for ob, h_prev, h_next in zip(mon.obligations, mon.values, nxt):
-        if not ob.discharged and _RULES[ob.kind](
-                ob, h_prev, h_next, first, step, mon.config)[0] == "fail":
             return False
     return True

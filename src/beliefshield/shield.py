@@ -28,15 +28,23 @@ observation of positive predicted probability, not just the shared one.
 
 Every candidate, the nominal included, goes through one check built on
 the filter's own two steps: predicted_belief once, then correct under
-z. In conservative mode, once z passes, the same prediction goes
-through correct under each other observation in turn, up to the first
-that fails. An observation correct refuses with ZeroLikelihood passes
-when its likelihood is exactly zero (it cannot happen) and fails when
-it is positive but at most the floor. The shield evaluates only
-posteriors, each once; a Belief, verdict and successor Monitor are
-built only for the executed action. The tests check every decision
-against a brute-force reference that updates the belief and evaluates
-both beliefs' barriers one action at a time, for every action.
+z. The step to that posterior is walked once, by the monitor's
+passing_step, which stops at the first obligation that fails and
+otherwise returns the step's records and the changes its rules make.
+In conservative mode, once z passes, the same prediction is weighed
+under every observation as one (Z, n) stack (weigh_observations), and
+each other observation's row is checked in turn, up to the first that
+fails. An observation whose normalizer is exactly zero cannot happen
+and passes; one whose normalizer is positive but at most the floor,
+which correct would refuse, fails; any other row is divided by its own
+normalizer, bit for bit as correct divides it. The shield evaluates
+only posteriors, each once, and walks each posterior's obligations
+once. The executed action's records come from its own walk under z,
+and its Belief and successor Monitor are the only ones built; a
+deadlock report alone walks its candidates again, through check_step.
+The tests check every decision against a brute-force reference that
+updates the belief and evaluates both beliefs' barriers one action at
+a time, for every action.
 
 The decision is a ShieldDecision, an immutable NamedTuple that the
 simulator unpacks by position in one statement; `decision._replace(...)`
@@ -51,9 +59,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SafetyDeadlock, ZeroLikelihood
-from .model import Belief, Mpomdp, correct, joint_labels, predicted_belief
+from .model import (
+    LIKELIHOOD_FLOOR, Belief, Mpomdp, correct, joint_labels, predicted_belief,
+    weigh_observations,
+)
 from .monitor import (
-    BarrierValues, Monitor, Records, barrier_values, check_step, step_passes,
+    BarrierValues, Changes, Monitor, Records, barrier_values, check_step, passing_step,
+    successor,
 )
 
 LITERAL = "literal"
@@ -61,6 +73,9 @@ CONSERVATIVE = "conservative"
 
 # Reward deviations within this distance of a level's least count as tied.
 REWARD_TIE = 1e-9
+
+# A safe candidate's passing_step: its records and its rules' changes.
+Walk = tuple[Records, Changes]
 
 
 class ShieldDecision(NamedTuple):
@@ -87,38 +102,48 @@ def _reward(belief: np.ndarray, action: int, m: Mpomdp) -> float:
     return float(np.add.reduce(belief * m.reward_rows[action]))
 
 
-def _passes_under(m: Mpomdp, mon: Monitor, predicted: np.ndarray, action: int,
-                  obs: int) -> bool:
-    """Whether the step to the posterior under obs passes; an observation
-    of zero likelihood is impossible and passes, one whose likelihood is
-    positive but at most the floor does not."""
-    try:
-        posterior = correct(predicted, action, obs, m)
-    except ZeroLikelihood as exc:
-        return exc.denominator == 0.0
-    return step_passes(mon, barrier_values(mon, posterior))
+def _passes_elsewhere(m: Mpomdp, mon: Monitor, predicted: np.ndarray, action: int,
+                      z: int) -> bool:
+    """Whether the step from predicted, the prediction after action,
+    passes under every observation but z. The prediction is weighed
+    under all of them as one stack (weigh_observations), and each row
+    is checked in observation order, up to the first that fails. An
+    observation whose normalizer is exactly zero cannot happen and is
+    skipped; one whose normalizer is positive but at most the floor, the
+    normalizer correct refuses, fails; any other row is divided by its
+    own normalizer, as correct divides it."""
+    numer, normalizers = weigh_observations(predicted, action, m)
+    for obs, normalizer in enumerate(normalizers.tolist()):
+        if obs == z or normalizer == 0.0:
+            continue
+        if normalizer <= LIKELIHOOD_FLOOR or passing_step(
+                mon, barrier_values(mon, numer[obs] / normalizer)) is None:
+            return False
+    return True
 
 
 def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int,
-           mode: str) -> tuple[np.ndarray, BarrierValues | None, bool]:
-    """One candidate action, predicted once: (row, values, safe).
+           mode: str) -> tuple[np.ndarray, BarrierValues | None, Walk | None]:
+    """One candidate action, predicted once: (row, values, walk).
 
     row is the posterior under z, or the prediction when z is impossible
     after the action (values is then None); values are the barriers at
-    the posterior; safe says whether the step passes under z and, in
-    conservative mode, under every other observation.
+    the posterior; walk is passing_step's records and changes for the
+    step under z when the candidate is safe: when that step passes and,
+    in conservative mode, the step under every other observation passes
+    too. It is None when the candidate is unsafe.
     """
     predicted = predicted_belief(b_prev, action, m)
     try:
         posterior = correct(predicted, action, z, m)
     except ZeroLikelihood:
-        return predicted, None, False
+        return predicted, None, None
     values = barrier_values(mon, posterior)
-    safe = step_passes(mon, values)
-    if safe and mode == CONSERVATIVE:
-        safe = all(_passes_under(m, mon, predicted, action, other)
-                   for other in range(m.n_joint_observations) if other != z)
-    return posterior, values, safe
+    walk = passing_step(mon, values)
+    if walk is not None and mode == CONSERVATIVE and not _passes_elsewhere(
+            m, mon, predicted, action, z):
+        walk = None
+    return posterior, values, walk
 
 
 def _barriers_after(mon: Monitor, values: BarrierValues | None) -> dict[str, float]:
@@ -156,18 +181,20 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
         raise ValueError(f"unknown shield mode: {mode!r}")
 
     nominal = _check(m, mon, b_prev, z, a_nominal, mode)
-    row, values, nominal_safe = nominal
+    row, values, walk = nominal
     # With z impossible after the nominal, row is its one-step
     # prediction, so the reference reward stays defined.
     r_n = _reward(row, a_nominal, m)
-    if nominal_safe:
+    overridden = walk is None
+    if not overridden:
         best, candidates = a_nominal, [(a_nominal, r_n)]
     else:
         checks = {a_nominal: nominal}
         for level in _levels(m.action_names, a_nominal):
             for a in level:
                 checks[a] = _check(m, mon, b_prev, z, a, mode)
-            candidates = [(a, _reward(checks[a][0], a, m)) for a in level if checks[a][2]]
+            candidates = [(a, _reward(checks[a][0], a, m)) for a in level
+                          if checks[a][2] is not None]
             if candidates:
                 break
         else:
@@ -177,8 +204,8 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
         # of the least deviation has the lowest index.
         least = min(abs(r - r_n) for _, r in candidates)
         best = next(a for a, r in candidates if abs(r - r_n) <= least + REWARD_TIE)
-        row, values, _ = checks[best]
+        row, values, walk = checks[best]
 
-    records, successor = check_step(mon, values)
-    return ShieldDecision(best, not nominal_safe, r_n, tuple(candidates), records,
-                          Belief.owning(row), successor)
+    records, changes = walk
+    return ShieldDecision(best, overridden, r_n, tuple(candidates), records,
+                          Belief.owning(row), successor(mon, changes, values))

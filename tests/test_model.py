@@ -1,10 +1,12 @@
 """Filter, encoding, and sampling checks for the model module."""
 
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefshield import (
@@ -12,11 +14,12 @@ from beliefshield import (
     shield_step,
 )
 from beliefshield.errors import ZeroLikelihood
-from beliefshield.shield import _levels, _passes_under
+from beliefshield import model
+from beliefshield.shield import _levels, _passes_elsewhere
 from beliefshield.model import (
     LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update, belief_updates,
     correct, expected_reward, flat_from_components, joint_labels,
-    predicted_belief, sample_initial_state,
+    predicted_belief, sample_initial_state, weigh_observations,
     _row_tables, _sample_index, sample_observation, sample_transition, validate_model, validate_tables,
 )
 
@@ -202,6 +205,64 @@ def test_belief_updates_give_each_row_the_bits_of_belief_update(seed, max_states
             continue
         assert normalizer > LIKELIHOOD_FLOOR
         assert posterior.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=200))
+def test_chunked_stacks_give_each_row_the_bits_of_belief_update(seed, chunk_terms):
+    # With the chunk limit patched small, one action's rows are predicted
+    # in many chunks, down to one row each; every row keeps its bits.
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, max_states=20, max_agents=2)
+    m = replace(m, transition=sparse_rows(rng, m.transition.shape),
+                observation=sparse_rows(rng, m.observation.shape))
+    k = int(rng.integers(1, 40))
+    probs = np.array([random_simplex(rng, m.n_states) for _ in range(k)])
+    actions = rng.integers(m.n_joint_actions, size=k)
+    observations = rng.integers(m.n_joint_observations, size=k)
+    with mock.patch.object(model, "CHUNK_TERMS", chunk_terms):
+        posteriors, normalizers = belief_updates(probs, actions, observations, m)
+    for row, a, z, posterior, normalizer in zip(probs, actions.tolist(), observations.tolist(),
+                                                posteriors, normalizers.tolist()):
+        try:
+            expected = belief_update(Belief(row), a, z, m).probs
+        except ZeroLikelihood as exc:
+            assert normalizer == exc.denominator
+            continue
+        assert posterior.tobytes() == expected.tobytes()
+
+
+def test_a_large_stack_is_filtered_in_bounded_memory():
+    # 1000 rows of a dense 128-state kernel are 16.4M kernel terms: held
+    # at once, with their bin indices, about 260 MB. In chunks of at
+    # most CHUNK_TERMS (2^20) terms, the peak stays near 16 MB.
+    rng = np.random.default_rng(11)
+    n, k = 128, 1000
+    transition = rng.random((n, 1, n)) + 1e-3
+    m = Mpomdp(
+        state_names=tuple(f"s{i}" for i in range(n)),
+        agent_names=("solo",),
+        action_names=(("go",),),
+        observation_names=(("z0", "z1"),),
+        initial=Belief(random_simplex(rng, n)),
+        transition=transition / transition.sum(axis=2, keepdims=True),
+        observation=np.full((n, 1, 2), 0.5),
+        reward=np.zeros((n, 1)),
+    )
+    probs = rng.random((k, n))
+    probs /= probs.sum(axis=1, keepdims=True)
+    actions = np.zeros(k, dtype=np.int64)
+    observations = rng.integers(2, size=k)
+    tracemalloc.start()
+    try:
+        posteriors, _ = belief_updates(probs, actions, observations, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    for i in (0, k // 2, k - 1):
+        expected = belief_update(Belief(probs[i]), 0, int(observations[i]), m).probs
+        assert posteriors[i].tobytes() == expected.tobytes()
 
 
 def test_validate_model_flags_bad_rows_with_indices():
@@ -410,20 +471,10 @@ def observation_block(rng, predicted: np.ndarray, kinds: list[str]) -> np.ndarra
     return block
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=3),
-       st.lists(st.sampled_from(sorted(LIKELIHOODS)), max_size=7),
-       st.integers(min_value=0, max_value=2**32 - 1))
-def test_an_observation_the_floor_refuses_passes_only_when_impossible(
-        n, n_actions, kinds, seed):
-    # The conservative shield corrects a prediction under each other
-    # observation with correct itself. The floor must split impossible
-    # from failing observations: a ZeroLikelihood of denominator 0
-    # passes, any other fails, and every posterior passes a barrier that
-    # always holds.
-    rng = np.random.default_rng(seed)
-    kinds = ["ordinary", *kinds]
-    rng.shuffle(kinds)
+def floor_model(rng, n: int, n_actions: int, kinds: list[str]) -> tuple[Mpomdp, np.ndarray]:
+    """A model with n states whose observation k has, after every action,
+    the likelihood LIKELIHOODS[kinds[k]] under the prediction it returns
+    with it (observation_block)."""
     predicted = np.zeros(n)
     if n == 1:
         predicted[0] = 1.0
@@ -442,21 +493,90 @@ def test_an_observation_the_floor_refuses_passes_only_when_impossible(
                               for _ in range(n_actions)], axis=1),
         reward=np.zeros((n, n_actions)),
     )
+    return m, predicted
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=3),
+       st.lists(st.sampled_from(sorted(LIKELIHOODS)), max_size=7),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_an_observation_the_floor_refuses_passes_only_when_impossible(
+        n, n_actions, kinds, seed):
+    # The conservative shield checks a prediction under every observation
+    # but the shared one, from one stack of their numerators. The floor
+    # must split impossible from failing observations: one correct
+    # refuses with denominator 0 passes, any other refused one fails, and
+    # every posterior passes a barrier that always holds. So the check
+    # with z left out passes exactly when every other observation does.
+    rng = np.random.default_rng(seed)
+    kinds = ["ordinary", *kinds]
+    rng.shuffle(kinds)
+    m, predicted = floor_model(rng, n, n_actions, kinds)
     a = int(rng.integers(n_actions))
     true = Always(BeliefPred("true", Constant(1.0), negated=True))
     mon = compile_monitor(true, m, MonitorConfig())
+    passes = []
     for obs, kind in enumerate(kinds):
-        passes = _passes_under(m, mon, predicted, a, obs)
         try:
             correct(predicted, a, obs, m)
         except ZeroLikelihood as exc:
             assert kind in ("zero", "below", "floor", "ordinary")
             if kind != "ordinary":
                 assert exc.denominator == LIKELIHOODS[kind]
-            assert passes is (exc.denominator == 0.0)
+            passes.append(exc.denominator == 0.0)
         else:
             assert kind in ("above", "ordinary")
-            assert passes is True
+            passes.append(True)
+    for z in range(len(kinds)):
+        expected = all(ok for obs, ok in enumerate(passes) if obs != z)
+        assert _passes_elsewhere(m, mon, predicted, a, z) is expected
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+# Sizes at numpy's pairwise-sum boundaries: 8-wide unrolled blocks, and
+# 128-entry blocks split in two.
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=3),
+       st.lists(st.sampled_from(sorted(LIKELIHOODS)), max_size=6),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(8, 1, ["zero", "below"], 1)
+@example(9, 2, ["floor", "above"], 2)
+@example(128, 1, ["ordinary", "zero"], 3)
+@example(129, 3, ["below", "above", "floor", "zero", "ordinary", "ordinary"], 4)
+@example(257, 1, [], 5)
+def test_every_observation_weighed_as_one_stack_has_the_bits_of_correct(
+        n, n_actions, kinds, seed):
+    # Row o of likelihood_rows[a] * predicted, and its row sum, are
+    # correct(predicted, a, o, m)'s numerator and normalizer; a row above
+    # the floor divided by its own sum is correct's posterior, and any
+    # other row's sum is the denominator correct refuses.
+    rng = np.random.default_rng(seed)
+    kinds = ["ordinary", *kinds]
+    rng.shuffle(kinds)
+    m, predicted = floor_model(rng, n, n_actions, kinds)
+    a = int(rng.integers(n_actions))
+    numer, normalizers = weigh_observations(predicted, a, m)
+    stack = m.likelihood_rows[a] * predicted
+    assert numer.shape == (len(kinds), n)
+    assert _bits(numer) == _bits(stack)
+    assert _bits(normalizers) == _bits(stack.sum(axis=1))
+    for obs, (kind, normalizer) in enumerate(zip(kinds, normalizers.tolist())):
+        alone = m.likelihood_rows[a][obs] * predicted
+        assert _bits(numer[obs]) == _bits(alone)
+        assert _bits(normalizer) == _bits(alone.sum())
+        if kind != "ordinary":
+            assert normalizer == LIKELIHOODS[kind]
+        try:
+            posterior = correct(predicted, a, obs, m)
+        except ZeroLikelihood as exc:
+            assert normalizer <= LIKELIHOOD_FLOOR
+            assert _bits(exc.denominator) == _bits(normalizer)
+        else:
+            assert normalizer > LIKELIHOOD_FLOOR
+            assert _bits(numer[obs] / normalizer) == _bits(posterior)
 
 
 def deterministic_model() -> Mpomdp:

@@ -40,7 +40,7 @@ from beliefshield import (
 from beliefshield.ldtl import describe, gather_leaves
 from beliefshield.errors import BeliefShieldError
 from beliefshield.monitor import (
-    barrier_values, check_step, check_steps, passed, step_passes,
+    barrier_values, check_step, check_steps, passed, passing_step, successor,
 )
 
 from conftest import evaluate_expr, monitor_step
@@ -501,15 +501,15 @@ def test_a_monitor_holds_the_barrier_values_of_the_belief_it_has_reached():
     with pytest.raises(TypeError):
         Monitor(CFG, mon.obligations)
     nxt = barrier_values(mon, b_pair(0.2, -0.4).probs)
-    _, successor = check_step(mon, nxt)
-    assert successor.values == nxt
+    _, reached = check_step(mon, nxt)
+    assert reached.values == nxt
     # The next verdict depends on the values, so equality does too: the
     # decay bound holds for 0.2 -> 0.15 but not for 0.4 -> 0.15.
-    later = barrier_values(successor, b_pair(0.15, -0.3).probs)
-    higher = replace(successor, values=barrier_values(successor, b_pair(0.4, -0.4).probs))
-    assert step_passes(successor, later)
-    assert not step_passes(higher, later)
-    assert successor != higher
+    later = barrier_values(reached, b_pair(0.15, -0.3).probs)
+    higher = replace(reached, values=barrier_values(reached, b_pair(0.4, -0.4).probs))
+    assert passing_step(reached, later) is not None
+    assert passing_step(higher, later) is None
+    assert reached != higher
 
 
 # Each dischargeable kind, with a belief path that discharges it on the
@@ -616,11 +616,11 @@ def test_barrier_values_are_left_to_right_sums_bit_for_bit(barriers, first, seco
     assert [_bits(v) for v in at_first] == [
         _bits([left_to_right(e, first.tolist()) for e in ob.barriers])
         for ob in mon.obligations]
-    _, successor = check_step(mon, at_first)
+    _, reached = check_step(mon, at_first)
     assert not any(ob.discharged for ob in mon.obligations)
-    assert [_bits(v) for v in barrier_values(successor, second)] == [
+    assert [_bits(v) for v in barrier_values(reached, second)] == [
         [] if ob.discharged else _bits([left_to_right(e, second.tolist()) for e in ob.barriers])
-        for ob in successor.obligations]
+        for ob in reached.obligations]
 
 
 @settings(max_examples=200, deadline=None)
@@ -683,8 +683,17 @@ def test_check_steps_is_check_step_step_after_step(conjuncts, warm, beliefs, cfg
     rest = beliefs[warm:]
     expected, reached = [], mon
     for b in rest:
-        records, reached = check_step(reached, barrier_values(reached, b))
+        values = barrier_values(reached, b)
+        walk = passing_step(reached, values)
+        before = reached
+        records, reached = check_step(reached, values)
         expected.append(records)
+        # passing_step is check_step's walk, stopped at a failing step.
+        if passed(records):
+            assert repr(walk[0]) == repr(records)
+            assert repr(successor(before, walk[1], values)) == repr(reached)
+        else:
+            assert walk is None
     stack = np.array(rest).reshape(len(rest), 4)
     got, got_reached = check_steps(mon, stack)
     # repr tells every float apart but NaNs, which no rule tells apart.

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monitor_step, random_model, random_simplex, shield_reference, values_at
+from conftest import (
+    count_calls, monitor_step, random_model, random_simplex, shield_reference, values_at,
+)
+from test_golden import _scenario
+from test_sim import _all_kinds_formula
 
 from beliefshield import (
     Always,
@@ -27,15 +31,20 @@ from beliefshield import (
     MonitorConfig,
     Mpomdp,
     Next,
+    RandomUniform,
     SafetyDeadlock,
+    Scenario,
     Sum,
     Until,
     belief_update,
     compile_monitor,
     expected_reward,
+    run_batch,
     shield_step,
 )
-from beliefshield.monitor import passed
+from beliefshield import monitor, sim
+from beliefshield.errors import BeliefShieldError
+from beliefshield.monitor import barrier_values, check_step, passed
 
 CFG = MonitorConfig(delta=1e-3, alpha=LinearAlpha(0.5), ft=FtParams(rho=0.9, eps=0.1))
 
@@ -464,3 +473,74 @@ def test_forced_deadlock_reports_every_action(seed, mode):
         shield_step(m, values_at(mon, b), b, z, a_nom, mode)
     assert err.value.candidate_barriers == reference_barriers(
         shield_reference(m, mon, b, z, a_nom, mode), mon)
+
+
+# --------------------------------------------------------------------------
+# Each candidate's obligations are walked once
+
+
+def audited_shield(monkeypatch) -> list[bool]:
+    """Checks, on every shield_step the simulator makes from here on,
+    that no rule walks an obligation of one posterior twice, that
+    check_step is not called, and that a passing nominal's decision
+    carries the records and successor check_step gives on its values.
+    A call that deadlocks is exempt: its report walks the candidates
+    again. Returns each checked decision's `overridden`."""
+    walked = []
+    for kind, rule in list(monitor._RULES.items()):
+        def counting(ob, prev, nxt, first, step, cfg, rule=rule):
+            # nxt is the obligation's list of barrier values at one
+            # posterior, so its identity tells posteriors apart; the list
+            # is kept alive here, so no identity is reused.
+            walked.append((ob.oid, nxt))
+            return rule(ob, prev, nxt, first, step, cfg)
+        monkeypatch.setitem(monitor._RULES, kind, counting)
+    checks = count_calls(monkeypatch, "check_step")
+    real = sim.shield_step
+    overridden = []
+
+    def checked(m, mon, b_prev, *args, **kwargs):
+        walked.clear()
+        checks.clear()
+        decision = real(m, mon, b_prev, *args, **kwargs)
+        keys = [(oid, id(nxt)) for oid, nxt in walked]
+        assert len(keys) == len(set(keys))
+        assert checks == []
+        if not decision.overridden:
+            records, reached = check_step(mon, barrier_values(mon, decision.next_belief.probs))
+            assert decision.verdict == records
+            assert decision.next_monitor == reached
+        overridden.append(decision.overridden)
+        return decision
+
+    monkeypatch.setattr(sim, "shield_step", checked)
+    return overridden
+
+
+@pytest.mark.parametrize("mode", [LITERAL, CONSERVATIVE])
+def test_each_candidate_of_a_corridor_step_is_walked_once(mode, monkeypatch):
+    scen = _scenario(f"corridor_all_kinds_{mode}").to_scenario()
+    overridden = audited_shield(monkeypatch)
+    run_batch(scen, base_seed=3, episodes=3)
+    assert True in overridden and False in overridden
+
+
+@pytest.mark.parametrize("mode", [LITERAL, CONSERVATIVE])
+def test_each_candidate_of_a_random_model_step_is_walked_once(mode, monkeypatch):
+    # Random conjunctions over random models, and the all-kinds formula,
+    # whose until and eventually discharge mid-episode; some batches
+    # deadlock, which is exempt.
+    overridden = audited_shield(monkeypatch)
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        m = with_impossible_observations(rng, random_model(rng, max_states=5))
+        monitors = [random_monitor(rng, m)]
+        try:
+            monitors.append(compile_monitor(_all_kinds_formula(m), m, CFG))
+        except BeliefShieldError:
+            pass  # the eventually's start barrier fixes no deadline
+        for mon in monitors:
+            scen = Scenario(model=m, monitor=mon, policy=RandomUniform(), shield_mode=mode,
+                            horizon=25)
+            run_batch(scen, base_seed=seed, episodes=3)
+    assert True in overridden and False in overridden

@@ -29,6 +29,7 @@ from beliefshield import (
     run_episode,
     select_action,
 )
+from beliefshield import sim
 from beliefshield.sim import (
     END_DEADLOCK,
     END_HORIZON,
@@ -40,7 +41,7 @@ from beliefshield.monitor import passed
 from beliefshield.presets import corridor_config
 from beliefshield.traceio import STEP_COLUMNS, encode_belief, read_traces, write_traces
 
-from conftest import count_calls, monitor_step, random_model
+from conftest import monitor_step, random_model
 from test_golden import EPISODES, _scenario
 
 CFG = MonitorConfig(delta=1e-3, alpha=LinearAlpha(0.5), ft=FtParams(rho=0.99, eps=0.1))
@@ -382,9 +383,24 @@ def test_carried_values_match_a_fresh_evaluation_of_both_beliefs(model, mode, mo
                          max_states=5)
         scen = Scenario(model=m, monitor=compile_monitor(_all_kinds_formula(m), m, CFG),
                         policy=RandomUniform(), shield_mode=mode, horizon=25)
-    checks = count_calls(monkeypatch, "check_step")
+    # The monitor each step's verdict came with: check_step's successor
+    # unshielded, the decision's next_monitor under the shield.
+    successor = {}
+    real_check, real_shield = sim.check_step, sim.shield_step
+
+    def checking(mon, values):
+        verdict, reached = real_check(mon, values)
+        successor[id(verdict)] = reached
+        return verdict, reached
+
+    def shielding(*args, **kwargs):
+        decision = real_shield(*args, **kwargs)
+        successor[id(decision.verdict)] = decision.next_monitor
+        return decision
+
+    monkeypatch.setattr(sim, "check_step", checking)
+    monkeypatch.setattr(sim, "shield_step", shielding)
     result = run_batch(scen, base_seed=3, episodes=4)
-    successor = {id(verdict): mon for _, (verdict, mon) in checks}
     steps = inactive = 0
     for trace in result.traces:
         mon, belief = scen.monitor, trace.initial_belief
