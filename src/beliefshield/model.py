@@ -26,9 +26,7 @@ of one action at once: each row's prediction terms go to bins of its
 own, in the same order, and each row's normalizer is the sum of its own
 contiguous row, so every row has the bits belief_update gives it.
 It predicts at most CHUNK_TERMS kernel terms at once, so its
-temporaries stay bounded however many rows a stack has. The
-conservative shield weighs one prediction under every observation the
-same way (weigh_observations).
+temporaries stay bounded however many rows a stack has.
 
 Sampling is an inverse-CDF draw over successor tables that the model
 builds once, when it is constructed: one per transition row (q, a), one
@@ -376,8 +374,7 @@ def _predict(probs: np.ndarray, action: int, m: Mpomdp) -> np.ndarray:
 def _weigh(predicted: np.ndarray, action: int, obs, m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
     """The correction's numerator observation[q', a, z] * predicted(q')
     and normalizer, the numerator's sum: of a predicted vector and an
-    observation, of a predicted vector and every observation (obs a
-    full slice), or of each row of a C-contiguous (k, n) stack and its
+    observation, or of each row of a C-contiguous (k, n) stack and its
     own entry of a (k,) array of observations. A row's sum is that of
     its vector alone, as numpy sums each contiguous row pairwise by its
     length."""
@@ -402,15 +399,6 @@ def correct(predicted: np.ndarray, action: int, obs: int, m: Mpomdp) -> np.ndarr
     if denom <= LIKELIHOOD_FLOOR:
         raise ZeroLikelihood(action, obs, float(denom))
     return numer / denom
-
-
-def weigh_observations(predicted: np.ndarray, action: int,
-                       m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
-    """correct's numerator and normalizer under every observation at
-    once: a (Z, n) stack whose row z is correct(predicted, action, z,
-    m)'s numerator, and the (Z,) row sums, each that observation's
-    normalizer bit for bit. No row is divided or refused here."""
-    return _weigh(predicted, action, slice(None), m)
 
 
 def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:

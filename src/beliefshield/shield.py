@@ -31,20 +31,19 @@ the filter's own two steps: predicted_belief once, then correct under
 z. The step to that posterior is walked once, by the monitor's
 passing_step, which stops at the first obligation that fails and
 otherwise returns the step's records and the changes its rules make.
-In conservative mode, once z passes, the same prediction is weighed
-under every observation as one (Z, n) stack (weigh_observations), and
-each other observation's row is checked in turn, up to the first that
-fails. An observation whose normalizer is exactly zero cannot happen
-and passes; one whose normalizer is positive but at most the floor,
-which correct would refuse, fails; any other row is divided by its own
-normalizer, bit for bit as correct divides it. The shield evaluates
-only posteriors, each once, and walks each posterior's obligations
-once. The executed action's records come from its own walk under z,
-and its Belief and successor Monitor are the only ones built; a
-deadlock report alone walks its candidates again, through check_step.
-The tests check every decision against a brute-force reference that
-updates the belief and evaluates both beliefs' barriers one action at
-a time, for every action.
+In conservative mode, once z passes, the same prediction goes through
+correct under each other observation in turn, and each posterior's
+step is walked the same way, up to the first that fails. An
+observation correct refuses with ZeroLikelihood passes when its
+likelihood is exactly zero (it cannot happen) and fails when it is
+positive but at most the floor. The shield evaluates only posteriors,
+each once, and walks each posterior's obligations once. The executed
+action's records come from its own walk under z, and its Belief and
+successor Monitor are the only ones built; a deadlock report alone
+walks its candidates again, through check_step. The tests check every
+decision against a brute-force reference that updates the belief and
+evaluates both beliefs' barriers one action at a time, for every
+action.
 
 The decision is a ShieldDecision, an immutable NamedTuple that the
 simulator unpacks by position in one statement; `decision._replace(...)`
@@ -59,10 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SafetyDeadlock, ZeroLikelihood
-from .model import (
-    LIKELIHOOD_FLOOR, Belief, Mpomdp, correct, joint_labels, predicted_belief,
-    weigh_observations,
-)
+from .model import Belief, Mpomdp, correct, joint_labels, predicted_belief
 from .monitor import (
     BarrierValues, Changes, Monitor, Records, barrier_values, check_step, passing_step,
     successor,
@@ -105,19 +101,20 @@ def _reward(belief: np.ndarray, action: int, m: Mpomdp) -> float:
 def _passes_elsewhere(m: Mpomdp, mon: Monitor, predicted: np.ndarray, action: int,
                       z: int) -> bool:
     """Whether the step from predicted, the prediction after action,
-    passes under every observation but z. The prediction is weighed
-    under all of them as one stack (weigh_observations), and each row
-    is checked in observation order, up to the first that fails. An
-    observation whose normalizer is exactly zero cannot happen and is
-    skipped; one whose normalizer is positive but at most the floor, the
-    normalizer correct refuses, fails; any other row is divided by its
-    own normalizer, as correct divides it."""
-    numer, normalizers = weigh_observations(predicted, action, m)
-    for obs, normalizer in enumerate(normalizers.tolist()):
-        if obs == z or normalizer == 0.0:
+    passes under every observation but z, checked in observation order
+    up to the first that fails. An observation of zero likelihood is
+    impossible and passes, one whose likelihood is positive but at most
+    the floor does not."""
+    for obs in range(m.n_joint_observations):
+        if obs == z:
             continue
-        if normalizer <= LIKELIHOOD_FLOOR or passing_step(
-                mon, barrier_values(mon, numer[obs] / normalizer)) is None:
+        try:
+            posterior = correct(predicted, action, obs, m)
+        except ZeroLikelihood as exc:
+            if exc.denominator == 0.0:
+                continue
+            return False
+        if passing_step(mon, barrier_values(mon, posterior)) is None:
             return False
     return True
 

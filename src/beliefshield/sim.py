@@ -140,12 +140,6 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
                 episode: int = 0) -> Trace:
     m = scenario.model
     belief, mon = m.initial, scenario.monitor
-    # Resolved once per episode: a fixed action needs no per-step call.
-    policy = scenario.policy
-    fixed = policy.action if isinstance(policy, FixedAction) else None
-    mode = scenario.shield_mode
-    shielded = mode != SHIELD_OFF
-    abort = scenario.abort_on_violation
     state = sample_initial_state(m, rng)
     initial_state = state
     steps: list[TraceStep] = []
@@ -153,11 +147,11 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
     end_detail: dict = {}
 
     for step in range(1, scenario.horizon + 1):
-        a_nom = fixed if fixed is not None else select_action(policy, belief, m, rng)
+        a_nom = select_action(scenario.policy, belief, m, rng)
         q_nom = sample_transition(state, a_nom, m, rng)
         z = sample_observation(q_nom, a_nom, m, rng)
 
-        if not shielded:
+        if scenario.shield_mode == SHIELD_OFF:
             executed, overridden = a_nom, False
             nominal_reward: float | None = None
             candidate_rewards: tuple[tuple[int, float], ...] = ()
@@ -171,7 +165,7 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
             next_state = q_nom
         else:
             try:
-                decision = shield_step(m, mon, belief, z, a_nom, mode=mode)
+                decision = shield_step(m, mon, belief, z, a_nom, mode=scenario.shield_mode)
             except SafetyDeadlock as exc:
                 end_reason = END_DEADLOCK
                 end_detail = {"step": exc.step,
@@ -187,7 +181,7 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
             float(m.reward[state, executed]), nominal_reward, candidate_rewards))
         state, belief = next_state, b_next
 
-        if abort and not passed(verdict):
+        if scenario.abort_on_violation and not passed(verdict):
             end_reason = END_VIOLATION_ABORT
             break
 

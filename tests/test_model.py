@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefshield import (
@@ -19,7 +19,7 @@ from beliefshield.shield import _levels, _passes_elsewhere
 from beliefshield.model import (
     LIKELIHOOD_FLOOR, SIMPLEX_ATOL, Belief, Mpomdp, belief_update, belief_updates,
     correct, expected_reward, flat_from_components, joint_labels,
-    predicted_belief, sample_initial_state, weigh_observations,
+    predicted_belief, sample_initial_state,
     _row_tables, _sample_index, sample_observation, sample_transition, validate_model, validate_tables,
 )
 
@@ -471,10 +471,21 @@ def observation_block(rng, predicted: np.ndarray, kinds: list[str]) -> np.ndarra
     return block
 
 
-def floor_model(rng, n: int, n_actions: int, kinds: list[str]) -> tuple[Mpomdp, np.ndarray]:
-    """A model with n states whose observation k has, after every action,
-    the likelihood LIKELIHOODS[kinds[k]] under the prediction it returns
-    with it (observation_block)."""
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=3),
+       st.lists(st.sampled_from(sorted(LIKELIHOODS)), max_size=7),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_an_observation_the_floor_refuses_passes_only_when_impossible(
+        n, n_actions, kinds, seed):
+    # The conservative shield corrects a prediction under every other
+    # observation with correct itself. The floor must split impossible
+    # from failing observations: a ZeroLikelihood of denominator 0
+    # passes, any other fails, and every posterior passes a barrier that
+    # always holds. So the check with z left out passes exactly when
+    # every other observation does.
+    rng = np.random.default_rng(seed)
+    kinds = ["ordinary", *kinds]
+    rng.shuffle(kinds)
     predicted = np.zeros(n)
     if n == 1:
         predicted[0] = 1.0
@@ -493,25 +504,6 @@ def floor_model(rng, n: int, n_actions: int, kinds: list[str]) -> tuple[Mpomdp, 
                               for _ in range(n_actions)], axis=1),
         reward=np.zeros((n, n_actions)),
     )
-    return m, predicted
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=3),
-       st.lists(st.sampled_from(sorted(LIKELIHOODS)), max_size=7),
-       st.integers(min_value=0, max_value=2**32 - 1))
-def test_an_observation_the_floor_refuses_passes_only_when_impossible(
-        n, n_actions, kinds, seed):
-    # The conservative shield checks a prediction under every observation
-    # but the shared one, from one stack of their numerators. The floor
-    # must split impossible from failing observations: one correct
-    # refuses with denominator 0 passes, any other refused one fails, and
-    # every posterior passes a barrier that always holds. So the check
-    # with z left out passes exactly when every other observation does.
-    rng = np.random.default_rng(seed)
-    kinds = ["ordinary", *kinds]
-    rng.shuffle(kinds)
-    m, predicted = floor_model(rng, n, n_actions, kinds)
     a = int(rng.integers(n_actions))
     true = Always(BeliefPred("true", Constant(1.0), negated=True))
     mon = compile_monitor(true, m, MonitorConfig())
@@ -530,53 +522,6 @@ def test_an_observation_the_floor_refuses_passes_only_when_impossible(
     for z in range(len(kinds)):
         expected = all(ok for obs, ok in enumerate(passes) if obs != z)
         assert _passes_elsewhere(m, mon, predicted, a, z) is expected
-
-
-def _bits(x) -> bytes:
-    return np.asarray(x, dtype=np.float64).tobytes()
-
-
-# Sizes at numpy's pairwise-sum boundaries: 8-wide unrolled blocks, and
-# 128-entry blocks split in two.
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=3),
-       st.lists(st.sampled_from(sorted(LIKELIHOODS)), max_size=6),
-       st.integers(min_value=0, max_value=2**32 - 1))
-@example(8, 1, ["zero", "below"], 1)
-@example(9, 2, ["floor", "above"], 2)
-@example(128, 1, ["ordinary", "zero"], 3)
-@example(129, 3, ["below", "above", "floor", "zero", "ordinary", "ordinary"], 4)
-@example(257, 1, [], 5)
-def test_every_observation_weighed_as_one_stack_has_the_bits_of_correct(
-        n, n_actions, kinds, seed):
-    # Row o of likelihood_rows[a] * predicted, and its row sum, are
-    # correct(predicted, a, o, m)'s numerator and normalizer; a row above
-    # the floor divided by its own sum is correct's posterior, and any
-    # other row's sum is the denominator correct refuses.
-    rng = np.random.default_rng(seed)
-    kinds = ["ordinary", *kinds]
-    rng.shuffle(kinds)
-    m, predicted = floor_model(rng, n, n_actions, kinds)
-    a = int(rng.integers(n_actions))
-    numer, normalizers = weigh_observations(predicted, a, m)
-    stack = m.likelihood_rows[a] * predicted
-    assert numer.shape == (len(kinds), n)
-    assert _bits(numer) == _bits(stack)
-    assert _bits(normalizers) == _bits(stack.sum(axis=1))
-    for obs, (kind, normalizer) in enumerate(zip(kinds, normalizers.tolist())):
-        alone = m.likelihood_rows[a][obs] * predicted
-        assert _bits(numer[obs]) == _bits(alone)
-        assert _bits(normalizer) == _bits(alone.sum())
-        if kind != "ordinary":
-            assert normalizer == LIKELIHOODS[kind]
-        try:
-            posterior = correct(predicted, a, obs, m)
-        except ZeroLikelihood as exc:
-            assert normalizer <= LIKELIHOOD_FLOOR
-            assert _bits(exc.denominator) == _bits(normalizer)
-        else:
-            assert normalizer > LIKELIHOOD_FLOOR
-            assert _bits(numer[obs] / normalizer) == _bits(posterior)
 
 
 def deterministic_model() -> Mpomdp:
