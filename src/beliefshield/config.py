@@ -28,6 +28,14 @@ transition entry and one observation entry.
 Rows are validated as written (each must already sum to 1 within 1e-9,
 with no negative entry) and only then renormalized exactly.
 
+Each table (transition, observation, reward) is filled from its entry
+list in bulk: one pass gathers every entry's state, joint action and
+numbers, the (state, joint action) pairs are counted with one
+`np.bincount`, and the table is written with one assignment. When any
+entry is faulty, the error is the one the first faulty entry in file
+order gives, read on its own after the entries before it, with the
+same text and path.
+
 Rules on names and settings live in the constructors (`check_names`,
 `MonitorConfig`, `ScenarioConfig`); this module checks the YAML shape:
 types, keys, coverage, stochastic rows and finite numbers.
@@ -39,13 +47,16 @@ sequence is filled as its events arrive, and an alias is the object its
 anchor built. Each distinct scalar (text and implicit flags) is
 resolved once, by YAML 1.1's rules and the exponent resolver below, and
 built once by the loader's own constructor. An explicit tag other than
-`!`, a merge key `<<` or value key `=`, an unhashable key, a duplicate
-anchor, an undefined alias or a second document goes to `yaml.load`,
-whose value or error stands. A date that does not exist, such as a
-plain `2001-02-30`, is a ConfigError at its line and column, and so is
-a collection nested deeper than `parsing.MAX_NESTING` levels: the
-reader reads on to the end of a file it leaves to `yaml.load`, so no
-file that holds one reaches it.
+`!`, a merge key `<<` or value key `=`, an unhashable key, a repeated
+key, a duplicate anchor, an undefined alias or a second document goes
+to `yaml.load`, whose value or error stands. A mapping key equal to an
+earlier explicit key of its mapping, which PyYAML would let override
+it, is an error of the loader (`_UniqueKeys`): "found duplicate key",
+at the mapping's start and at the first such key in the file. A date
+that does not exist, such as a plain `2001-02-30`, is a ConfigError at
+its line and column, and so is a collection nested deeper than
+`parsing.MAX_NESTING` levels: the reader reads on to the end of a file
+it leaves to `yaml.load`, so no file that holds one reaches it.
 """
 
 from __future__ import annotations
@@ -54,7 +65,9 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import yaml
@@ -72,10 +85,51 @@ from .sim import (
 )
 
 
-class _YamlLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+_VALUE_TAG = "tag:yaml.org,2002:value"
+
+
+class _UniqueKeys:
+    """A loader mixin that refuses a mapping key equal to an earlier
+    explicit key of its mapping, where PyYAML keeps the later value, in
+    PyYAML's words for an unhashable key. A key merged in with `<<` may
+    still be overridden.
+
+    The document's node graph is walked in file order before it is
+    built, so the error is at the first repeated key in the file: the
+    constructor itself builds nested mappings breadth first."""
+
+    def construct_document(self, node):
+        seen = set()
+        todo = [node]
+        while todo:
+            item = todo.pop()
+            if type(item) is tuple:  # (mapping node, its keys so far, key node)
+                mapping, keys, key_node = item
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE_TAG:
+                    # A value key `=` is built as the string it spells.
+                    key = (key_node.value if key_node.tag == _VALUE_TAG
+                           else self.construct_object(key_node))
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", mapping.start_mark,
+                            "found duplicate key", key_node.start_mark)
+                    keys.add(key)
+            elif item not in seen:  # an alias is its anchor's node
+                seen.add(item)
+                if isinstance(item, yaml.SequenceNode):
+                    todo.extend(reversed(item.value))
+                elif isinstance(item, yaml.MappingNode):
+                    keys = set()
+                    for key_node, value_node in reversed(item.value):
+                        todo += [value_node, key_node, (item, keys, key_node)]
+        return super().construct_document(node)
+
+
+class _YamlLoader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """The safe loader on libyaml's parser when PyYAML was built with it
     (several times faster on large tables), else on the pure-Python one;
-    both build the same data."""
+    both build the same data. A repeated mapping key is an error."""
 
 
 class _YamlDumper(yaml.SafeDumper):
@@ -210,6 +264,11 @@ def _build(loader):
         if key is _IN_LIST:
             top.append(value)
         elif key is _NO_KEY:
+            # A repeated key, which `yaml.load` refuses: at that key
+            # unless an error it meets first, composing the whole
+            # document, stands.
+            if value in top:
+                return _fallback(loader, len(stack))
             key = value
         else:
             top[key] = value
@@ -395,6 +454,10 @@ def _joint_observation_labels(observation_names) -> list[str]:
     return [OBS_JOIN.join(names) for names in joint_labels(observation_names)]
 
 
+# An entry without an action covers every joint action.
+_EVERY = object()
+
+
 class _JointIndex:
     """Name lookup for states and joint actions/observations."""
 
@@ -405,13 +468,16 @@ class _JointIndex:
         self.joint_action_index = {
             label: flat for flat, label in enumerate(joint_labels(action_names))}
         self.n_joint_actions = len(self.joint_action_index)
-        self.joint_obs_index = {
-            label: flat for flat, label in enumerate(_joint_observation_labels(observation_names))}
+        self.labels = {"state": self.state_index, "joint observation": {
+            label: flat for flat, label in enumerate(_joint_observation_labels(observation_names))}}
 
-    def state(self, name, path: str) -> int:
-        if name not in self.state_index:
-            raise ConfigError(f"unknown state {name!r}", path)
-        return self.state_index[name]
+    def find(self, what: str, name, path: str) -> int:
+        """The index of a `what` ("state" or "joint observation") label.
+        Any other name is unknown, an unhashable one included."""
+        try:
+            return self.labels[what][name]
+        except (KeyError, TypeError):
+            raise ConfigError(f"unknown {what} {name!r}", path) from None
 
     def joint_action(self, value, path: str) -> int:
         if (not isinstance(value, list) or len(value) != len(self.action_names)
@@ -423,47 +489,138 @@ class _JointIndex:
                 raise ConfigError(f"unknown action {name!r} for agent {i}", f"{path}[{i}]")
         return self.joint_action_index[tuple(value)]
 
-    def joint_observation(self, label, path: str) -> int:
-        if label not in self.joint_obs_index:
-            raise ConfigError(f"unknown joint observation {label!r}", path)
-        return self.joint_obs_index[label]
-
     def actions_for(self, entry: dict, path: str) -> list[int]:
         if "action" in entry:
             return [self.joint_action(entry["action"], f"{path}.action")]
         return list(range(self.n_joint_actions))
 
 
-def _dist_row(index, width: int, dist, path: str) -> np.ndarray:
-    """A non-empty map label -> probability as a row of `width`."""
-    if not isinstance(dist, dict) or not dist:
+def _floats(values: list) -> np.ndarray | None:
+    """`values` as one float64 array, each read as `_number` reads it,
+    or None when `_number` refuses one of them."""
+    if set(map(type, values)) <= {float}:
+        out = np.array(values, dtype=np.float64)
+        return out if np.isfinite(out).all() else None
+    try:
+        return np.array([_number(v, "") for v in values], dtype=np.float64)
+    except ConfigError:
+        return None
+
+
+def _gather(entries: list, idx: _JointIndex, key_from: str, key_value: str,
+            column: str | None) -> tuple[np.ndarray, ...] | None:
+    """One pass over the entries: each entry's state index, its joint
+    action index (-1 for a whole row) and its number of values, and each
+    value's column and number, as (states, actions, widths, columns,
+    numbers). A number entry is one value in column 0. None when any
+    entry is faulty; `_first_fault` then says which."""
+    keys = {key_from, "action", key_value}
+    if not (all(map(isinstance, entries, repeat(dict)))
+            and all(map(keys.issuperset, entries))):
+        return None
+    count = len(entries)
+    joint = idx.joint_action_index
+
+    def action(names) -> int:
+        if names is _EVERY:
+            return -1
+        if not isinstance(names, list):
+            raise TypeError
+        return joint[tuple(names)]
+
+    values = [entry.get(key_value) for entry in entries]
+    try:
+        states = np.fromiter(map(idx.state_index.__getitem__,
+                                 [entry.get(key_from) for entry in entries]), np.intp, count)
+        actions = np.fromiter(map(action, [entry.get("action", _EVERY) for entry in entries]),
+                              np.intp, count)
+        if column is None:
+            widths, columns = np.ones(count, np.intp), np.zeros(count, np.intp)
+        elif all(map(isinstance, values, repeat(dict))) and all(values):
+            widths = np.fromiter(map(len, values), np.intp, count)
+            columns = np.fromiter(map(idx.labels[column].__getitem__, chain.from_iterable(values)),
+                                  np.intp, int(widths.sum()))
+            values = list(chain.from_iterable(map(dict.values, values)))
+        else:
+            return None
+    except (KeyError, TypeError):  # an unknown or unhashable name, or not a list of names
+        return None
+    numbers = _floats(values)
+    return None if numbers is None else (states, actions, widths, columns, numbers)
+
+
+def _check_value(value, column: str | None, idx: _JointIndex, path: str) -> None:
+    """Refuse an entry's value as the entry alone is read: a number, or
+    a non-empty map of `column` labels to numbers, each number checked
+    before its label."""
+    if column is None:
+        _number(value, path)
+        return
+    if not isinstance(value, dict) or not value:
         raise ConfigError("expected a non-empty probability map", path)
-    row = np.zeros(width)
-    for name, value in dist.items():
+    for name, p in value.items():
         where = f"{path}.{name}"
-        row[index(name, where)] = _number(value, where)
-    return row
+        _number(p, where)
+        idx.find(column, name, where)
 
 
-def _fill_rows(table: np.ndarray, entries, idx: _JointIndex, key_from: str,
-               key_value: str, read_value, path: str, noun: str = "entry") -> np.ndarray:
-    """Fill a (state, joint action, ...) table from config entries, each
-    {key_from: state, action?, key_value: value}, and return the mask of
-    (state, joint action) pairs they cover."""
-    covered = np.zeros(table.shape[:2], dtype=bool)
+def _first_fault(entries: list, idx: _JointIndex, key_from: str, key_value: str,
+                 column: str | None, path: str, noun: str) -> NoReturn:
+    """Raise for the first faulty entry in file order: each entry is
+    checked as it alone is read (its keys, state, value and action), and
+    its pairs against those of the entries before it."""
+    covered = set()
     for i, entry in enumerate(entries):
         here = f"{path}[{i}]"
         _mapping(entry, (key_from, "action", key_value), here)
-        q = idx.state(entry.get(key_from), f"{here}.{key_from}")
-        value = read_value(entry.get(key_value), f"{here}.{key_value}")
+        q = idx.find("state", entry.get(key_from), f"{here}.{key_from}")
+        _check_value(entry.get(key_value), column, idx, f"{here}.{key_value}")
         for a in idx.actions_for(entry, here):
-            if covered[q, a]:
+            if (q, a) in covered:
                 raise ConfigError(
                     f"duplicate {noun} for state {entry[key_from]!r}, "
                     f"joint action {a}", here)
-            covered[q, a] = True
-            table[q, a] = value
-    return covered
+            covered.add((q, a))
+    raise AssertionError(f"{path}: refused as a whole, but no entry is faulty")
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, ..., c - 1 for each count c, end to end."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _fill_rows(table: np.ndarray, entries: list, idx: _JointIndex, key_from: str,
+               key_value: str, column: str | None, path: str,
+               noun: str = "entry") -> np.ndarray:
+    """Fill a (state, joint action, ...) table from config entries, each
+    {key_from: state, action?, key_value: value}, and return the mask of
+    (state, joint action) pairs they cover. Each value is a row: a map
+    of `column` labels ("state" or "joint observation") to
+    probabilities, or with column None one number.
+
+    The entries are gathered in one pass, the pairs they cover counted
+    with one `np.bincount` (a pair covered twice is a duplicate, also
+    when one whole-row entry repeats) and the table written with one
+    assignment. On a fault, `_first_fault` raises for the first faulty
+    entry."""
+    gathered = _gather(entries, idx, key_from, key_value, column)
+    if gathered is not None:
+        states, actions, widths, columns, numbers = gathered
+        n, na = table.shape[:2]
+        width = table.size // (n * na)
+        # Each entry covers `reps` pairs from its first: one, or a whole
+        # row's na.
+        whole = actions < 0
+        first = states * na + np.where(whole, 0, actions)
+        reps = np.where(whole, na, 1)
+        coverage = np.bincount(np.repeat(first, reps) + _ranks(reps), minlength=n * na)
+        if coverage.max(initial=0) <= 1:
+            # Each number goes to its column in each of its entry's pairs.
+            copies = np.repeat(reps, widths)
+            at = np.repeat(np.repeat(first, widths) * width + columns, copies)
+            table.reshape(-1)[at + _ranks(copies) * width] = np.repeat(numbers, copies)
+            return coverage.reshape(n, na) == 1
+    _first_fault(entries, idx, key_from, key_value, column, path, noun)
 
 
 def parse_config(data, source: str = "<config>") -> ScenarioConfig:
@@ -479,25 +636,24 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
         _require(data, "agents", source), "agents")
     idx = _JointIndex(states, action_names, observation_names)
     n, na = len(states), idx.n_joint_actions
-    nz = len(idx.joint_obs_index)
+    nz = len(idx.labels["joint observation"])
 
     initial_raw = _require(data, "initial", source)
     if not isinstance(initial_raw, dict) or not initial_raw:
         raise ConfigError("expected a non-empty map state -> probability", "initial")
     p0 = np.zeros(n)
     for name, value in initial_raw.items():
-        p0[idx.state(name, f"initial.{name}")] = _number(value, f"initial.{name}")
+        p0[idx.find("state", name, f"initial.{name}")] = _number(value, f"initial.{name}")
 
     transition = np.zeros((n, na, n))
     observation = np.zeros((n, na, nz))
-    for key, table, key_from, key_value, index in (
-            ("transition", transition, "from", "next", idx.state),
-            ("observation", observation, "next", "dist", idx.joint_observation)):
+    for key, table, key_from, key_value, column in (
+            ("transition", transition, "from", "next", "state"),
+            ("observation", observation, "next", "dist", "joint observation")):
         entries = _require(data, key, source)
         if not isinstance(entries, list) or not entries:
             raise ConfigError("expected a non-empty list of entries", key)
-        covered = _fill_rows(table, entries, idx, key_from, key_value,
-                             partial(_dist_row, index, table.shape[2]), key)
+        covered = _fill_rows(table, entries, idx, key_from, key_value, column, key)
         missing = np.argwhere(~covered)
         if missing.size:
             q, a = missing[0]
@@ -509,7 +665,7 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
     entries = [] if data.get("reward") is None else data["reward"]
     if not isinstance(entries, list):
         raise ConfigError("expected a list of entries", "reward")
-    _fill_rows(reward, entries, idx, "state", "value", _number, "reward", noun="reward")
+    _fill_rows(reward, entries, idx, "state", "value", None, "reward", noun="reward")
 
     violations = validate_tables(p0, transition, observation)
     if violations:

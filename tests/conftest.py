@@ -4,9 +4,10 @@ match bit for bit, the recursive finite-trace `oracle_satisfies` that
 the oracle's columns match, and `monitor_step`, which evaluates both
 beliefs of a step afresh), the independent two-pass posterior oracle
 the filter is checked against, the one-action-at-a-time brute-force
-reference the shield's rule is checked against, counters of monitor
-compilations and barrier evaluations, and the editing of trace lines
-and of the beliefs they record."""
+reference the shield's rule is checked against, the entry-by-entry
+table fill the scenario reader's bulk fill is held to, counters of
+monitor compilations and barrier evaluations, and the editing of trace
+lines and of the beliefs they record."""
 
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 from beliefshield import CONSERVATIVE, LITERAL, monitor
-from beliefshield.errors import ZeroLikelihood
+from beliefshield.config import _mapping, _number
+from beliefshield.errors import ConfigError, ZeroLikelihood
 from beliefshield.ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference, Eventually,
     Formula, Max, Min, Next, Or, Product, StateSet, Sum, Until,
@@ -355,3 +357,39 @@ def shield_reference(m: Mpomdp, mon: Monitor, b: Belief, z: int, a_nominal: int,
     else:
         r_n = nominal.reward
     return ShieldReference(r_n, tuple(checks))
+
+
+def _reference_row(idx, column: str, width: int, dist, path: str) -> np.ndarray:
+    """A non-empty map label -> probability as a row of `width`."""
+    if not isinstance(dist, dict) or not dist:
+        raise ConfigError("expected a non-empty probability map", path)
+    row = np.zeros(width)
+    for name, value in dist.items():
+        where = f"{path}.{name}"
+        row[idx.find(column, name, where)] = _number(value, where)
+    return row
+
+
+def reference_fill_rows(table: np.ndarray, entries, idx, key_from: str, key_value: str,
+                        column: str | None, path: str, noun: str = "entry") -> np.ndarray:
+    """`config._fill_rows` one entry at a time: each entry is checked
+    and written in file order, and the first fault raised where it is
+    met. The reference the bulk fill is held to, with its signature."""
+    covered = np.zeros(table.shape[:2], dtype=bool)
+    for i, entry in enumerate(entries):
+        here = f"{path}[{i}]"
+        _mapping(entry, (key_from, "action", key_value), here)
+        q = idx.find("state", entry.get(key_from), f"{here}.{key_from}")
+        where = f"{here}.{key_value}"
+        if column is None:
+            value = _number(entry.get(key_value), where)
+        else:
+            value = _reference_row(idx, column, table.shape[2], entry.get(key_value), where)
+        for a in idx.actions_for(entry, here):
+            if covered[q, a]:
+                raise ConfigError(
+                    f"duplicate {noun} for state {entry[key_from]!r}, "
+                    f"joint action {a}", here)
+            covered[q, a] = True
+            table[q, a] = value
+    return covered

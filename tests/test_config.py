@@ -51,7 +51,7 @@ from beliefshield.ldtl import (
 from beliefshield.parsing import MAX_NESTING
 from beliefshield.presets import FORMULA, corridor_config
 
-from conftest import count_calls
+from conftest import count_calls, reference_fill_rows
 
 
 def base_config() -> dict:
@@ -683,8 +683,10 @@ def test_invalid_yaml_is_a_config_error_with_either_loader(loader, tmp_path, mon
         load_config(bad)
 
 
-# The scenario loader itself and PyYAML's two loader bases.
-READERS = [config._YAML_LOADER] + LOADERS
+# The scenario loader itself and, as references, PyYAML's two loader
+# bases with its refusal of a repeated key added, each named as its base.
+READERS = [config._YAML_LOADER] + [
+    type(base.__name__, (config._UniqueKeys, base), {}) for base in LOADERS]
 
 
 def outcome(read, text: str):
@@ -909,6 +911,69 @@ def test_an_impossible_date_is_a_config_error_at_its_scalar(loader, date, reason
     path.write_text(yaml_text(base_config(), name="!!str pair", seed=date))
     with pytest.raises(ConfigError, match=f"^{path}: not valid YAML: {reason}$"):
         load_config(path)
+
+
+CORRIDOR_TEXT = (CONFIGS / "corridor.yaml").read_text()
+FIRST_NEXT = "  next:\n    a0_h1: 0.14250000000000002\n"
+
+
+# Each edit of the corridor's text repeats a key, and gives the
+# (line, column) where the repeated key's mapping starts and where the
+# key is met again.
+def _repeated_horizon(text):
+    return text + "horizon: 3\n", (1, 1), (text.count("\n") + 1, 1)
+
+
+def _repeated_predicate(text):
+    lines = text.splitlines()
+    first = lines.index("predicates:") + 2
+    at = first + lines[first - 1:].index("  at_goal: 0.5 - (b(a3_h1) + b(a3_h2))")
+    return (text.replace("predicates:\n", "predicates:\n  at_goal: 0.5 - b(a3_h1)\n"),
+            (first, 3), (at + 1, 3))
+
+
+def _repeated_state(text):
+    line = text[:text.index(FIRST_NEXT)].count("\n") + 2
+    return (text.replace(FIRST_NEXT, FIRST_NEXT + "    a0_h1: 0.5\n", 1),
+            (line, 5), (line + 1, 5))
+
+
+def _repeated_in_a_tagged_file(text):
+    text, mapping, key = _repeated_horizon(text)
+    return text.replace("name: corridor\n", "name: !!str corridor\n", 1), mapping, key
+
+
+@pytest.mark.parametrize("loader", READERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("edit", [_repeated_horizon, _repeated_predicate, _repeated_state,
+                                  _repeated_in_a_tagged_file],
+                         ids=["horizon", "predicate", "state-in-next", "tagged-file"])
+def test_a_repeated_key_is_refused_where_it_is_met_again(edit, loader, tmp_path, monkeypatch):
+    monkeypatch.setattr(config, "_YAML_LOADER", loader)
+    text, (line, column), (key_line, key_column) = edit(CORRIDOR_TEXT)
+    path = tmp_path / "repeated.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: not valid YAML: while constructing a mapping\n")
+    context, problem = message.split("\nfound duplicate key\n")
+    assert f", line {line}, column {column}" in context
+    assert f", line {key_line}, column {key_column}" in problem
+    # Read by the loader itself, the file is refused in the same words.
+    with pytest.raises(yaml.YAMLError) as direct:
+        yaml.load(text, Loader=loader)
+    assert message == f"{path}: not valid YAML: {direct.value}"
+
+
+@pytest.mark.parametrize("loader", READERS, ids=lambda loader: loader.__name__)
+def test_an_explicit_key_still_overrides_a_merged_one(loader, tmp_path, monkeypatch):
+    monkeypatch.setattr(config, "_YAML_LOADER", loader)
+    path = tmp_path / "merged.yaml"
+    path.write_text(CORRIDOR_TEXT.replace(
+        "monitor:\n  delta: 0.001\n",
+        "monitor:\n  <<: {delta: 0.002, eps: 0.2}\n  delta: 0.003\n", 1))
+    cfg = load_config(path)
+    assert (cfg.monitor.delta, cfg.monitor.ft.eps) == (0.003, 0.1)
 
 
 # --------------------------------------------------------------------------
@@ -1248,3 +1313,160 @@ def test_what_the_api_builds_round_trips_through_a_file(spec, tmp_path_factory):
     assert_same_config(back, cfg)
     write_config(back, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+# --------------------------------------------------------------------------
+# The bulk table fill, held to the per-entry reference
+
+
+# Each table's entry keys: (state key, value key).
+FILL_TABLES = {"transition": ("from", "next"), "observation": ("next", "dist"),
+               "reward": ("state", "value")}
+
+
+class Entry(dict):
+    """A mapping type of its own, which the reader takes as any dict."""
+
+
+class Weight(float):
+    """A number type of its own, which the reader takes as any float."""
+
+
+# What `_number` refuses, and other number types: it takes np.float64,
+# a float subclass and an int, and refuses np.float32 and np.int64.
+BAD_NUMBERS = [True, "0.5", None, [0.5], float("nan"), float("inf"), float("-inf"), 10**400]
+ODD_NUMBERS = [np.float64(0.25), Weight(0.25), 0, np.float32(0.25), np.int64(0)]
+
+
+def _number_edit(draw, entry, key_value):
+    value = draw(st.sampled_from(BAD_NUMBERS + ODD_NUMBERS))
+    if key_value == "value":
+        entry["value"] = value
+    elif isinstance(entry.get(key_value), dict) and entry[key_value]:
+        entry[key_value][draw(st.sampled_from(list(entry[key_value])))] = value
+
+
+def _label_edit(draw, entry, key_value):
+    if isinstance(entry.get(key_value), dict):
+        entry[key_value][draw(st.sampled_from(["nowhere", 3, None, ("s0",)]))] = 0.0
+
+
+def _collapse(entries, i, key_from, key_value):
+    """Replace every entry of entries[i]'s state by one whole-row entry
+    with entries[i]'s value, where the first of them was."""
+    if key_from not in entries[i]:
+        return
+    state = entries[i][key_from]
+    same = [j for j, e in enumerate(entries) if isinstance(e, dict) and e.get(key_from) == state]
+    whole = {key_from: state, key_value: copy.deepcopy(entries[i][key_value])}
+    for j in reversed(same):
+        del entries[j]
+    entries.insert(same[0], whole)
+
+
+# Edits of one entry, each (draw, entries, i, state key, value key).
+# "dict-subclass" and "collapse" keep a file valid, and so may
+# "number" and "whole-row"; every other edit is a fault.
+ENTRY_EDITS = {
+    "not-a-mapping": lambda draw, es, i, kf, kv: es.__setitem__(
+        i, draw(st.sampled_from([None, "entry", [1], 0.5]))),
+    "unknown-key": lambda draw, es, i, kf, kv: es[i].__setitem__("bogus", 1),
+    "no-state": lambda draw, es, i, kf, kv: es[i].pop(kf, None),
+    "unknown-state": lambda draw, es, i, kf, kv: es[i].__setitem__(
+        kf, draw(st.sampled_from(["nowhere", ["s0"], 0, None]))),
+    "value": lambda draw, es, i, kf, kv: es[i].__setitem__(
+        kv, draw(st.sampled_from([0.5, {}, "x", None, ["s0"], {"s0": 1.0}]))),
+    "number": lambda draw, es, i, kf, kv: _number_edit(draw, es[i], kv),
+    "unknown-label": lambda draw, es, i, kf, kv: _label_edit(draw, es[i], kv),
+    "action": lambda draw, es, i, kf, kv: es[i].__setitem__("action", draw(st.sampled_from(
+        [None, "a0_0", [], ["fly"], ["a0_0", "a0_0", "a0_0"], ("a0_0",), [["a0_0"]],
+         ["a0_0"], ["a0_0", "a1_0"], ["a0_1", "a1_0"]]))),
+    "whole-row": lambda draw, es, i, kf, kv: es[i].pop("action", None),
+    "duplicate": lambda draw, es, i, kf, kv: es.insert(
+        draw(st.integers(0, len(es))), copy.deepcopy(es[i])),
+    "drop": lambda draw, es, i, kf, kv: es.pop(i),
+    "dict-subclass": lambda draw, es, i, kf, kv: es.__setitem__(i, Entry(es[i])),
+    "collapse": lambda draw, es, i, kf, kv: _collapse(es, i, kf, kv),
+}
+
+
+def fill_data(spec: dict) -> dict:
+    return config_to_dict(build_scenario({**PAIR_SPEC, "policy": "greedy", **spec}))
+
+
+@st.composite
+def fill_cases(draw) -> dict:
+    """A dyadic scenario's mapping with 0-3 edits of its table entries."""
+    agents = [(f"agent{i}", [f"a{i}_{j}" for j in range(draw(st.integers(1, 3)))],
+               [f"z{i}_{j}" for j in range(draw(st.integers(1, 2)))])
+              for i in range(draw(st.integers(1, 2)))]
+    data = fill_data({"states": [f"s{i}" for i in range(draw(st.integers(1, 4)))],
+                      "agents": agents, "tables": draw(st.integers(0, 2**32 - 1))})
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(FILL_TABLES)))
+        entries = data.get(key) or []
+        if not entries:
+            continue
+        i = draw(st.integers(0, len(entries) - 1))
+        edit = draw(st.sampled_from(sorted(ENTRY_EDITS)))
+        if isinstance(entries[i], dict) or edit in ("not-a-mapping", "duplicate", "drop"):
+            ENTRY_EDITS[edit](draw, entries, i, *FILL_TABLES[key])
+    return data
+
+
+def parse_outcome(data):
+    """The config parse_config builds from data, or its error's text."""
+    try:
+        return parse_config(data, source="drawn")
+    except ConfigError as exc:
+        return str(exc)
+
+
+def edited(data: dict, edit) -> dict:
+    edit(data)
+    return data
+
+
+def _repeat_whole_row(data, later: dict | None = None, before: bool = False) -> None:
+    """Collapse the pair scenario's first transition state into a whole
+    row, then add `later` (a copy of that row by default) after it, or
+    before it."""
+    _collapse(data["transition"], 0, "from", "next")
+    extra = copy.deepcopy(data["transition"][0]) if later is None else later
+    data["transition"].insert(0 if before else len(data["transition"]), extra)
+
+
+_PAIR_DATA = fill_data({})
+_ACTION_ENTRY = copy.deepcopy(_PAIR_DATA["transition"][1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=fill_cases())
+@example(data=edited(fill_data({}), lambda d: d["transition"][0]["next"].update(
+    good=np.float64(d["transition"][0]["next"].get("good", 0.0)))))
+@example(data=edited(fill_data({}), lambda d: d["observation"].__setitem__(
+    1, Entry(d["observation"][1]))))
+@example(data=edited(fill_data({}), lambda d: d["reward"][0].update(value=True)))
+@example(data=edited(fill_data({}), lambda d: d["transition"][1]["next"].update(
+    bad=float("nan"))))
+@example(data=edited(fill_data({}), lambda d: d["observation"][0]["dist"].update(
+    {"hot+ping": 10**400})))
+@example(data=edited(fill_data({}), _repeat_whole_row))
+@example(data=edited(fill_data({}), lambda d: _repeat_whole_row(d, _ACTION_ENTRY)))
+@example(data=edited(fill_data({}), lambda d: _repeat_whole_row(d, _ACTION_ENTRY, True)))
+@example(data=edited(fill_data({}), lambda d: (
+    d["transition"][0].update(next="x"), d["transition"].append(d["transition"][1]))))
+@example(data=fill_data({"states": [f"s{i}" for i in range(48)], "agents": [
+    ("runner", ["go", "wait", "turn"], ["hot", "cold"]),
+    ("watcher", ["scan", "rest"], ["ping", "pong"])]}))
+def test_the_bulk_fill_gives_the_per_entry_fill_or_its_error(data):
+    got = parse_outcome(data)
+    with mock.patch.object(config, "_fill_rows", reference_fill_rows):
+        expected = parse_outcome(data)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    for table in ("transition", "observation", "reward"):
+        assert getattr(got.model, table).tobytes() == getattr(expected.model, table).tobytes()
+    assert_same_config(got, expected)
