@@ -13,47 +13,44 @@ there the first step's records' oids and kinds stand for them (see
 Pass 1 replays the belief chain of every episode of the batch at once,
 in lockstep (`_Lockstep`). At step t, the rows of every episode still
 in lockstep are replayed from the beliefs it holds, as one stack of K
-rows (`model.belief_updates`, grouped by action). A row stays in lockstep
-only while its indices are in range, its normalizer is above
-LIKELIHOOD_FLOOR and its recorded belief is the replayed row's encoding
-(`traceio.matches_encoding`, one base64 pass over the stack; a version
-1 list must decode to the row's bytes). Every row in lockstep started
-from the initial belief and has the bits of each recorded belief before
-it, so, by induction, the sequential replay gives those beliefs too:
-they are verified with error 0.0, and no belief of a clean trace is
-decoded. At the rows that stay, the monitor's barriers and the
-formula's belief atoms are evaluated from one gather of their leaves
-(`ldtl.gather_leaves`, one leaf table for both), and their values are
-kept in one column over the batch's steps; the beliefs themselves are
-not kept. An episode that leaves the lockstep at
-step k + 1 runs the sequential replay from its kth belief, decoded from
-its bit-exact recorded string: each step's indices are checked, its
-belief is recomputed from the last one with `belief_update` and
-compared with the recorded one, and the pass stops at the first fault,
-and holds it. An untampered trace is verified whole by the lockstep,
-and `belief_update` is never called.
+rows (`model.belief_updates`, grouped by action), each with the bits
+the one-belief filter gives it. A row whose indices are in range, whose
+normalizer is above LIKELIHOOD_FLOOR and whose recorded belief is the
+replayed row's encoding (`traceio.matches_encoding`, one base64 pass
+over the stack; a version 1 list must decode to the row's bytes) is
+verified with error 0.0, so no belief of a clean trace is decoded. Any
+other row is checked on its own, in this order: its executed action,
+observation and next state must be in range (`config.checked_index`),
+its normalizer must be above LIKELIHOOD_FLOOR (else TraceMismatch with
+an infinite error), and its recorded belief must lie within 1e-9 of
+the replayed one. A row that passes stays in lockstep, and its episode
+goes on from the replayed belief, as a replay one step at a time
+would; at the first row that fails, the episode leaves the lockstep
+and the fault is held for its finish. At the rows that stay, the
+monitor's barriers and the formula's belief atoms are evaluated from
+one gather of their leaves (`ldtl.gather_leaves`, one leaf table for
+both), and their values are kept in one column over the batch's steps;
+the beliefs themselves are not kept.
 
-Then each episode is finished in file order. Pass 2 of an episode the
-lockstep verified whole walks its range of the barrier columns with
-`monitor.walk_steps`, the rule walk `monitor.check_steps` also ends
-with; that of any other episode is `check_steps` on the (T, n) stack
-of the beliefs its pass 1 replayed. Either gives check_step's records
-step after step, bit for bit. Each step's records are then compared
-with the recorded verdict, which raises for a malformed one, and only
-then is pass 1's fault raised. Within a step the checks run in the
-order index, belief, verdict, and pass 2 covers every step before the
-first index or belief fault, so the first fault in an episode is the
-one raised; the episodes are finished in file order, so the first
-fault in the file is, as in one pass over the file.
+Then each episode is finished in file order. Pass 2 walks the
+episode's range of the barrier columns, up to its first fault, with
+`monitor.walk_steps`, which gives check_step's records step after step,
+bit for bit. Each step's records are then compared with the recorded
+verdict, which raises for a malformed one, and only then is pass 1's
+fault raised. Within a step the checks run in the order index, belief,
+verdict, and pass 2 covers every step before the first index or belief
+fault, so the first fault in an episode is the one raised; the
+episodes are finished in file order, so the first fault in the file
+is, as in one pass over the file.
 
-The header's initial belief, held to the model's, and each belief of
-a sequential replay are compared one at a time: a version 2 or 3
-string that is the replayed belief's encoding (`traceio.encode_belief`)
-has error 0.0 and is not decoded; any other is decoded by its episode's
-trace version, which rejects a malformed one. A recorded belief whose
-bytes equal the replayed belief's has error 0.0; otherwise the error is
-the largest entry-wise deviation, and one beyond 1e-9, or not finite,
-raises TraceMismatch.
+The header's initial belief, held to the model's, and a step's
+recorded belief that has not the replayed bits are compared one at a
+time: a version 2 or 3 string that is the replayed belief's encoding
+(`traceio.encode_belief`) has error 0.0 and is not decoded; any other
+is decoded by its episode's trace version, which rejects a malformed
+one. A recorded belief whose bytes equal the replayed belief's has
+error 0.0; otherwise the error is the largest entry-wise deviation, and
+one beyond 1e-9, or not finite, raises TraceMismatch.
 
 Verdict records are compared in order, position by position, as the
 writer lists them in the monitor's obligation order, so a file whose
@@ -80,10 +77,8 @@ is its hidden states, the initial one first, and the beliefs held, the
 initial belief first. `oracle_satisfies` folds each conjunct once over
 the batch's words, laid end to end (`ldtl.fold_oracle`), from the
 belief atoms' truths the lockstep kept, and reports each word's first
-position, which an episode the lockstep verified whole reads; any other
-episode's word is folded alone, from its replayed beliefs. Each word is read on its
-own, equal at every position to the recursive oracle the tests keep as
-the reference.
+position. Each word is read on its own, equal at every position to the
+recursive oracle the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -96,21 +91,20 @@ import numpy as np
 
 from ._gc import paused_gc
 from .config import ScenarioConfig, checked_index
-from .errors import ConfigError, TraceMismatch, ZeroLikelihood
+from .errors import ConfigError, TraceMismatch
 from .ldtl import (
-    And, Formula, atom_truth, belief_atom_column, belief_atoms, compile_expr, evaluate_columns,
-    fold_oracle, gather_leaves, leaf_table,
+    And, Formula, atom_truth, belief_atoms, compile_expr, evaluate_columns, fold_oracle,
+    gather_leaves, leaf_table,
 )
-from .model import LIKELIHOOD_FLOOR, Belief, belief_update, belief_updates
-from .monitor import Monitor, Records, check_steps, walk_steps
+from .model import LIKELIHOOD_FLOOR, Mpomdp, belief_updates
+from .monitor import Monitor, Records, walk_steps
 from .traceio import (
     STEP_COLUMNS, EpisodeRecord, encode_belief, matches_encoding, recorded_belief,
 )
 
 BELIEF_TOL = 1e-9
 
-_NEXT_STATE, _BELIEF, _VERDICT = (STEP_COLUMNS.index(c)
-                                  for c in ("next_state", "belief", "verdict"))
+_VERDICT = STEP_COLUMNS.index("verdict")
 # What a recorded barrier may be for the replayed verdict to be accepted
 # by equality: _same_record holds any other type to differ.
 _BARRIER_TYPES = (float, type(None))
@@ -169,6 +163,27 @@ def _belief_error(value, ep: EpisodeRecord, probs: np.ndarray, step: int | None)
     if recorded == probs.tobytes():
         return 0.0
     return float(np.max(np.abs(np.frombuffer(recorded, "<f8") - probs)))
+
+
+def _row_error(ep: EpisodeRecord, row: list, normalizer: float, probs: np.ndarray,
+               m: Mpomdp) -> float:
+    """The belief error of a step row of ep whose recorded belief has not
+    the bits of probs, the belief replayed under the row's action and
+    observation with that normalizer. Raises ConfigError for an index out
+    of range, and TraceMismatch for a normalizer at most LIKELIHOOD_FLOOR
+    or an error beyond BELIEF_TOL, in that order."""
+    step, _, _, action, _, obs, state, value, *_ = row
+    where = _where(ep, step)
+    checked_index(action, m.n_joint_actions, "executed action", where)
+    checked_index(obs, m.n_joint_observations, "observation", where)
+    checked_index(state, m.n_states, "next state", where)
+    if not normalizer > LIKELIHOOD_FLOOR:
+        raise TraceMismatch(ep.episode, step, float("inf"))
+    err = _belief_error(value, ep, probs, step)
+    # Negated, so that a NaN deviation fails too.
+    if not err <= BELIEF_TOL:
+        raise TraceMismatch(ep.episode, step, err)
+    return err
 
 
 def _same_detail(recorded, replayed: str) -> bool:
@@ -298,15 +313,15 @@ class _Lockstep:
 
     At step t the rows of every episode still in lockstep are replayed
     from the beliefs the lockstep holds as one stack
-    (`model.belief_updates`). A row stays only while its indices are in
-    range, its normalizer is above LIKELIHOOD_FLOOR and its recorded
-    belief has the replayed bits (`_same_bits`); the sequential replay
-    from the initial belief gives those beliefs too, by induction. At
-    the rows that stay, one gather reads the leaves of every barrier
-    and belief atom, and each barrier's value and each atom's truth are
-    kept, each episode's steps and word positions in one range of their
-    columns over the batch; the beliefs are not. Afterwards each
-    conjunct's oracle is folded once over the batch's words."""
+    (`model.belief_updates`). A row whose recorded belief has the
+    replayed bits (`_same_bits`) stays with error 0.0; any other stays
+    only while `_row_error` passes it, and its episode's first fault is
+    held in `faults`. At the rows that stay, one gather reads the leaves
+    of every barrier and belief atom, and each barrier's value and each
+    atom's truth are kept, each episode's steps and word positions in
+    one range of their columns over the batch; the beliefs are not.
+    Afterwards each conjunct's oracle is folded once over the batch's
+    words."""
 
     def __init__(self, cfg: ScenarioConfig, episodes: list[EpisodeRecord]):
         m, start = cfg.model, cfg.start_monitor
@@ -320,8 +335,11 @@ class _Lockstep:
         first_step = np.concatenate(([0], np.cumsum(lengths)))
         word_start = first_step[:-1] + np.arange(len(episodes))
         self.first_step = first_step.tolist()
-        # The steps of each episode the lockstep verified.
+        # The steps of each episode the lockstep verified, the largest
+        # belief error among them, and the fault that ended them, if any.
         self.verified = lengths.tolist()
+        self.max_error = [0.0] * len(episodes)
+        self.faults: list[Exception | None] = [None] * len(episodes)
         states = np.zeros(len(episodes) + first_step[-1], dtype=np.min_scalar_type(m.n_states))
         states[word_start] = [_lenient_index(ep.header.get("initial_state"), m.n_states)
                               for ep in episodes]
@@ -347,16 +365,23 @@ class _Lockstep:
             for atom, f in zip(atoms, atom_values):
                 truths[id(atom)][word_start] = atom_truth(atom, evaluate_columns(f, leaves))[0]
             while len(at):
-                _, _, _, actions, _, observations, next_states, values, *_ = zip(
-                    *[steps[i][step] for i in at.tolist()])
+                rows = [steps[i][step] for i in at.tolist()]
+                _, _, _, actions, _, observations, next_states, values, *_ = zip(*rows)
                 indices, valid = _indices((actions, observations, next_states), bounds)
                 posteriors, normalizers = belief_updates(beliefs, indices[0], indices[1], m)
                 step += 1
                 replayed = valid & (normalizers > LIKELIHOOD_FLOOR)
                 replayed &= _same_bits(values, versions[at], posteriors)
                 if not replayed.all():
-                    for i in at[~replayed].tolist():
-                        self.verified[i] = step - 1
+                    for j in np.flatnonzero(~replayed).tolist():
+                        i = int(at[j])
+                        try:
+                            err = _row_error(episodes[i], rows[j], normalizers[j], posteriors[j], m)
+                        except (ConfigError, TraceMismatch) as exc:
+                            self.verified[i], self.faults[i] = step - 1, exc
+                        else:
+                            self.max_error[i] = max(self.max_error[i], err)
+                            replayed[j] = True
                     at, posteriors, indices = at[replayed], posteriors[replayed], indices[:, replayed]
                 at_steps = first_step[at] + (step - 1)
                 leaves = gather_leaves(table, posteriors).T
@@ -378,10 +403,11 @@ class _Lockstep:
                        for conjunct in _conjuncts(cfg.formula)]
 
     def walk(self, i: int, start: Monitor) -> tuple[list[Records], Monitor]:
-        """Pass 2 of episode i, verified whole by the lockstep: its
-        records and the monitor reached, from its range of the barrier
+        """Pass 2 of episode i: the records of the steps the lockstep
+        verified and the monitor reached, from its range of the barrier
         columns."""
-        lo, hi = self.first_step[i], self.first_step[i + 1]
+        lo = self.first_step[i]
+        hi = lo + self.verified[i]
         return walk_steps(start, [[c[lo:hi].tolist() for c in cols] for cols in self.columns],
                           hi - lo)
 
@@ -400,55 +426,10 @@ def oracle_satisfies(phi: Formula, states: np.ndarray, truths: dict[int, np.ndar
     return column[starts].tolist()
 
 
-def _replay(cfg: ScenarioConfig, ep: EpisodeRecord, verified: int, max_err: float
-            ) -> tuple[np.ndarray, list[int], float, Exception | None]:
-    """Pass 1 of an episode that left the lockstep after `verified`
-    steps: the beliefs of those steps, decoded from their recorded bits,
-    then the sequential replay from the last of them, up to the first
-    faulty index or belief. Returns the (T + 1, n) stack of the beliefs
-    replayed, the initial one first, the next states, the largest belief
-    error and the fault met, if any."""
-    m = cfg.model
-    states, raw = [], []
-    for row in ep.steps[:verified]:
-        states.append(row[_NEXT_STATE])
-        raw.append(recorded_belief(row[_BELIEF], ep.version, m.n_states, ""))
-    # The initial belief, then the recorded ones, as native float64,
-    # which "<f8" is on a little-endian machine.
-    chain = np.frombuffer(b"".join([m.initial.probs.astype("<f8").tobytes(), *raw]), "<f8")
-    chain = chain.astype(float, copy=False).reshape(len(raw) + 1, m.n_states)
-    belief = m.initial if not verified else Belief(chain[-1])
-    beliefs = []
-    fault = None
-    try:
-        for row in ep.steps[verified:]:
-            step, _, _, action, _, obs, state, value, _, _, _, _ = row
-            where = _where(ep, step)
-            action = checked_index(action, m.n_joint_actions, "executed action", where)
-            obs = checked_index(obs, m.n_joint_observations, "observation", where)
-            state = checked_index(state, m.n_states, "next state", where)
-            try:
-                belief = belief_update(belief, action, obs, m)
-            except ZeroLikelihood as exc:
-                raise TraceMismatch(ep.episode, step, float("inf")) from exc
-            err = _belief_error(value, ep, belief.probs, step)
-            max_err = max(max_err, err)
-            if not err <= BELIEF_TOL:
-                raise TraceMismatch(ep.episode, step, err)
-            beliefs.append(belief.probs)
-            states.append(state)
-    except (ConfigError, TraceMismatch) as exc:
-        fault = exc
-    if beliefs:
-        chain = np.concatenate((chain, beliefs))
-    return chain, states, max_err, fault
-
-
 def _finish(cfg: ScenarioConfig, ep: EpisodeRecord, batch: _Lockstep, i: int) -> EpisodeAudit:
-    """The audit of episode i of the batch: its header, then pass 2 and
-    the oracle from the batch's columns where the lockstep verified it
-    whole; otherwise pass 1 from where the lockstep left it, and pass 2
-    and the oracle on its own beliefs."""
+    """The audit of episode i of the batch: its header, then pass 2 from
+    the batch's columns, up to the fault pass 1 held, if any, which is
+    raised after the verdicts before it are compared."""
     m = cfg.model
     start = cfg.start_monitor
     _check_obligations(ep, start)
@@ -456,26 +437,11 @@ def _finish(cfg: ScenarioConfig, ep: EpisodeRecord, batch: _Lockstep, i: int) ->
     # Negated, so that a NaN deviation fails too.
     if not max_err <= BELIEF_TOL:
         raise TraceMismatch(ep.episode, 0, max_err)
-    initial_state = checked_index(ep.header.get("initial_state"), m.n_states,
-                                  "initial state", _where(ep, None))
+    checked_index(ep.header.get("initial_state"), m.n_states, "initial state",
+                  _where(ep, None))
 
-    fault = None
-    if batch.verified[i] == len(ep.steps):
-        steps_records, mon = batch.walk(i, start)
-        oracle = [column[i] for column in batch.oracle]
-    else:
-        chain, states, max_err, fault = _replay(cfg, ep, batch.verified[i], max_err)
-        # Pass 2: the verdicts of the steps pass 1 replayed, all at once
-        # from the stack of their beliefs.
-        steps_records, mon = check_steps(start, chain[1:])
-        states = np.array([initial_state, *states], dtype=np.intp)
-        with np.errstate(over="ignore", invalid="ignore"):
-            truths = {id(atom): belief_atom_column(atom, chain)
-                      for atom in belief_atoms(cfg.formula)}
-        ends = np.array([len(chain)])
-        oracle = [oracle_satisfies(conjunct, states, truths, ends)[0]
-                  for conjunct in _conjuncts(cfg.formula)]
-
+    steps_records, mon = batch.walk(i, start)
+    oracle = [column[i] for column in batch.oracle]
     oids = [ob.oid for ob in start.obligations]
     failed: set[str] = set()
     mismatches: list[str] = []
@@ -488,15 +454,15 @@ def _finish(cfg: ScenarioConfig, ep: EpisodeRecord, batch: _Lockstep, i: int) ->
         for oid, (status, _, _) in zip(oids, records):
             if status == "fail":
                 failed.add(oid)
-    if fault is not None:
-        raise fault
+    if batch.faults[i] is not None:
+        raise batch.faults[i]
 
     pending = set(mon.pending())
     return EpisodeAudit(
         episode=ep.episode,
         steps=len(ep.steps),
         end_reason=ep.end.get("reason", ""),
-        max_belief_error=max_err,
+        max_belief_error=max(max_err, batch.max_error[i]),
         obligations=tuple(
             ObligationAudit(oid=ob.oid, label=ob.label, clean=ob.oid not in failed,
                             discharged=ob.oid not in pending, oracle=holds)

@@ -342,6 +342,10 @@ class ScenarioConfig:
                 raise ConfigError(f"expected an integer >= {lower}", key)
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("expected a non-empty string", "name")
+        # A run's files are named after the scenario, inside its --out.
+        if self.name in (".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ConfigError(f"{self.name!r} is not a file name: no '/', '\\' or NUL, "
+                              "and not '.' or '..'", "name")
         if not isinstance(self.policy, NominalPolicy):
             raise ConfigError(f"expected a FixedAction, GreedyReward or RandomUniform, "
                               f"got {self.policy!r}", "policy")
@@ -757,6 +761,16 @@ def parse_config(data, source: str = "<config>") -> ScenarioConfig:
         raise ConfigError(str(exc), "formula") from exc
 
 
+def _name_marks(exc: Exception, name: str) -> None:
+    """Make the marks of a YAML error name the file `name`: the reader
+    parses the file's text, so its marks name a string."""
+    for attr in ("context_mark", "problem_mark"):
+        mark = getattr(exc, attr, None)
+        if mark is not None:
+            setattr(exc, attr, yaml.Mark(name, mark.index, mark.line, mark.column,
+                                         mark.buffer, mark.pointer))
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Load and check a scenario file, read as UTF-8 whatever the
     locale."""
@@ -772,6 +786,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
             data = _read_yaml(text)
         # A ValueError is an impossible date that `yaml.load` built.
         except (yaml.YAMLError, ValueError) as exc:
+            _name_marks(exc, str(path))
             raise ConfigError(f"not valid YAML: {exc}", str(path)) from exc
         if isinstance(data, dict) and "name" not in data:
             data = {**data, "name": path.stem}

@@ -28,12 +28,13 @@ for their witness or failure no further than the word's end.
 
 compile_expr turns an expression into one generated Python function, a
 flat sequence of assignments with one local per inner node, of a list of
-floats. A belief atom compiles its expression over its own leaf table
-on first use, so only the oracle pays for it, for its truth at each row
-of a stack of beliefs (belief_atom_column). A monitor compiles each barrier
-with a lookup that reads each sum of entries as one leaf (leaf_table),
-and applies it to the leaf values one np.bincount gathers from the
-belief array (gather_leaves; see `monitor`). evaluate_columns runs the
+floats. oracle_columns compiles each belief atom's expression over its
+own leaf table, for its truth at each row of a stack of beliefs; the
+audit compiles the atoms over the leaf table its barriers read. A
+monitor compiles each barrier with a lookup that reads each sum of
+entries as one leaf (leaf_table), and applies it to the leaf values one
+np.bincount gathers from the belief array (gather_leaves; see
+`monitor`). evaluate_columns runs the
 same generated code on columns: each leaf reads a row of a 2-D array,
 one column per position, +, - and * act elementwise, and min and max are
 rebound to folds that pick, position by position, the operand the
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from types import FunctionType
 from typing import Callable, Sequence, Union
 
@@ -368,13 +368,6 @@ class BeliefPred:
     expr: BeliefExpr
     negated: bool = False
 
-    @cached_property
-    def leaf_form(self) -> tuple[LeafTable, Evaluator]:
-        """The leaf table of expr and expr compiled over its leaf values,
-        on first use, which only belief_atom_column makes."""
-        table, leaf = leaf_table([self.expr])
-        return table, compile_expr(self.expr, leaf)
-
 
 @dataclass(frozen=True, init=False)
 class _Chain:
@@ -527,17 +520,6 @@ def belief_atoms(phi: Formula) -> list[BeliefPred]:
     return list(atoms.values())
 
 
-def belief_atom_column(atom: BeliefPred, beliefs: np.ndarray) -> np.ndarray:
-    """The atom's truth at each row of beliefs, an (N, n) float64 stack,
-    as a boolean array. It reads only the belief entries its expression
-    names, through its leaf table (`BeliefPred.leaf_form`): one
-    np.bincount sums each of its sums of entries at every row. Run under
-    `np.errstate(over="ignore", invalid="ignore")`, as evaluate_columns
-    is."""
-    table, f = atom.leaf_form
-    return atom_truth(atom, evaluate_columns(f, gather_leaves(table, beliefs).T))
-
-
 def atom_truth(atom: BeliefPred, value: np.ndarray) -> np.ndarray:
     """Where a belief atom holds, from its expression's values: below 0,
     or at or above 0 when negated. A NaN value is false under both
@@ -588,9 +570,17 @@ def oracle_columns(phi: Formula, states: np.ndarray, beliefs: np.ndarray,
     at each. Position i's entry is the truth of phi at position i of the
     word of those letters. With ends, the positions are words laid end
     to end (see fold_oracle), and each position's entry is its own
-    word's."""
+    word's. Each belief atom reads only the entries its expression
+    names, through its own leaf table: one np.bincount sums each of its
+    sums of entries at every position."""
+
+    def truth(atom: BeliefPred) -> np.ndarray:
+        table, leaf = leaf_table([atom.expr])
+        return atom_truth(atom, evaluate_columns(compile_expr(atom.expr, leaf),
+                                                 gather_leaves(table, beliefs).T))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        return fold_oracle(phi, states, lambda atom: belief_atom_column(atom, beliefs), ends)
+        return fold_oracle(phi, states, truth, ends)
 
 
 # --------------------------------------------------------------------------

@@ -68,21 +68,16 @@ such a sum directly from the list of leaf values at the position the
 monitor's leaf lookup gives it, and barrier_values applies them to one
 belief's list.
 
-check_steps is the same check over a whole run of transitions, for the
-audit, which holds an episode's beliefs as one (T, n) stack. One gather
-reads the leaf values of every row, and each barrier is evaluated once
-as a column over all rows (`ldtl.evaluate_columns`). walk_steps then
-walks each active obligation's rule in _RULES over its steps on the
-columns' floats, up to the one that discharges it, so every rule is
-written once. An obligation is replaced only where its rule changes
+walk_steps is the same check over a whole run of transitions, for the
+audit, which evaluates the barriers itself at each step of its lockstep
+and keeps each barrier's values as a column over the batch's steps.
+walk_steps walks each active obligation's rule in _RULES over its steps
+on the columns' floats, up to the one that discharges it, so every rule
+is written once. An obligation is replaced only where its rule changes
 it, and the monitor reached is built once, at the end. The records and
 the monitor reached are those of check_step step after step, bit for
-bit. The audit of a batch evaluates the barriers itself, at each step
-of its lockstep, and calls walk_steps on each episode's range of the
-columns it keeps over the batch. check_step and passing_step stay for
-the simulator and the shield, which decide one transition at a time:
-on the shipped corridor, check_steps on a single transition costs
-about four times what barrier_values and check_step cost together.
+bit. check_step and passing_step stay for the simulator and the shield,
+which decide one transition at a time.
 
 compile_monitor refuses an eventually obligation whose barrier at the
 initial belief fixes no reach deadline (NaN, -inf, or so far below 0
@@ -102,8 +97,7 @@ from .errors import BeliefShieldError, UnsupportedNesting
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
     Eventually, Evaluator, Formula, LeafTable, Max, Min, Next, Or, StateSet, Sum,
-    Until, compile_expr, describe, evaluate_columns, gather_leaves, is_propositional,
-    leaf_table,
+    Until, compile_expr, describe, gather_leaves, is_propositional, leaf_table,
 )
 from .model import Mpomdp
 
@@ -454,28 +448,6 @@ def walk_steps(mon: Monitor, columns: list[list[list[float]]], t: int
         obligations.append(ob)
     return ([list(step_records) for step_records in zip(*steps)],
             Monitor(cfg, mon.leaves, tuple(obligations), values, mon.step_count + t))
-
-
-def check_steps(mon: Monitor, beliefs: np.ndarray) -> tuple[list[Records], Monitor]:
-    """The records of every step and the monitor reached, for the T
-    transitions from the belief mon has reached through each row of
-    beliefs, a (T, n) float64 stack, in turn: what T successive
-    check_step calls, each on barrier_values of the next row, return,
-    bit for bit. No records and mon itself for T = 0.
-
-    One gather reads every row's leaf values (`ldtl.gather_leaves`),
-    each barrier is evaluated once over all rows as a column
-    (`ldtl.evaluate_columns`), and walk_steps walks each active
-    obligation's rule along the columns' floats."""
-    t = len(beliefs)
-    if not t:
-        return [], mon
-    leaves = gather_leaves(mon.leaves, beliefs).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = [[] if ob.discharged else [evaluate_columns(f, leaves).tolist()
-                                             for f in ob.evaluators]
-                   for ob in mon.obligations]
-    return walk_steps(mon, columns, t)
 
 
 def passed(records: Records) -> bool:

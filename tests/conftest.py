@@ -5,9 +5,10 @@ the oracle's columns match, and `monitor_step`, which evaluates both
 beliefs of a step afresh), the independent two-pass posterior oracle
 the filter is checked against, the one-action-at-a-time brute-force
 reference the shield's rule is checked against, the entry-by-entry
-table fill the scenario reader's bulk fill is held to, counters of
-monitor compilations and barrier evaluations, and the editing of trace
-lines and of the beliefs they record."""
+table fill the scenario reader's bulk fill is held to, the step-by-step
+audit the lockstep audit is held to, counters of monitor compilations
+and barrier evaluations, and the editing of trace lines and of the
+beliefs they record."""
 
 from __future__ import annotations
 
@@ -22,8 +23,11 @@ import numpy as np
 import pytest
 
 from beliefshield import CONSERVATIVE, LITERAL, monitor
-from beliefshield.config import _mapping, _number
-from beliefshield.errors import ConfigError, ZeroLikelihood
+from beliefshield.audit import (
+    EpisodeAudit, ObligationAudit, _check_obligations, _verdict_mismatches,
+)
+from beliefshield.config import ScenarioConfig, _mapping, _number, checked_index
+from beliefshield.errors import ConfigError, TraceMismatch, ZeroLikelihood
 from beliefshield.ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference, Eventually,
     Formula, Max, Min, Next, Or, Product, StateSet, Sum, Until,
@@ -32,7 +36,7 @@ from beliefshield.model import (
     Belief, Mpomdp, belief_update, expected_reward, predicted_belief,
 )
 from beliefshield.monitor import Monitor, Records, barrier_values, check_step, passed
-from beliefshield.traceio import STEP_COLUMNS, encode_belief
+from beliefshield.traceio import STEP_COLUMNS, EpisodeRecord, encode_belief, recorded_belief
 
 # A version 3 step row's column positions by name.
 COLUMN = {name: i for i, name in enumerate(STEP_COLUMNS)}
@@ -78,12 +82,13 @@ def edit_trace(path: Path, out: Path, episode: int, step: int | None, edit) -> P
     return out
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Every call of `beliefshield.monitor.<name>` from here on, through
-    whichever beliefshield module's name for it; each entry is a
-    returning call's positional arguments and its result."""
+def count_calls(monkeypatch, name: str, module=monitor) -> list:
+    """Every call of `module.<name>` (a `beliefshield.monitor` function
+    by default) from here on, through whichever beliefshield module's
+    name for it; each entry is a returning call's positional arguments
+    and its result."""
     calls = []
-    real = getattr(monitor, name)
+    real = getattr(module, name)
 
     def counting(*args):
         result = real(*args)
@@ -393,3 +398,66 @@ def reference_fill_rows(table: np.ndarray, entries, idx, key_from: str, key_valu
             covered[q, a] = True
             table[q, a] = value
     return covered
+
+
+def _reference_error(value, ep: EpisodeRecord, probs: np.ndarray, where: str) -> float:
+    """The largest deviation of a recorded belief, decoded by ep's trace
+    version, from probs; 0.0 for equal bytes."""
+    recorded = recorded_belief(value, ep.version, len(probs), where)
+    if recorded == probs.tobytes():
+        return 0.0
+    return float(np.max(np.abs(np.frombuffer(recorded, "<f8") - probs)))
+
+
+def reference_audit(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
+    """`audit.audit_episode` one step at a time, the reference the
+    lockstep audit is held to: the header, then at each step its indices
+    (checked_index), the belief replayed from the last one by
+    belief_update and held to 1e-9 of the recorded one, and check_step's
+    records compared with the recorded verdict; the oracle is the
+    recursive one, on the word of the replayed beliefs."""
+    m, mon = cfg.model, cfg.start_monitor
+    _check_obligations(ep, mon)
+    header = f"episode {ep.episode} header"
+    max_err = _reference_error(ep.header.get("initial_belief", []), ep, m.initial.probs, header)
+    if not max_err <= 1e-9:
+        raise TraceMismatch(ep.episode, 0, max_err)
+    state = checked_index(ep.header.get("initial_state"), m.n_states, "initial state", header)
+    belief = m.initial
+    word = [Letter(state, belief.probs.tolist())]
+    oids = [ob.oid for ob in mon.obligations]
+    failed, mismatches = set(), []
+    for row in ep.steps:
+        step = row[COLUMN["step"]]
+        where = f"episode {ep.episode} step {step}"
+        action = checked_index(row[COLUMN["executed"]], m.n_joint_actions, "executed action",
+                               where)
+        obs = checked_index(row[COLUMN["observation"]], m.n_joint_observations, "observation",
+                            where)
+        state = checked_index(row[COLUMN["next_state"]], m.n_states, "next state", where)
+        try:
+            belief = belief_update(belief, action, obs, m)
+        except ZeroLikelihood:
+            raise TraceMismatch(ep.episode, step, float("inf")) from None
+        err = _reference_error(row[COLUMN["belief"]], ep, belief.probs, where)
+        max_err = max(max_err, err)
+        if not err <= 1e-9:
+            raise TraceMismatch(ep.episode, step, err)
+        records, mon = check_step(mon, barrier_values(mon, belief.probs))
+        mismatches += _verdict_mismatches(row[COLUMN["verdict"]], records, oids, step, where)
+        failed.update(oid for oid, (status, _, _) in zip(oids, records) if status == "fail")
+        word.append(Letter(state, belief.probs.tolist()))
+    phi = cfg.formula
+    conjuncts = phi.children if isinstance(phi, And) else (phi,)
+    return EpisodeAudit(
+        episode=ep.episode,
+        steps=len(ep.steps),
+        end_reason=ep.end.get("reason", ""),
+        max_belief_error=max_err,
+        obligations=tuple(
+            ObligationAudit(oid=ob.oid, label=ob.label, clean=ob.oid not in failed,
+                            discharged=ob.oid not in mon.pending(),
+                            oracle=oracle_satisfies(conjunct, tuple(word)))
+            for ob, conjunct in zip(mon.obligations, conjuncts)),
+        verdict_mismatches=tuple(mismatches),
+    )

@@ -28,7 +28,7 @@ from beliefshield import (
     write_summary,
     write_traces,
 )
-from beliefshield import audit
+from beliefshield import audit, model
 from beliefshield.audit import _same_detail
 from beliefshield.barrier import FtParams
 from beliefshield.model import LIKELIHOOD_FLOOR, predicted_belief
@@ -41,7 +41,9 @@ from beliefshield.traceio import (
 )
 from beliefshield.presets import corridor_config
 
-from conftest import COLUMN, count_calls, decode_belief, edit_belief, edit_trace
+from conftest import (
+    COLUMN, count_calls, decode_belief, edit_belief, edit_trace, reference_audit,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 # `run_batch(v1_config().to_scenario(), base_seed=7, episodes=2)` as the
@@ -91,6 +93,23 @@ def reference_v2_step_line(episode: int, s: TraceStep, obligations) -> str:
         "nominal_reward": s.nominal_reward,
         "candidate_rewards": [list(pair) for pair in s.candidate_rewards],
     }, separators=(",", ":"), allow_nan=False)
+
+
+def v1_trace_text(v2_text: str) -> str:
+    """A version 2 trace file as the version 1 writer wrote the same
+    batch: version 1 in each header, and each belief as a list of
+    decimals, through json.dumps."""
+    lines = []
+    for line in v2_text.splitlines():
+        rec = json.loads(line)
+        if rec["type"] == "header":
+            assert rec["version"] == 2
+            rec.update(version=1,
+                       initial_belief=decode_belief(rec["initial_belief"]).tolist())
+        elif rec["type"] == "step":
+            rec["belief"] = decode_belief(rec["belief"]).tolist()
+        lines.append(json.dumps(rec, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
 
 
 def v2_trace_text(result: BatchResult, scenario: str, shield: str, horizon: int) -> str:
@@ -654,15 +673,6 @@ def test_audit_accepts_clean_corridor_traces(corridor_run):
         assert eventually.clean and eventually.discharged and eventually.oracle
 
 
-def sequential_audit(cfg, ep):
-    """audit_episode with no step verified by the stacked check: every
-    step is replayed from the one before, from the initial belief on."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(audit, "belief_updates",
-                   lambda probs, *args: (probs, np.full(len(probs), np.nan)))
-        return audit_episode(cfg, ep)
-
-
 def outcome(audit_of, cfg, ep):
     """What audit_of(cfg, ep) returns, or what it raises, as comparable
     values."""
@@ -679,19 +689,19 @@ def one_ulp_up(entries):
     entries[i] = np.nextafter(entries[i], np.inf)
 
 
-def counted_belief_updates(monkeypatch) -> list:
-    """The (action, observation) of every belief_update the audit calls."""
-    calls = []
-    real = audit.belief_update
-    monkeypatch.setattr(audit, "belief_update",
-                        lambda b, action, obs, m: calls.append((action, obs)) or real(b, action, obs, m))
-    return calls
+def one_belief_filter_calls(monkeypatch) -> list[list]:
+    """Every call, from here on, of each of the filter's one-belief
+    steps (`belief_update`, `predicted_belief`, `correct`), through
+    whichever beliefshield module's name for it."""
+    return [count_calls(monkeypatch, name, model)
+            for name in ("belief_update", "predicted_belief", "correct")]
 
 
 @pytest.mark.parametrize("version", [1, 2, 3], ids=lambda version: f"v{version}")
 def test_a_clean_audit_replays_no_step_alone(corridor_run, corridor_run_v2, monkeypatch,
                                              version):
-    # Every step of a clean trace is verified by the stacked check.
+    # Every step of a clean trace is replayed in the lockstep's stacks,
+    # and no belief through the one-belief filter.
     cfg, _, path = corridor_run
     if version == 1:
         cfg, path = v1_config(), V1_TRACE
@@ -699,10 +709,10 @@ def test_a_clean_audit_replays_no_step_alone(corridor_run, corridor_run_v2, monk
         path = corridor_run_v2
     episodes = read_traces(path)
     assert {ep.version for ep in episodes} == {version}
-    calls = counted_belief_updates(monkeypatch)
+    calls = one_belief_filter_calls(monkeypatch)
     report = audit_traces(cfg, episodes)
     assert report.ok and all(ep.max_belief_error == 0.0 for ep in report.episodes)
-    assert calls == []
+    assert calls == [[], [], []]
 
 
 @pytest.mark.parametrize("version", [2, 3], ids=lambda version: f"v{version}")
@@ -724,19 +734,22 @@ def test_a_clean_audit_decodes_no_belief(corridor_run, corridor_run_v2, monkeypa
 
 def test_a_belief_one_ulp_off_is_replayed_step_by_step_from_its_step(
         corridor_run, tmp_path, monkeypatch):
+    # The episode stays in the lockstep's stacks past the belief one ulp
+    # off, and audits as the step-by-step reference does.
     cfg, _, path = corridor_run
     ep = read_traces(tampered(path, tmp_path, 1, 6,
                               lambda row: edit_belief(row, BELIEF, one_ulp_up)))[1]
-    calls = counted_belief_updates(monkeypatch)
+    calls = one_belief_filter_calls(monkeypatch)
     report = audit_episode(cfg, ep)
-    assert len(calls) == len(ep.steps) - 5
+    assert calls == [[], [], []]
     assert report.ok and report.max_belief_error > 0.0
-    assert report == sequential_audit(cfg, ep)
+    assert report == reference_audit(cfg, ep)
 
 
 def observing_corridor(likelihoods, directory: Path, episodes: int):
     """The literal corridor with joint action 0 observing 0 and 1 with
-    `likelihoods` in every state, and the episodes of its trace."""
+    `likelihoods` in every state, its batch, and the episodes of its
+    trace."""
     cfg = corridor_config("literal")
     observation = cfg.model.observation.copy()
     observation[:, 0, :] = likelihoods
@@ -744,14 +757,23 @@ def observing_corridor(likelihoods, directory: Path, episodes: int):
     result = run_batch(cfg.to_scenario(), base_seed=cfg.seed, episodes=episodes)
     path = directory / "observing.trace.jsonl"
     write_traces(result, path, cfg.name, cfg.shield_mode, cfg.horizon)
-    return cfg, read_traces(path)
+    return cfg, result, read_traces(path)
 
 
 @pytest.fixture(scope="module")
 def muted_episodes(tmp_path_factory):
     """Two episodes in which observation 1 after joint action 0 has
-    likelihood zero."""
-    return observing_corridor([1.0, 0.0], tmp_path_factory.mktemp("traces"), 2)
+    likelihood zero: the corridor, and the episodes by trace version, as
+    the version 1, 2 and 3 writers write them."""
+    directory = tmp_path_factory.mktemp("traces")
+    cfg, result, episodes = observing_corridor([1.0, 0.0], directory, 2)
+    v2 = v2_trace_text(result, cfg.name, cfg.shield_mode, cfg.horizon)
+    versions = {3: episodes}
+    for version, text in ((2, v2), (1, v1_trace_text(v2))):
+        path = directory / f"observing.v{version}.trace.jsonl"
+        path.write_text(text)
+        versions[version] = read_traces(path)
+    return cfg, versions
 
 
 @pytest.fixture(scope="module")
@@ -773,22 +795,43 @@ def muted_batch_mates(muted_episodes, tmp_path_factory):
     return mates, [audit_episode(cfg, ep) for ep in mates]
 
 
-def impossible_observation(row):
+def impossible_observation(row, version):
     row[COLUMN["executed"]], row[COLUMN["observation"]] = 0, 1
 
 
-def tampered_status(row):
+def tampered_status(row, version):
     row[VERDICT][0][0] = "tampered"
+
+
+def step_belief_edit(edit):
+    """edit(entries) of a step row's recorded belief, in its trace
+    version's encoding: a list of decimals in version 1, base64 after."""
+    def edit_row(row, version):
+        if version == 1:
+            entries = np.array(row[BELIEF], dtype=float)
+            edit(entries)
+            row[BELIEF] = entries.tolist()
+        else:
+            edit_belief(row, BELIEF, edit)
+    return edit_row
+
+
+def malformed_belief(row, version):
+    """A string among version 1's decimals, a "!" inside a base64 string."""
+    if version == 1:
+        row[BELIEF][3] = "0.25"
+    else:
+        row[BELIEF] = row[BELIEF][:8] + "!" + row[BELIEF][8:]
 
 
 # One edit of a step after an exact prefix, of each kind pass 1 or the
 # verdict comparison tells apart.
 EDITS = {
-    "one-ulp": lambda row: edit_belief(row, BELIEF, one_ulp_up),
-    "beyond-tolerance": lambda row: edit_belief(row, BELIEF, bump_first_entry),
+    "one-ulp": step_belief_edit(one_ulp_up),
+    "beyond-tolerance": step_belief_edit(bump_first_entry),
     "zero-likelihood": impossible_observation,
-    "not-base64": lambda row: row.__setitem__(BELIEF, row[BELIEF][:8] + "!" + row[BELIEF][8:]),
-    "index": lambda row: row.__setitem__(COLUMN["executed"], 99),
+    "malformed-belief": malformed_belief,
+    "index": lambda row, version: row.__setitem__(COLUMN["executed"], 99),
     "verdict": tampered_status,
 }
 
@@ -806,23 +849,25 @@ def audit_in_batch(mates: list, position: int):
     return audit_of
 
 
-@settings(max_examples=60, deadline=None)
-@given(episode=st.integers(0, 1), step=st.integers(1, 200), kind=st.sampled_from(sorted(EDITS)),
-       position=st.integers(0, 6))
-@example(episode=0, step=1, kind="zero-likelihood", position=0)
-@example(episode=1, step=200, kind="one-ulp", position=6)
-@example(episode=0, step=2, kind="beyond-tolerance", position=3)
-def test_an_edited_step_audits_as_the_sequential_replay_does(muted_episodes, muted_batch_mates,
-                                                             episode, step, kind, position):
-    # The edited episode audits alike alone, inside a batch of clean
-    # episodes of other lengths, which stay in lockstep longer or shorter
-    # than it, and by the sequential replay from its first step.
-    cfg, episodes = muted_episodes
-    ep = copy.deepcopy(episodes[episode])
-    assert ep.steps[step - 1][0] == step
-    EDITS[kind](ep.steps[step - 1])
+@settings(max_examples=90, deadline=None)
+@given(version=st.sampled_from([1, 2, 3]), episode=st.integers(0, 1), step=st.integers(1, 200),
+       kind=st.sampled_from(sorted(EDITS)), position=st.integers(0, 6))
+@example(version=3, episode=0, step=1, kind="zero-likelihood", position=0)
+@example(version=1, episode=1, step=200, kind="one-ulp", position=6)
+@example(version=2, episode=0, step=2, kind="beyond-tolerance", position=3)
+@example(version=1, episode=0, step=7, kind="malformed-belief", position=2)
+def test_an_edited_step_audits_as_the_sequential_replay_does(
+        muted_episodes, muted_batch_mates, version, episode, step, kind, position):
+    # The edited episode, of any trace version, audits alike alone,
+    # inside a batch of clean version 3 episodes of other lengths, which
+    # stay in lockstep longer or shorter than it, and by the step-by-step
+    # reference from its first step.
+    cfg, versions = muted_episodes
+    ep = copy.deepcopy(versions[version][episode])
+    assert ep.version == version and ep.steps[step - 1][0] == step
+    EDITS[kind](ep.steps[step - 1], version)
     got = outcome(audit_episode, cfg, ep)
-    assert got == outcome(sequential_audit, cfg, ep)
+    assert got == outcome(reference_audit, cfg, ep)
     assert got == outcome(audit_in_batch(muted_batch_mates, position), cfg, ep)
     if kind == "one-ulp":
         assert got.ok and got.max_belief_error > 0.0
@@ -838,7 +883,7 @@ def test_a_step_below_the_likelihood_floor_is_not_verified_by_its_bits(tmp_path)
     # After joint action 0, observation 1 has likelihood 1e-13, at most
     # the floor, so the filter refuses the step even where the recorded
     # belief holds the bits its division gives.
-    cfg, (ep,) = observing_corridor([1.0 - 1e-13, 1e-13], tmp_path, 1)
+    cfg, _, (ep,) = observing_corridor([1.0 - 1e-13, 1e-13], tmp_path, 1)
     m = cfg.model
     row = ep.steps[4]
     numer = m.observation[:, 0, 1] * predicted_belief(Belief(decode_belief(ep.steps[3][BELIEF])),
@@ -1322,15 +1367,6 @@ def test_v2_differs_from_v1_only_in_its_belief_encoding():
     # Version 1 in each header and each belief as a list of decimals,
     # through json.dumps as the version 1 writer did, turn the version 2
     # fixture into the version 1 fixture's bytes.
-    lines = []
-    for line in V2_TRACE.read_text().splitlines():
-        rec = json.loads(line)
-        if rec["type"] == "header":
-            assert rec["version"] == 2
-            rec.update(version=1,
-                       initial_belief=decode_belief(rec["initial_belief"]).tolist())
-        elif rec["type"] == "step":
-            rec["belief"] = decode_belief(rec["belief"]).tolist()
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    assert len(lines) == 2 * (1 + 12 + 1)
-    assert ("\n".join(lines) + "\n").encode("ascii") == V1_TRACE.read_bytes()
+    text = v1_trace_text(V2_TRACE.read_text())
+    assert text.count("\n") == 2 * (1 + 12 + 1)
+    assert text.encode("ascii") == V1_TRACE.read_bytes()

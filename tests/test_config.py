@@ -365,8 +365,12 @@ def test_monitor_policy_and_run_setting_errors():
     err = reject(data, "policy")
     assert "policy kind 'greedy' takes no other keys" in str(err)
 
+    # A name must be one path component: the run's files are named after
+    # it, inside --out.
     for key, bad in [("shield", "sometimes"), ("horizon", 0),
-                     ("episodes", 0), ("seed", -1), ("name", "")]:
+                     ("episodes", 0), ("seed", -1), ("name", ""), ("name", "sub/corridor"),
+                     ("name", "../escaped"), ("name", "sub\\corridor"), ("name", "."),
+                     ("name", ".."), ("name", "nul\0name")]:
         data = base_config()
         data[key] = bad
         reject(data, key)
@@ -959,10 +963,34 @@ def test_a_repeated_key_is_refused_where_it_is_met_again(edit, loader, tmp_path,
     context, problem = message.split("\nfound duplicate key\n")
     assert f", line {line}, column {column}" in context
     assert f", line {key_line}, column {key_column}" in problem
-    # Read by the loader itself, the file is refused in the same words.
+    # Read by the loader itself, the file is refused in the same words,
+    # with each mark naming the file rather than the string parsed.
     with pytest.raises(yaml.YAMLError) as direct:
         yaml.load(text, Loader=loader)
-    assert message == f"{path}: not valid YAML: {direct.value}"
+    assert message.count(f'in "{path}", line ') == 2
+    assert message == f"{path}: not valid YAML: " + str(direct.value).replace(
+        '"<unicode string>"', f'"{path}"')
+
+
+@pytest.mark.parametrize("loader", READERS, ids=lambda loader: loader.__name__)
+@pytest.mark.parametrize("tag", ["", "!!str "], ids=["plain", "tagged"])
+def test_a_parse_error_names_the_file(tag, loader, tmp_path, monkeypatch):
+    # The event reader refuses the plain file; the tagged one is left to
+    # yaml.load, which refuses it in its own words. Either error's marks
+    # name the file.
+    monkeypatch.setattr(config, "_YAML_LOADER", loader)
+    text = CORRIDOR_TEXT.replace("name: corridor\n", f"name: {tag}corridor\n", 1)
+    assert text != CORRIDOR_TEXT or not tag
+    path = tmp_path / "unclosed.yaml"
+    path.write_text(text + "deep: [1, 2\n")
+    line = text.count("\n") + 1
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}: not valid YAML: while parsing a flow sequence\n")
+    assert f'in "{path}", line {line}, column 7' in message
+    assert f'in "{path}", line {line + 1}, column 1' in message
+    assert "<unicode string>" not in message
 
 
 @pytest.mark.parametrize("loader", READERS, ids=lambda loader: loader.__name__)

@@ -37,10 +37,10 @@ from beliefshield import (
     ft_dtbf_check,
     ft_time_bound,
 )
-from beliefshield.ldtl import describe, gather_leaves
+from beliefshield.ldtl import describe, evaluate_columns, gather_leaves
 from beliefshield.errors import BeliefShieldError
 from beliefshield.monitor import (
-    barrier_values, check_step, check_steps, passed, passing_step, successor,
+    barrier_values, check_step, passed, passing_step, successor, walk_steps,
 )
 
 from conftest import evaluate_expr, monitor_step
@@ -639,7 +639,7 @@ def test_a_stack_of_beliefs_reads_as_each_of_its_rows_does(barriers, beliefs):
 
 
 # --------------------------------------------------------------------------
-# Stacked steps: check_steps is check_step step after step
+# Stacked steps: walk_steps on barrier columns is check_step step after step
 
 # Beliefs as arrays of any floats: barrier_values reads them as they are.
 _ANY_BELIEF = st.lists(
@@ -670,7 +670,7 @@ def _obligation(kind: str, left, right):
 @example([("always", BeliefVar(0, "q0"), BeliefVar(0, "q0")),
           ("eventually", Difference(BeliefVar(1, "q1"), Constant(0.9)), BeliefVar(0, "q0"))],
          1, [np.array([0.5, 0.1, 0.2, 0.2])] * 6 + [np.array([0.5, 0.95, 0.2, 0.2])], CFG)
-def test_check_steps_is_check_step_step_after_step(conjuncts, warm, beliefs, cfg):
+def test_walk_steps_is_check_step_step_after_step(conjuncts, warm, beliefs, cfg):
     obligations = [_obligation(*c) for c in conjuncts]
     phi = obligations[0] if len(obligations) == 1 else And(*obligations)
     try:
@@ -694,8 +694,14 @@ def test_check_steps_is_check_step_step_after_step(conjuncts, warm, beliefs, cfg
             assert repr(successor(before, walk[1], values)) == repr(reached)
         else:
             assert walk is None
-    stack = np.array(rest).reshape(len(rest), 4)
-    got, got_reached = check_steps(mon, stack)
+    # Each barrier as a column over the steps, from one gather of every
+    # step's leaves, as the audit evaluates them.
+    leaves = gather_leaves(mon.leaves, np.array(rest).reshape(len(rest), 4)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [[] if ob.discharged else [evaluate_columns(f, leaves).tolist()
+                                             for f in ob.evaluators]
+                   for ob in mon.obligations]
+    got, got_reached = walk_steps(mon, columns, len(rest))
     # repr tells every float apart but NaNs, which no rule tells apart.
     assert repr(got) == repr(expected)
     assert repr(got_reached) == repr(reached)
