@@ -8,29 +8,33 @@ obligations the episode lists are the monitor's, in its order, then
 makes two passes over the episode's step rows (`traceio.STEP_COLUMNS`)
 in file order. Versions 1 and 2 list no obligations in the header;
 there the first step's records' oids and kinds stand for them (see
-`traceio.EpisodeRecord`), and their labels are not checked.
+`traceio.EpisodeRecord`), and their labels are not checked. Every
+recorded belief is a base64 string of float64 bytes whatever the trace
+version: `traceio.read_traces` turns a version 1 list of decimals into
+one, and refuses a list that is not of numbers.
 
 Pass 1 replays the belief chain of every episode of the batch at once,
 in lockstep (`_Lockstep`). At step t, the rows of every episode still
 in lockstep are replayed from the beliefs it holds, as one stack of K
 rows (`model.belief_updates`, grouped by action), each with the bits
-the one-belief filter gives it. A row whose indices are in range, whose
-normalizer is above LIKELIHOOD_FLOOR and whose recorded belief is the
-replayed row's encoding (`traceio.matches_encoding`, one base64 pass
-over the stack; a version 1 list must decode to the row's bytes) is
-verified with error 0.0, so no belief of a clean trace is decoded. Any
-other row is checked on its own, in this order: its executed action,
-observation and next state must be in range (`config.checked_index`),
-its normalizer must be above LIKELIHOOD_FLOOR (else TraceMismatch with
-an infinite error), and its recorded belief must lie within 1e-9 of
-the replayed one. A row that passes stays in lockstep, and its episode
-goes on from the replayed belief, as a replay one step at a time
-would; at the first row that fails, the episode leaves the lockstep
-and the fault is held for its finish. At the rows that stay, the
-monitor's barriers and the formula's belief atoms are evaluated from
-one gather of their leaves (`ldtl.gather_leaves`, one leaf table for
-both), and their values are kept in one column over the batch's steps;
-the beliefs themselves are not kept.
+the one-belief filter gives it. A row whose indices are in range (as
+`config.checked_index` has them: an int or numpy integer, not a bool),
+whose normalizer is above LIKELIHOOD_FLOOR and whose recorded belief is
+the replayed row's encoding (`traceio.matches_encoding`, one base64
+pass over the stack) is verified with error 0.0, so no belief of a
+clean trace is decoded. Any other row is checked on its own, in this
+order: its executed action, observation and next state must be in
+range (`config.checked_index`), its normalizer must be above
+LIKELIHOOD_FLOOR (else TraceMismatch with an infinite error), and its
+recorded belief must lie within 1e-9 of the replayed one. A row that
+passes stays in lockstep, and its episode goes on from the replayed
+belief, as a replay one step at a time would; at the first row that
+fails, the episode leaves the lockstep and the fault is held for its
+finish. At the rows that stay, the monitor's barriers and the formula's
+belief atoms are evaluated from one gather of their leaves
+(`ldtl.gather_leaves`, one leaf table for both), and their values are
+kept in one column over the batch's steps; the beliefs themselves are
+not kept.
 
 Then each episode is finished in file order. Pass 2 walks the
 episode's range of the barrier columns, up to its first fault, with
@@ -45,12 +49,12 @@ is, as in one pass over the file.
 
 The header's initial belief, held to the model's, and a step's
 recorded belief that has not the replayed bits are compared one at a
-time: a version 2 or 3 string that is the replayed belief's encoding
+time: a string that is the replayed belief's encoding
 (`traceio.encode_belief`) has error 0.0 and is not decoded; any other
-is decoded by its episode's trace version, which rejects a malformed
-one. A recorded belief whose bytes equal the replayed belief's has
-error 0.0; otherwise the error is the largest entry-wise deviation, and
-one beyond 1e-9, or not finite, raises TraceMismatch.
+is decoded (`traceio.recorded_belief`), which rejects a malformed one.
+A recorded belief whose bytes equal the replayed belief's has error
+0.0; otherwise the error is the largest entry-wise deviation, and one
+beyond 1e-9, or not finite, raises TraceMismatch.
 
 Verdict records are compared in order, position by position, as the
 writer lists them in the monitor's obligation order, so a file whose
@@ -93,7 +97,7 @@ from ._gc import paused_gc
 from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch
 from .ldtl import (
-    And, Formula, atom_truth, belief_atoms, compile_expr, evaluate_columns, fold_oracle,
+    Formula, atom_truth, belief_atoms, compile_expr, conjuncts, evaluate_columns, fold_oracle,
     gather_leaves, leaf_table,
 )
 from .model import LIKELIHOOD_FLOOR, Mpomdp, belief_updates
@@ -153,13 +157,13 @@ def _where(ep: EpisodeRecord, step: int | None) -> str:
 def _belief_error(value, ep: EpisodeRecord, probs: np.ndarray, step: int | None) -> float:
     """Largest deviation of a belief recorded in ep from a replayed one;
     NaN when a recorded entry is NaN. step is the belief's step, None for
-    the header's initial belief. A version 2 or 3 string equal to the
-    replayed belief's encoding skips the decode, and equal bytes skip the
-    arithmetic. A malformed string never equals an encoding, so it is
-    always decoded and refused."""
-    if ep.version >= 2 and value == encode_belief(probs):
+    the header's initial belief. A string equal to the replayed belief's
+    encoding skips the decode, and equal bytes skip the arithmetic. A
+    malformed string never equals an encoding, so it is always decoded
+    and refused."""
+    if value == encode_belief(probs):
         return 0.0
-    recorded = recorded_belief(value, ep.version, len(probs), _where(ep, step))
+    recorded = recorded_belief(value, len(probs), _where(ep, step))
     if recorded == probs.tobytes():
         return 0.0
     return float(np.max(np.abs(np.frombuffer(recorded, "<f8") - probs)))
@@ -263,48 +267,22 @@ def _plain_barriers(recorded: list) -> bool:
     return True
 
 
-def _same_bits(values: tuple, versions: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Whether each recorded belief has the bits of its row of probs, as
-    a boolean array: a version 2 or 3 string is their encoding
-    (`traceio.matches_encoding`, one pass over the stack), a version 1
-    list decodes to their bytes."""
-    same = matches_encoding(values, probs)
-    for j in np.flatnonzero(versions == 1).tolist():
-        try:
-            same[j] = recorded_belief(values[j], 1, probs.shape[1], "") == probs[j].tobytes()
-        except ConfigError:
-            same[j] = False
-    return same
-
-
 def _indices(columns: tuple[tuple, ...], bounds: tuple[int, ...]
              ) -> tuple[np.ndarray, np.ndarray]:
     """Columns of recorded indices, one per bound, as one intp array,
-    and whether every index of each row is an int, not a bool, below its
-    column's bound and not negative. An index of a row that is not has
-    no meaning."""
+    and whether every index of each row is one checked_index accepts: an
+    int or a numpy integer, not a bool, below its column's bound and not
+    negative. An index of a row that is not stands as 0 and has no
+    meaning."""
     if set(map(type, chain.from_iterable(columns))) <= {int}:
         raw = np.array(columns)
     else:
-        raw = np.array([[v if type(v) is int else -1 for v in column] for column in columns])
+        raw = np.array([[v if isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                         else -1 for v in column] for column in columns])
     valid = ((raw >= 0) & (raw < np.array(bounds)[:, None])).all(axis=0)
     if not valid.all():
         raw = np.where(valid, raw, 0)
     return raw.astype(np.intp), valid
-
-
-def _conjuncts(phi: Formula) -> tuple[Formula, ...]:
-    """The top-level conjuncts of phi, in the monitor's obligation order."""
-    return phi.children if isinstance(phi, And) else (phi,)
-
-
-def _lenient_index(value, bound: int) -> int:
-    """value where checked_index accepts it, else 0: a stand-in for the
-    batch's columns, whose episode raises before they are read."""
-    try:
-        return checked_index(value, bound, "", "")
-    except ConfigError:
-        return 0
 
 
 class _Lockstep:
@@ -314,12 +292,13 @@ class _Lockstep:
     At step t the rows of every episode still in lockstep are replayed
     from the beliefs the lockstep holds as one stack
     (`model.belief_updates`). A row whose recorded belief has the
-    replayed bits (`_same_bits`) stays with error 0.0; any other stays
-    only while `_row_error` passes it, and its episode's first fault is
-    held in `faults`. At the rows that stay, one gather reads the leaves
-    of every barrier and belief atom, and each barrier's value and each
-    atom's truth are kept, each episode's steps and word positions in
-    one range of their columns over the batch; the beliefs are not.
+    replayed bits (`traceio.matches_encoding`) stays with error 0.0; any
+    other stays only while `_row_error` passes it, and its episode's
+    first fault is held in `faults`. At the rows that stay, one gather
+    reads the leaves of every barrier and belief atom, and each
+    barrier's value and each atom's truth are kept, each episode's steps
+    and word positions in one range of their columns over the batch; the
+    beliefs are not.
     Afterwards each conjunct's oracle is folded once over the batch's
     words."""
 
@@ -327,7 +306,6 @@ class _Lockstep:
         m, start = cfg.model, cfg.start_monitor
         bounds = (m.n_joint_actions, m.n_joint_observations, m.n_states)
         steps = [ep.steps for ep in episodes]
-        versions = np.array([ep.version for ep in episodes], dtype=np.intp)
         lengths = np.array([len(rows) for rows in steps], dtype=np.intp)
         # Each episode's first step among the batch's steps, and its
         # word's first position among the words' positions: a word is
@@ -341,8 +319,11 @@ class _Lockstep:
         self.max_error = [0.0] * len(episodes)
         self.faults: list[Exception | None] = [None] * len(episodes)
         states = np.zeros(len(episodes) + first_step[-1], dtype=np.min_scalar_type(m.n_states))
-        states[word_start] = [_lenient_index(ep.header.get("initial_state"), m.n_states)
-                              for ep in episodes]
+        # An initial state out of range stands as 0: its episode raises
+        # at its header before the oracle is read.
+        initial, _ = _indices(([ep.header.get("initial_state") for ep in episodes],),
+                              (m.n_states,))
+        states[word_start] = initial[0]
         atoms = belief_atoms(cfg.formula)
         truths = {id(atom): np.zeros(len(states), dtype=bool) for atom in atoms}
         # One leaf table for the barriers and the belief atoms, so that
@@ -371,7 +352,7 @@ class _Lockstep:
                 posteriors, normalizers = belief_updates(beliefs, indices[0], indices[1], m)
                 step += 1
                 replayed = valid & (normalizers > LIKELIHOOD_FLOOR)
-                replayed &= _same_bits(values, versions[at], posteriors)
+                replayed &= matches_encoding(values, posteriors)
                 if not replayed.all():
                     for j in np.flatnonzero(~replayed).tolist():
                         i = int(at[j])
@@ -400,7 +381,7 @@ class _Lockstep:
 
         word_end = word_start + lengths + 1
         self.oracle = [oracle_satisfies(conjunct, states, truths, word_end)
-                       for conjunct in _conjuncts(cfg.formula)]
+                       for conjunct in conjuncts(cfg.formula)]
 
     def walk(self, i: int, start: Monitor) -> tuple[list[Records], Monitor]:
         """Pass 2 of episode i: the records of the steps the lockstep

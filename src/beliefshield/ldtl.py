@@ -451,6 +451,12 @@ def height(root) -> int:
     return done[id(root)]
 
 
+def conjuncts(phi: Formula) -> tuple[Formula, ...]:
+    """The top-level conjuncts of phi, left to right: the monitor's
+    obligations, in its order."""
+    return phi.children if isinstance(phi, And) else (phi,)
+
+
 def is_propositional(phi: Formula) -> bool:
     """True when phi contains no temporal operator."""
     if isinstance(phi, (StateSet, BeliefPred)):

@@ -97,7 +97,7 @@ from .errors import BeliefShieldError, UnsupportedNesting
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
     Eventually, Evaluator, Formula, LeafTable, Max, Min, Next, Or, StateSet, Sum,
-    Until, compile_expr, describe, gather_leaves, is_propositional, leaf_table,
+    Until, compile_expr, conjuncts, describe, gather_leaves, is_propositional, leaf_table,
 )
 from .model import Mpomdp
 
@@ -222,7 +222,7 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
     model's initial belief fixes no reach deadline.
     """
     shapes = []
-    for i, conjunct in enumerate(phi.children if isinstance(phi, And) else (phi,)):
+    for i, conjunct in enumerate(conjuncts(phi)):
         label = describe(conjunct)
         shape = _TEMPORAL.get(type(conjunct))
         if shape is not None:

@@ -25,9 +25,12 @@ with full repr precision. Versions 1 and 2 wrote each step line as an
 object with its episode, its keys and, per record, its oid and kind;
 version 1 wrote beliefs as lists of decimals, also exact under repr.
 Both are still read: `read_traces` turns each of their step lines into
-the version 3 row (`_row_of`), so every episode it returns holds rows.
-`recorded_belief` decodes a belief by its episode's version, where the
-audit can name the step it came from. Step numbers, the end line's step
+the version 3 row (`_row_of`), so every episode it returns holds rows,
+and turns each version 1 belief into the base64 string of its float64
+bytes (`_decimal_belief`), so every belief it returns is one. A list
+that is not of JSON numbers and nulls is refused there, at its episode's
+header or step. `recorded_belief` decodes a belief, where the audit can
+name the step it came from. Step numbers, the end line's step
 count and each version 1 or 2 step line's and each end line's episode,
 which must be its header's, must be JSON integers: `true` or `1.0` is
 refused, though either equals 1 in Python.
@@ -74,6 +77,7 @@ READABLE_VERSIONS = (1, 2, 3)
 
 # A version 3 step row is a TraceStep's fields in their order.
 STEP_COLUMNS = TraceStep._fields
+_BELIEF = STEP_COLUMNS.index("belief")
 
 SUMMARY_FIELDS = ("episode", "steps", "end_reason", "violations", "overrides",
                   "first_discharge_step", "total_reward")
@@ -135,29 +139,10 @@ def matches_encoding(values: Sequence, probs: np.ndarray) -> np.ndarray:
     return (recorded.reshape(k, width) == encoded).all(axis=1)
 
 
-def recorded_belief(value, version: int, n_states: int, where: str) -> bytes:
-    """The little-endian float64 bytes of a belief recorded by a trace of
-    `version`. Raises ConfigError at `where` for a value that is not a
-    belief of `n_states` entries in that version's encoding."""
-    if version == 1:
-        # JSON numbers and null (a NaN) only: asarray would also convert
-        # a string or a boolean.
-        if not isinstance(value, list):
-            raise ConfigError(
-                f"belief is not a list of numbers: {type(value).__name__}", where)
-        for i, entry in enumerate(value):
-            if not (entry is None or isinstance(entry, (int, float))
-                    and not isinstance(entry, bool)):
-                raise ConfigError(
-                    f"belief is not a list of numbers: entry {i} is {entry!r}", where)
-        try:
-            recorded = np.asarray(value, dtype="<f8")
-        except OverflowError as exc:
-            raise ConfigError(f"belief is not a list of numbers: {exc}", where) from exc
-        if recorded.shape != (n_states,):
-            raise ConfigError(
-                f"belief has {recorded.size} entries, model has {n_states} states", where)
-        return recorded.tobytes()
+def recorded_belief(value, n_states: int, where: str) -> bytes:
+    """The little-endian float64 bytes of a recorded belief, a base64
+    string. Raises ConfigError at `where` for a value that is not the
+    encoding of a belief of `n_states` entries."""
     try:
         raw = base64.b64decode(value, validate=True)
     except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
@@ -166,6 +151,24 @@ def recorded_belief(value, version: int, n_states: int, where: str) -> bytes:
         raise ConfigError(f"belief has {len(raw)} bytes, {n_states} states need "
                           f"{8 * n_states}", where)
     return raw
+
+
+def _decimal_belief(value, where: str) -> str:
+    """A version 1 belief, a list of decimals, as the base64 string of
+    its float64 bytes that later versions record. Raises ConfigError at
+    `where` for a value that is not a list of JSON numbers and nulls
+    (NaN): asarray would also convert a string or a boolean."""
+    if not isinstance(value, list):
+        raise ConfigError(f"belief is not a list of numbers: {type(value).__name__}", where)
+    for i, entry in enumerate(value):
+        if not (entry is None or isinstance(entry, (int, float))
+                and not isinstance(entry, bool)):
+            raise ConfigError(f"belief is not a list of numbers: entry {i} is {entry!r}",
+                              where)
+    try:
+        return encode_belief(np.asarray(value, dtype=_FLOAT64))
+    except OverflowError as exc:
+        raise ConfigError(f"belief is not a list of numbers: {exc}", where) from exc
 
 
 def _floats(value, field: str = ""):
@@ -392,9 +395,10 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
     where its column count and step number are checked; a step object
     is read only inside a version 1 or 2 episode, and turned into a row.
     A line's structural fault is reported at its file and line. A
-    version 1 or 2 line's malformed verdict, or records that name other
-    obligations than the episode's first step's, are reported at the
-    episode and step, as the audit reports what it finds in a row."""
+    version 1 or 2 line's malformed verdict, records that name other
+    obligations than the episode's first step's, and a version 1 belief
+    that is not a list of numbers are reported at the episode and step
+    (or header), as the audit reports what it finds in a row."""
     path = Path(path)
     try:
         fh = path.open("rb")
@@ -439,6 +443,9 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
                 obligations = rec.get("obligations") if version == 3 else None
                 if version == 3 and type(obligations) is not list:
                     raise ConfigError("version 3 header needs a list of obligations", where)
+                if version == 1:
+                    rec["initial_belief"] = _decimal_belief(
+                        rec.get("initial_belief", []), f"episode {rec['episode']} header")
                 header, steps = rec, []
             elif kind == "step":
                 if header is None:
@@ -453,6 +460,8 @@ def read_traces(path: str | Path) -> list[EpisodeRecord]:
                         where)
                 at = f"episode {header['episode']} step {rec['step']}"
                 row, named = _row_of(rec, at)
+                if version == 1:
+                    row[_BELIEF] = _decimal_belief(row[_BELIEF], at)
                 if not steps:
                     obligations = named
                 elif named != obligations:

@@ -400,10 +400,10 @@ def reference_fill_rows(table: np.ndarray, entries, idx, key_from: str, key_valu
     return covered
 
 
-def _reference_error(value, ep: EpisodeRecord, probs: np.ndarray, where: str) -> float:
-    """The largest deviation of a recorded belief, decoded by ep's trace
-    version, from probs; 0.0 for equal bytes."""
-    recorded = recorded_belief(value, ep.version, len(probs), where)
+def _reference_error(value, probs: np.ndarray, where: str) -> float:
+    """The largest deviation of a recorded belief, decoded, from probs;
+    0.0 for equal bytes."""
+    recorded = recorded_belief(value, len(probs), where)
     if recorded == probs.tobytes():
         return 0.0
     return float(np.max(np.abs(np.frombuffer(recorded, "<f8") - probs)))
@@ -419,7 +419,7 @@ def reference_audit(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
     m, mon = cfg.model, cfg.start_monitor
     _check_obligations(ep, mon)
     header = f"episode {ep.episode} header"
-    max_err = _reference_error(ep.header.get("initial_belief", []), ep, m.initial.probs, header)
+    max_err = _reference_error(ep.header.get("initial_belief", []), m.initial.probs, header)
     if not max_err <= 1e-9:
         raise TraceMismatch(ep.episode, 0, max_err)
     state = checked_index(ep.header.get("initial_state"), m.n_states, "initial state", header)
@@ -439,7 +439,7 @@ def reference_audit(cfg: ScenarioConfig, ep: EpisodeRecord) -> EpisodeAudit:
             belief = belief_update(belief, action, obs, m)
         except ZeroLikelihood:
             raise TraceMismatch(ep.episode, step, float("inf")) from None
-        err = _reference_error(row[COLUMN["belief"]], ep, belief.probs, where)
+        err = _reference_error(row[COLUMN["belief"]], belief.probs, where)
         max_err = max(max_err, err)
         if not err <= 1e-9:
             raise TraceMismatch(ep.episode, step, err)

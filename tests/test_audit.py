@@ -715,12 +715,19 @@ def test_a_clean_audit_replays_no_step_alone(corridor_run, corridor_run_v2, monk
     assert calls == [[], [], []]
 
 
-@pytest.mark.parametrize("version", [2, 3], ids=lambda version: f"v{version}")
-def test_a_clean_audit_decodes_no_belief(corridor_run, corridor_run_v2, monkeypatch, version):
+@pytest.mark.parametrize("version", [1, 2, 3], ids=lambda version: f"v{version}")
+def test_a_clean_audit_decodes_no_belief(corridor_run, corridor_run_v2, tmp_path, monkeypatch,
+                                         version):
     # Every step's replayed belief is compared with its recorded string
-    # by its encoding, so a clean trace is verified without a decode.
+    # by its encoding, so a clean trace is verified without a decode;
+    # read_traces hands a version 1 list of decimals over as that string.
     cfg, _, path = corridor_run
-    episodes = read_traces(corridor_run_v2 if version == 2 else path)
+    if version == 2:
+        path = corridor_run_v2
+    elif version == 1:
+        path = tmp_path / "corridor.v1.trace.jsonl"
+        path.write_text(v1_trace_text(corridor_run_v2.read_text()))
+    episodes = read_traces(path)
     assert {ep.version for ep in episodes} == {version}
     calls = []
     real = audit.recorded_belief
@@ -804,24 +811,20 @@ def tampered_status(row, version):
 
 
 def step_belief_edit(edit):
-    """edit(entries) of a step row's recorded belief, in its trace
-    version's encoding: a list of decimals in version 1, base64 after."""
-    def edit_row(row, version):
-        if version == 1:
-            entries = np.array(row[BELIEF], dtype=float)
-            edit(entries)
-            row[BELIEF] = entries.tolist()
-        else:
-            edit_belief(row, BELIEF, edit)
-    return edit_row
+    """edit(entries) of a step row's recorded belief, which read_traces
+    hands over as base64 whatever the trace version."""
+    return lambda row, version: edit_belief(row, BELIEF, edit)
 
 
 def malformed_belief(row, version):
-    """A string among version 1's decimals, a "!" inside a base64 string."""
-    if version == 1:
-        row[BELIEF][3] = "0.25"
-    else:
-        row[BELIEF] = row[BELIEF][:8] + "!" + row[BELIEF][8:]
+    """A "!" inside the base64 string of a step row's belief."""
+    row[BELIEF] = row[BELIEF][:8] + "!" + row[BELIEF][8:]
+
+
+def numpy_index(row, version):
+    """The executed action as a numpy integer of the same value, which
+    checked_index accepts."""
+    row[COLUMN["executed"]] = np.int64(row[COLUMN["executed"]])
 
 
 # One edit of a step after an exact prefix, of each kind pass 1 or the
@@ -832,6 +835,7 @@ EDITS = {
     "zero-likelihood": impossible_observation,
     "malformed-belief": malformed_belief,
     "index": lambda row, version: row.__setitem__(COLUMN["executed"], 99),
+    "numpy-index": numpy_index,
     "verdict": tampered_status,
 }
 
@@ -856,6 +860,7 @@ def audit_in_batch(mates: list, position: int):
 @example(version=1, episode=1, step=200, kind="one-ulp", position=6)
 @example(version=2, episode=0, step=2, kind="beyond-tolerance", position=3)
 @example(version=1, episode=0, step=7, kind="malformed-belief", position=2)
+@example(version=3, episode=1, step=9, kind="numpy-index", position=4)
 def test_an_edited_step_audits_as_the_sequential_replay_does(
         muted_episodes, muted_batch_mates, version, episode, step, kind, position):
     # The edited episode, of any trace version, audits alike alone,
@@ -871,6 +876,8 @@ def test_an_edited_step_audits_as_the_sequential_replay_does(
     assert got == outcome(audit_in_batch(muted_batch_mates, position), cfg, ep)
     if kind == "one-ulp":
         assert got.ok and got.max_belief_error > 0.0
+    elif kind == "numpy-index":
+        assert got.ok
     elif kind == "verdict":
         assert got.verdict_mismatches == (
             f"step {step}: recorded and replayed verdicts differ on ['0:always']",)
@@ -1354,6 +1361,39 @@ def test_a_v2_trace_audits_clean():
     assert report.ok
     assert [ep.max_belief_error for ep in report.episodes] == [0.0, 0.0]
     assert report == audit_traces(v1_config(), read_traces(V1_TRACE))
+
+
+def test_a_v1_trace_reads_as_the_v2_trace():
+    # read_traces turns each version 1 list of decimals into the base64
+    # string of its float64 bytes, which the version 2 writer wrote.
+    v1, v2 = read_traces(V1_TRACE), read_traces(V2_TRACE)
+    assert len(v1) == len(v2) == 2
+    for old, new in zip(v1, v2):
+        assert (old.steps, old.obligations, old.end) == (new.steps, new.obligations, new.end)
+        assert (old.version, new.version) == (1, 2)
+        assert {**old.header, "version": 2} == new.header
+
+
+def test_a_malformed_v1_header_belief_is_refused_by_the_reader(tmp_path):
+    def malform(rec):
+        rec["initial_belief"][2] = "0.0"
+
+    with pytest.raises(ConfigError) as err:
+        read_traces(tampered(V1_TRACE, tmp_path, 0, None, malform))
+    assert str(err.value) == (
+        "episode 0 header: belief is not a list of numbers: entry 2 is '0.0'")
+
+
+@pytest.mark.parametrize("edit, size", [
+    (lambda rec: rec.update(belief=rec["belief"][:-1]), 120),
+    (lambda rec: rec.pop("belief"), 0),
+], ids=["short-by-an-entry", "missing"])
+def test_a_v1_belief_of_the_wrong_length_is_a_config_error(tmp_path, edit, size):
+    # read_traces encodes the list whatever its length; the audit then
+    # counts its bytes, as it does a version 2 or 3 string's.
+    with pytest.raises(ConfigError) as err:
+        audit_traces(v1_config(), read_traces(tampered(V1_TRACE, tmp_path, 1, 4, edit)))
+    assert str(err.value) == f"episode 1 step 4: belief has {size} bytes, 16 states need 128"
 
 
 def test_the_v2_fixture_is_what_the_v2_writer_wrote():
