@@ -1,4 +1,4 @@
-"""Golden trace hashes: the exact bytes of seven corridor batches, and
+"""Golden trace hashes: the exact bytes of nine corridor batches, and
 the decisions of the five shielded ones.
 
 The byte hashes pin the simulator, filter, monitor and shield arithmetic
@@ -10,6 +10,12 @@ The shipped formula has only `always` and `eventually` obligations, so
 the `corridor_all_kinds_*` batches add an until, a next and a bare
 propositional conjunct; their traces pin every obligation kind's
 records, including the `inactive` records that follow a discharge.
+
+The `corridor_deadlock_*` batches run the corridor with a reach rate
+`rho` of 0.9, under which no joint action passes at step 3 of any
+episode, so every end line is a deadlock report: it pins the barrier
+values the shield reports for each of the six joint actions, in both
+shield modes.
 
 The filter, the shield and the monitor add in fixed orders: predictions
 sum each action's transition entries in ascending source state, rewards
@@ -49,7 +55,7 @@ from pathlib import Path
 import pytest
 
 import beliefshield
-from beliefshield.config import load_config
+from beliefshield.config import load_config, monitor_from_settings, monitor_settings
 from beliefshield.parsing import parse_expr, parse_formula
 from beliefshield.sim import RandomUniform, run_batch
 from beliefshield.traceio import write_traces
@@ -72,6 +78,10 @@ GOLDEN = {
         "23fe665666681a66bd45c87340b35ff000361bc2c603f458c10607b0e485a27e",
     "corridor_all_kinds_conservative":
         "d92f287e59666c72af38a5f8d3ee8cbd1a868890a5991cc3227316f3df495e9e",
+    "corridor_deadlock_literal":
+        "b79a8d841835e11c214b8ab9d5f7ecd2dfd6f6694dd17b4b9d14893604c54b09",
+    "corridor_deadlock_conservative":
+        "e03e9f908795906230859a700caa7a392060edebd2fa94415dd7d2ace2a94a70",
 }
 
 # The shielded batches' decisions: see decisions_sha256.
@@ -112,6 +122,9 @@ def _scenario(name: str):
         return replace(cfg, predicates=predicates, formula_text=ALL_KINDS_FORMULA,
                        formula=parse_formula(ALL_KINDS_FORMULA, predicates, states),
                        shield_mode=name.removeprefix("corridor_all_kinds_"))
+    if name.startswith("corridor_deadlock_"):
+        monitor = monitor_from_settings({**monitor_settings(cfg.monitor), "rho": 0.9}, "monitor")
+        return replace(cfg, monitor=monitor, shield_mode=name.removeprefix("corridor_deadlock_"))
     return cfg
 
 

@@ -42,6 +42,10 @@ GOLDEN_AUDIT = {
         "729093fb49ac4a22bd5cd73004d7cacee7bcc9dffdf6886954f3b216cf592e7c",
     "corridor_all_kinds_conservative":
         "729093fb49ac4a22bd5cd73004d7cacee7bcc9dffdf6886954f3b216cf592e7c",
+    "corridor_deadlock_literal":
+        "e389f3fa5eb4b07f7fa2334b6e41495f904a85467eca59068c63fc4f7256f93f",
+    "corridor_deadlock_conservative":
+        "e389f3fa5eb4b07f7fa2334b6e41495f904a85467eca59068c63fc4f7256f93f",
 }
 
 pytestmark = pytest.mark.skipif(
