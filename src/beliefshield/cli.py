@@ -22,14 +22,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .audit import audit_traces
-from .config import (RUN_SETTINGS, ScenarioConfig, load_config, monitor_from_settings,
-                     monitor_settings)
+from .config import (MONITOR_SETTINGS, RUN_SETTINGS, ScenarioConfig, load_config,
+                     monitor_from_settings, monitor_settings)
 from .errors import BeliefShieldError, ConfigError, TraceMismatch
 from .ldtl import describe
 from .sim import SHIELD_MODES, BatchResult, run_batch
 from .traceio import read_traces, write_summary, write_traces
-
-SWEEP_PARAMS = ("rho", "eps", "gamma", "delta")
 
 SWEEP_FIELDS = ("param", "value", "episodes", "total_steps", "violation_steps",
                 "episodes_with_violation", "override_steps", "deadlocks",
@@ -58,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="rerun a batch across monitor parameters")
     p_sw.add_argument("config", help="scenario YAML file")
-    p_sw.add_argument("--param", required=True, choices=SWEEP_PARAMS,
+    p_sw.add_argument("--param", required=True, choices=MONITOR_SETTINGS,
                       help="monitor parameter to vary")
     p_sw.add_argument("--values", required=True,
                       help="comma-separated parameter values")

@@ -11,6 +11,12 @@ An and/or node is a whole chain of its operator, its operands a tuple
 like a sum's, so `height` counts a chain as one level, as the parser
 does, and no walker recurses along a chain.
 
+Every walk of a tree is one fold, fold_tree: an explicit stack takes
+each node's children before the node, so a tree of any height is walked
+without recursion, and each node object is visited once however many
+parents share it. `height`, fold_oracle, belief_atoms, leaf_table and
+compile_expr are each one visit over it.
+
 The trace oracle evaluates a formula on a finite word with the
 standard finite-trace closure: `always` means "at every remaining
 position", `eventually` and `until` need an in-word witness, and `next`
@@ -27,9 +33,10 @@ a batch: X is false at each word's last position, and F, G and U look
 for their witness or failure no further than the word's end.
 
 compile_expr turns an expression into one generated Python function, a
-flat sequence of assignments with one local per inner node, of a list of
-floats. oracle_columns compiles each belief atom's expression over its
-own leaf table, for its truth at each row of a stack of beliefs; the
+flat sequence of assignments with one local per distinct inner node, of
+a list of floats, so that a shared subtree is computed once.
+oracle_columns compiles each belief atom's expression over its own
+leaf table, for its truth at each row of a stack of beliefs; the
 audit compiles the atoms over the leaf table its barriers read. A
 monitor compiles each barrier with a lookup that reads each sum of
 entries as one leaf (leaf_table), and applies it to the leaf values one
@@ -45,6 +52,7 @@ compile_expr row by row.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from types import FunctionType
@@ -124,9 +132,11 @@ def compile_expr(expr: BeliefExpr,
     (`belief.probs.tolist()`, as the oracle passes them); a monitor
     passes the positions of its leaf values (see `monitor`).
 
-    The function assigns one local per inner node, in post-order, from
-    operands that are leaves `p[i]`, constants bound by name in the
-    function's globals, or earlier locals:
+    The function assigns one local per inner node, in the order
+    fold_tree visits them, children first, from operands that are leaves
+    `p[i]`, constants bound by name in the function's globals, or
+    earlier locals; a node shared by several parents is one local that
+    each of them reads:
 
         def expr(p):
             t0 = 0.0 + p[4] + p[9]
@@ -147,41 +157,34 @@ def compile_expr(expr: BeliefExpr,
     """
     namespace: dict[str, float] = {}
     lines: list[str] = []
-    operands: list[str] = []  # one per finished node, in post-order
-    inner = 0  # inner nodes finished, each with its own local
-    todo: list[tuple[BeliefExpr, bool]] = [(expr, False)]
-    while todo:
-        node, children_done = todo.pop()
+    inner = itertools.count()  # numbers each inner node's local
+
+    def operand(node, args: list[str]) -> str:
         position = leaf(node)
         if position is not None:
-            operands.append(f"p[{position}]")
-        elif isinstance(node, Constant):
+            return f"p[{position}]"
+        if isinstance(node, Constant):
             name = f"c{len(namespace)}"
             namespace[name] = float(node.value)
-            operands.append(name)
-        elif not isinstance(node, (Sum, Difference, Product, Min, Max)):
+            return name
+        if not isinstance(node, (Sum, Difference, Product, Min, Max)):
             raise TypeError(f"not a belief expression: {node!r}")
-        elif not children_done:
-            todo.append((node, True))
-            todo.extend((c, False) for c in reversed(children(node)))
+        local = f"t{next(inner)}"
+        if isinstance(node, Difference):
+            lines.append(f"    {local} = {args[0]} - {args[1]}\n")
+        elif isinstance(node, (Min, Max)):
+            lines.append(f"    {local} = {_BUILTINS[type(node)]}(("
+                         + "".join(a + ", " for a in args) + "))\n")
         else:
-            split = len(operands) - len(children(node))
-            args = operands[split:]
-            del operands[split:]
-            local = f"t{inner}"
-            inner += 1
-            if isinstance(node, Difference):
-                lines.append(f"    {local} = {args[0]} - {args[1]}\n")
-            elif isinstance(node, (Min, Max)):
-                lines.append(f"    {local} = {_BUILTINS[type(node)]}(("
-                             + "".join(a + ", " for a in args) + "))\n")
-            else:
-                start, op = _FOLDS[type(node)]
-                for i in range(0, max(len(args), 1), _FOLD_CHUNK):
-                    head = local if i else start
-                    lines.append(f"    {local} = " + op.join([head, *args[i:i + _FOLD_CHUNK]]) + "\n")
-            operands.append(local)
-    source = "def expr(p):\n" + "".join(lines) + f"    return {operands[0]}\n"
+            start, op = _FOLDS[type(node)]
+            for i in range(0, max(len(args), 1), _FOLD_CHUNK):
+                head = local if i else start
+                lines.append(f"    {local} = " + op.join([head, *args[i:i + _FOLD_CHUNK]]) + "\n")
+        return local
+
+    result = fold_tree(expr, operand,
+                       lambda node: () if leaf(node) is not None else children(node))
+    source = "def expr(p):\n" + "".join(lines) + f"    return {result}\n"
     exec(compile(source, "<belief expression>", "exec"), namespace)
     # Popped, so that the function's globals do not hold it: no
     # reference cycle, and a dropped monitor is freed by reference
@@ -221,19 +224,21 @@ def leaf_table(exprs: list[BeliefExpr]
     """The leaf table of exprs, and compile_expr's leaf lookup for it: a
     leaf's position among the leaf values, None for any other node.
     Equal sums share one bin and an entry is read once, however often it
-    occurs. Walked without recursion."""
+    occurs. Walked with fold_tree, so a shared subtree is walked once."""
     bins: dict[tuple[int, ...], int] = {}
     bare: dict[int, int] = {}
-    todo = list(exprs)
-    while todo:
-        node = todo.pop()
+
+    def register(node, _) -> None:
         key = _leaf_key(node)
-        if key is None:
-            todo.extend(children(node))
-        elif isinstance(key, tuple):
+        if isinstance(key, tuple):
             bins.setdefault(key, len(bins))
-        else:
+        elif key is not None:
             bare.setdefault(key, len(bare))
+
+    # One walk of every expression, under a node that only joins them;
+    # a leaf's own children are not walked.
+    fold_tree(Min(tuple(exprs)), register,
+              lambda node: () if _leaf_key(node) is not None else children(node))
     table = LeafTable(
         index=np.array([q for key in bins for q in key], dtype=np.intp),
         bins=np.array([k for key, k in bins.items() for _ in key], dtype=np.intp),
@@ -430,25 +435,36 @@ def children(node) -> tuple:
     return ()
 
 
-def height(root) -> int:
-    """The number of nodes on the tallest path from root down to a leaf.
-    Measured with an explicit stack, so a tree of any height measures,
-    and a subtree shared by several parents is measured once."""
-    done: dict[int, int] = {}
-    stack = [root]
+def fold_tree(root, visit: Callable[[object, list], object],
+              kids: Callable[[object], Sequence] | None = None):
+    """Fold the tree under root bottom-up: visit(node, values) gives
+    node's value from its children's values, in the order kids(node)
+    lists its children (`children` when kids is None), and the fold
+    returns root's value. Children are visited before their parent, left
+    to right. Walked with an explicit stack, so a tree of any height
+    folds; each node object is visited once, and kids called on it once,
+    however many parents share it."""
+    kids = kids or children
+    done: dict[int, object] = {}
+    stack: list[tuple[object, Sequence | None]] = [(root, None)]
     while stack:
-        node = stack[-1]
+        node, below = stack.pop()
         if id(node) in done:
-            stack.pop()
             continue
-        kids = children(node)
-        todo = [k for k in kids if id(k) not in done]
-        if todo:
-            stack.extend(todo)
+        if below is None:
+            below = kids(node)
+            stack.append((node, below))
+            stack.extend((k, None) for k in reversed(below) if id(k) not in done)
         else:
-            stack.pop()
-            done[id(node)] = 1 + max((done[id(k)] for k in kids), default=0)
+            done[id(node)] = visit(node, [done[id(k)] for k in below])
     return done[id(root)]
+
+
+def height(root) -> int:
+    """The number of nodes on the tallest path from root down to a leaf,
+    measured with fold_tree, so a tree of any height measures and a
+    subtree shared by several parents is measured once."""
+    return fold_tree(root, lambda node, below: 1 + max(below, default=0))
 
 
 def conjuncts(phi: Formula) -> tuple[Formula, ...]:
@@ -514,16 +530,16 @@ def _truth_column(node: Formula, kids: list[np.ndarray], states: np.ndarray,
 
 
 def belief_atoms(phi: Formula) -> list[BeliefPred]:
-    """The belief atoms of phi, each node once, however often it occurs."""
-    atoms: dict[int, BeliefPred] = {}
-    todo = [phi]
-    while todo:
-        node = todo.pop()
+    """The belief atoms of phi, each node once, however often it occurs,
+    in the order fold_tree visits them."""
+    atoms: list[BeliefPred] = []
+
+    def collect(node, _) -> None:
         if isinstance(node, BeliefPred):
-            atoms.setdefault(id(node), node)
-        else:
-            todo.extend(children(node))
-    return list(atoms.values())
+            atoms.append(node)
+
+    fold_tree(phi, collect)
+    return atoms
 
 
 def atom_truth(atom: BeliefPred, value: np.ndarray) -> np.ndarray:
@@ -541,31 +557,16 @@ def fold_oracle(phi: Formula, states: np.ndarray, truth: Callable[[BeliefPred], 
     ends, strictly increasing, the position after each word's last, N
     the last of them; None is one word of all N positions. Each word is
     read on its own: `X` is false at its last position, and `F`, `G` and
-    `U` look no further than its end. Walked bottom-up without
-    recursion, as `height` is; a subtree shared by several parents is
-    evaluated once."""
+    `U` look no further than its end. Folded with fold_tree, so a
+    subtree shared by several parents is evaluated once."""
     n = len(states)
     # Positions as the smallest unsigned type that holds n, so that a
     # batch's position columns stay small.
     ends = np.asarray([n] if ends is None else ends).astype(np.min_scalar_type(n))
     position_ends = np.repeat(ends, np.diff(ends, prepend=0))
     last = ends - 1
-    done: dict[int, np.ndarray] = {}
-    stack = [phi]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        kids = children(node)
-        todo = [k for k in kids if id(k) not in done]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
-            done[id(node)] = _truth_column(node, [done[id(k)] for k in kids], states,
-                                           truth, position_ends, last)
-    return done[id(phi)]
+    return fold_tree(phi, lambda node, kids: _truth_column(node, kids, states, truth,
+                                                           position_ends, last))
 
 
 def oracle_columns(phi: Formula, states: np.ndarray, beliefs: np.ndarray,

@@ -45,13 +45,13 @@ at a record's position, and `passed` says whether a step passed. The
 successor holds a new Obligation only where a rule changed one (a
 deadline fixed, a discharge) and shares the others. A step is two
 parts: the barrier values at the next belief (barrier_values), then the
-kind's float-only rule for every active obligation (check_step).
-passing_step is the same walk, stopped at the first obligation that
-fails: it gives a passing step's records and the changes its rules
-make, and replaces no obligation and builds no monitor, so the shield
-walks each candidate once and builds the successor (`successor`) only
-for the action it executes. check_step and passing_step share one
-walker, so every rule is still written once. A monitor holds the
+kind's float-only rule for every active obligation. walk_step is that
+walk, the one walk of a single transition: it gives the step's records,
+passing or not, and the changes its rules make, and replaces no
+obligation and builds no monitor. check_step is walk_step followed by
+`successor`, which builds the monitor reached from those changes; the
+shield walks each posterior once with walk_step and builds the
+successor only for the action it executes. A monitor holds the
 barrier values at the belief it has reached (compile_monitor's at the
 model's initial belief), so each belief is evaluated once, as it is
 reached, and no caller carries them; this is exact, because a
@@ -76,7 +76,7 @@ on the columns' floats, up to the one that discharges it, so every rule
 is written once. An obligation is replaced only where its rule changes
 it, and the monitor reached is built once, at the end. The records and
 the monitor reached are those of check_step step after step, bit for
-bit. check_step and passing_step stay for the simulator and the shield,
+bit. check_step and walk_step stay for the simulator and the shield,
 which decide one transition at a time.
 
 compile_monitor refuses an eventually obligation whose barrier at the
@@ -357,12 +357,11 @@ def barrier_values(mon: Monitor, probs: np.ndarray) -> BarrierValues:
             for ob in mon.obligations]
 
 
-def _walk(mon: Monitor, nxt: BarrierValues, stop_at_fail: bool
-          ) -> tuple[Records, Changes] | None:
+def walk_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Changes]:
     """The records of the transition from the belief mon has reached to
     the one whose barrier values are nxt, and the changes its rules make
-    to the obligations; with stop_at_fail, None at the first record that
-    fails."""
+    to the obligations, from which `successor` builds the monitor
+    reached. It replaces no obligation and builds no monitor."""
     first = mon.step_count == 0
     step = mon.step_count + 1
     cfg = mon.config
@@ -373,8 +372,6 @@ def _walk(mon: Monitor, nxt: BarrierValues, stop_at_fail: bool
             records.append(["inactive", ob.value, ""])
             continue
         status, barrier, detail, change = _RULES[ob.kind](ob, h_prev, h_next, first, step, cfg)
-        if status == "fail" and stop_at_fail:
-            return None
         records.append([status, barrier, detail])
         if change:
             # One record per obligation so far: this one is the last.
@@ -397,17 +394,8 @@ def successor(mon: Monitor, changes: Changes, nxt: BarrierValues) -> Monitor:
 def check_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Monitor]:
     """Records and successor monitor for the transition from the belief
     mon has reached to the one whose barrier values are nxt."""
-    records, changes = _walk(mon, nxt, False)
+    records, changes = walk_step(mon, nxt)
     return records, successor(mon, changes, nxt)
-
-
-def passing_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Changes] | None:
-    """check_step(mon, nxt)'s records and the changes from which
-    `successor` builds its monitor, when the step passes; None, from the
-    first obligation that fails on, when it does not. It walks no
-    obligation after a failing one, and replaces no obligation and
-    builds no monitor in either case."""
-    return _walk(mon, nxt, True)
 
 
 def walk_steps(mon: Monitor, columns: list[list[list[float]]], t: int

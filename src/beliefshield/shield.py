@@ -29,21 +29,21 @@ observation of positive predicted probability, not just the shared one.
 Every candidate, the nominal included, goes through one check built on
 the filter's own two steps: predicted_belief once, then correct under
 z. The step to that posterior is walked once, by the monitor's
-passing_step, which stops at the first obligation that fails and
-otherwise returns the step's records and the changes its rules make.
-In conservative mode, once z passes, the same prediction goes through
+walk_step, which returns the step's records and the changes its rules
+make; the candidate passes under z when no record fails. In
+conservative mode, once z passes, the same prediction goes through
 correct under each other observation in turn, and each posterior's
 step is walked the same way, up to the first that fails. An
 observation correct refuses with ZeroLikelihood passes when its
 likelihood is exactly zero (it cannot happen) and fails when it is
 positive but at most the floor. The shield evaluates only posteriors,
-each once, and walks each posterior's obligations once. The executed
-action's records come from its own walk under z, and its Belief and
-successor Monitor are the only ones built; a deadlock report alone
-walks its candidates again, through check_step. The tests check every
-decision against a brute-force reference that updates the belief and
-evaluates both beliefs' barriers one action at a time, for every
-action.
+each once, and walks each posterior once, a deadlock included: the
+executed action's records are its own walk's under z, a deadlock
+report lists the barriers each action's walk under z recorded, and the
+executed action's Belief and successor Monitor are the only ones
+built. The tests check every decision against a brute-force reference
+that updates the belief and evaluates both beliefs' barriers one
+action at a time, for every action.
 
 The decision is a ShieldDecision, an immutable NamedTuple that the
 simulator unpacks by position in one statement; `decision._replace(...)`
@@ -60,8 +60,7 @@ import numpy as np
 from .errors import SafetyDeadlock, ZeroLikelihood
 from .model import Belief, Mpomdp, correct, joint_labels, predicted_belief
 from .monitor import (
-    BarrierValues, Changes, Monitor, Records, barrier_values, check_step, passing_step,
-    successor,
+    BarrierValues, Changes, Monitor, Records, barrier_values, passed, successor, walk_step,
 )
 
 LITERAL = "literal"
@@ -69,9 +68,6 @@ CONSERVATIVE = "conservative"
 
 # Reward deviations within this distance of a level's least count as tied.
 REWARD_TIE = 1e-9
-
-# A safe candidate's passing_step: its records and its rules' changes.
-Walk = tuple[Records, Changes]
 
 
 class ShieldDecision(NamedTuple):
@@ -114,42 +110,33 @@ def _passes_elsewhere(m: Mpomdp, mon: Monitor, predicted: np.ndarray, action: in
             if exc.denominator == 0.0:
                 continue
             return False
-        if passing_step(mon, barrier_values(mon, posterior)) is None:
+        if not passed(walk_step(mon, barrier_values(mon, posterior))[0]):
             return False
     return True
 
 
-def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int,
-           mode: str) -> tuple[np.ndarray, BarrierValues | None, Walk | None]:
-    """One candidate action, predicted once: (row, values, walk).
+def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int, mode: str
+           ) -> tuple[np.ndarray, BarrierValues | None, Records | None, Changes | None, bool]:
+    """One candidate action, predicted once: (row, values, records,
+    changes, safe).
 
     row is the posterior under z, or the prediction when z is impossible
-    after the action (values is then None); values are the barriers at
-    the posterior; walk is passing_step's records and changes for the
-    step under z when the candidate is safe: when that step passes and,
-    in conservative mode, the step under every other observation passes
-    too. It is None when the candidate is unsafe.
+    after the action (values, records and changes are then None);
+    values are the barriers at the posterior, and records and changes
+    walk_step's for the step under z. safe says whether that step passes
+    and, in conservative mode, the step under every other observation
+    passes too.
     """
     predicted = predicted_belief(b_prev, action, m)
     try:
         posterior = correct(predicted, action, z, m)
     except ZeroLikelihood:
-        return predicted, None, None
+        return predicted, None, None, None, False
     values = barrier_values(mon, posterior)
-    walk = passing_step(mon, values)
-    if walk is not None and mode == CONSERVATIVE and not _passes_elsewhere(
-            m, mon, predicted, action, z):
-        walk = None
-    return posterior, values, walk
-
-
-def _barriers_after(mon: Monitor, values: BarrierValues | None) -> dict[str, float]:
-    """Recorded barrier value of each obligation, for deadlock reports."""
-    if values is None:
-        return {}
-    records, _ = check_step(mon, values)
-    return {ob.oid: barrier for ob, (_, barrier, _) in zip(mon.obligations, records)
-            if barrier is not None}
+    records, changes = walk_step(mon, values)
+    safe = passed(records) and (mode != CONSERVATIVE
+                                or _passes_elsewhere(m, mon, predicted, action, z))
+    return posterior, values, records, changes, safe
 
 
 @cache
@@ -178,11 +165,11 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
         raise ValueError(f"unknown shield mode: {mode!r}")
 
     nominal = _check(m, mon, b_prev, z, a_nominal, mode)
-    row, values, walk = nominal
+    row, values, records, changes, safe = nominal
     # With z impossible after the nominal, row is its one-step
     # prediction, so the reference reward stays defined.
     r_n = _reward(row, a_nominal, m)
-    overridden = walk is None
+    overridden = not safe
     if not overridden:
         best, candidates = a_nominal, [(a_nominal, r_n)]
     else:
@@ -190,19 +177,22 @@ def shield_step(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int,
         for level in _levels(m.action_names, a_nominal):
             for a in level:
                 checks[a] = _check(m, mon, b_prev, z, a, mode)
-            candidates = [(a, _reward(checks[a][0], a, m)) for a in level
-                          if checks[a][2] is not None]
+            candidates = [(a, _reward(checks[a][0], a, m)) for a in level if checks[a][4]]
             if candidates:
                 break
         else:
+            # Each action's barriers as its walk under z recorded them;
+            # none where z is impossible after it.
             raise SafetyDeadlock(mon.step_count + 1, {
-                a: _barriers_after(mon, checks[a][1]) for a in range(m.n_joint_actions)})
+                a: {ob.oid: barrier
+                    for ob, (_, barrier, _) in zip(mon.obligations, checks[a][2] or ())
+                    if barrier is not None}
+                for a in range(m.n_joint_actions)})
         # Candidates are in flat order, so the first within the tie band
         # of the least deviation has the lowest index.
         least = min(abs(r - r_n) for _, r in candidates)
         best = next(a for a, r in candidates if abs(r - r_n) <= least + REWARD_TIE)
-        row, values, walk = checks[best]
+        row, values, records, changes, _ = checks[best]
 
-    records, changes = walk
     return ShieldDecision(best, overridden, r_n, tuple(candidates), records,
                           Belief.owning(row), successor(mon, changes, values))

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beliefshield import ldtl
 from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
     Max, Min, Next, Or, Product, StateSet,
-    Sum, Until, compile_expr, describe, evaluate_columns, expr_text,
-    is_propositional, oracle_columns, pretty_print,
+    Sum, Until, belief_atoms, compile_expr, describe, evaluate_columns, expr_text,
+    is_propositional, leaf_table, oracle_columns, pretty_print,
 )
 from beliefshield.model import Belief
 
@@ -329,6 +330,38 @@ def evaluate_deep(expr, b: Belief) -> float:
 ])
 def test_compiled_expr_of_any_size_is_bit_identical_to_evaluate_expr(expr):
     assert _bits(compile_expr(expr)(B5.probs.tolist())) == _bits(evaluate_deep(expr, B5))
+
+
+def doubled(levels: int):
+    """Sum, Product, Max and Min in turn, `levels` deep over b(s0) + 0.7,
+    each level with the level below as both of its operands."""
+    expr = Difference(BeliefVar(0, "s0"), Constant(-0.7))
+    for k in range(levels):
+        expr = (Sum, Product, Max, Min)[k % 4]((expr, expr))
+    return expr
+
+
+def test_every_walker_visits_a_shared_subtree_once(monkeypatch):
+    expr = doubled(16)
+    atom = BeliefPred("doubled", expr)
+    phi = atom
+    for k in range(16):
+        phi = (And, Or)[k % 2](phi, phi)
+    calls = []
+    real = ldtl.children
+    monkeypatch.setattr(ldtl, "children", lambda node: calls.append(node) or real(node))
+    # Each distinct node is looked at no more than twice, where walking
+    # every path would take 2 ** 16 steps. The expression has 19: its 16
+    # levels, the difference, its entry and its constant; the formula 17.
+    f = compile_expr(expr)
+    assert len(calls) <= 2 * 19
+    calls.clear()
+    leaf_table([expr, expr])
+    assert len(calls) <= 2 * 19
+    calls.clear()
+    assert belief_atoms(phi) == [atom]
+    assert len(calls) <= 2 * 17
+    assert _bits(f(B5.probs.tolist())) == _bits(evaluate_expr(expr, B5))
 
 
 @pytest.mark.parametrize("name", ['a"b', "a'b", "b)", "line\nbreak", "p[0]) + 1 #"])

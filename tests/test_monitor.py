@@ -40,7 +40,7 @@ from beliefshield import (
 from beliefshield.ldtl import describe, evaluate_columns, gather_leaves
 from beliefshield.errors import BeliefShieldError
 from beliefshield.monitor import (
-    barrier_values, check_step, passed, passing_step, successor, walk_steps,
+    barrier_values, check_step, passed, successor, walk_step, walk_steps,
 )
 
 from conftest import evaluate_expr, monitor_step
@@ -507,8 +507,8 @@ def test_a_monitor_holds_the_barrier_values_of_the_belief_it_has_reached():
     # decay bound holds for 0.2 -> 0.15 but not for 0.4 -> 0.15.
     later = barrier_values(reached, b_pair(0.15, -0.3).probs)
     higher = replace(reached, values=barrier_values(reached, b_pair(0.4, -0.4).probs))
-    assert passing_step(reached, later) is not None
-    assert passing_step(higher, later) is None
+    assert passed(walk_step(reached, later)[0])
+    assert not passed(walk_step(higher, later)[0])
     assert reached != higher
 
 
@@ -684,16 +684,14 @@ def test_walk_steps_is_check_step_step_after_step(conjuncts, warm, beliefs, cfg)
     expected, reached = [], mon
     for b in rest:
         values = barrier_values(reached, b)
-        walk = passing_step(reached, values)
+        walk = walk_step(reached, values)
         before = reached
         records, reached = check_step(reached, values)
         expected.append(records)
-        # passing_step is check_step's walk, stopped at a failing step.
-        if passed(records):
-            assert repr(walk[0]) == repr(records)
-            assert repr(successor(before, walk[1], values)) == repr(reached)
-        else:
-            assert walk is None
+        # walk_step is check_step's walk, passing or not, and successor
+        # builds check_step's monitor from its changes.
+        assert repr(walk[0]) == repr(records)
+        assert repr(successor(before, walk[1], values)) == repr(reached)
     # Each barrier as a column over the steps, from one gather of every
     # step's leaves, as the audit evaluates them.
     leaves = gather_leaves(mon.leaves, np.array(rest).reshape(len(rest), 4)).T

@@ -42,7 +42,7 @@ from beliefshield import (
     run_batch,
     shield_step,
 )
-from beliefshield import monitor, sim
+from beliefshield import model, monitor, sim
 from beliefshield.errors import BeliefShieldError
 from beliefshield.monitor import barrier_values, check_step, passed
 
@@ -481,11 +481,11 @@ def test_forced_deadlock_reports_every_action(seed, mode):
 
 def audited_shield(monkeypatch) -> list[bool]:
     """Checks, on every shield_step the simulator makes from here on,
-    that no rule walks an obligation of one posterior twice, that
-    check_step is not called, and that a passing nominal's decision
-    carries the records and successor check_step gives on its values.
-    A call that deadlocks is exempt: its report walks the candidates
-    again. Returns each checked decision's `overridden`."""
+    that no rule walks an obligation of one posterior twice and that
+    check_step is not called, a call that deadlocks included, and that a
+    passing nominal's decision carries the records and successor
+    check_step gives on its values. Returns each checked decision's
+    `overridden`."""
     walked = []
     for kind, rule in list(monitor._RULES.items()):
         def counting(ob, prev, nxt, first, step, cfg, rule=rule):
@@ -502,10 +502,12 @@ def audited_shield(monkeypatch) -> list[bool]:
     def checked(m, mon, b_prev, *args, **kwargs):
         walked.clear()
         checks.clear()
-        decision = real(m, mon, b_prev, *args, **kwargs)
-        keys = [(oid, id(nxt)) for oid, nxt in walked]
-        assert len(keys) == len(set(keys))
-        assert checks == []
+        try:
+            decision = real(m, mon, b_prev, *args, **kwargs)
+        finally:
+            keys = [(oid, id(nxt)) for oid, nxt in walked]
+            assert len(keys) == len(set(keys))
+            assert checks == []
         if not decision.overridden:
             records, reached = check_step(mon, barrier_values(mon, decision.next_belief.probs))
             assert decision.verdict == records
@@ -529,7 +531,7 @@ def test_each_candidate_of_a_corridor_step_is_walked_once(mode, monkeypatch):
 def test_each_candidate_of_a_random_model_step_is_walked_once(mode, monkeypatch):
     # Random conjunctions over random models, and the all-kinds formula,
     # whose until and eventually discharge mid-episode; some batches
-    # deadlock, which is exempt.
+    # deadlock.
     overridden = audited_shield(monkeypatch)
     for seed in range(16):
         rng = np.random.default_rng(seed)
@@ -544,3 +546,38 @@ def test_each_candidate_of_a_random_model_step_is_walked_once(mode, monkeypatch)
                             horizon=25)
             run_batch(scen, base_seed=seed, episodes=3)
     assert True in overridden and False in overridden
+
+
+@pytest.mark.parametrize("mode", [LITERAL, CONSERVATIVE])
+def test_each_posterior_is_walked_once_a_deadlock_included(mode, monkeypatch):
+    # The corridor at rho 0.9 deadlocks at step 3 of every episode.
+    scen = _scenario(f"corridor_deadlock_{mode}").to_scenario()
+    walks = count_calls(monkeypatch, "walk_step")
+    checks = count_calls(monkeypatch, "check_step")
+    posteriors = count_calls(monkeypatch, "correct", model)
+    real = sim.shield_step
+    counted = []
+
+    def checked(m, mon, *args, **kwargs):
+        walks.clear()
+        posteriors.clear()
+        decision = None  # it stays None when the step deadlocks
+        try:
+            decision = real(m, mon, *args, **kwargs)
+        finally:
+            # One walk per posterior the shield corrects to, in order.
+            assert [(walked, nxt) for (walked, nxt), _ in walks] == [
+                (mon, barrier_values(mon, posterior)) for _, posterior in posteriors]
+            counted.append((decision and decision.overridden, len(walks)))
+        return decision
+
+    monkeypatch.setattr(sim, "shield_step", checked)
+    run_batch(scen, base_seed=7, episodes=3)
+    assert checks == []
+    # Steps 1 and 2 override: the nominal and the three actions that
+    # change one agent are walked under z, and in conservative mode the
+    # one of them that passes is walked under the corridor's other joint
+    # observation too. Step 3 deadlocks: all six joint actions are walked
+    # under z, and no other observation, since none passes under z.
+    override = (True, {LITERAL: 4, CONSERVATIVE: 5}[mode])
+    assert counted == [override, override, (None, 6)] * 3
