@@ -30,11 +30,11 @@ recorded belief must lie within 1e-9 of the replayed one. A row that
 passes stays in lockstep, and its episode goes on from the replayed
 belief, as a replay one step at a time would; at the first row that
 fails, the episode leaves the lockstep and the fault is held for its
-finish. At the rows that stay, the monitor's barriers and the formula's
-belief atoms are evaluated from one gather of their leaves
-(`ldtl.gather_leaves`, one leaf table for both), and their values are
-kept in one column over the batch's steps; the beliefs themselves are
-not kept.
+finish. At the rows that stay, the monitor's own barrier evaluators and
+the formula's belief atoms, the only expressions the audit compiles, are
+evaluated from one gather over the monitor's leaf table
+(`ldtl.gather_leaves`), and their values are kept in one column over the
+batch's steps; the beliefs themselves are not kept.
 
 Then each episode is finished in file order. Pass 2 walks the
 episode's range of the barrier columns, up to its first fault, with
@@ -98,7 +98,7 @@ from .config import ScenarioConfig, checked_index
 from .errors import ConfigError, TraceMismatch
 from .ldtl import (
     Formula, atom_truth, belief_atoms, compile_expr, conjuncts, evaluate_columns, fold_oracle,
-    gather_leaves, leaf_table,
+    gather_leaves,
 )
 from .model import LIKELIHOOD_FLOOR, Mpomdp, belief_updates
 from .monitor import Monitor, Records, walk_steps
@@ -295,7 +295,8 @@ class _Lockstep:
     replayed bits (`traceio.matches_encoding`) stays with error 0.0; any
     other stays only while `_row_error` passes it, and its episode's
     first fault is held in `faults`. At the rows that stay, one gather
-    reads the leaves of every barrier and belief atom, and each
+    over the monitor's leaf table reads the leaves of every barrier and
+    belief atom, and each
     barrier's value and each atom's truth are kept, each episode's steps
     and word positions in one range of their columns over the batch; the
     beliefs are not.
@@ -326,15 +327,12 @@ class _Lockstep:
         states[word_start] = initial[0]
         atoms = belief_atoms(cfg.formula)
         truths = {id(atom): np.zeros(len(states), dtype=bool) for atom in atoms}
-        # One leaf table for the barriers and the belief atoms, so that
-        # one gather per step reads the leaves of all of them. A barrier
-        # compiled over it has the bits of the monitor's own evaluator,
-        # which reads each sum of entries as the same bin.
-        table, leaf = leaf_table([*(e for ob in start.obligations for e in ob.barriers),
-                                  *(atom.expr for atom in atoms)])
-        barriers = [[] if ob.discharged else [compile_expr(e, leaf) for e in ob.barriers]
-                    for ob in start.obligations]
-        atom_values = [compile_expr(atom.expr, leaf) for atom in atoms]
+        # The monitor's own evaluators and leaf table. Each barrier holds
+        # its belief atoms' expressions as they are, so the table has a
+        # slot for every leaf of every atom, and one gather per step
+        # reads the leaves of all of them.
+        barriers = [ob.evaluators for ob in start.obligations]
+        atom_values = [compile_expr(atom.expr, start.leaves.slot) for atom in atoms]
         # Each barrier's values at every step of the batch.
         self.columns = [[np.zeros(first_step[-1]) for _ in evaluators] for evaluators in barriers]
 
@@ -342,7 +340,7 @@ class _Lockstep:
         beliefs = np.tile(m.initial.probs, (len(at), 1))
         step = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            leaves = gather_leaves(table, m.initial.probs[None]).T
+            leaves = gather_leaves(start.leaves, m.initial.probs[None]).T
             for atom, f in zip(atoms, atom_values):
                 truths[id(atom)][word_start] = atom_truth(atom, evaluate_columns(f, leaves))[0]
             while len(at):
@@ -365,7 +363,7 @@ class _Lockstep:
                             replayed[j] = True
                     at, posteriors, indices = at[replayed], posteriors[replayed], indices[:, replayed]
                 at_steps = first_step[at] + (step - 1)
-                leaves = gather_leaves(table, posteriors).T
+                leaves = gather_leaves(start.leaves, posteriors).T
                 for columns, evaluators in zip(self.columns, barriers):
                     for column, f in zip(columns, evaluators):
                         column[at_steps] = evaluate_columns(f, leaves)

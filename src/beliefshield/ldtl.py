@@ -11,11 +11,14 @@ An and/or node is a whole chain of its operator, its operands a tuple
 like a sum's, so `height` counts a chain as one level, as the parser
 does, and no walker recurses along a chain.
 
-Every walk of a tree is one fold, fold_tree: an explicit stack takes
-each node's children before the node, so a tree of any height is walked
-without recursion, and each node object is visited once however many
-parents share it. `height`, fold_oracle, belief_atoms, leaf_table and
-compile_expr are each one visit over it.
+Every walk that computes over a tree is one fold, fold_tree: an
+explicit stack takes each node's children before the node, so a tree of
+any height is walked without recursion, and each node object is visited
+once however many parents share it. `height`, fold_oracle, belief_atoms,
+leaf_table, compile_expr and `monitor.translate_core` are each one visit
+over it. The printers (expr_text, pretty_print, describe) and the
+dataclasses' `==` still recurse, one level per node on a path, within
+the bound `parsing.MAX_NESTING` sets on a scenario's trees.
 
 The trace oracle evaluates a formula on a finite word with the
 standard finite-trace closure: `always` means "at every remaining
@@ -35,13 +38,13 @@ for their witness or failure no further than the word's end.
 compile_expr turns an expression into one generated Python function, a
 flat sequence of assignments with one local per distinct inner node, of
 a list of floats, so that a shared subtree is computed once.
-oracle_columns compiles each belief atom's expression over its own
-leaf table, for its truth at each row of a stack of beliefs; the
-audit compiles the atoms over the leaf table its barriers read. A
-monitor compiles each barrier with a lookup that reads each sum of
-entries as one leaf (leaf_table), and applies it to the leaf values one
-np.bincount gathers from the belief array (gather_leaves; see
-`monitor`). evaluate_columns runs the
+oracle_columns compiles a formula's belief atoms over one leaf table,
+for their truth at each row of a stack of beliefs; the audit compiles
+them over the monitor's. A monitor compiles each barrier with its leaf
+table's lookup, `LeafTable.slot`, which reads each sum of entries as one
+leaf (leaf_table), and applies it to the leaf values one np.bincount
+gathers from the belief array (gather_leaves; see `monitor`).
+evaluate_columns runs the
 same generated code on columns: each leaf reads a row of a 2-D array,
 one column per position, +, - and * act elementwise, and min and max are
 rebound to folds that pick, position by position, the operand the
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import FunctionType
 from typing import Callable, Sequence, Union
 
@@ -129,8 +132,8 @@ def compile_expr(expr: BeliefExpr,
     floats p. leaf(node) is the position in p of a node read as one
     value, or None for a node compiled from its children. By default
     `BeliefVar(i)` reads p[i], for a belief's entries
-    (`belief.probs.tolist()`, as the oracle passes them); a monitor
-    passes the positions of its leaf values (see `monitor`).
+    (`belief.probs.tolist()`); a monitor passes its leaf table's
+    `LeafTable.slot`, the positions of its leaf values (see `monitor`).
 
     The function assigns one local per inner node, in the order
     fold_tree visits them, children first, from operands that are leaves
@@ -198,13 +201,18 @@ class LeafTable:
     index holds the state of every entry of every bin, bin by bin in
     child order, and bins the bin of each; bare holds the states of the
     entries read on their own. The expressions, compiled with the lookup
-    leaf_table gives, read bin k at position k of the leaf values and
-    bare[j] at position n_bins + j."""
+    `slot`, read bin k at position k of the leaf values and bare[j] at
+    position n_bins + j."""
 
     index: np.ndarray
     bins: np.ndarray
     n_bins: int
     bare: np.ndarray
+    slots: dict = field(repr=False, compare=False)  # by _leaf_key
+
+    def slot(self, node: BeliefExpr) -> int | None:
+        """A leaf's position among the leaf values, None for any other node."""
+        return self.slots.get(_leaf_key(node))
 
 
 def _leaf_key(node: BeliefExpr) -> tuple[int, ...] | int | None:
@@ -219,12 +227,10 @@ def _leaf_key(node: BeliefExpr) -> tuple[int, ...] | int | None:
     return None
 
 
-def leaf_table(exprs: list[BeliefExpr]
-               ) -> tuple[LeafTable, Callable[[BeliefExpr], int | None]]:
-    """The leaf table of exprs, and compile_expr's leaf lookup for it: a
-    leaf's position among the leaf values, None for any other node.
-    Equal sums share one bin and an entry is read once, however often it
-    occurs. Walked with fold_tree, so a shared subtree is walked once."""
+def leaf_table(exprs: list[BeliefExpr]) -> LeafTable:
+    """The leaf table of exprs. Equal sums share one bin and an entry is
+    read once, however often it occurs. Walked with fold_tree, so a
+    shared subtree is walked once."""
     bins: dict[tuple[int, ...], int] = {}
     bare: dict[int, int] = {}
 
@@ -239,13 +245,12 @@ def leaf_table(exprs: list[BeliefExpr]
     # a leaf's own children are not walked.
     fold_tree(Min(tuple(exprs)), register,
               lambda node: () if _leaf_key(node) is not None else children(node))
-    table = LeafTable(
+    return LeafTable(
         index=np.array([q for key in bins for q in key], dtype=np.intp),
         bins=np.array([k for key, k in bins.items() for _ in key], dtype=np.intp),
         n_bins=len(bins),
-        bare=np.array(list(bare), dtype=np.intp))
-    slots = {**bins, **{q: len(bins) + j for q, j in bare.items()}}
-    return table, lambda node: slots.get(_leaf_key(node))
+        bare=np.array(list(bare), dtype=np.intp),
+        slots={**bins, **{q: len(bins) + j for q, j in bare.items()}})
 
 
 def gather_leaves(leaves: LeafTable, beliefs: np.ndarray) -> np.ndarray:
@@ -473,15 +478,6 @@ def conjuncts(phi: Formula) -> tuple[Formula, ...]:
     return phi.children if isinstance(phi, And) else (phi,)
 
 
-def is_propositional(phi: Formula) -> bool:
-    """True when phi contains no temporal operator."""
-    if isinstance(phi, (StateSet, BeliefPred)):
-        return True
-    if isinstance(phi, _Chain):
-        return all(is_propositional(c) for c in phi.children)
-    return False
-
-
 # --------------------------------------------------------------------------
 # Finite-trace oracle
 
@@ -577,14 +573,14 @@ def oracle_columns(phi: Formula, states: np.ndarray, beliefs: np.ndarray,
     at each. Position i's entry is the truth of phi at position i of the
     word of those letters. With ends, the positions are words laid end
     to end (see fold_oracle), and each position's entry is its own
-    word's. Each belief atom reads only the entries its expression
-    names, through its own leaf table: one np.bincount sums each of its
-    sums of entries at every position."""
+    word's. The belief atoms read the entries their expressions name
+    through one leaf table: one np.bincount sums every sum of entries of
+    every atom at every position."""
+    table = leaf_table([atom.expr for atom in belief_atoms(phi)])
+    leaves = gather_leaves(table, beliefs).T
 
     def truth(atom: BeliefPred) -> np.ndarray:
-        table, leaf = leaf_table([atom.expr])
-        return atom_truth(atom, evaluate_columns(compile_expr(atom.expr, leaf),
-                                                 gather_leaves(table, beliefs).T))
+        return atom_truth(atom, evaluate_columns(compile_expr(atom.expr, table.slot), leaves))
 
     with np.errstate(over="ignore", invalid="ignore"):
         return fold_oracle(phi, states, truth, ends)

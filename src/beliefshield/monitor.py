@@ -13,6 +13,10 @@ with its `negated` flag choosing between two forms:
       negated (!f)        ->  f
     and / or chain        ->  pointwise min / max of its operands
 
+A state named more than once in a set counts once. translate_core is
+one fold over the core (`ldtl.fold_tree`), so a subtree shared by
+several parents becomes one shared expression.
+
 Every conjunct, an operand of the top-level And chain, becomes one
 `Obligation` record. Its kind selects the rule in the `_RULES` table
 that checks it between consecutive beliefs:
@@ -65,12 +69,13 @@ is one bin, and one gathered np.bincount per belief sums every bin, bit
 for bit as the sum itself adds (`ldtl.gather_leaves`). compile_expr
 compiles each barrier once, reading each bin and each entry outside
 such a sum directly from the list of leaf values at the position the
-monitor's leaf lookup gives it, and barrier_values applies them to one
-belief's list.
+table's lookup (`LeafTable.slot`) gives it, and barrier_values applies
+them to one belief's list.
 
 walk_steps is the same check over a whole run of transitions, for the
-audit, which evaluates the barriers itself at each step of its lockstep
-and keeps each barrier's values as a column over the batch's steps.
+audit, which runs the monitor's own evaluators over its leaf table at
+each step of its lockstep and keeps each barrier's values as a column
+over the batch's steps.
 walk_steps walks each active obligation's rule in _RULES over its steps
 on the columns' floats, up to the one that discharges it, so every rule
 is written once. An obligation is replaced only where its rule changes
@@ -97,7 +102,7 @@ from .errors import BeliefShieldError, UnsupportedNesting
 from .ldtl import (
     Always, And, BeliefExpr, BeliefPred, BeliefVar, Constant, Difference,
     Eventually, Evaluator, Formula, LeafTable, Max, Min, Next, Or, StateSet, Sum,
-    Until, compile_expr, conjuncts, describe, gather_leaves, is_propositional, leaf_table,
+    Until, children, compile_expr, conjuncts, describe, fold_tree, gather_leaves, leaf_table,
 )
 from .model import Mpomdp
 
@@ -122,18 +127,25 @@ class MonitorConfig:
 def translate_core(core: Formula, m: Mpomdp, delta: float) -> BeliefExpr:
     """Barrier expression whose nonnegativity tracks satisfaction of a
     propositional core (exactly for negated predicates and up to the
-    delta offset for positive ones; state atoms via their belief mass)."""
-    if isinstance(core, StateSet):
-        members = ([q for q in range(m.n_states) if q not in core.indices]
-                   if core.negated else core.indices)
-        return Difference(Sum(tuple(BeliefVar(q, m.state_names[q]) for q in members)),
-                          Constant(1.0))
-    if isinstance(core, BeliefPred):
-        return core.expr if core.negated else Difference(Constant(delta), core.expr)
-    if isinstance(core, (And, Or)):
-        node = Min if isinstance(core, And) else Max
-        return node(tuple(translate_core(c, m, delta) for c in core.children))
-    raise UnsupportedNesting(f"not a propositional core: {describe(core)}")
+    delta offset for positive ones; state atoms via their belief mass).
+    Raises UnsupportedNesting at a node that is not an atom, and or or."""
+
+    def kids(node) -> tuple:
+        if not isinstance(node, (StateSet, BeliefPred, And, Or)):
+            raise UnsupportedNesting(f"not a propositional core: {describe(node)}")
+        return children(node)
+
+    def translate(node, below: list[BeliefExpr]) -> BeliefExpr:
+        if isinstance(node, StateSet):
+            members = ([q for q in range(m.n_states) if q not in node.indices]
+                       if node.negated else dict.fromkeys(node.indices))
+            return Difference(Sum(tuple(BeliefVar(q, m.state_names[q]) for q in members)),
+                              Constant(1.0))
+        if isinstance(node, BeliefPred):
+            return node.expr if node.negated else Difference(Constant(delta), node.expr)
+        return (Min if isinstance(node, And) else Max)(tuple(below))
+
+    return fold_tree(core, translate, kids)
 
 
 # --------------------------------------------------------------------------
@@ -225,23 +237,20 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
     for i, conjunct in enumerate(conjuncts(phi)):
         label = describe(conjunct)
         shape = _TEMPORAL.get(type(conjunct))
-        if shape is not None:
-            kind, cores = shape(conjunct)
-            for core in cores:
-                _require_propositional(core, label)
-        elif is_propositional(conjunct):
-            kind, cores = "now", (conjunct,)
-        else:
+        kind, cores = shape(conjunct) if shape else ("now", (conjunct,))
+        try:
+            barriers = tuple(translate_core(core, m, config.delta) for core in cores)
+        except UnsupportedNesting:
             raise UnsupportedNesting(
-                f"conjunct {label!r} is not a temporal obligation over a "
-                f"propositional core"
-            )
-        shapes.append((f"{i}:{kind}", kind, label,
-                       tuple(translate_core(core, m, config.delta) for core in cores)))
-    leaves, leaf = leaf_table([e for *_, barriers in shapes for e in barriers])
+                f"conjunct {label!r} is not a temporal obligation over a propositional core"
+                if kind == "now" else
+                f"nested temporal operator inside {label!r}; only propositional cores "
+                f"can be monitored") from None
+        shapes.append((f"{i}:{kind}", kind, label, barriers))
+    leaves = leaf_table([e for *_, barriers in shapes for e in barriers])
     obligations = tuple(
         Obligation(oid, kind, label, barriers,
-                   tuple(compile_expr(e, leaf) for e in barriers))
+                   tuple(compile_expr(e, leaves.slot) for e in barriers))
         for oid, kind, label, barriers in shapes)
     start = Monitor(config, leaves, obligations, [])
     start = replace(start, values=barrier_values(start, m.initial.probs))
@@ -254,14 +263,6 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
                     f"obligation {ob.oid} ({ob.label}) has start barrier {h0!r}, "
                     f"which fixes no reach deadline") from None
     return start
-
-
-def _require_propositional(core: Formula, label: str) -> None:
-    if not is_propositional(core):
-        raise UnsupportedNesting(
-            f"nested temporal operator inside {label!r}; only propositional "
-            f"cores can be monitored"
-        )
 
 
 # --------------------------------------------------------------------------

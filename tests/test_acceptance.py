@@ -32,7 +32,7 @@ from beliefshield.config import ScenarioConfig
 from beliefshield.errors import ZeroLikelihood
 from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
-    Max, Min, Next, Or, Sum, Until, describe,
+    Max, Min, Next, Or, Sum, Until, belief_atoms, children, describe, fold_tree, leaf_table,
 )
 from beliefshield.model import Belief, Mpomdp, belief_update
 from beliefshield.monitor import MonitorConfig, compile_monitor
@@ -363,6 +363,22 @@ def test_criterion_6_unshielded_corridor_violates(corridor_unshielded):
 
 # --------------------------------------------------------------------------
 # Criterion 7: monitor vs oracle
+
+
+def test_every_leaf_of_every_belief_atom_has_a_slot_in_the_monitors_table(random_runs):
+    # The audit compiles the belief atoms over the monitor's leaf table,
+    # which holds each atom's expression inside a barrier as it is.
+    runs, _ = random_runs
+    for cfg, _, _ in runs:
+        table = cfg.start_monitor.leaves
+        for atom in belief_atoms(cfg.formula):
+            own = leaf_table([atom.expr])
+            leaves = []
+            fold_tree(atom.expr, lambda node, _: leaves.append(node),
+                      lambda node: () if own.slot(node) is not None else children(node))
+            for node in leaves:
+                if own.slot(node) is not None:
+                    assert table.slot(node) is not None, (cfg.name, atom.name, node)
 
 
 def test_criterion_7_clean_discharged_episodes_satisfy_oracle(random_runs):

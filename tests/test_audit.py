@@ -28,7 +28,7 @@ from beliefshield import (
     write_summary,
     write_traces,
 )
-from beliefshield import audit, model
+from beliefshield import audit, ldtl, model
 from beliefshield.audit import _same_detail
 from beliefshield.barrier import FtParams
 from beliefshield.model import LIKELIHOOD_FLOOR, predicted_belief
@@ -657,6 +657,21 @@ def test_the_audit_checks_no_step_one_at_a_time(corridor_run, monkeypatch):
              for name in ("check_step", "barrier_values")]
     assert audit_traces(cfg, episodes) == expected
     assert calls == [[], []]
+
+
+def test_the_audit_compiles_only_the_belief_atoms_over_the_monitors_table(
+        corridor_run, monkeypatch):
+    # The barriers are the monitor's own evaluators, compiled once with
+    # the scenario; the audit compiles each belief atom, over the
+    # monitor's leaf table, and nothing else.
+    cfg, _, path = corridor_run
+    episodes = read_traces(path)
+    leaves = cfg.start_monitor.leaves
+    calls = count_calls(monkeypatch, "compile_expr", ldtl)
+    assert audit_traces(cfg, episodes).ok
+    assert [args for args, _ in calls] == [
+        (cfg.predicates[name], leaves.slot)
+        for name in ("near_patroller", "near_debris", "at_goal")]
 
 
 def test_audit_accepts_clean_corridor_traces(corridor_run):

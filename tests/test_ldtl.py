@@ -14,7 +14,7 @@ from beliefshield.ldtl import (
     Always, And, BeliefPred, BeliefVar, Constant, Difference, Eventually,
     Max, Min, Next, Or, Product, StateSet,
     Sum, Until, belief_atoms, compile_expr, describe, evaluate_columns, expr_text,
-    is_propositional, leaf_table, oracle_columns, pretty_print,
+    leaf_table, oracle_columns, pretty_print,
 )
 from beliefshield.model import Belief
 
@@ -157,12 +157,6 @@ def test_a_nan_belief_atom_is_false_under_both_polarities():
     nan = Constant(float("nan"))
     assert not oracle_satisfies(BeliefPred("f", nan), word)
     assert not oracle_satisfies(BeliefPred("f", nan, negated=True), word)
-
-
-def test_is_propositional():
-    assert is_propositional(And(IN0, Or(IN1, HIGH1)))
-    assert not is_propositional(And(IN0, Next(IN1)))
-    assert not is_propositional(Always(IN0))
 
 
 def test_pretty_print_golden():

@@ -1,5 +1,6 @@
 """Monitor compilation and step-by-step obligation checking."""
 
+import re
 import struct
 from dataclasses import replace
 
@@ -37,13 +38,16 @@ from beliefshield import (
     ft_dtbf_check,
     ft_time_bound,
 )
-from beliefshield.ldtl import describe, evaluate_columns, gather_leaves
+from beliefshield import ldtl
+from beliefshield.ldtl import describe, evaluate_columns, fold_tree, gather_leaves
 from beliefshield.errors import BeliefShieldError
 from beliefshield.monitor import (
     barrier_values, check_step, passed, successor, walk_step, walk_steps,
 )
 
-from conftest import evaluate_expr, monitor_step
+from beliefshield.presets import corridor_config
+
+from conftest import count_calls, evaluate_expr, monitor_step
 
 # Positions in a record, check_step's [status, barrier, detail].
 STATUS, BARRIER, DETAIL = range(3)
@@ -218,6 +222,36 @@ def test_translate_rejects_temporal_core():
         translate_core(Always(MARGIN), MODEL, 1e-3)
 
 
+def test_a_state_named_twice_in_a_set_counts_once():
+    # Its mass is b(h0_h1) however often the set names it, so the two
+    # barriers have the same bits; counted twice, the first read -0.3.
+    cfg = corridor_config("literal")
+
+    def start(text):
+        phi = parse_formula(text, cfg.predicates, cfg.model.state_index)
+        return compile_monitor(phi, cfg.model, cfg.monitor).values
+
+    twice, once = start("G in({h0_h1, h0_h1})"), start("G in({h0_h1})")
+    assert struct.pack("<d", twice[0][0]) == struct.pack("<d", once[0][0])
+    assert once == [[-0.65]]
+
+
+def test_translate_core_visits_a_shared_subtree_once(monkeypatch):
+    # 16 levels of And and Or in turn over one atom, each level with the
+    # level below as both of its operands: 17 distinct nodes.
+    core = MARGIN
+    for k in range(16):
+        core = (And, Or)[k % 2](core, core)
+    calls = count_calls(monkeypatch, "children", module=ldtl)
+    barrier = translate_core(core, MODEL, 1e-3)
+    assert len(calls) <= 2 * 17
+    # One Min or Max per level, where translating every path would
+    # build 2 ** 16 - 1 of them.
+    levels = []
+    fold_tree(barrier, lambda node, _: isinstance(node, (Min, Max)) and levels.append(node))
+    assert len(levels) == 16
+
+
 # --------------------------------------------------------------------------
 # Compilation
 
@@ -246,16 +280,23 @@ def test_compile_assigns_kinds_and_ids_in_order():
 
 def test_compile_rejects_unsupported_shapes():
     for phi in [
-        Always(Eventually(MARGIN)),
         Next(Next(REACH)),
         Until(MARGIN, Always(REACH)),
         Until(Eventually(MARGIN), REACH),
         Eventually(Until(MARGIN, REACH)),
-        # A disjunction of temporal obligations is not a conjunct shape.
-        __import__("beliefshield").Or(Always(MARGIN), Eventually(REACH)),
+        Always(And(MARGIN, Or(REACH, Next(MARGIN)))),
     ]:
         with pytest.raises(UnsupportedNesting):
             compile_monitor(phi, MODEL, CFG)
+    with pytest.raises(UnsupportedNesting, match=re.escape(
+            "nested temporal operator inside 'G F !margin'; only propositional cores "
+            "can be monitored")):
+        compile_monitor(Always(Eventually(MARGIN)), MODEL, CFG)
+    # A disjunction of temporal obligations is not a conjunct shape.
+    with pytest.raises(UnsupportedNesting, match=re.escape(
+            "conjunct 'G !margin | F !reach' is not a temporal obligation over a "
+            "propositional core")):
+        compile_monitor(Or(Always(MARGIN), Eventually(REACH)), MODEL, CFG)
 
 
 def test_config_rejects_nonpositive_delta():
