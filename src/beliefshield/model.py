@@ -16,16 +16,19 @@ filter would carry it into a belief.
 
 The filter's arithmetic is in a fixed order, so its bits depend on
 neither the BLAS library nor the CPU kernel it picks. The model stores
-each action's non-zero transition entries once, in ascending source
-state order, and the prediction adds each successor's terms in that
-order, from 0.0 (see _predict). Expected rewards and the correction's
-normalizer are numpy sums over one contiguous product vector, whose
-pairwise order numpy fixes by the vector's length. belief_updates
-filters a (k, n) stack of beliefs with the same two helpers, the rows
-of one action at once: each row's prediction terms go to bins of its
-own, in the same order, and each row's normalizer is the sum of its own
-contiguous row, so every row has the bits belief_update gives it.
-It predicts at most CHUNK_TERMS kernel terms at once, so its
+each action's non-zero transition entries once, in layers by in-degree
+(see Kernel): layer r holds the (r+1)-th entry, by ascending source
+state, of every successor that has one. The prediction adds each
+successor's terms in ascending source order, from 0.0 (see _predict).
+Expected rewards and the correction's normalizer are numpy sums over
+one contiguous product vector, whose pairwise order numpy fixes by the
+vector's length. belief_updates filters a (k, n) stack of beliefs with
+the same two helpers, the rows of one action at once: their prediction
+adds each layer as one block, so each entry receives its row's terms in
+the same order, and each row's normalizer is the sum of its own
+contiguous row, so every row has the bits belief_update gives it. A
+stack too short to pay for one numpy call per layer is predicted row by
+row. It predicts at most CHUNK_TERMS kernel terms at once, so its
 temporaries stay bounded however many rows a stack has.
 
 Sampling is an inverse-CDF draw over successor tables that the model
@@ -163,26 +166,55 @@ def _row_tables(block: np.ndarray) -> list[RowTable]:
             for start, end in zip([0] + ends, ends)]
 
 
-# An action's transition kernel as its non-zero entries (src, dst, w):
-# w[k] = transition[src[k], a, dst[k]], in ascending (src, dst) order.
-Kernel = tuple[np.ndarray, np.ndarray, np.ndarray]
+@dataclass(frozen=True)
+class Kernel:
+    """One action's transition kernel: its non-zero entries (src, dst, w),
+    w[i] = transition[src[i], a, dst[i]], stored in layers.
+
+    The states are ranked by descending in-degree, ties in index order,
+    and place[q] is state q's position in that ranking. Layer r holds the
+    (r+1)-th entry, by ascending source, of each state whose in-degree
+    exceeds r, by position. So layer r covers the first positions, as
+    many as it has entries, and every state's entries lie in layers 0,
+    1, ... in ascending source order. `layers` lists each layer as two
+    slices: the positions it covers and its entries."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    place: np.ndarray
+    layers: list[tuple[slice, slice]]
 
 
 def _kernel(block: np.ndarray) -> Kernel:
-    """Non-zero entries of one action's (n, n) transition block, row by
-    row."""
-    src, dst = np.nonzero(block)
-    entries = (src, dst, block[src, dst])
-    for arr in entries:
+    """The layered kernel of one action's (n, n) transition block."""
+    n = len(block)
+    src, dst = np.nonzero(block)  # ascending (src, dst)
+    in_degree = np.bincount(dst, minlength=n)
+    order = np.argsort(-in_degree, kind="stable")
+    place = np.empty(n, dtype=np.intp)
+    place[order] = np.arange(n)
+    # Each entry's rank among its successor's entries, by ascending source.
+    by_dst = np.argsort(dst, kind="stable")
+    rank = np.empty(len(dst), dtype=np.intp)
+    rank[by_dst] = np.arange(len(dst)) - np.repeat(np.cumsum(in_degree) - in_degree, in_degree)
+    # By layer, then by position: every key is distinct.
+    layered = np.argsort(rank * n + place[dst])
+    src, dst = src[layered], dst[layered]
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    layers = [(slice(0, end - start), slice(start, end))
+              for start, end in zip([0] + ends, ends)]
+    arrays = (src, dst, block[src, dst], place)
+    for arr in arrays:
         arr.setflags(write=False)
-    return entries
+    return Kernel(*arrays, layers=layers)
 
 
 @dataclass(frozen=True)
 class SuccessorTables:
     """Every row's successor table, built once per model: transition[a][q],
     observation[a][q'] and initial; and kernels[a], each action's
-    transition entries, which the prediction sums."""
+    transition entries in layers, which the prediction sums."""
 
     transition: list[list[RowTable]]
     observation: list[list[RowTable]]
@@ -353,22 +385,42 @@ def validate_model(m: Mpomdp) -> list[Violation]:
 def _predict(probs: np.ndarray, action: int, m: Mpomdp) -> np.ndarray:
     """One-step prediction of a belief vector, or of each row of a (k, n)
     stack of beliefs: push it through the transition kernel, no
-    observation correction. Returns raw probability vectors.
+    observation correction. Returns raw probability vectors, a stack's
+    as a C-contiguous (k, n) array.
 
     Entry q' is sum_q b(q) * transition[q, a, q'] over the non-zero
     entries of the action's kernel, added in ascending q from 0.0, so
-    its bits are those of that scalar loop on any CPU. Of a stack, row
-    r's terms go to bins r * n + q' in the same order, so each row's
-    entries are those of its own prediction."""
-    src, dst, w = m.successors.kernels[action]
+    its bits are those of that scalar loop on any CPU. A vector's terms
+    go through one np.bincount in layer order (see Kernel), which feeds
+    each bin its terms in that order. A stack of at least
+    _stacked_rows(kernel) rows takes its terms once, as an (nnz, k)
+    array of transposed rows, and adds each layer as one block into the
+    first rows of an (n, k) accumulator of zeros, one row per position.
+    So each entry receives its row's terms in ascending source order
+    too, and each row of the result, taken back to state order, is its
+    own prediction.
+    A shorter stack is predicted row by row."""
+    kernel = m.successors.kernels[action]
     if probs.ndim == 1:
-        terms = probs[src]
-        terms *= w
-        return np.bincount(dst, terms, m.n_states)
-    terms = probs.take(src, axis=1)
-    terms *= w
-    bins = (dst + np.arange(0, probs.size, m.n_states)[:, None]).ravel()
-    return np.bincount(bins, terms.ravel(), probs.size).reshape(probs.shape)
+        terms = probs[kernel.src]
+        terms *= kernel.w
+        return np.bincount(kernel.dst, terms, m.n_states)
+    if len(probs) < _stacked_rows(kernel):
+        return np.array([_predict(row, action, m) for row in probs])
+    terms = np.ascontiguousarray(probs.T).take(kernel.src, axis=0)
+    terms *= kernel.w[:, None]
+    acc = np.zeros((m.n_states, len(probs)))
+    for positions, entries in kernel.layers:
+        acc[positions] += terms[entries]
+    return np.ascontiguousarray(acc.take(kernel.place, axis=0).T)
+
+
+def _stacked_rows(kernel: Kernel) -> int:
+    """The fewest rows _predict takes as one stack through the kernel's
+    layers: each layer costs one numpy call, so a stack of fewer rows
+    than a fifth of the layers, or of fewer than four, is cheaper row by
+    row."""
+    return max(4, -(-len(kernel.layers) // 5))
 
 
 def _weigh(predicted: np.ndarray, action: int, obs, m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
@@ -410,25 +462,26 @@ def belief_update(b: Belief, action: int, obs: int, m: Mpomdp) -> Belief:
     return Belief.owning(correct(predicted_belief(b, action, m), action, obs, m))
 
 
-# The most kernel terms belief_updates predicts at once: each term holds a
-# float64 and a bin index while its chunk is predicted.
+# The most kernel terms belief_updates predicts at once: each term holds
+# one float64 while its chunk is predicted.
 CHUNK_TERMS = 1 << 20
 
 
 def belief_updates(probs: np.ndarray, actions: np.ndarray, observations: np.ndarray,
                    m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
     """belief_update of each row of a (k, n) stack of beliefs under its own
-    action and observation, the rows of one action predicted and
-    corrected as stacks of at most CHUNK_TERMS kernel terms: the (k, n)
-    posteriors and their (k,) normalizers. A row whose normalizer is
-    above LIKELIHOOD_FLOOR has the bits belief_update gives it, whatever
-    chunk it is in; any other row is undefined, and raises nothing."""
+    action and observation, the rows of one action predicted (_predict)
+    and corrected as stacks of at most CHUNK_TERMS kernel terms: the
+    (k, n) posteriors and their (k,) normalizers. A row whose normalizer
+    is above LIKELIHOOD_FLOOR has the bits belief_update gives it,
+    whatever chunk it is in and whichever way its chunk is predicted;
+    any other row is undefined, and raises nothing."""
     posteriors = np.empty((len(probs), m.n_states))
     normalizers = np.empty(len(probs))
     with np.errstate(divide="ignore", invalid="ignore"):
         for action in np.flatnonzero(np.bincount(actions)).tolist():
             rows = np.flatnonzero(actions == action)
-            size = max(1, CHUNK_TERMS // len(m.successors.kernels[action][0]))
+            size = max(1, CHUNK_TERMS // len(m.successors.kernels[action].src))
             for start in range(0, len(rows), size):
                 chunk = rows[start:start + size]
                 numer, denom = _weigh(_predict(probs.take(chunk, axis=0), action, m),
