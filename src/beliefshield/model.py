@@ -26,9 +26,8 @@ vector's length. belief_updates filters a (k, n) stack of beliefs with
 the same two helpers, the rows of one action at once: their prediction
 adds each layer as one block, so each entry receives its row's terms in
 the same order, and each row's normalizer is the sum of its own
-contiguous row, so every row has the bits belief_update gives it. A
-stack too short to pay for one numpy call per layer is predicted row by
-row. It predicts at most CHUNK_TERMS kernel terms at once, so its
+contiguous row, so every row has the bits belief_update gives it.
+It predicts at most CHUNK_TERMS kernel terms at once, so its
 temporaries stay bounded however many rows a stack has.
 
 Sampling is an inverse-CDF draw over successor tables that the model
@@ -392,35 +391,23 @@ def _predict(probs: np.ndarray, action: int, m: Mpomdp) -> np.ndarray:
     entries of the action's kernel, added in ascending q from 0.0, so
     its bits are those of that scalar loop on any CPU. A vector's terms
     go through one np.bincount in layer order (see Kernel), which feeds
-    each bin its terms in that order. A stack of at least
-    _stacked_rows(kernel) rows takes its terms once, as an (nnz, k)
-    array of transposed rows, and adds each layer as one block into the
-    first rows of an (n, k) accumulator of zeros, one row per position.
-    So each entry receives its row's terms in ascending source order
-    too, and each row of the result, taken back to state order, is its
-    own prediction.
-    A shorter stack is predicted row by row."""
+    each bin its terms in that order. A stack takes its terms once, as
+    an (nnz, k) array of transposed rows, and adds each layer as one
+    block into the first rows of an (n, k) accumulator of zeros, one row
+    per position. So each entry receives its row's terms in ascending
+    source order too, and each row of the result, taken back to state
+    order, is its own prediction."""
     kernel = m.successors.kernels[action]
     if probs.ndim == 1:
         terms = probs[kernel.src]
         terms *= kernel.w
         return np.bincount(kernel.dst, terms, m.n_states)
-    if len(probs) < _stacked_rows(kernel):
-        return np.array([_predict(row, action, m) for row in probs])
     terms = np.ascontiguousarray(probs.T).take(kernel.src, axis=0)
     terms *= kernel.w[:, None]
     acc = np.zeros((m.n_states, len(probs)))
     for positions, entries in kernel.layers:
         acc[positions] += terms[entries]
     return np.ascontiguousarray(acc.take(kernel.place, axis=0).T)
-
-
-def _stacked_rows(kernel: Kernel) -> int:
-    """The fewest rows _predict takes as one stack through the kernel's
-    layers: each layer costs one numpy call, so a stack of fewer rows
-    than a fifth of the layers, or of fewer than four, is cheaper row by
-    row."""
-    return max(4, -(-len(kernel.layers) // 5))
 
 
 def _weigh(predicted: np.ndarray, action: int, obs, m: Mpomdp) -> tuple[np.ndarray, np.ndarray]:
@@ -474,8 +461,8 @@ def belief_updates(probs: np.ndarray, actions: np.ndarray, observations: np.ndar
     and corrected as stacks of at most CHUNK_TERMS kernel terms: the
     (k, n) posteriors and their (k,) normalizers. A row whose normalizer
     is above LIKELIHOOD_FLOOR has the bits belief_update gives it,
-    whatever chunk it is in and whichever way its chunk is predicted;
-    any other row is undefined, and raises nothing."""
+    whatever chunk it is in; any other row is undefined, and raises
+    nothing."""
     posteriors = np.empty((len(probs), m.n_states))
     normalizers = np.empty(len(probs))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -157,12 +157,30 @@ def sparse_rows(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rows / rows.sum(axis=-1, keepdims=True)
 
 
+def hub_model(rng: np.random.Generator) -> Mpomdp:
+    """A random model with sparse transition rows, every one of which
+    reaches state 0, the hub, and none of which reaches the last half of
+    the states: the hub has in-degree n, those states in-degree 0."""
+    m = random_model(rng, max_states=24, max_agents=2)
+    n = m.n_states
+    reached = n - n // 2
+    transition = np.zeros(m.transition.shape)
+    transition[:, :, 0] = rng.random(transition.shape[:2]) + 1e-3
+    others = rng.random((n, m.n_joint_actions, reached - 1))
+    transition[:, :, 1:reached] = others * (rng.random(others.shape) < 0.4)
+    return replace(m, transition=transition / transition.sum(axis=2, keepdims=True),
+                   observation=sparse_rows(rng, m.observation.shape))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
-def test_predicted_belief_adds_in_ascending_source_order(seed, zeros_in_belief):
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(), st.booleans())
+def test_predicted_belief_adds_in_ascending_source_order(seed, zeros_in_belief, hub):
     rng = np.random.default_rng(seed)
-    m = random_model(rng, max_states=12)
-    m = replace(m, transition=sparse_rows(rng, m.transition.shape))
+    if hub:
+        m = hub_model(rng)
+    else:
+        m = random_model(rng, max_states=12)
+        m = replace(m, transition=sparse_rows(rng, m.transition.shape))
     probs = random_simplex(rng, m.n_states)
     if zeros_in_belief:
         probs[rng.random(m.n_states) < 0.3] = 0.0
@@ -208,15 +226,24 @@ def test_belief_updates_give_each_row_the_bits_of_belief_update(seed, max_states
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=200))
-def test_chunked_stacks_give_each_row_the_bits_of_belief_update(seed, chunk_terms):
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=200),
+       st.booleans())
+def test_chunked_stacks_give_each_row_the_bits_of_belief_update(seed, chunk_terms, hub):
     # With the chunk limit patched small, one action's rows are predicted
-    # in many chunks, down to one row each; every row keeps its bits.
+    # in many chunks, down to one row each; every row keeps its bits. A
+    # hub model's layers run in width from the reached states down to
+    # one; its actions have up to 130 terms, so its chunks hold up to 30
+    # rows.
     rng = np.random.default_rng(seed)
-    m = random_model(rng, max_states=20, max_agents=2)
-    m = replace(m, transition=sparse_rows(rng, m.transition.shape),
-                observation=sparse_rows(rng, m.observation.shape))
-    k = int(rng.integers(1, 40))
+    if hub:
+        m = hub_model(rng)
+        k = int(rng.choice([1, 2, 3, 40]))
+        chunk_terms *= 20
+    else:
+        m = random_model(rng, max_states=20, max_agents=2)
+        m = replace(m, transition=sparse_rows(rng, m.transition.shape),
+                    observation=sparse_rows(rng, m.observation.shape))
+        k = int(rng.integers(1, 40))
     probs = np.array([random_simplex(rng, m.n_states) for _ in range(k)])
     actions = rng.integers(m.n_joint_actions, size=k)
     observations = rng.integers(m.n_joint_observations, size=k)
@@ -230,59 +257,6 @@ def test_chunked_stacks_give_each_row_the_bits_of_belief_update(seed, chunk_term
             assert normalizer == exc.denominator
             continue
         assert posterior.tobytes() == expected.tobytes()
-
-
-def hub_model(rng: np.random.Generator) -> Mpomdp:
-    """A random model with sparse transition rows, every one of which
-    reaches state 0, the hub, and none of which reaches the last half of
-    the states: the hub has in-degree n, those states in-degree 0."""
-    m = random_model(rng, max_states=24, max_agents=2)
-    n = m.n_states
-    reached = n - n // 2
-    transition = np.zeros(m.transition.shape)
-    transition[:, :, 0] = rng.random(transition.shape[:2]) + 1e-3
-    others = rng.random((n, m.n_joint_actions, reached - 1))
-    transition[:, :, 1:reached] = others * (rng.random(others.shape) < 0.4)
-    return replace(m, transition=transition / transition.sum(axis=2, keepdims=True),
-                   observation=sparse_rows(rng, m.observation.shape))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 3, 40]),
-       st.integers(min_value=1, max_value=4000), st.booleans())
-def test_uneven_kernels_give_each_row_the_bits_of_belief_update(seed, k, chunk_terms, stacked):
-    # The hub's entries span every layer and the unreached states none,
-    # so the layers' widths run from the reached states down to one.
-    # Chunks of any size, predicted by the short-stack rule or, with
-    # `stacked`, through the layers from two rows up, give each row the
-    # bits of belief_update, and one belief's prediction is the scalar
-    # loop over ascending sources.
-    rng = np.random.default_rng(seed)
-    m = hub_model(rng)
-    probs = np.array([random_simplex(rng, m.n_states) for _ in range(k)])
-    probs[rng.random(probs.shape) < 0.2] = 0.0
-    actions = rng.integers(m.n_joint_actions, size=k)
-    observations = rng.integers(m.n_joint_observations, size=k)
-    with mock.patch.object(model, "CHUNK_TERMS", chunk_terms), \
-            mock.patch.object(model, "_stacked_rows",
-                              (lambda kernel: 2) if stacked else model._stacked_rows):
-        posteriors, normalizers = belief_updates(probs, actions, observations, m)
-    for row, a, z, posterior, normalizer in zip(probs, actions.tolist(), observations.tolist(),
-                                                posteriors, normalizers.tolist()):
-        try:
-            expected = belief_update(Belief(row), a, z, m).probs
-        except ZeroLikelihood as exc:
-            assert normalizer == exc.denominator
-            continue
-        assert posterior.tobytes() == expected.tobytes()
-    t = m.transition
-    for a in range(m.n_joint_actions):
-        expected = np.zeros(m.n_states)
-        for q in range(m.n_states):
-            for q_next in range(m.n_states):
-                if t[q, a, q_next]:
-                    expected[q_next] += float(probs[0, q]) * float(t[q, a, q_next])
-        assert predicted_belief(Belief(probs[0]), a, m).tobytes() == expected.tobytes()
 
 
 def test_a_large_stack_is_filtered_in_bounded_memory():
