@@ -44,23 +44,24 @@ successor monitor, so candidate actions can be probed without mutation.
 The records are one [status, barrier, detail] list per obligation, in
 the monitor's obligation order: the form a version 3 trace row holds
 them in (see `traceio`), so the writer writes them and the audit
-compares them as they are. An oid or kind is read from the obligation
-at a record's position, and `passed` says whether a step passed. The
+compares them as they are. An oid or kind is read from the obligation at
+a record's position, and `passed` says whether a step passed. The
 successor holds a new Obligation only where a rule changed one (a
-deadline fixed, a discharge) and shares the others. A step is two
-parts: the barrier values at the next belief (barrier_values), then the
-kind's float-only rule for every active obligation. walk_step is that
-walk, the one walk of a single transition: it gives the step's records,
-passing or not, and the changes its rules make, and replaces no
-obligation and builds no monitor. check_step is walk_step followed by
+deadline fixed, a discharge) and shares the others. A step is two parts:
+the barrier values at the next belief (barrier_values), then the kind's
+float-only rule for every active obligation. walk_step is that walk, the
+one walk of a single transition: it gives the step's records, passing or
+not, and the changes its rules make, and replaces no obligation and
+builds no monitor; with details false it writes no failure text, a
+failing record's detail being "". check_step is walk_step followed by
 `successor`, which builds the monitor reached from those changes; the
-shield walks each posterior once with walk_step and builds the
-successor only for the action it executes. A monitor holds the
-barrier values at the belief it has reached (compile_monitor's at the
-model's initial belief), so each belief is evaluated once, as it is
-reached, and no caller carries them; this is exact, because a
-successor only discharges obligations and no rule reads the values of
-a discharged one.
+shield walks each posterior once with walk_step, without details, and
+builds the successor only for the action it executes. A monitor holds
+the barrier values at the belief it has reached (compile_monitor's at
+the model's initial belief), so each belief is evaluated once, as it is
+reached, and no caller carries them; this is exact, because a successor
+only discharges obligations and no rule reads the values of a discharged
+one.
 
 barrier_values takes the belief as its float64 array and reads it
 through the monitor's leaf table (`ldtl.leaf_table`). Each sum whose
@@ -272,19 +273,22 @@ def compile_monitor(phi: Formula, m: Mpomdp, config: MonitorConfig) -> Monitor:
 # A rule maps one active obligation and its barrier values at b_prev and
 # b_next to (status, recorded barrier, detail, field changes for the
 # successor obligation, or None when it stays as it is). Rules only read
-# floats. A discharge records the barrier value it was decided on.
+# floats. A discharge records the barrier value it was decided on. With
+# details false a failing record's detail is "": the shield reads only a
+# candidate's statuses and barriers, and executes only one that passes.
 
 
-def _always(ob, prev, nxt, first, step, cfg):
+def _always(ob, prev, nxt, first, step, cfg, details):
     (h_prev,), (h_next,) = prev, nxt
     if first and h_prev < 0.0:
-        return "fail", h_next, f"start barrier {h_prev:.6g} < 0", None
+        return "fail", h_next, f"start barrier {h_prev:.6g} < 0" if details else "", None
     if not dtbf_check(h_prev, h_next, cfg.alpha):
-        return "fail", h_next, f"decay bound broken ({h_prev:.6g} -> {h_next:.6g})", None
+        return ("fail", h_next,
+                f"decay bound broken ({h_prev:.6g} -> {h_next:.6g})" if details else "", None)
     return "pass", h_next, "", None
 
 
-def _eventually(ob, prev, nxt, first, step, cfg):
+def _eventually(ob, prev, nxt, first, step, cfg, details):
     (h_prev,), (h_next,) = prev, nxt
     if first and h_prev >= 0.0:
         return "discharged", h_prev, "satisfied at start", {"discharged": True, "value": h_prev}
@@ -294,16 +298,22 @@ def _eventually(ob, prev, nxt, first, step, cfg):
     if h_next >= 0.0:
         return ("discharged", h_next, f"reached at step {step} (deadline {deadline})",
                 {"deadline": deadline, "discharged": True, "value": h_next})
-    problems = []
-    if not ft_dtbf_check(h_prev, h_next, cfg.ft):
-        problems.append(f"contraction broken ({h_prev:.6g} -> {h_next:.6g})")
-    if step > deadline:
-        problems.append(f"deadline {deadline} passed")
     changes = {"deadline": deadline} if ob.deadline is None else None
-    return ("fail" if problems else "pass"), h_next, "; ".join(problems), changes
+    contracts = ft_dtbf_check(h_prev, h_next, cfg.ft)
+    in_time = step <= deadline
+    if contracts and in_time:
+        return "pass", h_next, "", changes
+    if not details:
+        return "fail", h_next, "", changes
+    problems = []
+    if not contracts:
+        problems.append(f"contraction broken ({h_prev:.6g} -> {h_next:.6g})")
+    if not in_time:
+        problems.append(f"deadline {deadline} passed")
+    return "fail", h_next, "; ".join(problems), changes
 
 
-def _until(ob, prev, nxt, first, step, cfg):
+def _until(ob, prev, nxt, first, step, cfg, details):
     (h1_prev, h2_prev), (h1_next, h2_next) = prev, nxt
     if first and h2_prev >= 0.0:
         return ("discharged", h2_prev, "right side satisfied at start",
@@ -311,33 +321,35 @@ def _until(ob, prev, nxt, first, step, cfg):
     if first and h1_prev < 0.0:
         # Right side negative at the start means the left must already
         # hold there; a later discharge cannot repair position zero.
-        return "fail", h1_next, f"left barrier {h1_prev:.6g} < 0 at start", None
+        return ("fail", h1_next,
+                f"left barrier {h1_prev:.6g} < 0 at start" if details else "", None)
     if h2_next >= 0.0:
         return ("discharged", h2_next, f"right side reached at step {step}",
                 {"discharged": True, "value": h2_next})
     if not dtbf_check(h1_prev, h1_next, cfg.alpha):
         return ("fail", h1_next,
-                f"left decay bound broken ({h1_prev:.6g} -> {h1_next:.6g})", None)
+                f"left decay bound broken ({h1_prev:.6g} -> {h1_next:.6g})" if details else "",
+                None)
     return "pass", h1_next, f"right barrier {h2_next:.6g}", None
 
 
 # next and now are one-shot: decided at their single step either way.
 
 
-def _next(ob, prev, nxt, first, step, cfg):
+def _next(ob, prev, nxt, first, step, cfg, details):
     h_next = nxt[0]
     settled = {"discharged": True, "value": h_next}
     if h_next >= 0.0:
         return "discharged", h_next, "", settled
-    return "fail", h_next, "barrier < 0 at the next step", settled
+    return "fail", h_next, "barrier < 0 at the next step" if details else "", settled
 
 
-def _now(ob, prev, nxt, first, step, cfg):
+def _now(ob, prev, nxt, first, step, cfg, details):
     h0 = prev[0]
     settled = {"discharged": True, "value": h0}
     if h0 >= 0.0:
         return "discharged", h0, "", settled
-    return "fail", h0, "barrier < 0 at start", settled
+    return "fail", h0, "barrier < 0 at start" if details else "", settled
 
 
 _RULES = {
@@ -358,11 +370,14 @@ def barrier_values(mon: Monitor, probs: np.ndarray) -> BarrierValues:
             for ob in mon.obligations]
 
 
-def walk_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Changes]:
+def walk_step(mon: Monitor, nxt: BarrierValues, details: bool = True
+              ) -> tuple[Records, Changes]:
     """The records of the transition from the belief mon has reached to
     the one whose barrier values are nxt, and the changes its rules make
     to the obligations, from which `successor` builds the monitor
-    reached. It replaces no obligation and builds no monitor."""
+    reached. It replaces no obligation and builds no monitor. With
+    details false every failing record's detail is "", and every other
+    record is as it is with details true."""
     first = mon.step_count == 0
     step = mon.step_count + 1
     cfg = mon.config
@@ -372,7 +387,8 @@ def walk_step(mon: Monitor, nxt: BarrierValues) -> tuple[Records, Changes]:
         if ob.discharged:
             records.append(["inactive", ob.value, ""])
             continue
-        status, barrier, detail, change = _RULES[ob.kind](ob, h_prev, h_next, first, step, cfg)
+        status, barrier, detail, change = _RULES[ob.kind](ob, h_prev, h_next, first, step, cfg,
+                                                           details)
         records.append([status, barrier, detail])
         if change:
             # One record per obligation so far: this one is the last.
@@ -422,7 +438,7 @@ def walk_steps(mon: Monitor, columns: list[list[list[float]]], t: int
         if not ob.discharged:
             rule = _RULES[ob.kind]
             for step, nxt in enumerate(zip(*cols), mon.step_count + 1):
-                *record, changes = rule(ob, prev, nxt, step == 1, step, cfg)
+                *record, changes = rule(ob, prev, nxt, step == 1, step, cfg, True)
                 records.append(record)
                 prev = nxt
                 if changes:

@@ -27,23 +27,25 @@ In "conservative" mode a candidate must additionally pass under every
 observation of positive predicted probability, not just the shared one.
 
 Every candidate, the nominal included, goes through one check built on
-the filter's own two steps: predicted_belief once, then correct under
-z. The step to that posterior is walked once, by the monitor's
-walk_step, which returns the step's records and the changes its rules
-make; the candidate passes under z when no record fails. In
-conservative mode, once z passes, the same prediction goes through
-correct under each other observation in turn, and each posterior's
-step is walked the same way, up to the first that fails. An
-observation correct refuses with ZeroLikelihood passes when its
-likelihood is exactly zero (it cannot happen) and fails when it is
+the filter's own two steps: predicted_belief once, then correct under z.
+The step to that posterior is walked once, by the monitor's walk_step,
+which returns the step's records and the changes its rules make; the
+candidate passes under z when no record fails. The shield walks without
+details, so a failing record's detail is "": it reads only statuses and
+barriers, and the records it executes pass, so they are the records
+check_step gives. In conservative mode, once z passes, the same
+prediction goes through correct under each other observation in turn,
+and each posterior's step is walked the same way, up to the first that
+fails. An observation correct refuses with ZeroLikelihood passes when
+its likelihood is exactly zero (it cannot happen) and fails when it is
 positive but at most the floor. The shield evaluates only posteriors,
 each once, and walks each posterior once, a deadlock included: the
-executed action's records are its own walk's under z, a deadlock
-report lists the barriers each action's walk under z recorded, and the
-executed action's Belief and successor Monitor are the only ones
-built. The tests check every decision against a brute-force reference
-that updates the belief and evaluates both beliefs' barriers one
-action at a time, for every action.
+executed action's records are its own walk's under z, a deadlock report
+lists the barriers each action's walk under z recorded, and the executed
+action's Belief and successor Monitor are the only ones built. The tests
+check every decision against a brute-force reference that updates the
+belief and evaluates both beliefs' barriers one action at a time, for
+every action.
 
 The decision is a ShieldDecision, an immutable NamedTuple that the
 simulator unpacks by position in one statement; `decision._replace(...)`
@@ -110,7 +112,7 @@ def _passes_elsewhere(m: Mpomdp, mon: Monitor, predicted: np.ndarray, action: in
             if exc.denominator == 0.0:
                 continue
             return False
-        if not passed(walk_step(mon, barrier_values(mon, posterior))[0]):
+        if not passed(walk_step(mon, barrier_values(mon, posterior), details=False)[0]):
             return False
     return True
 
@@ -133,7 +135,7 @@ def _check(m: Mpomdp, mon: Monitor, b_prev: Belief, z: int, action: int, mode: s
     except ZeroLikelihood:
         return predicted, None, None, None, False
     values = barrier_values(mon, posterior)
-    records, changes = walk_step(mon, values)
+    records, changes = walk_step(mon, values, details=False)
     safe = passed(records) and (mode != CONSERVATIVE
                                 or _passes_elsewhere(m, mon, predicted, action, z))
     return posterior, values, records, changes, safe

@@ -90,8 +90,8 @@ def count_calls(monkeypatch, name: str, module=monitor) -> list:
     calls = []
     real = getattr(module, name)
 
-    def counting(*args):
-        result = real(*args)
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
         calls.append((args, result))
         return result
 

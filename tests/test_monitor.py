@@ -399,20 +399,42 @@ def test_finite_time_reports_both_problems():
     assert "; " in rec[DETAIL]
 
 
+def _ordered(x: float) -> int:
+    """x's place in the order of the float64s: consecutive floats get
+    consecutive integers, and both zeros get 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _float_at(k: int) -> float:
+    """The float whose place `_ordered` gives as k; +0.0 for 0."""
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else -k | 1 << 63))[0]
+
+
 def tightest_contraction(h: float, p: FtParams) -> float:
-    """The smallest float h_next that passes ft_dtbf_check from h."""
-    h_next = p.rho * h + p.eps * (1.0 - p.rho)
-    while not ft_dtbf_check(h, h_next, p):
-        h_next = np.nextafter(h_next, np.inf)
-    while ft_dtbf_check(h, np.nextafter(h_next, -np.inf), p):
-        h_next = np.nextafter(h_next, -np.inf)
-    return float(h_next)
+    """The smallest float h_next that passes ft_dtbf_check from h.
+
+    The floats that pass form an up-set (the check's subtraction is
+    monotone in h_next), +inf passes and -inf does not, so at most 64
+    halvings of the places between them find it. A float-by-float walk
+    may need about 10**305 steps: from h = -0.1 at rho 0.5 and eps 0.1,
+    rho * h + eps * (1 - rho) is 0.0, and every h_next down to about
+    -1e-18 passes."""
+    lo, hi = _ordered(-np.inf), _ordered(np.inf)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ft_dtbf_check(h, _float_at(mid), p):
+            hi = mid
+        else:
+            lo = mid
+    return _float_at(hi)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rho=st.floats(0.05, 0.99), eps=st.floats(1e-3, 2.0), h0=st.floats(-10.0, -1e-9))
 @example(rho=0.5, eps=0.1, h0=-0.199)  # deadline 1, reached at step 2
 @example(rho=0.5, eps=0.1, h0=-0.05)   # deadline 0, reached at step 1
+@example(rho=0.5, eps=0.1, h0=-0.1)    # passes down to about -1e-18 from 0.0
 def test_finite_time_zero_slack_reach_never_fails(rho, eps, h0):
     # Contraction at every step guarantees h >= 0 from step
     # ceil(log((eps - h0) / eps) / log(1 / rho)); the deadline is that
@@ -726,6 +748,7 @@ def test_walk_steps_is_check_step_step_after_step(conjuncts, warm, beliefs, cfg)
     for b in rest:
         values = barrier_values(reached, b)
         walk = walk_step(reached, values)
+        quiet = walk_step(reached, values, details=False)
         before = reached
         records, reached = check_step(reached, values)
         expected.append(records)
@@ -733,6 +756,9 @@ def test_walk_steps_is_check_step_step_after_step(conjuncts, warm, beliefs, cfg)
         # builds check_step's monitor from its changes.
         assert repr(walk[0]) == repr(records)
         assert repr(successor(before, walk[1], values)) == repr(reached)
+        # Without details only a failing record's text goes.
+        assert repr(quiet) == repr(
+            ([[s, v, "" if s == "fail" else d] for s, v, d in walk[0]], walk[1]))
     # Each barrier as a column over the steps, from one gather of every
     # step's leaves, as the audit evaluates them.
     leaves = gather_leaves(mon.leaves, np.array(rest).reshape(len(rest), 4)).T

@@ -42,7 +42,7 @@ from beliefshield import (
     run_batch,
     shield_step,
 )
-from beliefshield import model, monitor, sim
+from beliefshield import model, monitor, shield, sim
 from beliefshield.errors import BeliefShieldError
 from beliefshield.monitor import barrier_values, check_step, passed
 
@@ -439,14 +439,18 @@ def test_batched_shield_matches_enumeration(seed, mode):
     a_nom = int(rng.integers(m.n_joint_actions))
 
     ref = shield_reference(m, mon, b, z, a_nom, mode)
-    best = ref.choice
-    if best is None:
+    if ref.choice is None:
         with pytest.raises(SafetyDeadlock) as err:
             shield_step(m, values_at(mon, b), b, z, a_nom, mode)
         assert err.value.step == mon.step_count + 1
         assert err.value.candidate_barriers == reference_barriers(ref, mon)
         return
-    decision = shield_step(m, values_at(mon, b), b, z, a_nom, mode)
+    assert_decision_is_the_reference(shield_step(m, values_at(mon, b), b, z, a_nom, mode),
+                                     ref, a_nom)
+
+
+def assert_decision_is_the_reference(decision, ref, a_nom):
+    best = ref.choice
     assert decision.overridden == (best.action != a_nom)
     assert decision.executed == best.action
     assert decision.nominal_reward == ref.nominal_reward
@@ -475,6 +479,31 @@ def test_forced_deadlock_reports_every_action(seed, mode):
         shield_reference(m, mon, b, z, a_nom, mode), mon)
 
 
+@pytest.mark.parametrize("mode", [LITERAL, CONSERVATIVE])
+def test_a_corridor_override_matches_the_reference_without_failure_text(mode, monkeypatch):
+    # Every corridor episode overrides its nominal at step 1.
+    scen = _scenario({LITERAL: "corridor", CONSERVATIVE: "corridor_conservative"}[mode])
+    steps = count_calls(monkeypatch, "shield_step", shield)
+    run_batch(scen.to_scenario(), base_seed=7, episodes=1)
+    (m, mon, b, z, a_nom), _ = steps[0]
+    checks = count_calls(monkeypatch, "_check", shield)
+    decision = shield_step(m, mon, b, z, a_nom, mode)
+    assert decision.overridden
+    assert_decision_is_the_reference(decision, shield_reference(m, mon, b, z, a_nom, mode),
+                                     a_nom)
+    # Each failing record of a check carries no text, where check_step's
+    # record of the same step carries its reason.
+    failed = 0
+    for _, (_, values, records, _, _) in checks:
+        if records is None:
+            continue  # z is impossible after this action
+        for (status, _, detail), (_, _, text) in zip(records, check_step(mon, values)[0]):
+            if status == "fail":
+                failed += 1
+                assert detail == "" and text
+    assert failed
+
+
 # --------------------------------------------------------------------------
 # Each candidate's obligations are walked once
 
@@ -488,12 +517,12 @@ def audited_shield(monkeypatch) -> list[bool]:
     `overridden`."""
     walked = []
     for kind, rule in list(monitor._RULES.items()):
-        def counting(ob, prev, nxt, first, step, cfg, rule=rule):
+        def counting(ob, prev, nxt, *args, rule=rule):
             # nxt is the obligation's list of barrier values at one
             # posterior, so its identity tells posteriors apart; the list
             # is kept alive here, so no identity is reused.
             walked.append((ob.oid, nxt))
-            return rule(ob, prev, nxt, first, step, cfg)
+            return rule(ob, prev, nxt, *args)
         monkeypatch.setitem(monitor._RULES, kind, counting)
     checks = count_calls(monkeypatch, "check_step")
     real = sim.shield_step
