@@ -6,9 +6,25 @@ observation there, and hands that observation to the shield. When the
 shield overrides, the true next state is resampled under the executed
 action while the belief advances with the executed action and the same
 observation, so the recorded verdict is the one the executed belief
-actually produced. The RNG draw order (nominal next state, observation,
-then executed next state only on override) is fixed; identical seeds
-reproduce identical traces.
+actually produced. The RNG draw order is fixed: the initial state once,
+then per step the nominal action (RandomUniform only), the nominal
+action's next state, the observation, and the executed action's next
+state only on override. Identical seeds reproduce identical traces.
+
+A step's outcome (executed action, override flag, nominal and candidate
+rewards, records, next belief and next monitor) is a pure function of
+the belief, the monitor, the nominal action and the observation, and
+every episode of a batch starts from the same belief and monitor. So
+run_batch keeps one prefix tree per batch, as POMCP keeps its
+action-observation histories: a dict keyed by (nominal, observation)
+whose values are (outcome, child). An episode follows recorded edges
+while they exist; at its first computed step it records that outcome
+under a fresh empty child and looks nothing up after it, so a batch
+records at most one outcome per episode. The nominal, its next state
+and the observation are drawn before the lookup, and the override's
+resample and the realized reward come after it, so a reused step draws
+what a computed one does. A deadlock or a zero-likelihood ending is
+never recorded, and a reused step gets its own copy of the records.
 
 Each step is recorded as a TraceStep, a NamedTuple whose fields are a
 version 3 trace row's columns in their order (traceio.STEP_COLUMNS), so
@@ -137,7 +153,10 @@ class Trace:
 
 
 def run_episode(scenario: Scenario, rng: np.random.Generator,
-                episode: int = 0) -> Trace:
+                episode: int = 0, tree: dict | None = None) -> Trace:
+    """Simulate one episode. With tree, the batch's prefix tree (see the
+    module docstring), follow its recorded steps and record the first
+    step computed."""
     m = scenario.model
     belief, mon = m.initial, scenario.monitor
     state = sample_initial_state(m, rng)
@@ -151,30 +170,34 @@ def run_episode(scenario: Scenario, rng: np.random.Generator,
         q_nom = sample_transition(state, a_nom, m, rng)
         z = sample_observation(q_nom, a_nom, m, rng)
 
-        if scenario.shield_mode == SHIELD_OFF:
-            executed, overridden = a_nom, False
-            nominal_reward: float | None = None
-            candidate_rewards: tuple[tuple[int, float], ...] = ()
+        edge = None if tree is None else tree.get((a_nom, z))
+        if edge is not None:
+            outcome, tree = edge
+        elif scenario.shield_mode == SHIELD_OFF:
             try:
                 b_next = belief_update(belief, a_nom, z, m)
             except ZeroLikelihood:
                 end_reason = END_ZERO_LIKELIHOOD
                 end_detail = {"action": a_nom, "observation": z}
                 break
-            verdict, mon = check_step(mon, barrier_values(mon, b_next.probs))
-            next_state = q_nom
+            verdict, reached = check_step(mon, barrier_values(mon, b_next.probs))
+            outcome = (a_nom, False, None, (), verdict, b_next, reached)
         else:
             try:
-                decision = shield_step(m, mon, belief, z, a_nom, mode=scenario.shield_mode)
+                outcome = shield_step(m, mon, belief, z, a_nom, mode=scenario.shield_mode)
             except SafetyDeadlock as exc:
                 end_reason = END_DEADLOCK
                 end_detail = {"step": exc.step,
                               "candidate_barriers": exc.candidate_barriers}
                 break
-            (executed, overridden, nominal_reward, candidate_rewards, verdict, b_next,
-             mon) = decision
-            next_state = (sample_transition(state, executed, m, rng)
-                          if overridden else q_nom)
+        executed, overridden, nominal_reward, candidate_rewards, verdict, b_next, mon = outcome
+        if edge is not None:
+            verdict = [record.copy() for record in verdict]
+        elif tree is not None:
+            tree[a_nom, z] = outcome, {}
+            tree = None
+        next_state = (sample_transition(state, executed, m, rng)
+                      if overridden else q_nom)
 
         steps.append(TraceStep(
             step, state, a_nom, executed, overridden, z, next_state, b_next, verdict,
@@ -244,13 +267,16 @@ class BatchResult:
 
 def run_batch(scenario: Scenario, base_seed: int, episodes: int) -> BatchResult:
     """Run independent episodes with per-episode RNG streams spawned
-    from the base seed, so any prefix of the batch is reproducible."""
+    from the base seed, so any prefix of the batch is reproducible.
+    The episodes share one prefix tree, and each trace is the one
+    run_episode gives alone with its stream."""
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
     children = np.random.SeedSequence(base_seed).spawn(episodes)
+    tree: dict = {}
     with paused_gc():
         traces = tuple(
-            run_episode(scenario, np.random.default_rng(children[i]), episode=i)
+            run_episode(scenario, np.random.default_rng(children[i]), episode=i, tree=tree)
             for i in range(episodes)
         )
     return BatchResult(base_seed=base_seed, traces=traces,

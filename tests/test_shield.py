@@ -601,12 +601,19 @@ def test_each_posterior_is_walked_once_a_deadlock_included(mode, monkeypatch):
         return decision
 
     monkeypatch.setattr(sim, "shield_step", checked)
-    run_batch(scen, base_seed=7, episodes=3)
+    result = run_batch(scen, base_seed=7, episodes=3)
     assert checks == []
     # Steps 1 and 2 override: the nominal and the three actions that
     # change one agent are walked under z, and in conservative mode the
     # one of them that passes is walked under the corridor's other joint
     # observation too. Step 3 deadlocks: all six joint actions are walked
     # under z, and no other observation, since none passes under z.
+    # The batch's prefix tree reuses some override steps, which call no
+    # shield; a deadlock is never recorded, so each episode calls the
+    # shield at its step 3.
     override = (True, {LITERAL: 4, CONSERVATIVE: 5}[mode])
-    assert counted == [override, override, (None, 6)] * 3
+    deadlock = (None, 6)
+    assert [len(t.steps) for t in result.traces] == [2] * 3
+    assert counted.count(deadlock) == 3 and counted[-1] == deadlock
+    assert set(counted) == {override, deadlock}
+    assert len(counted) < 3 * 3

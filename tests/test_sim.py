@@ -323,26 +323,52 @@ def test_corridor_unshielded_violates_immediately():
 # the next step
 
 
+def computed_steps(result) -> list[bool]:
+    """For every step of the batch, in episode order, whether it was
+    computed rather than reused from the batch's prefix tree: a computed
+    step's Belief is new, and every step that reuses it holds the same
+    object."""
+    seen: set[int] = set()
+    computed = []
+    for trace in result.traces:
+        for s in trace.steps:
+            computed.append(id(s.belief) not in seen)
+            seen.add(id(s.belief))
+    return computed
+
+
 @pytest.mark.parametrize("mode", ["off", "literal"])
-def test_each_belief_is_evaluated_once(mode, barrier_calls):
+def test_each_belief_is_evaluated_once(mode, barrier_calls, monkeypatch):
     scen = corridor_config(mode).to_scenario()
+    # The evaluations so far at the start of each step: every step of
+    # the corridor's batch selects a nominal and records a row.
+    marks = []
+    real_select = sim.select_action
+
+    def selecting(*args):
+        marks.append(len(barrier_calls))
+        return real_select(*args)
+
+    monkeypatch.setattr(sim, "select_action", selecting)
     barrier_calls.clear()
     result = run_batch(scen, base_seed=7, episodes=3)
-    agg = result.aggregate()
-    steps = agg["total_steps"]
+    marks.append(len(barrier_calls))
+    steps = [s for t in result.traces for s in t.steps]
+    computed = computed_steps(result)
+    assert len(marks) == len(steps) + 1
+    assert True in computed and False in computed
     # The initial belief's values come with the compiled monitor, so no
-    # episode evaluates it.
-    if mode == "off":
-        assert len(barrier_calls) == steps
-    else:
-        # The nominal's posterior once per step, and on an override the
-        # posterior of each action that changes one agent's component
-        # once: z is possible after each of the corridor's actions, and
-        # one of those is safe at every override, so the shield checks
-        # no action that changes both agents.
-        assert agg["override_steps"] > 0
-        one_agent = sum(r - 1 for r in scen.model.action_radices)
-        assert len(barrier_calls) == steps + agg["override_steps"] * one_agent
+    # episode evaluates it. A computed step evaluates the nominal's
+    # posterior once, and on an override the posterior of each action
+    # that changes one agent's component once: z is possible after each
+    # of the corridor's actions, and one of those is safe at every
+    # override, so the shield checks no action that changes both agents.
+    # A reused step evaluates nothing.
+    one_agent = sum(r - 1 for r in scen.model.action_radices)
+    expected = [(1 + one_agent * s.overridden) * fresh for s, fresh in zip(steps, computed)]
+    assert [b - a for a, b in zip(marks, marks[1:])] == expected
+    if mode == "literal":
+        assert any(s.overridden for s, fresh in zip(steps, computed) if fresh)
 
 
 def _all_kinds_formula(m: Mpomdp):
@@ -383,21 +409,29 @@ def test_carried_values_match_a_fresh_evaluation_of_both_beliefs(model, mode, mo
                          max_states=5)
         scen = Scenario(model=m, monitor=compile_monitor(_all_kinds_formula(m), m, CFG),
                         policy=RandomUniform(), shield_mode=mode, horizon=25)
-    # The monitor each step's verdict came with: check_step's successor
-    # unshielded, the decision's next_monitor under the shield.
+    # The monitor each step's belief came with: check_step's successor
+    # unshielded, the decision's next_monitor under the shield. A step
+    # reused from the batch's prefix tree holds the Belief of the step
+    # that computed it, so the map is keyed by the Belief.
     successor = {}
-    real_check, real_shield = sim.check_step, sim.shield_step
+    updated = []
+    real_update, real_check, real_shield = sim.belief_update, sim.check_step, sim.shield_step
+
+    def updating(*args):
+        updated.append(real_update(*args))
+        return updated[-1]
 
     def checking(mon, values):
         verdict, reached = real_check(mon, values)
-        successor[id(verdict)] = reached
+        successor[id(updated.pop())] = reached
         return verdict, reached
 
     def shielding(*args, **kwargs):
         decision = real_shield(*args, **kwargs)
-        successor[id(decision.verdict)] = decision.next_monitor
+        successor[id(decision.next_belief)] = decision.next_monitor
         return decision
 
+    monkeypatch.setattr(sim, "belief_update", updating)
     monkeypatch.setattr(sim, "check_step", checking)
     monkeypatch.setattr(sim, "shield_step", shielding)
     result = run_batch(scen, base_seed=3, episodes=4)
@@ -407,9 +441,128 @@ def test_carried_values_match_a_fresh_evaluation_of_both_beliefs(model, mode, mo
         for s in trace.steps:
             verdict, mon = monitor_step(mon, belief, s.belief)
             assert s.verdict == verdict
-            assert successor[id(s.verdict)] == mon
+            assert successor[id(s.belief)] == mon
             belief = s.belief
             steps += 1
             inactive += sum(status == "inactive" for status, _, _ in s.verdict)
     # Obligations were discharged mid-episode, so carried values skipped them.
     assert steps and inactive
+
+
+# --------------------------------------------------------------------------
+# The batch's prefix tree: a step reused from it is the step computed
+
+
+def _batch_case(case: str) -> Scenario:
+    if case in ("off", "literal", "conservative"):
+        return corridor_config(case).to_scenario()
+    if case == "abort":
+        return corridor_config("off").to_scenario(abort_on_violation=True)
+    if case.startswith("corridor_"):
+        return _scenario(case).to_scenario()
+    policy, mode, seed = case.split("-")
+    m = random_model(np.random.default_rng(int(seed)), max_states=5)
+    return Scenario(model=m, monitor=compile_monitor(_all_kinds_formula(m), m, CFG),
+                    policy={"greedy": GreedyReward(), "uniform": RandomUniform()}[policy],
+                    shield_mode=mode, horizon=25)
+
+
+def _steps_of(trace) -> list[tuple]:
+    """Every field of every step, the belief as its bytes."""
+    return [(*s[:7], s.belief.probs.tobytes(), *s[8:]) for s in trace.steps]
+
+
+def _tree_size(tree: dict) -> int:
+    return sum(1 + _tree_size(child) for _, child in tree.values())
+
+
+def _batch_tree(monkeypatch) -> list[dict]:
+    """The prefix tree each run_batch call from here on passes to its
+    episodes, one entry per call."""
+    trees = []
+    real = sim.run_episode
+
+    def running(*args, tree=None, **kwargs):
+        if tree is not None and all(tree is not t for t in trees):
+            trees.append(tree)
+        return real(*args, tree=tree, **kwargs)
+
+    monkeypatch.setattr(sim, "run_episode", running)
+    return trees
+
+
+BATCH_CASES = [
+    "off", "literal", "conservative", "abort",
+    "corridor_all_kinds_off", "corridor_all_kinds_literal",
+    "corridor_all_kinds_conservative",
+    "corridor_deadlock_literal", "corridor_deadlock_conservative",
+    *(f"{policy}-{mode}-{seed}" for policy in ("greedy", "uniform")
+      for mode in ("off", "literal", "conservative") for seed in (100, 102)),
+]
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batch_traces_are_the_episodes_run_alone(case, tmp_path):
+    scen = _batch_case(case)
+    batch = run_batch(scen, base_seed=5, episodes=8)
+    # Every case shares some steps across its episodes.
+    assert False in computed_steps(batch)
+    children = np.random.SeedSequence(5).spawn(8)
+    alone = [run_episode(scen, np.random.default_rng(children[i]), episode=i)
+             for i in range(8)]
+    for t, a in zip(batch.traces, alone, strict=True):
+        assert (t.episode, t.initial_state, t.end_reason, t.end_detail) == (
+            a.episode, a.initial_state, a.end_reason, a.end_detail)
+        assert _steps_of(t) == _steps_of(a)
+    written = []
+    for name, traces in (("batch", batch.traces), ("alone", tuple(alone))):
+        path = tmp_path / f"{name}.trace.jsonl"
+        write_traces(sim.BatchResult(5, traces, batch.obligations), path, case,
+                     scen.shield_mode, scen.horizon)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("case", ["off", "literal", "conservative",
+                                  "corridor_deadlock_literal", "greedy-literal-100",
+                                  "uniform-conservative-102"])
+def test_a_batch_records_at_most_one_outcome_per_episode(case, monkeypatch):
+    trees = _batch_tree(monkeypatch)
+    result = run_batch(_batch_case(case), base_seed=5, episodes=12)
+    [tree] = trees
+    assert _tree_size(tree) <= 12
+    assert False in computed_steps(result)
+    if not case.startswith("corridor_deadlock"):
+        # No episode ends before its first computed step, so each
+        # records exactly one.
+        assert _tree_size(tree) == 12
+
+
+def test_deadlocks_and_zero_likelihood_endings_are_never_recorded(monkeypatch):
+    trees = _batch_tree(monkeypatch)
+    result = run_batch(deadlock_scenario("literal"), base_seed=5, episodes=3)
+    assert [t.end_reason for t in result.traces] == [END_DEADLOCK] * 3
+    m = one_state_model()
+    monkeypatch.setattr("beliefshield.sim.belief_update", impossible)
+    result = run_batch(Scenario(model=m, monitor=safe_monitor(m), policy=FixedAction(0),
+                                shield_mode="off", horizon=5), base_seed=5, episodes=3)
+    assert [t.end_reason for t in result.traces] == [END_ZERO_LIKELIHOOD] * 3
+    assert trees == [{}, {}]
+
+
+def test_changing_reused_records_leaves_the_other_traces_unchanged():
+    scen = corridor_config("literal").to_scenario()
+    steps = [s for t in run_batch(scen, base_seed=7, episodes=6).traces for s in t.steps]
+    before = [[list(record) for record in s.verdict] for s in steps]
+    holders: dict[int, list[int]] = {}
+    for i, s in enumerate(steps):
+        holders.setdefault(id(s.belief), []).append(i)
+    # The steps that share a Belief: one computed it, the others reused it.
+    shared = [i for group in holders.values() if len(group) > 1 for i in group]
+    assert shared
+    for i in shared:
+        steps[i].verdict[0][0] = "changed"
+        steps[i].verdict.append(["fail", 0.0, ""])
+        assert all(s.verdict == was
+                   for j, (s, was) in enumerate(zip(steps, before)) if j != i)
+        steps[i].verdict[:] = [list(record) for record in before[i]]
